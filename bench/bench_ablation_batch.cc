@@ -54,10 +54,10 @@ main(int argc, char **argv)
 
                 config.pipelined = true;
                 const auto piped =
-                    arch::PipelineScheduler(map, config).run();
+                    arch::PipelineScheduler(map.depth(), config).run();
                 config.pipelined = false;
                 const auto serial =
-                    arch::PipelineScheduler(map, config).run();
+                    arch::PipelineScheduler(map.depth(), config).run();
 
                 table.addRow(
                     {std::to_string(b),

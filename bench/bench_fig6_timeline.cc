@@ -66,7 +66,7 @@ main(int argc, char **argv)
             config.training = true;
             config.batch_size = 1;
             config.num_images = 1;
-            arch::PipelineScheduler scheduler(map, config);
+            arch::PipelineScheduler scheduler(map.depth(), config);
             const arch::ScheduleStats stats = scheduler.run();
             std::cout << scheduler.renderTimeline() << "\n";
             json::Value fig3 = stats.toJson();
@@ -87,7 +87,7 @@ main(int argc, char **argv)
             config.training = true;
             config.batch_size = kBatch;
             config.num_images = kImages;
-            arch::PipelineScheduler scheduler(map, config);
+            arch::PipelineScheduler scheduler(map.depth(), config);
             scheduler.setTrace(&recorder);
             const arch::ScheduleStats stats = scheduler.run();
             std::cout << scheduler.renderTimeline(30) << "\n";
@@ -115,7 +115,7 @@ main(int argc, char **argv)
             config.training = true;
             config.batch_size = kBatch;
             config.num_images = kImages;
-            arch::PipelineScheduler scheduler(map, config);
+            arch::PipelineScheduler scheduler(map.depth(), config);
             const arch::ScheduleStats stats = scheduler.run();
             std::cout << scheduler.renderTimeline(30) << "\n";
             json::Value fig7a = stats.toJson();

@@ -259,10 +259,10 @@ run(bench::Runner &runner)
         config.batch_size = 64;
         config.num_images = 256;
 
-        arch::PipelineScheduler once(map, config);
+        arch::PipelineScheduler once(map.depth(), config);
         const int64_t cycles = once.run().total_cycles;
         const double ns = bench::measureNs(threadCount(), [&] {
-            arch::PipelineScheduler scheduler(map, config);
+            arch::PipelineScheduler scheduler(map.depth(), config);
             scheduler.run();
         });
 

@@ -54,14 +54,14 @@ printCycleTable(bench::Runner &r)
 
             config.pipelined = false;
             const int64_t serial_sim =
-                arch::PipelineScheduler(map, config).run().total_cycles;
+                arch::PipelineScheduler(map.depth(), config).run().total_cycles;
             const int64_t serial_formula =
                 arch::PipelineScheduler::analyticTrainingCycles(
                     depth, images, batch, false);
 
             config.pipelined = true;
             const int64_t piped_sim =
-                arch::PipelineScheduler(map, config).run().total_cycles;
+                arch::PipelineScheduler(map.depth(), config).run().total_cycles;
             const int64_t piped_formula =
                 arch::PipelineScheduler::analyticTrainingCycles(
                     depth, images, batch, true);
@@ -178,13 +178,13 @@ printLargeN(bench::Runner &r)
         config.arrival_cycles =
             sim::ArrivalTrace::fixed(images, interval).cycles();
 
-        arch::PipelineScheduler event(map, config);
+        arch::PipelineScheduler event(map.depth(), config);
         arch::ScheduleStats event_stats;
         const double event_wall =
             timed([&] { event_stats = event.run(); });
         const int64_t event_iters = event.lastRunCycleIters();
 
-        arch::PipelineScheduler dense(map, config);
+        arch::PipelineScheduler dense(map.depth(), config);
         arch::ScheduleStats dense_stats;
         const double dense_wall =
             timed([&] { dense_stats = dense.runReference(); });

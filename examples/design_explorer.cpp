@@ -160,7 +160,7 @@ main(int argc, char **argv)
         sched.training = true;
         sched.batch_size = std::min<int64_t>(batch, 8);
         sched.num_images = std::min<int64_t>(batch, 8);
-        arch::PipelineScheduler scheduler(map, sched);
+        arch::PipelineScheduler scheduler(map.depth(), sched);
         std::cout << scheduler.renderTimeline(60);
     }
     return 0;

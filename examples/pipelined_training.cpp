@@ -17,13 +17,10 @@
 #include <iostream>
 #include <memory>
 
-#include "arch/granularity.hh"
-#include "arch/mapping.hh"
 #include "arch/pipeline.hh"
 #include "common/rng.hh"
 #include "core/pipelined_trainer.hh"
 #include "nn/layers.hh"
-#include "workloads/model_zoo.hh"
 #include "workloads/synthetic_data.hh"
 
 namespace {
@@ -101,17 +98,14 @@ main()
               << " entries = 2L+1 (the paper's sizing, reached "
                  "exactly)\n\n";
 
-    // Show the schedule that just ran (Fig. 6 rendering).
-    const auto spec = workloads::specFromNetwork(piped_net);
-    const reram::DeviceParams params;
-    const arch::NetworkMapping map(
-        spec, arch::GranularityConfig::naive(spec), params, true, batch);
+    // Show the schedule that just ran (Fig. 6 rendering): the trainer
+    // executed this scheduler's op stream.
     arch::ScheduleConfig config;
     config.pipelined = true;
     config.training = true;
     config.batch_size = batch;
     config.num_images = batch;
-    arch::PipelineScheduler scheduler(map, config);
+    arch::PipelineScheduler scheduler(trainer.depth(), config);
     std::cout << "the schedule that just executed (one column per "
                  "logical cycle, cells = image ids):\n\n"
               << scheduler.renderTimeline(48);

@@ -235,13 +235,16 @@ ClusterStats::toJson() const
     return v;
 }
 
-Cluster::Cluster(const NetworkMapping &mapping,
-                 const ScheduleConfig &shard,
+Cluster::Cluster(int64_t depth, const ScheduleConfig &shard,
                  const ClusterConfig &cluster, int64_t payload_bytes,
                  double cycle_time_s)
-    : mapping_(mapping), shard_(shard), cluster_(cluster),
+    : depth_(depth), shard_(shard), cluster_(cluster),
       payload_bytes_(payload_bytes), cycle_time_s_(cycle_time_s)
 {
+    if (depth_ < 1) {
+        throw ConfigError("Cluster: depth must be positive, got " +
+                          std::to_string(depth_));
+    }
     shard_.validate();
     cluster_.validate();
     if (payload_bytes_ < 0) {
@@ -311,7 +314,7 @@ Cluster::run()
     }
     parallel_for(0, chips, /*grain=*/1, [&](int64_t c0, int64_t c1) {
         for (int64_t c = c0; c < c1; ++c) {
-            PipelineScheduler sched(mapping_, shard_);
+            PipelineScheduler sched(depth_, shard_);
             if (trace_)
                 sched.setTrace(&chip_traces[static_cast<size_t>(c)]);
             chip_stats[static_cast<size_t>(c)] = sched.run();
@@ -365,10 +368,9 @@ Cluster::run()
     // boundary, fed by a flow arrow from every chip's update slice.
     if (trace_ && aggregates && out.aggregation_rounds > 0) {
         const int64_t agg_track = trace_->addTrack("interconnect");
-        const int64_t depth = mapping_.depth();
         const int64_t span = shard_.pipelined
-            ? 2 * depth + shard_.batch_size + 1
-            : shard_.batch_size * (2 * depth + 1) + 1;
+            ? 2 * depth_ + shard_.batch_size + 1
+            : shard_.batch_size * (2 * depth_ + 1) + 1;
         const int64_t slice_cycles = std::max<int64_t>(
             1, cycle_time_s_ > 0.0
                    ? static_cast<int64_t>(

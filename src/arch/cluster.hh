@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "arch/mapping.hh"
 #include "arch/pipeline.hh"
 #include "common/json.hh"
 #include "common/stats.hh"
@@ -155,18 +154,20 @@ struct ClusterStats
 /**
  * Runs one shard schedule per chip plus the aggregation phase.
  *
- * The mapping and schedule describe ONE chip's shard (the caller —
- * sim::Simulator::runCluster — divides batch and volume by the chip
- * count first; Cluster::shard() does the division with typed
- * validation).  @c payload_bytes is the gradient footprint each chip
- * contributes per round, derived from the mapped network's weight
- * parameters; @c cycle_time_s converts aggregation seconds to logical
- * cycles and must be positive whenever a training run has 2+ chips.
+ * @c depth is the mapped network's pipeline depth L
+ * (NetworkMapping::depth()), and the schedule describes ONE chip's
+ * shard (the caller — sim::Simulator::runCluster — divides batch and
+ * volume by the chip count first; Cluster::shard() does the division
+ * with typed validation).  @c payload_bytes is the gradient footprint
+ * each chip contributes per round, derived from the mapped network's
+ * weight parameters; @c cycle_time_s converts aggregation seconds to
+ * logical cycles and must be positive whenever a training run has 2+
+ * chips.
  */
 class Cluster
 {
   public:
-    Cluster(const NetworkMapping &mapping, const ScheduleConfig &shard,
+    Cluster(int64_t depth, const ScheduleConfig &shard,
             const ClusterConfig &cluster, int64_t payload_bytes,
             double cycle_time_s);
 
@@ -200,7 +201,7 @@ class Cluster
     void setTrace(trace::TraceRecorder *recorder);
 
   private:
-    const NetworkMapping &mapping_;
+    int64_t depth_;
     ScheduleConfig shard_;
     ClusterConfig cluster_;
     int64_t payload_bytes_;

@@ -136,11 +136,16 @@ ScheduleConfig::validate() const
     }
 }
 
-PipelineScheduler::PipelineScheduler(const NetworkMapping &mapping,
+PipelineScheduler::PipelineScheduler(int64_t depth,
                                      const ScheduleConfig &config,
                                      int64_t buffer_slack)
-    : mapping_(mapping), config_(config), buffer_slack_(buffer_slack)
+    : depth_(depth), config_(config), buffer_slack_(buffer_slack)
 {
+    if (depth < 1) {
+        throw ConfigError(
+            "PipelineScheduler: depth must be positive, got " +
+            std::to_string(depth));
+    }
     config.validate();
 }
 
@@ -148,10 +153,11 @@ void
 PipelineScheduler::setTrace(trace::TraceRecorder *recorder)
 {
     trace_ = recorder;
+    trace_offset_ = 0;
     if (!recorder)
         return;
     // Declare one track per unit row, in renderTimeline() order.
-    const int64_t depth = mapping_.depth();
+    const int64_t depth = depth_;
     trace_base_ = recorder->trackCount();
     for (int64_t s = 0; s < depth; ++s)
         recorder->addTrack("A" + std::to_string(s + 1));
@@ -163,6 +169,16 @@ PipelineScheduler::setTrace(trace::TraceRecorder *recorder)
             recorder->addTrack("dW" + std::to_string(s + 1));
         recorder->addTrack("Upd");
     }
+}
+
+void
+PipelineScheduler::continueTrace(trace::TraceRecorder *recorder,
+                                 int64_t first_track,
+                                 int64_t cycle_offset)
+{
+    trace_ = recorder;
+    trace_base_ = first_track;
+    trace_offset_ = cycle_offset;
 }
 
 void
@@ -180,7 +196,7 @@ PipelineScheduler::setMetrics(metrics::Sampler *sampler)
 int64_t
 PipelineScheduler::traceTrack(Op::Kind kind, int64_t stage) const
 {
-    const int64_t depth = mapping_.depth();
+    const int64_t depth = depth_;
     switch (kind) {
       case Op::Kind::Forward:
         return trace_base_ + stage;
@@ -241,7 +257,7 @@ PipelineScheduler::analyticTestingCycles(int64_t depth, int64_t n,
 int64_t
 PipelineScheduler::scheduleSpan() const
 {
-    const int64_t depth = mapping_.depth();
+    const int64_t depth = depth_;
     const int64_t n = config_.num_images;
     // Serving arrivals stretch the pipelined testing schedule: the
     // closed form N + L - 1 assumes back-to-back images.
@@ -261,7 +277,7 @@ void
 PipelineScheduler::scheduleImage(int64_t image, int64_t t0,
                                  const OpEmit &emit) const
 {
-    const int64_t depth = mapping_.depth();
+    const int64_t depth = depth_;
 
     for (int64_t s = 0; s < depth; ++s)
         emit(t0 + s + 1, {Op::Kind::Forward, image, s});
@@ -282,7 +298,7 @@ int64_t
 PipelineScheduler::buildSchedule(const OpEmit &emit,
                                  std::vector<int64_t> &entry_cycle) const
 {
-    const int64_t depth = mapping_.depth();
+    const int64_t depth = depth_;
     const int64_t n = config_.num_images;
     const int64_t b = config_.batch_size;
 
@@ -366,10 +382,10 @@ struct PipelineScheduler::RunState
 };
 
 void
-PipelineScheduler::executeCycle(int64_t cycle, const Op *begin,
-                                const Op *end, RunState &state)
+PipelineScheduler::executeCycle(int64_t cycle, std::span<const Op> ops,
+                                RunState &state)
 {
-    const int64_t depth = mapping_.depth();
+    const int64_t depth = depth_;
     ScheduleStats &stats = state.stats;
     auto &d_buffers = state.d_buffers;
     auto &delta_buffers = state.delta_buffers;
@@ -377,24 +393,24 @@ PipelineScheduler::executeCycle(int64_t cycle, const Op *begin,
     // Structural-hazard check: one claim per (unit kind, stage).
     // Input writes go to the memory subarrays, not a compute unit.
     state.unit_claims.clear();
-    for (const Op *op = begin; op != end; ++op) {
-        if (op->kind == Op::Kind::InputWrite)
+    for (const Op &op : ops) {
+        if (op.kind == Op::Kind::InputWrite)
             continue;
-        const auto key = std::make_pair(static_cast<int>(op->kind),
-                                        op->stage);
+        const auto key = std::make_pair(static_cast<int>(op.kind),
+                                        op.stage);
         if (++state.unit_claims[key] > 1)
             ++stats.structural_hazards;
-        if (op->stage >= 0)
-            ++stats.per_stage_ops[static_cast<size_t>(op->stage)];
+        if (op.stage >= 0)
+            ++stats.per_stage_ops[static_cast<size_t>(op.stage)];
     }
 
     // Pipeline event trace: one slice per occupied unit-cycle
     // (ts 0 = the first compute cycle, so the trace spans exactly
     // total_cycles logical cycles).
     if (trace_) {
-        for (const Op *op = begin; op != end; ++op) {
+        for (const Op &op : ops) {
             const char *cat = "";
-            switch (op->kind) {
+            switch (op.kind) {
               case Op::Kind::Forward:    cat = "forward"; break;
               case Op::Kind::ErrorSeed:  cat = "error_seed"; break;
               case Op::Kind::ErrorBack:  cat = "error_back"; break;
@@ -402,11 +418,12 @@ PipelineScheduler::executeCycle(int64_t cycle, const Op *begin,
               case Op::Kind::Update:     cat = "update"; break;
               case Op::Kind::InputWrite: continue; // no unit row
             }
-            const std::string name = op->image >= 0
-                ? "img" + std::to_string(op->image)
+            const std::string name = op.image >= 0
+                ? "img" + std::to_string(op.image)
                 : std::string("update");
-            trace_->complete(traceTrack(op->kind, op->stage), name,
-                             cat, cycle - 1, 1, op->image);
+            trace_->complete(traceTrack(op.kind, op.stage), name,
+                             cat, trace_offset_ + cycle - 1, 1,
+                             op.image);
         }
     }
 
@@ -414,8 +431,8 @@ PipelineScheduler::executeCycle(int64_t cycle, const Op *begin,
     // timeline (ts 0 = the first compute cycle).
     if (metrics_) {
         int64_t fwd = 0, err = 0, der = 0, upd = 0;
-        for (const Op *op = begin; op != end; ++op) {
-            switch (op->kind) {
+        for (const Op &op : ops) {
+            switch (op.kind) {
               case Op::Kind::Forward:    ++fwd; break;
               case Op::Kind::ErrorSeed:
               case Op::Kind::ErrorBack:  ++err; break;
@@ -436,20 +453,20 @@ PipelineScheduler::executeCycle(int64_t cycle, const Op *begin,
     }
 
     // Phase 1: non-final reads.
-    for (const Op *op = begin; op != end; ++op) {
-        switch (op->kind) {
+    for (const Op &op : ops) {
+        switch (op.kind) {
           case Op::Kind::Forward:
             // Training keeps d for the derivative pass, so the
             // forward read is not the last use; in testing the
             // read is final (phase 2).
             if (config_.training) {
-                d_buffers[static_cast<size_t>(op->stage)].read(
-                    op->image, /*final_read=*/false);
+                d_buffers[static_cast<size_t>(op.stage)].read(
+                    op.image, /*final_read=*/false);
             }
             break;
           case Op::Kind::ErrorBack:
-            delta_buffers[static_cast<size_t>(op->stage)].read(
-                op->image, /*final_read=*/false);
+            delta_buffers[static_cast<size_t>(op.stage)].read(
+                op.image, /*final_read=*/false);
             break;
           default:
             break;
@@ -457,23 +474,23 @@ PipelineScheduler::executeCycle(int64_t cycle, const Op *begin,
     }
 
     // Phase 2: final reads.
-    for (const Op *op = begin; op != end; ++op) {
-        switch (op->kind) {
+    for (const Op &op : ops) {
+        switch (op.kind) {
           case Op::Kind::Forward:
             if (!config_.training) {
-                d_buffers[static_cast<size_t>(op->stage)].read(
-                    op->image, /*final_read=*/true);
+                d_buffers[static_cast<size_t>(op.stage)].read(
+                    op.image, /*final_read=*/true);
             }
             break;
           case Op::Kind::ErrorSeed:
             d_buffers[static_cast<size_t>(depth)].read(
-                op->image, /*final_read=*/true);
+                op.image, /*final_read=*/true);
             break;
           case Op::Kind::Derivative:
-            d_buffers[static_cast<size_t>(op->stage)].read(
-                op->image, /*final_read=*/true);
-            delta_buffers[static_cast<size_t>(op->stage)].read(
-                op->image, /*final_read=*/true);
+            d_buffers[static_cast<size_t>(op.stage)].read(
+                op.image, /*final_read=*/true);
+            delta_buffers[static_cast<size_t>(op.stage)].read(
+                op.image, /*final_read=*/true);
             break;
           default:
             break;
@@ -482,29 +499,29 @@ PipelineScheduler::executeCycle(int64_t cycle, const Op *begin,
 
     // Phase 3: writes.  Image-entry writes land first (they stage
     // d_0 for a compute cycle that has not started), then the ops'.
-    for (const Op *op = begin; op != end; ++op) {
-        if (op->kind == Op::Kind::InputWrite)
-            d_buffers[0].write(op->image);
+    for (const Op &op : ops) {
+        if (op.kind == Op::Kind::InputWrite)
+            d_buffers[0].write(op.image);
     }
-    for (const Op *op = begin; op != end; ++op) {
-        switch (op->kind) {
+    for (const Op &op : ops) {
+        switch (op.kind) {
           case Op::Kind::Forward:
             // In testing the last stage streams its result out via
             // the Connection unit instead of buffering it.
-            if (config_.training || op->stage < depth - 1) {
-                d_buffers[static_cast<size_t>(op->stage + 1)].write(
-                    op->image);
+            if (config_.training || op.stage < depth - 1) {
+                d_buffers[static_cast<size_t>(op.stage + 1)].write(
+                    op.image);
             }
             ++stats.forward_ops;
             break;
           case Op::Kind::ErrorSeed:
             delta_buffers[static_cast<size_t>(depth - 1)].write(
-                op->image);
+                op.image);
             ++stats.error_ops;
             break;
           case Op::Kind::ErrorBack:
-            delta_buffers[static_cast<size_t>(op->stage - 1)].write(
-                op->image);
+            delta_buffers[static_cast<size_t>(op.stage - 1)].write(
+                op.image);
             ++stats.error_ops;
             break;
           case Op::Kind::Derivative:
@@ -523,7 +540,7 @@ ScheduleStats
 PipelineScheduler::finalizeStats(RunState &state,
                                  int64_t last_cycle) const
 {
-    const int64_t depth = mapping_.depth();
+    const int64_t depth = depth_;
     ScheduleStats stats = std::move(state.stats);
     stats.total_cycles = last_cycle;
 
@@ -548,9 +565,9 @@ PipelineScheduler::finalizeStats(RunState &state,
 }
 
 ScheduleStats
-PipelineScheduler::run()
+PipelineScheduler::run(const Executor &execute)
 {
-    const int64_t depth = mapping_.depth();
+    const int64_t depth = depth_;
     const int64_t n = config_.num_images;
 
     // Stage the whole schedule into the event queue: one event per
@@ -570,7 +587,8 @@ PipelineScheduler::run()
         entry_cycle);
 
     // Drain: only cycles that carry events are visited, FIFO within
-    // a cycle, so the executor sees exactly the dense walk's spans.
+    // a cycle, so executeCycle() and @p execute see exactly the dense
+    // walk's spans.
     RunState state(depth, buffer_slack_);
     std::vector<Op> span;
     span.reserve(static_cast<size_t>(3 * depth + 3));
@@ -579,8 +597,9 @@ PipelineScheduler::run()
         const int64_t cycle = queue.nextCycle();
         span.clear();
         queue.popCycle(cycle, span);
-        executeCycle(cycle, span.data(), span.data() + span.size(),
-                     state);
+        executeCycle(cycle, span, state);
+        if (execute)
+            execute(cycle, span);
         ++iters;
     }
     last_run_cycle_iters_ = iters;
@@ -592,7 +611,7 @@ PipelineScheduler::run()
 ScheduleStats
 PipelineScheduler::runReference()
 {
-    const int64_t depth = mapping_.depth();
+    const int64_t depth = depth_;
 
     // Dense cycle table over the whole horizon, exactly like the
     // pre-event implementation: one op vector per cycle, idle or not.
@@ -610,9 +629,8 @@ PipelineScheduler::runReference()
 
     RunState state(depth, buffer_slack_);
     for (size_t cycle = 0; cycle < by_cycle.size(); ++cycle) {
-        const auto &ops = by_cycle[cycle];
-        executeCycle(static_cast<int64_t>(cycle), ops.data(),
-                     ops.data() + ops.size(), state);
+        executeCycle(static_cast<int64_t>(cycle), by_cycle[cycle],
+                     state);
     }
     last_run_cycle_iters_ = static_cast<int64_t>(by_cycle.size());
     last_run_events_ = events;
@@ -623,7 +641,7 @@ PipelineScheduler::runReference()
 std::string
 PipelineScheduler::renderTimeline(int64_t max_cycles)
 {
-    const int64_t depth = mapping_.depth();
+    const int64_t depth = depth_;
     // Clipped dense grid: only the rendered window is materialised.
     std::vector<std::vector<Op>> grid(
         static_cast<size_t>(std::max<int64_t>(max_cycles, 0)) + 1);

@@ -14,14 +14,19 @@
  * batches.  The scheduler drives the inter-stage circular buffers so
  * structural hazards and buffer sizing are checked, not assumed.
  *
+ * This scheduler is the one source of the schedule: the timing model
+ * (sim::Simulator, arch::Cluster, sim::ServingSim) reads its stats,
+ * and core::PipelinedTrainer attaches tensor work to its ops through
+ * the run() executor hook.
+ *
  * run() drains a monotonic event queue (common/event_queue.hh):
  * every scheduled op is an event keyed by its logical cycle, and the
  * run loop only visits cycles that carry work — O(ops log n) instead
  * of O(horizon x stages), with no horizon-sized allocations.  The
  * pre-event dense cycle walk is preserved as runReference() for the
  * equivalence suite and the speedup bench; both paths share the same
- * per-cycle executor, so their stats, buffer traffic and traces are
- * identical by construction (DESIGN.md §8).
+ * per-cycle bookkeeping, so their stats, buffer traffic and traces
+ * are identical by construction (DESIGN.md §8).
  */
 
 #ifndef PIPELAYER_ARCH_PIPELINE_HH_
@@ -29,11 +34,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "arch/buffers.hh"
-#include "arch/mapping.hh"
 #include "common/metrics.hh"
 #include "common/stats.hh"
 #include "common/trace.hh"
@@ -122,18 +127,36 @@ struct ScheduleStats
 };
 
 /**
- * Cycle-level scheduler for one network mapping.
+ * Cycle-level scheduler for an L-stage pipeline.
  */
 class PipelineScheduler
 {
   public:
+    /** One scheduled operation. */
+    struct Op
+    {
+        enum class Kind { Forward, ErrorSeed, ErrorBack, Derivative,
+                          Update, InputWrite };
+        Kind kind;
+        int64_t image;  //!< image id (-1 for updates)
+        int64_t stage;  //!< 0-based stage (-1 for updates/inputs)
+    };
+
     /**
+     * Functional work attached to the schedule: called once per busy
+     * cycle with that cycle's ops in canonical emission order.
+     */
+    using Executor =
+        std::function<void(int64_t cycle, std::span<const Op> ops)>;
+
+    /**
+     * @param depth pipeline depth L (array-layer stages, >= 1;
+     *        NetworkMapping::depth() for a mapped network).
      * @param buffer_slack extra (or, if negative, fewer) entries per
      *        stage buffer relative to the paper's 2(L-l)+1 sizing —
      *        used by tests to show the sizing is tight.
      */
-    PipelineScheduler(const NetworkMapping &mapping,
-                      const ScheduleConfig &config,
+    PipelineScheduler(int64_t depth, const ScheduleConfig &config,
                       int64_t buffer_slack = 0);
 
     /**
@@ -142,8 +165,12 @@ class PipelineScheduler
      * Event-driven: ops drain from a monotonic event queue, so only
      * cycles that carry work are visited.  Produces byte-identical
      * stats, buffer traffic and trace output to runReference().
+     *
+     * @param execute if set, called for every busy cycle after the
+     *        scheduler's own hazard, buffer, trace and metrics
+     *        bookkeeping for that cycle.
      */
-    ScheduleStats run();
+    ScheduleStats run(const Executor &execute = nullptr);
 
     /**
      * The pre-event reference implementation: builds the dense
@@ -172,6 +199,16 @@ class PipelineScheduler
      * outlive run().
      */
     void setTrace(trace::TraceRecorder *recorder);
+
+    /**
+     * Continue a trace instead of starting one: run() emits onto the
+     * unit rows that an earlier scheduler of the same depth and phase
+     * declared from @p first_track, @p cycle_offset cycles later, so
+     * back-to-back runs (the trainer's batches) append on one
+     * timeline.  The recorder must outlive run().
+     */
+    void continueTrace(trace::TraceRecorder *recorder,
+                       int64_t first_track, int64_t cycle_offset);
 
     /**
      * Attach a metrics sampler: the "sched.*" counter channels
@@ -215,16 +252,6 @@ class PipelineScheduler
     ///@}
 
   private:
-    /** One scheduled operation (event payload). */
-    struct Op
-    {
-        enum class Kind { Forward, ErrorSeed, ErrorBack, Derivative,
-                          Update, InputWrite };
-        Kind kind;
-        int64_t image;  //!< image id (-1 for updates)
-        int64_t stage;  //!< 0-based stage (-1 for updates/inputs)
-    };
-
     /** Receives each scheduled op in canonical emission order. */
     using OpEmit = std::function<void(int64_t cycle, const Op &op)>;
 
@@ -254,12 +281,12 @@ class PipelineScheduler
     struct RunState;
 
     /**
-     * Execute one logical cycle over the ops [begin, end): hazard
-     * accounting, trace emission, the read-before-write buffer
-     * phases and the work counters.  Both run() and runReference()
-     * funnel through here, which is what makes them byte-identical.
+     * Execute one logical cycle over @p ops: hazard accounting, trace
+     * emission, the read-before-write buffer phases and the work
+     * counters.  Both run() and runReference() funnel through here,
+     * which is what makes them byte-identical.
      */
-    void executeCycle(int64_t cycle, const Op *begin, const Op *end,
+    void executeCycle(int64_t cycle, std::span<const Op> ops,
                       RunState &state);
 
     /** Fold RunState into the returned ScheduleStats. */
@@ -269,11 +296,12 @@ class PipelineScheduler
     /** Track index of (kind, stage) given the declared row layout. */
     int64_t traceTrack(Op::Kind kind, int64_t stage) const;
 
-    const NetworkMapping &mapping_;
+    int64_t depth_;
     ScheduleConfig config_;
     int64_t buffer_slack_;
     trace::TraceRecorder *trace_ = nullptr;
-    int64_t trace_base_ = 0; //!< first track declared on trace_
+    int64_t trace_base_ = 0;   //!< first unit row on trace_
+    int64_t trace_offset_ = 0; //!< cycles added to every slice
     metrics::Sampler *metrics_ = nullptr;
     /** @name sched.* channel ids on metrics_. */
     ///@{

@@ -1,28 +1,25 @@
 /**
  * @file
- * A monotonic, cycle-keyed event queue for the simulation cores.
+ * A monotonic, cycle-keyed event queue for the pipeline scheduler.
  *
- * The pipeline scheduler and the pipelined trainer used to walk every
- * logical cycle of the schedule horizon, even when most cycles carry
- * no work; this queue is the event-driven replacement (ROADMAP item 5,
- * the mgsim idiom): producers schedule() activations at a future (or
- * the currently-draining) cycle, and the consumer drains one cycle at
- * a time with popCycle().  A run's cost becomes O(events log n)
- * instead of O(horizon x stages), and — crucially for large-N
- * schedules — no horizon-sized per-cycle containers are allocated.
+ * arch::PipelineScheduler::run() used to walk every logical cycle of
+ * the schedule horizon, even when most cycles carry no work; this
+ * queue is the event-driven replacement (the mgsim idiom): the
+ * scheduler bulk-loads its whole schedule with schedule(), then drains
+ * one busy cycle at a time with popCycle().  A run's cost becomes
+ * O(events log n) instead of O(horizon x stages), and — crucially for
+ * large-N schedules — no horizon-sized per-cycle containers are
+ * allocated.
  *
  * Determinism rules (the dumps and traces built on top of this queue
  * are byte-identical to the dense cycle walk they replaced):
  *
- *  - events drain in ascending cycle order (monotonic: scheduling
- *    into the past is an error, checked with PL_ASSERT);
+ *  - events drain in ascending cycle order;
  *  - within one cycle, events drain in FIFO schedule() order — ties
  *    are broken by an insertion sequence number, never by payload
  *    comparison or container internals;
- *  - scheduling *at* the cycle currently being drained is allowed
- *    (an activation can trigger same-cycle work); a subsequent
- *    popCycle() of the same cycle picks the new events up, again in
- *    FIFO order.
+ *  - the queue is loaded, then drained: schedule() after the first
+ *    nextCycle()/popCycle() is an error, checked with PL_ASSERT.
  */
 
 #ifndef PIPELAYER_COMMON_EVENT_QUEUE_HH_
@@ -30,7 +27,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -53,20 +49,16 @@ class EventQueue
     void reserve(size_t n) { heap_.reserve(n); }
 
     /**
-     * Enqueue @p payload for @p cycle.  Monotonic: @p cycle must not
-     * precede the cycle most recently drained by popCycle() (equal is
-     * fine — same-cycle activation).
+     * Enqueue @p payload for @p cycle.  Only while loading: the
+     * queue must not have started draining.
      */
     void schedule(int64_t cycle, Payload payload)
     {
-        PL_ASSERT(cycle >= drained_cycle_,
-                  "event scheduled at cycle %lld behind the queue "
-                  "head %lld",
-                  (long long)cycle, (long long)drained_cycle_);
+        PL_ASSERT(!draining_,
+                  "event scheduled at cycle %lld after the queue "
+                  "started draining",
+                  (long long)cycle);
         heap_.push_back(Item{cycle, next_seq_++, payload});
-        if (heapified_)
-            std::push_heap(heap_.begin(), heap_.end(), Later{});
-        ++scheduled_;
     }
 
     bool empty() const { return heap_.empty(); }
@@ -75,13 +67,13 @@ class EventQueue
     size_t size() const { return heap_.size(); }
 
     /** Events ever scheduled (deterministic run-size counter). */
-    int64_t scheduled() const { return scheduled_; }
+    int64_t scheduled() const { return next_seq_; }
 
     /** The earliest pending cycle.  The queue must not be empty. */
     int64_t nextCycle()
     {
         PL_ASSERT(!heap_.empty(), "nextCycle() on an empty queue");
-        ensureHeap();
+        startDraining();
         return heap_.front().cycle;
     }
 
@@ -93,7 +85,7 @@ class EventQueue
      */
     size_t popCycle(int64_t cycle, std::vector<Payload> &out)
     {
-        ensureHeap();
+        startDraining();
         PL_ASSERT(!heap_.empty() && heap_.front().cycle == cycle,
                   "popCycle(%lld) does not match the queue head",
                   (long long)cycle);
@@ -104,7 +96,6 @@ class EventQueue
             heap_.pop_back();
             ++drained;
         }
-        drained_cycle_ = cycle;
         return drained;
     }
 
@@ -127,25 +118,18 @@ class EventQueue
         }
     };
 
-    /**
-     * Bulk-build fast path: producers that enqueue their whole
-     * schedule before the first drain (the pipeline scheduler) pay
-     * one O(n) make_heap instead of n O(log n) sifts; once draining
-     * starts, schedule() keeps the heap property incrementally.
-     */
-    void ensureHeap()
+    /** One O(n) make_heap over the loaded events, on the first drain. */
+    void startDraining()
     {
-        if (heapified_)
+        if (draining_)
             return;
         std::make_heap(heap_.begin(), heap_.end(), Later{});
-        heapified_ = true;
+        draining_ = true;
     }
 
     std::vector<Item> heap_;
-    bool heapified_ = false;
+    bool draining_ = false;
     int64_t next_seq_ = 0;
-    int64_t scheduled_ = 0;
-    int64_t drained_cycle_ = std::numeric_limits<int64_t>::min();
 };
 
 } // namespace events

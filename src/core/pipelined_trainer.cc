@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "arch/pipeline.hh"
 #include "common/arena.hh"
-#include "common/event_queue.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/prof.hh"
@@ -203,7 +203,7 @@ void
 PipelinedTrainer::addStats(stats::StatGroup &group)
 {
     group.registerScalar("cycles", &stat_cycles_,
-                         "logical cycles executed (2L+B+1 per batch)");
+                         "logical cycles executed");
     group.registerScalar("batches", &stat_batches_,
                          "pipelined batches trained");
     group.registerScalar("forward_ops", &stat_forward_ops_,
@@ -225,20 +225,8 @@ void
 PipelinedTrainer::setTrace(trace::TraceRecorder *recorder)
 {
     trace_ = recorder;
+    trace_base_ = -1;
     trace_cycle_base_ = 0;
-    if (!trace_)
-        return;
-    // Row layout mirrors the paper's Fig. 6: forward units top-down,
-    // the error-seed unit, then backward units B_L..B_1 and the
-    // weight-update row.
-    const int64_t depth_l = depth();
-    trace_base_ = trace_->trackCount();
-    for (int64_t s = 0; s < depth_l; ++s)
-        trace_->addTrack("A" + std::to_string(s + 1));
-    trace_->addTrack("Err" + std::to_string(depth_l));
-    for (int64_t l = depth_l; l >= 1; --l)
-        trace_->addTrack("B" + std::to_string(l));
-    trace_->addTrack("Upd");
 }
 
 PipelinedBatchResult
@@ -246,6 +234,8 @@ PipelinedTrainer::trainBatch(const std::vector<Tensor> &inputs,
                              const std::vector<int64_t> &labels,
                              float lr, nn::LossKind loss)
 {
+    using Op = arch::PipelineScheduler::Op;
+
     PL_ASSERT(inputs.size() == labels.size() && !inputs.empty(),
               "bad pipelined batch");
     const int64_t depth_l = depth();
@@ -256,26 +246,16 @@ PipelinedTrainer::trainBatch(const std::vector<Tensor> &inputs,
         stage->bias_grad.fill(0.0f);
     }
 
-    // d buffers: index j in [0, L], capacity 2(L-j)+1 (paper §3.3).
-    std::vector<std::map<int64_t, Entry>> d_buf(
-        static_cast<size_t>(depth_l + 1));
-    // δ buffers: index l in [1, L] (stored at l-1), capacity 1.
-    std::vector<std::map<int64_t, Tensor>> delta_buf(
-        static_cast<size_t>(depth_l));
-
-    PipelinedBatchResult result;
-    const int64_t total_cycles = 2 * depth_l + batch + 1;
-    result.logical_cycles = total_cycles;
-
-    auto check_capacity = [&](int64_t j) {
-        const auto cap = static_cast<size_t>(2 * (depth_l - j) + 1);
-        PL_ASSERT(d_buf[static_cast<size_t>(j)].size() <= cap,
-                  "buffer d%lld exceeded its 2(L-l)+1 capacity",
-                  (long long)j);
-        result.peak_buffer_entries = std::max(
-            result.peak_buffer_entries,
-            static_cast<int64_t>(d_buf[static_cast<size_t>(j)].size()));
-    };
+    // The tensors behind the scheduler's buffer slots: d[j][i] is d_j
+    // of image i (j in [0, L]), delta[l-1][i] is δ_l.  The scheduler's
+    // circular buffers account capacity and hazards; a slot here is
+    // freed at the op the scheduler marks as its final read.
+    std::vector<std::vector<Entry>> d(
+        static_cast<size_t>(depth_l + 1),
+        std::vector<Entry>(static_cast<size_t>(batch)));
+    std::vector<std::vector<Tensor>> delta(
+        static_cast<size_t>(depth_l),
+        std::vector<Tensor>(static_cast<size_t>(batch)));
 
     auto stage_forward = [&](Stage &stage, const Tensor &input,
                              Entry *entry) {
@@ -301,311 +281,204 @@ PipelinedTrainer::trainBatch(const std::vector<Tensor> &inputs,
 
     // Back a stage-output error through the stage tail only, to the
     // array-layer output.
-    auto tail_backward = [&](const Stage &stage, Tensor delta,
+    auto tail_backward = [&](const Stage &stage, Tensor delta_out,
                              const Entry &entry) {
         for (size_t k = stage.tail.size(); k-- > 0;) {
-            delta = tailBackwardOp(stage.tail[k], delta, entry.aux[k],
-                                   entry.in_shape[k]);
+            delta_out = tailBackwardOp(stage.tail[k], delta_out,
+                                       entry.aux[k], entry.in_shape[k]);
         }
-        return delta;
+        return delta_out;
     };
 
-    // Each in-flight image performs exactly one action per cycle
-    // (forward, error seed, or backward pair), and no two images
-    // touch the same stage — the paper's inter-layer parallelism.
-    // Phase 1 computes every action's tensors concurrently (the
-    // buffers are only *read*); phase 2 commits buffer writes and
-    // frees serially in ascending image order, which preserves
-    // the read-before-write same-cycle semantics (§3.3) and keeps
-    // results bit-identical to the serial schedule.
-    enum class Action { Forward, Seed, Backward };
-    struct CycleWork
+    // Phase 1 of a cycle: one op's tensor work.  Ops only *read* the
+    // buffers, and no two ops of a cycle claim the same unit, so a
+    // cycle's ops run concurrently.  A Derivative op accumulates into
+    // its stage's gradient here: that stage sees one ∂W contribution
+    // per cycle, in ascending image order, as in the serial schedule.
+    struct OpResult
     {
-        int64_t image = 0;
-        Action action = Action::Forward;
-        int64_t stage = 0; //!< s for Forward, 1-based l for Backward
-        Entry forward_out; //!< Forward result
-        double loss = 0.0; //!< Seed loss
-        Tensor delta;      //!< Seed / Backward error output
+        Entry forward_out; //!< Forward: d_{l+1}
+        double loss = 0.0; //!< ErrorSeed
+        Tensor delta;      //!< ErrorSeed / ErrorBack: the error out
+    };
+    auto compute = [&](const Op &op, OpResult &out) {
+        const auto i = static_cast<size_t>(op.image);
+        const auto s = static_cast<size_t>(op.stage);
+        switch (op.kind) {
+          case Op::Kind::Forward:
+            stage_forward(*stages_[s], d[s][i].output, &out.forward_out);
+            break;
+          case Op::Kind::ErrorSeed: {
+            const Entry &top = d[static_cast<size_t>(depth_l)][i];
+            nn::LossResult seed;
+            if (loss == nn::LossKind::Softmax) {
+                seed = nn::softmaxLoss(top.output, labels[i]);
+            } else {
+                Tensor target(top.output.shape());
+                target.at(labels[i]) = 1.0f;
+                seed = nn::l2Loss(top.output, target);
+            }
+            out.loss = seed.loss;
+            // δ_L lands at the array output of the last stage.
+            out.delta = tail_backward(*stages_[s], seed.delta, top);
+            break;
+          }
+          case Op::Kind::ErrorBack: {
+            // Error-backward unit: δ_s from δ_{s+1} through stage s's
+            // array and stage s-1's tail (stage is 0-based).
+            const Stage &stage = *stages_[s];
+            const Tensor &delta_array = delta[s][i];
+            const Entry &input_entry = d[s][i];
+            const auto params = stage.array_layer->parameters();
+            Tensor delta_in;
+            if (stage.array_kind == nn::LayerKind::Conv) {
+                delta_in = ops::conv2dBackwardInput(
+                    delta_array, *params[0], stage.conv_pad);
+            } else {
+                delta_in = ops::matVecT(
+                    *params[0], delta_array.reshape({delta_array.numel()}));
+            }
+            delta_in = delta_in.reshape(input_entry.output.shape());
+            out.delta =
+                tail_backward(*stages_[s - 1], delta_in, input_entry);
+            break;
+          }
+          case Op::Kind::Derivative: {
+            // Derivative unit: ∂W from d_s and δ_{s+1}.
+            Stage &stage = *stages_[s];
+            const Tensor &delta_array = delta[s][i];
+            const Tensor &input = d[s][i].output;
+            if (stage.array_kind == nn::LayerKind::Conv) {
+                stage.weight_grad += ops::conv2dBackwardKernel(
+                    input, delta_array, stage.conv_kernel,
+                    stage.conv_kernel, stage.conv_pad);
+                for (int64_t c = 0; c < delta_array.dim(0); ++c) {
+                    double acc = 0.0;
+                    for (int64_t y = 0; y < delta_array.dim(1); ++y)
+                        for (int64_t x = 0; x < delta_array.dim(2); ++x)
+                            acc += delta_array(c, y, x);
+                    stage.bias_grad(c) += static_cast<float>(acc);
+                }
+            } else {
+                stage.weight_grad += ops::outer(
+                    input.reshape({input.numel()}),
+                    delta_array.reshape({delta_array.numel()}));
+                stage.bias_grad +=
+                    delta_array.reshape({delta_array.numel()});
+            }
+            break;
+          }
+          case Op::Kind::Update:
+          case Op::Kind::InputWrite:
+            break; // commit-only ops
+        }
     };
 
-    // Cycle work is dispatched from the event queue instead of a
-    // per-cycle window scan: each image's entry is staged upfront at
-    // its t0, and the serial commit of an action schedules the
-    // image's next action one cycle later.  The commit runs in
-    // ascending image order, so successor events enqueue in ascending
-    // image order too and every cycle's FIFO span replays exactly the
-    // window scan's work list (oldest image first, the newly-entered
-    // image's first forward last — Entry processing schedules it into
-    // the cycle currently draining).
-    enum class EvKind { Entry, Forward, Seed, Backward };
-    struct Ev
-    {
-        EvKind kind;
-        int64_t image;
-        int64_t stage; //!< s for Forward, 1-based l for Backward
+    // Phase 2 of a cycle: commit one op, serially in op order — the
+    // schedule's read-before-write buffer semantics (§3.3).
+    double loss_sum = 0.0;
+    auto commit = [&](const Op &op, OpResult &res) {
+        const auto i = static_cast<size_t>(op.image);
+        const auto s = static_cast<size_t>(op.stage);
+        switch (op.kind) {
+          case Op::Kind::InputWrite:
+            d[0][i].output = inputs[i];
+            break;
+          case Op::Kind::Forward:
+            d[s + 1][i] = std::move(res.forward_out);
+            break;
+          case Op::Kind::ErrorSeed:
+            loss_sum += res.loss;
+            delta[s][i] = std::move(res.delta);
+            d[s + 1][i] = Entry{}; // d_L's final read
+            break;
+          case Op::Kind::ErrorBack:
+            delta[s - 1][i] = std::move(res.delta);
+            break;
+          case Op::Kind::Derivative:
+            // Final reads of d_s and δ_{s+1} for this image.
+            d[s][i] = Entry{};
+            delta[s][i] = Tensor{};
+            break;
+          case Op::Kind::Update: {
+            // Apply the batch-averaged gradients.
+            const float scale = lr / static_cast<float>(batch);
+            for (auto &stage : stages_) {
+                const auto params = stage->array_layer->parameters();
+                for (int64_t k = 0; k < params[0]->numel(); ++k)
+                    params[0]->at(k) -= scale * stage->weight_grad.at(k);
+                for (int64_t k = 0; k < params[1]->numel(); ++k)
+                    params[1]->at(k) -= scale * stage->bias_grad.at(k);
+            }
+            break;
+          }
+        }
     };
-    events::EventQueue<Ev> queue;
-    queue.reserve(static_cast<size_t>(batch * (2 * depth_l + 3)));
-    for (int64_t i = 0; i < batch; ++i)
-        queue.schedule(i + 1, {EvKind::Entry, i, 0});
+
+    arch::ScheduleConfig config;
+    config.pipelined = true;
+    config.training = true;
+    config.batch_size = batch;
+    config.num_images = batch;
+    arch::PipelineScheduler scheduler(depth_l, config);
+    if (trace_) {
+        // The first traced batch declares the Fig. 6 rows; later
+        // batches append on them along the time axis.
+        if (trace_base_ < 0) {
+            trace_base_ = trace_->trackCount();
+            scheduler.setTrace(trace_);
+        } else {
+            scheduler.continueTrace(trace_, trace_base_,
+                                    trace_cycle_base_);
+        }
+    }
 
     // Hoisted out of the cycle loop: clear() keeps the capacity, so
     // steady-state cycles reuse the same allocation.
-    std::vector<CycleWork> work;
-    std::vector<Ev> span;
-
-    while (!queue.empty()) {
-        const int64_t cycle = queue.nextCycle();
-        span.clear();
-        queue.popCycle(cycle, span);
-
-        work.clear();
-        auto collect = [&work](const Ev &ev) {
-            switch (ev.kind) {
-              case EvKind::Forward:
-                work.push_back(
-                    {ev.image, Action::Forward, ev.stage, {}, 0.0, {}});
-                break;
-              case EvKind::Seed:
-                work.push_back(
-                    {ev.image, Action::Seed, 0, {}, 0.0, {}});
-                break;
-              case EvKind::Backward:
-                work.push_back(
-                    {ev.image, Action::Backward, ev.stage, {}, 0.0, {}});
-                break;
-              case EvKind::Entry:
-                panic("entry event left in the work span");
-            }
-        };
-        for (const Ev &ev : span) {
-            if (ev.kind != EvKind::Entry) {
-                collect(ev);
-                continue;
-            }
-            // Image entry: d_0 staged at t0 = i (the write lands in
-            // cycle i + 1 alongside — but ordered before — the
-            // image's first forward, which enters the same cycle).
-            const int64_t i = ev.image;
-            Entry e;
-            e.output = inputs[static_cast<size_t>(i)];
-            d_buf[0][i] = std::move(e);
-            check_capacity(0);
-            queue.schedule(cycle, {EvKind::Forward, i, 0});
-        }
-        if (!queue.empty() && queue.nextCycle() == cycle) {
-            // Pick up the same-cycle forwards the entries scheduled.
-            span.clear();
-            queue.popCycle(cycle, span);
-            for (const Ev &ev : span)
-                collect(ev);
-        }
-
-        PL_PROF_SCOPE("trainer.cycle");
-        {
-        // Phase 1: the parallel per-image stage compute of this cycle.
-        PL_PROF_SCOPE("trainer.cycle_compute");
-        parallel_for(0, static_cast<int64_t>(work.size()), /*grain=*/1,
-                     [&](int64_t w0, int64_t w1) {
-        for (int64_t widx = w0; widx < w1; ++widx) {
-            CycleWork &wk = work[static_cast<size_t>(widx)];
-            const int64_t i = wk.image;
-            switch (wk.action) {
-              case Action::Forward: {
-                Stage &stage = *stages_[static_cast<size_t>(wk.stage)];
-                const Entry &in =
-                    d_buf[static_cast<size_t>(wk.stage)].at(i);
-                stage_forward(stage, in.output, &wk.forward_out);
-                break;
-              }
-              case Action::Seed: {
-                const Entry &top =
-                    d_buf[static_cast<size_t>(depth_l)].at(i);
-                nn::LossResult seed;
-                if (loss == nn::LossKind::Softmax) {
-                    seed = nn::softmaxLoss(
-                        top.output, labels[static_cast<size_t>(i)]);
-                } else {
-                    Tensor target(top.output.shape());
-                    target.at(labels[static_cast<size_t>(i)]) = 1.0f;
-                    seed = nn::l2Loss(top.output, target);
-                }
-                wk.loss = seed.loss;
-                // δ_L lands at the array output of the last stage.
-                const Stage &last =
-                    *stages_[static_cast<size_t>(depth_l - 1)];
-                wk.delta = tail_backward(last, seed.delta, top);
-                break;
-              }
-              case Action::Backward: {
-                const int64_t l = wk.stage;
-                Stage &stage = *stages_[static_cast<size_t>(l - 1)];
-                const Tensor &delta_array =
-                    delta_buf[static_cast<size_t>(l - 1)].at(i);
-                const Entry &input_entry =
-                    d_buf[static_cast<size_t>(l - 1)].at(i);
-                const auto params = stage.array_layer->parameters();
-
-                // Derivative unit: ∂W_l from d_{l-1} and δ_l.  This
-                // stage is touched by no other image this cycle, so
-                // accumulating here keeps the serial per-stage order
-                // (one contribution per cycle, ascending images).
-                if (stage.array_kind == nn::LayerKind::Conv) {
-                    stage.weight_grad += ops::conv2dBackwardKernel(
-                        input_entry.output, delta_array,
-                        stage.conv_kernel, stage.conv_kernel,
-                        stage.conv_pad);
-                    for (int64_t c = 0; c < delta_array.dim(0); ++c) {
-                        double acc = 0.0;
-                        for (int64_t y = 0; y < delta_array.dim(1); ++y)
-                            for (int64_t x = 0; x < delta_array.dim(2);
-                                 ++x)
-                                acc += delta_array(c, y, x);
-                        stage.bias_grad(c) += static_cast<float>(acc);
+    std::vector<OpResult> results;
+    const arch::ScheduleStats stats = scheduler.run(
+        [&](int64_t, std::span<const Op> ops) {
+            PL_PROF_SCOPE("trainer.cycle");
+            results.clear();
+            results.resize(ops.size());
+            {
+                PL_PROF_SCOPE("trainer.cycle_compute");
+                parallel_for(0, static_cast<int64_t>(ops.size()),
+                             /*grain=*/1, [&](int64_t k0, int64_t k1) {
+                    for (int64_t k = k0; k < k1; ++k) {
+                        compute(ops[static_cast<size_t>(k)],
+                                results[static_cast<size_t>(k)]);
                     }
-                } else {
-                    const Tensor flat_in = input_entry.output.reshape(
-                        {input_entry.output.numel()});
-                    stage.weight_grad += ops::outer(
-                        flat_in,
-                        delta_array.reshape({delta_array.numel()}));
-                    stage.bias_grad +=
-                        delta_array.reshape({delta_array.numel()});
-                }
-
-                // Error-backward unit (skipped at the first stage).
-                if (l >= 2) {
-                    Tensor delta_in;
-                    if (stage.array_kind == nn::LayerKind::Conv) {
-                        delta_in = ops::conv2dBackwardInput(
-                            delta_array, *params[0], stage.conv_pad);
-                    } else {
-                        delta_in =
-                            ops::matVecT(*params[0],
-                                         delta_array.reshape(
-                                             {delta_array.numel()}));
-                    }
-                    delta_in =
-                        delta_in.reshape(input_entry.output.shape());
-                    const Stage &below =
-                        *stages_[static_cast<size_t>(l - 2)];
-                    wk.delta =
-                        tail_backward(below, delta_in, input_entry);
-                }
-                break;
-              }
+                });
             }
-        }
+            PL_PROF_SCOPE("trainer.cycle_commit");
+            for (size_t k = 0; k < ops.size(); ++k)
+                commit(ops[k], results[k]);
         });
-        }
+    PL_ASSERT(stats.buffer_violations == 0 &&
+                  stats.structural_hazards == 0,
+              "pipelined batch broke the Fig. 6 buffer discipline");
 
-        // Phase 2: commit in ascending image order — identical buffer
-        // mutation order to the serial schedule.  Work counters and
-        // trace events are emitted here, never from phase 1, so both
-        // are byte-identical at any thread count.
-        PL_PROF_SCOPE("trainer.cycle_commit");
-        for (CycleWork &wk : work) {
-            const int64_t i = wk.image;
-            ++result.commits;
-            if (trace_) {
-                const int64_t depth_t = depth_l;
-                int64_t track = trace_base_;
-                const char *cat = "forward";
-                switch (wk.action) {
-                  case Action::Forward:
-                    track += wk.stage;
-                    break;
-                  case Action::Seed:
-                    track += depth_t;
-                    cat = "error_seed";
-                    break;
-                  case Action::Backward:
-                    track += depth_t + 1 + (depth_t - wk.stage);
-                    cat = "backward";
-                    break;
-                }
-                trace_->complete(track, "img" + std::to_string(i), cat,
-                                 trace_cycle_base_ + cycle - 1,
-                                 /*duration=*/1, i);
-            }
-            switch (wk.action) {
-              case Action::Forward:
-                ++result.forward_ops;
-                d_buf[static_cast<size_t>(wk.stage + 1)][i] =
-                    std::move(wk.forward_out);
-                check_capacity(wk.stage + 1);
-                // The image advances one stage per cycle: next
-                // forward, or the error seed past the last stage.
-                if (wk.stage + 1 < depth_l) {
-                    queue.schedule(cycle + 1,
-                                   {EvKind::Forward, i, wk.stage + 1});
-                } else {
-                    queue.schedule(cycle + 1, {EvKind::Seed, i, 0});
-                }
-                break;
-              case Action::Seed:
-                ++result.error_seeds;
-                result.mean_loss += wk.loss;
-                delta_buf[static_cast<size_t>(depth_l - 1)][i] =
-                    std::move(wk.delta);
-                // d_L's last use: free the slot now (read-before-
-                // write within the cycle).
-                d_buf[static_cast<size_t>(depth_l)].erase(i);
-                queue.schedule(cycle + 1,
-                               {EvKind::Backward, i, depth_l});
-                break;
-              case Action::Backward:
-                ++result.backward_ops;
-                if (wk.stage >= 2) {
-                    delta_buf[static_cast<size_t>(wk.stage - 2)][i] =
-                        std::move(wk.delta);
-                }
-                // Last uses of d_{l-1} and δ_l for this image: free
-                // the slots before any younger image writes them.
-                d_buf[static_cast<size_t>(wk.stage - 1)].erase(i);
-                delta_buf[static_cast<size_t>(wk.stage - 1)].erase(i);
-                if (wk.stage >= 2) {
-                    queue.schedule(cycle + 1,
-                                   {EvKind::Backward, i, wk.stage - 1});
-                }
-                break;
-            }
-        }
+    PipelinedBatchResult result;
+    result.mean_loss = loss_sum / static_cast<double>(batch);
+    result.logical_cycles = stats.total_cycles;
+    result.peak_buffer_entries = *std::max_element(
+        stats.peak_buffer_entries.begin(),
+        stats.peak_buffer_entries.end());
+    result.forward_ops = stats.forward_ops;
+    result.error_seeds = batch;
+    result.backward_ops = stats.derivative_ops;
+    result.commits =
+        result.forward_ops + result.error_seeds + result.backward_ops;
+    trace_cycle_base_ += stats.total_cycles;
 
-        for (const auto &buf : delta_buf) {
-            PL_ASSERT(buf.size() <= 1,
-                      "delta buffer exceeded its single entry");
-        }
-    }
-
-    // Update cycle: apply the batch-averaged gradients.
-    for (auto &stage : stages_) {
-        const auto params = stage->array_layer->parameters();
-        const float scale = lr / static_cast<float>(batch);
-        for (int64_t i = 0; i < params[0]->numel(); ++i)
-            params[0]->at(i) -= scale * stage->weight_grad.at(i);
-        for (int64_t i = 0; i < params[1]->numel(); ++i)
-            params[1]->at(i) -= scale * stage->bias_grad.at(i);
-    }
-    if (trace_) {
-        // The update occupies the schedule's final logical cycle, so
-        // the trace spans exactly logical_cycles per batch.
-        trace_->complete(trace_base_ + 2 * depth_l + 1, "update",
-                         "update",
-                         trace_cycle_base_ + total_cycles - 1);
-        trace_cycle_base_ += total_cycles;
-    }
-
-    stat_cycles_ += static_cast<double>(total_cycles);
+    stat_cycles_ += static_cast<double>(result.logical_cycles);
     stat_batches_ += 1.0;
     stat_forward_ops_ += static_cast<double>(result.forward_ops);
     stat_error_seeds_ += static_cast<double>(result.error_seeds);
     stat_backward_ops_ += static_cast<double>(result.backward_ops);
     stat_commits_ += static_cast<double>(result.commits);
     stat_updates_ += static_cast<double>(depth_l);
-
-    result.mean_loss /= static_cast<double>(batch);
     return result;
 }
 

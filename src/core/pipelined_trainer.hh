@@ -17,20 +17,20 @@
  * the backward pass needs (the stage output d_l, pooling argmax
  * indices, activation outputs) travels in the buffer entry.
  *
- * Cycle work is dispatched from a monotonic event queue
- * (common/event_queue.hh): image entries are staged upfront and each
- * serial commit schedules the image's next action one cycle later, so
- * the per-cycle work list is the queue's FIFO span rather than a
- * window scan over all in-flight images.  The commit stays serial and
- * ascending-image, which keeps weights, counters and traces
- * bit-identical to the window-scan implementation (DESIGN.md §8).
+ * The schedule itself comes from arch::PipelineScheduler: each batch
+ * runs a (training, pipelined, N = B) scheduler whose executor hook
+ * receives every busy cycle's ops.  The trainer computes a cycle's
+ * ops in parallel, then commits their buffer writes serially in op
+ * order, so weights, counters and traces are bit-identical at any
+ * thread count.  Buffer capacities and hazards are the scheduler's
+ * checks, and the trace is the scheduler's Fig. 6 trace (DESIGN.md
+ * §8).
  */
 
 #ifndef PIPELAYER_CORE_PIPELINED_TRAINER_HH_
 #define PIPELAYER_CORE_PIPELINED_TRAINER_HH_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -47,12 +47,12 @@ namespace core {
 struct PipelinedBatchResult
 {
     double mean_loss = 0.0;
-    int64_t logical_cycles = 0;   //!< 2L + B + 1 (Fig. 7b)
+    int64_t logical_cycles = 0;   //!< the schedule's total_cycles
     int64_t peak_buffer_entries = 0; //!< max live entries in any buffer
 
     int64_t forward_ops = 0;    //!< per-cycle stage-forward evaluations
     int64_t error_seeds = 0;    //!< output-error seedings (one/image)
-    int64_t backward_ops = 0;   //!< error-backward + derivative pairs
+    int64_t backward_ops = 0;   //!< derivative ops (one per stage/image)
     int64_t commits = 0;        //!< serial phase-2 buffer commits
 
     /** Machine-readable form of the batch outcome. */
@@ -100,11 +100,11 @@ class PipelinedTrainer
     void addStats(stats::StatGroup &group);
 
     /**
-     * Attach a per-logical-cycle event trace: each trainBatch() then
-     * emits one slice per (stage unit, image, cycle) — forward rows
-     * A1..AL, the error seed row, backward rows B1..BL and the update
-     * row — appended batch after batch.  Pass nullptr to detach.  The
-     * recorder must outlive trainBatch().
+     * Attach a per-logical-cycle event trace: the scheduler's Fig. 6
+     * rows (PipelineScheduler::setTrace, 3L+1 tracks) are declared by
+     * the first trainBatch(), and every batch appends its slices along
+     * the time axis.  Pass nullptr to detach.  The recorder must
+     * outlive trainBatch().
      */
     void setTrace(trace::TraceRecorder *recorder);
 
@@ -125,7 +125,7 @@ class PipelinedTrainer
     stats::Scalar stat_updates_;
 
     trace::TraceRecorder *trace_ = nullptr;
-    int64_t trace_base_ = 0;      //!< first declared track
+    int64_t trace_base_ = -1;     //!< first Fig. 6 row (-1: none yet)
     int64_t trace_cycle_base_ = 0; //!< cycle offset of the next batch
 };
 

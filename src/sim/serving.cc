@@ -517,7 +517,7 @@ ServingSim::run(const ArrivalTrace &trace,
         job.arrivals = ArrivalTrace::replay(entry_cycles);
         report.execution = simulator_.run(job);
         arch::PipelineScheduler scheduler(
-            simulator_.mapping(job.config()), job.schedule());
+            simulator_.mapping(job.config()).depth(), job.schedule());
         scheduler.setTrace(recorder);
         scheduler.setMetrics(sampler);
         report.sched = scheduler.run();

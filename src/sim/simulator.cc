@@ -471,7 +471,7 @@ Simulator::run(const Job &job) const
     const SimConfig config = job.config();
     const arch::NetworkMapping map = mapping(config);
 
-    arch::PipelineScheduler scheduler(map, job.schedule());
+    arch::PipelineScheduler scheduler(map.depth(), job.schedule());
     const arch::ScheduleStats sched = scheduler.run();
     return buildReport(config, map, sched);
 }
@@ -678,8 +678,8 @@ Simulator::runCluster(const Job &job,
     if (!job.arrivals.empty())
         shard_sched.arrival_cycles = job.arrivals.cycles();
 
-    arch::Cluster cluster(map, shard_sched, cluster_cfg, payload_bytes,
-                          cycle_time);
+    arch::Cluster cluster(map.depth(), shard_sched, cluster_cfg,
+                          payload_bytes, cycle_time);
     cluster.setTrace(recorder);
 
     ClusterReport report;

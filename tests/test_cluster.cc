@@ -118,7 +118,7 @@ TEST(Cluster, OneChipTraceMatchesFig6GoldenAtAnyThreads)
         setThreadCount(threads);
         SCOPED_TRACE("threads=" + std::to_string(threads));
         trace::TraceRecorder recorder("pipelayer-fig6");
-        arch::Cluster cluster(map,
+        arch::Cluster cluster(map.depth(),
                               arch::Cluster::shard(fig6Schedule(), 1),
                               arch::ClusterConfig{}, /*payload=*/0,
                               /*cycle_time_s=*/0.0);
@@ -140,13 +140,13 @@ TEST(Cluster, OneChipStatsMatchDirectScheduler)
     const arch::NetworkMapping map(spec, g, params, true, 6);
     const arch::ScheduleConfig config = fig6Schedule();
 
-    arch::PipelineScheduler direct(map, config);
+    arch::PipelineScheduler direct(map.depth(), config);
     const std::string want = direct.run().toJson().dump();
 
     for (int64_t threads : {int64_t{1}, int64_t{4}}) {
         setThreadCount(threads);
         SCOPED_TRACE("threads=" + std::to_string(threads));
-        arch::Cluster cluster(map, arch::Cluster::shard(config, 1),
+        arch::Cluster cluster(map.depth(), arch::Cluster::shard(config, 1),
                               arch::ClusterConfig{}, 0, 0.0);
         const arch::ClusterStats stats = cluster.run();
         ASSERT_EQ(stats.per_chip.size(), 1u);
@@ -182,6 +182,10 @@ TEST(Cluster, UnevenShardRejectedWithConfigError)
     arch::InterconnectConfig slowlink;
     slowlink.link_bytes_per_s = 0.0;
     EXPECT_THROW(slowlink.validate(), ConfigError);
+
+    // A pipeline needs at least one stage.
+    EXPECT_THROW(arch::Cluster(0, config, arch::ClusterConfig{}, 0, 0.0),
+                 ConfigError);
 }
 
 TEST(Cluster, RoundCostFollowsTopologyFormulas)

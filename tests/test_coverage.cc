@@ -129,7 +129,7 @@ TEST(Coverage, SchedulerTestingPeakBuffersAreModest)
     config.pipelined = true;
     config.training = false;
     config.num_images = 32;
-    const auto stats = arch::PipelineScheduler(map, config).run();
+    const auto stats = arch::PipelineScheduler(map.depth(), config).run();
     for (size_t j = 1; j < stats.peak_buffer_entries.size(); ++j)
         EXPECT_LE(stats.peak_buffer_entries[j], 2) << "buffer " << j;
 }

@@ -1,14 +1,12 @@
 /**
  * @file
- * Determinism tests of the monotonic event queue the simulation
- * cores drain (common/event_queue.hh): ascending cycle order, FIFO
- * within a cycle, same-cycle scheduling during a drain, and the
- * bulk-build + incremental-insert paths agreeing.
+ * Determinism tests of the monotonic event queue the pipeline
+ * scheduler drains (common/event_queue.hh): ascending cycle order,
+ * FIFO within a cycle, and load-then-drain enforced.
  */
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "common/event_queue.hh"
@@ -52,38 +50,13 @@ TEST(EventQueue, FifoWithinOneCycle)
     EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, SameCycleSchedulingDuringDrain)
-{
-    // An activation may trigger same-cycle work (the trainer's image
-    // entry schedules the image's first forward into the cycle being
-    // drained); a second popCycle of the same cycle picks it up.
-    EventQueue<std::string> q;
-    q.schedule(2, "entry");
-    q.schedule(4, "later");
-
-    std::vector<std::string> span;
-    const int64_t cycle = q.nextCycle();
-    EXPECT_EQ(cycle, 2);
-    q.popCycle(cycle, span);
-    EXPECT_EQ(span, (std::vector<std::string>{"entry"}));
-
-    q.schedule(2, "chained");
-    ASSERT_FALSE(q.empty());
-    EXPECT_EQ(q.nextCycle(), 2);
-    span.clear();
-    q.popCycle(2, span);
-    EXPECT_EQ(span, (std::vector<std::string>{"chained"}));
-
-    EXPECT_EQ(q.nextCycle(), 4);
-}
-
 TEST(EventQueue, SchedulingIntoTheDrainedPastDies)
 {
     EventQueue<int> q;
     q.schedule(5, 1);
     std::vector<int> span;
     q.popCycle(q.nextCycle(), span);
-    EXPECT_DEATH(q.schedule(4, 2), "behind the queue head");
+    EXPECT_DEATH(q.schedule(4, 2), "after the queue started draining");
 }
 
 TEST(EventQueue, PoppingTheWrongCycleDies)
@@ -94,31 +67,18 @@ TEST(EventQueue, PoppingTheWrongCycleDies)
     EXPECT_DEATH(q.popCycle(6, span), "does not match the queue head");
 }
 
-TEST(EventQueue, MixedBulkAndIncrementalInsertion)
+TEST(EventQueue, SchedulingAfterTheFirstDrainDies)
 {
-    // Bulk-built events (before the first drain) and events inserted
-    // while draining obey the same (cycle, seq) order.
+    // The queue is loaded, then drained: once draining starts, even
+    // work for the current or a future cycle can no longer be added.
     EventQueue<int> q;
-    q.reserve(16);
-    for (int i = 0; i < 4; ++i)
-        q.schedule(10 + i, i); // bulk: one event per cycle
-
-    std::vector<int> order;
-    while (!q.empty()) {
-        const int64_t cycle = q.nextCycle();
-        std::vector<int> span;
-        q.popCycle(cycle, span);
-        for (const int v : span) {
-            order.push_back(v);
-            if (v < 4) // chain one successor two cycles out
-                q.schedule(cycle + 2, 100 + v);
-        }
-    }
-    // Cycle 12 carries bulk event 2 (seq 2) before chained 100
-    // (scheduled later), and so on.
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 100, 3, 101, 102, 103}));
-    EXPECT_EQ(q.scheduled(), 8);
-    EXPECT_EQ(q.size(), 0u);
+    q.schedule(2, 1);
+    q.schedule(4, 2);
+    EXPECT_EQ(q.nextCycle(), 2);
+    EXPECT_DEATH(q.schedule(6, 3), "after the queue started draining");
+    std::vector<int> span;
+    q.popCycle(2, span);
+    EXPECT_DEATH(q.schedule(2, 4), "after the queue started draining");
 }
 
 } // namespace

@@ -97,7 +97,7 @@ TEST_P(FuzzTopology, SpecAndMappingInvariantsHold)
     config.training = true;
     config.batch_size = 8;
     config.num_images = 24;
-    const auto stats = arch::PipelineScheduler(map, config).run();
+    const auto stats = arch::PipelineScheduler(map.depth(), config).run();
     EXPECT_EQ(stats.buffer_violations, 0);
     EXPECT_EQ(stats.structural_hazards, 0);
     EXPECT_EQ(stats.total_cycles,

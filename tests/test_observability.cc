@@ -395,7 +395,7 @@ TEST(PipelineSchedulerTrace, CycleCountMatchesPaperFormula)
     config.training = true;
     config.batch_size = batch;
     config.num_images = images;
-    arch::PipelineScheduler scheduler(map, config);
+    arch::PipelineScheduler scheduler(map.depth(), config);
     trace::TraceRecorder rec("sched");
     scheduler.setTrace(&rec);
     const arch::ScheduleStats stats = scheduler.run();
@@ -454,7 +454,9 @@ TEST(TrainerObservability, TraceSpansLogicalCyclesExactly)
 
     EXPECT_EQ(result.logical_cycles, 2 * trainer.depth() + 6 + 1);
     EXPECT_EQ(rec.lastCycle(), result.logical_cycles);
-    EXPECT_EQ(rec.trackCount(), 2 * trainer.depth() + 2);
+    // The scheduler's Fig. 6 rows: L forward, 1 seed, L-1
+    // error-back, L derivative, 1 update.
+    EXPECT_EQ(rec.trackCount(), 3 * trainer.depth() + 1);
 
     // Work accounting: L forwards + 1 seed + L backward pairs per
     // image, all committed through phase 2.
@@ -477,6 +479,36 @@ TEST(TrainerObservability, TraceSpansLogicalCyclesExactly)
     const json::Value rj = result.toJson();
     EXPECT_EQ(rj.at("logical_cycles").asInt(), result.logical_cycles);
     EXPECT_EQ(rj.at("commits").asInt(), result.commits);
+}
+
+TEST(TrainerObservability, TraceIsTheSchedulerTrace)
+{
+    nn::Network net = trainerMlp(9);
+    core::PipelinedTrainer trainer(net);
+    trace::TraceRecorder rec("fig6");
+    trainer.setTrace(&rec);
+    const auto [inputs, labels] = trainerBatch(5, 23);
+    const auto first = trainer.trainBatch(inputs, labels, 0.05f);
+
+    // One batch: byte-identical to a bare scheduler of the same shape.
+    arch::ScheduleConfig config;
+    config.pipelined = true;
+    config.training = true;
+    config.batch_size = 5;
+    config.num_images = 5;
+    arch::PipelineScheduler scheduler(trainer.depth(), config);
+    trace::TraceRecorder want("fig6");
+    scheduler.setTrace(&want);
+    const arch::ScheduleStats stats = scheduler.run();
+    EXPECT_EQ(rec.toJson().dump(), want.toJson().dump());
+    EXPECT_EQ(first.logical_cycles, stats.total_cycles);
+
+    // A second batch (of another size) appends on the same rows.
+    const auto [more, more_labels] = trainerBatch(3, 29);
+    const auto second = trainer.trainBatch(more, more_labels, 0.05f);
+    EXPECT_EQ(rec.lastCycle(),
+              first.logical_cycles + second.logical_cycles);
+    EXPECT_EQ(rec.trackCount(), 3 * trainer.depth() + 1);
 }
 
 /** Stats dump of one pipelined training run at @p threads threads. */

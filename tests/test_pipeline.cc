@@ -70,7 +70,7 @@ TEST_P(ScheduleSweep, PipelinedTrainingMatchesClosedForm)
     config.training = true;
     config.batch_size = batch;
     config.num_images = images;
-    PipelineScheduler scheduler(map, config);
+    PipelineScheduler scheduler(map.depth(), config);
     const ScheduleStats stats = scheduler.run();
 
     EXPECT_EQ(stats.total_cycles,
@@ -100,7 +100,7 @@ TEST_P(ScheduleSweep, NonPipelinedTrainingMatchesClosedForm)
     config.training = true;
     config.batch_size = batch;
     config.num_images = images;
-    PipelineScheduler scheduler(map, config);
+    PipelineScheduler scheduler(map.depth(), config);
     const ScheduleStats stats = scheduler.run();
 
     EXPECT_EQ(stats.total_cycles,
@@ -126,7 +126,7 @@ TEST_P(ScheduleSweep, PipelinedTestingMatchesClosedForm)
     config.pipelined = true;
     config.training = false;
     config.num_images = images;
-    PipelineScheduler scheduler(map, config);
+    PipelineScheduler scheduler(map.depth(), config);
     const ScheduleStats stats = scheduler.run();
 
     EXPECT_EQ(stats.total_cycles, images + depth - 1);
@@ -147,7 +147,7 @@ TEST_P(ScheduleSweep, NonPipelinedTestingMatchesClosedForm)
     config.pipelined = false;
     config.training = false;
     config.num_images = images;
-    PipelineScheduler scheduler(map, config);
+    PipelineScheduler scheduler(map.depth(), config);
     const ScheduleStats stats = scheduler.run();
     EXPECT_EQ(stats.total_cycles, images * depth);
     EXPECT_EQ(stats.buffer_violations, 0);
@@ -172,7 +172,7 @@ TEST(Schedule, PaperFig3Example)
     config.training = true;
     config.batch_size = 1;
     config.num_images = 1;
-    PipelineScheduler scheduler(map, config);
+    PipelineScheduler scheduler(map.depth(), config);
     EXPECT_EQ(scheduler.run().total_cycles, 8);
 }
 
@@ -189,10 +189,10 @@ TEST(Schedule, BufferSizingIsTight)
     config.batch_size = 16;
     config.num_images = 32;
 
-    PipelineScheduler exact(map, config, /*buffer_slack=*/0);
+    PipelineScheduler exact(map.depth(), config, /*buffer_slack=*/0);
     EXPECT_EQ(exact.run().buffer_violations, 0);
 
-    PipelineScheduler tight(map, config, /*buffer_slack=*/-1);
+    PipelineScheduler tight(map.depth(), config, /*buffer_slack=*/-1);
     EXPECT_GT(tight.run().buffer_violations, 0);
 }
 
@@ -205,7 +205,7 @@ TEST(Schedule, ExtraSlackNeverHurts)
     config.training = true;
     config.batch_size = 8;
     config.num_images = 24;
-    PipelineScheduler slack(map, config, /*buffer_slack=*/3);
+    PipelineScheduler slack(map.depth(), config, /*buffer_slack=*/3);
     EXPECT_EQ(slack.run().buffer_violations, 0);
 }
 
@@ -219,10 +219,11 @@ TEST(Schedule, PipelinedBeatsNonPipelined)
     config.num_images = 128;
 
     config.pipelined = true;
-    const int64_t piped = PipelineScheduler(map, config).run().total_cycles;
+    const int64_t piped =
+        PipelineScheduler(map.depth(), config).run().total_cycles;
     config.pipelined = false;
     const int64_t serial =
-        PipelineScheduler(map, config).run().total_cycles;
+        PipelineScheduler(map.depth(), config).run().total_cycles;
     EXPECT_LT(piped, serial);
     // Speedup approaches (2L+1) for large batches.
     EXPECT_GT(static_cast<double>(serial) / static_cast<double>(piped),
@@ -244,9 +245,9 @@ TEST(Schedule, UtilizationImprovesWithBatchSize)
     config.num_images = 128;
 
     config.batch_size = 4;
-    const auto small = PipelineScheduler(map_small, config).run();
+    const auto small = PipelineScheduler(map_small.depth(), config).run();
     config.batch_size = 64;
-    const auto large = PipelineScheduler(map_large, config).run();
+    const auto large = PipelineScheduler(map_large.depth(), config).run();
     EXPECT_LT(large.total_cycles, small.total_cycles);
     EXPECT_GT(large.stage_utilization, small.stage_utilization);
 }
@@ -263,7 +264,7 @@ TEST(Schedule, PeakBufferUsageMatchesFormula)
     config.training = true;
     config.batch_size = 32;
     config.num_images = 64;
-    const auto stats = PipelineScheduler(map, config).run();
+    const auto stats = PipelineScheduler(map.depth(), config).run();
     ASSERT_EQ(stats.peak_buffer_entries.size(),
               static_cast<size_t>(depth + 1));
     for (int64_t j = 0; j <= depth; ++j) {
@@ -328,11 +329,11 @@ TEST_P(EventCoreSweep, MatchesReferenceAndClosedForms)
                     " training=" + std::to_string(training) +
                     " slack=" + std::to_string(slack);
 
-                PipelineScheduler event(map, config, slack);
+                PipelineScheduler event(map.depth(), config, slack);
                 const ScheduleStats from_events = event.run();
                 const int64_t event_iters = event.lastRunCycleIters();
 
-                PipelineScheduler dense(map, config, slack);
+                PipelineScheduler dense(map.depth(), config, slack);
                 const ScheduleStats from_walk = dense.runReference();
                 expectStatsEqual(from_events, from_walk, what);
 
@@ -379,9 +380,9 @@ TEST(ScheduleConfigValidate, RejectsNonPositiveBatch)
     ScheduleConfig config;
     config.batch_size = 0;
     EXPECT_THROW(config.validate(), ConfigError);
-    EXPECT_THROW(PipelineScheduler(map, config), ConfigError);
+    EXPECT_THROW(PipelineScheduler(map.depth(), config), ConfigError);
     config.batch_size = -4;
-    EXPECT_THROW(PipelineScheduler(map, config), ConfigError);
+    EXPECT_THROW(PipelineScheduler(map.depth(), config), ConfigError);
 }
 
 TEST(ScheduleConfigValidate, RejectsNegativeImages)
@@ -391,7 +392,14 @@ TEST(ScheduleConfigValidate, RejectsNegativeImages)
     ScheduleConfig config;
     config.num_images = -1;
     EXPECT_THROW(config.validate(), ConfigError);
-    EXPECT_THROW(PipelineScheduler(map, config), ConfigError);
+    EXPECT_THROW(PipelineScheduler(map.depth(), config), ConfigError);
+}
+
+TEST(ScheduleConfigValidate, RejectsNonPositiveDepth)
+{
+    const ScheduleConfig config;
+    EXPECT_THROW(PipelineScheduler(0, config), ConfigError);
+    EXPECT_THROW(PipelineScheduler(-3, config), ConfigError);
 }
 
 TEST(ScheduleConfigValidate, AcceptsEmptySchedule)
@@ -448,9 +456,9 @@ TEST(Schedule, ServingArrivalsMatchReferenceWalk)
         config.arrival_cycles =
             sim::ArrivalTrace::fixed(40, interval).cycles();
 
-        PipelineScheduler event(map, config);
+        PipelineScheduler event(map.depth(), config);
         const ScheduleStats from_events = event.run();
-        PipelineScheduler dense(map, config);
+        PipelineScheduler dense(map.depth(), config);
         const ScheduleStats from_walk = dense.runReference();
         const std::string what =
             "interval=" + std::to_string(interval);
@@ -509,7 +517,7 @@ TEST(Schedule, EmptyScheduleRunsToZeroCycles)
             config.pipelined = pipelined;
             config.training = training;
             config.num_images = 0;
-            PipelineScheduler scheduler(map, config);
+            PipelineScheduler scheduler(map.depth(), config);
             const ScheduleStats stats = scheduler.run();
             EXPECT_EQ(stats.total_cycles, 0);
             EXPECT_EQ(stats.forward_ops, 0);
@@ -540,7 +548,7 @@ TEST(Schedule, EventCoreSkipsIdleCycles)
     config.pipelined = true;
     config.training = false;
     config.num_images = 1000;
-    PipelineScheduler scheduler(map, config);
+    PipelineScheduler scheduler(map.depth(), config);
     const ScheduleStats stats = scheduler.run();
     EXPECT_EQ(stats.total_cycles, 1000 + 3 - 1);
     // Busy cycles only: images enter at t0 = i (cycle i), compute in
@@ -554,13 +562,13 @@ TEST(Schedule, EventCoreSkipsIdleCycles)
     // 16, so the busy-cycle count stays 4N while the horizon — and
     // the dense walk — grows to ~16N.
     config.arrival_cycles = sim::ArrivalTrace::fixed(1000, 16).cycles();
-    PipelineScheduler serving(map, config);
+    PipelineScheduler serving(map.depth(), config);
     const ScheduleStats serving_stats = serving.run();
     EXPECT_EQ(serving_stats.total_cycles, (1000 - 1) * 16 + 3);
     EXPECT_EQ(serving.lastRunCycleIters(), 1000 * 4);
     EXPECT_EQ(serving.lastRunEvents(), 1000 * 4);
 
-    PipelineScheduler reference(map, config);
+    PipelineScheduler reference(map.depth(), config);
     const ScheduleStats walk_stats = reference.runReference();
     EXPECT_EQ(walk_stats.total_cycles, serving_stats.total_cycles);
     EXPECT_GE(reference.lastRunCycleIters(), (1000 - 1) * 16);
@@ -575,7 +583,7 @@ TEST(Schedule, RealNetworksScheduleCleanly)
         config.training = true;
         config.batch_size = 16;
         config.num_images = 32;
-        const auto stats = PipelineScheduler(map, config).run();
+        const auto stats = PipelineScheduler(map.depth(), config).run();
         EXPECT_EQ(stats.buffer_violations, 0) << spec.name;
         EXPECT_EQ(stats.structural_hazards, 0) << spec.name;
     }

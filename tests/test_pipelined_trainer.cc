@@ -13,6 +13,7 @@
 #include <cmath>
 #include <memory>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/pipelined_trainer.hh"
 #include "nn/layers.hh"
@@ -167,8 +168,9 @@ TEST(PipelinedTrainer, L2LossVariantAgrees)
 
 TEST(PipelinedTrainer, BuffersStayWithinPaperSizing)
 {
-    // The executor asserts 2(L-l)+1 capacity internally; with a long
-    // batch the peak must actually reach the input buffer's 2L+1.
+    // The trainer asserts the scheduler's 2(L-l)+1 buffers saw no
+    // violation; with a long batch the peak must actually reach the
+    // input buffer's 2L+1.
     nn::Network net = cnn(13);
     PipelinedTrainer trainer(net);
     auto [inputs, labels] = makeBatch(20, 14);
@@ -205,6 +207,120 @@ TEST(PipelinedTrainer, MultipleBatchesKeepLearning)
     }
     EXPECT_LT(last_loss, first_loss * 0.7);
     EXPECT_GT(net.accuracy(task.test.inputs, task.test.labels), 0.7);
+}
+
+/** FNV-1a-64 over every parameter's raw float bytes, in layer order. */
+uint64_t
+paramHash(nn::Network &net)
+{
+    uint64_t h = 14695981039346656037ull;
+    for (size_t l = 0; l < net.numLayers(); ++l) {
+        for (const Tensor *p : net.layer(l).parameters()) {
+            const auto *bytes =
+                reinterpret_cast<const unsigned char *>(p->data());
+            const size_t n = static_cast<size_t>(p->numel()) *
+                sizeof(float);
+            for (size_t k = 0; k < n; ++k) {
+                h ^= bytes[k];
+                h *= 1099511628211ull;
+            }
+        }
+    }
+    return h;
+}
+
+/** One pinned batch: its result JSON and the weights it leaves. */
+struct PinnedBatch
+{
+    std::vector<Tensor> inputs;
+    std::vector<int64_t> labels;
+    float lr;
+    const char *result_json;
+    uint64_t param_hash;
+};
+
+/**
+ * Train @p batches in order through a fresh net from @p make at one
+ * and at four threads; every batch must reproduce its pinned result
+ * JSON and parameter hash bit for bit.
+ */
+template <typename Make>
+void
+expectPinned(Make make, const std::vector<PinnedBatch> &batches)
+{
+    const int64_t saved = threadCount();
+    for (const int64_t threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        setThreadCount(threads);
+        nn::Network net = make();
+        PipelinedTrainer trainer(net);
+        for (size_t b = 0; b < batches.size(); ++b) {
+            SCOPED_TRACE("batch " + std::to_string(b));
+            const PinnedBatch &pin = batches[b];
+            const auto result =
+                trainer.trainBatch(pin.inputs, pin.labels, pin.lr);
+            EXPECT_EQ(result.toJson().dump(), pin.result_json);
+            EXPECT_EQ(paramHash(net), pin.param_hash)
+                << std::hex << paramHash(net);
+        }
+    }
+    setThreadCount(saved);
+}
+
+TEST(PipelinedTrainerPinned, CnnBitsAcrossTwoBatches)
+{
+    auto [in0, lb0] = makeBatch(12, 6);
+    auto [in1, lb1] = makeBatch(7, 60);
+    expectPinned([] { return cnn(5); },
+                 {{in0, lb0, 0.2f,
+                   R"({"mean_loss":2.755893159203801,"logical_cycles":19,)"
+                   R"("peak_buffer_entries":7,"forward_ops":36,)"
+                   R"("error_seeds":12,"backward_ops":36,"commits":84})",
+                   0xec732c25e055c959ull},
+                  {in1, lb1, 0.2f,
+                   R"({"mean_loss":1.3713090644056443,"logical_cycles":14,)"
+                   R"("peak_buffer_entries":7,"forward_ops":21,)"
+                   R"("error_seeds":7,"backward_ops":21,"commits":49})",
+                   0x99f7e29e7befe385ull}});
+}
+
+TEST(PipelinedTrainerPinned, MlpBitsAcrossTwoBatches)
+{
+    auto [in0, lb0] = makeBatch(16, 8);
+    auto [in1, lb1] = makeBatch(5, 80);
+    expectPinned([] { return mlp(7); },
+                 {{in0, lb0, 0.3f,
+                   R"({"mean_loss":1.3239937884059365,"logical_cycles":21,)"
+                   R"("peak_buffer_entries":5,"forward_ops":32,)"
+                   R"("error_seeds":16,"backward_ops":32,"commits":80})",
+                   0x40710b93668f1737ull},
+                  {in1, lb1, 0.3f,
+                   R"({"mean_loss":1.7733986364629497,"logical_cycles":10,)"
+                   R"("peak_buffer_entries":5,"forward_ops":10,)"
+                   R"("error_seeds":5,"backward_ops":10,"commits":25})",
+                   0xdcafe614d2929f51ull}});
+}
+
+TEST(PipelinedTrainerPinned, C4BatchOfSixteen)
+{
+    // The benchmark's shape: C-4 (L = 5) at B = 16.
+    workloads::SyntheticConfig data;
+    data.train_per_class = 2;
+    data.test_per_class = 0;
+    auto task = workloads::makeSyntheticTask(data);
+    Rng shuffle_rng(17);
+    task.train.shuffle(shuffle_rng);
+    const nn::Dataset batch = task.train.head(16);
+    expectPinned(
+        [] {
+            Rng rng(18);
+            return workloads::buildC4(rng);
+        },
+        {{batch.inputs, batch.labels, 0.05f,
+          R"({"mean_loss":3.0243357275354352,"logical_cycles":27,)"
+          R"("peak_buffer_entries":11,"forward_ops":80,)"
+          R"("error_seeds":16,"backward_ops":80,"commits":176})",
+          0x70223c49e9459442ull}});
 }
 
 TEST(PipelinedTrainerDeath, StridedConvRejected)

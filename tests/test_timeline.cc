@@ -48,7 +48,7 @@ TEST(Timeline, TrainingChartHasAllUnitRows)
     config.training = true;
     config.batch_size = 4;
     config.num_images = 4;
-    arch::PipelineScheduler scheduler(map, config);
+    arch::PipelineScheduler scheduler(map.depth(), config);
     const std::string chart = scheduler.renderTimeline();
 
     // Forward stages, error seed, error-backward units, derivative
@@ -69,7 +69,7 @@ TEST(Timeline, TestingChartOmitsBackwardRows)
     config.pipelined = true;
     config.training = false;
     config.num_images = 4;
-    arch::PipelineScheduler scheduler(map, config);
+    arch::PipelineScheduler scheduler(map.depth(), config);
     const std::string chart = scheduler.renderTimeline();
     EXPECT_NE(chart.find("A1"), std::string::npos);
     EXPECT_EQ(chart.find("ErrL"), std::string::npos);
@@ -87,7 +87,7 @@ TEST(Timeline, Fig3SingleImageOccupiesExpectedCycles)
     config.training = true;
     config.batch_size = 1;
     config.num_images = 1;
-    arch::PipelineScheduler scheduler(map, config);
+    arch::PipelineScheduler scheduler(map.depth(), config);
     const std::string chart = scheduler.renderTimeline();
 
     std::istringstream is(chart);
@@ -109,7 +109,7 @@ TEST(Timeline, ClipsLongSchedules)
     config.training = true;
     config.batch_size = 8;
     config.num_images = 64;
-    arch::PipelineScheduler scheduler(map, config);
+    arch::PipelineScheduler scheduler(map.depth(), config);
     const std::string chart = scheduler.renderTimeline(10);
     EXPECT_NE(chart.find("clipped"), std::string::npos);
 }
@@ -125,7 +125,7 @@ TEST(Timeline, PipelinedChartShowsOverlap)
     config.training = true;
     config.batch_size = 6;
     config.num_images = 6;
-    arch::PipelineScheduler scheduler(map, config);
+    arch::PipelineScheduler scheduler(map.depth(), config);
     const std::string chart = scheduler.renderTimeline();
     EXPECT_NE(chart.find("012345"), std::string::npos);
 }
