@@ -61,7 +61,7 @@ main(int argc, char **argv)
                 const sim::Simulator simulator(
                     spec, reram::DeviceParams(), g);
                 const auto report =
-                    simulator.run(sim::SimConfig::testing(64));
+                    simulator.run(sim::Job::testing(64));
                 row.push_back(
                     Table::num(gpu_time / report.time_per_image, 2));
             }

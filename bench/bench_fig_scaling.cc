@@ -86,13 +86,8 @@ body(bench::Runner &r)
     json::Value walls = json::Value::array();
 
     int64_t single_chip_cycles = 0;
-    const int64_t depth = [&] {
-        // Pipeline depth for the ideal-ceiling print: array layers.
-        const arch::NetworkMapping map =
-            simulator.mapping(sim::SimConfig::training(
-                volume.batch_size, volume.num_images));
-        return static_cast<int64_t>(map.layers().size());
-    }();
+    // Pipeline depth for the ideal-ceiling print: array layers.
+    const int64_t depth = spec.pipelineDepth();
 
     for (const int64_t chips : chip_counts) {
         sim::Job job;

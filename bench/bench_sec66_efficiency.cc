@@ -36,10 +36,10 @@ main(int argc, char **argv)
             for (const auto &spec : workloads::evaluationNetworks()) {
                 const sim::Simulator simulator(spec,
                                                reram::DeviceParams());
-                const sim::SimConfig config =
-                    training ? sim::SimConfig::training(64, 256)
-                             : sim::SimConfig::testing(256);
-                const auto rep = simulator.run(config);
+                const sim::Job job =
+                    training ? sim::Job::training(64, 256)
+                             : sim::Job::testing(256);
+                const auto rep = simulator.run(job);
                 table.addRow({spec.name, training ? "train" : "test",
                               Table::num(rep.area_mm2, 1),
                               Table::num(rep.gops_per_s, 0),

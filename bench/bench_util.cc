@@ -32,20 +32,18 @@ evaluateNetwork(const workloads::NetworkSpec &spec, bool training,
     row.gpu_energy = gpu_cost.energy_per_image;
 
     const sim::Simulator simulator(spec, reram::DeviceParams());
-    sim::SimConfig sim_config =
-        training
-            ? sim::SimConfig::training(config.batch_size,
-                                       config.num_images)
-            : sim::SimConfig::testing(config.num_images);
+    sim::Job job =
+        training ? sim::Job::training(config.batch_size, config.num_images)
+                 : sim::Job::testing(config.num_images);
 
-    sim_config.pipelined = true;
-    const sim::SimReport piped = simulator.run(sim_config);
+    job.pipelined = true;
+    const sim::SimReport piped = simulator.run(job);
     row.pl_time = piped.time_per_image;
     row.pl_energy = piped.energy_per_image;
     row.pl_area = piped.area_mm2;
 
-    sim_config.pipelined = false;
-    const sim::SimReport serial = simulator.run(sim_config);
+    job.pipelined = false;
+    const sim::SimReport serial = simulator.run(job);
     row.pl_time_nopipe = serial.time_per_image;
 
     return row;

@@ -89,7 +89,7 @@ main(int argc, char **argv)
     // ---- Per-layer mapping and cost ---------------------------------
     sim::Simulator layer_sim(spec, params, g);
     const auto layer_report =
-        layer_sim.run(sim::SimConfig::training(batch, batch));
+        layer_sim.run(sim::Job::training(batch, batch));
 
     Table layer_table({"stage", "layer", "rows x cols", "G",
                        "steps/cycle", "fwd arrays", "bwd arrays",
@@ -132,10 +132,10 @@ main(int argc, char **argv)
     for (const bool training : {false, true}) {
         const auto cost =
             training ? gpu.training(spec) : gpu.testing(spec);
-        const sim::SimConfig config =
-            training ? sim::SimConfig::training(batch, 4 * batch)
-                     : sim::SimConfig::testing(4 * batch);
-        const auto report = simulator.run(config);
+        const sim::Job job =
+            training ? sim::Job::training(batch, 4 * batch)
+                     : sim::Job::testing(4 * batch);
+        const auto report = simulator.run(job);
         perf.addRow({training ? "train" : "test",
                      formatTime(cost.time_per_image),
                      formatTime(report.time_per_image),

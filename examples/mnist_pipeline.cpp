@@ -90,12 +90,11 @@ main()
                       formatEnergy(cost.energy_per_image)});
 
         sim::Simulator simulator(spec, reram::DeviceParams());
-        sim::SimConfig sim_config =
-            training ? sim::SimConfig::training(64, 256)
-                     : sim::SimConfig::testing(256);
+        sim::Job job = training ? sim::Job::training(64, 256)
+                                : sim::Job::testing(256);
         for (const bool pipelined : {false, true}) {
-            sim_config.pipelined = pipelined;
-            const auto report = simulator.run(sim_config);
+            job.pipelined = pipelined;
+            const auto report = simulator.run(job);
             table.addRow({pipelined ? "PipeLayer"
                                     : "PipeLayer w/o pipeline",
                           training ? "train" : "test",

@@ -104,16 +104,6 @@ InterconnectConfig::fromJson(const json::Value &v)
     return cfg;
 }
 
-void
-ClusterConfig::validate() const
-{
-    if (num_chips < 1) {
-        throw ConfigError("ClusterConfig: num_chips must be >= 1, got " +
-                          std::to_string(num_chips));
-    }
-    interconnect.validate();
-}
-
 InterconnectCost
 aggregationRoundCost(const InterconnectConfig &cfg, int64_t num_chips,
                      int64_t payload_bytes)
@@ -236,60 +226,33 @@ ClusterStats::toJson() const
 }
 
 Cluster::Cluster(int64_t depth, const ScheduleConfig &shard,
-                 const ClusterConfig &cluster, int64_t payload_bytes,
-                 double cycle_time_s)
-    : depth_(depth), shard_(shard), cluster_(cluster),
-      payload_bytes_(payload_bytes), cycle_time_s_(cycle_time_s)
+                 int64_t num_chips, const InterconnectConfig &interconnect,
+                 int64_t payload_bytes, double cycle_time_s)
+    : depth_(depth), shard_(shard), num_chips_(num_chips),
+      interconnect_(interconnect), payload_bytes_(payload_bytes),
+      cycle_time_s_(cycle_time_s)
 {
     if (depth_ < 1) {
         throw ConfigError("Cluster: depth must be positive, got " +
                           std::to_string(depth_));
     }
     shard_.validate();
-    cluster_.validate();
+    if (num_chips_ < 1) {
+        throw ConfigError("Cluster: num_chips must be >= 1, got " +
+                          std::to_string(num_chips_));
+    }
+    interconnect_.validate();
     if (payload_bytes_ < 0) {
         throw ConfigError(
             "Cluster: payload_bytes must be non-negative, got " +
             std::to_string(payload_bytes_));
     }
-    if (cluster_.num_chips > 1 && shard_.training &&
+    if (num_chips_ > 1 && shard_.training &&
         !(cycle_time_s_ > 0.0)) {
         throw ConfigError(
             "Cluster: a multi-chip training run needs a positive "
             "cycle_time_s to convert aggregation seconds to cycles");
     }
-}
-
-ScheduleConfig
-Cluster::shard(const ScheduleConfig &global, int64_t num_chips)
-{
-    if (num_chips < 1) {
-        throw ConfigError("Cluster: num_chips must be >= 1, got " +
-                          std::to_string(num_chips));
-    }
-    if (!global.arrival_cycles.empty() && num_chips > 1) {
-        throw ConfigError(
-            "Cluster: an explicit arrival trace cannot be sharded "
-            "across chips; run serving jobs on one chip");
-    }
-    if (global.batch_size % num_chips != 0) {
-        throw ConfigError(
-            "Cluster: num_chips (" + std::to_string(num_chips) +
-            ") must divide batch_size (" +
-            std::to_string(global.batch_size) +
-            "): chips shard every batch evenly");
-    }
-    if (global.num_images % num_chips != 0) {
-        throw ConfigError(
-            "Cluster: num_chips (" + std::to_string(num_chips) +
-            ") must divide num_images (" +
-            std::to_string(global.num_images) +
-            "): chips process equal volumes in lock-step");
-    }
-    ScheduleConfig shard = global;
-    shard.batch_size = global.batch_size / num_chips;
-    shard.num_images = global.num_images / num_chips;
-    return shard;
 }
 
 void
@@ -301,7 +264,7 @@ Cluster::setTrace(trace::TraceRecorder *recorder)
 ClusterStats
 Cluster::run()
 {
-    const int64_t chips = cluster_.num_chips;
+    const int64_t chips = num_chips_;
 
     // ---- Parallel compute: every chip runs its shard schedule into
     // private stats and a private recorder.  Nothing is shared, so
@@ -345,7 +308,7 @@ Cluster::run()
     // ---- Aggregation phase: one round per batch boundary.
     const bool aggregates = shard_.training && chips > 1;
     const InterconnectCost round = aggregationRoundCost(
-        cluster_.interconnect, chips, payload_bytes_);
+        interconnect_, chips, payload_bytes_);
     out.payload_bytes = payload_bytes_;
     if (aggregates && shard_.num_images > 0) {
         out.aggregation_rounds =
@@ -377,7 +340,7 @@ Cluster::run()
                          std::ceil(round.time_s / cycle_time_s_))
                    : 1);
         const char *slice_name =
-            cluster_.interconnect.topology == Topology::Ring
+            interconnect_.topology == Topology::Ring
                 ? "allreduce"
                 : "param_server";
         for (int64_t k = 0; k < out.aggregation_rounds; ++k) {

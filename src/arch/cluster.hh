@@ -77,17 +77,6 @@ struct InterconnectConfig
     static InterconnectConfig fromJson(const json::Value &v);
 };
 
-/** The cluster-shape knobs carried by sim::SimConfig / sim::Job. */
-struct ClusterConfig
-{
-    int64_t num_chips = 1;
-    InterconnectConfig interconnect;
-
-    /** Throws ConfigError unless num_chips >= 1 and the link model
-     *  validates. */
-    void validate() const;
-};
-
 /**
  * Cost of one gradient-aggregation round (one batch boundary).
  *
@@ -156,31 +145,25 @@ struct ClusterStats
  *
  * @c depth is the mapped network's pipeline depth L
  * (NetworkMapping::depth()), and the schedule describes ONE chip's
- * shard (the caller — sim::Simulator::runCluster — divides batch and
- * volume by the chip count first; Cluster::shard() does the division
- * with typed validation).  @c payload_bytes is the gradient footprint
- * each chip contributes per round, derived from the mapped network's
- * weight parameters; @c cycle_time_s converts aggregation seconds to
- * logical cycles and must be positive whenever a training run has 2+
- * chips.
+ * shard: the caller divides batch and volume by @c num_chips first
+ * (sim::Simulator::runCluster takes sim::Job::shard() of a job whose
+ * even split sim::Job::validate() checked).  @c payload_bytes is the
+ * gradient footprint each chip contributes per round, derived from
+ * the mapped network's weight parameters; @c cycle_time_s converts
+ * aggregation seconds to logical cycles and must be positive
+ * whenever a training run has 2+ chips.
  */
 class Cluster
 {
   public:
-    Cluster(int64_t depth, const ScheduleConfig &shard,
-            const ClusterConfig &cluster, int64_t payload_bytes,
-            double cycle_time_s);
-
     /**
-     * The per-chip shard of @p global: batch_size and num_images
-     * divided by @p num_chips.  Throws ConfigError unless num_chips
-     * >= 1 and divides both (an uneven shard would desynchronise the
-     * chips' batch boundaries), or if @p global carries explicit
-     * arrival cycles (a serving trace cannot be sharded round-robin
-     * without changing its meaning).
+     * Throws ConfigError unless depth and num_chips are >= 1, the
+     * shard schedule and the link model validate, and payload_bytes
+     * is non-negative.
      */
-    static ScheduleConfig shard(const ScheduleConfig &global,
-                                int64_t num_chips);
+    Cluster(int64_t depth, const ScheduleConfig &shard, int64_t num_chips,
+            const InterconnectConfig &interconnect, int64_t payload_bytes,
+            double cycle_time_s);
 
     /**
      * Run every chip's schedule (parallel compute, serial ascending-
@@ -203,7 +186,8 @@ class Cluster
   private:
     int64_t depth_;
     ScheduleConfig shard_;
-    ClusterConfig cluster_;
+    int64_t num_chips_;
+    InterconnectConfig interconnect_;
     int64_t payload_bytes_;
     double cycle_time_s_;
     trace::TraceRecorder *trace_ = nullptr;

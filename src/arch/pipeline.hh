@@ -76,7 +76,7 @@ struct ScheduleConfig
 
     /**
      * Check the configuration, throwing ConfigError (not asserting)
-     * on bad values, mirroring sim::SimConfig::validate():
+     * on bad values, mirroring sim::Job::validate():
      * batch_size must be positive (a non-positive batch used to hang
      * buildSchedule forever — the batch loop never advanced),
      * num_images must be non-negative (an empty schedule is legal and

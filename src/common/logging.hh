@@ -68,7 +68,7 @@ void debug(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /**
  * A configuration the user asked for is invalid (bad batch size,
  * image count, ...).  Thrown by the validating API surfaces
- * (sim::SimConfig::validate) so embedding callers can recover instead
+ * (sim::Job::validate) so embedding callers can recover instead
  * of dying in fatal(); the CLI front ends catch it and exit 1.
  */
 class ConfigError : public std::runtime_error

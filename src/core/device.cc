@@ -347,12 +347,12 @@ PipeLayerDevice::timingReport(sim::Phase phase, int64_t num_images) const
     const workloads::NetworkSpec spec =
         workloads::specFromNetwork(*topology_);
     sim::Simulator simulator(spec, config_.device);
-    sim::SimConfig sim_config;
-    sim_config.phase = phase;
-    sim_config.pipelined = pipeline_enabled_;
-    sim_config.batch_size = config_.batch_size;
-    sim_config.num_images = num_images;
-    return simulator.run(sim_config);
+    sim::Job job;
+    job.phase = phase;
+    job.pipelined = pipeline_enabled_;
+    job.batch_size = config_.batch_size;
+    job.num_images = num_images;
+    return simulator.run(job);
 }
 
 int64_t

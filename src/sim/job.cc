@@ -6,44 +6,83 @@ namespace pipelayer {
 namespace sim {
 
 Job
-Job::fromConfig(const SimConfig &config)
+Job::training(int64_t batch, int64_t images)
 {
     Job job;
-    job.phase = config.phase;
-    job.pipelined = config.pipelined;
-    job.batch_size = config.batch_size;
-    job.num_images = config.num_images;
-    job.num_chips = config.num_chips;
-    job.interconnect = config.interconnect;
+    job.phase = Phase::Training;
+    job.batch_size = batch;
+    job.num_images = images;
+    job.validate();
     return job;
 }
 
-SimConfig
-Job::config() const
+Job
+Job::testing(int64_t images)
 {
-    SimConfig c;
-    c.phase = phase;
-    c.pipelined = pipelined;
-    c.batch_size = batch_size;
-    c.num_images = num_images;
-    c.num_chips = num_chips;
-    c.interconnect = interconnect;
-    return c;
+    Job job;
+    job.phase = Phase::Testing;
+    job.num_images = images;
+    job.validate();
+    return job;
 }
 
 arch::ScheduleConfig
 Job::schedule() const
 {
-    arch::ScheduleConfig sched = config().schedule();
-    if (!arrivals.empty())
-        sched.arrival_cycles = arrivals.cycles();
+    arch::ScheduleConfig sched;
+    sched.pipelined = pipelined;
+    sched.training = phase == Phase::Training;
+    sched.batch_size = batch_size;
+    sched.num_images = num_images;
+    sched.arrival_cycles = arrivals.cycles();
     return sched;
+}
+
+Job
+Job::shard() const
+{
+    Job s = *this;
+    s.batch_size = batch_size / num_chips;
+    s.num_images = num_images / num_chips;
+    s.num_chips = 1;
+    return s;
 }
 
 void
 Job::validate() const
 {
-    config().validate();
+    if (batch_size <= 0) {
+        throw ConfigError("Job: batch_size must be positive, got " +
+                          std::to_string(batch_size));
+    }
+    if (num_images <= 0) {
+        throw ConfigError("Job: num_images must be positive, got " +
+                          std::to_string(num_images));
+    }
+    if (phase == Phase::Training && num_images % batch_size != 0) {
+        throw ConfigError(
+            "Job: training needs batch_size (" +
+            std::to_string(batch_size) + ") to divide num_images (" +
+            std::to_string(num_images) +
+            "): the schedule separates full batches with update cycles");
+    }
+    if (num_chips < 1) {
+        throw ConfigError("Job: num_chips must be >= 1, got " +
+                          std::to_string(num_chips));
+    }
+    if (batch_size % num_chips != 0) {
+        throw ConfigError(
+            "Job: num_chips (" + std::to_string(num_chips) +
+            ") must divide batch_size (" + std::to_string(batch_size) +
+            "): chips shard every batch evenly");
+    }
+    if (num_images % num_chips != 0) {
+        throw ConfigError(
+            "Job: num_chips (" + std::to_string(num_chips) +
+            ") must divide num_images (" + std::to_string(num_images) +
+            "): chips process equal volumes in lock-step");
+    }
+    interconnect.validate();
     arrivals.validate();
     if (!arrivals.empty()) {
         if (phase == Phase::Training || !pipelined) {

@@ -501,12 +501,12 @@ ServingSim::run(const ArrivalTrace &trace,
             static_cast<double>(wait_sum) / m;
     }
 
-    // ---- Execution: replay the admitted entries through the mapped
-    // network via the canonical Job entry point.  Entry cycles are
-    // strictly increasing by construction (consecutive launches are
-    // separated by their batch sizes), so the schedule is hazard-free:
-    // any overload shows up here as shed requests, not as pipeline
-    // conflicts.
+    // ---- Execution: replay the admitted entries through the
+    // pipeline, with the observers attached, then price that one
+    // schedule.  Entry cycles are strictly increasing by construction
+    // (consecutive launches are separated by their batch sizes), so
+    // the schedule is hazard-free: any overload shows up here as shed
+    // requests, not as pipeline conflicts.
     if (report.admitted_count > 0) {
         Job job;
         job.network = spec_.name;
@@ -514,13 +514,12 @@ ServingSim::run(const ArrivalTrace &trace,
         job.pipelined = true;
         job.batch_size = max_batch;
         job.num_images = report.admitted_count;
-        job.arrivals = ArrivalTrace::replay(entry_cycles);
-        report.execution = simulator_.run(job);
-        arch::PipelineScheduler scheduler(
-            simulator_.mapping(job.config()).depth(), job.schedule());
+        job.arrivals = ArrivalTrace::replay(std::move(entry_cycles));
+        arch::PipelineScheduler scheduler(depth(), job.schedule());
         scheduler.setTrace(recorder);
         scheduler.setMetrics(sampler);
         report.sched = scheduler.run();
+        report.execution = simulator_.price(job, report.sched);
     }
 
     if (recorder)

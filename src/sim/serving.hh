@@ -9,9 +9,10 @@
  * counted — explicit backpressure, never silent drops), coalesces
  * the queue into batches sized toward the pipeline sweet spot
  * implied by the paper's (N/B)(2L+B+1) form under a configurable
- * max-wait deadline, and drives the admitted entries through a
- * persistent mapped network via the event-queue scheduler
- * (Simulator::run(Job) with a replay trace of entry cycles).
+ * max-wait deadline, and replays the admitted entries through the
+ * event-queue scheduler once (a sim::Job with a replay trace of entry
+ * cycles), with any trace or metrics observers attached, then prices
+ * that schedule with Simulator::price.
  *
  * Everything the policy decides is integer logical-cycle arithmetic,
  * so the whole report — per-request latencies, percentiles, queue
@@ -151,10 +152,10 @@ struct ServingReport
 };
 
 /**
- * The serving front end: one persistently mapped network fed by a
- * request stream.  Construct once per deployment (the mapping — the
- * expensive, weight-programming part of bring-up — is reused across
- * run() calls), then run any number of traces through it.
+ * The serving front end: one network fed by a request stream.
+ * Construct once per network, then run any number of traces through
+ * it; each run() schedules its admitted requests once and maps the
+ * network once, to price that schedule.
  */
 class ServingSim
 {

@@ -7,7 +7,6 @@
 #include "common/prof.hh"
 #include "common/stats.hh"
 #include "common/units.hh"
-#include "sim/job.hh"
 
 namespace pipelayer {
 namespace sim {
@@ -33,89 +32,6 @@ errorWindows(const workloads::LayerSpec &spec)
 }
 
 } // namespace
-
-SimConfig
-SimConfig::training(int64_t batch, int64_t images)
-{
-    SimConfig c;
-    c.phase = Phase::Training;
-    c.batch_size = batch;
-    c.num_images = images;
-    c.validate();
-    return c;
-}
-
-SimConfig
-SimConfig::testing(int64_t images)
-{
-    SimConfig c;
-    c.phase = Phase::Testing;
-    c.num_images = images;
-    c.validate();
-    return c;
-}
-
-void
-SimConfig::validate() const
-{
-    if (batch_size <= 0) {
-        throw ConfigError("SimConfig: batch_size must be positive, got " +
-                          std::to_string(batch_size));
-    }
-    if (num_images <= 0) {
-        throw ConfigError("SimConfig: num_images must be positive, got " +
-                          std::to_string(num_images));
-    }
-    if (phase == Phase::Training && num_images % batch_size != 0) {
-        throw ConfigError(
-            "SimConfig: training needs batch_size (" +
-            std::to_string(batch_size) + ") to divide num_images (" +
-            std::to_string(num_images) +
-            "): the schedule separates full batches with update cycles");
-    }
-    if (num_chips < 1) {
-        throw ConfigError("SimConfig: num_chips must be >= 1, got " +
-                          std::to_string(num_chips));
-    }
-    if (num_chips > 1) {
-        if (batch_size % num_chips != 0) {
-            throw ConfigError(
-                "SimConfig: num_chips (" + std::to_string(num_chips) +
-                ") must divide batch_size (" +
-                std::to_string(batch_size) +
-                "): chips shard every batch evenly");
-        }
-        if (num_images % num_chips != 0) {
-            throw ConfigError(
-                "SimConfig: num_chips (" + std::to_string(num_chips) +
-                ") must divide num_images (" +
-                std::to_string(num_images) +
-                "): chips process equal volumes in lock-step");
-        }
-    }
-    interconnect.validate();
-}
-
-SimConfig
-SimConfig::shard() const
-{
-    SimConfig s = *this;
-    s.batch_size = batch_size / num_chips;
-    s.num_images = num_images / num_chips;
-    s.num_chips = 1;
-    return s;
-}
-
-arch::ScheduleConfig
-SimConfig::schedule() const
-{
-    arch::ScheduleConfig sched;
-    sched.pipelined = pipelined;
-    sched.training = phase == Phase::Training;
-    sched.batch_size = batch_size;
-    sched.num_images = num_images;
-    return sched;
-}
 
 json::Value
 EnergyBreakdown::toJson() const
@@ -335,12 +251,29 @@ Simulator::Simulator(const workloads::NetworkSpec &spec,
     spec_.validate();
 }
 
-arch::NetworkMapping
-Simulator::mapping(const SimConfig &config) const
+void
+Simulator::check(const Job &job) const
 {
+    job.validate();
+    if (!job.network.empty() && job.network != spec_.name) {
+        throw ConfigError("Simulator: job describes network '" +
+                          job.network + "' but this simulator maps '" +
+                          spec_.name + "'");
+    }
+}
+
+arch::NetworkMapping
+Simulator::mapChip(const Job &chip) const
+{
+    if (chip.num_chips > 1) {
+        throw ConfigError(
+            "Simulator: a " + std::to_string(chip.num_chips) +
+            "-chip job runs through runCluster; run and price model "
+            "one chip");
+    }
     return arch::NetworkMapping(spec_, granularity_, params_,
-                                config.phase == Phase::Training,
-                                config.batch_size);
+                                chip.phase == Phase::Training,
+                                chip.batch_size);
 }
 
 double
@@ -453,50 +386,44 @@ Simulator::cycleTime(const arch::NetworkMapping &mapping,
 }
 
 SimReport
-Simulator::run(const SimConfig &config) const
-{
-    return run(Job::fromConfig(config));
-}
-
-SimReport
 Simulator::run(const Job &job) const
 {
     PL_PROF_SCOPE("sim.run");
-    job.validate();
-    if (!job.network.empty() && job.network != spec_.name) {
-        throw ConfigError("Simulator: job describes network '" +
-                          job.network + "' but this simulator maps '" +
-                          spec_.name + "'");
-    }
-    const SimConfig config = job.config();
-    const arch::NetworkMapping map = mapping(config);
-
+    check(job);
+    const arch::NetworkMapping map = mapChip(job);
     arch::PipelineScheduler scheduler(map.depth(), job.schedule());
-    const arch::ScheduleStats sched = scheduler.run();
-    return buildReport(config, map, sched);
+    return buildReport(job, map, scheduler.run());
 }
 
 SimReport
-Simulator::buildReport(const SimConfig &config,
+Simulator::price(const Job &job, const arch::ScheduleStats &sched) const
+{
+    PL_PROF_SCOPE("sim.run");
+    check(job);
+    return buildReport(job, mapChip(job), sched);
+}
+
+SimReport
+Simulator::buildReport(const Job &chip,
                        const arch::NetworkMapping &map,
                        const arch::ScheduleStats &sched) const
 {
-    const bool training = config.phase == Phase::Training;
+    const bool training = chip.phase == Phase::Training;
     SimReport report;
     report.network = spec_.name;
-    report.config = config;
+    report.config = chip;
     report.logical_cycles = sched.total_cycles;
     report.cycle_time = cycleTime(map, training);
     report.total_time =
         static_cast<double>(sched.total_cycles) * report.cycle_time;
     report.time_per_image =
-        report.total_time / static_cast<double>(config.num_images);
+        report.total_time / static_cast<double>(chip.num_images);
     report.throughput = 1.0 / report.time_per_image;
     report.buffer_violations = sched.buffer_violations;
     report.structural_hazards = sched.structural_hazards;
 
     // ---- Energy + per-layer breakdown --------------------------------
-    const auto n = static_cast<double>(config.num_images);
+    const auto n = static_cast<double>(chip.num_images);
     EnergyBreakdown &e = report.energy;
     for (const auto &m : map.layers()) {
         LayerCost cost;
@@ -529,7 +456,7 @@ Simulator::buildReport(const SimConfig &config,
     }
     if (training) {
         const double batches = static_cast<double>(
-            ceilDiv(config.num_images, config.batch_size));
+            ceilDiv(chip.num_images, chip.batch_size));
         e.weight_update = batches * weightUpdateEnergy(map);
     }
     e.buffer_traffic = n * bufferEnergy(spec_, training);
@@ -540,7 +467,7 @@ Simulator::buildReport(const SimConfig &config,
     report.area_mm2 = map.areaMm2();
     report.morphable_arrays = map.morphableArrays();
     report.memory_buffer_entries =
-        map.memoryBufferEntries(config.pipelined);
+        map.memoryBufferEntries(chip.pipelined);
 
     report.ops_per_image = static_cast<double>(
         training ? spec_.trainOps() : spec_.forwardOps());
@@ -646,45 +573,27 @@ Simulator::runCluster(const Job &job,
                       trace::TraceRecorder *recorder) const
 {
     PL_PROF_SCOPE("sim.run_cluster");
-    job.validate();
-    if (!job.network.empty() && job.network != spec_.name) {
-        throw ConfigError("Simulator: job describes network '" +
-                          job.network + "' but this simulator maps '" +
-                          spec_.name + "'");
-    }
-    const SimConfig config = job.config();
-    const bool training = config.phase == Phase::Training;
-    if (!job.arrivals.empty() && config.num_chips > 1) {
-        throw ConfigError(
-            "Simulator: an explicit arrival trace cannot be sharded "
-            "across chips; run serving jobs on one chip");
-    }
+    check(job);
 
     // Every chip runs the shard; its mapping is sized for the shard
     // batch (the derivative arrays hold B/C slots per stage).
-    const SimConfig shard = config.shard();
-    const arch::NetworkMapping map = mapping(shard);
-    const double cycle_time = cycleTime(map, training);
+    const Job shard = job.shard();
+    const arch::NetworkMapping map = mapChip(shard);
+    const double cycle_time =
+        cycleTime(map, job.phase == Phase::Training);
 
     // Gradient payload per chip and round: one data_bits value per
     // weight parameter of the mapped network.
     const int64_t payload_bytes = ceilDiv(
         map.totalWeightParams() * params_.data_bits, 8);
 
-    arch::ClusterConfig cluster_cfg;
-    cluster_cfg.num_chips = config.num_chips;
-    cluster_cfg.interconnect = config.interconnect;
-    arch::ScheduleConfig shard_sched = shard.schedule();
-    if (!job.arrivals.empty())
-        shard_sched.arrival_cycles = job.arrivals.cycles();
-
-    arch::Cluster cluster(map.depth(), shard_sched, cluster_cfg,
-                          payload_bytes, cycle_time);
+    arch::Cluster cluster(map.depth(), shard.schedule(), job.num_chips,
+                          job.interconnect, payload_bytes, cycle_time);
     cluster.setTrace(recorder);
 
     ClusterReport report;
     report.network = spec_.name;
-    report.config = config;
+    report.config = job;
     report.sched = cluster.run();
     for (const arch::ScheduleStats &s : report.sched.per_chip)
         report.chips.push_back(buildReport(shard, map, s));
@@ -694,13 +603,13 @@ Simulator::runCluster(const Job &job,
     report.total_time =
         static_cast<double>(report.total_cycles) * cycle_time;
     report.time_per_image =
-        report.total_time / static_cast<double>(config.num_images);
+        report.total_time / static_cast<double>(job.num_images);
     report.throughput = 1.0 / report.time_per_image;
     for (const SimReport &r : report.chips)
         report.energy_total_j += r.energy.total();
     report.energy_total_j += report.sched.aggregation_energy_j;
     report.energy_per_image =
-        report.energy_total_j / static_cast<double>(config.num_images);
+        report.energy_total_j / static_cast<double>(job.num_images);
     return report;
 }
 

@@ -24,65 +24,11 @@
 #include "common/json.hh"
 #include "common/stats.hh"
 #include "reram/params.hh"
+#include "sim/job.hh"
 #include "workloads/layer_spec.hh"
 
 namespace pipelayer {
 namespace sim {
-
-/** Execution phase being simulated. */
-enum class Phase { Testing, Training };
-
-/** What to simulate. */
-struct SimConfig
-{
-    Phase phase = Phase::Testing;
-    bool pipelined = true;
-    int64_t batch_size = 64;
-    int64_t num_images = 256;
-
-    /**
-     * Data-parallel scale-out (DESIGN.md §9): shard every batch
-     * across this many simulated chips, paying one interconnect
-     * aggregation round per batch boundary when training.  1 (the
-     * default) is the paper's single-chip machine.
-     */
-    int64_t num_chips = 1;
-
-    /** The inter-chip link model; ignored when num_chips == 1. */
-    arch::InterconnectConfig interconnect;
-
-    /** A training run of @p images images in batches of @p batch. */
-    static SimConfig training(int64_t batch, int64_t images);
-
-    /** A testing (forward-only) run of @p images images. */
-    static SimConfig testing(int64_t images);
-
-    /**
-     * Check the configuration, throwing ConfigError (not asserting)
-     * on bad values: batch_size and num_images must be positive, a
-     * training run needs batch_size to divide num_images — the
-     * paper's schedule separates full batches with an update cycle —
-     * and a cluster run needs num_chips >= 1 dividing both batch_size
-     * and num_images (chips shard evenly and stay in lock-step),
-     * plus a valid interconnect model.
-     */
-    void validate() const;
-
-    /**
-     * The scheduler configuration this run implies (phase mapped to
-     * ScheduleConfig::training), ignoring the cluster shape.  The
-     * result satisfies ScheduleConfig::validate() whenever this
-     * config satisfies validate().
-     */
-    arch::ScheduleConfig schedule() const;
-
-    /**
-     * The single-chip shard of a cluster config: batch_size and
-     * num_images divided by num_chips, num_chips reset to 1.  The
-     * identity transform when num_chips == 1.
-     */
-    SimConfig shard() const;
-};
 
 /** Energy breakdown in joules. */
 struct EnergyBreakdown
@@ -125,7 +71,7 @@ struct LayerCost
 struct SimReport
 {
     std::string network;
-    SimConfig config;
+    Job config; //!< the run (one chip's shard in a ClusterReport)
 
     int64_t logical_cycles = 0;
     double cycle_time = 0.0;       //!< seconds per logical cycle
@@ -191,7 +137,7 @@ struct SimReport
 struct ClusterReport
 {
     std::string network;
-    SimConfig config; //!< the global (cluster) configuration
+    Job config; //!< the global (cluster) job
 
     /** Per-chip shard reports, chip order. */
     std::vector<SimReport> chips;
@@ -227,8 +173,6 @@ struct ClusterReport
     json::Value toJson() const;
 };
 
-struct Job; // sim/job.hh: the job description / execution split
-
 /**
  * The simulator facade: runs one (network, job) pair.
  */
@@ -245,22 +189,21 @@ class Simulator
               const arch::GranularityConfig &granularity);
 
     /**
-     * Run one simulation.  This is the canonical entry point: the
-     * job is validated first (throws ConfigError on bad values, see
-     * Job::validate()), and a non-empty Job::network must name this
-     * simulator's network.
+     * Run one single-chip simulation: schedule the job, then price
+     * the schedule.  Throws ConfigError when the job does not
+     * validate (Job::validate()), names another network, or spans
+     * more than one chip (those run through runCluster()).
      */
     SimReport run(const Job &job) const;
 
     /**
-     * Legacy entry point: forwards through Job::fromConfig(), so a
-     * SimConfig run and its Job equivalent produce byte-identical
-     * reports.
+     * Price a schedule the caller already ran for @p job — a
+     * PipelineScheduler(depth, job.schedule()) with whatever trace or
+     * metrics observers it needs attached — exactly as run() prices
+     * its own.  Same checks as run().
      */
-    SimReport run(const SimConfig &config) const;
-
-    /** The mapping the simulator would use for @p config. */
-    arch::NetworkMapping mapping(const SimConfig &config) const;
+    SimReport price(const Job &job,
+                    const arch::ScheduleStats &sched) const;
 
     /**
      * Run a cluster simulation: every chip executes the job's shard
@@ -280,12 +223,25 @@ class Simulator
 
   private:
     /**
-     * Price one already-scheduled run: everything run() does after
-     * the scheduler — timing conversion, the energy/area/efficiency
-     * model and the per-layer breakdown.  Shared by run() and
-     * runCluster() so a shard report is identical either way.
+     * The prelude every entry point shares: validate @p job and check
+     * that it names this simulator's network (or none).
      */
-    SimReport buildReport(const SimConfig &config,
+    void check(const Job &job) const;
+
+    /**
+     * The mapping one chip runs @p chip on (the derivative arrays
+     * hold its batch).  Throws ConfigError, naming runCluster, when
+     * the job spans more than one chip.
+     */
+    arch::NetworkMapping mapChip(const Job &chip) const;
+
+    /**
+     * Price one already-scheduled single-chip run: timing
+     * conversion, the energy/area/efficiency model and the
+     * per-layer breakdown.  Shared by every entry point, so a
+     * shard report is identical however it was scheduled.
+     */
+    SimReport buildReport(const Job &chip,
                           const arch::NetworkMapping &map,
                           const arch::ScheduleStats &sched) const;
 

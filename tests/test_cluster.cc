@@ -118,9 +118,8 @@ TEST(Cluster, OneChipTraceMatchesFig6GoldenAtAnyThreads)
         setThreadCount(threads);
         SCOPED_TRACE("threads=" + std::to_string(threads));
         trace::TraceRecorder recorder("pipelayer-fig6");
-        arch::Cluster cluster(map.depth(),
-                              arch::Cluster::shard(fig6Schedule(), 1),
-                              arch::ClusterConfig{}, /*payload=*/0,
+        arch::Cluster cluster(map.depth(), fig6Schedule(), /*num_chips=*/1,
+                              arch::InterconnectConfig{}, /*payload=*/0,
                               /*cycle_time_s=*/0.0);
         cluster.setTrace(&recorder);
         const arch::ClusterStats stats = cluster.run();
@@ -146,8 +145,8 @@ TEST(Cluster, OneChipStatsMatchDirectScheduler)
     for (int64_t threads : {int64_t{1}, int64_t{4}}) {
         setThreadCount(threads);
         SCOPED_TRACE("threads=" + std::to_string(threads));
-        arch::Cluster cluster(map.depth(), arch::Cluster::shard(config, 1),
-                              arch::ClusterConfig{}, 0, 0.0);
+        arch::Cluster cluster(map.depth(), config, 1,
+                              arch::InterconnectConfig{}, 0, 0.0);
         const arch::ClusterStats stats = cluster.run();
         ASSERT_EQ(stats.per_chip.size(), 1u);
         EXPECT_EQ(stats.per_chip[0].toJson().dump(), want);
@@ -155,37 +154,25 @@ TEST(Cluster, OneChipStatsMatchDirectScheduler)
     }
 }
 
-TEST(Cluster, UnevenShardRejectedWithConfigError)
+TEST(Cluster, BadInputsRejectedWithConfigError)
 {
     const arch::ScheduleConfig config = fig6Schedule(); // B=6, N=12
-    EXPECT_THROW(arch::Cluster::shard(config, 4), ConfigError);
-    EXPECT_THROW(arch::Cluster::shard(config, 0), ConfigError);
+    const arch::InterconnectConfig link;
+    EXPECT_NO_THROW(arch::Cluster(3, config, 1, link, 0, 0.0));
 
-    // Batch divides but the image volume does not: chips would fall
-    // out of lock-step on the last batch.
-    arch::ScheduleConfig uneven = config;
-    uneven.batch_size = 2;
-    uneven.num_images = 7;
-    EXPECT_THROW(arch::Cluster::shard(uneven, 2), ConfigError);
+    // A pipeline needs at least one stage, and a cluster one chip.
+    EXPECT_THROW(arch::Cluster(0, config, 1, link, 0, 0.0), ConfigError);
+    EXPECT_THROW(arch::Cluster(3, config, 0, link, 0, 0.0), ConfigError);
 
-    // An even shard halves both volume knobs.
-    arch::ScheduleConfig even = config;
-    even.batch_size = 8;
-    even.num_images = 16;
-    const arch::ScheduleConfig s = arch::Cluster::shard(even, 2);
-    EXPECT_EQ(s.batch_size, 4);
-    EXPECT_EQ(s.num_images, 8);
-
-    arch::ClusterConfig bad;
-    bad.num_chips = 0;
-    EXPECT_THROW(bad.validate(), ConfigError);
     arch::InterconnectConfig slowlink;
     slowlink.link_bytes_per_s = 0.0;
     EXPECT_THROW(slowlink.validate(), ConfigError);
-
-    // A pipeline needs at least one stage.
-    EXPECT_THROW(arch::Cluster(0, config, arch::ClusterConfig{}, 0, 0.0),
+    EXPECT_THROW(arch::Cluster(3, config, 2, slowlink, 0, 1.0),
                  ConfigError);
+
+    EXPECT_THROW(arch::Cluster(3, config, 1, link, -1, 0.0), ConfigError);
+    // Aggregation seconds need a cycle time to become cycles.
+    EXPECT_THROW(arch::Cluster(3, config, 2, link, 0, 0.0), ConfigError);
 }
 
 TEST(Cluster, RoundCostFollowsTopologyFormulas)
@@ -294,6 +281,51 @@ TEST(SimCluster, UnevenJobShardRejected)
     EXPECT_THROW(simulator.runCluster(job), ConfigError);
     job.num_chips = 0;
     EXPECT_THROW(simulator.runCluster(job), ConfigError);
+
+    // The fig6 shape, B = 6 and N = 12, on 4 chips and on 0.
+    sim::Job fig6 = sim::Job::training(6, 12);
+    fig6.num_chips = 4;
+    EXPECT_THROW(fig6.validate(), ConfigError);
+    fig6.num_chips = 0;
+    EXPECT_THROW(fig6.validate(), ConfigError);
+
+    // Batch divides but the image volume does not: chips would fall
+    // out of lock-step on the last batch.  (Testing, so the training
+    // rule B | N is not what rejects it.)
+    sim::Job uneven = sim::Job::testing(7);
+    uneven.batch_size = 2;
+    uneven.num_chips = 2;
+    EXPECT_THROW(uneven.validate(), ConfigError);
+    EXPECT_THROW(simulator.runCluster(uneven), ConfigError);
+
+    // An even shard halves both volume knobs.
+    sim::Job even = sim::Job::training(8, 16);
+    even.num_chips = 2;
+    EXPECT_NO_THROW(even.validate());
+    const sim::Job s = even.shard();
+    EXPECT_EQ(s.batch_size, 4);
+    EXPECT_EQ(s.num_images, 8);
+    EXPECT_EQ(s.num_chips, 1);
+}
+
+TEST(SimCluster, SingleChipEntryPointsRejectMultiChipJobs)
+{
+    // A 4-chip job priced by run() would be one chip running the
+    // full volume while reporting num_chips = 4; it names runCluster.
+    const sim::Simulator simulator(workloads::networkByName("Mnist-A"),
+                                   reram::DeviceParams());
+    const sim::Job job = mnistClusterJob(4); // B = 64, N = 256
+    try {
+        simulator.run(job);
+        ADD_FAILURE() << "run() accepted a 4-chip job";
+    } catch (const ConfigError &err) {
+        EXPECT_NE(std::string(err.what()).find("runCluster"),
+                  std::string::npos)
+            << err.what();
+    }
+    EXPECT_THROW(simulator.price(job, arch::ScheduleStats()),
+                 ConfigError);
+    EXPECT_EQ(simulator.runCluster(job).total_cycles, 89);
 }
 
 // ---------------------------------------------------------------------

@@ -130,7 +130,7 @@ TEST(Json, TableRendersCsvAndJson)
 }
 
 // ---------------------------------------------------------------------
-// SimReport toJson schema + SimConfig validation
+// SimReport toJson schema + Job validation
 // ---------------------------------------------------------------------
 
 workloads::NetworkSpec
@@ -147,7 +147,7 @@ TEST(SimReportJson, MatchesDocumentedSchema)
 {
     const sim::Simulator simulator(chainSpec(3), reram::DeviceParams());
     const sim::SimReport report =
-        simulator.run(sim::SimConfig::training(8, 32));
+        simulator.run(sim::Job::training(8, 32));
     const json::Value v = report.toJson();
 
     // The top-level member list is the documented schema
@@ -180,36 +180,36 @@ TEST(SimReportJson, MatchesDocumentedSchema)
     EXPECT_TRUE(json::parse(v.dump(1)) == v);
 }
 
-TEST(SimConfigValidation, ThrowsTypedErrorsInsteadOfAsserting)
+TEST(JobValidation, ThrowsTypedErrorsInsteadOfAsserting)
 {
-    sim::SimConfig bad;
+    sim::Job bad;
     bad.batch_size = 0;
     EXPECT_THROW(bad.validate(), ConfigError);
 
-    bad = sim::SimConfig();
+    bad = sim::Job();
     bad.num_images = -4;
     EXPECT_THROW(bad.validate(), ConfigError);
 
-    bad = sim::SimConfig();
+    bad = sim::Job();
     bad.phase = sim::Phase::Training;
     bad.batch_size = 64;
     bad.num_images = 100; // not a multiple of 64
     EXPECT_THROW(bad.validate(), ConfigError);
 
     // Testing phase has no divisibility requirement.
-    sim::SimConfig ok = sim::SimConfig::testing(100);
+    sim::Job ok = sim::Job::testing(100);
     ok.batch_size = 64;
     EXPECT_NO_THROW(ok.validate());
 
-    EXPECT_THROW(sim::SimConfig::training(64, 100), ConfigError);
-    EXPECT_NO_THROW(sim::SimConfig::training(64, 128));
+    EXPECT_THROW(sim::Job::training(64, 100), ConfigError);
+    EXPECT_NO_THROW(sim::Job::training(64, 128));
 
     const sim::Simulator simulator(chainSpec(2), reram::DeviceParams());
-    sim::SimConfig cfg;
-    cfg.phase = sim::Phase::Training;
-    cfg.batch_size = 3;
-    cfg.num_images = 10;
-    EXPECT_THROW(simulator.run(cfg), ConfigError);
+    sim::Job job;
+    job.phase = sim::Phase::Training;
+    job.batch_size = 3;
+    job.num_images = 10;
+    EXPECT_THROW(simulator.run(job), ConfigError);
 }
 
 // ---------------------------------------------------------------------
@@ -546,7 +546,7 @@ simStatsDump(int64_t threads)
     setThreadCount(threads);
     const sim::Simulator simulator(chainSpec(4), reram::DeviceParams());
     const sim::SimReport report =
-        simulator.run(sim::SimConfig::training(8, 32));
+        simulator.run(sim::Job::training(8, 32));
     std::ostringstream os;
     report.dumpStats(os);
     setThreadCount(saved);

@@ -266,7 +266,7 @@ runProfWorkload()
     for (int i = 0; i < 3; ++i)
         spec.layers.push_back(workloads::LayerSpec::innerProduct(32, 32));
     const sim::Simulator simulator(spec, reram::DeviceParams());
-    simulator.run(sim::SimConfig::training(8, 16));
+    simulator.run(sim::Job::training(8, 16));
 }
 
 /** Per-site call counts of the workload at @p threads threads. */

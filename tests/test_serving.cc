@@ -9,10 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
+#include "common/isa.hh"
 #include "common/logging.hh"
+#include "common/metrics.hh"
 #include "common/parallel.hh"
+#include "common/trace.hh"
 #include "sim/arrival.hh"
 #include "sim/job.hh"
 #include "sim/serving.hh"
@@ -168,27 +172,6 @@ TEST(Job, RejectsBadDescriptions)
     job.pipelined = true;
     job.num_images = 9; // one arrival per image
     EXPECT_THROW(job.validate(), ConfigError);
-}
-
-TEST(Job, EquivalentToSimConfigOnEveryReportField)
-{
-    // The legacy SimConfig overload forwards through Job::fromConfig,
-    // so the two entry points must be indistinguishable — compared on
-    // the full serialised report, which covers every field.
-    const Simulator simulator(workloads::mnistB(),
-                              reram::DeviceParams());
-    for (const bool training : {false, true}) {
-        SimConfig config;
-        config.phase = training ? Phase::Training : Phase::Testing;
-        config.batch_size = 32;
-        config.num_images = 64;
-        const SimReport from_config = simulator.run(config);
-        const SimReport from_job =
-            simulator.run(Job::fromConfig(config));
-        EXPECT_EQ(from_config.toJson().dump(),
-                  from_job.toJson().dump())
-            << (training ? "training" : "testing");
-    }
 }
 
 TEST(Job, NetworkNameMustMatchSimulator)
@@ -362,6 +345,152 @@ TEST(ServingSim, EmptyTraceProducesEmptyReport)
     EXPECT_EQ(rep.shed_count, 0);
     EXPECT_EQ(rep.batch_count, 0);
     EXPECT_EQ(rep.p50_latency_cycles, 0);
+}
+
+// ---------------------------------------------------------------------
+// Pinned bytes of the sim layer: FNV-1a-64 hashes of every artifact a
+// serve, a cluster run and a single-chip run produce, so a change that
+// is the same at every thread count (which a t1-vs-t4 cmp cannot see)
+// still fails here.
+
+/** FNV-1a-64 of @p bytes. */
+uint64_t
+fnv1a(const std::string &bytes)
+{
+    uint64_t h = 14695981039346656037ull;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** TraceRecorder::writeFile's exact byte stream, in memory. */
+std::string
+traceBytes(const trace::TraceRecorder &recorder)
+{
+    std::ostringstream os;
+    recorder.toJson().write(os, /*indent=*/1);
+    os << "\n";
+    return os.str();
+}
+
+/** Runs @p body at one worker thread and at four, then restores. */
+template <typename Body>
+void
+atOneAndFourThreads(Body body)
+{
+    const int64_t saved = threadCount();
+    for (const int64_t threads : {int64_t{1}, int64_t{4}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        setThreadCount(threads);
+        body();
+    }
+    setThreadCount(saved);
+}
+
+/** The four artifact hashes of one pl_serve-shaped run. */
+struct ServeHashes
+{
+    uint64_t summary;
+    uint64_t completions;
+    uint64_t trace;
+    uint64_t metrics;
+};
+
+/**
+ * Serve the committed canned trace on @p network the way pl_serve
+ * and CI's serving smoke do (default ServingConfig, a recorder and a
+ * 64-cycle sampler attached) and compare every artifact's hash.  The
+ * metrics trailer records the dispatched SIMD level, the one
+ * host-dependent entry, so the run is pinned to the scalar target.
+ */
+void
+expectServePinned(const std::string &network, const ServeHashes &want)
+{
+    std::ifstream in(std::string(PL_SOURCE_DIR) +
+                     "/bench/traces/serving_arrivals.json");
+    ASSERT_TRUE(in.good());
+    std::ostringstream text;
+    text << in.rdbuf();
+    const ArrivalTrace trace =
+        ArrivalTrace::fromJson(json::parse(text.str()));
+    const ServingSim serving(workloads::networkByName(network),
+                             reram::DeviceParams());
+    const isa::Target saved_isa = isa::active();
+    ASSERT_TRUE(isa::setActive(isa::Target::Scalar));
+    atOneAndFourThreads([&] {
+        trace::TraceRecorder recorder("pl_serve " + network);
+        metrics::Sampler sampler(64);
+        const ServingReport report =
+            serving.run(trace, ServingConfig(), &recorder, &sampler);
+        std::string completions;
+        for (const CompletionRecord &rec : report.completions)
+            completions += rec.toJson().dump() + "\n";
+        std::ostringstream metrics;
+        sampler.write(metrics);
+        const ServeHashes got = {fnv1a(report.toJson().dump()),
+                                 fnv1a(completions),
+                                 fnv1a(traceBytes(recorder)),
+                                 fnv1a(metrics.str())};
+        EXPECT_EQ(got.summary, want.summary) << std::hex << got.summary;
+        EXPECT_EQ(got.completions, want.completions)
+            << std::hex << got.completions;
+        EXPECT_EQ(got.trace, want.trace) << std::hex << got.trace;
+        EXPECT_EQ(got.metrics, want.metrics) << std::hex << got.metrics;
+    });
+    isa::setActive(saved_isa);
+}
+
+TEST(SimLayerPinned, ServeMnistA)
+{
+    expectServePinned("Mnist-A",
+                      {0x4921ef23a59684f7ull, 0x5828ae5df8e3714cull,
+                       0x40f74b838903c7a3ull, 0xa55b88b30d42f5ddull});
+}
+
+TEST(SimLayerPinned, ServeVggA)
+{
+    expectServePinned("VGG-A",
+                      {0xd7d6c3f3ee190e65ull, 0xb832c5f73ccaeef8ull,
+                       0xbc0ef65fa0e5bb8bull, 0x87c0cfdacb1f1f09ull});
+}
+
+TEST(SimLayerPinned, FourChipTrainingCluster)
+{
+    const Simulator simulator(workloads::mnistA(), reram::DeviceParams());
+    Job job;
+    job.network = "Mnist-A";
+    job.phase = Phase::Training;
+    job.batch_size = 64;
+    job.num_images = 256;
+    job.num_chips = 4;
+    atOneAndFourThreads([&] {
+        trace::TraceRecorder recorder("pipelayer-cluster");
+        const ClusterReport rep = simulator.runCluster(job, &recorder);
+        const uint64_t report = fnv1a(rep.toJson().dump());
+        const uint64_t trace = fnv1a(traceBytes(recorder));
+        EXPECT_EQ(report, 0x1edb5796e1e5cd1eull) << std::hex << report;
+        EXPECT_EQ(trace, 0xa9cc9daca8f06c46ull) << std::hex << trace;
+    });
+}
+
+TEST(SimLayerPinned, MnistBRunReports)
+{
+    const Simulator simulator(workloads::mnistB(), reram::DeviceParams());
+    atOneAndFourThreads([&] {
+        for (const bool training : {false, true}) {
+            SCOPED_TRACE(training ? "training" : "testing");
+            Job job;
+            job.phase = training ? Phase::Training : Phase::Testing;
+            job.batch_size = 32;
+            job.num_images = 64;
+            const uint64_t got = fnv1a(simulator.run(job).toJson().dump());
+            EXPECT_EQ(got, training ? 0x62b17f67fbaef6d9ull
+                                    : 0x789488c9b83997deull)
+                << std::hex << got;
+        }
+    });
 }
 
 } // namespace

@@ -17,20 +17,20 @@ namespace pipelayer {
 namespace sim {
 namespace {
 
-SimConfig
+Job
 testingConfig(int64_t images = 256)
 {
-    SimConfig c;
+    Job c;
     c.phase = Phase::Testing;
     c.pipelined = true;
     c.num_images = images;
     return c;
 }
 
-SimConfig
+Job
 trainingConfig(int64_t images = 256, int64_t batch = 64)
 {
-    SimConfig c;
+    Job c;
     c.phase = Phase::Training;
     c.pipelined = true;
     c.batch_size = batch;
@@ -77,8 +77,8 @@ TEST(Simulator, TrainingCostsMoreThanTesting)
 TEST(Simulator, PipelinedBeatsNonPipelined)
 {
     Simulator simulator(workloads::mnistC(), reram::DeviceParams());
-    SimConfig piped = trainingConfig();
-    SimConfig serial = trainingConfig();
+    Job piped = trainingConfig();
+    Job serial = trainingConfig();
     serial.pipelined = false;
     const SimReport a = simulator.run(piped);
     const SimReport b = simulator.run(serial);
