@@ -93,7 +93,7 @@ main()
     std::cout << "mean batch loss : pipelined " << result.mean_loss
               << " vs sequential " << serial_loss << "\n";
     std::cout << "max weight diff : " << max_diff
-              << " (pure float-reassociation noise)\n";
+              << " (bit-identical: both run the same layer code)\n";
     std::cout << "peak buffer use : " << result.peak_buffer_entries
               << " entries = 2L+1 (the paper's sizing, reached "
                  "exactly)\n\n";

@@ -27,9 +27,17 @@ Value::asNumber() const
 }
 
 int64_t
-Value::asInt() const
+Value::asInt(const std::string &field) const
 {
-    return static_cast<int64_t>(std::llround(asNumber()));
+    const double v = asNumber();
+    // [-2^63, 2^63) in doubles: both bounds are exact, so every
+    // integral value inside converts exactly (NaN fails both tests).
+    if (!(v >= -9223372036854775808.0 && v < 9223372036854775808.0) ||
+        v != std::trunc(v)) {
+        throw ConfigError(field + " must be an integer in int64 range, "
+                          "got " + formatNumber(v));
+    }
+    return static_cast<int64_t>(v);
 }
 
 const std::string &

@@ -85,8 +85,12 @@ class Value
     ///@{
     bool asBool() const;
     double asNumber() const;
-    /** asNumber() rounded to the nearest integer. */
-    int64_t asInt() const;
+    /**
+     * The number as an exact int64: ConfigError naming @p field when
+     * it is not integral or not in int64 range.  Nothing is rounded,
+     * clamped or wrapped.
+     */
+    int64_t asInt(const std::string &field = "JSON number") const;
     const std::string &asString() const;
     ///@}
 

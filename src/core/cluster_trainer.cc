@@ -28,10 +28,11 @@ ClusterTrainer::ClusterTrainer(nn::Network &net,
 {
     for (const nn::Network &replica : replicas_) {
         if (replica.numLayers() != net_.numLayers() ||
-            replica.parameterCount() != net_.parameterCount()) {
+            replica.parameterCount() != net_.parameterCount() ||
+            replica.lossKind() != net_.lossKind()) {
             throw ConfigError(
                 "ClusterTrainer: replica '" + replica.name() +
-                "' does not match the master topology");
+                "' does not match the master topology and loss");
         }
     }
     trainers_.push_back(std::make_unique<PipelinedTrainer>(net_));
@@ -65,7 +66,7 @@ ClusterTrainer::broadcastWeights()
 ClusterBatchResult
 ClusterTrainer::trainBatch(const std::vector<Tensor> &inputs,
                            const std::vector<int64_t> &labels,
-                           float lr, nn::LossKind loss)
+                           float lr)
 {
     const int64_t chips = numChips();
     const int64_t batch = static_cast<int64_t>(inputs.size());
@@ -104,7 +105,7 @@ ClusterTrainer::trainBatch(const std::vector<Tensor> &inputs,
                 labels.begin() + begin + static_cast<size_t>(shard));
             out.per_chip[static_cast<size_t>(c)] =
                 trainers_[static_cast<size_t>(c)]->trainBatch(
-                    chip_inputs, chip_labels, lr, loss);
+                    chip_inputs, chip_labels, lr);
         }
     });
 

@@ -84,9 +84,7 @@ class ClusterTrainer
      */
     ClusterBatchResult trainBatch(const std::vector<Tensor> &inputs,
                                   const std::vector<int64_t> &labels,
-                                  float lr,
-                                  nn::LossKind loss =
-                                      nn::LossKind::Softmax);
+                                  float lr);
 
   private:
     /** Copy the master's parameter tensors into every replica. */

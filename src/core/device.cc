@@ -6,7 +6,6 @@
 #include "nn/layers.hh"
 #include "nn/loss.hh"
 #include "reram/activation.hh"
-#include "tensor/ops.hh"
 #include "workloads/model_zoo.hh"
 
 namespace pipelayer {
@@ -22,18 +21,9 @@ struct PipeLayerDevice::Stage
     std::unique_ptr<MappedConvLayer> conv;
     std::unique_ptr<MappedIpLayer> ip;
 
-    // Gradient accumulators for array stages.
-    Tensor weight_grad;
-    Tensor bias_grad;
-
-    // Geometry for the conv gradient computation.
-    int64_t conv_kernel = 0;
-    int64_t conv_pad = 0;
-
     // Fig.-9c LUT activation replacing an exact sigmoid, when the
     // device is configured for it.
     std::unique_ptr<reram::ActivationUnit> lut;
-    Tensor lut_output; //!< cached for the backward mask
 
     /** Apply the LUT elementwise (the activation component). */
     Tensor applyLut(const Tensor &input) const
@@ -100,21 +90,14 @@ PipeLayerDevice::Weight_load()
             stage->conv = std::make_unique<MappedConvLayer>(
                 config_.device, *params[0], *params[1], conv.pad(),
                 config_.training);
-            stage->weight_grad = Tensor(params[0]->shape());
-            stage->bias_grad = Tensor(params[1]->shape());
-            stage->conv_kernel = conv.kernel();
-            stage->conv_pad = conv.pad();
             break;
           }
           case nn::LayerKind::InnerProduct: {
-            auto &ip = static_cast<nn::InnerProductLayer &>(layer);
-            const auto params = ip.parameters();
+            const auto params = layer.parameters();
             stage->type = Stage::Type::Ip;
             stage->ip = std::make_unique<MappedIpLayer>(
                 config_.device, *params[0], *params[1],
                 config_.training);
-            stage->weight_grad = Tensor(params[0]->shape());
-            stage->bias_grad = Tensor(params[1]->shape());
             break;
           }
           case nn::LayerKind::Sigmoid:
@@ -143,22 +126,7 @@ Tensor
 PipeLayerDevice::forward(const Tensor &input) const
 {
     PL_ASSERT(!stages_.empty(), "forward before Weight_load");
-    Tensor x = input;
-    for (const auto &stage : stages_) {
-        switch (stage->type) {
-          case Stage::Type::Conv:
-            x = stage->conv->forward(x);
-            break;
-          case Stage::Type::Ip:
-            x = stage->ip->forward(x.reshape({x.numel()}));
-            break;
-          case Stage::Type::Host:
-            x = stage->lut ? stage->applyLut(x)
-                           : stage->host_layer->infer(x);
-            break;
-        }
-    }
-    return x;
+    return forwardStages(input, nullptr, nullptr);
 }
 
 int64_t
@@ -168,30 +136,38 @@ PipeLayerDevice::predict(const Tensor &input) const
 }
 
 Tensor
-PipeLayerDevice::forwardTraining(const Tensor &input,
-                                 std::vector<Tensor> &stage_inputs)
+PipeLayerDevice::forwardStages(const Tensor &input,
+                               std::vector<Tensor> *stage_inputs,
+                               std::vector<nn::Saved> *saved) const
 {
-    stage_inputs.clear();
+    if (saved) {
+        stage_inputs->clear();
+        saved->resize(stages_.size());
+    }
     Tensor x = input;
-    for (const auto &stage : stages_) {
-        stage_inputs.push_back(x);
-        switch (stage->type) {
+    for (size_t idx = 0; idx < stages_.size(); ++idx) {
+        const Stage &stage = *stages_[idx];
+        nn::Saved *stage_saved = saved ? &(*saved)[idx] : nullptr;
+        if (saved)
+            stage_inputs->push_back(x);
+        switch (stage.type) {
           case Stage::Type::Conv:
-            x = stage->conv->forward(x);
+            x = stage.conv->forward(x);
             break;
           case Stage::Type::Ip:
-            x = stage->ip->forward(x.reshape({x.numel()}));
+            x = stage.ip->forward(x.reshape({x.numel()}));
             break;
           case Stage::Type::Host:
-            if (stage->lut) {
-                // LUT sigmoid: cache the output for the backward
-                // mask s(1-s).
-                x = stage->applyLut(x);
-                stage->lut_output = x;
+            if (stage.lut) {
+                // The LUT output stands in for the sigmoid output the
+                // layer's error pass derives s(1-s) from.
+                x = stage.applyLut(x);
+                if (stage_saved)
+                    stage_saved->output = x;
             } else {
-                // forward() (not infer()) caches activation-unit
-                // state for the backward routing (paper Fig. 10a/b).
-                x = stage->host_layer->forward(x);
+                // The activation-unit state for the backward routing
+                // (paper Fig. 10a/b).
+                x = stage.host_layer->forward(x, stage_saved);
             }
             break;
         }
@@ -201,52 +177,27 @@ PipeLayerDevice::forwardTraining(const Tensor &input,
 
 void
 PipeLayerDevice::backward(const Tensor &delta,
-                          const std::vector<Tensor> &stage_inputs)
+                          const std::vector<Tensor> &stage_inputs,
+                          const std::vector<nn::Saved> &saved)
 {
     Tensor d = delta;
     for (size_t idx = stages_.size(); idx-- > 0;) {
         Stage &stage = *stages_[idx];
         const Tensor &input = stage_inputs[idx];
+        // ∂W from the quantised stored signals (paper §4.4.1); a no-op
+        // for host stages.
+        stage.host_layer->accumulateGrads(input, d);
+        if (idx == 0)
+            break;
         switch (stage.type) {
-          case Stage::Type::Conv: {
-            // ∂W from the quantised stored signals (paper §4.4.1).
-            stage.weight_grad += ops::conv2dBackwardKernel(
-                input, d, stage.conv_kernel, stage.conv_kernel,
-                stage.conv_pad);
-            for (int64_t c = 0; c < d.dim(0); ++c) {
-                double acc = 0.0;
-                for (int64_t y = 0; y < d.dim(1); ++y)
-                    for (int64_t x = 0; x < d.dim(2); ++x)
-                        acc += d(c, y, x);
-                stage.bias_grad(c) += static_cast<float>(acc);
-            }
-            if (idx > 0)
-                d = stage.conv->backwardError(d);
+          case Stage::Type::Conv:
+            d = stage.conv->backwardError(d);
             break;
-          }
-          case Stage::Type::Ip: {
-            const Tensor flat_in = input.reshape({input.numel()});
-            stage.weight_grad +=
-                ops::outer(flat_in, d.reshape({d.numel()}));
-            stage.bias_grad += d.reshape({d.numel()});
-            if (idx > 0) {
-                d = stage.ip->backwardError(d)
-                        .reshape(input.shape());
-            }
+          case Stage::Type::Ip:
+            d = stage.ip->backwardError(d).reshape(input.shape());
             break;
-          }
           case Stage::Type::Host:
-            if (idx > 0) {
-                if (stage.lut) {
-                    // δ ⊙ s(1-s) from the cached LUT output.
-                    for (int64_t i = 0; i < d.numel(); ++i) {
-                        const float s = stage.lut_output.at(i);
-                        d.at(i) *= s * (1.0f - s);
-                    }
-                } else {
-                    d = stage.host_layer->backward(d);
-                }
-            }
+            d = stage.host_layer->backward(d, saved[idx]);
             break;
         }
     }
@@ -264,6 +215,7 @@ PipeLayerDevice::Train(nn::Dataset &train_set, int64_t epochs)
     const size_t n = train_set.size();
     const size_t bsz = static_cast<size_t>(config_.batch_size);
     std::vector<Tensor> stage_inputs;
+    std::vector<nn::Saved> saved;
 
     for (int64_t epoch = 0; epoch < epochs; ++epoch) {
         double epoch_loss = 0.0;
@@ -271,38 +223,26 @@ PipeLayerDevice::Train(nn::Dataset &train_set, int64_t epochs)
         for (size_t start = 0; start < n; start += bsz) {
             const size_t end = std::min(start + bsz, n);
 
-            for (auto &stage : stages_) {
-                if (stage->type != Stage::Type::Host) {
-                    stage->weight_grad.fill(0.0f);
-                    stage->bias_grad.fill(0.0f);
-                }
-            }
-
+            topology_->zeroGrads();
             for (size_t i = start; i < end; ++i) {
-                const Tensor out =
-                    forwardTraining(train_set.inputs[i], stage_inputs);
-                nn::LossResult loss;
-                if (config_.loss == nn::LossKind::Softmax) {
-                    loss = nn::softmaxLoss(out, train_set.labels[i]);
-                } else {
-                    Tensor target(out.shape());
-                    target.at(train_set.labels[i]) = 1.0f;
-                    loss = nn::l2Loss(out, target);
-                }
+                const nn::LossResult loss = nn::lossFor(
+                    topology_->lossKind(),
+                    forwardStages(train_set.inputs[i], &stage_inputs,
+                                  &saved),
+                    train_set.labels[i]);
                 epoch_loss += loss.loss;
-                backward(loss.delta, stage_inputs);
+                backward(loss.delta, stage_inputs, saved);
             }
 
             const auto batch = static_cast<int64_t>(end - start);
             for (auto &stage : stages_) {
+                const auto g = stage->host_layer->gradients();
                 if (stage->type == Stage::Type::Conv) {
-                    stage->conv->applyUpdate(stage->weight_grad,
-                                             stage->bias_grad,
+                    stage->conv->applyUpdate(*g[0], *g[1],
                                              config_.learning_rate,
                                              batch);
                 } else if (stage->type == Stage::Type::Ip) {
-                    stage->ip->applyUpdate(stage->weight_grad,
-                                           stage->bias_grad,
+                    stage->ip->applyUpdate(*g[0], *g[1],
                                            config_.learning_rate, batch);
                 }
             }
@@ -353,6 +293,22 @@ PipeLayerDevice::timingReport(sim::Phase phase, int64_t num_images) const
     job.batch_size = config_.batch_size;
     job.num_images = num_images;
     return simulator.run(job);
+}
+
+std::vector<Tensor>
+PipeLayerDevice::storedParameters() const
+{
+    std::vector<Tensor> out;
+    for (const auto &stage : stages_) {
+        if (stage->type == Stage::Type::Conv) {
+            out.push_back(stage->conv->storedWeight());
+            out.push_back(stage->conv->storedBias());
+        } else if (stage->type == Stage::Type::Ip) {
+            out.push_back(stage->ip->storedWeight());
+            out.push_back(stage->ip->storedBias());
+        }
+    }
+    return out;
 }
 
 int64_t

@@ -41,8 +41,6 @@ struct PipeLayerConfig
     int64_t batch_size = 16;   //!< the paper's B
     float learning_rate = 0.05f;
     bool training = true;      //!< provision backward arrays
-    /** Loss seeding δ_L: softmax or the paper's L2 norm (§2.2). */
-    nn::LossKind loss = nn::LossKind::Softmax;
     /** Memory subarrays assigned to the host staging region. */
     int64_t staging_arrays = 4096;
     /**
@@ -103,8 +101,10 @@ class PipeLayerDevice
     /**
      * Configure the datapath from a host network.  The network is
      * borrowed for the device's lifetime: its activation/pooling
-     * layers act as the stage activation units, and its parameters
-     * are the source for Weight_load().
+     * layers act as the stage activation units, its parameters are
+     * the source for Weight_load(), and Train() seeds the output
+     * error with its loss kind and accumulates the array stages'
+     * gradients in its layers.
      */
     void Topology_set(nn::Network &net);
 
@@ -130,6 +130,12 @@ class PipeLayerDevice
     /** Timing/energy/area report from the cycle-level simulator. */
     sim::SimReport timingReport(sim::Phase phase,
                                 int64_t num_images) const;
+
+    /**
+     * Weights and biases as stored in the arrays (quantised): weight
+     * then bias of each array stage, in stage order.
+     */
+    std::vector<Tensor> storedParameters() const;
 
     /** Physical morphable subarrays programmed. */
     int64_t arrayCount() const;
@@ -159,13 +165,22 @@ class PipeLayerDevice
     /** One pipeline stage: ReRAM arrays or a host activation unit. */
     struct Stage;
 
-    /** Forward one sample, recording stage inputs for backward. */
-    Tensor forwardTraining(const Tensor &input,
-                           std::vector<Tensor> &stage_inputs);
+    /**
+     * Forward one sample through the stages.  Training passes both
+     * vectors, which receive each stage's input and its host layer's
+     * nn::Saved state for backward(); inference passes neither.
+     */
+    Tensor forwardStages(const Tensor &input,
+                         std::vector<Tensor> *stage_inputs,
+                         std::vector<nn::Saved> *saved) const;
 
-    /** Backward one sample, accumulating gradients. */
+    /**
+     * Backward one sample, accumulating the array stages' gradients
+     * in the topology network's layers.
+     */
     void backward(const Tensor &delta,
-                  const std::vector<Tensor> &stage_inputs);
+                  const std::vector<Tensor> &stage_inputs,
+                  const std::vector<nn::Saved> &saved);
 
     PipeLayerConfig config_;
     nn::Network *topology_ = nullptr;

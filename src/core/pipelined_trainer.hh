@@ -8,13 +8,17 @@
  * one new image entering per logical cycle, intermediate data held
  * in capacity-constrained inter-stage buffers of exactly 2(L-l)+1
  * entries — and must produce the same weights as plain sequential
- * batch training (the interleaving only reorders commutative
- * gradient accumulations).
+ * batch training: the interleaving changes when each image's work
+ * runs, not the ascending image order in which a layer accumulates
+ * its gradients.
  *
- * Stages are stateless here: layer caches cannot be used because
- * several images are in flight per layer simultaneously — precisely
- * the problem the paper's memory-subarray buffers solve.  Everything
- * the backward pass needs (the stage output d_l, pooling argmax
+ * The tensor work is the network's own nn::Layer code — the same
+ * forward, backward and accumulateGrads that Network::trainBatch
+ * runs — so pipelined and sequential training agree bit for bit.
+ * Several images are in flight per layer at once, precisely the
+ * problem the paper's memory-subarray buffers solve: layers are
+ * stateless per image, and everything the error pass needs (the stage
+ * output d_l and the tail layers' nn::Saved state: pooling argmax
  * indices, activation outputs) travels in the buffer entry.
  *
  * The schedule itself comes from arch::PipelineScheduler: each batch
@@ -62,10 +66,10 @@ struct PipelinedBatchResult
 /**
  * Pipelined batch-SGD trainer over a functional network.
  *
- * The network is borrowed; its parameters are read for the stateless
- * forward/backward evaluation and updated at the batch's update
- * cycle.  Supported layers: Conv (stride 1), InnerProduct, ReLU,
- * Sigmoid, MaxPool, AvgPool, Flatten.
+ * The network is borrowed; its layers run every op, its loss kind
+ * seeds the output error, and its applyUpdate() runs at the batch's
+ * update cycle.  Supported layers: Conv (stride 1), InnerProduct,
+ * ReLU, Sigmoid, MaxPool, AvgPool, Flatten.
  */
 class PipelinedTrainer
 {
@@ -85,9 +89,7 @@ class PipelinedTrainer
      */
     PipelinedBatchResult trainBatch(const std::vector<Tensor> &inputs,
                                     const std::vector<int64_t> &labels,
-                                    float lr,
-                                    nn::LossKind loss =
-                                        nn::LossKind::Softmax);
+                                    float lr);
 
     /**
      * Register the trainer's cumulative work counters (logical

@@ -36,13 +36,29 @@ enum class LayerKind {
 const char *layerKindName(LayerKind kind);
 
 /**
+ * What one image's forward pass leaves for its error pass.  Only the
+ * layers that need state fill it: ReLU and Sigmoid keep their output
+ * d = f(u), from which f'(u) follows (paper §4.3); MaxPool keeps the
+ * argmax of each window and its input shape; AvgPool and Flatten keep
+ * the input shape.  Conv and InnerProduct leave it empty.
+ */
+struct Saved
+{
+    Tensor output;     //!< ReLU/Sigmoid: the forward output
+    Tensor indices;    //!< MaxPool: flat input index of each window max
+    Shape input_shape; //!< MaxPool/AvgPool/Flatten: the input's shape
+};
+
+/**
  * Abstract neural-network layer.
  *
- * Layers are stateful across a forward/backward pair: forward() caches
- * whatever backward() needs, and backward() accumulates parameter
- * gradients (so a batch is a sequence of forward/backward calls
- * followed by one applyUpdate(), matching the paper's batched weight
- * update in §4.4).
+ * Layers are stateless per image: forward() returns what backward()
+ * needs in a caller-held Saved, so any number of images can be in
+ * flight through one layer (the pipelined schedule of Fig. 6 keeps
+ * several per layer).  The only mutable state is the parameters and
+ * their gradient accumulators: a batch is zeroGrads(), one
+ * accumulateGrads() per image, then one applyUpdate(), matching the
+ * paper's batched weight update in §4.4.
  */
 class Layer
 {
@@ -58,20 +74,34 @@ class Layer
     /** Compute the output shape for a given input shape. */
     virtual Shape outputShape(const Shape &input_shape) const = 0;
 
-    /** Forward pass for one sample; caches state for backward(). */
-    virtual Tensor forward(const Tensor &input) = 0;
+    /**
+     * Forward pass for one image.  When @p saved is given, it
+     * receives what backward() needs for this image; inference
+     * passes none.
+     */
+    virtual Tensor forward(const Tensor &input,
+                           Saved *saved = nullptr) const = 0;
 
     /**
-     * Inference-only forward pass: identical numerics to forward()
-     * but caches nothing.  Default delegates to forward().
+     * Error pass: map the error at this layer's output to the error
+     * at its input, from the image's @p saved forward state.  Touches
+     * no gradient.
      */
-    virtual Tensor infer(const Tensor &input) { return forward(input); }
+    virtual Tensor backward(const Tensor &delta_out,
+                            const Saved &saved) const = 0;
 
     /**
-     * Backward pass: map the error at this layer's output to the
-     * error at its input, accumulating parameter gradients.
+     * Add one image's parameter gradients, paper §2.2:
+     * ∂J/∂W_l = d_{l-1} δ_l^T from the layer's @p input d_{l-1} and
+     * the error @p delta_out at its output, and ∂J/∂b_l = δ_l.  No-op
+     * for parameter-free layers.
      */
-    virtual Tensor backward(const Tensor &delta_out) = 0;
+    virtual void accumulateGrads(const Tensor &input,
+                                 const Tensor &delta_out)
+    {
+        (void)input;
+        (void)delta_out;
+    }
 
     /** Clear accumulated gradients (start of a batch). */
     virtual void zeroGrads() {}
@@ -96,6 +126,12 @@ class Layer
      * quantisation study and by PipeLayerDevice::Weight_load.
      */
     virtual std::vector<Tensor *> parameters() { return {}; }
+
+    /**
+     * The gradient accumulators, one per parameters() entry in the
+     * same order.  PipeLayerDevice applies them to its arrays.
+     */
+    virtual std::vector<Tensor *> gradients() { return {}; }
 
     /** Number of trainable parameters. */
     int64_t parameterCount();

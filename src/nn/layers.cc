@@ -95,24 +95,22 @@ ConvLayer::outputShape(const Shape &input_shape) const
 }
 
 Tensor
-ConvLayer::forward(const Tensor &input)
-{
-    cached_input_ = input;
-    return ops::conv2d(input, weight_, bias_, stride_, pad_);
-}
-
-Tensor
-ConvLayer::infer(const Tensor &input)
+ConvLayer::forward(const Tensor &input, Saved *) const
 {
     return ops::conv2d(input, weight_, bias_, stride_, pad_);
 }
 
 Tensor
-ConvLayer::backward(const Tensor &delta_out)
+ConvLayer::backward(const Tensor &delta_out, const Saved &) const
 {
     PL_ASSERT(stride_ == 1, "conv backward implemented for stride 1 only");
-    PL_ASSERT(cached_input_.numel() > 0, "backward before forward");
+    return ops::conv2dBackwardInput(delta_out, weight_, pad_);
+}
 
+void
+ConvLayer::accumulateGrads(const Tensor &input, const Tensor &delta_out)
+{
+    PL_ASSERT(stride_ == 1, "conv backward implemented for stride 1 only");
     // ∂J/∂b_c = Σ_{u,v} δ[c, u, v]  (paper §4.4.1).
     for (int64_t c = 0; c < out_channels_; ++c) {
         double acc = 0.0;
@@ -121,10 +119,8 @@ ConvLayer::backward(const Tensor &delta_out)
                 acc += delta_out(c, y, x);
         bias_grad_(c) += static_cast<float>(acc);
     }
-
-    weight_grad_ += ops::conv2dBackwardKernel(cached_input_, delta_out,
-                                              kernel_, kernel_, pad_);
-    return ops::conv2dBackwardInput(delta_out, weight_, pad_);
+    weight_grad_ += ops::conv2dBackwardKernel(input, delta_out, kernel_,
+                                              kernel_, pad_);
 }
 
 void
@@ -156,6 +152,12 @@ ConvLayer::parameters()
     return {&weight_, &bias_};
 }
 
+std::vector<Tensor *>
+ConvLayer::gradients()
+{
+    return {&weight_grad_, &bias_grad_};
+}
+
 // ---------------------------------------------------------------------
 // MaxPoolLayer
 // ---------------------------------------------------------------------
@@ -182,23 +184,18 @@ MaxPoolLayer::outputShape(const Shape &input_shape) const
 }
 
 Tensor
-MaxPoolLayer::forward(const Tensor &input)
+MaxPoolLayer::forward(const Tensor &input, Saved *saved) const
 {
-    cached_input_shape_ = input.shape();
-    return ops::maxPool(input, window_, &cached_indices_);
+    if (saved)
+        saved->input_shape = input.shape();
+    return ops::maxPool(input, window_, saved ? &saved->indices : nullptr);
 }
 
 Tensor
-MaxPoolLayer::infer(const Tensor &input)
+MaxPoolLayer::backward(const Tensor &delta_out, const Saved &saved) const
 {
-    return ops::maxPool(input, window_, nullptr);
-}
-
-Tensor
-MaxPoolLayer::backward(const Tensor &delta_out)
-{
-    return ops::maxPoolBackward(delta_out, cached_indices_,
-                                cached_input_shape_);
+    return ops::maxPoolBackward(delta_out, saved.indices,
+                                saved.input_shape);
 }
 
 // ---------------------------------------------------------------------
@@ -227,22 +224,17 @@ AvgPoolLayer::outputShape(const Shape &input_shape) const
 }
 
 Tensor
-AvgPoolLayer::forward(const Tensor &input)
+AvgPoolLayer::forward(const Tensor &input, Saved *saved) const
 {
-    cached_input_shape_ = input.shape();
+    if (saved)
+        saved->input_shape = input.shape();
     return ops::avgPool(input, window_);
 }
 
 Tensor
-AvgPoolLayer::infer(const Tensor &input)
+AvgPoolLayer::backward(const Tensor &delta_out, const Saved &saved) const
 {
-    return ops::avgPool(input, window_);
-}
-
-Tensor
-AvgPoolLayer::backward(const Tensor &delta_out)
-{
-    return ops::avgPoolBackward(delta_out, window_, cached_input_shape_);
+    return ops::avgPoolBackward(delta_out, window_, saved.input_shape);
 }
 
 // ---------------------------------------------------------------------
@@ -279,16 +271,7 @@ InnerProductLayer::outputShape(const Shape &input_shape) const
 }
 
 Tensor
-InnerProductLayer::forward(const Tensor &input)
-{
-    cached_input_ = input.reshape({in_size_});
-    Tensor out = ops::matVec(weight_, cached_input_);
-    out += bias_;
-    return out;
-}
-
-Tensor
-InnerProductLayer::infer(const Tensor &input)
+InnerProductLayer::forward(const Tensor &input, Saved *) const
 {
     Tensor out = ops::matVec(weight_, input.reshape({in_size_}));
     out += bias_;
@@ -296,12 +279,17 @@ InnerProductLayer::infer(const Tensor &input)
 }
 
 Tensor
-InnerProductLayer::backward(const Tensor &delta_out)
+InnerProductLayer::backward(const Tensor &delta_out, const Saved &) const
 {
-    PL_ASSERT(cached_input_.numel() > 0, "backward before forward");
-    weight_grad_ += ops::outer(cached_input_, delta_out);
-    bias_grad_ += delta_out;
     return ops::matVecT(weight_, delta_out);
+}
+
+void
+InnerProductLayer::accumulateGrads(const Tensor &input,
+                                   const Tensor &delta_out)
+{
+    weight_grad_ += ops::outer(input.reshape({in_size_}), delta_out);
+    bias_grad_ += delta_out;
 }
 
 void
@@ -333,6 +321,12 @@ InnerProductLayer::parameters()
     return {&weight_, &bias_};
 }
 
+std::vector<Tensor *>
+InnerProductLayer::gradients()
+{
+    return {&weight_grad_, &bias_grad_};
+}
+
 // ---------------------------------------------------------------------
 // ReluLayer
 // ---------------------------------------------------------------------
@@ -344,7 +338,7 @@ ReluLayer::outputShape(const Shape &input_shape) const
 }
 
 Tensor
-ReluLayer::forward(const Tensor &input)
+ReluLayer::forward(const Tensor &input, Saved *saved) const
 {
     // Dispatched relu_f32 (pure select, bit-identical on every
     // target), so --isa covers the whole forward pass, not just the
@@ -352,26 +346,18 @@ ReluLayer::forward(const Tensor &input)
     Tensor out = input;
     gemmk::activeKernels().relu_f32(out.data(), out.data(),
                                     out.numel());
-    cached_output_ = out;
+    if (saved)
+        saved->output = out;
     return out;
 }
 
 Tensor
-ReluLayer::infer(const Tensor &input)
-{
-    Tensor out = input;
-    gemmk::activeKernels().relu_f32(out.data(), out.data(),
-                                    out.numel());
-    return out;
-}
-
-Tensor
-ReluLayer::backward(const Tensor &delta_out)
+ReluLayer::backward(const Tensor &delta_out, const Saved &saved) const
 {
     // δ_in = δ_out ⊙ [d > 0]: the AND-with-mask of paper Fig. 10(a).
     Tensor grad = delta_out;
     gemmk::activeKernels().relu_mask_f32(
-        grad.data(), cached_output_.data(), grad.numel());
+        grad.data(), saved.output.data(), grad.numel());
     return grad;
 }
 
@@ -386,31 +372,23 @@ SigmoidLayer::outputShape(const Shape &input_shape) const
 }
 
 Tensor
-SigmoidLayer::forward(const Tensor &input)
+SigmoidLayer::forward(const Tensor &input, Saved *saved) const
 {
     Tensor out = input;
     for (int64_t i = 0; i < out.numel(); ++i)
         out.at(i) = 1.0f / (1.0f + std::exp(-out.at(i)));
-    cached_output_ = out;
+    if (saved)
+        saved->output = out;
     return out;
 }
 
 Tensor
-SigmoidLayer::infer(const Tensor &input)
+SigmoidLayer::backward(const Tensor &delta_out, const Saved &saved) const
 {
-    Tensor out = input;
-    for (int64_t i = 0; i < out.numel(); ++i)
-        out.at(i) = 1.0f / (1.0f + std::exp(-out.at(i)));
-    return out;
-}
-
-Tensor
-SigmoidLayer::backward(const Tensor &delta_out)
-{
-    // f'(u) = f(u)(1 - f(u)), computable from the cached output.
+    // f'(u) = f(u)(1 - f(u)), computable from the saved output.
     Tensor grad = delta_out;
     for (int64_t i = 0; i < grad.numel(); ++i) {
-        const float s = cached_output_.at(i);
+        const float s = saved.output.at(i);
         grad.at(i) *= s * (1.0f - s);
     }
     return grad;
@@ -427,22 +405,17 @@ FlattenLayer::outputShape(const Shape &input_shape) const
 }
 
 Tensor
-FlattenLayer::forward(const Tensor &input)
+FlattenLayer::forward(const Tensor &input, Saved *saved) const
 {
-    cached_input_shape_ = input.shape();
+    if (saved)
+        saved->input_shape = input.shape();
     return input.reshape({input.numel()});
 }
 
 Tensor
-FlattenLayer::infer(const Tensor &input)
+FlattenLayer::backward(const Tensor &delta_out, const Saved &saved) const
 {
-    return input.reshape({input.numel()});
-}
-
-Tensor
-FlattenLayer::backward(const Tensor &delta_out)
-{
-    return delta_out.reshape(cached_input_shape_);
+    return delta_out.reshape(saved.input_shape);
 }
 
 } // namespace nn

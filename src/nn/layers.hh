@@ -23,9 +23,10 @@ namespace nn {
  * Convolution layer, paper Eq. (1).
  *
  * Weight layout (Cout, Cin, Kh, Kw); forward accepts (Cin, H, W).
- * Backward (stride 1 only) implements the rotated-kernel full
- * convolution of paper Fig. 10(c)/Fig. 11 for the input error and the
- * data-as-kernel convolution of Fig. 12 for the weight gradient.
+ * backward() (stride 1 only) implements the rotated-kernel full
+ * convolution of paper Fig. 10(c)/Fig. 11 for the input error, and
+ * accumulateGrads() the data-as-kernel convolution of Fig. 12 for the
+ * weight gradient.
  */
 class ConvLayer : public Layer
 {
@@ -43,13 +44,17 @@ class ConvLayer : public Layer
     LayerKind kind() const override { return LayerKind::Conv; }
     std::string describe() const override;
     Shape outputShape(const Shape &input_shape) const override;
-    Tensor forward(const Tensor &input) override;
-    Tensor infer(const Tensor &input) override;
-    Tensor backward(const Tensor &delta_out) override;
+    Tensor forward(const Tensor &input,
+                   Saved *saved = nullptr) const override;
+    Tensor backward(const Tensor &delta_out,
+                    const Saved &saved) const override;
+    void accumulateGrads(const Tensor &input,
+                         const Tensor &delta_out) override;
     void zeroGrads() override;
     void applyUpdate(float lr, int64_t batch_size) override;
     void setMomentum(float momentum) override;
     std::vector<Tensor *> parameters() override;
+    std::vector<Tensor *> gradients() override;
 
     int64_t inChannels() const { return in_channels_; }
     int64_t outChannels() const { return out_channels_; }
@@ -66,7 +71,6 @@ class ConvLayer : public Layer
     Tensor weight_vel_; //!< momentum velocity (empty until enabled)
     Tensor bias_vel_;
     float momentum_ = 0.0f;
-    Tensor cached_input_;
 };
 
 /** Max-pooling layer with window == stride (paper §2.1). */
@@ -78,16 +82,15 @@ class MaxPoolLayer : public Layer
     LayerKind kind() const override { return LayerKind::MaxPool; }
     std::string describe() const override;
     Shape outputShape(const Shape &input_shape) const override;
-    Tensor forward(const Tensor &input) override;
-    Tensor infer(const Tensor &input) override;
-    Tensor backward(const Tensor &delta_out) override;
+    Tensor forward(const Tensor &input,
+                   Saved *saved = nullptr) const override;
+    Tensor backward(const Tensor &delta_out,
+                    const Saved &saved) const override;
 
     int64_t window() const { return window_; }
 
   private:
     int64_t window_;
-    Tensor cached_indices_;
-    Shape cached_input_shape_;
 };
 
 /** Average-pooling layer, paper Eq. (2). */
@@ -99,15 +102,15 @@ class AvgPoolLayer : public Layer
     LayerKind kind() const override { return LayerKind::AvgPool; }
     std::string describe() const override;
     Shape outputShape(const Shape &input_shape) const override;
-    Tensor forward(const Tensor &input) override;
-    Tensor infer(const Tensor &input) override;
-    Tensor backward(const Tensor &delta_out) override;
+    Tensor forward(const Tensor &input,
+                   Saved *saved = nullptr) const override;
+    Tensor backward(const Tensor &delta_out,
+                    const Saved &saved) const override;
 
     int64_t window() const { return window_; }
 
   private:
     int64_t window_;
-    Shape cached_input_shape_;
 };
 
 /**
@@ -122,13 +125,17 @@ class InnerProductLayer : public Layer
     LayerKind kind() const override { return LayerKind::InnerProduct; }
     std::string describe() const override;
     Shape outputShape(const Shape &input_shape) const override;
-    Tensor forward(const Tensor &input) override;
-    Tensor infer(const Tensor &input) override;
-    Tensor backward(const Tensor &delta_out) override;
+    Tensor forward(const Tensor &input,
+                   Saved *saved = nullptr) const override;
+    Tensor backward(const Tensor &delta_out,
+                    const Saved &saved) const override;
+    void accumulateGrads(const Tensor &input,
+                         const Tensor &delta_out) override;
     void zeroGrads() override;
     void applyUpdate(float lr, int64_t batch_size) override;
     void setMomentum(float momentum) override;
     std::vector<Tensor *> parameters() override;
+    std::vector<Tensor *> gradients() override;
 
     int64_t inSize() const { return in_size_; }
     int64_t outSize() const { return out_size_; }
@@ -142,13 +149,12 @@ class InnerProductLayer : public Layer
     Tensor weight_vel_; //!< momentum velocity (empty until enabled)
     Tensor bias_vel_;
     float momentum_ = 0.0f;
-    Tensor cached_input_;
 };
 
 /**
  * ReLU activation.  Backward uses the paper's §4.3 observation that
  * with ReLU f'(u) = f'(d) = [d > 0], so only the forward *output*
- * needs to be cached.
+ * needs to be saved.
  */
 class ReluLayer : public Layer
 {
@@ -156,12 +162,10 @@ class ReluLayer : public Layer
     LayerKind kind() const override { return LayerKind::ReLU; }
     std::string describe() const override { return "relu"; }
     Shape outputShape(const Shape &input_shape) const override;
-    Tensor forward(const Tensor &input) override;
-    Tensor infer(const Tensor &input) override;
-    Tensor backward(const Tensor &delta_out) override;
-
-  private:
-    Tensor cached_output_;
+    Tensor forward(const Tensor &input,
+                   Saved *saved = nullptr) const override;
+    Tensor backward(const Tensor &delta_out,
+                    const Saved &saved) const override;
 };
 
 /** Sigmoid activation 1/(1+e^-x) (paper §2.1 lists it as an option). */
@@ -171,12 +175,10 @@ class SigmoidLayer : public Layer
     LayerKind kind() const override { return LayerKind::Sigmoid; }
     std::string describe() const override { return "sigmoid"; }
     Shape outputShape(const Shape &input_shape) const override;
-    Tensor forward(const Tensor &input) override;
-    Tensor infer(const Tensor &input) override;
-    Tensor backward(const Tensor &delta_out) override;
-
-  private:
-    Tensor cached_output_;
+    Tensor forward(const Tensor &input,
+                   Saved *saved = nullptr) const override;
+    Tensor backward(const Tensor &delta_out,
+                    const Saved &saved) const override;
 };
 
 /** Reshape a (C, H, W) cube into a vector for inner-product layers. */
@@ -186,12 +188,10 @@ class FlattenLayer : public Layer
     LayerKind kind() const override { return LayerKind::Flatten; }
     std::string describe() const override { return "flatten"; }
     Shape outputShape(const Shape &input_shape) const override;
-    Tensor forward(const Tensor &input) override;
-    Tensor infer(const Tensor &input) override;
-    Tensor backward(const Tensor &delta_out) override;
-
-  private:
-    Shape cached_input_shape_;
+    Tensor forward(const Tensor &input,
+                   Saved *saved = nullptr) const override;
+    Tensor backward(const Tensor &delta_out,
+                    const Saved &saved) const override;
 };
 
 } // namespace nn

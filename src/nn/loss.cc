@@ -53,5 +53,15 @@ softmaxLoss(const Tensor &output, int64_t label)
     return {loss, std::move(delta)};
 }
 
+LossResult
+lossFor(LossKind kind, const Tensor &output, int64_t label)
+{
+    if (kind == LossKind::Softmax)
+        return softmaxLoss(output, label);
+    Tensor target(output.shape());
+    target.at(label) = 1.0f;
+    return l2Loss(output, target);
+}
+
 } // namespace nn
 } // namespace pipelayer

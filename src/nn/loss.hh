@@ -43,6 +43,13 @@ LossResult l2Loss(const Tensor &output, const Tensor &target);
  */
 LossResult softmaxLoss(const Tensor &output, int64_t label);
 
+/**
+ * The loss @p kind of a network output against class @p label: the
+ * softmax loss, or the L2 loss against the one-hot target.  Every
+ * trainer seeds δ_L through this one function.
+ */
+LossResult lossFor(LossKind kind, const Tensor &output, int64_t label);
+
 /** Numerically-stable softmax of a rank-1 tensor. */
 Tensor softmax(const Tensor &logits);
 

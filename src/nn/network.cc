@@ -31,9 +31,14 @@ Network::forward(const Tensor &input)
               "network %s expects input %s, got %s", name_.c_str(),
               shapeToString(input_shape_).c_str(),
               shapeToString(input.shape()).c_str());
+    inputs_.resize(layers_.size());
+    saved_.resize(layers_.size());
     Tensor x = input;
-    for (auto &layer : layers_)
-        x = layer->forward(x);
+    for (size_t i = 0; i < layers_.size(); ++i) {
+        Tensor out = layers_[i]->forward(x, &saved_[i]);
+        inputs_[i] = std::move(x);
+        x = std::move(out);
+    }
     return x;
 }
 
@@ -42,16 +47,21 @@ Network::infer(const Tensor &input) const
 {
     Tensor x = input;
     for (const auto &layer : layers_)
-        x = const_cast<Layer &>(*layer).infer(x);
+        x = layer->forward(x);
     return x;
 }
 
 void
 Network::backward(const Tensor &delta_out)
 {
+    PL_ASSERT(inputs_.size() == layers_.size(),
+              "backward before forward on network %s", name_.c_str());
     Tensor delta = delta_out;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-        delta = (*it)->backward(delta);
+    for (size_t i = layers_.size(); i-- > 0;) {
+        layers_[i]->accumulateGrads(inputs_[i], delta);
+        if (i > 0)
+            delta = layers_[i]->backward(delta, saved_[i]);
+    }
 }
 
 void
@@ -84,16 +94,10 @@ Network::trainBatch(const std::vector<Tensor> &inputs,
     zeroGrads();
     double total_loss = 0.0;
     for (size_t i = 0; i < inputs.size(); ++i) {
-        const Tensor out = forward(inputs[i]);
-        LossResult lr_result = loss_ == LossKind::Softmax
-            ? softmaxLoss(out, labels[i])
-            : l2Loss(out, [&] {
-                  Tensor t(out.shape());
-                  t.at(labels[i]) = 1.0f;
-                  return t;
-              }());
-        total_loss += lr_result.loss;
-        backward(lr_result.delta);
+        const LossResult seed =
+            lossFor(loss_, forward(inputs[i]), labels[i]);
+        total_loss += seed.loss;
+        backward(seed.delta);
     }
     applyUpdate(lr, static_cast<int64_t>(inputs.size()));
     return total_loss / static_cast<double>(inputs.size());

@@ -31,11 +31,17 @@ namespace nn {
  *   net.zeroGrads();
  *   for (input, label in batch) {
  *       auto out = net.forward(input);
- *       auto [loss, delta] = softmaxLoss(out, label);
+ *       auto [loss, delta] = lossFor(net.lossKind(), out, label);
  *       net.backward(delta);
  *   }
  *   net.applyUpdate(lr, batch_size);
  * @endcode
+ *
+ * The layers themselves are stateless per image (layer.hh): forward()
+ * keeps each layer's input and Saved state for the one image in
+ * flight, and backward() consumes them.  PipelinedTrainer drives the
+ * same layers with many images in flight, holding that state in its
+ * stage buffers instead.
  */
 class Network
 {
@@ -50,13 +56,20 @@ class Network
     /** Append a layer; shapes are validated immediately. */
     void add(LayerPtr layer);
 
-    /** Forward one sample through every layer (training mode). */
+    /**
+     * Forward one sample through every layer (training mode),
+     * keeping what backward() needs for it.
+     */
     Tensor forward(const Tensor &input);
 
-    /** Forward one sample without caching (inference mode). */
+    /** Forward one sample, keeping nothing (inference mode). */
     Tensor infer(const Tensor &input) const;
 
-    /** Backward the output error through every layer. */
+    /**
+     * Backward the output error of the last forward() sample through
+     * every layer, accumulating each layer's gradients.  Layer 0's
+     * input error is not computed: nothing reads it.
+     */
     void backward(const Tensor &delta_out);
 
     /** Clear all accumulated gradients. */
@@ -105,6 +118,8 @@ class Network
     LossKind loss_;
     std::vector<LayerPtr> layers_;
     std::vector<Shape> shapes_; //!< shapes_[i] feeds layer i; back() is out
+    std::vector<Tensor> inputs_; //!< layer i's input in the last forward()
+    std::vector<Saved> saved_;   //!< layer i's Saved from the last forward()
 };
 
 } // namespace nn

@@ -176,7 +176,7 @@ kindName(ArrivalTrace::Kind kind)
 }
 
 /** Required numeric member, as ConfigError (not a parse panic). */
-double
+const json::Value &
 requireNumber(const json::Value &v, const char *key)
 {
     const json::Value *member = v.find(key);
@@ -185,7 +185,15 @@ requireNumber(const json::Value &v, const char *key)
             std::string("ArrivalTrace: JSON lacks numeric '") + key +
             "'");
     }
-    return member->asNumber();
+    return *member;
+}
+
+/** Required integer member, exact or ConfigError. */
+int64_t
+requireInt(const json::Value &v, const char *key)
+{
+    return requireNumber(v, key).asInt(std::string("ArrivalTrace: '") +
+                                       key + "'");
 }
 
 } // namespace
@@ -248,30 +256,28 @@ ArrivalTrace::fromJson(const json::Value &v)
                     "ArrivalTrace: replay cycle " + std::to_string(i) +
                     " is not a number");
             }
-            out.push_back(cycles->at(i).asInt());
+            out.push_back(cycles->at(i).asInt(
+                "ArrivalTrace: replay cycle " + std::to_string(i)));
         }
         return replay(std::move(out));
     }
 
-    const int64_t n =
-        static_cast<int64_t>(requireNumber(v, "num_requests"));
-    if (name == "fixed") {
-        return fixed(n, static_cast<int64_t>(
-                            requireNumber(v, "interval")));
+    const int64_t n = requireInt(v, "num_requests");
+    if (name == "fixed")
+        return fixed(n, requireInt(v, "interval"));
+    // toJson() writes the seed as its int64 bit pattern.
+    const auto seed = static_cast<uint64_t>(requireInt(v, "seed"));
+    if (name == "poisson") {
+        return poisson(n, requireNumber(v, "rate_per_cycle").asNumber(),
+                       seed);
     }
-    const uint64_t seed =
-        static_cast<uint64_t>(requireNumber(v, "seed"));
-    if (name == "poisson")
-        return poisson(n, requireNumber(v, "rate_per_cycle"), seed);
     if (name == "uniform") {
-        return uniform(
-            n, static_cast<int64_t>(requireNumber(v, "min_gap")),
-            static_cast<int64_t>(requireNumber(v, "max_gap")), seed);
+        return uniform(n, requireInt(v, "min_gap"),
+                       requireInt(v, "max_gap"), seed);
     }
     if (name == "bursty") {
-        return bursty(
-            n, static_cast<int64_t>(requireNumber(v, "burst_size")),
-            static_cast<int64_t>(requireNumber(v, "mean_gap")), seed);
+        return bursty(n, requireInt(v, "burst_size"),
+                      requireInt(v, "mean_gap"), seed);
     }
     throw ConfigError("ArrivalTrace: unknown kind '" + name + "'");
 }

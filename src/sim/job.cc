@@ -153,12 +153,12 @@ Job::fromJson(const json::Value &v)
     if (const json::Value *batch = v.find("batch_size")) {
         if (!batch->isNumber())
             throw ConfigError("Job: 'batch_size' must be a number");
-        job.batch_size = batch->asInt();
+        job.batch_size = batch->asInt("Job: 'batch_size'");
     }
     if (const json::Value *chips = v.find("num_chips")) {
         if (!chips->isNumber())
             throw ConfigError("Job: 'num_chips' must be a number");
-        job.num_chips = chips->asInt();
+        job.num_chips = chips->asInt("Job: 'num_chips'");
     }
     if (const json::Value *icn = v.find("interconnect"))
         job.interconnect = arch::InterconnectConfig::fromJson(*icn);
@@ -167,7 +167,7 @@ Job::fromJson(const json::Value &v)
     if (const json::Value *images = v.find("num_images")) {
         if (!images->isNumber())
             throw ConfigError("Job: 'num_images' must be a number");
-        job.num_images = images->asInt();
+        job.num_images = images->asInt("Job: 'num_images'");
     } else if (!job.arrivals.empty()) {
         // A serving job's volume is implied by its arrival trace.
         job.num_images = job.arrivals.size();

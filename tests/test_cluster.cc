@@ -333,10 +333,10 @@ TEST(SimCluster, SingleChipEntryPointsRejectMultiChipJobs)
 // ---------------------------------------------------------------------
 
 nn::Network
-mlp(uint64_t seed)
+mlp(uint64_t seed, nn::LossKind loss = nn::LossKind::Softmax)
 {
     Rng rng(seed);
-    nn::Network net("cluster-mlp", {1, 8, 8});
+    nn::Network net("cluster-mlp", {1, 8, 8}, loss);
     net.add(std::make_unique<nn::FlattenLayer>());
     net.add(std::make_unique<nn::InnerProductLayer>(64, 24, rng));
     net.add(std::make_unique<nn::SigmoidLayer>());
@@ -474,6 +474,14 @@ TEST(ClusterTrainer, UnevenBatchAndTopologyMismatchRejected)
     }
     EXPECT_THROW(core::ClusterTrainer(other, std::move(wrong)),
                  ConfigError);
+
+    // ... and its loss kind, which seeds every chip's output error.
+    nn::Network softmax_master = mlp(56);
+    std::vector<nn::Network> l2_replica;
+    l2_replica.push_back(mlp(57, nn::LossKind::L2));
+    EXPECT_THROW(
+        core::ClusterTrainer(softmax_master, std::move(l2_replica)),
+        ConfigError);
 }
 
 } // namespace

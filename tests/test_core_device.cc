@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iomanip>
 #include <memory>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/device.hh"
 #include "core/mapped_layer.hh"
@@ -24,10 +26,10 @@ namespace {
 
 /** A tiny CNN+MLP network over 1x8x8 inputs with 4 classes. */
 nn::Network
-tinyNet(uint64_t seed)
+tinyNet(uint64_t seed, nn::LossKind loss = nn::LossKind::Softmax)
 {
     Rng rng(seed);
-    nn::Network net("tiny", {1, 8, 8});
+    nn::Network net("tiny", {1, 8, 8}, loss);
     net.add(std::make_unique<nn::ConvLayer>(1, 4, 3, 1, 1, rng));
     net.add(std::make_unique<nn::ReluLayer>());
     net.add(std::make_unique<nn::MaxPoolLayer>(2));
@@ -350,11 +352,10 @@ TEST(DeviceDeath, TrainWithoutWeightLoadPanics)
 
 TEST(Device, TrainWithL2Loss)
 {
-    nn::Network net = tinyNet(16);
+    nn::Network net = tinyNet(16, nn::LossKind::L2);
     PipeLayerConfig config;
     config.batch_size = 8;
     config.learning_rate = 0.1f;
-    config.loss = nn::LossKind::L2;
     PipeLayerDevice dev(config);
     dev.Topology_set(net);
     dev.Weight_load();
@@ -444,10 +445,10 @@ TEST(Device, MeasuredEnergyTracksAnalyticOrderOfMagnitude)
 
 /** A sigmoid MLP over 1x8x8 inputs. */
 nn::Network
-sigmoidNet(uint64_t seed)
+sigmoidNet(uint64_t seed, nn::LossKind loss = nn::LossKind::Softmax)
 {
     Rng rng(seed);
-    nn::Network net("sigmoid-mlp", {1, 8, 8});
+    nn::Network net("sigmoid-mlp", {1, 8, 8}, loss);
     net.add(std::make_unique<nn::FlattenLayer>());
     net.add(std::make_unique<nn::InnerProductLayer>(64, 16, rng));
     net.add(std::make_unique<nn::SigmoidLayer>());
@@ -498,6 +499,103 @@ TEST(Device, TrainsThroughLutSigmoid)
     const auto stats = dev.Train(task.train, /*epochs=*/8);
     EXPECT_LT(stats.epoch_loss.back(), stats.epoch_loss.front());
     EXPECT_GT(dev.Test(task.test).accuracy, 0.4);
+}
+
+/** FNV-1a-64 over the raw float bytes of @p tensors, in order. */
+uint64_t
+tensorHash(const std::vector<Tensor> &tensors)
+{
+    uint64_t h = 14695981039346656037ull;
+    for (const Tensor &t : tensors) {
+        const auto *bytes =
+            reinterpret_cast<const unsigned char *>(t.data());
+        const size_t n = static_cast<size_t>(t.numel()) * sizeof(float);
+        for (size_t k = 0; k < n; ++k) {
+            h ^= bytes[k];
+            h *= 1099511628211ull;
+        }
+    }
+    return h;
+}
+
+/**
+ * Train a fresh net from @p make through the crossbars for two epochs
+ * at one and at four threads; the per-epoch losses and the weights
+ * stored in the arrays must reproduce their pins bit for bit.
+ */
+template <typename Make>
+void
+expectDevicePinned(Make make, const PipeLayerConfig &config,
+                   const std::vector<double> &epoch_loss,
+                   uint64_t stored_hash)
+{
+    const int64_t saved = threadCount();
+    for (const int64_t threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        setThreadCount(threads);
+        nn::Network net = make();
+        PipeLayerDevice dev(config);
+        dev.Topology_set(net);
+        dev.Weight_load();
+        auto task = tinyTask();
+        const DeviceTrainStats stats = dev.Train(task.train, 2);
+        ASSERT_EQ(stats.epoch_loss.size(), epoch_loss.size());
+        for (size_t e = 0; e < epoch_loss.size(); ++e) {
+            EXPECT_EQ(stats.epoch_loss[e], epoch_loss[e])
+                << std::setprecision(17) << stats.epoch_loss[e];
+        }
+        EXPECT_EQ(tensorHash(dev.storedParameters()), stored_hash)
+            << std::hex << tensorHash(dev.storedParameters());
+    }
+    setThreadCount(saved);
+}
+
+PipeLayerConfig
+pinnedConfig(bool lut_sigmoid)
+{
+    PipeLayerConfig config;
+    config.batch_size = 8;
+    config.learning_rate = 0.2f;
+    config.lut_sigmoid = lut_sigmoid;
+    return config;
+}
+
+TEST(DevicePinned, ConvNetSoftmax)
+{
+    expectDevicePinned([] { return tinyNet(50); }, pinnedConfig(true),
+                       {2.1474653348645867, 1.3789881441805918},
+                       0xc33acc11fb6b7b8aull);
+}
+
+TEST(DevicePinned, SigmoidMlpSoftmaxLut)
+{
+    expectDevicePinned([] { return sigmoidNet(51); }, pinnedConfig(true),
+                       {1.610387405436944, 1.5888448851190722},
+                       0xad5b97c0e0dfba22ull);
+}
+
+TEST(DevicePinned, SigmoidMlpSoftmaxExact)
+{
+    expectDevicePinned([] { return sigmoidNet(51); },
+                       pinnedConfig(false),
+                       {1.6094839908206708, 1.5889573083302604},
+                       0xde9acc4129183786ull);
+}
+
+TEST(DevicePinned, SigmoidMlpL2Lut)
+{
+    expectDevicePinned([] { return sigmoidNet(52, nn::LossKind::L2); },
+                       pinnedConfig(true),
+                       {1.06701189905911, 0.44490302738688575},
+                       0x686838aa98bac753ull);
+}
+
+TEST(DevicePinned, SigmoidMlpL2Exact)
+{
+    expectDevicePinned([] { return sigmoidNet(52, nn::LossKind::L2); },
+                       pinnedConfig(false),
+                       {1.0664995904057546, 0.44662490740896493},
+                       0x78c5de809d47068aull);
 }
 
 TEST(Device, TopologySetResetsStages)

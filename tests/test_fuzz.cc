@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "arch/granularity.hh"
@@ -124,20 +124,20 @@ TEST_P(FuzzTopology, PipelinedTrainingEqualsSequential)
     core::PipelinedTrainer trainer(piped);
     const auto result = trainer.trainBatch(inputs, labels, 0.1f);
     const double serial_loss = serial.trainBatch(inputs, labels, 0.1f);
-    EXPECT_NEAR(result.mean_loss, serial_loss,
-                1e-5 * (1.0 + serial_loss));
+    EXPECT_EQ(result.mean_loss, serial_loss) << piped.describe();
 
-    double worst = 0.0;
+    // Both run the same layer code and update: equal bytes.
     for (size_t l = 0; l < piped.numLayers(); ++l) {
         const auto pa = piped.layer(l).parameters();
         const auto pb = serial.layer(l).parameters();
-        for (size_t k = 0; k < pa.size(); ++k)
-            for (int64_t i = 0; i < pa[k]->numel(); ++i)
-                worst = std::max(worst,
-                                 (double)std::fabs(pa[k]->at(i) -
-                                                   pb[k]->at(i)));
+        for (size_t k = 0; k < pa.size(); ++k) {
+            EXPECT_EQ(0, std::memcmp(pa[k]->data(), pb[k]->data(),
+                                     static_cast<size_t>(pa[k]->numel()) *
+                                         sizeof(float)))
+                << piped.describe() << ": layer " << l << " parameter "
+                << k;
+        }
     }
-    EXPECT_LT(worst, 1e-4) << piped.describe();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTopology,

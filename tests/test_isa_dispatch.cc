@@ -164,9 +164,9 @@ TEST(IsaDispatch, ResultsByteIdenticalAcrossTargetsAndThreads)
 TEST(IsaDispatch, ReluLayerByteIdenticalAcrossTargets)
 {
     // The elementwise layers dispatch too (relu_f32/relu_mask_f32):
-    // forward, infer and the backward mask must be bit-identical on
-    // every target, including the -0.0f / NaN edge cases the select
-    // contract pins down (both rectify to +0.0f).
+    // forward (saving state or not) and the backward mask must be
+    // bit-identical on every target, including the -0.0f / NaN edge
+    // cases the select contract pins down (both rectify to +0.0f).
     ScopedIsa restore;
     Rng rng(0x2E1Fu);
     Tensor in = Tensor::randn({3, 17, 17}, rng);
@@ -177,9 +177,10 @@ TEST(IsaDispatch, ReluLayerByteIdenticalAcrossTargets)
 
     ASSERT_TRUE(isa::setActive(isa::Target::Scalar));
     nn::ReluLayer ref_layer;
-    const Tensor fwd0 = ref_layer.forward(in);
-    const Tensor inf0 = ref_layer.infer(in);
-    const Tensor bwd0 = ref_layer.backward(delta);
+    nn::Saved saved0;
+    const Tensor fwd0 = ref_layer.forward(in, &saved0);
+    const Tensor inf0 = ref_layer.forward(in);
+    const Tensor bwd0 = ref_layer.backward(delta, saved0);
     // The scalar ternary semantics, independently restated.
     for (int64_t i = 0; i < in.numel(); ++i) {
         const float x = in.at(i);
@@ -193,9 +194,10 @@ TEST(IsaDispatch, ReluLayerByteIdenticalAcrossTargets)
         ASSERT_TRUE(isa::setActive(t));
         SCOPED_TRACE(std::string("isa=") + isa::name(t));
         nn::ReluLayer layer;
-        const Tensor fwd = layer.forward(in);
-        const Tensor inf = layer.infer(in);
-        const Tensor bwd = layer.backward(delta);
+        nn::Saved saved;
+        const Tensor fwd = layer.forward(in, &saved);
+        const Tensor inf = layer.forward(in);
+        const Tensor bwd = layer.backward(delta, saved);
         const size_t bytes =
             static_cast<size_t>(in.numel()) * sizeof(float);
         EXPECT_EQ(0, std::memcmp(fwd.data(), fwd0.data(), bytes));

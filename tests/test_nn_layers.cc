@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <memory>
 
 #include "common/rng.hh"
@@ -39,8 +41,7 @@ checkParamGradients(Layer &layer, const Tensor &input, uint64_t seed)
     const Tensor delta = Tensor::randn(out.shape(), rng);
 
     layer.zeroGrads();
-    layer.forward(input);
-    layer.backward(delta);
+    layer.accumulateGrads(input, delta);
 
     // applyUpdate with lr=-1, batch=1 adds the gradient to the
     // parameters; recover it by differencing.
@@ -66,9 +67,9 @@ checkParamGradients(Layer &layer, const Tensor &input, uint64_t seed)
         for (int64_t idx = 0; idx < n; idx += std::max<int64_t>(1, n / 5)) {
             const float saved = params[p]->at(idx);
             params[p]->at(idx) = saved + eps;
-            const double lp = probeLoss(layer.infer(input), delta);
+            const double lp = probeLoss(layer.forward(input), delta);
             params[p]->at(idx) = saved - eps;
-            const double lm = probeLoss(layer.infer(input), delta);
+            const double lm = probeLoss(layer.forward(input), delta);
             params[p]->at(idx) = saved;
             const double numeric = (lp - lm) / (2.0 * eps);
             EXPECT_NEAR(grads[p].at(idx), numeric, 2e-2)
@@ -82,11 +83,10 @@ void
 checkInputGradient(Layer &layer, const Tensor &input, uint64_t seed)
 {
     Rng rng(seed);
-    const Tensor out = layer.forward(input);
+    Saved saved;
+    const Tensor out = layer.forward(input, &saved);
     const Tensor delta = Tensor::randn(out.shape(), rng);
-    layer.zeroGrads();
-    layer.forward(input);
-    const Tensor grad_in = layer.backward(delta);
+    const Tensor grad_in = layer.backward(delta, saved);
     ASSERT_EQ(grad_in.numel(), input.numel());
 
     const float eps = 1e-2f;
@@ -95,8 +95,8 @@ checkInputGradient(Layer &layer, const Tensor &input, uint64_t seed)
         Tensor plus = input, minus = input;
         plus.at(idx) += eps;
         minus.at(idx) -= eps;
-        const double lp = probeLoss(layer.infer(plus), delta);
-        const double lm = probeLoss(layer.infer(minus), delta);
+        const double lp = probeLoss(layer.forward(plus), delta);
+        const double lm = probeLoss(layer.forward(minus), delta);
         const double numeric = (lp - lm) / (2.0 * eps);
         EXPECT_NEAR(grad_in.at(idx), numeric, 3e-2) << "index " << idx;
     }
@@ -197,15 +197,16 @@ TEST(ReluLayer, ForwardClampsNegatives)
 TEST(ReluLayer, BackwardMasksByOutput)
 {
     // The paper (§4.3) notes f'(u) = f'(d) for ReLU, so the mask
-    // derives from the cached *output*.
+    // derives from the saved *output*.
     ReluLayer relu;
     Tensor x({3});
     x(0) = -1.0f;
     x(1) = 3.0f;
     x(2) = 0.5f;
-    relu.forward(x);
+    Saved saved;
+    relu.forward(x, &saved);
     Tensor delta({3}, 1.0f);
-    const Tensor grad = relu.backward(delta);
+    const Tensor grad = relu.backward(delta, saved);
     EXPECT_FLOAT_EQ(grad(0), 0.0f);
     EXPECT_FLOAT_EQ(grad(1), 1.0f);
     EXPECT_FLOAT_EQ(grad(2), 1.0f);
@@ -235,10 +236,11 @@ TEST(MaxPoolLayer, ForwardBackwardRoundTrip)
     Rng rng(10);
     MaxPoolLayer pool(2);
     const Tensor input = Tensor::randn({3, 4, 4}, rng);
-    const Tensor out = pool.forward(input);
+    Saved saved;
+    const Tensor out = pool.forward(input, &saved);
     EXPECT_EQ(out.shape(), (Shape{3, 2, 2}));
     const Tensor delta = Tensor::randn(out.shape(), rng);
-    const Tensor grad = pool.backward(delta);
+    const Tensor grad = pool.backward(delta, saved);
     EXPECT_EQ(grad.shape(), input.shape());
     // Total error mass is conserved by max-pool routing.
     EXPECT_NEAR(grad.sum(), delta.sum(), 1e-4);
@@ -257,10 +259,88 @@ TEST(FlattenLayer, RoundTrip)
     Rng rng(12);
     FlattenLayer flat;
     const Tensor input = Tensor::randn({2, 3, 4}, rng);
-    const Tensor out = flat.forward(input);
+    Saved saved;
+    const Tensor out = flat.forward(input, &saved);
     EXPECT_EQ(out.shape(), (Shape{24}));
-    const Tensor grad = flat.backward(out);
+    const Tensor grad = flat.backward(out, saved);
     EXPECT_EQ(grad.shape(), input.shape());
+}
+
+/** @p a and @p b have the same shape and the same float bytes. */
+void
+expectSameBytes(const Tensor &a, const Tensor &b)
+{
+    ASSERT_EQ(a.shape(), b.shape());
+    EXPECT_EQ(0, std::memcmp(a.data(), b.data(),
+                             static_cast<size_t>(a.numel()) *
+                                 sizeof(float)));
+}
+
+TEST(LayerContract, InterleavedImagesMatchOneAtATime)
+{
+    // Layers keep no per-image state, so two images in flight through
+    // one layer (forward A, forward B, backward A, backward B) give
+    // exactly the one-at-a-time results: the property the pipelined
+    // trainer relies on when several images share a layer.
+    struct Case
+    {
+        std::function<LayerPtr()> make;
+        Shape input;
+    };
+    const std::vector<Case> cases = {
+        {[] {
+             Rng rng(20);
+             return std::make_unique<ConvLayer>(2, 3, 3, 1, 1, rng);
+         },
+         {2, 6, 6}},
+        {[] {
+             Rng rng(21);
+             return std::make_unique<InnerProductLayer>(12, 5, rng);
+         },
+         {3, 2, 2}},
+        {[] { return std::make_unique<ReluLayer>(); }, {2, 4, 4}},
+        {[] { return std::make_unique<SigmoidLayer>(); }, {2, 4, 4}},
+        {[] { return std::make_unique<MaxPoolLayer>(2); }, {2, 4, 4}},
+        {[] { return std::make_unique<AvgPoolLayer>(2); }, {2, 4, 4}},
+        {[] { return std::make_unique<FlattenLayer>(); }, {2, 3, 4}},
+    };
+    Rng rng(22);
+    for (const Case &c : cases) {
+        LayerPtr serial = c.make();
+        LayerPtr interleaved = c.make();
+        SCOPED_TRACE(serial->describe());
+        const Shape out_shape = serial->outputShape(c.input);
+        const Tensor a = Tensor::randn(c.input, rng);
+        const Tensor b = Tensor::randn(c.input, rng);
+        const Tensor da = Tensor::randn(out_shape, rng);
+        const Tensor db = Tensor::randn(out_shape, rng);
+
+        Saved sa, sb;
+        const Tensor out_a = serial->forward(a, &sa);
+        const Tensor in_a = serial->backward(da, sa);
+        serial->accumulateGrads(a, da);
+        const Tensor out_b = serial->forward(b, &sb);
+        const Tensor in_b = serial->backward(db, sb);
+        serial->accumulateGrads(b, db);
+
+        Saved ia, ib;
+        const Tensor out_ia = interleaved->forward(a, &ia);
+        const Tensor out_ib = interleaved->forward(b, &ib);
+        const Tensor in_ia = interleaved->backward(da, ia);
+        const Tensor in_ib = interleaved->backward(db, ib);
+        interleaved->accumulateGrads(a, da);
+        interleaved->accumulateGrads(b, db);
+
+        expectSameBytes(out_ia, out_a);
+        expectSameBytes(out_ib, out_b);
+        expectSameBytes(in_ia, in_a);
+        expectSameBytes(in_ib, in_b);
+        const auto ga = serial->gradients();
+        const auto gb = interleaved->gradients();
+        ASSERT_EQ(ga.size(), gb.size());
+        for (size_t k = 0; k < ga.size(); ++k)
+            expectSameBytes(*gb[k], *ga[k]);
+    }
 }
 
 TEST(Loss, L2LossValueAndDelta)

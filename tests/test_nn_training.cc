@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
 #include <memory>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "nn/layers.hh"
 #include "nn/network.hh"
 #include "nn/trainer.hh"
+#include "workloads/model_zoo.hh"
 #include "workloads/synthetic_data.hh"
 
 namespace pipelayer {
@@ -253,6 +256,127 @@ TEST(SyntheticData, ClassesAreSeparable)
     const double accuracy = static_cast<double>(correct) /
                             static_cast<double>(task.test.size());
     EXPECT_GT(accuracy, 0.9);
+}
+
+/** FNV-1a-64 over every parameter's raw float bytes, in layer order. */
+uint64_t
+paramHash(Network &net)
+{
+    uint64_t h = 14695981039346656037ull;
+    for (size_t l = 0; l < net.numLayers(); ++l) {
+        for (const Tensor *p : net.layer(l).parameters()) {
+            const auto *bytes =
+                reinterpret_cast<const unsigned char *>(p->data());
+            const size_t n = static_cast<size_t>(p->numel()) *
+                sizeof(float);
+            for (size_t k = 0; k < n; ++k) {
+                h ^= bytes[k];
+                h *= 1099511628211ull;
+            }
+        }
+    }
+    return h;
+}
+
+/** One pinned trainBatch: the mean loss and the weights it leaves. */
+struct PinnedStep
+{
+    double loss;
+    uint64_t param_hash;
+};
+
+/**
+ * Run trainBatch over consecutive @p batch-image slices of @p data,
+ * one per pin, on a fresh net from @p make at one and at four
+ * threads; every step must reproduce its pinned loss and parameter
+ * hash bit for bit.
+ */
+template <typename Make>
+void
+expectPinned(Make make, const Dataset &data, size_t batch, float lr,
+             const std::vector<PinnedStep> &pins)
+{
+    const int64_t saved = threadCount();
+    for (const int64_t threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        setThreadCount(threads);
+        Network net = make();
+        for (size_t b = 0; b < pins.size(); ++b) {
+            SCOPED_TRACE("batch " + std::to_string(b));
+            const auto first = static_cast<std::ptrdiff_t>(b * batch);
+            const auto last = first + static_cast<std::ptrdiff_t>(batch);
+            const std::vector<Tensor> inputs(data.inputs.begin() + first,
+                                             data.inputs.begin() + last);
+            const std::vector<int64_t> labels(
+                data.labels.begin() + first, data.labels.begin() + last);
+            const double loss = net.trainBatch(inputs, labels, lr);
+            EXPECT_EQ(loss, pins[b].loss) << std::setprecision(17)
+                                          << loss;
+            EXPECT_EQ(paramHash(net), pins[b].param_hash)
+                << std::hex << paramHash(net);
+        }
+    }
+    setThreadCount(saved);
+}
+
+TEST(NetworkPinned, C4TwoBatchesOfTen)
+{
+    workloads::SyntheticConfig config;
+    config.train_per_class = 2;
+    config.test_per_class = 0;
+    auto task = workloads::makeSyntheticTask(config);
+    Rng shuffle_rng(19);
+    task.train.shuffle(shuffle_rng);
+    expectPinned(
+        [] {
+            Rng rng(20);
+            return workloads::buildC4(rng);
+        },
+        task.train, 10, 0.05f,
+        {{2.6560053168779483, 0xd824000882df00d0ull},
+         {2.5580131289819805, 0x0f4ce83e7e8ad591ull}});
+}
+
+/** smallTask()'s class-ordered training set, shuffled by @p seed. */
+Dataset
+shuffledTrain(uint64_t seed)
+{
+    Dataset train = smallTask().train;
+    Rng rng(seed);
+    train.shuffle(rng);
+    return train;
+}
+
+TEST(NetworkPinned, SigmoidMlpWithL2Loss)
+{
+    expectPinned(
+        [] {
+            Rng rng(21);
+            Network net("sigmoid-l2", {1, 8, 8}, LossKind::L2);
+            net.add(std::make_unique<FlattenLayer>());
+            net.add(std::make_unique<InnerProductLayer>(64, 16, rng));
+            net.add(std::make_unique<SigmoidLayer>());
+            net.add(std::make_unique<InnerProductLayer>(16, 4, rng));
+            return net;
+        },
+        shuffledTrain(23), 8, 0.3f,
+        {{1.3775381436566196, 0x6ee73da91671d773ull},
+         {1.1087212376087219, 0xb1f3cae4fa6939dcull}});
+}
+
+TEST(NetworkPinned, CnnWithMomentum)
+{
+    expectPinned(
+        [] {
+            Rng rng(22);
+            Network net = smallCnn(rng);
+            net.setMomentum(0.9f);
+            return net;
+        },
+        shuffledTrain(24), 8, 0.05f,
+        {{2.3975594065221171, 0xe102ce8c8afef7f3ull},
+         {1.2423946794926644, 0x4306ff3c27568d93ull},
+         {1.5609913260933845, 0x3a42805f87c7ea4cull}});
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -91,6 +92,24 @@ TEST(Json, NumbersSurviveRoundTripExactly)
         const json::Value v(x);
         const json::Value back = json::parse(v.dump());
         EXPECT_EQ(back.asNumber(), x) << v.dump();
+    }
+}
+
+TEST(Json, AsIntIsExact)
+{
+    EXPECT_EQ(json::parse("17").asInt(), 17);
+    EXPECT_EQ(json::parse("-9223372036854775808").asInt(),
+              std::numeric_limits<int64_t>::min());
+    for (const char *text :
+         {"2.7", "-0.5", "1e300", "9223372036854775808"}) {
+        try {
+            json::parse(text).asInt("'field'");
+            ADD_FAILURE() << text << " accepted";
+        } catch (const ConfigError &err) {
+            EXPECT_NE(std::string(err.what()).find("'field'"),
+                      std::string::npos)
+                << err.what();
+        }
     }
 }
 
@@ -522,8 +541,8 @@ trainerStatsDump(int64_t threads)
     stats::StatGroup group("trainer");
     trainer.addStats(group);
     const auto [inputs, labels] = trainerBatch(8, 31);
-    trainer.trainBatch(inputs, labels, 0.1f, nn::LossKind::Softmax);
-    trainer.trainBatch(inputs, labels, 0.1f, nn::LossKind::Softmax);
+    trainer.trainBatch(inputs, labels, 0.1f);
+    trainer.trainBatch(inputs, labels, 0.1f);
     const std::string dump = group.dumpString();
     setThreadCount(saved);
     return dump;

@@ -80,6 +80,21 @@ TEST(ArrivalTrace, JsonRoundTripsEveryKind)
     }
 }
 
+/** @p parse must throw a ConfigError whose message names @p field. */
+template <typename Parse>
+void
+expectConfigErrorNaming(Parse parse, const std::string &field)
+{
+    try {
+        parse();
+        ADD_FAILURE() << "accepted; expected a ConfigError naming "
+                      << field;
+    } catch (const ConfigError &err) {
+        EXPECT_NE(std::string(err.what()).find(field), std::string::npos)
+            << err.what();
+    }
+}
+
 TEST(ArrivalTrace, RejectsBadDescriptions)
 {
     EXPECT_THROW(ArrivalTrace::fixed(-1, 1), ConfigError);
@@ -94,6 +109,25 @@ TEST(ArrivalTrace, RejectsBadDescriptions)
     EXPECT_THROW(
         ArrivalTrace::fromJson(json::parse("{\"kind\": \"laplace\"}")),
         ConfigError);
+    // Integer fields are exact: nothing is rounded or wrapped.
+    expectConfigErrorNaming(
+        [] {
+            ArrivalTrace::fromJson(json::parse(
+                R"({"kind": "replay", "cycles": [0, 2.5]})"));
+        },
+        "replay cycle 1");
+    expectConfigErrorNaming(
+        [] {
+            ArrivalTrace::fromJson(json::parse(
+                R"({"kind": "replay", "cycles": [1e300]})"));
+        },
+        "replay cycle 0");
+    expectConfigErrorNaming(
+        [] {
+            ArrivalTrace::fromJson(json::parse(
+                R"({"kind": "fixed", "num_requests": 3.5, "interval": 2})"));
+        },
+        "'num_requests'");
 }
 
 // ---------------------------------------------------------------------
@@ -157,6 +191,13 @@ TEST(Job, RejectsBadDescriptions)
         ConfigError);
     EXPECT_THROW(Job::fromJson(json::parse("{\"phase\": \"testing\"}")),
                  ConfigError);
+    expectConfigErrorNaming(
+        [] {
+            Job::fromJson(json::parse(
+                R"({"phase": "testing", "batch_size": 2.5, )"
+                R"("num_images": 4})"));
+        },
+        "'batch_size'");
 
     // Arrival traces are a serving (pipelined testing) description.
     Job job;

@@ -145,8 +145,7 @@ TEST(Momentum, ZeroMomentumMatchesPlainSgd)
     const Tensor delta = Tensor::randn({4}, data_rng);
     for (nn::InnerProductLayer *layer : {&a, &b}) {
         layer->zeroGrads();
-        layer->forward(x);
-        layer->backward(delta);
+        layer->accumulateGrads(x, delta);
         layer->applyUpdate(0.1f, 2);
     }
     const Tensor &wa = *a.parameters()[0];
@@ -170,8 +169,7 @@ TEST(Momentum, RepeatedGradientsAccelerate)
     auto step = [&]() {
         const Tensor before = *layer.parameters()[0];
         layer.zeroGrads();
-        layer.forward(x);
-        layer.backward(delta);
+        layer.accumulateGrads(x, delta);
         layer.applyUpdate(0.1f, 1);
         const Tensor &after = *layer.parameters()[0];
         double norm = 0.0;

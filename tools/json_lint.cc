@@ -61,6 +61,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "common/logging.hh"
 
 namespace {
 
@@ -904,14 +905,8 @@ lintNdjson(const std::string &path)
 }
 
 bool
-lintFile(const std::string &path)
+lintJson(const std::string &path)
 {
-    const std::string ndjson_ext = ".ndjson";
-    if (path.size() > ndjson_ext.size() &&
-        path.compare(path.size() - ndjson_ext.size(), ndjson_ext.size(),
-                     ndjson_ext) == 0) {
-        return lintNdjson(path);
-    }
     std::ifstream in(path);
     if (!in) {
         std::cerr << path << ": cannot open\n";
@@ -919,14 +914,7 @@ lintFile(const std::string &path)
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-
-    Value doc;
-    try {
-        doc = pipelayer::json::parse(buf.str());
-    } catch (const pipelayer::json::ParseError &err) {
-        std::cerr << path << ": " << err.what() << "\n";
-        return false;
-    }
+    const Value doc = pipelayer::json::parse(buf.str());
 
     if (doc.find("traceEvents")) {
         if (!checkTrace(path, doc))
@@ -977,6 +965,30 @@ lintFile(const std::string &path)
     }
     std::cout << path << ": OK (json)\n";
     return true;
+}
+
+/**
+ * Lint one file; a malformed document, or a field that must be an
+ * exact integer and is not, is a lint error.
+ */
+bool
+lintFile(const std::string &path)
+{
+    const std::string ndjson_ext = ".ndjson";
+    try {
+        if (path.size() > ndjson_ext.size() &&
+            path.compare(path.size() - ndjson_ext.size(),
+                         ndjson_ext.size(), ndjson_ext) == 0) {
+            return lintNdjson(path);
+        }
+        return lintJson(path);
+    } catch (const pipelayer::json::ParseError &err) {
+        std::cerr << path << ": " << err.what() << "\n";
+        return false;
+    } catch (const pipelayer::ConfigError &err) {
+        std::cerr << path << ": " << err.what() << "\n";
+        return false;
+    }
 }
 
 } // namespace

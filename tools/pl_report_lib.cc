@@ -22,7 +22,7 @@ intField(const json::Value &rec, const std::string &key,
          int64_t fallback)
 {
     const json::Value *v = rec.isObject() ? rec.find(key) : nullptr;
-    return v && v->isNumber() ? v->asInt() : fallback;
+    return v && v->isNumber() ? v->asInt("'" + key + "'") : fallback;
 }
 
 /**
@@ -207,7 +207,7 @@ renderTable(const MetricsStream &stream)
     const auto total = [totals](const char *name) -> std::string {
         const json::Value *v =
             totals && totals->isObject() ? totals->find(name) : nullptr;
-        return v && v->isNumber() ? std::to_string(v->asInt()) : "-";
+        return cell(v && v->isNumber() ? v : nullptr);
     };
     const WatchedSeries run_p50 = {"distributions",
                                    "serving.latency_cycles", "p50",

@@ -104,7 +104,8 @@ traceFromStdin(std::istream &in)
                 "stdin line " + std::to_string(lineno) +
                 ": expected {\"arrival_cycle\": <cycle>, ...}");
         }
-        cycles.push_back(cycle->asInt());
+        cycles.push_back(cycle->asInt(
+            "stdin line " + std::to_string(lineno) + ": 'arrival_cycle'"));
     }
     return sim::ArrivalTrace::replay(std::move(cycles));
 }
