@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "quant/qat.hh"
 #include "workloads/model_zoo.hh"
@@ -51,6 +52,54 @@ main(int argc, char **argv)
                   << " train / " << task.test.size()
                   << " test images\n\n";
 
+        // The 40 (network, resolution) points are independent but for
+        // their data order: each starts from task.train as the
+        // previous point's epochs shuffled it, with a fresh Rng(99)
+        // per point whose draws do not depend on the data.  Replay
+        // those start orders serially, then train the points
+        // concurrently; each point's nested trainBatch runs inline.
+        constexpr int kNets = 5;
+        constexpr int64_t kEpochs = 10;
+        struct Point
+        {
+            int net;
+            int bits;
+            nn::Dataset train; //!< start order
+            double accuracy = 0.0;
+        };
+        std::vector<Point> points;
+        nn::Dataset order = task.train;
+        for (int ni = 0; ni < kNets; ++ni) {
+            for (int bits : bit_widths) {
+                points.push_back({ni, bits, order});
+                Rng replay(99);
+                for (int64_t e = 0; e < kEpochs; ++e)
+                    order.shuffle(replay);
+            }
+        }
+
+        // C-4 trains far longer than the other networks and the zoo
+        // lists it last, so walking the points backwards hands the
+        // pool the longest first.
+        const auto count = static_cast<int64_t>(points.size());
+        ThreadPool::global().run(count, [&](int64_t c) {
+            Point &p = points[static_cast<size_t>(count - 1 - c)];
+            // Fresh identically-initialised network per resolution.
+            Rng build_rng(2024);
+            auto nets = workloads::studyNetworks(build_rng);
+            nn::Network &net = nets[static_cast<size_t>(p.net)].second;
+
+            quant::QatConfig config;
+            config.bits = p.bits;
+            config.epochs = kEpochs;
+            config.batch_size = 10;
+            config.learning_rate = net.name() == "C-4" ? 0.05f : 0.1f;
+            Rng train_rng(99);
+            p.accuracy = quant::trainQuantized(net, p.train, task.test,
+                                               config, train_rng)
+                             .test_accuracy;
+        });
+
         std::vector<std::string> header = {"network", "float acc"};
         for (size_t i = 1; i < bit_widths.size(); ++i)
             header.push_back(std::to_string(bit_widths[i]) + "-bit");
@@ -58,35 +107,18 @@ main(int argc, char **argv)
 
         const char *const names[] = {"M-1", "M-2", "M-3", "M-C",
                                      "C-4"};
-        for (int ni = 0; ni < 5; ++ni) {
+        for (int ni = 0; ni < kNets; ++ni) {
             std::vector<std::string> row = {names[ni]};
             double float_acc = 0.0;
-            for (int bits : bit_widths) {
-                // Fresh identically-initialised network per
-                // resolution.
-                Rng build_rng(2024);
-                auto nets = workloads::studyNetworks(build_rng);
-                nn::Network &net =
-                    nets[static_cast<size_t>(ni)].second;
-
-                quant::QatConfig config;
-                config.bits = bits;
-                config.epochs = 10;
-                config.batch_size = 10;
-                config.learning_rate =
-                    net.name() == "C-4" ? 0.05f : 0.1f;
-                Rng train_rng(99);
-                const auto result = quant::trainQuantized(
-                    net, task.train, task.test, config, train_rng);
-                if (bits == 0) {
-                    float_acc = result.test_accuracy;
+            for (const Point &p : points) {
+                if (p.net != ni)
+                    continue;
+                if (p.bits == 0) {
+                    float_acc = p.accuracy;
                     row.push_back(Table::num(float_acc, 3));
                 } else {
                     row.push_back(Table::num(
-                        float_acc > 0
-                            ? result.test_accuracy / float_acc
-                            : 0.0,
-                        3));
+                        float_acc > 0 ? p.accuracy / float_acc : 0.0, 3));
                 }
             }
             table.addRow(std::move(row));

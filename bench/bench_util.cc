@@ -122,9 +122,12 @@ Runner::Runner(std::string name, int argc, const char *const *argv,
                           std::to_string(repeat_));
     }
 
-    const int64_t threads = args_.integer("threads", 0);
-    if (threads > 0)
-        setThreadCount(threads);
+    // An explicit --threads wins; otherwise resolve PL_THREADS now, so
+    // a bad value fails before the bench body runs.
+    if (args_.flag("threads"))
+        setThreadCount(parseThreadCount(args_.str("threads"), "--threads"));
+    else
+        threadCount();
 
     // --isa overrides PL_ISA / auto-detection for this process.  An
     // unknown or unsupported name is a configuration error, never a

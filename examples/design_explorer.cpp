@@ -25,7 +25,6 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <limits>
 #include <string>
 
 #include "arch/granularity.hh"
@@ -33,6 +32,7 @@
 #include "arch/pipeline.hh"
 #include "baseline/gpu_model.hh"
 #include "common/args.hh"
+#include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/table.hh"
 #include "common/units.hh"
@@ -48,11 +48,15 @@ main(int argc, char **argv)
     const ArgParser args(argc, argv);
     args.rejectUnknown({"stats", "timeline", "budget", "device",
                         "threads"});
-    constexpr int64_t kThreadsUnset =
-        std::numeric_limits<int64_t>::min();
-    if (const int64_t threads = args.integer("threads", kThreadsUnset);
-        threads != kThreadsUnset)
-        setThreadCount(threads); // rejects values < 1
+    if (args.flag("threads")) {
+        try {
+            setThreadCount(
+                parseThreadCount(args.str("threads"), "--threads"));
+        } catch (const ConfigError &err) {
+            std::cerr << "design_explorer: " << err.what() << "\n";
+            return 1;
+        }
+    }
     const std::string name = args.positional(0, "VGG-A");
     const double lambda =
         args.positionalCount() > 1

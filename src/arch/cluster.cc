@@ -275,7 +275,7 @@ Cluster::run()
         chip_traces.resize(static_cast<size_t>(chips),
                            trace::TraceRecorder("chip"));
     }
-    parallel_for(0, chips, /*grain=*/1, [&](int64_t c0, int64_t c1) {
+    parallel_for(0, chips, [&](int64_t c0, int64_t c1) {
         for (int64_t c = c0; c < c1; ++c) {
             PipelineScheduler sched(depth_, shard_);
             if (trace_)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdlib>
 
 #include <unistd.h>
@@ -11,10 +12,17 @@
 
 namespace pipelayer {
 
-namespace {
+// One pool job costs tens of microseconds of wake-up and hand-off, so
+// a chunk must carry enough work to hide it.  Measured on a 4-vCPU
+// x86-64 host (AVX-512 dispatch), 4 threads against 1: with a 2^16
+// floor the 512x512 crossbar MVM ran 1.9x and an 8-window array-group
+// batch 2.5x slower; with 2^18 a 1024x1024 outer product still lost
+// (0.54 vs 0.41 ms); with 2^20 no micro-bench row lost, a 7.2M-MAC
+// conv ran 2.1x faster and mnist_pipeline took 3.4-3.7 s against
+// 5.3-5.7 s.
+extern const int64_t kMinChunkWork = int64_t{1} << 20;
 
-/** Upper bound on threads — far above any sane host configuration. */
-constexpr int64_t kMaxThreads = 256;
+namespace {
 
 /** Resolved thread count; 0 until first resolution. */
 std::atomic<int64_t> g_thread_count{0};
@@ -34,17 +42,33 @@ int64_t
 resolveThreadCount()
 {
     if (const char *env = std::getenv("PL_THREADS")) {
-        char *end = nullptr;
-        const long long v = std::strtoll(env, &end, 10);
-        if (end == env || *end != '\0' || v < 1)
-            fatal("PL_THREADS must be a positive integer, got '%s'", env);
-        return std::min<int64_t>(v, kMaxThreads);
+        try {
+            return parseThreadCount(env, "PL_THREADS");
+        } catch (const ConfigError &e) {
+            fatal("%s", e.what());
+        }
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return std::min<int64_t>(std::max<int64_t>(1, hw), kMaxThreads);
 }
 
 } // namespace
+
+int64_t
+parseThreadCount(const std::string &text, const std::string &input)
+{
+    // Digits only: strtoll alone would accept a sign or leading blanks.
+    errno = 0;
+    const long long v = std::strtoll(text.c_str(), nullptr, 10);
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos ||
+        errno == ERANGE || v < 1 || v > kMaxThreads) {
+        throw ConfigError(input + " must be an integer in [1, " +
+                          std::to_string(kMaxThreads) + "], got '" +
+                          text + "'");
+    }
+    return v;
+}
 
 int64_t
 threadCount()
@@ -60,10 +84,12 @@ threadCount()
 void
 setThreadCount(int64_t n)
 {
-    PL_ASSERT(n >= 1, "thread count must be >= 1, got %lld",
-              (long long)n);
-    g_thread_count.store(std::min(n, kMaxThreads),
-                         std::memory_order_relaxed);
+    if (n < 1 || n > kMaxThreads) {
+        throw ConfigError("thread count must be in [1, " +
+                          std::to_string(kMaxThreads) + "], got " +
+                          std::to_string(n));
+    }
+    g_thread_count.store(n, std::memory_order_relaxed);
 }
 
 bool
@@ -212,26 +238,38 @@ ThreadPool::run(int64_t chunks, const std::function<void(int64_t)> &fn)
 }
 
 void
-parallel_for(int64_t begin, int64_t end, int64_t grain,
+parallel_for(int64_t begin, int64_t end, int64_t work_per_index,
              const std::function<void(int64_t, int64_t)> &fn)
 {
-    PL_ASSERT(begin <= end && grain >= 1,
-              "bad parallel_for range [%lld, %lld) grain %lld",
-              (long long)begin, (long long)end, (long long)grain);
+    PL_ASSERT(begin <= end && work_per_index >= 0,
+              "bad parallel_for range [%lld, %lld) work %lld",
+              (long long)begin, (long long)end,
+              (long long)work_per_index);
     const int64_t range = end - begin;
     if (range == 0)
         return;
-    const int64_t threads = threadCount();
-    if (threads == 1 || tl_in_parallel || range < 2 * grain) {
+    // Indices one chunk needs to carry kMinChunkWork operations:
+    // ceil(kMinChunkWork / work_per_index), without overflow.
+    const int64_t min_indices =
+        1 + (kMinChunkWork - 1) / std::max<int64_t>(work_per_index, 1);
+    const int64_t chunks = std::min(threadCount(), range / min_indices);
+    if (chunks < 2 || tl_in_parallel) {
         fn(begin, end);
         return;
     }
-    const int64_t chunks = std::min(threads, range / grain);
     ThreadPool::global().run(chunks, [&](int64_t c) {
         const int64_t b = begin + range * c / chunks;
         const int64_t e = begin + range * (c + 1) / chunks;
         fn(b, e);
     });
+}
+
+void
+parallel_for(int64_t begin, int64_t end,
+             const std::function<void(int64_t, int64_t)> &fn)
+{
+    // Every index alone carries the floor: one index per chunk.
+    parallel_for(begin, end, kMinChunkWork, fn);
 }
 
 } // namespace pipelayer

@@ -1,28 +1,37 @@
 /**
  * @file
- * Host-side parallel execution of the functional model's hot loops.
+ * Host-side parallel execution of the functional model.
  *
  * PipeLayer's performance rests on two forms of hardware parallelism:
  * intra-layer parallelism (the granularity knob G replicates a
  * layer's arrays so many inputs are processed at once, paper §4.3)
  * and inter-layer pipelining (all stages busy every cycle, §3.2).
- * The functional substrate mirrors both on the host CPU: a shared
- * ThreadPool executes disjoint slices of each hot loop, and the
- * pipelined trainer evaluates the independent per-image stage work of
- * one logical cycle concurrently.
+ * The host mirrors them at the units that are truly independent:
+ * the images of a minibatch (Network::trainBatch / accuracy), the
+ * points of a sweep, the ops of one Fig. 6 cycle (PipelinedTrainer)
+ * and the chips of a cluster.  Each of those loops hands one pool
+ * job its indices, and everything nested inside a job runs inline on
+ * its worker.  Kernel loops (GEMM, im2col, crossbar MVM) state the
+ * work each index carries instead of an index grain; a chunk must
+ * carry at least kMinChunkWork operations, so a kernel too small to
+ * pay for the pool's wake-up runs inline.
  *
  * Determinism contract: parallel_for() partitions the index range
  * into disjoint chunks that exactly cover it; every output element is
  * written by exactly one worker, and the per-element floating-point
  * evaluation order is the serial loop's.  No loop shares an
- * accumulator across chunks, so results are bit-identical for every
- * thread count, including the serial fallback (PL_THREADS=1) — a
- * property the determinism tests assert.
+ * accumulator across chunks (trainBatch keeps later images' ∂W as
+ * private partials and adds them serially in ascending image order,
+ * DESIGN.md §7), so results are bit-identical for every thread
+ * count, including the serial fallback (PL_THREADS=1) — a property
+ * the determinism tests assert.
  *
  * Thread-count selection, strongest first:
  *   1. setThreadCount(n) — programmatic / CLI (--threads=N in tools);
  *   2. the PL_THREADS environment variable;
  *   3. std::thread::hardware_concurrency().
+ * A requested count is exact or rejected: parseThreadCount() accepts
+ * only an integer in [1, kMaxThreads].
  */
 
 #ifndef PIPELAYER_COMMON_PARALLEL_HH_
@@ -32,10 +41,21 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 namespace pipelayer {
+
+/** Largest thread count a caller may request. */
+constexpr int64_t kMaxThreads = 256;
+
+/**
+ * Minimum operations (multiply-adds or element copies) one kernel
+ * chunk must carry before parallel_for() hands it to the pool; see
+ * parallel.cc for how it was measured.
+ */
+extern const int64_t kMinChunkWork;
 
 /**
  * A lazily-started pool of worker threads shared by all hot loops.
@@ -44,8 +64,8 @@ namespace pipelayer {
  * participates), parked on a condition variable between jobs.  Only
  * one parallel region runs at a time; nested parallel_for() calls
  * from inside a worker run inline on that worker, so loops can be
- * composed (the pipelined trainer parallelises per-image work whose
- * tensor ops are themselves parallel_for loops) without deadlock.
+ * composed (trainBatch parallelises per-image work whose tensor ops
+ * are themselves parallel_for loops) without deadlock.
  */
 class ThreadPool
 {
@@ -112,19 +132,39 @@ int64_t threadCount();
  * Override the thread count (1 = bit-exact serial fallback — which,
  * by the determinism contract, every other count matches bit-for-bit).
  * Takes effect for subsequent parallel_for() calls; the pool grows on
- * demand and surplus workers stay parked.
+ * demand and surplus workers stay parked.  Throws ConfigError unless
+ * 1 <= n <= kMaxThreads.
  */
 void setThreadCount(int64_t n);
 
 /**
- * Execute fn(chunk_begin, chunk_end) over disjoint sub-ranges that
- * exactly cover [begin, end).
- *
- * @param grain minimum indices per chunk; ranges smaller than
- *        2*grain, a thread count of 1, and calls nested inside a
- *        parallel region all run fn(begin, end) inline.
+ * The thread count written as @p text, from the input named
+ * @p input ("PL_THREADS", "--threads", ...).  Throws ConfigError
+ * naming @p input and the cap unless @p text is an integer in
+ * [1, kMaxThreads]: no rounding, saturation or clamping.
  */
-void parallel_for(int64_t begin, int64_t end, int64_t grain,
+int64_t parseThreadCount(const std::string &text,
+                         const std::string &input);
+
+/**
+ * Kernel loop: execute fn(chunk_begin, chunk_end) over disjoint
+ * sub-ranges that exactly cover [begin, end), where each index costs
+ * @p work_per_index operations.  Every chunk carries at least
+ * kMinChunkWork operations; a range too small for two such chunks, a
+ * thread count of 1, and calls nested inside a parallel region all
+ * run fn(begin, end) inline.
+ */
+void parallel_for(int64_t begin, int64_t end, int64_t work_per_index,
+                  const std::function<void(int64_t, int64_t)> &fn);
+
+/**
+ * Loop over independent coarse units (minibatch images, pipeline
+ * ops, chips): like the kernel form, but every index pays for a
+ * chunk of its own, so up to threadCount() chunks of contiguous
+ * indices run on the pool.  Chunk c holds indices
+ * [begin + range*c/chunks, begin + range*(c+1)/chunks).
+ */
+void parallel_for(int64_t begin, int64_t end,
                   const std::function<void(int64_t, int64_t)> &fn);
 
 /** True while the calling thread executes inside a parallel region. */

@@ -9,6 +9,7 @@
 
 #include "common/isa.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
 
 namespace pipelayer {
 namespace prof {
@@ -72,6 +73,7 @@ struct Registry
     std::vector<ThreadBuf *> live;                // registered buffers
     SiteAccum retired[kMaxSites];                 // from exited threads
 
+    std::atomic<uint64_t> epoch_ns{0}; //!< profiling enabled or reset
     std::atomic<uint64_t> pool_jobs{0};
     std::atomic<uint64_t> pool_chunks{0};
     std::atomic<uint64_t> pool_wait_ns{0};
@@ -156,8 +158,12 @@ resolveEnabled()
     if (const char *env = std::getenv("PL_PROFILE"))
         on = (*env != '\0' && std::strcmp(env, "0") != 0) ? 1 : 0;
     int expected = -1;
-    g_enabled.compare_exchange_strong(expected, on,
-                                      std::memory_order_relaxed);
+    if (g_enabled.compare_exchange_strong(expected, on,
+                                          std::memory_order_relaxed) &&
+        on) {
+        Registry::get().epoch_ns.store(detail::nowNs(),
+                                       std::memory_order_relaxed);
+    }
     return g_enabled.load(std::memory_order_relaxed);
 }
 
@@ -203,7 +209,11 @@ enabled()
 void
 setEnabled(bool on)
 {
-    g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
+    if (g_enabled.exchange(on ? 1 : 0, std::memory_order_relaxed) != 1 &&
+        on) {
+        Registry::get().epoch_ns.store(detail::nowNs(),
+                                       std::memory_order_relaxed);
+    }
 }
 
 namespace detail {
@@ -309,6 +319,9 @@ Report::toJson() const
     pv["chunks"] = json::Value(static_cast<int64_t>(pool.chunks));
     pv["queue_wait_ns"] =
         json::Value(static_cast<int64_t>(pool.queue_wait_ns));
+    pv["wall_ns"] = json::Value(static_cast<int64_t>(pool.wall_ns));
+    pv["threads"] = json::Value(pool.threads);
+    pv["efficiency"] = json::Value(pool.efficiency);
     json::Value workers = json::Value::array();
     for (const auto &w : pool.workers) {
         json::Value wv = json::Value::object();
@@ -348,6 +361,7 @@ snapshot()
     report.pool.chunks = reg.pool_chunks.load(std::memory_order_relaxed);
     report.pool.queue_wait_ns =
         reg.pool_wait_ns.load(std::memory_order_relaxed);
+    uint64_t busy_ns = 0;
     for (int64_t slot = 0; slot < kMaxPoolSlots; ++slot) {
         const uint64_t chunks =
             reg.worker_chunks[slot].load(std::memory_order_relaxed);
@@ -356,6 +370,17 @@ snapshot()
         report.pool.workers.push_back(
             {slot, reg.worker_busy_ns[slot].load(std::memory_order_relaxed),
              chunks});
+        busy_ns += report.pool.workers.back().busy_ns;
+    }
+    const uint64_t epoch = reg.epoch_ns.load(std::memory_order_relaxed);
+    const uint64_t now = detail::nowNs();
+    report.pool.wall_ns = epoch != 0 && now > epoch ? now - epoch : 0;
+    report.pool.threads = threadCount();
+    if (report.pool.wall_ns > 0) {
+        report.pool.efficiency =
+            static_cast<double>(busy_ns) /
+            (static_cast<double>(report.pool.wall_ns) *
+             static_cast<double>(report.pool.threads));
     }
     return report;
 }
@@ -371,6 +396,7 @@ reset()
         for (int s = 0; s < kMaxSites; ++s)
             buf->sites[s].reset();
     }
+    reg.epoch_ns.store(detail::nowNs(), std::memory_order_relaxed);
     reg.pool_jobs.store(0, std::memory_order_relaxed);
     reg.pool_chunks.store(0, std::memory_order_relaxed);
     reg.pool_wait_ns.store(0, std::memory_order_relaxed);

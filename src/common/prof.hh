@@ -17,8 +17,9 @@
  * — and every executed scope feeds a thread-local buffer that
  * aggregates, per site: call count, total/min/max wall time, and a
  * log2-binned latency histogram.  The thread pool additionally
- * reports utilization (per-worker busy time, task-queue wait) through
- * the notePool*() hooks in common/parallel.cc.
+ * reports utilization (per-worker busy time, task-queue wait, and
+ * efficiency: busy ÷ (wall × threads)) through the notePool*() hooks
+ * in common/parallel.cc.
  *
  * Gating: profiling is compiled in unconditionally but recording is
  * off unless `PL_PROFILE=1` is set in the environment or a front end
@@ -120,6 +121,10 @@ struct PoolReport
     uint64_t chunks = 0;
     uint64_t queue_wait_ns = 0;          //!< post-to-pickup, summed
     std::vector<WorkerReport> workers;   //!< slots that ran chunks
+    uint64_t wall_ns = 0; //!< since profiling was enabled or reset()
+    int64_t threads = 0;  //!< threadCount() at snapshot time
+    /** Σ workers' busy_ns ÷ (wall_ns × threads); 0 when wall_ns is. */
+    double efficiency = 0.0;
 };
 
 /**

@@ -93,7 +93,7 @@ ClusterTrainer::trainBatch(const std::vector<Tensor> &inputs,
     ClusterBatchResult out;
     out.num_chips = chips;
     out.per_chip.resize(static_cast<size_t>(chips));
-    parallel_for(0, chips, /*grain=*/1, [&](int64_t c0, int64_t c1) {
+    parallel_for(0, chips, [&](int64_t c0, int64_t c1) {
         for (int64_t c = c0; c < c1; ++c) {
             const auto begin =
                 static_cast<size_t>(c * shard);

@@ -266,7 +266,7 @@ PipelinedTrainer::trainBatch(const std::vector<Tensor> &inputs,
             {
                 PL_PROF_SCOPE("trainer.cycle_compute");
                 parallel_for(0, static_cast<int64_t>(ops.size()),
-                             /*grain=*/1, [&](int64_t k0, int64_t k1) {
+                             [&](int64_t k0, int64_t k1) {
                     for (int64_t k = k0; k < k1; ++k) {
                         compute(ops[static_cast<size_t>(k)],
                                 results[static_cast<size_t>(k)]);

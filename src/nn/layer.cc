@@ -21,6 +21,17 @@ layerKindName(LayerKind kind)
 }
 
 void
+Layer::addGrads(const std::vector<Tensor> &partial)
+{
+    const std::vector<Tensor *> grads = gradients();
+    PL_ASSERT(partial.size() == grads.size(),
+              "%zu gradient partials for %zu accumulators",
+              partial.size(), grads.size());
+    for (size_t k = 0; k < grads.size(); ++k)
+        *grads[k] += partial[k];
+}
+
+void
 Layer::applyUpdate(float lr, int64_t batch_size)
 {
     (void)lr;

@@ -55,10 +55,17 @@ struct Saved
  * Layers are stateless per image: forward() returns what backward()
  * needs in a caller-held Saved, so any number of images can be in
  * flight through one layer (the pipelined schedule of Fig. 6 keeps
- * several per layer).  The only mutable state is the parameters and
- * their gradient accumulators: a batch is zeroGrads(), one
- * accumulateGrads() per image, then one applyUpdate(), matching the
- * paper's batched weight update in §4.4.
+ * several per layer, Network::trainBatch runs a minibatch's images on
+ * several threads).  The only mutable state is the parameters and
+ * their gradient accumulators: a batch is zeroGrads(), one image's
+ * gradients added per image in ascending image order, then one
+ * applyUpdate(), matching the paper's batched weight update in §4.4.
+ *
+ * An image's gradients are computed once, by the const imageGrads();
+ * accumulateGrads() is imageGrads() followed by addGrads().  A caller
+ * that computes several images' gradients concurrently keeps them as
+ * partials and calls addGrads() serially in image order, which adds
+ * exactly the floats accumulateGrads() would have.
  */
 class Layer
 {
@@ -91,16 +98,27 @@ class Layer
                             const Saved &saved) const = 0;
 
     /**
-     * Add one image's parameter gradients, paper §2.2:
+     * One image's parameter gradients, paper §2.2:
      * ∂J/∂W_l = d_{l-1} δ_l^T from the layer's @p input d_{l-1} and
-     * the error @p delta_out at its output, and ∂J/∂b_l = δ_l.  No-op
-     * for parameter-free layers.
+     * the error @p delta_out at its output, and ∂J/∂b_l = δ_l; one
+     * tensor per gradients() entry, in the same order.  Empty for
+     * parameter-free layers.  Touches no accumulator.
      */
-    virtual void accumulateGrads(const Tensor &input,
-                                 const Tensor &delta_out)
+    virtual std::vector<Tensor> imageGrads(const Tensor &input,
+                                           const Tensor &delta_out) const
     {
         (void)input;
         (void)delta_out;
+        return {};
+    }
+
+    /** Add one image's imageGrads() to the accumulators. */
+    void addGrads(const std::vector<Tensor> &partial);
+
+    /** addGrads(imageGrads(input, delta_out)). */
+    void accumulateGrads(const Tensor &input, const Tensor &delta_out)
+    {
+        addGrads(imageGrads(input, delta_out));
     }
 
     /** Clear accumulated gradients (start of a batch). */

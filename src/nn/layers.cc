@@ -107,20 +107,26 @@ ConvLayer::backward(const Tensor &delta_out, const Saved &) const
     return ops::conv2dBackwardInput(delta_out, weight_, pad_);
 }
 
-void
-ConvLayer::accumulateGrads(const Tensor &input, const Tensor &delta_out)
+std::vector<Tensor>
+ConvLayer::imageGrads(const Tensor &input, const Tensor &delta_out) const
 {
     PL_ASSERT(stride_ == 1, "conv backward implemented for stride 1 only");
     // ∂J/∂b_c = Σ_{u,v} δ[c, u, v]  (paper §4.4.1).
+    Tensor bias_grad({out_channels_});
     for (int64_t c = 0; c < out_channels_; ++c) {
         double acc = 0.0;
         for (int64_t y = 0; y < delta_out.dim(1); ++y)
             for (int64_t x = 0; x < delta_out.dim(2); ++x)
                 acc += delta_out(c, y, x);
-        bias_grad_(c) += static_cast<float>(acc);
+        bias_grad(c) = static_cast<float>(acc);
     }
-    weight_grad_ += ops::conv2dBackwardKernel(input, delta_out, kernel_,
-                                              kernel_, pad_);
+    // Built by moves: a braced list would copy each tensor once more.
+    std::vector<Tensor> grads;
+    grads.reserve(2);
+    grads.push_back(ops::conv2dBackwardKernel(input, delta_out, kernel_,
+                                              kernel_, pad_));
+    grads.push_back(std::move(bias_grad));
+    return grads;
 }
 
 void
@@ -284,12 +290,15 @@ InnerProductLayer::backward(const Tensor &delta_out, const Saved &) const
     return ops::matVecT(weight_, delta_out);
 }
 
-void
-InnerProductLayer::accumulateGrads(const Tensor &input,
-                                   const Tensor &delta_out)
+std::vector<Tensor>
+InnerProductLayer::imageGrads(const Tensor &input,
+                              const Tensor &delta_out) const
 {
-    weight_grad_ += ops::outer(input.reshape({in_size_}), delta_out);
-    bias_grad_ += delta_out;
+    std::vector<Tensor> grads;
+    grads.reserve(2);
+    grads.push_back(ops::outer(input.reshape({in_size_}), delta_out));
+    grads.push_back(delta_out);
+    return grads;
 }
 
 void

@@ -25,7 +25,7 @@ namespace nn {
  * Weight layout (Cout, Cin, Kh, Kw); forward accepts (Cin, H, W).
  * backward() (stride 1 only) implements the rotated-kernel full
  * convolution of paper Fig. 10(c)/Fig. 11 for the input error, and
- * accumulateGrads() the data-as-kernel convolution of Fig. 12 for the
+ * imageGrads() the data-as-kernel convolution of Fig. 12 for the
  * weight gradient.
  */
 class ConvLayer : public Layer
@@ -48,8 +48,8 @@ class ConvLayer : public Layer
                    Saved *saved = nullptr) const override;
     Tensor backward(const Tensor &delta_out,
                     const Saved &saved) const override;
-    void accumulateGrads(const Tensor &input,
-                         const Tensor &delta_out) override;
+    std::vector<Tensor> imageGrads(const Tensor &input,
+                                   const Tensor &delta_out) const override;
     void zeroGrads() override;
     void applyUpdate(float lr, int64_t batch_size) override;
     void setMomentum(float momentum) override;
@@ -129,8 +129,8 @@ class InnerProductLayer : public Layer
                    Saved *saved = nullptr) const override;
     Tensor backward(const Tensor &delta_out,
                     const Saved &saved) const override;
-    void accumulateGrads(const Tensor &input,
-                         const Tensor &delta_out) override;
+    std::vector<Tensor> imageGrads(const Tensor &input,
+                                   const Tensor &delta_out) const override;
     void zeroGrads() override;
     void applyUpdate(float lr, int64_t batch_size) override;
     void setMomentum(float momentum) override;

@@ -1,8 +1,10 @@
 #include "nn/network.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
 
 namespace pipelayer {
 namespace nn {
@@ -25,43 +27,12 @@ Network::add(LayerPtr layer)
 }
 
 Tensor
-Network::forward(const Tensor &input)
-{
-    PL_ASSERT(input.shape() == input_shape_,
-              "network %s expects input %s, got %s", name_.c_str(),
-              shapeToString(input_shape_).c_str(),
-              shapeToString(input.shape()).c_str());
-    inputs_.resize(layers_.size());
-    saved_.resize(layers_.size());
-    Tensor x = input;
-    for (size_t i = 0; i < layers_.size(); ++i) {
-        Tensor out = layers_[i]->forward(x, &saved_[i]);
-        inputs_[i] = std::move(x);
-        x = std::move(out);
-    }
-    return x;
-}
-
-Tensor
 Network::infer(const Tensor &input) const
 {
     Tensor x = input;
     for (const auto &layer : layers_)
         x = layer->forward(x);
     return x;
-}
-
-void
-Network::backward(const Tensor &delta_out)
-{
-    PL_ASSERT(inputs_.size() == layers_.size(),
-              "backward before forward on network %s", name_.c_str());
-    Tensor delta = delta_out;
-    for (size_t i = layers_.size(); i-- > 0;) {
-        layers_[i]->accumulateGrads(inputs_[i], delta);
-        if (i > 0)
-            delta = layers_[i]->backward(delta, saved_[i]);
-    }
 }
 
 void
@@ -86,21 +57,73 @@ Network::setMomentum(float momentum)
 }
 
 double
+Network::trainImage(const Tensor &input, int64_t label,
+                    std::vector<Tensor> &layer_inputs,
+                    std::vector<Saved> &saved,
+                    std::vector<std::vector<Tensor>> *partials)
+{
+    PL_ASSERT(input.shape() == input_shape_,
+              "network %s expects input %s, got %s", name_.c_str(),
+              shapeToString(input_shape_).c_str(),
+              shapeToString(input.shape()).c_str());
+    Tensor x = input;
+    for (size_t l = 0; l < layers_.size(); ++l) {
+        Tensor out = layers_[l]->forward(x, &saved[l]);
+        layer_inputs[l] = std::move(x);
+        x = std::move(out);
+    }
+    LossResult seed = lossFor(loss_, x, label);
+    Tensor delta = std::move(seed.delta);
+    for (size_t l = layers_.size(); l-- > 0;) {
+        if (partials)
+            (*partials)[l] = layers_[l]->imageGrads(layer_inputs[l], delta);
+        else
+            layers_[l]->accumulateGrads(layer_inputs[l], delta);
+        if (l > 0)
+            delta = layers_[l]->backward(delta, saved[l]);
+    }
+    return seed.loss;
+}
+
+double
 Network::trainBatch(const std::vector<Tensor> &inputs,
                     const std::vector<int64_t> &labels, float lr)
 {
     PL_ASSERT(inputs.size() == labels.size() && !inputs.empty(),
               "bad batch in trainBatch");
+    const size_t batch = inputs.size();
     zeroGrads();
+    std::vector<double> losses(batch);
+    // partials[i][l]: image i's gradients of layer l, for the images
+    // outside the first chunk.
+    std::vector<std::vector<std::vector<Tensor>>> partials(batch);
+    parallel_for(0, static_cast<int64_t>(batch),
+                 [&](int64_t first, int64_t last) {
+        std::vector<Tensor> layer_inputs(layers_.size());
+        std::vector<Saved> saved(layers_.size());
+        for (auto i = static_cast<size_t>(first);
+             i < static_cast<size_t>(last); ++i) {
+            // The chunk holding image 0 adds to the accumulators in
+            // place, as the serial loop does; later chunks keep
+            // partials.
+            std::vector<std::vector<Tensor>> *partial = nullptr;
+            if (first != 0) {
+                partials[i].resize(layers_.size());
+                partial = &partials[i];
+            }
+            losses[i] = trainImage(inputs[i], labels[i], layer_inputs,
+                                   saved, partial);
+        }
+    });
+    // Serial ascending-image reduction of the later chunks' partials.
     double total_loss = 0.0;
-    for (size_t i = 0; i < inputs.size(); ++i) {
-        const LossResult seed =
-            lossFor(loss_, forward(inputs[i]), labels[i]);
-        total_loss += seed.loss;
-        backward(seed.delta);
+    for (size_t i = 0; i < batch; ++i) {
+        total_loss += losses[i];
+        for (size_t l = 0; l < partials[i].size(); ++l)
+            layers_[l]->addGrads(partials[i][l]);
     }
-    applyUpdate(lr, static_cast<int64_t>(inputs.size()));
-    return total_loss / static_cast<double>(inputs.size());
+    applyUpdate(lr, static_cast<int64_t>(batch));
+    return total_loss / static_cast<double>(batch);
 }
 
 int64_t
@@ -116,11 +139,14 @@ Network::accuracy(const std::vector<Tensor> &inputs,
     PL_ASSERT(inputs.size() == labels.size(), "bad eval set");
     if (inputs.empty())
         return 0.0;
-    int64_t correct = 0;
-    for (size_t i = 0; i < inputs.size(); ++i) {
-        if (predict(inputs[i]) == labels[i])
-            ++correct;
-    }
+    std::vector<uint8_t> hit(inputs.size());
+    parallel_for(0, static_cast<int64_t>(inputs.size()),
+                 [&](int64_t first, int64_t last) {
+        for (auto i = static_cast<size_t>(first);
+             i < static_cast<size_t>(last); ++i)
+            hit[i] = predict(inputs[i]) == labels[i] ? 1 : 0;
+    });
+    const auto correct = std::count(hit.begin(), hit.end(), 1);
     return static_cast<double>(correct) /
            static_cast<double>(inputs.size());
 }

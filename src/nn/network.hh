@@ -26,22 +26,22 @@ namespace nn {
 /**
  * A sequential network.
  *
- * Training protocol (matches the paper's batched pipeline, §3.3):
- * @code
- *   net.zeroGrads();
- *   for (input, label in batch) {
- *       auto out = net.forward(input);
- *       auto [loss, delta] = lossFor(net.lossKind(), out, label);
- *       net.backward(delta);
- *   }
- *   net.applyUpdate(lr, batch_size);
- * @endcode
+ * Training protocol (matches the paper's batched update, §4.4):
+ * trainBatch() zeroes the gradient accumulators, runs forward → loss
+ * → error pass for every image of the minibatch, adds each image's
+ * ∂W/∂b to the accumulators in ascending image order, and applies one
+ * batch-averaged update.  The images are independent until that sum,
+ * so trainBatch runs them as one pool job over contiguous image
+ * chunks: the chunk holding image 0 accumulates in place, the others
+ * keep each image's Layer::imageGrads() as partials, and after the
+ * join those are added serially in image order.  Every accumulator
+ * thus sees ((0 + g0) + g1) + ... at any thread count (DESIGN.md §7).
+ * accuracy() scores its images the same way, one hit per image.
  *
- * The layers themselves are stateless per image (layer.hh): forward()
- * keeps each layer's input and Saved state for the one image in
- * flight, and backward() consumes them.  PipelinedTrainer drives the
- * same layers with many images in flight, holding that state in its
- * stage buffers instead.
+ * The layers themselves are stateless per image (layer.hh): each
+ * chunk keeps one image's layer inputs and Saved state at a time.
+ * PipelinedTrainer drives the same layers with many images in
+ * flight, holding that state in its stage buffers instead.
  */
 class Network
 {
@@ -56,21 +56,8 @@ class Network
     /** Append a layer; shapes are validated immediately. */
     void add(LayerPtr layer);
 
-    /**
-     * Forward one sample through every layer (training mode),
-     * keeping what backward() needs for it.
-     */
-    Tensor forward(const Tensor &input);
-
     /** Forward one sample, keeping nothing (inference mode). */
     Tensor infer(const Tensor &input) const;
-
-    /**
-     * Backward the output error of the last forward() sample through
-     * every layer, accumulating each layer's gradients.  Layer 0's
-     * input error is not computed: nothing reads it.
-     */
-    void backward(const Tensor &delta_out);
 
     /** Clear all accumulated gradients. */
     void zeroGrads();
@@ -81,7 +68,10 @@ class Network
     /** Enable SGD momentum on every parameterised layer. */
     void setMomentum(float momentum);
 
-    /** One full training step over a batch; returns the mean loss. */
+    /**
+     * One full training step over a batch (the protocol above);
+     * returns the mean loss.
+     */
     double trainBatch(const std::vector<Tensor> &inputs,
                       const std::vector<int64_t> &labels, float lr);
 
@@ -113,13 +103,24 @@ class Network
     std::string describe() const;
 
   private:
+    /**
+     * Forward, loss and error pass of one training image; returns its
+     * loss.  @p layer_inputs and @p saved hold layer l's input and
+     * Saved state, reused across a chunk's images.  Layer l's
+     * gradients are added to its accumulators when @p partials is
+     * null, else stored in (*partials)[l].  Layer 0's input error is
+     * not computed: nothing reads it.
+     */
+    double trainImage(const Tensor &input, int64_t label,
+                      std::vector<Tensor> &layer_inputs,
+                      std::vector<Saved> &saved,
+                      std::vector<std::vector<Tensor>> *partials);
+
     std::string name_;
     Shape input_shape_;
     LossKind loss_;
     std::vector<LayerPtr> layers_;
     std::vector<Shape> shapes_; //!< shapes_[i] feeds layer i; back() is out
-    std::vector<Tensor> inputs_; //!< layer i's input in the last forward()
-    std::vector<Saved> saved_;   //!< layer i's Saved from the last forward()
 };
 
 } // namespace nn

@@ -26,7 +26,7 @@ allParams(nn::Network &net)
 } // namespace
 
 QatResult
-trainQuantized(nn::Network &net, nn::Dataset &train,
+trainQuantized(nn::Network &net, const nn::Dataset &train,
                const nn::Dataset &test, const QatConfig &config, Rng &rng)
 {
     PL_ASSERT(config.batch_size >= 1 && config.epochs >= 1,
@@ -48,11 +48,12 @@ trainQuantized(nn::Network &net, nn::Dataset &train,
     QatResult result;
     const auto bsz = static_cast<size_t>(config.batch_size);
     std::vector<Tensor> readable(params.size());
+    nn::Dataset order = train;
     for (int64_t epoch = 0; epoch < config.epochs; ++epoch) {
-        train.shuffle(rng);
+        order.shuffle(rng);
         double loss = 0.0;
         int64_t batches = 0;
-        for (size_t s = 0; s + bsz <= train.size(); s += bsz) {
+        for (size_t s = 0; s + bsz <= order.size(); s += bsz) {
             // The readable (cell-resolution) weights drive the
             // forward/backward computation.
             deploy();
@@ -60,11 +61,11 @@ trainQuantized(nn::Network &net, nn::Dataset &train,
                 readable[k] = *params[k];
 
             std::vector<Tensor> inputs(
-                train.inputs.begin() + static_cast<ptrdiff_t>(s),
-                train.inputs.begin() + static_cast<ptrdiff_t>(s + bsz));
+                order.inputs.begin() + static_cast<ptrdiff_t>(s),
+                order.inputs.begin() + static_cast<ptrdiff_t>(s + bsz));
             std::vector<int64_t> labels(
-                train.labels.begin() + static_cast<ptrdiff_t>(s),
-                train.labels.begin() + static_cast<ptrdiff_t>(s + bsz));
+                order.labels.begin() + static_cast<ptrdiff_t>(s),
+                order.labels.begin() + static_cast<ptrdiff_t>(s + bsz));
             loss += net.trainBatch(inputs, labels, config.learning_rate);
             ++batches;
 

@@ -46,9 +46,12 @@ struct QatResult
  * evaluate on @p test; the network is left holding the quantised
  * deployment weights.
  *
- * @param rng drives the per-epoch shuffling (deterministic).
+ * @param train starting sample order; each epoch shuffles a private
+ *        copy, so @p train itself is left as given.
+ * @param rng drives the per-epoch shuffling (deterministic; the draws
+ *        depend only on the sample count, not on the data).
  */
-QatResult trainQuantized(nn::Network &net, nn::Dataset &train,
+QatResult trainQuantized(nn::Network &net, const nn::Dataset &train,
                          const nn::Dataset &test, const QatConfig &config,
                          Rng &rng);
 

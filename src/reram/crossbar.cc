@@ -202,10 +202,9 @@ CrossbarArray::matVecWeightedBatch(const int64_t *row_weight,
     const int64_t *cell_p = cells_.data();
     const gemmk::Kernels &kern = gemmk::activeKernels();
     // Chunking is free to vary (integer sums are order-independent);
-    // a 64-column grain keeps each dispatched axpy long enough to
-    // amortise its call overhead while still splitting one array
-    // across workers.
-    parallel_for(0, n_cols, /*grain=*/64, [&](int64_t c0, int64_t c1) {
+    // each column costs one multiply-add per driven row and window.
+    parallel_for(0, n_cols, /*work_per_index=*/rows_used * batch,
+                 [&](int64_t c0, int64_t c1) {
         const int64_t len = c1 - c0;
         for (int64_t r = 0; r < rows_used; ++r) {
             const int64_t *cell_row = cell_p + r * n_cols + c0;

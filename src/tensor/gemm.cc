@@ -22,7 +22,8 @@ gemmNT(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
     // add chains on scalar) hide FP-add latency, so no cross-output
     // register blocking is needed.
     const gemmk::Kernels &kern = gemmk::activeKernels();
-    parallel_for(0, n, /*grain=*/16, [&](int64_t j0, int64_t j1) {
+    parallel_for(0, n, /*work_per_index=*/m * k,
+                 [&](int64_t j0, int64_t j1) {
         for (int64_t i = 0; i < m; ++i) {
             const float *ai = a + i * lda;
             const double bi = bias ? static_cast<double>(bias[i]) : 0.0;
@@ -46,7 +47,7 @@ gemmNN(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
     const gemmk::Kernels &kern = gemmk::activeKernels();
     arena::ScopedBuf<float> bt(static_cast<size_t>(n * k));
     float *btp = bt.data();
-    parallel_for(0, n, /*grain=*/64, [&](int64_t j0, int64_t j1) {
+    parallel_for(0, n, /*work_per_index=*/k, [&](int64_t j0, int64_t j1) {
         for (int64_t p = 0; p < k; ++p) {
             const float *bp = b + p * ldb;
             for (int64_t j = j0; j < j1; ++j)
@@ -55,7 +56,8 @@ gemmNN(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
     });
     // Parallel over columns of C, exactly like gemmNT: a chunk owns a
     // disjoint column stripe of every output row.
-    parallel_for(0, n, /*grain=*/16, [&](int64_t j0, int64_t j1) {
+    parallel_for(0, n, /*work_per_index=*/m * k,
+                 [&](int64_t j0, int64_t j1) {
         for (int64_t i = 0; i < m; ++i) {
             const float *ai = a + i * lda;
             float *ci = c + i * ldc;
@@ -71,7 +73,7 @@ gemv(int64_t m, int64_t n, const float *w, int64_t ldw, const float *x,
 {
     // One lane-based dot product per row; rows are independent.
     const gemmk::Kernels &kern = gemmk::activeKernels();
-    parallel_for(0, m, /*grain=*/16, [&](int64_t i0, int64_t i1) {
+    parallel_for(0, m, /*work_per_index=*/n, [&](int64_t i0, int64_t i1) {
         for (int64_t i = i0; i < i1; ++i)
             y[i] = kern.dot_lanes(w + i * ldw, x, n, 0.0);
     });
@@ -86,7 +88,7 @@ gevm(int64_t m, int64_t n, const float *w, int64_t ldw, const float *x,
     // ranges, so no accumulator is shared; the axpy vectorises across
     // independent columns without reordering any column's row walk.
     const gemmk::Kernels &kern = gemmk::activeKernels();
-    parallel_for(0, n, /*grain=*/64, [&](int64_t j0, int64_t j1) {
+    parallel_for(0, n, /*work_per_index=*/m, [&](int64_t j0, int64_t j1) {
         for (int64_t i = 0; i < m; ++i)
             kern.axpy_f32(y + j0, w + i * ldw + j0, x[i], j1 - j0);
     });
@@ -97,7 +99,7 @@ ger(int64_t m, int64_t n, const float *x, const float *y, float *c,
     int64_t ldc)
 {
     const gemmk::Kernels &kern = gemmk::activeKernels();
-    parallel_for(0, m, /*grain=*/16, [&](int64_t i0, int64_t i1) {
+    parallel_for(0, m, /*work_per_index=*/n, [&](int64_t i0, int64_t i1) {
         for (int64_t i = i0; i < i1; ++i)
             kern.scale_f32(c + i * ldc, y, x[i], n);
     });

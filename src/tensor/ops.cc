@@ -41,7 +41,8 @@ im2colPack(const float *in_p, int64_t c, int64_t h, int64_t w,
 {
     PL_PROF_SCOPE("tensor.im2col");
     const int64_t patch = c * kh * kw;
-    parallel_for(0, ho * wo, /*grain=*/8, [&](int64_t r0, int64_t r1) {
+    parallel_for(0, ho * wo, /*work_per_index=*/patch,
+                 [&](int64_t r0, int64_t r1) {
         for (int64_t row = r0; row < r1; ++row) {
             const int64_t oy = row / wo;
             const int64_t ox = row % wo;

@@ -343,6 +343,74 @@ TEST(LayerContract, InterleavedImagesMatchOneAtATime)
     }
 }
 
+TEST(LayerContract, AccumulateGradsAddsImageGrads)
+{
+    // accumulateGrads() is exactly `gradients()[k] += imageGrads()[k]`
+    // (the floats trainBatch adds from a partial after its join), and
+    // imageGrads() leaves the accumulators alone.
+    struct Case
+    {
+        std::function<LayerPtr()> make;
+        Shape input;
+    };
+    const std::vector<Case> cases = {
+        {[] {
+             Rng rng(30);
+             return std::make_unique<ConvLayer>(2, 3, 3, 1, 1, rng);
+         },
+         {2, 6, 6}},
+        {[] {
+             Rng rng(31);
+             return std::make_unique<ConvLayer>(3, 4, 2, 1, 0, rng);
+         },
+         {3, 5, 5}},
+        {[] {
+             Rng rng(32);
+             return std::make_unique<InnerProductLayer>(12, 5, rng);
+         },
+         {3, 2, 2}},
+    };
+    Rng rng(33);
+    for (const Case &c : cases) {
+        LayerPtr direct = c.make();
+        LayerPtr by_partial = c.make();
+        SCOPED_TRACE(direct->describe());
+        const Shape out_shape = direct->outputShape(c.input);
+        const Tensor x0 = Tensor::randn(c.input, rng);
+        const Tensor d0 = Tensor::randn(out_shape, rng);
+        const Tensor x1 = Tensor::randn(c.input, rng);
+        const Tensor d1 = Tensor::randn(out_shape, rng);
+
+        // A nonzero accumulator first, so the add is not from zero.
+        direct->accumulateGrads(x0, d0);
+        by_partial->accumulateGrads(x0, d0);
+        std::vector<Tensor> before;
+        for (const Tensor *g : by_partial->gradients())
+            before.push_back(*g);
+
+        direct->accumulateGrads(x1, d1);
+        const std::vector<Tensor> partial = by_partial->imageGrads(x1, d1);
+        const auto grads = by_partial->gradients();
+        ASSERT_EQ(partial.size(), grads.size());
+        ASSERT_EQ(grads.size(), 2u);
+        for (size_t k = 0; k < grads.size(); ++k) {
+            expectSameBytes(*grads[k], before[k]);
+            ASSERT_EQ(partial[k].shape(), grads[k]->shape());
+            *grads[k] += partial[k];
+        }
+        const auto want = direct->gradients();
+        for (size_t k = 0; k < grads.size(); ++k)
+            expectSameBytes(*grads[k], *want[k]);
+    }
+
+    // Parameter-free layers have no partials and nothing to add.
+    const Tensor x = Tensor::randn({2, 4, 4}, rng);
+    ReluLayer relu;
+    EXPECT_TRUE(relu.imageGrads(x, x).empty());
+    relu.accumulateGrads(x, x);
+    EXPECT_TRUE(relu.gradients().empty());
+}
+
 TEST(Loss, L2LossValueAndDelta)
 {
     Tensor y({2});

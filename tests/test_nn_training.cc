@@ -79,10 +79,15 @@ TEST(Network, ParameterCount)
 
 TEST(Network, ForwardInferAgree)
 {
+    // A training-mode pass (every layer fills its Saved) and infer()
+    // compute the same output.
     Rng rng(3);
     Network net = smallCnn(rng);
     const Tensor x = Tensor::randn({1, 8, 8}, rng);
-    const Tensor a = net.forward(x);
+    Tensor a = x;
+    std::vector<Saved> saved(net.numLayers());
+    for (size_t l = 0; l < net.numLayers(); ++l)
+        a = net.layer(l).forward(a, &saved[l]);
     const Tensor b = net.infer(x);
     for (int64_t i = 0; i < a.numel(); ++i)
         EXPECT_FLOAT_EQ(a.at(i), b.at(i));
@@ -287,9 +292,10 @@ struct PinnedStep
 
 /**
  * Run trainBatch over consecutive @p batch-image slices of @p data,
- * one per pin, on a fresh net from @p make at one and at four
- * threads; every step must reproduce its pinned loss and parameter
- * hash bit for bit.
+ * one per pin, on a fresh net from @p make at one to four threads
+ * (uneven image chunks, and the in-place first chunk beside later
+ * chunks' partials); every step must reproduce its pinned loss and
+ * parameter hash bit for bit.
  */
 template <typename Make>
 void
@@ -297,7 +303,7 @@ expectPinned(Make make, const Dataset &data, size_t batch, float lr,
              const std::vector<PinnedStep> &pins)
 {
     const int64_t saved = threadCount();
-    for (const int64_t threads : {1, 4}) {
+    for (const int64_t threads : {1, 2, 3, 4}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         setThreadCount(threads);
         Network net = make();
@@ -377,6 +383,55 @@ TEST(NetworkPinned, CnnWithMomentum)
         {{2.3975594065221171, 0xe102ce8c8afef7f3ull},
          {1.2423946794926644, 0x4306ff3c27568d93ull},
          {1.5609913260933845, 0x3a42805f87c7ea4cull}});
+}
+
+TEST(NetworkPinned, BatchSmallerThanThreads)
+{
+    // B = 3: at four threads one chunk per image, and a thread idle.
+    expectPinned(
+        [] {
+            Rng rng(25);
+            return smallCnn(rng);
+        },
+        shuffledTrain(26), 3, 0.1f,
+        {{4.5364597177334254, 0x8554a50067bf636eull},
+         {2.6548442335550022, 0x8184bebddf7e32a0ull},
+         {1.4058826467652501, 0x3b7002e14d3307d6ull}});
+}
+
+TEST(Network, AccuracyIsThreadCountInvariant)
+{
+    // 37 test images: a multiple of no thread count in {2, 3, 4}.
+    Rng rng(27);
+    Network net = smallCnn(rng);
+    const Dataset train = shuffledTrain(28);
+    for (size_t b = 0; b + 8 <= 64; b += 8) {
+        const std::vector<Tensor> inputs(
+            train.inputs.begin() + static_cast<std::ptrdiff_t>(b),
+            train.inputs.begin() + static_cast<std::ptrdiff_t>(b + 8));
+        const std::vector<int64_t> labels(
+            train.labels.begin() + static_cast<std::ptrdiff_t>(b),
+            train.labels.begin() + static_cast<std::ptrdiff_t>(b + 8));
+        net.trainBatch(inputs, labels, 0.05f);
+    }
+    const Dataset test = smallTask().test.head(37);
+    ASSERT_EQ(test.size(), 37u);
+
+    int64_t correct = 0;
+    for (size_t i = 0; i < test.size(); ++i)
+        correct += net.predict(test.inputs[i]) == test.labels[i] ? 1 : 0;
+    const double expected = static_cast<double>(correct) / 37.0;
+    // A trained but imperfect net, so a miscounted hit would show.
+    EXPECT_GT(correct, 0);
+    EXPECT_LT(correct, 37);
+
+    const int64_t saved = threadCount();
+    for (const int64_t threads : {1, 2, 3, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        setThreadCount(threads);
+        EXPECT_EQ(net.accuracy(test.inputs, test.labels), expected);
+    }
+    setThreadCount(saved);
 }
 
 } // namespace

@@ -13,13 +13,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/buffers.hh"
+#include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "core/pipelined_trainer.hh"
@@ -57,71 +62,188 @@ bitIdentical(const Tensor &a, const Tensor &b)
                            static_cast<size_t>(a.numel())) == 0;
 }
 
+/** Every (begin, end) chunk one parallel_for call hands its body. */
+class ChunkLog
+{
+  public:
+    std::function<void(int64_t, int64_t)> body()
+    {
+        return [this](int64_t b, int64_t e) {
+            std::lock_guard<std::mutex> lk(mu_);
+            chunks_.emplace_back(b, e);
+        };
+    }
+
+    /** The chunks sorted by begin; they must tile [begin, end). */
+    std::vector<std::pair<int64_t, int64_t>> sorted()
+    {
+        std::sort(chunks_.begin(), chunks_.end());
+        return chunks_;
+    }
+
+  private:
+    std::mutex mu_;
+    std::vector<std::pair<int64_t, int64_t>> chunks_;
+};
+
 TEST(ParallelFor, CoversRangeExactlyOnce)
 {
     ThreadCountGuard guard(4);
-    std::vector<std::atomic<int>> hits(1000);
-    parallel_for(0, 1000, 7, [&](int64_t b, int64_t e) {
-        for (int64_t i = b; i < e; ++i)
-            ++hits[static_cast<size_t>(i)];
-    });
-    for (const auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
+    // Above the floor (four indices fill a chunk), below it, and the
+    // coarse one-index-per-chunk form.
+    for (const int64_t work : {kMinChunkWork / 4, int64_t{1}, int64_t{0}}) {
+        SCOPED_TRACE("work " + std::to_string(work));
+        std::vector<std::atomic<int>> hits(1000);
+        auto mark = [&](int64_t b, int64_t e) {
+            for (int64_t i = b; i < e; ++i)
+                ++hits[static_cast<size_t>(i)];
+        };
+        if (work > 0)
+            parallel_for(0, 1000, work, mark);
+        else
+            parallel_for(0, 1000, mark);
+        for (const auto &h : hits)
+            EXPECT_EQ(h.load(), 1);
+    }
+}
+
+TEST(ParallelFor, ChunksCarryTheWorkFloor)
+{
+    ThreadCountGuard guard(4);
+    const int64_t half = kMinChunkWork / 2;
+    using Chunks = std::vector<std::pair<int64_t, int64_t>>;
+    {
+        // Exactly two floors of work: two chunks, not four.
+        ChunkLog log;
+        parallel_for(0, 4, half, log.body());
+        EXPECT_EQ(log.sorted(), (Chunks{{0, 2}, {2, 4}}));
+    }
+    {
+        // Enough work for many floors: one chunk per thread.
+        ChunkLog log;
+        parallel_for(0, 100, kMinChunkWork, log.body());
+        EXPECT_EQ(log.sorted(),
+                  (Chunks{{0, 25}, {25, 50}, {50, 75}, {75, 100}}));
+    }
+    {
+        // The coarse form: every index is worth a chunk.
+        ChunkLog log;
+        parallel_for(0, 3, log.body());
+        EXPECT_EQ(log.sorted(), (Chunks{{0, 1}, {1, 2}, {2, 3}}));
+    }
 }
 
 TEST(ParallelFor, EmptyAndTinyRanges)
 {
     ThreadCountGuard guard(4);
     int calls = 0;
-    parallel_for(5, 5, 1, [&](int64_t, int64_t) { ++calls; });
+    parallel_for(5, 5, kMinChunkWork, [&](int64_t, int64_t) { ++calls; });
+    parallel_for(5, 5, [&](int64_t, int64_t) { ++calls; });
     EXPECT_EQ(calls, 0);
-    // A range below 2*grain runs inline in one piece.
-    parallel_for(0, 3, 2, [&](int64_t b, int64_t e) {
+    // A range that cannot fill two chunks of at least the floor runs
+    // inline in one piece: 1.5 floors, three indices just below one
+    // floor each, and a huge range of 1-op indices.
+    auto whole = [&](int64_t b, int64_t e) {
         EXPECT_EQ(b, 0);
         EXPECT_EQ(e, 3);
         ++calls;
+    };
+    parallel_for(0, 3, kMinChunkWork / 2, whole);
+    parallel_for(0, 3, kMinChunkWork - 1, whole);
+    EXPECT_EQ(calls, 2);
+    parallel_for(0, 2 * kMinChunkWork - 1, 1,
+                 [&](int64_t b, int64_t e) {
+                     EXPECT_EQ(b, 0);
+                     EXPECT_EQ(e, 2 * kMinChunkWork - 1);
+                     ++calls;
+                 });
+    // A one-index coarse loop runs inline too.
+    parallel_for(7, 8, [&](int64_t b, int64_t e) {
+        EXPECT_EQ(b, 7);
+        EXPECT_EQ(e, 8);
+        EXPECT_FALSE(inParallelRegion());
+        ++calls;
     });
-    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(calls, 4);
 }
 
 TEST(ParallelFor, NestedCallsRunInline)
 {
     ThreadCountGuard guard(4);
     std::atomic<int> inner_regions{0};
-    parallel_for(0, 8, 1, [&](int64_t b, int64_t e) {
+    parallel_for(0, 8, [&](int64_t b, int64_t e) {
         EXPECT_TRUE(inParallelRegion());
         for (int64_t i = b; i < e; ++i) {
-            parallel_for(0, 100, 1, [&](int64_t ib, int64_t ie) {
+            auto inner = [&](int64_t ib, int64_t ie) {
                 // Nested region must arrive as one inline chunk.
                 EXPECT_EQ(ib, 0);
                 EXPECT_EQ(ie, 100);
                 ++inner_regions;
-            });
+            };
+            parallel_for(0, 100, kMinChunkWork, inner);
+            parallel_for(0, 100, inner);
         }
     });
     EXPECT_FALSE(inParallelRegion());
-    EXPECT_EQ(inner_regions.load(), 8);
+    EXPECT_EQ(inner_regions.load(), 16);
 }
 
 TEST(ParallelFor, SerialFallbackRunsCallerOnly)
 {
     ThreadCountGuard guard(1);
     int calls = 0;
-    parallel_for(0, 10000, 1, [&](int64_t b, int64_t e) {
+    auto whole = [&](int64_t b, int64_t e) {
         EXPECT_EQ(b, 0);
         EXPECT_EQ(e, 10000);
+        EXPECT_FALSE(inParallelRegion());
         ++calls;
-    });
-    EXPECT_EQ(calls, 1);
+    };
+    parallel_for(0, 10000, kMinChunkWork, whole);
+    parallel_for(0, 10000, whole);
+    EXPECT_EQ(calls, 2);
+}
+
+TEST(ThreadCount, OutOfRangeIsRejected)
+{
+    ThreadCountGuard guard(2);
+    EXPECT_THROW(setThreadCount(0), ConfigError);
+    EXPECT_THROW(setThreadCount(-3), ConfigError);
+    EXPECT_THROW(setThreadCount(kMaxThreads + 1), ConfigError);
+    EXPECT_EQ(threadCount(), 2); // a rejected value changes nothing
+    setThreadCount(kMaxThreads);
+    EXPECT_EQ(threadCount(), kMaxThreads);
+}
+
+TEST(ThreadCount, ParseIsExact)
+{
+    EXPECT_EQ(parseThreadCount("1", "--threads"), 1);
+    EXPECT_EQ(parseThreadCount("256", "--threads"), 256);
+    for (const char *bad : {"", "0", "-3", "+4", " 4", "4 ", "4.0", "abc",
+                            "257", "300", "99999999999999999999"}) {
+        SCOPED_TRACE(bad);
+        try {
+            parseThreadCount(bad, "PL_THREADS");
+            ADD_FAILURE() << "accepted";
+        } catch (const ConfigError &e) {
+            // The message names the input and the cap.
+            EXPECT_NE(std::string(e.what()).find("PL_THREADS"),
+                      std::string::npos);
+            EXPECT_NE(std::string(e.what()).find("256"),
+                      std::string::npos);
+        }
+    }
 }
 
 TEST(ParallelDeterminism, Conv2dForwardAndBackward)
 {
+    // Big enough that both GEMMs reach the pool: 32 x 144 x 1024
+    // multiply-adds each.
+    ASSERT_GE(32 * 144 * 1024, 4 * kMinChunkWork);
     Rng rng(21);
-    const Tensor in = Tensor::randn({8, 14, 14}, rng);
-    const Tensor k = Tensor::randn({16, 8, 3, 3}, rng);
-    const Tensor b = Tensor::randn({16}, rng);
-    const Tensor delta = Tensor::randn({16, 14, 14}, rng);
+    const Tensor in = Tensor::randn({16, 32, 32}, rng);
+    const Tensor k = Tensor::randn({32, 16, 3, 3}, rng);
+    const Tensor b = Tensor::randn({32}, rng);
+    const Tensor delta = Tensor::randn({32, 32, 32}, rng);
 
     Tensor fwd_serial, bwd_serial;
     {
@@ -143,10 +265,12 @@ TEST(ParallelDeterminism, Conv2dForwardAndBackward)
 
 TEST(ParallelDeterminism, MatVecFamily)
 {
+    // 4096 x 1024 multiply-adds per op: enough to reach the pool.
+    ASSERT_GE(4096 * 1024, 4 * kMinChunkWork);
     Rng rng(22);
-    const Tensor w = Tensor::randn({300, 200}, rng);
-    const Tensor x = Tensor::randn({200}, rng);
-    const Tensor y = Tensor::randn({300}, rng);
+    const Tensor w = Tensor::randn({4096, 1024}, rng);
+    const Tensor x = Tensor::randn({1024}, rng);
+    const Tensor y = Tensor::randn({4096}, rng);
 
     Tensor mv_serial, mvt_serial, outer_serial;
     {
@@ -165,7 +289,14 @@ TEST(ParallelDeterminism, MatVecFamily)
 
 TEST(ParallelDeterminism, CrossbarMatVec)
 {
-    const reram::DeviceParams params;
+    // Sixteen windows over a 512x512 array, 4M cell multiply-adds:
+    // enough to reach the pool.
+    reram::DeviceParams params;
+    params.array_rows = 512;
+    params.array_cols = 512;
+    constexpr int64_t kWindows = 16;
+    ASSERT_GE(params.array_rows * params.array_cols * kWindows,
+              4 * kMinChunkWork);
     auto program = [&](reram::CrossbarArray &array, Rng &rng) {
         for (int64_t r = 0; r < params.array_rows; ++r)
             for (int64_t c = 0; c < params.array_cols; ++c)
@@ -173,25 +304,25 @@ TEST(ParallelDeterminism, CrossbarMatVec)
                     r, c, static_cast<int64_t>(rng.uniformInt(16)));
     };
     std::vector<int64_t> codes(
-        static_cast<size_t>(params.array_rows));
+        static_cast<size_t>(kWindows * params.array_rows));
     Rng code_rng(23);
     for (auto &code : codes)
         code = static_cast<int64_t>(code_rng.uniformInt(65536));
 
-    std::vector<int64_t> serial_out;
-    {
-        ThreadCountGuard guard(1);
-        Rng rng(24);
-        reram::CrossbarArray array(params);
-        program(array, rng);
-        serial_out = array.matVecCodes(codes);
-    }
-    for (int64_t threads : {2, 4}) {
+    auto run = [&](int64_t threads) {
         ThreadCountGuard guard(threads);
         Rng rng(24);
         reram::CrossbarArray array(params);
         program(array, rng);
-        EXPECT_EQ(serial_out, array.matVecCodes(codes))
+        std::vector<int64_t> out(
+            static_cast<size_t>(kWindows * params.array_cols));
+        array.matVecCodesBatch(codes.data(), kWindows, params.array_rows,
+                               out.data());
+        return out;
+    };
+    const std::vector<int64_t> serial_out = run(1);
+    for (int64_t threads : {2, 4}) {
+        EXPECT_EQ(serial_out, run(threads))
             << "crossbar matVec diverged at " << threads << " threads";
     }
 }

@@ -171,15 +171,9 @@ TEST(PipelinedTrainer, L2LossVariantAgrees)
     PipelinedTrainer trainer(piped);
     trainer.trainBatch(inputs, labels, 0.2f);
 
-    // Sequential L2 training via the network protocol.
-    serial.zeroGrads();
-    for (size_t i = 0; i < inputs.size(); ++i) {
-        const Tensor out = serial.forward(inputs[i]);
-        Tensor target(out.shape());
-        target.at(labels[i]) = 1.0f;
-        serial.backward(nn::l2Loss(out, target).delta);
-    }
-    serial.applyUpdate(0.2f, static_cast<int64_t>(inputs.size()));
+    // Sequential L2 training: trainBatch seeds δ_L through lossFor,
+    // the one-hot l2Loss for an L2 network.
+    serial.trainBatch(inputs, labels, 0.2f);
     expectSameParams(piped, serial);
 }
 

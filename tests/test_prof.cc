@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hh"
@@ -140,7 +142,8 @@ TEST_F(ProfTest, ReportJsonMatchesDocumentedSchema)
     EXPECT_EQ(v.at("profile_version").asInt(), 1);
     ASSERT_TRUE(v.find("sites"));
     ASSERT_TRUE(v.find("pool"));
-    for (const char *key : {"jobs", "chunks", "queue_wait_ns", "workers"})
+    for (const char *key : {"jobs", "chunks", "queue_wait_ns", "workers",
+                            "wall_ns", "threads", "efficiency"})
         EXPECT_TRUE(v.at("pool").find(key)) << key;
 
     bool found = false;
@@ -177,16 +180,21 @@ TEST_F(ProfTest, PoolUtilizationCoversAllChunks)
     const int64_t saved = threadCount();
     setThreadCount(4);
     std::vector<double> out(1 << 12);
-    parallel_for(0, static_cast<int64_t>(out.size()), 1,
-                 [&](int64_t begin, int64_t end) {
-                     for (int64_t i = begin; i < end; ++i)
-                         out[static_cast<size_t>(i)] = 0.5 * i;
-                 });
+    auto fill = [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i)
+            out[static_cast<size_t>(i)] = 0.5 * static_cast<double>(i);
+    };
+    // Below the work floor: inline, no job.
+    parallel_for(0, static_cast<int64_t>(out.size()), 1, fill);
+    EXPECT_EQ(prof::snapshot().pool.jobs, 0u);
+    // Above it: one job of one chunk per thread.
+    parallel_for(0, static_cast<int64_t>(out.size()), kMinChunkWork,
+                 fill);
     setThreadCount(saved);
 
     const prof::Report report = prof::snapshot();
-    EXPECT_GE(report.pool.jobs, 1u);
-    EXPECT_GE(report.pool.chunks, 1u);
+    EXPECT_EQ(report.pool.jobs, 1u);
+    EXPECT_EQ(report.pool.chunks, 4u);
     ASSERT_FALSE(report.pool.workers.empty());
     uint64_t worker_chunks = 0;
     for (const auto &w : report.pool.workers) {
@@ -195,6 +203,16 @@ TEST_F(ProfTest, PoolUtilizationCoversAllChunks)
         worker_chunks += w.chunks;
     }
     EXPECT_EQ(worker_chunks, report.pool.chunks);
+
+    // Efficiency = busy ÷ (wall × threads), in the JSON too.
+    EXPECT_GT(report.pool.wall_ns, 0u);
+    EXPECT_EQ(report.pool.threads, saved);
+    const json::Value pool = report.toJson().at("pool");
+    const double efficiency = pool.at("efficiency").asNumber();
+    EXPECT_TRUE(std::isfinite(efficiency));
+    EXPECT_GT(efficiency, 0.0);
+    EXPECT_EQ(efficiency, report.pool.efficiency);
+    EXPECT_EQ(pool.at("threads").asInt(), saved);
 }
 
 // ---------------------------------------------------------------------
@@ -211,6 +229,49 @@ profMlp(uint64_t seed)
     net.add(std::make_unique<nn::SigmoidLayer>());
     net.add(std::make_unique<nn::InnerProductLayer>(24, 4, rng));
     return net;
+}
+
+/** A batch of @p n random 1x8x8 images with labels in [0, 4). */
+std::pair<std::vector<Tensor>, std::vector<int64_t>>
+randomBatch(int64_t n, Rng &rng)
+{
+    std::vector<Tensor> inputs;
+    std::vector<int64_t> labels;
+    for (int64_t i = 0; i < n; ++i) {
+        Tensor t({1, 8, 8});
+        for (int64_t j = 0; j < t.numel(); ++j)
+            t.at(j) = static_cast<float>(rng.uniform());
+        inputs.push_back(std::move(t));
+        labels.push_back(static_cast<int64_t>(rng.uniformInt(4)));
+    }
+    return {std::move(inputs), std::move(labels)};
+}
+
+TEST_F(ProfTest, TrainBatchPostsOneJobPerMinibatch)
+{
+    // The minibatch's images are the pool job; every tensor op inside
+    // an image runs inline on its worker.  A kernel call below the
+    // work floor posts nothing either.
+    Rng rng(40);
+    auto [inputs, labels] = randomBatch(10, rng);
+    const int64_t saved = threadCount();
+    for (const int64_t threads : {int64_t{4}, int64_t{1}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        setThreadCount(threads);
+        nn::Network net = profMlp(41);
+        prof::reset();
+        net.trainBatch(inputs, labels, 0.05f);
+        const prof::Report report = prof::snapshot();
+        EXPECT_EQ(report.pool.jobs, threads == 1 ? 0u : 1u);
+        EXPECT_EQ(report.pool.chunks, threads == 1 ? 0u : 4u);
+
+        prof::reset();
+        const Tensor w = Tensor::randn({64, 64}, rng);
+        const Tensor x = Tensor::randn({64}, rng);
+        (void)ops::matVec(w, x);
+        EXPECT_EQ(prof::snapshot().pool.jobs, 0u);
+    }
+    setThreadCount(saved);
 }
 
 /**
