@@ -70,9 +70,15 @@ main(int argc, char **argv)
     const workloads::NetworkSpec spec = workloads::networkByName(name);
     // --device=FILE loads calibration overrides (see DESIGN.md §5).
     const std::string device_file = args.str("device");
-    const reram::DeviceParams params = device_file.empty()
-        ? reram::DeviceParams::paperDefault()
-        : reram::loadDeviceParams(device_file);
+    reram::DeviceParams params = reram::DeviceParams::paperDefault();
+    if (!device_file.empty()) {
+        try {
+            params = reram::loadDeviceParams(device_file);
+        } catch (const ConfigError &err) {
+            std::cerr << "design_explorer: " << err.what() << "\n";
+            return 1;
+        }
+    }
     // --budget=<mm^2> invokes the §5.2 "optimized by compiler" path:
     // the largest granularity that fits the area budget.
     const double budget = args.number("budget", 0.0);

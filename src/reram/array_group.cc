@@ -23,8 +23,7 @@ ArrayGroup::ArrayGroup(const DeviceParams &params, const Tensor &weight)
     : params_(params)
 {
     PL_ASSERT(weight.rank() == 2, "ArrayGroup weight must be a matrix");
-    PL_ASSERT(params_.data_bits % params_.cell_bits == 0,
-              "data_bits must be a multiple of cell_bits");
+    params_.validate();
     n_out_ = weight.dim(0);
     m_in_ = weight.dim(1);
     tiles_r_ = ceilDiv(m_in_, params_.array_rows);
@@ -37,7 +36,8 @@ ArrayGroup::ArrayGroup(const DeviceParams &params, const Tensor &weight)
     codes_.resize(static_cast<size_t>(n_out_ * m_in_));
     for (int64_t i = 0; i < n_out_; ++i)
         for (int64_t j = 0; j < m_in_; ++j)
-            codes_[static_cast<size_t>(i * m_in_ + j)] = q.code(weight(i, j));
+            codes_[static_cast<size_t>(i * m_in_ + j)] =
+                static_cast<int32_t>(q.code(weight(i, j)));
 
     // Allocate the pos/neg x slice x tile subarrays, each with its
     // own variation stream (distinct instance seeds).
@@ -123,7 +123,9 @@ ArrayGroup::signedPassBatch(bool positive,
         // dropped from the batch — the same per-(window, tile-row)
         // skip the looped path takes, so activity counts match it
         // exactly.  Ascending window order keeps the per-array call
-        // order of the loop.
+        // order of the loop.  Every array of the tile row sees the
+        // same chunks, so they are range-checked and spike-counted
+        // once (SpikeBlock), not once per array.
         const int64_t row0 = tr * a_rows;
         const int64_t row1 = std::min(row0 + a_rows, m_in_);
         const int64_t used = row1 - row0;
@@ -143,16 +145,19 @@ ArrayGroup::signedPassBatch(bool positive,
             continue;
         const auto nsel = static_cast<int64_t>(sel.size());
         counts.resize(static_cast<size_t>(nsel * a_cols));
+        const SpikeBlock block(packed.data(), nsel, used,
+                               params_.data_bits);
 
         for (int64_t tc = 0; tc < tiles_c_; ++tc) {
             const int64_t col0 = tc * a_cols;
-            const int64_t col1 = std::min(col0 + a_cols, n_out_);
             for (int g = 0; g < groups; ++g) {
                 auto &array = *arrays_[sign][static_cast<size_t>(g)]
                     [static_cast<size_t>(tr * tiles_c_ + tc)];
-                array.matVecCodesBatch(packed.data(), nsel, used,
-                                       counts.data());
-                // Shift-add each window's slice result (Fig. 14a).
+                array.matVecCodesBatch(block, counts.data());
+                // Shift-add each window's slice result (Fig. 14a);
+                // counts past the live bit lines are zero.
+                const int64_t col1 =
+                    std::min(col0 + array.liveCols(), n_out_);
                 const int64_t shift = g * params_.cell_bits;
                 for (int64_t s = 0; s < nsel; ++s) {
                     int64_t *out_w = out + sel[s] * n_out_;
@@ -282,8 +287,9 @@ ArrayGroup::updateWeights(const Tensor &grad, float lr, int64_t batch_size)
             const float delta = step * grad(i, j);
             const auto delta_code = static_cast<int64_t>(
                 std::lround(delta / weight_scale_));
-            int64_t &code = codes_[static_cast<size_t>(i * m_in_ + j)];
-            code = std::clamp(code - delta_code, -max_code, max_code);
+            int32_t &code = codes_[static_cast<size_t>(i * m_in_ + j)];
+            code = static_cast<int32_t>(
+                std::clamp(code - delta_code, -max_code, max_code));
         }
     }
     programCodes();

@@ -13,6 +13,11 @@
  *    bit-sliced into data_bits/cell_bits groups of cell_bits-wide
  *    cells; group outputs are shifted and added.
  *
+ * The arrays of one tile row (every tile column and slice group of a
+ * sign) share their word-line inputs, so each sign pass range-checks
+ * and spike-counts a tile row's input codes once (SpikeBlock) and
+ * drives all of those arrays with it.
+ *
  * Signed *inputs* (backward errors δ) are handled by sign-splitting
  * the input stream into two passes, x = x⁺ - x⁻, doubling the input
  * time slots; the forward path after ReLU never needs this.
@@ -41,7 +46,8 @@ class ArrayGroup
   public:
     /**
      * Quantise @p weight to @c params.data_bits and program it into
-     * pos/neg bit-sliced tiled subarrays.
+     * pos/neg bit-sliced tiled subarrays.  Throws ConfigError when
+     * @p params do not validate (DeviceParams::validate()).
      *
      * @param weight (n_out, m_in) float matrix.
      */
@@ -127,7 +133,8 @@ class ArrayGroup
     int64_t n_out_, m_in_;
     int64_t tiles_r_, tiles_c_; //!< tile grid: rows x cols of subarrays
     float weight_scale_;
-    std::vector<int64_t> codes_; //!< signed data_bits weight codes, (n,m)
+    /** Signed data_bits weight codes, (n, m); data_bits <= 32. */
+    std::vector<int32_t> codes_;
 
     /**
      * arrays_[sign][slice][tile_r * tiles_c_ + tile_c]:

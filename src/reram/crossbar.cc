@@ -45,6 +45,36 @@ ArrayActivity::addStats(stats::StatGroup &group,
         "integrate-and-fire output firings");
 }
 
+namespace {
+
+/** Σ popcount over @p n codes, each checked to be below 2^data_bits. */
+int64_t
+countSpikes(const int64_t *codes, int64_t n, int data_bits)
+{
+    PL_PROF_SCOPE("reram.spike_encode");
+    const int64_t limit = int64_t{1} << data_bits;
+    int64_t spikes = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        PL_ASSERT(codes[i] >= 0 && codes[i] < limit,
+                  "code %lld out of %d-bit range", (long long)codes[i],
+                  data_bits);
+        spikes += std::popcount(static_cast<uint64_t>(codes[i]));
+    }
+    return spikes;
+}
+
+} // namespace
+
+SpikeBlock::SpikeBlock(const int64_t *codes_in, int64_t batch_in,
+                       int64_t rows_used_in, int data_bits_in)
+    : codes(codes_in), batch(batch_in), rows_used(rows_used_in),
+      data_bits(data_bits_in),
+      spikes(countSpikes(codes_in, batch_in * rows_used_in, data_bits_in))
+{
+    PL_ASSERT(batch >= 1 && rows_used >= 0, "bad code block %lld x %lld",
+              (long long)batch, (long long)rows_used);
+}
+
 CrossbarArray::CrossbarArray(const DeviceParams &params,
                              uint64_t instance_seed)
     : params_(params),
@@ -53,6 +83,11 @@ CrossbarArray::CrossbarArray(const DeviceParams &params,
 {
     PL_ASSERT(params.array_rows > 0 && params.array_cols > 0,
               "bad array geometry");
+    PL_ASSERT(params.cell_bits >= 1 && params.cell_bits <= 8,
+              "cell_bits %d outside the one-byte 1..8 range",
+              params.cell_bits);
+    PL_ASSERT(params.data_bits >= 1 && params.data_bits <= 32,
+              "unsupported spike resolution %d", params.data_bits);
     PL_ASSERT(params.counter_bits >= 1 && params.counter_bits <= 62,
               "counter_bits %d outside the supported 1..62 range",
               params.counter_bits);
@@ -63,14 +98,14 @@ CrossbarArray::CrossbarArray(const DeviceParams &params,
     has_variation_ = params.write_noise_sigma > 0.0 ||
                      params.stuck_at_fault_rate > 0.0;
     if (has_variation_) {
-        stuck_.assign(cells_.size(), int8_t{-1});
+        stuck_.assign(cells_.size(), uint8_t{0});
         for (size_t i = 0; i < stuck_.size(); ++i) {
             if (variation_rng_.uniform() < params.stuck_at_fault_rate) {
                 // A stuck cell freezes at one of the extremes.
                 const bool high = variation_rng_.uniform() < 0.5;
-                stuck_[i] = static_cast<int8_t>(
-                    high ? params.maxCellCode() : 0);
-                cells_[i] = stuck_[i];
+                stuck_[i] = 1;
+                store(i, static_cast<int64_t>(i) % cols(),
+                      high ? params.maxCellCode() : 0);
             }
         }
     }
@@ -80,9 +115,17 @@ int64_t
 CrossbarArray::stuckCellCount() const
 {
     int64_t n = 0;
-    for (int8_t s : stuck_)
-        n += s >= 0 ? 1 : 0;
+    for (uint8_t s : stuck_)
+        n += s;
     return n;
+}
+
+void
+CrossbarArray::store(size_t idx, int64_t col, int64_t code)
+{
+    cells_[idx] = static_cast<uint8_t>(code);
+    if (code != 0)
+        live_cols_ = std::max(live_cols_, col + 1);
 }
 
 void
@@ -94,18 +137,11 @@ CrossbarArray::programCell(int64_t row, int64_t col, int64_t code)
     PL_ASSERT(code >= 0 && code <= params_.maxCellCode(),
               "code %lld exceeds %d-bit cell", (long long)code,
               params_.cell_bits);
-    programCellUnchecked(row, col, code);
-}
-
-void
-CrossbarArray::programCellUnchecked(int64_t row, int64_t col,
-                                    int64_t code)
-{
     const auto idx = static_cast<size_t>(row * cols() + col);
+    activity_.write_pulses += params_.cell_bits;
     if (has_variation_) {
-        if (stuck_[idx] >= 0) {
+        if (stuck_[idx]) {
             // Stuck cells ignore programming pulses entirely.
-            activity_.write_pulses += params_.cell_bits;
             return;
         }
         if (params_.write_noise_sigma > 0.0) {
@@ -117,8 +153,7 @@ CrossbarArray::programCellUnchecked(int64_t row, int64_t col,
                 params_.maxCellCode());
         }
     }
-    cells_[idx] = code;
-    activity_.write_pulses += params_.cell_bits;
+    store(idx, col, code);
 }
 
 int64_t
@@ -128,36 +163,6 @@ CrossbarArray::cell(int64_t row, int64_t col) const
               "cell (%lld, %lld) out of array bounds", (long long)row,
               (long long)col);
     return cells_[static_cast<size_t>(row * cols() + col)];
-}
-
-void
-CrossbarArray::programBlock(const std::vector<std::vector<int64_t>> &codes)
-{
-    PL_ASSERT(static_cast<int64_t>(codes.size()) <= rows(),
-              "block taller than array");
-    const int64_t max_code = params_.maxCellCode();
-    for (size_t r = 0; r < codes.size(); ++r) {
-        const std::vector<int64_t> &row = codes[r];
-        PL_ASSERT(static_cast<int64_t>(row.size()) <= cols(),
-                  "block wider than array");
-        // One range check per block row instead of two asserts per
-        // cell (PL_ASSERT stays live in release builds): the min/max
-        // scan vectorises, and with row/column bounds implied by the
-        // block asserts above, the write loop runs assert-free while
-        // applying stuck cells and write noise exactly as programCell
-        // would (same cells, same RNG draw order).
-        int64_t lo = 0, hi = 0;
-        for (int64_t v : row) {
-            lo = std::min(lo, v);
-            hi = std::max(hi, v);
-        }
-        PL_ASSERT(lo >= 0 && hi <= max_code,
-                  "block row %zu holds a code outside [0, %lld]", r,
-                  (long long)max_code);
-        for (size_t c = 0; c < row.size(); ++c)
-            programCellUnchecked(static_cast<int64_t>(r),
-                                 static_cast<int64_t>(c), row[c]);
-    }
 }
 
 std::vector<int64_t>
@@ -191,28 +196,35 @@ CrossbarArray::matVecWeightedBatch(const int64_t *row_weight,
     // raw totals cannot overflow int64 for any valid configuration
     // (rows x 2^data_bits x maxCellCode < 2^62).
     //
+    // Only the live bit lines [0, live) are swept: every cell beyond
+    // them is zero, and a zero cell adds nothing to a count, to the
+    // IF firings or to the saturation flag, so those columns' counts
+    // stay the zeros the fill below writes.
+    //
     // The batched form keeps the cell row register/cache-resident
     // across the window loop (r outer, window inner), so G windows
     // cost one cell-matrix sweep instead of G.  The axpy runs on the
-    // dispatched SIMD kernel (common/isa.hh); both operands fit its
-    // [0, 2^32) exact-product contract (weights < 2^data_bits,
-    // cells <= maxCellCode, both capped at 32 bits).
+    // dispatched SIMD kernel (common/isa.hh), widening the one-byte
+    // cells into int64 counts; both operands fit its contract
+    // (weights < 2^data_bits <= 2^32, cells <= maxCellCode < 2^8).
     const int64_t n_cols = cols();
+    const int64_t live = live_cols_;
     std::fill(out, out + batch * n_cols, int64_t{0});
-    const int64_t *cell_p = cells_.data();
+    const uint8_t *cell_p = cells_.data();
     const gemmk::Kernels &kern = gemmk::activeKernels();
     // Chunking is free to vary (integer sums are order-independent);
     // each column costs one multiply-add per driven row and window.
-    parallel_for(0, n_cols, /*work_per_index=*/rows_used * batch,
+    parallel_for(0, live, /*work_per_index=*/rows_used * batch,
                  [&](int64_t c0, int64_t c1) {
         const int64_t len = c1 - c0;
         for (int64_t r = 0; r < rows_used; ++r) {
-            const int64_t *cell_row = cell_p + r * n_cols + c0;
+            const uint8_t *cell_row = cell_p + r * n_cols + c0;
             for (int64_t b = 0; b < batch; ++b) {
                 const int64_t rw = row_weight[b * rows_used + r];
                 if (rw == 0)
                     continue;
-                kern.axpy_i64(out + b * n_cols + c0, cell_row, rw, len);
+                kern.axpy_u8_i64(out + b * n_cols + c0, cell_row, rw,
+                                 len);
             }
         }
     });
@@ -229,7 +241,7 @@ CrossbarArray::matVecWeightedBatch(const int64_t *row_weight,
     for (int64_t b = 0; b < batch; ++b) {
         int64_t *out_b = out + b * n_cols;
         last_sat = false;
-        for (int64_t c = 0; c < n_cols; ++c) {
+        for (int64_t c = 0; c < live; ++c) {
             if (out_b[c] > max_count) {
                 out_b[c] = max_count;
                 last_sat = true;
@@ -263,59 +275,33 @@ CrossbarArray::matVec(const std::vector<SpikeTrain> &inputs)
 std::vector<int64_t>
 CrossbarArray::matVecCodes(const std::vector<int64_t> &codes)
 {
-    PL_ASSERT(params_.data_bits >= 1 && params_.data_bits <= 32,
-              "unsupported spike resolution %d", params_.data_bits);
     PL_ASSERT(static_cast<int64_t>(codes.size()) <= rows(),
               "more input codes (%zu) than word lines (%lld)",
               codes.size(), (long long)rows());
-    const auto used = static_cast<int64_t>(codes.size());
-    arena::ScopedBuf<int64_t> weights(static_cast<size_t>(used));
-    int64_t spikes = 0;
-    {
-        // The LSBF encoding is weighted-binary, so a code's total
-        // word-line weight is the code itself and its spike count is
-        // its popcount — no SpikeTrain is materialised (the driver's
-        // memo table serves callers that do need trains).
-        PL_PROF_SCOPE("reram.spike_encode");
-        const int64_t limit = int64_t{1} << params_.data_bits;
-        for (int64_t r = 0; r < used; ++r) {
-            const int64_t code = codes[static_cast<size_t>(r)];
-            PL_ASSERT(code >= 0 && code < limit,
-                      "code %lld out of %d-bit range", (long long)code,
-                      params_.data_bits);
-            weights[static_cast<size_t>(r)] = code;
-            spikes += std::popcount(static_cast<uint64_t>(code));
-        }
-    }
-    return matVecWeighted(weights.data(), used, spikes);
+    // The LSBF encoding is weighted-binary, so a code's total
+    // word-line weight is the code itself — no SpikeTrain is
+    // materialised (the driver's memo table serves callers that do
+    // need trains).
+    const SpikeBlock block(codes.data(), 1,
+                           static_cast<int64_t>(codes.size()),
+                           params_.data_bits);
+    return matVecWeighted(block.codes, block.rows_used, block.spikes);
 }
 
 void
-CrossbarArray::matVecCodesBatch(const int64_t *codes, int64_t batch,
-                                int64_t rows_used, int64_t *out)
+CrossbarArray::matVecCodesBatch(const SpikeBlock &block, int64_t *out)
 {
-    PL_ASSERT(params_.data_bits >= 1 && params_.data_bits <= 32,
-              "unsupported spike resolution %d", params_.data_bits);
-    PL_ASSERT(rows_used >= 0 && rows_used <= rows(),
+    PL_ASSERT(block.data_bits == params_.data_bits,
+              "codes checked at %d bits drive a %d-bit array",
+              block.data_bits, params_.data_bits);
+    PL_ASSERT(block.rows_used <= rows(),
               "more input codes (%lld) than word lines (%lld)",
-              (long long)rows_used, (long long)rows());
+              (long long)block.rows_used, (long long)rows());
     // A code's word-line weight is the code itself (weighted-binary
     // LSBF encoding), so the code matrix feeds the weighted core
-    // directly; only the spike tally needs a pass of its own.
-    int64_t spikes = 0;
-    {
-        PL_PROF_SCOPE("reram.spike_encode");
-        const int64_t limit = int64_t{1} << params_.data_bits;
-        const int64_t total = batch * rows_used;
-        for (int64_t i = 0; i < total; ++i) {
-            const int64_t code = codes[i];
-            PL_ASSERT(code >= 0 && code < limit,
-                      "code %lld out of %d-bit range", (long long)code,
-                      params_.data_bits);
-            spikes += std::popcount(static_cast<uint64_t>(code));
-        }
-    }
-    matVecWeightedBatch(codes, batch, rows_used, spikes, out);
+    // directly.
+    matVecWeightedBatch(block.codes, block.batch, block.rows_used,
+                        block.spikes, out);
 }
 
 } // namespace reram

@@ -20,17 +20,28 @@
 namespace pipelayer {
 namespace reram {
 
-/** Parameters of one ReRAM subarray and its spike peripherals. */
+/**
+ * Parameters of one ReRAM subarray and its spike peripherals.
+ *
+ * Valid ranges are the ones validate() enforces; each field's comment
+ * repeats its own.
+ */
 struct DeviceParams
 {
-    /** Word lines (rows) per subarray; the Fig. 5 tiling unit. */
+    /** Word lines (rows) per subarray; the Fig. 5 tiling unit; >= 1. */
     int64_t array_rows = 128;
-    /** Bit lines (columns) per subarray. */
+    /** Bit lines (columns) per subarray; >= 1. */
     int64_t array_cols = 128;
 
-    /** Bits stored per cell (paper default: 4-bit cells, §5.1). */
+    /**
+     * Bits stored per cell (paper default: 4-bit cells, §5.1); in
+     * [1, 8], so a cell's code fits one byte.
+     */
     int cell_bits = 4;
-    /** Data/weight resolution (paper default 16-bit, like ISAAC). */
+    /**
+     * Data/weight resolution (paper default 16-bit, like ISAAC); in
+     * [1, 32] and a multiple of cell_bits.
+     */
     int data_bits = 16;
     /**
      * Width of the integrate-and-fire output spike counter
@@ -38,6 +49,8 @@ struct DeviceParams
      * Valid range 1..62.
      */
     int counter_bits = 48;
+
+    // The physical constants below must be finite and >= 0.
 
     /** Seconds per input spike slot during compute/read. */
     double read_latency_per_spike = units::ns(29.31);
@@ -95,15 +108,30 @@ struct DeviceParams
     /**
      * Std-dev of programming error, as a fraction of the full
      * conductance range; applied (and re-drawn) on every cell write.
+     * Finite and >= 0.
      */
     double write_noise_sigma = 0.0;
 
-    /** Fraction of cells stuck at a random extreme conductance. */
+    /**
+     * Fraction of cells stuck at a random extreme conductance; in
+     * [0, 1].
+     */
     double stuck_at_fault_rate = 0.0;
 
     /** Seed for the deterministic variation draws. */
     uint64_t variation_seed = 0x5eed;
     ///@}
+
+    /**
+     * Throw ConfigError, naming the key, unless every field is in its
+     * valid range: the array shape is positive, cell_bits is in
+     * [1, 8], data_bits is in [1, 32] and a multiple of cell_bits,
+     * counter_bits is in [1, 62], a full column's raw sum
+     * array_rows x (2^data_bits - 1) x maxCellCode() stays below
+     * 2^62, write_noise_sigma is >= 0, stuck_at_fault_rate is in
+     * [0, 1], and every physical constant is finite and >= 0.
+     */
+    void validate() const;
 
     /** Number of weight bit-slice groups = data_bits / cell_bits. */
     int sliceGroups() const { return data_bits / cell_bits; }

@@ -1,8 +1,11 @@
 #include "reram/params_io.hh"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -24,68 +27,83 @@ trim(const std::string &s)
     return s.substr(begin, end - begin + 1);
 }
 
-/** The settable keys, as setters over a DeviceParams. */
-std::map<std::string, std::function<void(DeviceParams &, double)>>
+/**
+ * Store one key's value text into a DeviceParams; returns the reason
+ * the text is not a valid value, or "" once it is stored.
+ */
+using Setter =
+    std::function<std::string(DeviceParams &, const std::string &)>;
+
+/** An integer key: the text must be an exact integer in T's range. */
+template <typename T>
+Setter
+integerKey(T DeviceParams::*field)
+{
+    return [field](DeviceParams &p, const std::string &text) {
+        T value{};
+        const char *end = text.data() + text.size();
+        const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+        if (ec != std::errc() || ptr != end) {
+            return "is not an integer in [" +
+                   std::to_string(std::numeric_limits<T>::min()) + ", " +
+                   std::to_string(std::numeric_limits<T>::max()) + "]";
+        }
+        p.*field = value;
+        return std::string();
+    };
+}
+
+/** A real key: the text must be a finite number. */
+Setter
+realKey(double DeviceParams::*field)
+{
+    return [field](DeviceParams &p, const std::string &text) {
+        char *end = nullptr;
+        const double value = std::strtod(text.c_str(), &end);
+        if (end == text.c_str() || *end != '\0')
+            return std::string("is not a number");
+        if (!std::isfinite(value))
+            return std::string("is not finite");
+        p.*field = value;
+        return std::string();
+    };
+}
+
+/** The settable keys. */
+std::map<std::string, Setter>
 keyTable()
 {
+    using P = DeviceParams;
     return {
-        {"array_rows",
-         [](DeviceParams &p, double v) {
-             p.array_rows = static_cast<int64_t>(v);
-         }},
-        {"array_cols",
-         [](DeviceParams &p, double v) {
-             p.array_cols = static_cast<int64_t>(v);
-         }},
-        {"cell_bits",
-         [](DeviceParams &p, double v) {
-             p.cell_bits = static_cast<int>(v);
-         }},
-        {"data_bits",
-         [](DeviceParams &p, double v) {
-             p.data_bits = static_cast<int>(v);
-         }},
-        {"counter_bits",
-         [](DeviceParams &p, double v) {
-             p.counter_bits = static_cast<int>(v);
-         }},
-        {"read_latency_per_spike",
-         [](DeviceParams &p, double v) { p.read_latency_per_spike = v; }},
-        {"write_latency_per_spike",
-         [](DeviceParams &p, double v) {
-             p.write_latency_per_spike = v;
-         }},
-        {"read_energy_per_spike",
-         [](DeviceParams &p, double v) { p.read_energy_per_spike = v; }},
-        {"write_energy_per_spike",
-         [](DeviceParams &p, double v) { p.write_energy_per_spike = v; }},
-        {"array_area_mm2",
-         [](DeviceParams &p, double v) { p.array_area_mm2 = v; }},
-        {"mem_array_area_mm2",
-         [](DeviceParams &p, double v) { p.mem_array_area_mm2 = v; }},
-        {"periph_energy_factor",
-         [](DeviceParams &p, double v) { p.periph_energy_factor = v; }},
+        {"array_rows", integerKey(&P::array_rows)},
+        {"array_cols", integerKey(&P::array_cols)},
+        {"cell_bits", integerKey(&P::cell_bits)},
+        {"data_bits", integerKey(&P::data_bits)},
+        {"counter_bits", integerKey(&P::counter_bits)},
+        {"read_latency_per_spike", realKey(&P::read_latency_per_spike)},
+        {"write_latency_per_spike", realKey(&P::write_latency_per_spike)},
+        {"read_energy_per_spike", realKey(&P::read_energy_per_spike)},
+        {"write_energy_per_spike", realKey(&P::write_energy_per_spike)},
+        {"array_area_mm2", realKey(&P::array_area_mm2)},
+        {"mem_array_area_mm2", realKey(&P::mem_array_area_mm2)},
+        {"periph_energy_factor", realKey(&P::periph_energy_factor)},
         {"mem_write_energy_per_bit",
-         [](DeviceParams &p, double v) {
-             p.mem_write_energy_per_bit = v;
-         }},
-        {"mem_read_energy_per_bit",
-         [](DeviceParams &p, double v) {
-             p.mem_read_energy_per_bit = v;
-         }},
+         realKey(&P::mem_write_energy_per_bit)},
+        {"mem_read_energy_per_bit", realKey(&P::mem_read_energy_per_bit)},
         {"controller_energy_per_image",
-         [](DeviceParams &p, double v) {
-             p.controller_energy_per_image = v;
-         }},
-        {"write_noise_sigma",
-         [](DeviceParams &p, double v) { p.write_noise_sigma = v; }},
-        {"stuck_at_fault_rate",
-         [](DeviceParams &p, double v) { p.stuck_at_fault_rate = v; }},
-        {"variation_seed",
-         [](DeviceParams &p, double v) {
-             p.variation_seed = static_cast<uint64_t>(v);
-         }},
+         realKey(&P::controller_energy_per_image)},
+        {"write_noise_sigma", realKey(&P::write_noise_sigma)},
+        {"stuck_at_fault_rate", realKey(&P::stuck_at_fault_rate)},
+        {"variation_seed", integerKey(&P::variation_seed)},
     };
+}
+
+/** ConfigError for line @p line_no of a parameter file. */
+[[noreturn]] void
+lineError(int line_no, const std::string &what)
+{
+    throw ConfigError("device params line " + std::to_string(line_no) +
+                      ": " + what);
 }
 
 } // namespace
@@ -109,27 +127,18 @@ parseDeviceParams(const std::string &text)
             continue;
         const size_t eq = line.find('=');
         if (eq == std::string::npos)
-            fatal("device params line %d: expected 'key = value', got "
-                  "'%s'",
-                  line_no, line.c_str());
+            lineError(line_no, "expected 'key = value', got '" + line +
+                                   "'");
         const std::string key = trim(line.substr(0, eq));
         const std::string value = trim(line.substr(eq + 1));
         const auto it = table.find(key);
         if (it == table.end())
-            fatal("device params line %d: unknown key '%s'", line_no,
-                  key.c_str());
-        char *end = nullptr;
-        const double v = std::strtod(value.c_str(), &end);
-        if (end == value.c_str() || *end != '\0')
-            fatal("device params line %d: '%s' is not a number",
-                  line_no, value.c_str());
-        it->second(params, v);
+            lineError(line_no, "unknown key '" + key + "'");
+        const std::string why = it->second(params, value);
+        if (!why.empty())
+            lineError(line_no, key + " = '" + value + "' " + why);
     }
-    PL_ASSERT(params.data_bits % params.cell_bits == 0,
-              "data_bits must be a multiple of cell_bits");
-    PL_ASSERT(params.counter_bits >= 1 && params.counter_bits <= 62,
-              "counter_bits %d outside the supported 1..62 range",
-              params.counter_bits);
+    params.validate();
     return params;
 }
 
@@ -138,7 +147,7 @@ loadDeviceParams(const std::string &path)
 {
     std::ifstream is(path);
     if (!is)
-        fatal("cannot open device params file '%s'", path.c_str());
+        throw ConfigError("cannot open device params file '" + path + "'");
     std::stringstream buffer;
     buffer << is.rdbuf();
     return parseDeviceParams(buffer.str());

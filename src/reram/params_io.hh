@@ -5,7 +5,11 @@
  * recompiling (e.g. to model a different ReRAM process).
  *
  * Format: one `key = value` pair per line; `#` starts a comment;
- * unknown keys are fatal (they are typos, not extensions).
+ * unknown keys are errors (they are typos, not extensions).  Integer
+ * keys (array_rows, array_cols, cell_bits, data_bits, counter_bits,
+ * variation_seed) take exact integers in their field's type range;
+ * the other keys take finite numbers.  Valid ranges are those of
+ * DeviceParams::validate().
  */
 
 #ifndef PIPELAYER_RERAM_PARAMS_IO_HH_
@@ -21,12 +25,16 @@ namespace reram {
 
 /**
  * Parse a device-parameter file.  Starts from the paper defaults and
- * overrides whatever keys the file sets; fatal() on unknown keys,
- * malformed values or I/O errors.
+ * overrides whatever keys the file sets; throws ConfigError on an
+ * unreadable file or as parseDeviceParams does.
  */
 DeviceParams loadDeviceParams(const std::string &path);
 
-/** Parse parameters from an in-memory string (for tests/tools). */
+/**
+ * Parse parameters from an in-memory string (for tests/tools).
+ * Throws ConfigError on a line without '=', an unknown key, a value
+ * its key cannot hold, or a result DeviceParams::validate() rejects.
+ */
 DeviceParams parseDeviceParams(const std::string &text);
 
 /** Write every parameter as commented key = value lines. */

@@ -160,7 +160,11 @@ struct ServingReport
 class ServingSim
 {
   public:
-    /** Use the balanced default granularity. */
+    /**
+     * Use the balanced default granularity.  Both constructors throw
+     * ConfigError when @p params do not validate
+     * (reram::DeviceParams::validate()).
+     */
     ServingSim(const workloads::NetworkSpec &spec,
                const reram::DeviceParams &params);
 

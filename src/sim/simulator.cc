@@ -249,6 +249,7 @@ Simulator::Simulator(const workloads::NetworkSpec &spec,
     : spec_(spec), params_(params), granularity_(granularity)
 {
     spec_.validate();
+    params_.validate();
 }
 
 void

@@ -179,7 +179,11 @@ struct ClusterReport
 class Simulator
 {
   public:
-    /** Use the balanced default granularity. */
+    /**
+     * Use the balanced default granularity.  Both constructors throw
+     * ConfigError when @p spec or @p params do not validate
+     * (reram::DeviceParams::validate()).
+     */
     Simulator(const workloads::NetworkSpec &spec,
               const reram::DeviceParams &params);
 

@@ -17,6 +17,8 @@
 
 #include <immintrin.h>
 
+#include <cstring>
+
 #include "tensor/gemm_kernels.hh"
 
 namespace pipelayer {
@@ -71,22 +73,35 @@ scaleF32Avx2(float *row, const float *y, float xi, int64_t n)
         row[j] = xi * y[j];
 }
 
-void
-axpyI64Avx2(int64_t *out, const int64_t *cells, int64_t w, int64_t n)
+/** out[0..3] += w * the four cells widened in @p cells4's low dword. */
+inline void
+axpyQuadAvx2(int64_t *out, __m128i cells4, __m256i wv)
 {
-    // AVX2 has no 64x64 multiply; VPMULUDQ multiplies the low 32 bits
-    // of each 64-bit lane into a full 64-bit product, which is exact
-    // under the kernel contract (operands in [0, 2^32)).
+    __m256i *o = reinterpret_cast<__m256i *>(out);
+    const __m256i prod = _mm256_mul_epu32(_mm256_cvtepu8_epi64(cells4), wv);
+    _mm256_storeu_si256(o, _mm256_add_epi64(_mm256_loadu_si256(o), prod));
+}
+
+void
+axpyU8I64Avx2(int64_t *out, const uint8_t *cells, int64_t w, int64_t n)
+{
+    // VPMOVZXBQ widens four cell bytes to four qwords.  AVX2 has no
+    // 64x64 multiply, but VPMULUDQ's 32x32 -> 64 product is exact
+    // under the kernel contract (w < 2^32, cells < 2^8).
     const __m256i wv = _mm256_set1_epi64x(w);
     int64_t c = 0;
+    for (; c + 16 <= n; c += 16) {
+        const __m128i bytes = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(cells + c));
+        axpyQuadAvx2(out + c, bytes, wv);
+        axpyQuadAvx2(out + c + 4, _mm_srli_si128(bytes, 4), wv);
+        axpyQuadAvx2(out + c + 8, _mm_srli_si128(bytes, 8), wv);
+        axpyQuadAvx2(out + c + 12, _mm_srli_si128(bytes, 12), wv);
+    }
     for (; c + 4 <= n; c += 4) {
-        const __m256i cv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(cells + c));
-        const __m256i prod = _mm256_mul_epu32(cv, wv);
-        const __m256i cur = _mm256_loadu_si256(
-            reinterpret_cast<__m256i *>(out + c));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + c),
-                            _mm256_add_epi64(cur, prod));
+        int32_t quad;
+        std::memcpy(&quad, cells + c, sizeof quad);
+        axpyQuadAvx2(out + c, _mm_cvtsi32_si128(quad), wv);
     }
     for (; c < n; ++c)
         out[c] += w * cells[c];
@@ -131,7 +146,7 @@ avx2Kernels()
 {
     static const Kernels table = {
         dotLanesAvx2, axpyF32Avx2,  scaleF32Avx2,
-        axpyI64Avx2,  reluF32Avx2, reluMaskF32Avx2,
+        axpyU8I64Avx2, reluF32Avx2, reluMaskF32Avx2,
     };
     return table;
 }

@@ -73,26 +73,6 @@ scaleF32Avx512(float *row, const float *y, float xi, int64_t n)
 }
 
 void
-axpyI64Avx512(int64_t *out, const int64_t *cells, int64_t w, int64_t n)
-{
-    // Both operands live in [0, 2^32) by the kernel contract, so the
-    // low dword of every qword holds the full value and VPMULUDQ (one
-    // fast uop, vs three for the full VPMULLQ) produces the exact
-    // 64-bit product.
-    const __m512i wv = _mm512_set1_epi64(w);
-    int64_t c = 0;
-    for (; c + 8 <= n; c += 8) {
-        const __m512i cv = _mm512_loadu_si512(cells + c);
-        const __m512i prod = _mm512_mul_epu32(cv, wv);
-        _mm512_storeu_si512(
-            out + c,
-            _mm512_add_epi64(_mm512_loadu_si512(out + c), prod));
-    }
-    for (; c < n; ++c)
-        out[c] += w * cells[c];
-}
-
-void
 reluF32Avx512(float *out, const float *in, int64_t n)
 {
     // Masked move, not VMAXPS: zeroing where x > 0 fails keeps the
@@ -131,9 +111,12 @@ reluMaskF32Avx512(float *grad, const float *ref, int64_t n)
 const Kernels &
 avx512Kernels()
 {
+    // The byte-cell axpy is the AVX2 kernel: a 512-bit widening
+    // version ran crossbar_device no faster (within 2 %).
     static const Kernels table = {
-        dotLanesAvx512, axpyF32Avx512,  scaleF32Avx512,
-        axpyI64Avx512,  reluF32Avx512, reluMaskF32Avx512,
+        dotLanesAvx512, axpyF32Avx512,
+        scaleF32Avx512, avx2Kernels().axpy_u8_i64,
+        reluF32Avx512,  reluMaskF32Avx512,
     };
     return table;
 }

@@ -22,10 +22,11 @@
  *    bits, else +0.0f) with no arithmetic at all, so every backend is
  *    trivially bit-identical; -0.0f and NaN inputs both rectify to
  *    +0.0f, exactly like the scalar ternary.
- *  - axpy_i64: exact integer multiply-accumulate for the collapsed
- *    crossbar MVM; order-independent by construction.  Operand
- *    contract: 0 <= w < 2^32 and 0 <= cells[c] < 2^32 (the crossbar's
- *    data_bits/cell_bits <= 32 guarantee both), products < 2^63.
+ *  - axpy_u8_i64: exact integer multiply-accumulate for the collapsed
+ *    crossbar MVM, widening one-byte cells into int64 accumulators;
+ *    order-independent by construction.  Operand contract:
+ *    0 <= w < 2^32 (data_bits <= 32) and cells[c] in [0, 2^8)
+ *    (cell_bits <= 8), so every product is below 2^40 and exact.
  *
  * The scalar tail and the tree reduction are shared inline helpers so
  * no backend can drift from the contract by re-implementing them.
@@ -55,8 +56,8 @@ struct Kernels
     /** row[j] = xi * y[j], j in [0,n). */
     void (*scale_f32)(float *row, const float *y, float xi, int64_t n);
     /** out[c] += w * cells[c] (exact int64), c in [0,n). */
-    void (*axpy_i64)(int64_t *out, const int64_t *cells, int64_t w,
-                     int64_t n);
+    void (*axpy_u8_i64)(int64_t *out, const uint8_t *cells, int64_t w,
+                        int64_t n);
     /** out[j] = in[j] > 0 ? in[j] : +0.0f; in == out allowed. */
     void (*relu_f32)(float *out, const float *in, int64_t n);
     /** grad[j] = ref[j] > 0 ? grad[j] : +0.0f (in-place mask). */

@@ -73,7 +73,7 @@ scaleF32Neon(float *row, const float *y, float xi, int64_t n)
 }
 
 void
-axpyI64Neon(int64_t *out, const int64_t *cells, int64_t w, int64_t n)
+axpyU8I64Neon(int64_t *out, const uint8_t *cells, int64_t w, int64_t n)
 {
     // NEON has no 64x64 vector multiply; the scalar loop is exact and
     // the compiler schedules it well.
@@ -122,7 +122,7 @@ neonKernels()
 {
     static const Kernels table = {
         dotLanesNeon, axpyF32Neon,  scaleF32Neon,
-        axpyI64Neon,  reluF32Neon, reluMaskF32Neon,
+        axpyU8I64Neon, reluF32Neon, reluMaskF32Neon,
     };
     return table;
 }

@@ -50,7 +50,7 @@ scaleF32Scalar(float *row, const float *y, float xi, int64_t n)
 }
 
 void
-axpyI64Scalar(int64_t *out, const int64_t *cells, int64_t w, int64_t n)
+axpyU8I64Scalar(int64_t *out, const uint8_t *cells, int64_t w, int64_t n)
 {
     for (int64_t c = 0; c < n; ++c)
         out[c] += w * cells[c];
@@ -77,7 +77,7 @@ scalarKernels()
 {
     static const Kernels table = {
         dotLanesScalar, axpyF32Scalar,  scaleF32Scalar,
-        axpyI64Scalar,  reluF32Scalar, reluMaskF32Scalar,
+        axpyU8I64Scalar, reluF32Scalar, reluMaskF32Scalar,
     };
     return table;
 }

@@ -281,67 +281,158 @@ pulseWalk(const reram::CrossbarArray &array,
     return res;
 }
 
+/** Random codes below 2^data_bits, and their spike trains. */
+void
+randomCodes(Rng &rng, int data_bits, int64_t n, std::vector<int64_t> &codes,
+            std::vector<reram::SpikeTrain> &trains)
+{
+    const reram::SpikeDriver driver(data_bits);
+    codes.clear();
+    trains.clear();
+    for (int64_t r = 0; r < n; ++r) {
+        codes.push_back(static_cast<int64_t>(
+            rng.uniformInt(uint64_t{1} << data_bits)));
+        trains.push_back(driver.encode(codes.back()));
+    }
+}
+
 TEST(CrossbarCollapse, MatchesPulseWalkIncludingSaturation)
 {
+    // Every cell width, bit-line counts around the 4-, 8- and 16-wide
+    // SIMD blocks (0 = a random width), arrays whose weights fill only
+    // the first k columns (k = 0, all, or in between), a programmed
+    // column zeroed again, stuck-high cells and write noise outside the
+    // programmed columns, and the batch entry over fewer rows than the
+    // array has.  The MVM sweeps only the live bit lines, so each case
+    // checks that the columns past them still count exactly zero.
     Rng rng(0xC0BAu);
     atThreadCounts([&](int64_t threads) {
-        for (int iter = 0; iter < 12; ++iter) {
-            reram::DeviceParams params;
-            params.array_rows =
-                4 + static_cast<int64_t>(rng.uniformInt(29));
-            params.array_cols =
-                4 + static_cast<int64_t>(rng.uniformInt(29));
-            params.data_bits =
-                1 + static_cast<int>(rng.uniformInt(12));
-            // Narrow counters on odd iterations force saturation.
-            params.counter_bits =
-                (iter % 2 == 0)
-                    ? 48
-                    : 4 + static_cast<int>(rng.uniformInt(8));
-            reram::CrossbarArray array(params);
-            for (int64_t r = 0; r < array.rows(); ++r)
-                for (int64_t c = 0; c < array.cols(); ++c)
-                    array.programCell(
-                        r, c,
+        int iter = 0;
+        for (const int cell_bits : {1, 2, 4, 8}) {
+            for (const int64_t width : {1, 7, 8, 9, 15, 16, 17, 0}) {
+                ++iter;
+                reram::DeviceParams params;
+                params.cell_bits = cell_bits;
+                params.array_rows =
+                    4 + static_cast<int64_t>(rng.uniformInt(29));
+                params.array_cols = width > 0
+                    ? width
+                    : 4 + static_cast<int64_t>(rng.uniformInt(29));
+                params.data_bits =
+                    1 + static_cast<int>(rng.uniformInt(12));
+                // Narrow counters on odd iterations force saturation.
+                params.counter_bits =
+                    (iter % 2 == 0)
+                        ? 48
+                        : 4 + static_cast<int>(rng.uniformInt(8));
+                if (iter % 4 == 3)
+                    params.stuck_at_fault_rate = 0.1;
+                if (iter % 4 == 1)
+                    params.write_noise_sigma = 0.05;
+                reram::CrossbarArray array(params,
+                                           static_cast<uint64_t>(iter));
+                const int64_t cols = array.cols();
+                const int64_t k = iter % 3 == 0 ? 0
+                    : iter % 3 == 1
+                        ? cols
+                        : 1 + static_cast<int64_t>(rng.uniformInt(
+                                  static_cast<uint64_t>(cols)));
+                for (int64_t r = 0; r < array.rows(); ++r)
+                    for (int64_t c = 0; c < k; ++c)
+                        array.programCell(
+                            r, c,
+                            static_cast<int64_t>(rng.uniformInt(
+                                static_cast<uint64_t>(
+                                    params.maxCellCode()) +
+                                1)));
+                if (k > 0 && iter % 2 == 0) {
+                    for (int64_t r = 0; r < array.rows(); ++r)
+                        array.programCell(r, k - 1, 0);
+                }
+
+                SCOPED_TRACE("threads=" + std::to_string(threads) +
+                             " iter=" + std::to_string(iter) +
+                             " cell_bits=" + std::to_string(cell_bits) +
+                             " cols=" + std::to_string(cols) +
+                             " k=" + std::to_string(k));
+                ASSERT_LE(array.liveCols(), cols);
+                for (int64_t r = 0; r < array.rows(); ++r)
+                    for (int64_t c = array.liveCols(); c < cols; ++c)
+                        ASSERT_EQ(array.cell(r, c), 0);
+
+                std::vector<int64_t> codes;
+                std::vector<reram::SpikeTrain> trains;
+                randomCodes(rng, params.data_bits, array.rows(), codes,
+                            trains);
+                const PulseWalkResult ref =
+                    pulseWalk(array, trains, params.counter_bits);
+                const auto before = array.activity();
+                const std::vector<int64_t> fast = array.matVec(trains);
+                const auto after = array.activity();
+
+                EXPECT_EQ(fast, ref.counts);
+                EXPECT_EQ(array.lastSaturated(), ref.saturated);
+                EXPECT_EQ(after.input_spikes - before.input_spikes,
+                          ref.input_spikes);
+                EXPECT_EQ(after.mvm_ops - before.mvm_ops, 1);
+                int64_t fires = 0;
+                for (int64_t count : ref.counts)
+                    fires += count;
+                EXPECT_EQ(after.if_fires - before.if_fires, fires);
+
+                // matVecCodes must be indistinguishable from encoding
+                // the codes and driving matVec (counts and activity).
+                const std::vector<int64_t> via_codes =
+                    array.matVecCodes(codes);
+                const auto after_codes = array.activity();
+                EXPECT_EQ(via_codes, ref.counts);
+                EXPECT_EQ(after_codes.input_spikes - after.input_spikes,
+                          ref.input_spikes);
+
+                // The batch entry over rows_used < rows word lines:
+                // each window matches its own pulse walk, the flag is
+                // the last window's, and the activity is the sum.
+                for (const int64_t batch : {1, 3, 8}) {
+                    const int64_t rows_used = 1 +
                         static_cast<int64_t>(rng.uniformInt(
-                            static_cast<uint64_t>(params.maxCellCode()) +
-                            1)));
-
-            const reram::SpikeDriver driver(params.data_bits);
-            std::vector<reram::SpikeTrain> trains;
-            std::vector<int64_t> codes;
-            for (int64_t r = 0; r < array.rows(); ++r) {
-                codes.push_back(static_cast<int64_t>(rng.uniformInt(
-                    uint64_t{1} << params.data_bits)));
-                trains.push_back(driver.encode(codes.back()));
+                            static_cast<uint64_t>(array.rows() - 1)));
+                    std::vector<int64_t> block_codes;
+                    std::vector<PulseWalkResult> refs;
+                    for (int64_t b = 0; b < batch; ++b) {
+                        randomCodes(rng, params.data_bits, rows_used,
+                                    codes, trains);
+                        block_codes.insert(block_codes.end(),
+                                           codes.begin(), codes.end());
+                        refs.push_back(pulseWalk(array, trains,
+                                                 params.counter_bits));
+                    }
+                    std::vector<int64_t> out(
+                        static_cast<size_t>(batch * cols), -1);
+                    const auto pre = array.activity();
+                    array.matVecCodesBatch(
+                        reram::SpikeBlock(block_codes.data(), batch,
+                                          rows_used, params.data_bits),
+                        out.data());
+                    const auto post = array.activity();
+                    int64_t spikes = 0, batch_fires = 0;
+                    for (int64_t b = 0; b < batch; ++b) {
+                        const PulseWalkResult &want =
+                            refs[static_cast<size_t>(b)];
+                        EXPECT_EQ(std::vector<int64_t>(
+                                      out.begin() + b * cols,
+                                      out.begin() + (b + 1) * cols),
+                                  want.counts)
+                            << "batch=" << batch << " window=" << b;
+                        spikes += want.input_spikes;
+                        for (int64_t count : want.counts)
+                            batch_fires += count;
+                    }
+                    EXPECT_EQ(array.lastSaturated(), refs.back().saturated);
+                    EXPECT_EQ(post.input_spikes - pre.input_spikes, spikes);
+                    EXPECT_EQ(post.mvm_ops - pre.mvm_ops, batch);
+                    EXPECT_EQ(post.if_fires - pre.if_fires, batch_fires);
+                }
             }
-
-            const PulseWalkResult ref =
-                pulseWalk(array, trains, params.counter_bits);
-            const auto before = array.activity();
-            const std::vector<int64_t> fast = array.matVec(trains);
-            const auto after = array.activity();
-
-            SCOPED_TRACE("threads=" + std::to_string(threads) +
-                         " iter=" + std::to_string(iter));
-            EXPECT_EQ(fast, ref.counts);
-            EXPECT_EQ(array.lastSaturated(), ref.saturated);
-            EXPECT_EQ(after.input_spikes - before.input_spikes,
-                      ref.input_spikes);
-            EXPECT_EQ(after.mvm_ops - before.mvm_ops, 1);
-            int64_t fires = 0;
-            for (int64_t count : ref.counts)
-                fires += count;
-            EXPECT_EQ(after.if_fires - before.if_fires, fires);
-
-            // matVecCodes must be indistinguishable from encoding the
-            // codes and driving matVec (counts and activity).
-            const std::vector<int64_t> via_codes =
-                array.matVecCodes(codes);
-            const auto after_codes = array.activity();
-            EXPECT_EQ(via_codes, ref.counts);
-            EXPECT_EQ(after_codes.input_spikes - after.input_spikes,
-                      ref.input_spikes);
         }
     });
 }

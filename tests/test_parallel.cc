@@ -316,8 +316,10 @@ TEST(ParallelDeterminism, CrossbarMatVec)
         program(array, rng);
         std::vector<int64_t> out(
             static_cast<size_t>(kWindows * params.array_cols));
-        array.matVecCodesBatch(codes.data(), kWindows, params.array_rows,
-                               out.data());
+        array.matVecCodesBatch(
+            reram::SpikeBlock(codes.data(), kWindows, params.array_rows,
+                              params.data_bits),
+            out.data());
         return out;
     };
     const std::vector<int64_t> serial_out = run(1);

@@ -6,9 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string>
 
+#include "common/logging.hh"
+#include "reram/array_group.hh"
 #include "reram/params_io.hh"
+#include "sim/simulator.hh"
+#include "workloads/model_zoo.hh"
 
 namespace pipelayer {
 namespace reram {
@@ -70,34 +76,113 @@ TEST(ParamsIo, FileRoundTrip)
     std::remove(path.c_str());
 }
 
-TEST(ParamsIoDeath, UnknownKeyIsFatal)
+/** The ConfigError message parsing @p text throws, or "". */
+std::string
+parseError(const std::string &text)
 {
-    EXPECT_EXIT(parseDeviceParams("spike_color = blue\n"),
-                ::testing::ExitedWithCode(1), "unknown key");
+    try {
+        (void)parseDeviceParams(text);
+    } catch (const ConfigError &err) {
+        return err.what();
+    }
+    return "";
 }
 
-TEST(ParamsIoDeath, MalformedValueIsFatal)
+/** Parsing @p text throws a ConfigError whose message holds @p needle. */
+void
+expectRejected(const std::string &text, const std::string &needle)
 {
-    EXPECT_EXIT(parseDeviceParams("cell_bits = four\n"),
-                ::testing::ExitedWithCode(1), "not a number");
+    SCOPED_TRACE(text);
+    EXPECT_THROW(parseDeviceParams(text), ConfigError);
+    const std::string message = parseError(text);
+    EXPECT_NE(message.find(needle), std::string::npos) << message;
 }
 
-TEST(ParamsIoDeath, MissingEqualsIsFatal)
+TEST(ParamsIoErrors, UnknownKeyThrows)
 {
-    EXPECT_EXIT(parseDeviceParams("cell_bits 4\n"),
-                ::testing::ExitedWithCode(1), "expected");
+    expectRejected("spike_color = blue\n", "unknown key");
 }
 
-TEST(ParamsIoDeath, MissingFileIsFatal)
+TEST(ParamsIoErrors, MalformedValueThrows)
 {
-    EXPECT_EXIT(loadDeviceParams("/no/such/params.cfg"),
-                ::testing::ExitedWithCode(1), "cannot open");
+    expectRejected("cell_bits = four\n", "cell_bits");
 }
 
-TEST(ParamsIoDeath, IncompatibleBitsAreFatal)
+TEST(ParamsIoErrors, MissingEqualsThrows)
+{
+    expectRejected("cell_bits 4\n", "expected");
+}
+
+TEST(ParamsIoErrors, MissingFileThrows)
+{
+    EXPECT_THROW(loadDeviceParams("/no/such/params.cfg"), ConfigError);
+}
+
+TEST(ParamsIoErrors, IncompatibleBitsThrow)
 {
     // 16 data bits over 3-bit cells: the slice grouping breaks.
-    EXPECT_DEATH(parseDeviceParams("cell_bits = 3\n"), "multiple");
+    expectRejected("cell_bits = 3\n", "multiple");
+}
+
+TEST(ParamsIoErrors, IntegerKeysAreExact)
+{
+    // Each once truncated, wrapped or slipped through a double cast.
+    expectRejected("array_rows = 2.7\n", "array_rows");
+    expectRejected("array_rows = 1e300\n", "array_rows");
+    expectRejected("array_rows = 99999999999999999999\n", "array_rows");
+    expectRejected("variation_seed = -1\n", "variation_seed");
+    expectRejected("counter_bits = 1e1\n", "counter_bits");
+}
+
+TEST(ParamsIoErrors, RangesAreEnforced)
+{
+    expectRejected("cell_bits = 0\n", "cell_bits");
+    expectRejected("array_rows = -5\n", "array_rows");
+    expectRejected("array_cols = 0\n", "array_cols");
+    expectRejected("counter_bits = 70\n", "counter_bits");
+    expectRejected("counter_bits = 0\n", "counter_bits");
+    expectRejected("cell_bits = 16\ndata_bits = 32\n", "cell_bits");
+    expectRejected("data_bits = 64\n", "data_bits");
+    expectRejected("stuck_at_fault_rate = 2\n", "stuck_at_fault_rate");
+    expectRejected("write_noise_sigma = -1\n", "write_noise_sigma");
+    expectRejected("periph_energy_factor = -0.5\n",
+                   "periph_energy_factor");
+    expectRejected("array_area_mm2 = inf\n", "array_area_mm2");
+    expectRejected("read_energy_per_spike = nan\n",
+                   "read_energy_per_spike");
+    // rows x (2^32 - 1) x 255 must stay below 2^62: 4,210,752 rows
+    // fit at 8-bit cells and 32-bit data, one more does not.
+    EXPECT_EQ(parseDeviceParams("cell_bits = 8\ndata_bits = 32\n"
+                                "array_rows = 4210752\n")
+                  .array_rows,
+              4210752);
+    expectRejected("cell_bits = 8\ndata_bits = 32\n"
+                   "array_rows = 4210753\n",
+                   "array_rows");
+}
+
+TEST(ParamsIoErrors, ConsumersValidate)
+{
+    DeviceParams p;
+    p.cell_bits = 0;
+    EXPECT_THROW(p.validate(), ConfigError);
+    EXPECT_THROW(ArrayGroup(p, Tensor({2, 2})), ConfigError);
+    EXPECT_THROW(sim::Simulator(workloads::networkByName("Mnist-A"), p),
+                 ConfigError);
+    EXPECT_NO_THROW(DeviceParams().validate());
+}
+
+TEST(ParamsIo, SeedsRoundTripExactly)
+{
+    // 2^53 + 1 is the first integer a double cannot hold.
+    for (const uint64_t seed : {uint64_t{9007199254740993u},
+                                std::numeric_limits<uint64_t>::max()}) {
+        DeviceParams original;
+        original.variation_seed = seed;
+        std::ostringstream os;
+        writeDeviceParams(original, os);
+        EXPECT_EQ(parseDeviceParams(os.str()).variation_seed, seed);
+    }
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hh"
 #include "reram/array_group.hh"
@@ -247,18 +248,114 @@ TEST(ArrayGroup, UpdateCanFlipWeightSign)
     EXPECT_NEAR(after(0, 0), -0.5f, group.weightScale() * 1.01f);
 }
 
+/** FNV-1a-64 over the raw float bytes of @p t. */
+uint64_t
+floatHash(const Tensor &t)
+{
+    uint64_t h = 14695981039346656037ull;
+    const auto *bytes = reinterpret_cast<const unsigned char *>(t.data());
+    const size_t n = static_cast<size_t>(t.numel()) * sizeof(float);
+    for (size_t k = 0; k < n; ++k) {
+        h ^= bytes[k];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** The four activity counters, in declaration order. */
+std::vector<int64_t>
+counters(const ArrayActivity &a)
+{
+    return {a.input_spikes, a.write_pulses, a.mvm_ops, a.if_fires};
+}
+
+/** Pinned observables of one ArrayGroup session (see below). */
+struct GroupPins
+{
+    std::vector<int64_t> after_batch, after_update, after_matvec;
+    uint64_t batch_hash, matvec_hash, weights_hash;
+};
+
+/**
+ * A 40 x 70 group on 32 x 32 arrays (3 x 2 tiles, the last tile
+ * column 8 bit lines wide): a signed five-window matVecBatch (mixed
+ * signs, all positive, all zero, zero over the first tile row), then
+ * updateWeights, then one signed matVec.  Reports the group's
+ * activity after each step and hashes of the two outputs and of the
+ * stored weights.
+ */
+GroupPins
+runGroupSession(const DeviceParams &p)
+{
+    Rng rng(8);
+    const Tensor w = Tensor::randn({40, 70}, rng);
+    ArrayGroup group(p, w);
+    Tensor xb({5, 70});
+    for (int64_t j = 0; j < 70; ++j) {
+        xb(0, j) = static_cast<float>(rng.uniform(-1.0, 1.0));
+        xb(1, j) = static_cast<float>(rng.uniform(-1.0, 1.0));
+        xb(2, j) = static_cast<float>(rng.uniform(0.0, 1.0));
+        xb(4, j) = j < 32 ? 0.0f : static_cast<float>(rng.uniform());
+    }
+    GroupPins pins;
+    pins.batch_hash = floatHash(group.matVecBatch(xb));
+    pins.after_batch = counters(group.totalActivity());
+
+    Tensor grad({40, 70});
+    for (int64_t i = 0; i < grad.numel(); ++i)
+        grad.at(i) = static_cast<float>(rng.uniform(-1.0, 1.0));
+    group.updateWeights(grad, /*lr=*/0.5f, /*batch_size=*/2);
+    pins.after_update = counters(group.totalActivity());
+
+    Tensor x({70});
+    for (int64_t j = 0; j < 70; ++j)
+        x(j) = static_cast<float>(rng.uniform(-1.0, 1.0));
+    pins.matvec_hash = floatHash(group.matVec(x));
+    pins.after_matvec = counters(group.totalActivity());
+    pins.weights_hash = floatHash(group.readWeights());
+    return pins;
+}
+
+void
+expectPins(const GroupPins &got, const GroupPins &want)
+{
+    EXPECT_EQ(got.after_batch, want.after_batch);
+    EXPECT_EQ(got.after_update, want.after_update);
+    EXPECT_EQ(got.after_matvec, want.after_matvec);
+    EXPECT_EQ(got.batch_hash, want.batch_hash)
+        << std::hex << got.batch_hash;
+    EXPECT_EQ(got.matvec_hash, want.matvec_hash)
+        << std::hex << got.matvec_hash;
+    EXPECT_EQ(got.weights_hash, want.weights_hash)
+        << std::hex << got.weights_hash;
+}
+
 TEST(ArrayGroup, ActivityAccumulates)
 {
-    const DeviceParams p;
-    Rng rng(8);
-    const Tensor w = Tensor::randn({4, 4}, rng);
-    ArrayGroup group(p, w);
-    Tensor x({4}, 0.5f);
-    (void)group.matVec(x);
-    const ArrayActivity activity = group.totalActivity();
-    EXPECT_GT(activity.input_spikes, 0);
-    EXPECT_GT(activity.write_pulses, 0); // programming during ctor
-    EXPECT_GT(activity.mvm_ops, 0);
+    DeviceParams p;
+    p.array_rows = 32;
+    p.array_cols = 32;
+    const GroupPins ideal = runGroupSession(p);
+    EXPECT_GT(ideal.after_batch[0], 0);  // input spikes
+    EXPECT_GT(ideal.after_batch[1], 0);  // programming during ctor
+    EXPECT_GT(ideal.after_batch[2], 0);  // MVMs
+    expectPins(ideal, {{31232, 89600, 272, 3810569254},
+                       {31232, 179200, 272, 3810569254},
+                       {39696, 179200, 368, 4982398560},
+                       0xef048b7bfe121699ull, 0xca2eaee80fcdb186ull,
+                       0x9b17d00f03193f69ull});
+
+    // Write noise, stuck cells (stuck-high ones included in bit lines
+    // no weight maps to) and a counter narrow enough to saturate.
+    p.write_noise_sigma = 0.02;
+    p.stuck_at_fault_rate = 0.02;
+    p.counter_bits = 24;
+    expectPins(runGroupSession(p),
+               {{31232, 89600, 272, 4112714066},
+                {31232, 179200, 272, 4112714066},
+                {39696, 179200, 368, 5378554418},
+                0xaee2375d5c72abb3ull, 0x08118df40b1dc767ull,
+                0x96411ecb9e6b9cbcull});
 }
 
 TEST(ArrayGroupDeath, RejectsNonMatrixWeight)

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/rng.hh"
 #include "reram/array_group.hh"
@@ -40,12 +42,41 @@ TEST(Variation, StuckCellRateIsApproximatelyRespected)
 
 TEST(Variation, StuckCellsIgnoreProgramming)
 {
-    DeviceParams p;
-    p.stuck_at_fault_rate = 1.0; // every cell stuck
-    CrossbarArray array(p, 2);
-    const int64_t before = array.cell(3, 3);
-    array.programCell(3, 3, before == 0 ? 15 : 0);
-    EXPECT_EQ(array.cell(3, 3), before);
+    // Every cell stuck, at 4-bit cells and at the widest (8-bit)
+    // cells, whose stuck-high code 255 must not alias a flag value.
+    for (const int bits : {4, 8}) {
+        SCOPED_TRACE("cell_bits=" + std::to_string(bits));
+        DeviceParams p;
+        p.cell_bits = bits;
+        p.stuck_at_fault_rate = 1.0;
+        CrossbarArray array(p, 2);
+        const int64_t top = p.maxCellCode();
+        EXPECT_EQ(array.stuckCellCount(), p.array_rows * p.array_cols);
+        std::vector<int64_t> frozen;
+        int64_t high = 0;
+        for (int64_t r = 0; r < p.array_rows; ++r) {
+            for (int64_t c = 0; c < p.array_cols; ++c) {
+                const int64_t g = array.cell(r, c);
+                EXPECT_TRUE(g == 0 || g == top) << g;
+                array.programCell(r, c, g == 0 ? top : 0);
+                EXPECT_EQ(array.cell(r, c), g);
+                frozen.push_back(g);
+                high += g == top ? 1 : 0;
+            }
+        }
+        EXPECT_GT(high, 0);
+        std::vector<int64_t> codes;
+        for (int64_t r = 0; r < p.array_rows; ++r)
+            codes.push_back(r % 7 + 1);
+        const std::vector<int64_t> out = array.matVecCodes(codes);
+        for (int64_t c = 0; c < p.array_cols; ++c) {
+            int64_t want = 0;
+            for (int64_t r = 0; r < p.array_rows; ++r)
+                want += codes[static_cast<size_t>(r)] *
+                        frozen[static_cast<size_t>(r * p.array_cols + c)];
+            EXPECT_EQ(out[static_cast<size_t>(c)], want) << "column " << c;
+        }
+    }
 }
 
 TEST(Variation, WriteNoisePerturbsCodes)
