@@ -143,7 +143,9 @@ class PipeLayerDevice
     /**
      * Accumulated spike/write activity of every programmed array
      * since Weight_load — the *measured* counterpart of the analytic
-     * energy model.
+     * energy model.  It includes the backward arrays each weight
+     * update retires and reprograms, so a single-batch Train adds
+     * exactly Weight_load's write pulses.
      */
     reram::ArrayActivity totalActivity() const;
 

@@ -96,6 +96,8 @@ MappedConvLayer::packBackward(const Tensor &weight)
 void
 MappedConvLayer::rebuildBackward()
 {
+    if (backward_group_)
+        retired_ += backward_group_->totalActivity();
     backward_group_ = std::make_unique<reram::ArrayGroup>(
         params_, packBackward(storedWeight()));
 }
@@ -200,6 +202,7 @@ reram::ArrayActivity
 MappedConvLayer::activity() const
 {
     reram::ArrayActivity total = forward_group_->totalActivity();
+    total += retired_;
     if (backward_group_)
         total += backward_group_->totalActivity();
     return total;
@@ -253,6 +256,8 @@ MappedIpLayer::packBackward(const Tensor &weight)
 void
 MappedIpLayer::rebuildBackward()
 {
+    if (backward_group_)
+        retired_ += backward_group_->totalActivity();
     backward_group_ = std::make_unique<reram::ArrayGroup>(
         params_, packBackward(storedWeight()));
 }
@@ -319,6 +324,7 @@ reram::ArrayActivity
 MappedIpLayer::activity() const
 {
     reram::ArrayActivity total = forward_group_->totalActivity();
+    total += retired_;
     if (backward_group_)
         total += backward_group_->totalActivity();
     return total;

@@ -68,7 +68,10 @@ class MappedConvLayer
 
     int64_t arrayCount() const;
 
-    /** Accumulated spike/write activity of all backing arrays. */
+    /**
+     * Accumulated spike/write activity of all backing arrays since
+     * construction, including backward arrays retired by updates.
+     */
     reram::ArrayActivity activity() const;
 
   private:
@@ -85,6 +88,8 @@ class MappedConvLayer
     bool training_;
     std::unique_ptr<reram::ArrayGroup> forward_group_;
     std::unique_ptr<reram::ArrayGroup> backward_group_;
+    /** Activity of the backward groups rebuildBackward() replaced. */
+    reram::ArrayActivity retired_;
 };
 
 /**
@@ -112,7 +117,10 @@ class MappedIpLayer
 
     int64_t arrayCount() const;
 
-    /** Accumulated spike/write activity of all backing arrays. */
+    /**
+     * Accumulated spike/write activity of all backing arrays since
+     * construction, including backward arrays retired by updates.
+     */
     reram::ArrayActivity activity() const;
 
   private:
@@ -126,6 +134,8 @@ class MappedIpLayer
     bool training_;
     std::unique_ptr<reram::ArrayGroup> forward_group_;
     std::unique_ptr<reram::ArrayGroup> backward_group_;
+    /** Activity of the backward groups rebuildBackward() replaced. */
+    reram::ArrayActivity retired_;
 };
 
 } // namespace core

@@ -416,6 +416,31 @@ TEST(Device, ActivityAndMeasuredEnergyAccumulate)
     EXPECT_GT(dev.measuredComputeEnergy(), e0);
 }
 
+TEST(Device, TrainKeepsRetiredBackwardActivity)
+{
+    // A weight update rewrites every forward cell and replaces the
+    // backward arrays with freshly programmed ones.  The replaced
+    // arrays' history stays in totalActivity(), so one single-batch
+    // Train adds exactly Weight_load's write pulses.
+    nn::Network net = tinyNet(24);
+    PipeLayerConfig config;
+    config.batch_size = 64; // the 48 training images are one batch
+    PipeLayerDevice dev(config);
+    dev.Topology_set(net);
+    dev.Weight_load();
+    const auto loaded = dev.totalActivity();
+    ASSERT_GT(loaded.write_pulses, 0);
+
+    auto task = tinyTask();
+    ASSERT_LE(task.train.size(), 64u);
+    const DeviceTrainStats stats = dev.Train(task.train, 1);
+    ASSERT_EQ(stats.batches_run, 1);
+    const auto trained = dev.totalActivity();
+    EXPECT_EQ(trained.write_pulses - loaded.write_pulses,
+              loaded.write_pulses);
+    EXPECT_GT(trained.mvm_ops, 0);
+}
+
 TEST(Device, MeasuredEnergyTracksAnalyticOrderOfMagnitude)
 {
     // One functional inference's measured array energy should land
