@@ -100,21 +100,29 @@ class PipeLayerDevice
 
     /**
      * Configure the datapath from a host network.  The network is
-     * borrowed for the device's lifetime: its activation/pooling
-     * layers act as the stage activation units, its parameters are
-     * the source for Weight_load(), and Train() seeds the output
-     * error with its loss kind and accumulates the array stages'
-     * gradients in its layers.
+     * borrowed and must outlive the device: its parameters are the
+     * source for Weight_load(), its loss kind seeds the output error,
+     * and its Conv and InnerProduct layers hold the batch's ∂W, which
+     * Train() accumulates and the arrays apply.  Its parameter-free
+     * layers (activations, pools, flatten) are rebuilt by kind as the
+     * stage activation units; an exact sigmoid becomes the Fig.-9c
+     * LUT when PipeLayerConfig::lut_sigmoid is set.
      */
     void Topology_set(nn::Network &net);
 
-    /** Program the topology network's weights into the arrays. */
+    /**
+     * Program the topology network's weights into the arrays and
+     * build the crossbar network() that runs on them.
+     */
     void Weight_load();
 
     /** Enable or disable the inter-layer pipeline (timing only). */
     void Pipeline_Set(bool enabled);
 
-    /** Train through the crossbars with batched SGD. */
+    /**
+     * Train through the crossbars with batched SGD: one
+     * network().trainBatch() per minibatch of the configured B.
+     */
     DeviceTrainStats Train(nn::Dataset &train_set, int64_t epochs);
 
     /** Classify a dataset through the crossbars. */
@@ -126,6 +134,15 @@ class PipeLayerDevice
 
     /** Predicted class for one input. */
     int64_t predict(const Tensor &input) const;
+
+    /**
+     * The crossbar network Weight_load() built: the topology's layers
+     * with each Conv and InnerProduct replaced by its MappedLayer.
+     * Train, Test, forward and predict run it; PipelinedTrainer can
+     * drive it too, on the same arrays.  Panics before Weight_load().
+     */
+    nn::Network &network();
+    const nn::Network &network() const;
 
     /** Timing/energy/area report from the cycle-level simulator. */
     sim::SimReport timingReport(sim::Phase phase,
@@ -164,31 +181,12 @@ class PipeLayerDevice
     bool pipelineEnabled() const { return pipeline_enabled_; }
 
   private:
-    /** One pipeline stage: ReRAM arrays or a host activation unit. */
-    struct Stage;
-
-    /**
-     * Forward one sample through the stages.  Training passes both
-     * vectors, which receive each stage's input and its host layer's
-     * nn::Saved state for backward(); inference passes neither.
-     */
-    Tensor forwardStages(const Tensor &input,
-                         std::vector<Tensor> *stage_inputs,
-                         std::vector<nn::Saved> *saved) const;
-
-    /**
-     * Backward one sample, accumulating the array stages' gradients
-     * in the topology network's layers.
-     */
-    void backward(const Tensor &delta,
-                  const std::vector<Tensor> &stage_inputs,
-                  const std::vector<nn::Saved> &saved);
-
     PipeLayerConfig config_;
     nn::Network *topology_ = nullptr;
     bool pipeline_enabled_ = true;
     reram::MemoryRegion staging_;
-    std::vector<std::unique_ptr<Stage>> stages_;
+    std::unique_ptr<nn::Network> network_;
+    std::vector<const MappedLayer *> mapped_; //!< network_'s array layers
 };
 
 } // namespace core

@@ -2,27 +2,41 @@
  * @file
  * Network layers mapped onto ReRAM array groups.
  *
- * A mapped layer owns the morphable subarrays of one pipeline stage:
- * a forward array group A_l holding [W | b] (bias as an extra input
- * row driven by a constant-1 spike train, paper Fig. 4's 513th word
- * line) and, when training, a backward array group A_l2 holding the
- * reordered kernels (W)* used for error backward (paper §4.3).
+ * A mapped layer is the nn::Layer of one array stage of the device's
+ * crossbar network (PipeLayerDevice::network()).  It owns the stage's
+ * morphable subarrays: a forward array group A_l holding [W | b]
+ * (bias as an extra input row driven by a constant-1 spike train,
+ * paper Fig. 4's 513th word line) and, when training, a backward
+ * array group A_l2 holding the reordered kernels (W)* used for error
+ * backward (paper §4.3).  forward() and backward() are array MVMs and
+ * keep no nn::Saved state, so nn::Network::trainBatch and
+ * PipelinedTrainer drive a mapped layer exactly as they drive its
+ * host layer, with several images in flight.  The MVMs are const for
+ * that contract yet add to the arrays' activity tallies, which
+ * CrossbarArray keeps exact under concurrent calls.
  *
  * Forward convolution streams im2col windows through the arrays —
  * exactly the data-input scheme of paper Fig. 4/5.  Error backward
  * for convolutions streams windows of the zero-padded error through
  * the rot180-reordered kernel arrays (Fig. 11).  The partial
- * derivatives are computed at host precision from the quantised
- * signals (the timing/energy of the paper's in-array method is
- * modelled in src/sim; see DESIGN.md §2).
+ * derivatives are the borrowed host layer's math on the quantised
+ * signals (imageGrads, gradients), applied to the arrays by
+ * read-subtract-write (the timing/energy of the paper's in-array
+ * method is modelled in src/sim; see DESIGN.md §2).
+ *
+ * LutSigmoidLayer is the Fig.-9c activation unit that stands in for
+ * an exact sigmoid.
  */
 
 #ifndef PIPELAYER_CORE_MAPPED_LAYER_HH_
 #define PIPELAYER_CORE_MAPPED_LAYER_HH_
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "nn/layers.hh"
+#include "reram/activation.hh"
 #include "reram/array_group.hh"
 #include "reram/params.hh"
 #include "tensor/tensor.hh"
@@ -31,39 +45,48 @@ namespace pipelayer {
 namespace core {
 
 /**
- * A convolution stage resident in morphable subarrays.
+ * The array groups of one weight layer, and what the conv and
+ * inner-product stages share: shapes, gradients and the kind from
+ * the host layer, the in-ReRAM weight update and the activity tally.
+ *
+ * The host layer is borrowed and must outlive the mapped layer; its
+ * parameters are read once, when the arrays are programmed, and its
+ * gradient accumulators hold the batch's ∂W.  parameters() is empty:
+ * the weights live in the arrays (storedWeight(), storedBias()).
  */
-class MappedConvLayer
+class MappedLayer : public nn::Layer
 {
   public:
+    nn::LayerKind kind() const override { return host_.kind(); }
+    std::string describe() const override { return host_.describe(); }
+    Shape outputShape(const Shape &input_shape) const override
+    {
+        return host_.outputShape(input_shape);
+    }
+    std::vector<Tensor> imageGrads(const Tensor &input,
+                                   const Tensor &delta_out) const override
+    {
+        return host_.imageGrads(input, delta_out);
+    }
+    void zeroGrads() override { host_.zeroGrads(); }
+    std::vector<Tensor *> gradients() override
+    {
+        return host_.gradients();
+    }
+
     /**
-     * Program the layer's weights into ReRAM.
-     *
-     * @param weight (Cout, Cin, K, K) kernel.
-     * @param bias   (Cout) bias.
-     * @param training also build the reordered backward arrays.
+     * Apply the host layer's accumulated gradients in ReRAM
+     * (read-subtract-write, §4.4.2) and reprogram the backward arrays.
      */
-    MappedConvLayer(const reram::DeviceParams &params,
-                    const Tensor &weight, const Tensor &bias,
-                    int64_t pad, bool training);
+    void applyUpdate(float lr, int64_t batch_size) override;
 
-    /** Forward convolution through the arrays: (Cin,H,W) -> cube. */
-    Tensor forward(const Tensor &input);
+    /** The arrays apply plain SGD (§4.4.2): only 0 is accepted. */
+    void setMomentum(float momentum) override;
 
-    /** Error backward through the reordered arrays (training only). */
-    Tensor backwardError(const Tensor &delta_out);
-
-    /**
-     * Apply the batch-averaged gradients in ReRAM (read-subtract-
-     * write, §4.4.2) and refresh the backward arrays.
-     */
-    void applyUpdate(const Tensor &weight_grad, const Tensor &bias_grad,
-                     float lr, int64_t batch_size);
-
-    /** Weights as currently stored (quantised), (Cout, Cin, K, K). */
+    /** Weights as currently stored (quantised), in the host's shape. */
     Tensor storedWeight() const;
 
-    /** Bias as currently stored (quantised), (Cout). */
+    /** Bias as currently stored (quantised). */
     Tensor storedBias() const;
 
     int64_t arrayCount() const;
@@ -74,68 +97,84 @@ class MappedConvLayer
      */
     reram::ArrayActivity activity() const;
 
+  protected:
+    /**
+     * Program the host layer's weights (first parameter, with output
+     * rows first) and bias into the forward arrays and, when
+     * @p training, the reordered weights into the backward arrays.
+     */
+    MappedLayer(const reram::DeviceParams &params, nn::Layer &host,
+                bool training);
+
+    const bool training_;
+    std::unique_ptr<reram::ArrayGroup> forward_group_;
+    std::unique_ptr<reram::ArrayGroup> backward_group_;
+
   private:
-    /** Pack kernel+bias into the (Cout, Cin*K*K + 1) array matrix. */
-    static Tensor packForward(const Tensor &weight, const Tensor &bias);
-
-    /** Pack rot180 kernels into the (Cin, Cout*K*K + 1) matrix. */
-    static Tensor packBackward(const Tensor &weight);
-
     void rebuildBackward();
 
     reram::DeviceParams params_;
-    int64_t in_c_, out_c_, kernel_, pad_;
-    bool training_;
-    std::unique_ptr<reram::ArrayGroup> forward_group_;
-    std::unique_ptr<reram::ArrayGroup> backward_group_;
+    nn::Layer &host_;
+    Shape weight_shape_; //!< the host weight's shape
     /** Activity of the backward groups rebuildBackward() replaced. */
     reram::ArrayActivity retired_;
 };
 
-/**
- * An inner-product stage resident in morphable subarrays.
- */
-class MappedIpLayer
+/** A stride-1 convolution stage resident in morphable subarrays. */
+class MappedConvLayer : public MappedLayer
 {
   public:
-    /** @param weight (n, m) matrix; @param bias (n). */
-    MappedIpLayer(const reram::DeviceParams &params, const Tensor &weight,
-                  const Tensor &bias, bool training);
+    /** @param training also build the reordered backward arrays. */
+    MappedConvLayer(const reram::DeviceParams &params, nn::ConvLayer &host,
+                    bool training);
 
-    /** Forward product through the arrays: (m) -> (n). */
-    Tensor forward(const Tensor &input);
+    /** Forward convolution through the arrays: (Cin,H,W) -> cube. */
+    Tensor forward(const Tensor &input,
+                   nn::Saved *saved = nullptr) const override;
 
-    /** δ_in = W^T δ_out through the transposed arrays. */
-    Tensor backwardError(const Tensor &delta_out);
-
-    /** In-ReRAM weight update (§4.4.2). */
-    void applyUpdate(const Tensor &weight_grad, const Tensor &bias_grad,
-                     float lr, int64_t batch_size);
-
-    Tensor storedWeight() const; //!< (n, m), quantised
-    Tensor storedBias() const;   //!< (n), quantised
-
-    int64_t arrayCount() const;
-
-    /**
-     * Accumulated spike/write activity of all backing arrays since
-     * construction, including backward arrays retired by updates.
-     */
-    reram::ArrayActivity activity() const;
+    /** Error backward through the reordered arrays (training only). */
+    Tensor backward(const Tensor &delta_out,
+                    const nn::Saved &saved) const override;
 
   private:
-    static Tensor packForward(const Tensor &weight, const Tensor &bias);
-    static Tensor packBackward(const Tensor &weight);
+    int64_t in_c_, out_c_, kernel_, pad_;
+};
 
-    void rebuildBackward();
+/** An inner-product stage resident in morphable subarrays. */
+class MappedIpLayer : public MappedLayer
+{
+  public:
+    MappedIpLayer(const reram::DeviceParams &params,
+                  nn::InnerProductLayer &host, bool training);
 
-    reram::DeviceParams params_;
+    /** Forward product through the arrays: (m) -> (n). */
+    Tensor forward(const Tensor &input,
+                   nn::Saved *saved = nullptr) const override;
+
+    /** δ_in = W^T δ_out through the transposed arrays. */
+    Tensor backward(const Tensor &delta_out,
+                    const nn::Saved &saved) const override;
+
+  private:
     int64_t n_, m_;
-    bool training_;
-    std::unique_ptr<reram::ArrayGroup> forward_group_;
-    std::unique_ptr<reram::ArrayGroup> backward_group_;
-    /** Activity of the backward groups rebuildBackward() replaced. */
-    reram::ArrayActivity retired_;
+};
+
+/**
+ * A sigmoid realised by the Fig.-9c LUT activation unit.  forward()
+ * saves the LUT's output, from which the inherited error pass derives
+ * s(1-s).
+ */
+class LutSigmoidLayer : public nn::SigmoidLayer
+{
+  public:
+    /** @param lut_bits table address width (entries = 2^lut_bits). */
+    explicit LutSigmoidLayer(int lut_bits);
+
+    Tensor forward(const Tensor &input,
+                   nn::Saved *saved = nullptr) const override;
+
+  private:
+    reram::ActivationUnit lut_;
 };
 
 } // namespace core

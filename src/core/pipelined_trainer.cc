@@ -35,11 +35,13 @@ PipelinedTrainer::PipelinedTrainer(nn::Network &net) : net_(net)
     Stage *current = nullptr;
     for (size_t i = 0; i < net_.numLayers(); ++i) {
         nn::Layer &layer = net_.layer(i);
+        // A crossbar convolution (core::MappedConvLayer) rejects other
+        // strides when it is programmed.
+        const auto *conv = dynamic_cast<const nn::ConvLayer *>(&layer);
+        PL_ASSERT(conv == nullptr || conv->stride() == 1,
+                  "pipelined training maps stride-1 convolutions");
         switch (layer.kind()) {
           case nn::LayerKind::Conv:
-            PL_ASSERT(static_cast<nn::ConvLayer &>(layer).stride() == 1,
-                      "pipelined training maps stride-1 convolutions");
-            [[fallthrough]];
           case nn::LayerKind::InnerProduct:
             stages_.push_back(std::make_unique<Stage>());
             current = stages_.back().get();

@@ -69,7 +69,8 @@ struct PipelinedBatchResult
  * The network is borrowed; its layers run every op, its loss kind
  * seeds the output error, and its applyUpdate() runs at the batch's
  * update cycle.  Supported layers: Conv (stride 1), InnerProduct,
- * ReLU, Sigmoid, MaxPool, AvgPool, Flatten.
+ * ReLU, Sigmoid, MaxPool, AvgPool, Flatten — float layers, or the
+ * crossbar layers of a PipeLayerDevice::network().
  */
 class PipelinedTrainer
 {

@@ -146,8 +146,10 @@ class Layer
     virtual std::vector<Tensor *> parameters() { return {}; }
 
     /**
-     * The gradient accumulators, one per parameters() entry in the
-     * same order.  PipeLayerDevice applies them to its arrays.
+     * The gradient accumulators, one per parameter tensor (weights
+     * then bias).  A crossbar layer (core::MappedLayer) returns its
+     * host layer's, applies them to its arrays, and has no
+     * parameters() of its own: its weights live in the arrays.
      */
     virtual std::vector<Tensor *> gradients() { return {}; }
 

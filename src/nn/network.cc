@@ -22,6 +22,8 @@ Network::add(LayerPtr layer)
     PL_ASSERT(layer != nullptr, "null layer added to network %s",
               name_.c_str());
     Shape out = layer->outputShape(shapes_.back());
+    if (first_trained_ == kNone && !layer->gradients().empty())
+        first_trained_ = layers_.size();
     layers_.push_back(std::move(layer));
     shapes_.push_back(std::move(out));
 }
@@ -74,12 +76,12 @@ Network::trainImage(const Tensor &input, int64_t label,
     }
     LossResult seed = lossFor(loss_, x, label);
     Tensor delta = std::move(seed.delta);
-    for (size_t l = layers_.size(); l-- > 0;) {
+    for (size_t l = layers_.size(); l-- > first_trained_;) {
         if (partials)
             (*partials)[l] = layers_[l]->imageGrads(layer_inputs[l], delta);
         else
             layers_[l]->accumulateGrads(layer_inputs[l], delta);
-        if (l > 0)
+        if (l > first_trained_)
             delta = layers_[l]->backward(delta, saved[l]);
     }
     return seed.loss;
@@ -87,13 +89,16 @@ Network::trainImage(const Tensor &input, int64_t label,
 
 double
 Network::trainBatch(const std::vector<Tensor> &inputs,
-                    const std::vector<int64_t> &labels, float lr)
+                    const std::vector<int64_t> &labels, float lr,
+                    std::vector<double> *image_losses)
 {
     PL_ASSERT(inputs.size() == labels.size() && !inputs.empty(),
               "bad batch in trainBatch");
     const size_t batch = inputs.size();
     zeroGrads();
-    std::vector<double> losses(batch);
+    std::vector<double> own_losses;
+    std::vector<double> &losses = image_losses ? *image_losses : own_losses;
+    losses.assign(batch, 0.0);
     // partials[i][l]: image i's gradients of layer l, for the images
     // outside the first chunk.
     std::vector<std::vector<std::vector<Tensor>>> partials(batch);

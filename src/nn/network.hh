@@ -70,10 +70,12 @@ class Network
 
     /**
      * One full training step over a batch (the protocol above);
-     * returns the mean loss.
+     * returns the mean loss.  @p image_losses, when given, receives
+     * each image's loss in image order.
      */
     double trainBatch(const std::vector<Tensor> &inputs,
-                      const std::vector<int64_t> &labels, float lr);
+                      const std::vector<int64_t> &labels, float lr,
+                      std::vector<double> *image_losses = nullptr);
 
     /** Predicted class of one input. */
     int64_t predict(const Tensor &input) const;
@@ -108,8 +110,10 @@ class Network
      * loss.  @p layer_inputs and @p saved hold layer l's input and
      * Saved state, reused across a chunk's images.  Layer l's
      * gradients are added to its accumulators when @p partials is
-     * null, else stored in (*partials)[l].  Layer 0's input error is
-     * not computed: nothing reads it.
+     * null, else stored in (*partials)[l].  The error pass stops at
+     * the lowest layer with gradients: its input error feeds no
+     * gradient, so it is not computed (on an MLP that starts with a
+     * flatten, that is the first inner product's).
      */
     double trainImage(const Tensor &input, int64_t label,
                       std::vector<Tensor> &layer_inputs,
@@ -121,6 +125,9 @@ class Network
     LossKind loss_;
     std::vector<LayerPtr> layers_;
     std::vector<Shape> shapes_; //!< shapes_[i] feeds layer i; back() is out
+
+    static constexpr size_t kNone = static_cast<size_t>(-1);
+    size_t first_trained_ = kNone; //!< lowest layer with gradients
 };
 
 } // namespace nn

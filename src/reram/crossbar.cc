@@ -1,6 +1,7 @@
 #include "reram/crossbar.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 
@@ -61,6 +62,18 @@ countSpikes(const int64_t *codes, int64_t n, int data_bits)
         spikes += std::popcount(static_cast<uint64_t>(codes[i]));
     }
     return spikes;
+}
+
+/**
+ * Add @p n to an activity counter.  Several images may drive one
+ * array at once (Network::trainBatch, PipelinedTrainer); the adds
+ * commute, so the totals are exact at any thread count.
+ */
+void
+tally(int64_t &counter, int64_t n)
+{
+    std::atomic_ref<int64_t>(counter).fetch_add(n,
+                                                std::memory_order_relaxed);
 }
 
 } // namespace
@@ -181,8 +194,8 @@ CrossbarArray::matVecWeightedBatch(const int64_t *row_weight,
 {
     PL_PROF_SCOPE("reram.crossbar_matvec");
     PL_ASSERT(batch >= 1, "empty batch");
-    activity_.input_spikes += spikes;
-    activity_.mvm_ops += batch;
+    tally(activity_.input_spikes, spikes);
+    tally(activity_.mvm_ops, batch);
 
     // Collapsed bit-plane walk.  The LSBF pulse schedule injects only
     // non-negative charges (weight 2^t x conductance) and the IF
@@ -249,8 +262,9 @@ CrossbarArray::matVecWeightedBatch(const int64_t *row_weight,
             fires += out_b[c];
         }
     }
-    last_saturated_ = last_sat;
-    activity_.if_fires += fires;
+    std::atomic_ref<bool>(last_saturated_)
+        .store(last_sat, std::memory_order_relaxed);
+    tally(activity_.if_fires, fires);
 }
 
 std::vector<int64_t>

@@ -133,7 +133,11 @@ class CrossbarArray
      */
     void matVecCodesBatch(const SpikeBlock &block, int64_t *out);
 
-    /** Activity counters for the energy model. */
+    /**
+     * Activity counters for the energy model.  The MVMs add to them
+     * atomically, so several threads may drive one array at once and
+     * the totals stay exact; read them once those calls returned.
+     */
     const ArrayActivity &activity() const { return activity_; }
 
     /**
@@ -146,7 +150,10 @@ class CrossbarArray
         activity_.addStats(group, prefix);
     }
 
-    /** True if any IF counter saturated during the last matVec. */
+    /**
+     * True if any IF counter saturated during the last matVec (with
+     * concurrent calls, the one that finished last).
+     */
     bool lastSaturated() const { return last_saturated_; }
 
     /** Number of stuck cells in this array (0 for ideal devices). */

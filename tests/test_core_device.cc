@@ -2,11 +2,13 @@
  * @file
  * Tests of the PipeLayer device API (§5.2) and the mapped layers:
  * functional equivalence with the host network within quantisation
- * error, in-ReRAM training, and the host/device data-transfer calls.
+ * error, in-ReRAM training, pipelined training equal to sequential
+ * training on the crossbars, and the host/device data-transfer calls.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <iomanip>
 #include <memory>
@@ -15,6 +17,7 @@
 #include "common/rng.hh"
 #include "core/device.hh"
 #include "core/mapped_layer.hh"
+#include "core/pipelined_trainer.hh"
 #include "nn/layers.hh"
 #include "tensor/ops.hh"
 #include "workloads/model_zoo.hh"
@@ -38,6 +41,30 @@ tinyNet(uint64_t seed, nn::LossKind loss = nn::LossKind::Softmax)
     return net;
 }
 
+/** A stride-1 host conv layer holding @p w and @p b. */
+std::unique_ptr<nn::ConvLayer>
+convHost(const Tensor &w, const Tensor &b, int64_t pad)
+{
+    Rng init(0); // the initial weights are replaced
+    auto host = std::make_unique<nn::ConvLayer>(w.dim(1), w.dim(0),
+                                                w.dim(2), 1, pad, init);
+    *host->parameters()[0] = w;
+    *host->parameters()[1] = b;
+    return host;
+}
+
+/** A host inner-product layer holding @p w and @p b. */
+std::unique_ptr<nn::InnerProductLayer>
+ipHost(const Tensor &w, const Tensor &b)
+{
+    Rng init(0); // the initial weights are replaced
+    auto host =
+        std::make_unique<nn::InnerProductLayer>(w.dim(1), w.dim(0), init);
+    *host->parameters()[0] = w;
+    *host->parameters()[1] = b;
+    return host;
+}
+
 workloads::SyntheticTask
 tinyTask()
 {
@@ -56,8 +83,9 @@ TEST(MappedConv, ForwardMatchesHostWithinQuantisation)
     Rng rng(1);
     const Tensor w = Tensor::randn({4, 2, 3, 3}, rng, 0.0f, 0.3f);
     const Tensor b = Tensor::randn({4}, rng, 0.0f, 0.1f);
-    MappedConvLayer mapped(reram::DeviceParams(), w, b, /*pad=*/1,
-                           /*training=*/false);
+    const auto host = convHost(w, b, /*pad=*/1);
+    const MappedConvLayer mapped(reram::DeviceParams(), *host,
+                                 /*training=*/false);
     Tensor input({2, 6, 6});
     for (int64_t i = 0; i < input.numel(); ++i)
         input.at(i) = static_cast<float>(rng.uniform());
@@ -75,11 +103,12 @@ TEST(MappedConv, BackwardErrorMatchesHost)
     Rng rng(2);
     const Tensor w = Tensor::randn({3, 2, 3, 3}, rng, 0.0f, 0.3f);
     const Tensor b = Tensor::randn({3}, rng, 0.0f, 0.1f);
-    MappedConvLayer mapped(reram::DeviceParams(), w, b, /*pad=*/1,
-                           /*training=*/true);
+    const auto host = convHost(w, b, /*pad=*/1);
+    const MappedConvLayer mapped(reram::DeviceParams(), *host,
+                                 /*training=*/true);
     const Tensor delta = Tensor::randn({3, 5, 5}, rng, 0.0f, 0.5f);
     const Tensor expect = ops::conv2dBackwardInput(delta, w, 1);
-    const Tensor got = mapped.backwardError(delta);
+    const Tensor got = mapped.backward(delta, {});
     ASSERT_EQ(got.shape(), expect.shape());
     for (int64_t i = 0; i < got.numel(); ++i)
         EXPECT_NEAR(got.at(i), expect.at(i),
@@ -91,7 +120,8 @@ TEST(MappedConv, StoredWeightsRoundTrip)
     Rng rng(3);
     const Tensor w = Tensor::randn({2, 2, 3, 3}, rng);
     const Tensor b = Tensor::randn({2}, rng);
-    MappedConvLayer mapped(reram::DeviceParams(), w, b, 0, false);
+    const auto host = convHost(w, b, 0);
+    const MappedConvLayer mapped(reram::DeviceParams(), *host, false);
     const Tensor stored_w = mapped.storedWeight();
     const Tensor stored_b = mapped.storedBias();
     for (int64_t i = 0; i < w.numel(); ++i)
@@ -105,7 +135,8 @@ TEST(MappedIp, ForwardMatchesHost)
     Rng rng(4);
     const Tensor w = Tensor::randn({5, 9}, rng);
     const Tensor b = Tensor::randn({5}, rng, 0.0f, 0.2f);
-    MappedIpLayer mapped(reram::DeviceParams(), w, b, false);
+    const auto host = ipHost(w, b);
+    const MappedIpLayer mapped(reram::DeviceParams(), *host, false);
     Tensor x({9});
     for (int64_t i = 0; i < 9; ++i)
         x(i) = static_cast<float>(rng.uniform());
@@ -122,10 +153,11 @@ TEST(MappedIp, BackwardErrorIsTransposedProduct)
     Rng rng(5);
     const Tensor w = Tensor::randn({6, 4}, rng);
     const Tensor b = Tensor::randn({6}, rng);
-    MappedIpLayer mapped(reram::DeviceParams(), w, b, true);
+    const auto host = ipHost(w, b);
+    const MappedIpLayer mapped(reram::DeviceParams(), *host, true);
     const Tensor delta = Tensor::randn({6}, rng);
     const Tensor expect = ops::matVecT(w, delta);
-    const Tensor got = mapped.backwardError(delta);
+    const Tensor got = mapped.backward(delta, {});
     for (int64_t i = 0; i < got.numel(); ++i)
         EXPECT_NEAR(got.at(i), expect.at(i),
                     0.02 * (1.0 + std::fabs(expect.at(i))));
@@ -139,11 +171,12 @@ TEST(MappedIp, UpdateShiftsStoredWeights)
     Tensor w = Tensor::randn({3, 3}, rng, 0.0f, 0.3f);
     w(0, 0) = 2.0f;
     const Tensor b = Tensor::randn({3}, rng);
-    MappedIpLayer mapped(reram::DeviceParams(), w, b, true);
-    Tensor wg({3, 3}, 1.0f);
-    Tensor bg({3}, 1.0f);
+    const auto host = ipHost(w, b);
+    MappedIpLayer mapped(reram::DeviceParams(), *host, true);
+    *host->gradients()[0] = Tensor({3, 3}, 1.0f);
+    *host->gradients()[1] = Tensor({3}, 1.0f);
     const Tensor before = mapped.storedWeight();
-    mapped.applyUpdate(wg, bg, /*lr=*/0.4f, /*batch_size=*/4);
+    mapped.applyUpdate(/*lr=*/0.4f, /*batch_size=*/4);
     const Tensor after = mapped.storedWeight();
     for (int64_t i = 0; i < after.numel(); ++i)
         EXPECT_LT(after.at(i), before.at(i));
@@ -162,7 +195,8 @@ TEST_P(MappedConvSweep, ForwardMatchesHost)
     const Tensor w =
         Tensor::randn({3, 2, kernel, kernel}, rng, 0.0f, 0.3f);
     const Tensor b = Tensor::randn({3}, rng, 0.0f, 0.1f);
-    MappedConvLayer mapped(reram::DeviceParams(), w, b, pad, false);
+    const auto host = convHost(w, b, pad);
+    const MappedConvLayer mapped(reram::DeviceParams(), *host, false);
     Tensor input({2, 7, 7});
     for (int64_t i = 0; i < input.numel(); ++i)
         input.at(i) = static_cast<float>(rng.uniform());
@@ -543,16 +577,29 @@ tensorHash(const std::vector<Tensor> &tensors)
     return h;
 }
 
+/** The four activity counters of @p got equal those of @p want. */
+void
+expectSameActivity(const reram::ArrayActivity &got,
+                   const reram::ArrayActivity &want)
+{
+    EXPECT_EQ(got.input_spikes, want.input_spikes);
+    EXPECT_EQ(got.write_pulses, want.write_pulses);
+    EXPECT_EQ(got.mvm_ops, want.mvm_ops);
+    EXPECT_EQ(got.if_fires, want.if_fires);
+}
+
 /**
  * Train a fresh net from @p make through the crossbars for two epochs
- * at one and at four threads; the per-epoch losses and the weights
- * stored in the arrays must reproduce their pins bit for bit.
+ * at one and at four threads; the per-epoch losses, the weights
+ * stored in the arrays and the arrays' activity counters must
+ * reproduce their pins exactly.
  */
 template <typename Make>
 void
 expectDevicePinned(Make make, const PipeLayerConfig &config,
                    const std::vector<double> &epoch_loss,
-                   uint64_t stored_hash)
+                   uint64_t stored_hash,
+                   const reram::ArrayActivity &activity)
 {
     const int64_t saved = threadCount();
     for (const int64_t threads : {1, 4}) {
@@ -571,6 +618,7 @@ expectDevicePinned(Make make, const PipeLayerConfig &config,
         }
         EXPECT_EQ(tensorHash(dev.storedParameters()), stored_hash)
             << std::hex << tensorHash(dev.storedParameters());
+        expectSameActivity(dev.totalActivity(), activity);
     }
     setThreadCount(saved);
 }
@@ -589,14 +637,16 @@ TEST(DevicePinned, ConvNetSoftmax)
 {
     expectDevicePinned([] { return tinyNet(50); }, pinnedConfig(true),
                        {2.1474653348645867, 1.3789881441805918},
-                       0xc33acc11fb6b7b8aull);
+                       0xc33acc11fb6b7b8aull,
+                       {5706552, 273312, 76416, 174760837511});
 }
 
 TEST(DevicePinned, SigmoidMlpSoftmaxLut)
 {
     expectDevicePinned([] { return sigmoidNet(51); }, pinnedConfig(true),
                        {1.610387405436944, 1.5888448851190722},
-                       0xad5b97c0e0dfba22ull);
+                       0xad5b97c0e0dfba22ull,
+                       {789632, 946816, 3840, 70801156626});
 }
 
 TEST(DevicePinned, SigmoidMlpSoftmaxExact)
@@ -604,7 +654,8 @@ TEST(DevicePinned, SigmoidMlpSoftmaxExact)
     expectDevicePinned([] { return sigmoidNet(51); },
                        pinnedConfig(false),
                        {1.6094839908206708, 1.5889573083302604},
-                       0xde9acc4129183786ull);
+                       0xde9acc4129183786ull,
+                       {788320, 946816, 3840, 70773305418});
 }
 
 TEST(DevicePinned, SigmoidMlpL2Lut)
@@ -612,7 +663,8 @@ TEST(DevicePinned, SigmoidMlpL2Lut)
     expectDevicePinned([] { return sigmoidNet(52, nn::LossKind::L2); },
                        pinnedConfig(true),
                        {1.06701189905911, 0.44490302738688575},
-                       0x686838aa98bac753ull);
+                       0x686838aa98bac753ull,
+                       {783536, 946816, 3840, 69936138285});
 }
 
 TEST(DevicePinned, SigmoidMlpL2Exact)
@@ -620,7 +672,70 @@ TEST(DevicePinned, SigmoidMlpL2Exact)
     expectDevicePinned([] { return sigmoidNet(52, nn::LossKind::L2); },
                        pinnedConfig(false),
                        {1.0664995904057546, 0.44662490740896493},
-                       0x78c5de809d47068aull);
+                       0x78c5de809d47068aull,
+                       {781040, 946816, 3840, 69887224340});
+}
+
+/**
+ * The paper's central claim on ReRAM numerics: one epoch of B = 8
+ * through PipelinedTrainer's Fig. 6 schedule on one device's crossbar
+ * network trains exactly what Network::trainBatch trains on an
+ * identical device's, at one and at four threads.
+ */
+template <typename Make>
+void
+expectPipelinedMatchesSequential(Make make)
+{
+    const PipeLayerConfig config = pinnedConfig(true);
+    const int64_t saved = threadCount();
+    for (const int64_t threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        setThreadCount(threads);
+        nn::Network piped_host = make();
+        nn::Network sequential_host = make();
+        PipeLayerDevice piped(config);
+        piped.Topology_set(piped_host);
+        piped.Weight_load();
+        PipeLayerDevice sequential(config);
+        sequential.Topology_set(sequential_host);
+        sequential.Weight_load();
+        PipelinedTrainer trainer(piped.network());
+
+        const nn::Dataset train = tinyTask().train;
+        const size_t bsz = static_cast<size_t>(config.batch_size);
+        for (size_t start = 0; start < train.size(); start += bsz) {
+            const auto first = static_cast<ptrdiff_t>(start);
+            const auto last = static_cast<ptrdiff_t>(
+                std::min(start + bsz, train.size()));
+            const std::vector<Tensor> inputs(train.inputs.begin() + first,
+                                             train.inputs.begin() + last);
+            const std::vector<int64_t> labels(
+                train.labels.begin() + first, train.labels.begin() + last);
+            EXPECT_EQ(trainer.trainBatch(inputs, labels,
+                                         config.learning_rate)
+                          .mean_loss,
+                      sequential.network().trainBatch(
+                          inputs, labels, config.learning_rate))
+                << "batch at image " << start;
+        }
+        EXPECT_EQ(tensorHash(piped.storedParameters()),
+                  tensorHash(sequential.storedParameters()));
+        EXPECT_EQ(piped.Test(train).accuracy,
+                  sequential.Test(train).accuracy);
+        expectSameActivity(piped.totalActivity(),
+                           sequential.totalActivity());
+    }
+    setThreadCount(saved);
+}
+
+TEST(DevicePipelined, ConvNetMatchesSequential)
+{
+    expectPipelinedMatchesSequential([] { return tinyNet(60); });
+}
+
+TEST(DevicePipelined, LutSigmoidMlpMatchesSequential)
+{
+    expectPipelinedMatchesSequential([] { return sigmoidNet(61); });
 }
 
 TEST(Device, TopologySetResetsStages)
@@ -637,6 +752,18 @@ TEST(Device, TopologySetResetsStages)
     EXPECT_EQ(dev.arrayCount(), 0);
     dev.Weight_load();
     EXPECT_GT(dev.arrayCount(), 0);
+}
+
+TEST(DeviceDeath, MomentumOnTheArraysIsRejected)
+{
+    // The arrays apply plain SGD (§4.4.2); a momentum request on the
+    // crossbar network must not be silently ignored.
+    nn::Network net = tinyNet(25);
+    PipeLayerDevice dev{PipeLayerConfig{}};
+    dev.Topology_set(net);
+    dev.Weight_load();
+    dev.network().setMomentum(0.0f);
+    EXPECT_DEATH(dev.network().setMomentum(0.9f), "momentum");
 }
 
 TEST(DeviceDeath, StridedConvIsRejected)
