@@ -149,6 +149,31 @@ run(bench::Runner &runner)
             [&] { ops::reference::outer(x, y); }));
     }
 
+    {
+        // The Fig. 13 study's 8 -> 8 channel layer (C-4's second conv,
+        // 16x16, pad 1): forward, δ-input and ∂W.  Appended last, so
+        // the rows above keep their inputs and their baseline paths.
+        const Tensor in = Tensor::randn({8, 16, 16}, rng);
+        const Tensor k = Tensor::randn({8, 8, 3, 3}, rng);
+        const Tensor b = Tensor::randn({8}, rng);
+        const Tensor delta = Tensor::randn({8, 16, 16}, rng);
+        const int64_t macs = 8 * 8 * 9 * 16 * 16;
+        rows.push_back(measureKernel(
+            "conv2d_fwd_8x8_16x16", macs, 2.0 * macs,
+            [&] { ops::conv2d(in, k, b, 1, 1); },
+            [&] { ops::reference::conv2d(in, k, b, 1, 1); }));
+        rows.push_back(measureKernel(
+            "conv2d_bwd_input_8x8_16x16", macs, 2.0 * macs,
+            [&] { ops::conv2dBackwardInput(delta, k, 1); },
+            [&] { ops::reference::conv2dBackwardInput(delta, k, 1); }));
+        rows.push_back(measureKernel(
+            "conv2d_bwd_kernel_8x8_16x16", macs, 2.0 * macs,
+            [&] { ops::conv2dBackwardKernel(in, delta, 3, 3, 1); },
+            [&] {
+                ops::reference::conv2dBackwardKernel(in, delta, 3, 3, 1);
+            }));
+    }
+
     Table table({"kernel", "inner_iters", "ns/call", "GFLOP/s",
                  "ref ns/call", "speedup vs ref"});
     json::Value kernels = json::Value::array();

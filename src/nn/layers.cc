@@ -49,6 +49,20 @@ sgdStep(Tensor &param, const Tensor &grad, Tensor &velocity,
     }
 }
 
+/**
+ * (C, H/k, W/k) for a k-window pooling layer; rejects, as ops::maxPool
+ * and ops::avgPool would, an input the windows do not tile.
+ */
+Shape
+poolOutputShape(const Shape &input_shape, int64_t k)
+{
+    PL_ASSERT(input_shape.size() == 3, "pool input must be (C, H, W)");
+    PL_ASSERT(input_shape[1] % k == 0 && input_shape[2] % k == 0,
+              "pooling window %lld does not tile %lldx%lld", (long long)k,
+              (long long)input_shape[1], (long long)input_shape[2]);
+    return {input_shape[0], input_shape[1] / k, input_shape[2] / k};
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -111,14 +125,19 @@ std::vector<Tensor>
 ConvLayer::imageGrads(const Tensor &input, const Tensor &delta_out) const
 {
     PL_ASSERT(stride_ == 1, "conv backward implemented for stride 1 only");
+    PL_ASSERT(delta_out.rank() == 3 && delta_out.dim(0) == out_channels_,
+              "conv delta must be (%lld, H, W), got %s",
+              (long long)out_channels_,
+              shapeToString(delta_out.shape()).c_str());
     // ∂J/∂b_c = Σ_{u,v} δ[c, u, v]  (paper §4.4.1).
     Tensor bias_grad({out_channels_});
+    const int64_t pixels = delta_out.dim(1) * delta_out.dim(2);
+    const float *d = delta_out.data();
     for (int64_t c = 0; c < out_channels_; ++c) {
         double acc = 0.0;
-        for (int64_t y = 0; y < delta_out.dim(1); ++y)
-            for (int64_t x = 0; x < delta_out.dim(2); ++x)
-                acc += delta_out(c, y, x);
-        bias_grad(c) = static_cast<float>(acc);
+        for (int64_t i = 0; i < pixels; ++i)
+            acc += *d++;
+        bias_grad.data()[c] = static_cast<float>(acc);
     }
     // Built by moves: a braced list would copy each tensor once more.
     std::vector<Tensor> grads;
@@ -184,9 +203,7 @@ MaxPoolLayer::describe() const
 Shape
 MaxPoolLayer::outputShape(const Shape &input_shape) const
 {
-    PL_ASSERT(input_shape.size() == 3, "pool input must be (C, H, W)");
-    return {input_shape[0], input_shape[1] / window_,
-            input_shape[2] / window_};
+    return poolOutputShape(input_shape, window_);
 }
 
 Tensor
@@ -224,9 +241,7 @@ AvgPoolLayer::describe() const
 Shape
 AvgPoolLayer::outputShape(const Shape &input_shape) const
 {
-    PL_ASSERT(input_shape.size() == 3, "pool input must be (C, H, W)");
-    return {input_shape[0], input_shape[1] / window_,
-            input_shape[2] / window_};
+    return poolOutputShape(input_shape, window_);
 }
 
 Tensor
@@ -384,8 +399,9 @@ Tensor
 SigmoidLayer::forward(const Tensor &input, Saved *saved) const
 {
     Tensor out = input;
+    float *o = out.data();
     for (int64_t i = 0; i < out.numel(); ++i)
-        out.at(i) = 1.0f / (1.0f + std::exp(-out.at(i)));
+        o[i] = 1.0f / (1.0f + std::exp(-o[i]));
     if (saved)
         saved->output = out;
     return out;
@@ -395,11 +411,15 @@ Tensor
 SigmoidLayer::backward(const Tensor &delta_out, const Saved &saved) const
 {
     // f'(u) = f(u)(1 - f(u)), computable from the saved output.
+    PL_ASSERT(saved.output.numel() == delta_out.numel(),
+              "sigmoid delta has %lld elements, saved output %lld",
+              (long long)delta_out.numel(),
+              (long long)saved.output.numel());
     Tensor grad = delta_out;
-    for (int64_t i = 0; i < grad.numel(); ++i) {
-        const float s = saved.output.at(i);
-        grad.at(i) *= s * (1.0f - s);
-    }
+    float *g = grad.data();
+    const float *out = saved.output.data();
+    for (int64_t i = 0; i < grad.numel(); ++i)
+        g[i] *= out[i] * (1.0f - out[i]);
     return grad;
 }
 

@@ -1,8 +1,5 @@
 #include "tensor/gemm.hh"
 
-#include <algorithm>
-
-#include "common/arena.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "tensor/gemm_kernels.hh"
@@ -36,34 +33,19 @@ gemmNT(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
 
 void
 gemmNN(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
-       const float *b, int64_t ldb, float *c, int64_t ldc)
+       const float *b, int64_t ldb, const float *bias, float *c,
+       int64_t ldc)
 {
-    // Pack Bᵀ once (arena scratch, allocated on the calling thread —
-    // chunk bodies only write) so every output's reduction operand
-    // streams contiguously; each C element is then the same 8-lane
-    // dot product as gemmNT, dispatched through the active target.
-    // The pack walks p ascending per chunk so the reads of B are the
-    // contiguous side and only the writes stride.
+    // Parallel over columns of C, like gemmNT: a chunk owns a disjoint
+    // column stripe of every output row and hands it to the active
+    // target's output-vectorised kernel.  Each output is reduced on
+    // its own, so a chunk that starts off a vector boundary only
+    // regroups outputs into vectors; no output changes a bit.
     const gemmk::Kernels &kern = gemmk::activeKernels();
-    arena::ScopedBuf<float> bt(static_cast<size_t>(n * k));
-    float *btp = bt.data();
-    parallel_for(0, n, /*work_per_index=*/k, [&](int64_t j0, int64_t j1) {
-        for (int64_t p = 0; p < k; ++p) {
-            const float *bp = b + p * ldb;
-            for (int64_t j = j0; j < j1; ++j)
-                btp[j * k + p] = bp[j];
-        }
-    });
-    // Parallel over columns of C, exactly like gemmNT: a chunk owns a
-    // disjoint column stripe of every output row.
     parallel_for(0, n, /*work_per_index=*/m * k,
                  [&](int64_t j0, int64_t j1) {
-        for (int64_t i = 0; i < m; ++i) {
-            const float *ai = a + i * lda;
-            float *ci = c + i * ldc;
-            for (int64_t j = j0; j < j1; ++j)
-                ci[j] = kern.dot_lanes(ai, btp + j * k, k, 0.0);
-        }
+        kern.gemm_nn(m, j1 - j0, k, a, lda, b + j0, ldb, bias, c + j0,
+                     ldc);
     });
 }
 

@@ -2,12 +2,13 @@
  * @file
  * Shared GEMM/GEMV kernel core behind every tensor hot path.
  *
- * The functional substrate's compute cost concentrates in four loop
- * nests — convolution forward (via im2col), the convolution kernel
- * gradient, and the matrix-vector products of inner-product layers.
- * This layer gives them one cache-blocked, SIMD-friendly inner loop
- * each, instead of four hand-rolled nests, while preserving the exact
- * floating-point results of the original naive loops.
+ * The functional substrate's compute cost concentrates in a few loop
+ * nests — the convolution forward and error backward (a patch-major
+ * window panel times the kernels), the convolution kernel gradient,
+ * and the matrix-vector products of inner-product layers.  This layer
+ * gives them one SIMD-friendly inner loop each, instead of
+ * hand-rolled nests, while preserving the exact floating-point
+ * results of the original naive loops.
  *
  * ## Lane-based accumulation-order contract (DESIGN.md §7)
  *
@@ -25,8 +26,11 @@
  *    and the total rounds to float once on store.  The lane width 8
  *    is part of the contract — narrower targets (scalar, NEON) use
  *    more registers, wider ones (AVX-512) fewer, but the arithmetic
- *    never changes.  gemmNN reaches this shape by packing Bᵀ into
- *    arena scratch so its reduction streams contiguously too.
+ *    never changes.  gemmNT and gemv vectorise along the reduction
+ *    (one output, eight lanes in vector elements); gemmNN reads B's
+ *    columns in place and vectorises across adjacent outputs instead
+ *    (eight lane registers, one output per vector element), with the
+ *    tree and the bias applied vector-wide.
  *  - gevm accumulates in float with rows ascending (the historical
  *    matVecT loop): it vectorises across *independent outputs*, so
  *    SIMD never reorders a reduction.  ger has no reduction.
@@ -40,18 +44,17 @@
  * reference.
  *
  * Signed zero: a kernel that multiplies explicit zero padding (e.g.
- * conv2d via im2col) adds `w * 0.0f = ±0.0f` terms a branch-skipping
- * reference never evaluates.  Lanes start at +0.0 and, under IEEE-754
- * round-to-nearest, x + (±0.0) == x for every x except x == -0.0 —
- * which a lane can never hold (a sum of two nonzero addends is never
- * -0.0, and +0.0 + (-0.0) == +0.0).  The reference loops may
- * therefore skip padding taps as long as they still *count* them
- * when assigning lanes (lane index = tap position mod 8, padding
- * included).
+ * conv2d via its window panel) adds `w * 0.0f = ±0.0f` terms a
+ * branch-skipping reference never evaluates.  Lanes start at +0.0
+ * and, under IEEE-754 round-to-nearest, x + (±0.0) == x for every x
+ * except x == -0.0 — which a lane can never hold (a sum of two
+ * nonzero addends is never -0.0, and +0.0 + (-0.0) == +0.0).  The
+ * reference loops may therefore skip padding taps as long as they
+ * still *count* them when assigning lanes (lane index = tap position
+ * mod 8, padding included).
  *
- * Callers provide outputs; packing scratch (gemmNN's Bᵀ panel) comes
- * from the calling thread's workspace arena and is rewound on return,
- * so steady state allocates nothing.
+ * Callers provide outputs and operands in the layouts below; no entry
+ * packs or allocates.
  */
 
 #ifndef PIPELAYER_TENSOR_GEMM_HH_
@@ -67,7 +70,8 @@ namespace gemm {
  *   C[i*ldc + j] = bias[i] + Σ_k A[i*lda + k] * B[j*ldb + k]
  * with k distributed over the 8 contract lanes (element k into lane
  * k mod 8, ascending per lane, pinned tree reduction, bias last).
- * Both operands stream contiguously (the im2col-friendly form).
+ * Both operands stream contiguously (the ∂W form: δ rows against the
+ * rows of a patch-major window panel).
  *
  * @param bias per-row-i addend, or nullptr for none.  Parallel over
  *        columns j; outputs are disjoint per chunk.
@@ -77,15 +81,19 @@ void gemmNT(int64_t m, int64_t n, int64_t k, const float *a,
             float *c, int64_t ldc);
 
 /**
- * C = A · B:
- *   C[i*ldc + j] = Σ_p A[i*lda + p] * B[p*ldb + j]
+ * C = A · B + bias:
+ *   C[i*ldc + j] = bias[i] + Σ_p A[i*lda + p] * B[p*ldb + j]
  * with p distributed over the 8 contract lanes (element p into lane
- * p mod 8, ascending per lane, pinned tree reduction), via a Bᵀ pack
- * into arena scratch.  Parallel over columns.
+ * p mod 8, ascending per lane, pinned tree reduction, bias last):
+ * bit for bit gemmNT against Bᵀ.  B is read in place, one column per
+ * output (the conv form: kernels times a patch-major window panel).
+ *
+ * @param bias per-row-i addend, or nullptr for none.  Parallel over
+ *        columns j; outputs are disjoint per chunk.
  */
 void gemmNN(int64_t m, int64_t n, int64_t k, const float *a,
-            int64_t lda, const float *b, int64_t ldb, float *c,
-            int64_t ldc);
+            int64_t lda, const float *b, int64_t ldb, const float *bias,
+            float *c, int64_t ldc);
 
 /**
  * y = W x:  y[i] = Σ_j W[i*ldw + j] * x[j], j distributed over the 8

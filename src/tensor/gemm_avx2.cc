@@ -11,6 +11,11 @@
  * the low/high product halves widened to two 4-wide double
  * accumulators holding lanes 0..3 and 4..7.  Per lane the adds happen
  * in ascending t, so the bits match the scalar chains.
+ *
+ * gemm_nn turns the registers the other way: four adjacent outputs
+ * share each 4-wide double register, and eight such registers hold
+ * the eight contract lanes, so the same products meet the same lanes
+ * in the same order for every output, four at a time.
  */
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -45,6 +50,70 @@ dotLanesAvx2(const float *a, const float *b, int64_t k, double bias)
     _mm256_store_pd(lanes + 4, acc47);
     dotLanesTail(lanes, a, b, t, k);
     return reduceLanes(lanes, bias);
+}
+
+/** float(a * b[0..4)), widened: one reduction element of 4 outputs. */
+inline __m256d
+productAvx2(float a, const float *b)
+{
+    return _mm256_cvtps_pd(_mm_mul_ps(_mm_set1_ps(a), _mm_loadu_ps(b)));
+}
+
+void
+gemmNNAvx2(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
+           const float *b, int64_t ldb, const float *bias, float *c,
+           int64_t ldc)
+{
+    const int64_t k8 = k & ~int64_t{kLanes - 1};
+    const int64_t rest = k - k8;
+    int64_t j = 0;
+    for (; j + 4 <= n; j += 4) {
+        for (int64_t i = 0; i < m; ++i) {
+            const float *ai = a + i * lda;
+            const float *bp = b + j;
+            __m256d l0 = _mm256_setzero_pd(), l1 = _mm256_setzero_pd();
+            __m256d l2 = _mm256_setzero_pd(), l3 = _mm256_setzero_pd();
+            __m256d l4 = _mm256_setzero_pd(), l5 = _mm256_setzero_pd();
+            __m256d l6 = _mm256_setzero_pd(), l7 = _mm256_setzero_pd();
+            for (int64_t p = 0; p < k8; p += kLanes, bp += kLanes * ldb) {
+                l0 = _mm256_add_pd(l0, productAvx2(ai[p + 0], bp));
+                l1 = _mm256_add_pd(l1, productAvx2(ai[p + 1], bp + ldb));
+                l2 = _mm256_add_pd(l2, productAvx2(ai[p + 2], bp + 2 * ldb));
+                l3 = _mm256_add_pd(l3, productAvx2(ai[p + 3], bp + 3 * ldb));
+                l4 = _mm256_add_pd(l4, productAvx2(ai[p + 4], bp + 4 * ldb));
+                l5 = _mm256_add_pd(l5, productAvx2(ai[p + 5], bp + 5 * ldb));
+                l6 = _mm256_add_pd(l6, productAvx2(ai[p + 6], bp + 6 * ldb));
+                l7 = _mm256_add_pd(l7, productAvx2(ai[p + 7], bp + 7 * ldb));
+            }
+            // Element k8 + r of the reduction goes to lane r (r < 7).
+            const float *at = ai + k8;
+            if (rest > 0)
+                l0 = _mm256_add_pd(l0, productAvx2(at[0], bp));
+            if (rest > 1)
+                l1 = _mm256_add_pd(l1, productAvx2(at[1], bp + ldb));
+            if (rest > 2)
+                l2 = _mm256_add_pd(l2, productAvx2(at[2], bp + 2 * ldb));
+            if (rest > 3)
+                l3 = _mm256_add_pd(l3, productAvx2(at[3], bp + 3 * ldb));
+            if (rest > 4)
+                l4 = _mm256_add_pd(l4, productAvx2(at[4], bp + 4 * ldb));
+            if (rest > 5)
+                l5 = _mm256_add_pd(l5, productAvx2(at[5], bp + 5 * ldb));
+            if (rest > 6)
+                l6 = _mm256_add_pd(l6, productAvx2(at[6], bp + 6 * ldb));
+            const __m256d tree = _mm256_add_pd(
+                _mm256_add_pd(_mm256_add_pd(l0, l1), _mm256_add_pd(l2, l3)),
+                _mm256_add_pd(_mm256_add_pd(l4, l5), _mm256_add_pd(l6, l7)));
+            const __m256d bi =
+                _mm256_set1_pd(bias ? static_cast<double>(bias[i]) : 0.0);
+            _mm_storeu_ps(c + i * ldc + j,
+                          _mm256_cvtpd_ps(_mm256_add_pd(bi, tree)));
+        }
+    }
+    // Columns that do not fill a vector take the scalar definition.
+    if (j < n)
+        scalarKernels().gemm_nn(m, n - j, k, a, lda, b + j, ldb, bias,
+                                c + j, ldc);
 }
 
 void
@@ -145,7 +214,7 @@ const Kernels &
 avx2Kernels()
 {
     static const Kernels table = {
-        dotLanesAvx2, axpyF32Avx2,  scaleF32Avx2,
+        dotLanesAvx2,  gemmNNAvx2,  axpyF32Avx2,     scaleF32Avx2,
         axpyU8I64Avx2, reluF32Avx2, reluMaskF32Avx2,
     };
     return table;

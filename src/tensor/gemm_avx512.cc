@@ -9,6 +9,11 @@
  * block of 8 floats is exactly one VMULPS (256-bit) + VCVTPS2PD +
  * VADDPD; two blocks per iteration keep lane order (t, then t+8)
  * ascending.  No FMA anywhere — products must round to float first.
+ *
+ * gemm_nn holds eight adjacent outputs per 512-bit register and the
+ * eight contract lanes in eight such registers; each reduction
+ * element is one broadcast, one 256-bit multiply, one widening and
+ * one add for all eight outputs.
  */
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -44,6 +49,71 @@ dotLanesAvx512(const float *a, const float *b, int64_t k, double bias)
     _mm512_store_pd(lanes, acc);
     dotLanesTail(lanes, a, b, t, k);
     return reduceLanes(lanes, bias);
+}
+
+/** float(a * b[0..8)), widened: one reduction element of 8 outputs. */
+inline __m512d
+productAvx512(float a, const float *b)
+{
+    return _mm512_cvtps_pd(
+        _mm256_mul_ps(_mm256_set1_ps(a), _mm256_loadu_ps(b)));
+}
+
+void
+gemmNNAvx512(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
+             const float *b, int64_t ldb, const float *bias, float *c,
+             int64_t ldc)
+{
+    const int64_t k8 = k & ~int64_t{kLanes - 1};
+    const int64_t rest = k - k8;
+    int64_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        for (int64_t i = 0; i < m; ++i) {
+            const float *ai = a + i * lda;
+            const float *bp = b + j;
+            __m512d l0 = _mm512_setzero_pd(), l1 = _mm512_setzero_pd();
+            __m512d l2 = _mm512_setzero_pd(), l3 = _mm512_setzero_pd();
+            __m512d l4 = _mm512_setzero_pd(), l5 = _mm512_setzero_pd();
+            __m512d l6 = _mm512_setzero_pd(), l7 = _mm512_setzero_pd();
+            for (int64_t p = 0; p < k8; p += kLanes, bp += kLanes * ldb) {
+                l0 = _mm512_add_pd(l0, productAvx512(ai[p + 0], bp));
+                l1 = _mm512_add_pd(l1, productAvx512(ai[p + 1], bp + ldb));
+                l2 = _mm512_add_pd(l2, productAvx512(ai[p + 2], bp + 2 * ldb));
+                l3 = _mm512_add_pd(l3, productAvx512(ai[p + 3], bp + 3 * ldb));
+                l4 = _mm512_add_pd(l4, productAvx512(ai[p + 4], bp + 4 * ldb));
+                l5 = _mm512_add_pd(l5, productAvx512(ai[p + 5], bp + 5 * ldb));
+                l6 = _mm512_add_pd(l6, productAvx512(ai[p + 6], bp + 6 * ldb));
+                l7 = _mm512_add_pd(l7, productAvx512(ai[p + 7], bp + 7 * ldb));
+            }
+            // Element k8 + r of the reduction goes to lane r (r < 7).
+            const float *at = ai + k8;
+            if (rest > 0)
+                l0 = _mm512_add_pd(l0, productAvx512(at[0], bp));
+            if (rest > 1)
+                l1 = _mm512_add_pd(l1, productAvx512(at[1], bp + ldb));
+            if (rest > 2)
+                l2 = _mm512_add_pd(l2, productAvx512(at[2], bp + 2 * ldb));
+            if (rest > 3)
+                l3 = _mm512_add_pd(l3, productAvx512(at[3], bp + 3 * ldb));
+            if (rest > 4)
+                l4 = _mm512_add_pd(l4, productAvx512(at[4], bp + 4 * ldb));
+            if (rest > 5)
+                l5 = _mm512_add_pd(l5, productAvx512(at[5], bp + 5 * ldb));
+            if (rest > 6)
+                l6 = _mm512_add_pd(l6, productAvx512(at[6], bp + 6 * ldb));
+            const __m512d tree = _mm512_add_pd(
+                _mm512_add_pd(_mm512_add_pd(l0, l1), _mm512_add_pd(l2, l3)),
+                _mm512_add_pd(_mm512_add_pd(l4, l5), _mm512_add_pd(l6, l7)));
+            const __m512d bi =
+                _mm512_set1_pd(bias ? static_cast<double>(bias[i]) : 0.0);
+            _mm256_storeu_ps(c + i * ldc + j,
+                             _mm512_cvtpd_ps(_mm512_add_pd(bi, tree)));
+        }
+    }
+    // Columns that do not fill a vector take the scalar definition.
+    if (j < n)
+        scalarKernels().gemm_nn(m, n - j, k, a, lda, b + j, ldb, bias,
+                                c + j, ldc);
 }
 
 void
@@ -114,9 +184,10 @@ avx512Kernels()
     // The byte-cell axpy is the AVX2 kernel: a 512-bit widening
     // version ran crossbar_device no faster (within 2 %).
     static const Kernels table = {
-        dotLanesAvx512, axpyF32Avx512,
-        scaleF32Avx512, avx2Kernels().axpy_u8_i64,
-        reluF32Avx512,  reluMaskF32Avx512,
+        dotLanesAvx512, gemmNNAvx512,
+        axpyF32Avx512,  scaleF32Avx512,
+        avx2Kernels().axpy_u8_i64, reluF32Avx512,
+        reluMaskF32Avx512,
     };
     return table;
 }

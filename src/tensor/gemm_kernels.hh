@@ -4,16 +4,23 @@
  *
  * Each instruction-set backend (one translation unit per target,
  * compiled with that target's flags) fills a Kernels table with the
- * same five primitives; gemm.cc and reram::CrossbarArray pick a table
- * at runtime via isa::active().  Every backend implements the *same*
- * lane-based reduction contract (DESIGN.md §7), so switching targets
- * changes wall clock only, never a single output bit:
+ * same seven primitives; gemm.cc, nn::ReluLayer and
+ * reram::CrossbarArray pick a table at runtime via isa::active().
+ * Every backend implements the *same* lane-based reduction contract
+ * (DESIGN.md §7), so switching targets changes wall clock only, never
+ * a single output bit:
  *
  *  - dot_lanes: kLanes (8) double accumulator lanes; element t of the
  *    reduction goes to lane t mod 8 (products rounded to float first,
  *    then widened), each lane sees its elements in ascending t, and
  *    the lanes are reduced in the pinned tree order
  *    ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)), bias added last.
+ *  - gemm_nn: the same recipe for every output of a C = A·B stripe
+ *    whose reduction operand is a column of B (stride ldb), vectorised
+ *    across *adjacent outputs* instead of along the reduction: output
+ *    j of a vector keeps its eight lanes in element j of eight lane
+ *    registers, so the tree and the last-added bias run vector-wide
+ *    and every output sees dot_lanes' products in dot_lanes' order.
  *  - axpy_f32 / scale_f32: element-wise maps over *independent*
  *    outputs — a float multiply then a float add per element, which
  *    vectorises without reordering any per-output reduction.
@@ -51,6 +58,16 @@ struct Kernels
     /** Lane-based dot product: float(bias + tree(lanes)). */
     float (*dot_lanes)(const float *a, const float *b, int64_t k,
                        double bias);
+    /**
+     * c[i*ldc + j] = float(bias_i + tree(lanes)) for i in [0,m),
+     * j in [0,n), element p of output (i, j) being
+     * a[i*lda + p] * b[p*ldb + j] in lane p mod 8; bias_i is bias[i],
+     * or +0.0 when @p bias is null.  The SIMD backends hand the
+     * columns that do not fill a vector to the scalar entry.
+     */
+    void (*gemm_nn)(int64_t m, int64_t n, int64_t k, const float *a,
+                    int64_t lda, const float *b, int64_t ldb,
+                    const float *bias, float *c, int64_t ldc);
     /** y[j] += row[j] * xi (float multiply, float add), j in [0,n). */
     void (*axpy_f32)(float *y, const float *row, float xi, int64_t n);
     /** row[j] = xi * y[j], j in [0,n). */

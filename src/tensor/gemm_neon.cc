@@ -120,9 +120,12 @@ reluMaskF32Neon(float *grad, const float *ref, int64_t n)
 const Kernels &
 neonKernels()
 {
+    // gemm_nn is the scalar kernel: no CI job executes NEON, so no
+    // NEON version of it could be measured or run against the others.
     static const Kernels table = {
-        dotLanesNeon, axpyF32Neon,  scaleF32Neon,
-        axpyU8I64Neon, reluF32Neon, reluMaskF32Neon,
+        dotLanesNeon,  scalarKernels().gemm_nn, axpyF32Neon,
+        scaleF32Neon,  axpyU8I64Neon,           reluF32Neon,
+        reluMaskF32Neon,
     };
     return table;
 }

@@ -25,55 +25,94 @@ convExtent(int64_t in, int64_t k, int64_t stride, int64_t pad)
 }
 
 /**
- * Pack convolution windows of a (c, h, w) cube into @p col, one
- * window per row, columns in (ci, ky, kx) order — the add order of
- * the naive convolution loop, so a GEMM over these rows reduces in
- * exactly the naive sequence.  Padding positions are materialised as
- * 0.0f (adding w * ±0.0f to an accumulator is exact; see gemm.hh).
+ * Pack the convolution windows of a (c, h, w) cube: tap p = (ci, ky,
+ * kx) of output pixel j = (oy, ox) goes to out[p * tap_step +
+ * j * pixel_step], the tap order being the add order of the naive
+ * convolution loop.  The conv ops pack the patch-major panel
+ * (tap_step = ho*wo, pixel_step = 1): gemmNN then reduces each output
+ * over its window column in exactly the naive sequence, and the panel
+ * is already the Bᵀ that gemmNT needs for ∂W.  There a tap row holds,
+ * per output row, one run of an input row between zero borders — a
+ * single copy at stride 1.  ops::im2col packs its transpose, one
+ * window per row (tap_step = 1, pixel_step = c*kh*kw), in place.
+ * Padding positions are materialised as +0.0f (adding w * ±0.0f to an
+ * accumulator is exact; see gemm.hh).  A negative pad starts every
+ * window inside the cube, which is how conv2dBackwardInput crops.
  *
- * @p col must hold ho*wo*c*kh*kw floats, allocated by the caller
- * (arena scratch on the calling thread — chunk bodies only write).
+ * @p out spans c*kh*kw * ho*wo floats at those steps and is
+ * allocated by the caller on the calling thread (chunk bodies only
+ * write).
  */
 void
-im2colPack(const float *in_p, int64_t c, int64_t h, int64_t w,
-           int64_t kh, int64_t kw, int64_t stride, int64_t pad,
-           int64_t ho, int64_t wo, float *col)
+packWindows(const float *in_p, int64_t c, int64_t h, int64_t w,
+            int64_t kh, int64_t kw, int64_t stride, int64_t pad_y,
+            int64_t pad_x, int64_t ho, int64_t wo, float *out,
+            int64_t tap_step, int64_t pixel_step)
 {
     PL_PROF_SCOPE("tensor.im2col");
-    const int64_t patch = c * kh * kw;
-    parallel_for(0, ho * wo, /*work_per_index=*/patch,
-                 [&](int64_t r0, int64_t r1) {
-        for (int64_t row = r0; row < r1; ++row) {
-            const int64_t oy = row / wo;
-            const int64_t ox = row % wo;
-            float *dst = col + row * patch;
-            for (int64_t cc = 0; cc < c; ++cc) {
-                const float *in_c = in_p + cc * h * w;
-                for (int64_t ky = 0; ky < kh; ++ky) {
-                    const int64_t iy = oy * stride + ky - pad;
-                    if (iy < 0 || iy >= h) {
-                        std::fill(dst, dst + kw, 0.0f);
-                        dst += kw;
-                        continue;
-                    }
-                    const float *in_row = in_c + iy * w;
-                    const int64_t x0 = ox * stride - pad;
-                    if (x0 >= 0 && x0 + kw <= w) {
-                        std::memcpy(dst, in_row + x0,
-                                    static_cast<size_t>(kw) *
+    parallel_for(0, c * kh * kw, /*work_per_index=*/ho * wo,
+                 [&](int64_t p0, int64_t p1) {
+        for (int64_t p = p0; p < p1; ++p) {
+            const int64_t kx = p % kw;
+            const int64_t ky = p / kw % kh;
+            const float *in_c = in_p + p / (kw * kh) * h * w;
+            // Output column ox reads input column ox * stride + x0;
+            // [ox_lo, ox_hi) are the columns inside the cube.
+            const int64_t x0 = kx - pad_x;
+            const int64_t ox_lo =
+                std::min(wo, x0 >= 0 ? 0 : (stride - 1 - x0) / stride);
+            const int64_t ox_hi = std::clamp(
+                x0 < w ? (w - 1 - x0) / stride + 1 : 0, ox_lo, wo);
+            float *dst = out + p * tap_step;
+            for (int64_t oy = 0; oy < ho; ++oy, dst += wo * pixel_step) {
+                const int64_t iy = oy * stride + ky - pad_y;
+                const bool row_inside = iy >= 0 && iy < h;
+                const int64_t lo = row_inside ? ox_lo : wo;
+                const int64_t hi = row_inside ? ox_hi : wo;
+                const float *in_row = in_c + (row_inside ? iy * w : 0);
+                if (pixel_step == 1 && stride == 1) {
+                    std::fill(dst, dst + lo, 0.0f);
+                    if (hi > lo)
+                        std::memcpy(dst + lo, in_row + lo + x0,
+                                    static_cast<size_t>(hi - lo) *
                                         sizeof(float));
-                        dst += kw;
-                    } else {
-                        for (int64_t kx = 0; kx < kw; ++kx) {
-                            const int64_t ix = x0 + kx;
-                            *dst++ = (ix >= 0 && ix < w) ? in_row[ix]
-                                                         : 0.0f;
-                        }
-                    }
+                    std::fill(dst + hi, dst + wo, 0.0f);
+                } else {
+                    for (int64_t ox = 0; ox < wo; ++ox)
+                        dst[ox * pixel_step] = ox >= lo && ox < hi
+                            ? in_row[ox * stride + x0]
+                            : 0.0f;
                 }
             }
         }
     });
+}
+
+/**
+ * Convolve @p input with @p co kernels of (Cin, kh, kw) at @p kernel:
+ * one patch-major panel and one gemmNN, so output (oc, oy, ox) is the
+ * lane-contract dot product of kernel row oc with window column
+ * (oy, ox), bias added last.  The pads are per axis and may be
+ * negative (conv2dBackwardInput).
+ */
+Tensor
+convByPanel(const Tensor &input, const float *kernel, int64_t co,
+            int64_t kh, int64_t kw, const float *bias, int64_t stride,
+            int64_t pad_y, int64_t pad_x)
+{
+    PL_PROF_SCOPE("tensor.conv2d_fwd");
+    const int64_t ci = input.dim(0), h = input.dim(1), w = input.dim(2);
+    const int64_t ho = convExtent(h, kh, stride, pad_y);
+    const int64_t wo = convExtent(w, kw, stride, pad_x);
+    Tensor out({co, ho, wo});
+    const int64_t patch = ci * kh * kw;
+    const int64_t pixels = ho * wo;
+    arena::ScopedBuf<float> panel(static_cast<size_t>(patch * pixels));
+    packWindows(input.data(), ci, h, w, kh, kw, stride, pad_y, pad_x, ho,
+                wo, panel.data(), /*tap_step=*/pixels, /*pixel_step=*/1);
+    gemm::gemmNN(co, pixels, patch, kernel, patch, panel.data(), pixels,
+                 bias, out.data(), pixels);
+    return out;
 }
 
 } // namespace
@@ -82,39 +121,21 @@ Tensor
 conv2d(const Tensor &input, const Tensor &kernel, const Tensor &bias,
        int64_t stride, int64_t pad)
 {
-    PL_PROF_SCOPE("tensor.conv2d_fwd");
     PL_ASSERT(input.rank() == 3, "conv2d input must be (C, H, W)");
     PL_ASSERT(kernel.rank() == 4, "conv2d kernel must be (Co, Ci, Kh, Kw)");
     PL_ASSERT(stride >= 1 && pad >= 0, "bad stride/pad");
-    const int64_t ci = input.dim(0), h = input.dim(1), w = input.dim(2);
-    const int64_t co = kernel.dim(0), kci = kernel.dim(1);
-    const int64_t kh = kernel.dim(2), kw = kernel.dim(3);
-    PL_ASSERT(ci == kci, "channel mismatch: input %lld vs kernel %lld",
-              (long long)ci, (long long)kci);
+    const int64_t co = kernel.dim(0);
+    PL_ASSERT(input.dim(0) == kernel.dim(1),
+              "channel mismatch: input %lld vs kernel %lld",
+              (long long)input.dim(0), (long long)kernel.dim(1));
     const bool has_bias = bias.numel() > 0;
     if (has_bias) {
         PL_ASSERT(bias.rank() == 1 && bias.dim(0) == co,
                   "bias must be (Cout)");
     }
-
-    const int64_t ho = convExtent(h, kh, stride, pad);
-    const int64_t wo = convExtent(w, kw, stride, pad);
-    Tensor out({co, ho, wo});
-
-    // im2col + GEMM: each output pixel is a dot product of one kernel
-    // row against one packed window row, reduced in the same (ci, ky,
-    // kx) order as the direct loops — bit-identical, but with branch-
-    // free contiguous inner loops (the arena panel is reused scratch,
-    // so steady state allocates nothing).
-    const int64_t patch = ci * kh * kw;
-    const int64_t rows = ho * wo;
-    arena::ScopedBuf<float> col(static_cast<size_t>(rows * patch));
-    im2colPack(input.data(), ci, h, w, kh, kw, stride, pad, ho, wo,
-               col.data());
-    gemm::gemmNT(co, rows, patch, kernel.data(), patch, col.data(),
-                 patch, has_bias ? bias.data() : nullptr, out.data(),
-                 rows);
-    return out;
+    return convByPanel(input, kernel.data(), co, kernel.dim(2),
+                       kernel.dim(3), has_bias ? bias.data() : nullptr,
+                       stride, pad, pad);
 }
 
 Tensor
@@ -126,12 +147,14 @@ rot180(const Tensor &kernel)
     // Output is indexed (Ci, Co, Kh, Kw): channel roles swap in the
     // backward pass, and the spatial taps are reversed.
     Tensor out({ci, co, kh, kw});
+    const float *src = kernel.data();
+    float *dst = out.data();
     for (int64_t oc = 0; oc < co; ++oc)
         for (int64_t icn = 0; icn < ci; ++icn)
             for (int64_t ky = 0; ky < kh; ++ky)
                 for (int64_t kx = 0; kx < kw; ++kx)
-                    out(icn, oc, kh - 1 - ky, kw - 1 - kx) =
-                        kernel(oc, icn, ky, kx);
+                    dst[((icn * co + oc) * kh + kh - 1 - ky) * kw + kw -
+                        1 - kx] = *src++;
     return out;
 }
 
@@ -155,30 +178,25 @@ Tensor
 conv2dBackwardInput(const Tensor &delta_out, const Tensor &kernel,
                     int64_t pad)
 {
-    // Note: the "full" convolution below re-enters conv2d (now the
-    // im2col+GEMM path), so one backward-input call also counts one
-    // tensor.conv2d_fwd and one tensor.im2col site hit.
+    // The "full" convolution of paper Fig. 11 with the forward padding
+    // cropped off is one convolution of δ with rot180(K) at padding
+    // K−1−pad per axis: output (y, x) reads the δ taps of full output
+    // (y + pad, x + pad) in the same (co, ky, kx) order, and the taps
+    // outside δ are the same +0.0f, so the bits are the full conv's.
+    // For pad > K−1 the windows start inside δ.  Like the full conv,
+    // it counts one tensor.conv2d_fwd and one tensor.im2col site hit.
     PL_PROF_SCOPE("tensor.conv2d_bwd_input");
     PL_ASSERT(delta_out.rank() == 3 && kernel.rank() == 4,
               "bad ranks in conv2dBackwardInput");
+    PL_ASSERT(pad >= 0, "negative pad");
+    PL_ASSERT(delta_out.dim(0) == kernel.dim(0),
+              "channel mismatch: delta %lld vs kernel %lld",
+              (long long)delta_out.dim(0), (long long)kernel.dim(0));
     const int64_t kh = kernel.dim(2), kw = kernel.dim(3);
-    // "full" convolution: pad the output error by (K - 1), convolve
-    // with the rotated kernel, then crop the forward padding back off.
-    const Tensor padded = zeroPad(delta_out, kh - 1);
     const Tensor rot = rot180(kernel);
-    Tensor full = conv2d(padded, rot, Tensor(), /*stride=*/1, /*pad=*/0);
-    PL_ASSERT(kh == kw || pad == 0,
-              "asymmetric kernels with padding unsupported");
-    if (pad == 0)
-        return full;
-    const int64_t ci = full.dim(0);
-    const int64_t h = full.dim(1) - 2 * pad, w = full.dim(2) - 2 * pad;
-    Tensor out({ci, h, w});
-    for (int64_t c = 0; c < ci; ++c)
-        for (int64_t y = 0; y < h; ++y)
-            for (int64_t x = 0; x < w; ++x)
-                out(c, y, x) = full(c, y + pad, x + pad);
-    return out;
+    return convByPanel(delta_out, rot.data(), rot.dim(0), kh, kw,
+                       /*bias=*/nullptr, /*stride=*/1, kh - 1 - pad,
+                       kw - 1 - pad);
 }
 
 Tensor
@@ -197,17 +215,19 @@ conv2dBackwardKernel(const Tensor &input, const Tensor &delta_out,
               "delta shape inconsistent with stride-1 convolution");
 
     // grad[oc, (ci,ky,kx)] = Σ_(oy,ox) delta[oc, (oy,ox)] * window
-    // matrix — a plain GEMM against the same im2col panel as forward
-    // (stride 1), reducing over output pixels (oy, ox) through the
-    // 8-lane contract exactly like the reference tap loops.
+    // panel[(ci,ky,kx), (oy,ox)]: the forward's patch-major panel
+    // (stride 1) is already Bᵀ, so gemmNT reduces over output pixels
+    // through the 8-lane contract exactly like the reference tap loops.
     Tensor grad({co, ci, kh, kw});
     const int64_t patch = ci * kh * kw;
-    const int64_t rows = ho * wo;
-    arena::ScopedBuf<float> col(static_cast<size_t>(rows * patch));
-    im2colPack(input.data(), ci, input.dim(1), input.dim(2), kh, kw,
-               /*stride=*/1, pad, ho, wo, col.data());
-    gemm::gemmNN(co, patch, rows, delta_out.data(), rows, col.data(),
-                 patch, grad.data(), patch);
+    const int64_t pixels = ho * wo;
+    arena::ScopedBuf<float> panel(static_cast<size_t>(patch * pixels));
+    packWindows(input.data(), ci, input.dim(1), input.dim(2), kh, kw,
+                /*stride=*/1, pad, pad, ho, wo, panel.data(),
+                /*tap_step=*/pixels, /*pixel_step=*/1);
+    gemm::gemmNT(co, patch, pixels, delta_out.data(), pixels,
+                 panel.data(), pixels, /*bias=*/nullptr, grad.data(),
+                 patch);
     return grad;
 }
 
@@ -223,26 +243,25 @@ maxPool(const Tensor &input, int64_t k, Tensor *indices)
     Tensor out({c, ho, wo});
     if (indices)
         *indices = Tensor({c, ho, wo});
+    const float *in = input.data();
+    float *o = out.data();
+    float *idx = indices ? indices->data() : nullptr;
     for (int64_t cc = 0; cc < c; ++cc) {
         for (int64_t oy = 0; oy < ho; ++oy) {
             for (int64_t ox = 0; ox < wo; ++ox) {
-                float best = input(cc, oy * k, ox * k);
-                int64_t best_flat = ((cc * h) + oy * k) * w + ox * k;
+                // The window's first element wins ties.
+                const int64_t corner = (cc * h + oy * k) * w + ox * k;
+                int64_t best_flat = corner;
                 for (int64_t ky = 0; ky < k; ++ky) {
                     for (int64_t kx = 0; kx < k; ++kx) {
-                        const int64_t iy = oy * k + ky;
-                        const int64_t ix = ox * k + kx;
-                        const float v = input(cc, iy, ix);
-                        if (v > best) {
-                            best = v;
-                            best_flat = (cc * h + iy) * w + ix;
-                        }
+                        const int64_t flat = corner + ky * w + kx;
+                        if (in[flat] > in[best_flat])
+                            best_flat = flat;
                     }
                 }
-                out(cc, oy, ox) = best;
-                if (indices)
-                    (*indices)(cc, oy, ox) =
-                        static_cast<float>(best_flat);
+                *o++ = in[best_flat];
+                if (idx)
+                    *idx++ = static_cast<float>(best_flat);
             }
         }
     }
@@ -256,16 +275,19 @@ maxPoolBackward(const Tensor &delta_out, const Tensor &indices,
     PL_ASSERT(delta_out.numel() == indices.numel(),
               "indices/delta mismatch in maxPoolBackward");
     Tensor grad(input_shape);
-    const int64_t limit = shapeNumel(input_shape);
+    const int64_t limit = grad.numel();
+    const float *idx = indices.data();
+    const float *d = delta_out.data();
+    float *g = grad.data();
     for (int64_t i = 0; i < delta_out.numel(); ++i) {
-        const int64_t flat = static_cast<int64_t>(indices.at(i));
+        const int64_t flat = static_cast<int64_t>(idx[i]);
         // A stale or corrupted index tensor would otherwise scatter
         // into foreign gradient slots (or crash) with no diagnosis.
         PL_ASSERT(flat >= 0 && flat < limit,
                   "maxPoolBackward index %lld at position %lld outside "
                   "input of %lld elements — stale pooling indices?",
                   (long long)flat, (long long)i, (long long)limit);
-        grad.at(flat) += delta_out.at(i);
+        g[flat] += d[i];
     }
     return grad;
 }
@@ -275,18 +297,23 @@ avgPool(const Tensor &input, int64_t k)
 {
     PL_ASSERT(input.rank() == 3, "avgPool expects (C, H, W)");
     const int64_t c = input.dim(0), h = input.dim(1), w = input.dim(2);
-    PL_ASSERT(h % k == 0 && w % k == 0, "pooling window does not tile");
+    PL_ASSERT(h % k == 0 && w % k == 0,
+              "pooling window %lld does not tile %lldx%lld", (long long)k,
+              (long long)h, (long long)w);
     const int64_t ho = h / k, wo = w / k;
     const float inv = 1.0f / static_cast<float>(k * k);
     Tensor out({c, ho, wo});
+    const float *in = input.data();
+    float *o = out.data();
     for (int64_t cc = 0; cc < c; ++cc)
         for (int64_t oy = 0; oy < ho; ++oy)
             for (int64_t ox = 0; ox < wo; ++ox) {
+                const float *win = in + (cc * h + oy * k) * w + ox * k;
                 double acc = 0.0;
                 for (int64_t ky = 0; ky < k; ++ky)
                     for (int64_t kx = 0; kx < k; ++kx)
-                        acc += input(cc, oy * k + ky, ox * k + kx);
-                out(cc, oy, ox) = static_cast<float>(acc) * inv;
+                        acc += win[ky * w + kx];
+                *o++ = static_cast<float>(acc) * inv;
             }
     return out;
 }
@@ -295,17 +322,26 @@ Tensor
 avgPoolBackward(const Tensor &delta_out, int64_t k,
                 const Shape &input_shape)
 {
-    Tensor grad(input_shape);
+    PL_ASSERT(delta_out.rank() == 3, "avgPoolBackward expects (C, H, W)");
     const int64_t c = delta_out.dim(0);
     const int64_t ho = delta_out.dim(1), wo = delta_out.dim(2);
+    PL_ASSERT(input_shape == Shape({c, ho * k, wo * k}),
+              "avgPoolBackward: window %lld of %s does not give %s",
+              (long long)k, shapeToString(input_shape).c_str(),
+              shapeToString(delta_out.shape()).c_str());
+    Tensor grad(input_shape);
+    const int64_t w = wo * k;
     const float inv = 1.0f / static_cast<float>(k * k);
+    const float *d = delta_out.data();
+    float *g = grad.data();
     for (int64_t cc = 0; cc < c; ++cc)
         for (int64_t oy = 0; oy < ho; ++oy)
             for (int64_t ox = 0; ox < wo; ++ox) {
-                const float v = delta_out(cc, oy, ox) * inv;
+                const float v = *d++ * inv;
+                float *win = g + (cc * ho * k + oy * k) * w + ox * k;
                 for (int64_t ky = 0; ky < k; ++ky)
                     for (int64_t kx = 0; kx < k; ++kx)
-                        grad(cc, oy * k + ky, ox * k + kx) += v;
+                        win[ky * w + kx] += v;
             }
     return grad;
 }
@@ -350,12 +386,14 @@ im2col(const Tensor &input, int64_t kh, int64_t kw, int64_t stride,
        int64_t pad)
 {
     PL_ASSERT(input.rank() == 3, "im2col expects (C, H, W)");
+    PL_ASSERT(stride >= 1 && pad >= 0, "bad stride/pad");
     const int64_t c = input.dim(0), h = input.dim(1), w = input.dim(2);
     const int64_t ho = convExtent(h, kh, stride, pad);
     const int64_t wo = convExtent(w, kw, stride, pad);
-    Tensor out({ho * wo, c * kh * kw});
-    im2colPack(input.data(), c, h, w, kh, kw, stride, pad, ho, wo,
-               out.data());
+    const int64_t patch = c * kh * kw;
+    Tensor out({ho * wo, patch});
+    packWindows(input.data(), c, h, w, kh, kw, stride, pad, pad, ho, wo,
+                out.data(), /*tap_step=*/1, /*pixel_step=*/patch);
     return out;
 }
 

@@ -17,7 +17,9 @@ namespace pipelayer {
 namespace ops {
 
 /**
- * 2-D convolution, paper Eq. (1).
+ * 2-D convolution, paper Eq. (1): the kernels times a patch-major
+ * window panel (one row per tap (ci, ky, kx), one column per output
+ * pixel) in one output-vectorised gemm::gemmNN.
  *
  * @param input  (Cin, H, W) feature cube d_l.
  * @param kernel (Cout, Cin, Kh, Kw) kernel K.
@@ -31,9 +33,12 @@ Tensor conv2d(const Tensor &input, const Tensor &kernel,
 
 /**
  * Error backward through a convolution (paper Fig. 10c / Fig. 11):
- * delta_l = conv2(delta_{l+1}, rot180(K), 'full'), i.e. a convolution
- * of the zero-padded output error with the spatially-rotated,
- * channel-transposed kernel.  Stride-1 convolutions only.
+ * delta_l = conv2(delta_{l+1}, rot180(K), 'full') with the forward
+ * padding cropped off, computed directly as conv2d(delta_{l+1},
+ * rot180(K)) at stride 1 and padding K - 1 - pad per axis (negative
+ * for pad > K - 1: the windows start inside delta).  Bit-identical
+ * to the pad, full-convolve and crop route (DESIGN.md §7).  Stride-1
+ * convolutions only.
  *
  * @param delta_out (Cout, Ho, Wo) error at the layer output.
  * @param kernel    (Cout, Cin, Kh, Kw) forward kernel.
@@ -45,7 +50,8 @@ Tensor conv2dBackwardInput(const Tensor &delta_out, const Tensor &kernel,
 
 /**
  * Kernel gradient of a convolution (paper §4.4.1, Fig. 12):
- * dW[c_out, c_in] = conv(d_{l-1}[c_in], delta_l[c_out]).
+ * dW[c_out, c_in] = conv(d_{l-1}[c_in], delta_l[c_out]), as
+ * gemm::gemmNT of delta against the forward's window panel.
  * Stride-1 convolutions only.
  *
  * @param input     (Cin, H, W) forward input d_{l-1}.
@@ -94,7 +100,8 @@ Tensor outer(const Tensor &d, const Tensor &delta);
 /**
  * im2col: unroll convolution windows into rows so a convolution
  * becomes one matrix product.  This is exactly the data-input
- * ordering of paper Fig. 4 (each yellow bar is one row).
+ * ordering of paper Fig. 4 (each yellow bar is one row), and the
+ * transpose of the patch-major panel conv2d packs.
  *
  * @return (num_windows, Cin*Kh*Kw) matrix.
  */

@@ -83,14 +83,19 @@ conv2dBackwardInput(const Tensor &delta_out, const Tensor &kernel,
 {
     PL_ASSERT(delta_out.rank() == 3 && kernel.rank() == 4,
               "bad ranks in conv2dBackwardInput");
+    // "full" convolution: pad the output error by K - 1 on each axis,
+    // convolve with the rotated kernel, then crop the forward padding
+    // back off.
     const int64_t kh = kernel.dim(2), kw = kernel.dim(3);
-    const Tensor padded = ops::zeroPad(delta_out, kh - 1);
+    const int64_t co = delta_out.dim(0);
+    const int64_t ho = delta_out.dim(1), wo = delta_out.dim(2);
+    Tensor padded({co, ho + 2 * (kh - 1), wo + 2 * (kw - 1)});
+    for (int64_t c = 0; c < co; ++c)
+        for (int64_t y = 0; y < ho; ++y)
+            for (int64_t x = 0; x < wo; ++x)
+                padded(c, y + kh - 1, x + kw - 1) = delta_out(c, y, x);
     const Tensor rot = ops::rot180(kernel);
-    Tensor full = reference::conv2d(padded, rot, Tensor(), 1, 0);
-    PL_ASSERT(kh == kw || pad == 0,
-              "asymmetric kernels with padding unsupported");
-    if (pad == 0)
-        return full;
+    const Tensor full = reference::conv2d(padded, rot, Tensor(), 1, 0);
     const int64_t ci = full.dim(0);
     const int64_t h = full.dim(1) - 2 * pad, w = full.dim(2) - 2 * pad;
     Tensor out({ci, h, w});

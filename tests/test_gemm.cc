@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -26,6 +27,8 @@
 #include "common/rng.hh"
 #include "reram/crossbar.hh"
 #include "reram/spike.hh"
+#include "tensor/gemm.hh"
+#include "tensor/gemm_kernels.hh"
 #include "tensor/ops.hh"
 #include "tensor/ops_reference.hh"
 
@@ -38,6 +41,26 @@ randomTensor(const Shape &shape, Rng &rng)
     Tensor t(shape);
     for (int64_t i = 0; i < t.numel(); ++i)
         t.at(i) = static_cast<float>(rng.uniform(-1.0, 1.0));
+    return t;
+}
+
+/**
+ * Half the entries uniform in [-1, 1], half ±2^e for e in {-30, -15,
+ * 0, 15, 30}.  Sums of uniform products are mostly exact in double,
+ * so on their own they hide the lane assignment and the tree order;
+ * equal and opposite powers of two cancel exactly across lanes, and
+ * what survives the cancellation depends on both.
+ */
+Tensor
+lanePickyTensor(const Shape &shape, Rng &rng)
+{
+    Tensor t = randomTensor(shape, rng);
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        if (rng.uniform() < 0.5) {
+            const int e = 15 * static_cast<int>(rng.uniformInt(5)) - 30;
+            t.at(i) = std::ldexp(t.at(i) < 0.0f ? -1.0f : 1.0f, e);
+        }
+    }
     return t;
 }
 
@@ -154,19 +177,38 @@ TEST(GemmFuzz, Conv2dBackwardKernelMatchesReferenceBitExact)
 
 TEST(GemmFuzz, Conv2dBackwardInputMatchesReferenceBitExact)
 {
+    // The direct form pads δ by K-1-pad per axis, so each iteration
+    // draws one of its regimes explicitly: pad < K-1 (windows reach
+    // into the zero border), pad = K-1 (no border), pad > K-1 (windows
+    // start inside δ), kh != kw at pad 0, and kh != kw padded.
     Rng rng(0xB1Du);
     atThreadCounts([&](int64_t threads) {
-        for (int iter = 0; iter < 16; ++iter) {
+        for (int iter = 0; iter < 20; ++iter) {
+            const int regime = iter % 5;
             const int64_t ci = 1 + static_cast<int64_t>(rng.uniformInt(3));
             const int64_t co = 1 + static_cast<int64_t>(rng.uniformInt(4));
-            // Square kernels: padding requires kh == kw.
-            const int64_t k = 1 + static_cast<int64_t>(rng.uniformInt(3));
-            const int64_t pad = static_cast<int64_t>(rng.uniformInt(2));
-            const int64_t h = k + static_cast<int64_t>(rng.uniformInt(8));
-            const int64_t w = k + static_cast<int64_t>(rng.uniformInt(8));
-            const int64_t ho = h + 2 * pad - k + 1;
-            const int64_t wo = w + 2 * pad - k + 1;
-            const Tensor kernel = randomTensor({co, ci, k, k}, rng);
+            int64_t kh = 1 + static_cast<int64_t>(rng.uniformInt(3));
+            int64_t kw = kh;
+            int64_t pad = 0;
+            if (regime == 0) {
+                kh = kw = 2 + static_cast<int64_t>(rng.uniformInt(2));
+                pad = static_cast<int64_t>(rng.uniformInt(
+                    static_cast<uint64_t>(kh - 1)));
+            } else if (regime == 1) {
+                pad = kh - 1;
+            } else if (regime == 2) {
+                pad = kh + static_cast<int64_t>(rng.uniformInt(2));
+            } else {
+                kw = 1 + (kh + static_cast<int64_t>(rng.uniformInt(2))) % 3;
+                pad = regime == 3
+                    ? 0
+                    : 1 + static_cast<int64_t>(rng.uniformInt(2));
+            }
+            const int64_t h = kh + static_cast<int64_t>(rng.uniformInt(8));
+            const int64_t w = kw + static_cast<int64_t>(rng.uniformInt(8));
+            const int64_t ho = h + 2 * pad - kh + 1;
+            const int64_t wo = w + 2 * pad - kw + 1;
+            const Tensor kernel = randomTensor({co, ci, kh, kw}, rng);
             const Tensor delta = randomTensor({co, ho, wo}, rng);
 
             const Tensor fast =
@@ -174,8 +216,84 @@ TEST(GemmFuzz, Conv2dBackwardInputMatchesReferenceBitExact)
             const Tensor ref =
                 ops::reference::conv2dBackwardInput(delta, kernel, pad);
             SCOPED_TRACE("threads=" + std::to_string(threads) +
-                         " iter=" + std::to_string(iter));
+                         " iter=" + std::to_string(iter) + " kh=" +
+                         std::to_string(kh) + " kw=" + std::to_string(kw) +
+                         " pad=" + std::to_string(pad));
+            ASSERT_EQ(fast.shape(), (Shape{ci, h, w}));
             expectBitIdentical(fast, ref, "conv2dBackwardInput");
+        }
+    });
+}
+
+/**
+ * gemm::gemmNN's recipe written out naively: output (i, j) adds
+ * float(a[i][p] * b[p][j]) to double lane p mod 8 in ascending p, the
+ * lanes reduce in the pinned tree and the bias comes last.
+ */
+void
+naiveGemmNN(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
+            const float *b, int64_t ldb, const float *bias, float *c,
+            int64_t ldc)
+{
+    for (int64_t i = 0; i < m; ++i) {
+        for (int64_t j = 0; j < n; ++j) {
+            double lanes[8] = {};
+            for (int64_t p = 0; p < k; ++p)
+                lanes[p & 7] +=
+                    static_cast<double>(a[i * lda + p] * b[p * ldb + j]);
+            const double l01 = lanes[0] + lanes[1];
+            const double l23 = lanes[2] + lanes[3];
+            const double l45 = lanes[4] + lanes[5];
+            const double l67 = lanes[6] + lanes[7];
+            const double bi = bias ? static_cast<double>(bias[i]) : 0.0;
+            c[i * ldc + j] =
+                static_cast<float>(bi + ((l01 + l23) + (l45 + l67)));
+        }
+    }
+}
+
+TEST(GemmFuzz, GemmNNMatchesScalarDefinitionAndNaiveLanesBitExact)
+{
+    // Column counts with n % 8 and n % 4 tails (and n below one
+    // vector), k < 8 and k % 8 != 0, odd m, padded leading dimensions,
+    // with and without a bias.  The last shape carries m * k = 7217
+    // multiply-adds per column, so at 4 threads parallel_for splits
+    // its 587 columns into chunks starting at 146, 293 and 440; the
+    // first two are off both the 4- and the 8-wide vector boundaries.
+    struct Shape3
+    {
+        int64_t m, n, k;
+    };
+    const Shape3 shapes[] = {{1, 1, 1},   {3, 5, 7},    {2, 8, 8},
+                             {5, 12, 9},  {4, 19, 16},  {7, 36, 23},
+                             {1, 3, 3},   {6, 64, 72},  {7, 587, 1031}};
+    Rng rng(0x6E77u);
+    atThreadCounts([&](int64_t threads) {
+        for (const Shape3 &s : shapes) {
+            for (const bool has_bias : {false, true}) {
+                const int64_t lda = s.k + 1, ldb = s.n + 3, ldc = s.n + 2;
+                const Tensor a = lanePickyTensor({s.m, lda}, rng);
+                const Tensor b = lanePickyTensor({s.k, ldb}, rng);
+                const Tensor bias = lanePickyTensor({s.m}, rng);
+                const float *bp = has_bias ? bias.data() : nullptr;
+                // NaN fill: an output the kernel skips cannot match.
+                Tensor fast({s.m, ldc}, std::nanf(""));
+                Tensor scalar = fast, naive = fast;
+                gemm::gemmNN(s.m, s.n, s.k, a.data(), lda, b.data(), ldb,
+                             bp, fast.data(), ldc);
+                gemmk::scalarKernels().gemm_nn(s.m, s.n, s.k, a.data(),
+                                               lda, b.data(), ldb, bp,
+                                               scalar.data(), ldc);
+                naiveGemmNN(s.m, s.n, s.k, a.data(), lda, b.data(), ldb,
+                            bp, naive.data(), ldc);
+                SCOPED_TRACE("threads=" + std::to_string(threads) +
+                             " m=" + std::to_string(s.m) +
+                             " n=" + std::to_string(s.n) +
+                             " k=" + std::to_string(s.k) +
+                             " bias=" + std::to_string(has_bias));
+                expectBitIdentical(scalar, naive, "gemm_nn scalar");
+                expectBitIdentical(fast, scalar, "gemmNN");
+            }
         }
     });
 }

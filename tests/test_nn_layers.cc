@@ -14,6 +14,7 @@
 #include "common/rng.hh"
 #include "nn/layers.hh"
 #include "nn/loss.hh"
+#include "nn/network.hh"
 
 namespace pipelayer {
 namespace nn {
@@ -252,6 +253,25 @@ TEST(AvgPoolLayer, InputGradient)
     AvgPoolLayer pool(2);
     const Tensor input = Tensor::randn({2, 4, 4}, rng);
     checkInputGradient(pool, input, 111);
+}
+
+TEST(PoolLayerDeath, NetworkAddRejectsWindowsThatDoNotTile)
+{
+    // 2x2 windows do not tile 15x15.  Network::add validates shapes,
+    // so it must refuse the layer instead of reporting 7x7 and leaving
+    // the panic to the first forward.
+    EXPECT_DEATH(
+        {
+            Network net("odd", {1, 15, 15});
+            net.add(std::make_unique<MaxPoolLayer>(2));
+        },
+        "pooling window 2 does not tile 15x15");
+    EXPECT_DEATH(
+        {
+            Network net("odd", {1, 15, 16});
+            net.add(std::make_unique<AvgPoolLayer>(2));
+        },
+        "pooling window 2 does not tile 15x16");
 }
 
 TEST(FlattenLayer, RoundTrip)
