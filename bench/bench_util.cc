@@ -138,7 +138,7 @@ Runner::Runner(std::string name, int argc, const char *const *argv,
         isa::Target target;
         if (!isa::parse(isa_arg, &target)) {
             throw ConfigError(
-                "--isa must be one of scalar|avx2|avx512|neon, got '" +
+                "--isa must be one of scalar|avx2|avx512, got '" +
                 isa_arg + "'");
         }
         if (!isa::setActive(target)) {
@@ -164,7 +164,7 @@ Runner::Runner(std::string name, int argc, const char *const *argv,
             << "                   reports per-run wall times "
                "(min/median)\n"
             << "  --isa=TARGET     force the SIMD dispatch target "
-               "(scalar|avx2|avx512|neon,\n"
+               "(scalar|avx2|avx512,\n"
             << "                   also via PL_ISA); results are "
                "byte-identical across\n"
             << "                   targets, only wall clock changes\n"

@@ -80,7 +80,7 @@ json::Value toJson(const std::vector<EvalRow> &rows);
  *                  "timing" member reports per-run wall times plus
  *                  min/median, so committed baselines are less noisy
  *   --isa=TARGET   force the SIMD dispatch target (scalar|avx2|
- *                  avx512|neon, also via PL_ISA); recorded in the
+ *                  avx512, also via PL_ISA); recorded in the
  *                  envelope's "isa" member
  *   --profile=PATH enable the host-side profiler (common/prof.hh),
  *                  write the profile report to PATH, and embed it as

@@ -76,30 +76,5 @@ CircularBuffer::contains(int64_t tag) const
     return tag_index_.find(tag) != tag_index_.end();
 }
 
-void
-CircularBuffer::addStats(stats::StatGroup &group) const
-{
-    group.addFormula(
-        name_ + ".capacity",
-        [this] { return static_cast<double>(capacity_); },
-        "entries provisioned (2(L-l)+1 sizing)");
-    group.addFormula(
-        name_ + ".writes",
-        [this] { return static_cast<double>(writes_); },
-        "entries written");
-    group.addFormula(
-        name_ + ".reads",
-        [this] { return static_cast<double>(reads_); },
-        "entries read");
-    group.addFormula(
-        name_ + ".violations",
-        [this] { return static_cast<double>(violations_); },
-        "overwrite/eviction violations");
-    group.addFormula(
-        name_ + ".peak_live",
-        [this] { return static_cast<double>(peak_live_); },
-        "live-entry high-water mark");
-}
-
 } // namespace arch
 } // namespace pipelayer

@@ -18,8 +18,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.hh"
-
 namespace pipelayer {
 namespace arch {
 
@@ -70,13 +68,6 @@ class CircularBuffer
     int64_t liveCount() const { return live_count_; }
 
     const std::string &name() const { return name_; }
-
-    /**
-     * Register this buffer's traffic counters and live-entry
-     * high-water mark with @p group under "<name>.*".  The buffer
-     * must outlive any dump.
-     */
-    void addStats(stats::StatGroup &group) const;
 
   private:
     struct Slot

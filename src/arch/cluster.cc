@@ -144,65 +144,6 @@ aggregationRoundCost(const InterconnectConfig &cfg, int64_t num_chips,
     return cost;
 }
 
-void
-ClusterStats::addStats(stats::StatGroup &group) const
-{
-    auto value = [](double v) {
-        return [v]() { return v; };
-    };
-    group.addFormula("num_chips",
-                     value(static_cast<double>(num_chips)),
-                     "chips in the cluster");
-    group.addFormula("chip_cycles",
-                     value(static_cast<double>(chip_cycles)),
-                     "per-chip schedule cycles (lock-step)");
-    group.addFormula("aggregation_rounds",
-                     value(static_cast<double>(aggregation_rounds)),
-                     "gradient-aggregation rounds (batch boundaries)");
-    group.addFormula("aggregation_payload_bytes",
-                     value(static_cast<double>(payload_bytes)),
-                     "per-chip gradient bytes per round");
-    group.addFormula("interconnect_wire_bytes",
-                     value(static_cast<double>(wire_bytes)),
-                     "bytes crossing inter-chip links, whole run");
-    group.addFormula("aggregation_time_s", value(aggregation_time_s),
-                     "aggregation seconds, whole run");
-    group.addFormula("aggregation_energy_j",
-                     value(aggregation_energy_j),
-                     "interconnect joules, whole run");
-    group.addFormula("aggregation_cycles",
-                     value(static_cast<double>(aggregation_cycles)),
-                     "aggregation time in logical cycles");
-    group.addFormula("total_cycles",
-                     value(static_cast<double>(total_cycles)),
-                     "chip cycles + aggregation cycles");
-    for (size_t c = 0; c < per_chip.size(); ++c) {
-        const ScheduleStats &s = per_chip[c];
-        const std::string p = "chip" + std::to_string(c) + ".";
-        group.addFormula(p + "total_cycles",
-                         value(static_cast<double>(s.total_cycles)),
-                         "schedule cycles on this chip");
-        group.addFormula(p + "forward_ops",
-                         value(static_cast<double>(s.forward_ops)),
-                         "stage-forward activations on this chip");
-        group.addFormula(p + "error_ops",
-                         value(static_cast<double>(s.error_ops)),
-                         "error-backward activations on this chip");
-        group.addFormula(p + "derivative_ops",
-                         value(static_cast<double>(s.derivative_ops)),
-                         "derivative computations on this chip");
-        group.addFormula(p + "update_cycles",
-                         value(static_cast<double>(s.update_cycles)),
-                         "weight-update cycles on this chip");
-        group.addFormula(p + "structural_hazards",
-                         value(static_cast<double>(s.structural_hazards)),
-                         "structural hazards on this chip");
-        group.addFormula(p + "buffer_violations",
-                         value(static_cast<double>(s.buffer_violations)),
-                         "buffer violations on this chip");
-    }
-}
-
 json::Value
 ClusterStats::toJson() const
 {

@@ -32,7 +32,6 @@
 
 #include "arch/pipeline.hh"
 #include "common/json.hh"
-#include "common/stats.hh"
 #include "common/trace.hh"
 
 namespace pipelayer {
@@ -129,12 +128,6 @@ struct ClusterStats
 
     /** chip_cycles + aggregation_cycles: the cluster's run length. */
     int64_t total_cycles = 0;
-
-    /**
-     * Register the cluster totals and every chip's measurements
-     * (prefixed "chip<i>.") with @p group.  Values are copied.
-     */
-    void addStats(stats::StatGroup &group) const;
 
     /** Machine-readable form of every measurement. */
     json::Value toJson() const;

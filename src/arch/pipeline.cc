@@ -19,55 +19,6 @@ ceilDiv(int64_t a, int64_t b)
 
 } // namespace
 
-void
-ScheduleStats::addStats(stats::StatGroup &group) const
-{
-    auto value = [](double v) {
-        return [v] { return v; };
-    };
-    group.addFormula("total_cycles",
-                     value(static_cast<double>(total_cycles)),
-                     "logical cycles for the whole schedule");
-    group.addFormula("forward_ops",
-                     value(static_cast<double>(forward_ops)),
-                     "stage-forward activations");
-    group.addFormula("error_ops",
-                     value(static_cast<double>(error_ops)),
-                     "error-backward activations");
-    group.addFormula("derivative_ops",
-                     value(static_cast<double>(derivative_ops)),
-                     "derivative (dW) computations");
-    group.addFormula("update_cycles",
-                     value(static_cast<double>(update_cycles)),
-                     "weight-update cycles");
-    group.addFormula("stage_utilization", value(stage_utilization),
-                     "busy stage-slots / (units x cycles)");
-    group.addFormula("structural_hazards",
-                     value(static_cast<double>(structural_hazards)),
-                     "same-unit double-claims detected");
-    group.addFormula("buffer_violations",
-                     value(static_cast<double>(buffer_violations)),
-                     "buffer overwrite/eviction violations");
-    for (size_t s = 0; s < per_stage_ops.size(); ++s) {
-        const std::string stage = "stage" + std::to_string(s);
-        group.addFormula(stage + ".ops",
-                         value(static_cast<double>(per_stage_ops[s])),
-                         "busy unit-slots at this array stage");
-        const double occupancy = total_cycles > 0
-            ? static_cast<double>(per_stage_ops[s]) /
-                  static_cast<double>(total_cycles)
-            : 0.0;
-        group.addFormula(stage + ".occupancy", value(occupancy),
-                         "busy fraction of the run at this stage");
-    }
-    for (size_t j = 0; j < peak_buffer_entries.size(); ++j) {
-        group.addFormula(
-            "buffer.d" + std::to_string(j) + ".peak_live",
-            value(static_cast<double>(peak_buffer_entries[j])),
-            "live-entry high-water mark of this stage buffer");
-    }
-}
-
 json::Value
 ScheduleStats::toJson() const
 {

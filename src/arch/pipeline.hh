@@ -40,7 +40,6 @@
 
 #include "arch/buffers.hh"
 #include "common/metrics.hh"
-#include "common/stats.hh"
 #include "common/trace.hh"
 
 namespace pipelayer {
@@ -113,14 +112,6 @@ struct ScheduleStats
 
     /** Busy unit-slots per array stage (forward + error + ∂W ops). */
     std::vector<int64_t> per_stage_ops;
-
-    /**
-     * Register every measurement with @p group: run totals, per-stage
-     * occupancy ("stage3.occupancy") and the buffer live-entry
-     * high-water marks ("buffer.d2.peak_live").  Values are copied,
-     * so the group does not need this object to stay alive.
-     */
-    void addStats(stats::StatGroup &group) const;
 
     /** Machine-readable form of every measurement. */
     json::Value toJson() const;

@@ -4,7 +4,6 @@
 #include <mutex>
 
 #include "common/logging.hh"
-#include "common/stats.hh"
 
 namespace pipelayer {
 namespace arena {
@@ -167,15 +166,6 @@ peakBytes()
     for (const Arena *a : r.live)
         peak = std::max(peak, a->peak());
     return peak;
-}
-
-void
-addStats(stats::StatGroup &group, const std::string &prefix)
-{
-    group.addFormula(
-        prefix + ".bytes_peak",
-        [] { return static_cast<double>(peakBytes()); },
-        "high-water scratch bytes across all workspace arenas");
 }
 
 } // namespace arena

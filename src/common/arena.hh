@@ -26,9 +26,9 @@
  *     store arena pointers beyond that.
  *  3. Never allocate from the arena inside a parallel_for chunk body
  *     with a chunk-dependent size: chunk shapes vary with the thread
- *     count, which would make the bytes_peak statistic (and therefore
- *     stats dumps) depend on PL_THREADS.  Allocate on the calling
- *     thread, outside the chunked region.
+ *     count, which would make peakBytes() (perfbench's
+ *     arena.bytes_peak) depend on PL_THREADS.  Allocate on the
+ *     calling thread, outside the chunked region.
  *
  * Observability: peakBytes() reports the high-water mark of live
  * scratch over *all* arenas (live and retired threads).  Because rule
@@ -45,15 +45,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace pipelayer {
-
-namespace stats {
-class StatGroup;
-}
-
 namespace arena {
 
 /** Span alignment guarantee (covers SIMD vector loads). */
@@ -136,12 +130,6 @@ Arena &local();
  * see the file comment for why it is thread-count invariant.
  */
 size_t peakBytes();
-
-/**
- * Register "<prefix>.bytes_peak" with @p group — the peakBytes()
- * high-water mark, dumped like any other formula statistic.
- */
-void addStats(stats::StatGroup &group, const std::string &prefix);
 
 /** RAII rewind of the thread-local arena to its construction point. */
 class Scope

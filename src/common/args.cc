@@ -1,6 +1,8 @@
 #include "common/args.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -43,9 +45,15 @@ ArgParser::number(const std::string &key, double def) const
     if (it == options_.end())
         return def;
     char *end = nullptr;
+    errno = 0;
     const double v = std::strtod(it->second.c_str(), &end);
     if (end == it->second.c_str() || *end != '\0')
         fatal("--%s=%s is not a number", key.c_str(),
+              it->second.c_str());
+    if (errno == ERANGE)
+        fatal("--%s=%s is out of range", key.c_str(), it->second.c_str());
+    if (!std::isfinite(v))
+        fatal("--%s=%s is not a finite number", key.c_str(),
               it->second.c_str());
     return v;
 }
@@ -57,10 +65,13 @@ ArgParser::integer(const std::string &key, int64_t def) const
     if (it == options_.end())
         return def;
     char *end = nullptr;
+    errno = 0;
     const long long v = std::strtoll(it->second.c_str(), &end, 10);
     if (end == it->second.c_str() || *end != '\0')
         fatal("--%s=%s is not an integer", key.c_str(),
               it->second.c_str());
+    if (errno == ERANGE)
+        fatal("--%s=%s is out of range", key.c_str(), it->second.c_str());
     return v;
 }
 

@@ -43,10 +43,16 @@ class ArgParser
     std::string str(const std::string &key,
                     const std::string &def = "") const;
 
-    /** --key=value parsed as a double; fatal() on a malformed value. */
+    /**
+     * --key=value parsed as a double; fatal() on a malformed, out of
+     * range (1e999) or non-finite (nan, inf) value.
+     */
     double number(const std::string &key, double def) const;
 
-    /** --key=value parsed as an integer; fatal() on malformed value. */
+    /**
+     * --key=value parsed as an integer; fatal() on a malformed value
+     * or one outside int64 range.
+     */
     int64_t integer(const std::string &key, int64_t def) const;
 
     /** True if --key was given (with or without a value). */

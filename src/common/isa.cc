@@ -35,28 +35,22 @@ hostSupports(Target t)
 #else
         return false;
 #endif
-    case Target::Neon:
-#if defined(__aarch64__)
-        return true; // Advanced SIMD is baseline on aarch64.
-#else
-        return false;
-#endif
     }
     return false;
 }
 
+/** The PL_ISA or auto choice; a bad PL_ISA is fatal(), never a throw. */
 Target
-resolve()
+resolve() noexcept
 {
     const char *env = std::getenv("PL_ISA");
     if (env != nullptr && env[0] != '\0') {
         Target forced;
-        PL_ASSERT(parse(env, &forced),
-                  "PL_ISA='%s' is not one of scalar|avx2|avx512|neon",
+        if (!parse(env, &forced))
+            fatal("PL_ISA must be one of scalar|avx2|avx512, got '%s'",
                   env);
-        PL_ASSERT(supported(forced),
-                  "PL_ISA=%s is not supported on this host",
-                  name(forced));
+        if (!supported(forced))
+            fatal("PL_ISA=%s is not supported on this host", env);
         return forced;
     }
     return best();
@@ -74,8 +68,6 @@ name(Target t)
         return "avx2";
     case Target::Avx512:
         return "avx512";
-    case Target::Neon:
-        return "neon";
     }
     return "unknown";
 }
@@ -114,8 +106,7 @@ availableTargets()
 Target
 best()
 {
-    // Widest wins; on x86 that prefers AVX-512 over AVX2.  NEON never
-    // coexists with the x86 targets, so ordinal order is fine.
+    // Widest wins: AVX-512 over AVX2 over scalar.
     Target widest = Target::Scalar;
     for (int i = 0; i < kTargetCount; ++i) {
         const Target t = static_cast<Target>(i);
@@ -130,12 +121,13 @@ active()
 {
     int cur = g_active.load(std::memory_order_acquire);
     if (cur < 0) {
-        const Target resolved = resolve();
-        cur = static_cast<int>(resolved);
+        // Pool workers can reach here at once.  A local static is
+        // initialised once while the others wait, so a bad PL_ISA
+        // makes exactly one fatal() call.
+        static const int first = static_cast<int>(resolve());
         int expected = -1;
-        // First resolver wins; a concurrent resolver computed the
-        // same value anyway (the environment does not change).
-        g_active.compare_exchange_strong(expected, cur,
+        // A setActive() that ran meanwhile wins.
+        g_active.compare_exchange_strong(expected, first,
                                          std::memory_order_acq_rel);
         cur = g_active.load(std::memory_order_acquire);
     }
@@ -156,15 +148,6 @@ reresolveFromEnv()
 {
     g_active.store(static_cast<int>(resolve()),
                    std::memory_order_release);
-}
-
-void
-addStats(stats::StatGroup &group, const std::string &prefix)
-{
-    group.addFormula(
-        prefix + ".isa_level",
-        [] { return static_cast<double>(static_cast<int>(active())); },
-        "dispatched SIMD target (0 scalar, 1 avx2, 2 avx512, 3 neon)");
 }
 
 } // namespace isa

@@ -3,18 +3,19 @@
  * Runtime SIMD instruction-set detection and dispatch selection.
  *
  * The compute kernels (src/tensor/gemm_*.cc) are compiled once per
- * instruction set — scalar always, AVX2/AVX-512 on x86-64, NEON on
- * aarch64 — and the active target is chosen at runtime: CPUID/HWCAP
- * detection picks the widest supported set, the `PL_ISA` environment
- * variable (`scalar|avx2|avx512|neon`) or a bench's `--isa=` flag
- * forces a specific one.  Every target implements the *same*
- * lane-based reduction contract (DESIGN.md §7), so forcing a target
- * changes wall clock only — results are byte-identical across
+ * instruction set — scalar always, AVX2/AVX-512 on x86-64 (other
+ * hosts run the scalar kernels) — and the active target is chosen at
+ * runtime: CPUID detection picks the widest supported set, the
+ * `PL_ISA` environment variable (`scalar|avx2|avx512`) or a bench's
+ * `--isa=` flag forces a specific one.  Every target implements the
+ * *same* lane-based reduction contract (DESIGN.md §7), so forcing a
+ * target changes wall clock only — results are byte-identical across
  * targets, which CI asserts by golden byte-compare.
  *
  * The dispatched target is recorded in the bench envelope ("isa"),
- * the profiler report, and the stats layer (addStats), so every
- * artifact names the kernels that produced it.
+ * the profiler report, and the serving metrics trailer
+ * ("serving.host.isa_level"), so every artifact names the kernels
+ * that produced it.
  */
 
 #ifndef PIPELAYER_COMMON_ISA_HH_
@@ -22,8 +23,6 @@
 
 #include <string>
 #include <vector>
-
-#include "common/stats.hh"
 
 namespace pipelayer {
 namespace isa {
@@ -34,13 +33,12 @@ enum class Target : int
     Scalar = 0, //!< portable C++, compiled everywhere
     Avx2 = 1,   //!< x86-64 AVX2
     Avx512 = 2, //!< x86-64 AVX-512 (F + DQ)
-    Neon = 3,   //!< aarch64 Advanced SIMD
 };
 
 /** Number of distinct Target values. */
-constexpr int kTargetCount = 4;
+constexpr int kTargetCount = 3;
 
-/** Stable lower-case name ("scalar", "avx2", "avx512", "neon"). */
+/** Stable lower-case name ("scalar", "avx2", "avx512"). */
 const char *name(Target t);
 
 /**
@@ -64,8 +62,8 @@ Target best();
 /**
  * The active dispatch target.  Resolved once on first use: a set
  * `PL_ISA` forces that target (an unknown or unsupported name is a
- * fatal configuration error — silent fallback would defeat the CI
- * byte-compare that forces scalar); otherwise best() wins.
+ * fatal() configuration error, exit 1 — silent fallback would defeat
+ * the CI byte-compare that forces scalar); otherwise best() wins.
  */
 Target active();
 
@@ -81,14 +79,6 @@ bool setActive(Target t);
  * environment).  Same fatal-on-invalid semantics as active().
  */
 void reresolveFromEnv();
-
-/**
- * Register "<prefix>.isa_level" with @p group: the active target's
- * ordinal (0 scalar, 1 avx2, 2 avx512, 3 neon).  Constant for the
- * life of the process unless a test forces a target, so stats dumps
- * stay byte-identical at any PL_THREADS.
- */
-void addStats(stats::StatGroup &group, const std::string &prefix);
 
 } // namespace isa
 } // namespace pipelayer

@@ -92,7 +92,7 @@ class ConfigError : public std::runtime_error
 
 /**
  * PL_ASSERT for checks too costly or too intrusive for release builds
- * (e.g. the StatGroup component-outlives-dump contract).  Compiled
+ * (e.g. the profiler's per-record site-index range check).  Compiled
  * out under NDEBUG.
  */
 #ifdef NDEBUG

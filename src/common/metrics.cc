@@ -89,10 +89,11 @@ Sampler::distribution(const std::string &name)
 }
 
 void
-Sampler::attachGroup(const stats::StatGroup *group)
+Sampler::attachStats(json::Value stats)
 {
-    PL_ASSERT(!finished_, "metrics group attached after finish()");
-    groups_.push_back(group);
+    PL_ASSERT(!finished_, "metrics stats attached after finish()");
+    PL_ASSERT(stats.isObject(), "metrics stats must be a JSON object");
+    stats_ = std::move(stats);
 }
 
 void
@@ -248,16 +249,8 @@ Sampler::finish(int64_t end_cycle)
         dists[c.name] = distributionJson(values);
     }
     trailer["distributions"] = std::move(dists);
-    if (!groups_.empty()) {
-        json::Value stats = json::Value::object();
-        for (const stats::StatGroup *group : groups_) {
-            for (const std::string &name : group->names()) {
-                stats[group->prefix() + "." + name] =
-                    group->lookup(name);
-            }
-        }
-        trailer["stats"] = std::move(stats);
-    }
+    if (!stats_.isNull())
+        trailer["stats"] = std::move(stats_);
     records_.push_back(std::move(trailer));
 }
 

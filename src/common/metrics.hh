@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "common/json.hh"
-#include "common/stats.hh"
 
 namespace pipelayer {
 namespace metrics {
@@ -81,12 +80,12 @@ class Sampler
     ///@}
 
     /**
-     * Snapshot @p group's statistics into the trailer's "stats"
-     * member at finish() time (the group must stay alive until
-     * then).  Stat values are deterministic by the stats contract,
-     * so the trailer stays byte-stable.
+     * Write @p stats, a JSON object of whole-run figures, as the
+     * trailer's "stats" member (replacing an earlier one).  A caller
+     * attaches only deterministic values, so the trailer stays
+     * byte-stable.
      */
-    void attachGroup(const stats::StatGroup *group);
+    void attachStats(json::Value stats);
 
     /** @name Feeding (ids from the registration calls; cycles >= 0,
      *  any order). */
@@ -136,7 +135,7 @@ class Sampler
     std::vector<Channel> counters_;
     std::vector<Channel> gauges_;
     std::vector<Channel> distributions_;
-    std::vector<const stats::StatGroup *> groups_;
+    json::Value stats_; //!< null until attachStats()
     std::vector<json::Value> records_; //!< windows + trailer
 };
 

@@ -2,9 +2,9 @@
  * @file
  * Host-side profiler: where does the *simulator* spend its wall time?
  *
- * The stats/trace layer (common/stats.hh, common/trace.hh) observes
- * the modeled hardware in logical cycles; this subsystem observes the
- * simulator process itself.  Hot paths mark themselves with an RAII
+ * The reports and the trace layer (sim::SimReport, common/trace.hh)
+ * observe the modeled hardware in logical cycles; this subsystem
+ * observes the simulator process itself.  Hot paths mark themselves with an RAII
  * scope —
  *
  * @code

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "arch/pipeline.hh"
-#include "common/arena.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/prof.hh"
@@ -81,28 +80,6 @@ PipelinedBatchResult::toJson() const
     v["backward_ops"] = json::Value(backward_ops);
     v["commits"] = json::Value(commits);
     return v;
-}
-
-void
-PipelinedTrainer::addStats(stats::StatGroup &group)
-{
-    group.registerScalar("cycles", &stat_cycles_,
-                         "logical cycles executed");
-    group.registerScalar("batches", &stat_batches_,
-                         "pipelined batches trained");
-    group.registerScalar("forward_ops", &stat_forward_ops_,
-                         "per-cycle stage-forward evaluations");
-    group.registerScalar("error_seeds", &stat_error_seeds_,
-                         "output-error seedings (one per image)");
-    group.registerScalar("backward_ops", &stat_backward_ops_,
-                         "error-backward + derivative pairs");
-    group.registerScalar("commits", &stat_commits_,
-                         "serial phase-2 buffer commits");
-    group.registerScalar("weight_updates", &stat_updates_,
-                         "array stages updated at update cycles");
-    // Scratch high-water mark: stabilises after the first batch when
-    // the steady-state per-cycle loop is heap-allocation free.
-    arena::addStats(group, "arena");
 }
 
 void
@@ -295,14 +272,6 @@ PipelinedTrainer::trainBatch(const std::vector<Tensor> &inputs,
     result.commits =
         result.forward_ops + result.error_seeds + result.backward_ops;
     trace_cycle_base_ += stats.total_cycles;
-
-    stat_cycles_ += static_cast<double>(result.logical_cycles);
-    stat_batches_ += 1.0;
-    stat_forward_ops_ += static_cast<double>(result.forward_ops);
-    stat_error_seeds_ += static_cast<double>(result.error_seeds);
-    stat_backward_ops_ += static_cast<double>(result.backward_ops);
-    stat_commits_ += static_cast<double>(result.commits);
-    stat_updates_ += static_cast<double>(depth_l);
     return result;
 }
 

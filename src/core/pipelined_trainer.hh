@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "common/json.hh"
-#include "common/stats.hh"
 #include "common/trace.hh"
 #include "nn/network.hh"
 #include "tensor/tensor.hh"
@@ -93,16 +92,6 @@ class PipelinedTrainer
                                     float lr);
 
     /**
-     * Register the trainer's cumulative work counters (logical
-     * cycles, per-cycle stage work, serial commit counts, batches)
-     * with @p group.  Counters accumulate across trainBatch() calls
-     * and are updated in the serial commit phase, so a dump is
-     * byte-identical at any thread count.  The trainer must outlive
-     * any dump; resetAll() on the group zeroes them.
-     */
-    void addStats(stats::StatGroup &group);
-
-    /**
      * Attach a per-logical-cycle event trace: the scheduler's Fig. 6
      * rows (PipelineScheduler::setTrace, 3L+1 tracks) are declared by
      * the first trainBatch(), and every batch appends its slices along
@@ -117,15 +106,6 @@ class PipelinedTrainer
 
     nn::Network &net_;
     std::vector<std::unique_ptr<Stage>> stages_;
-
-    // Cumulative work counters (see addStats).
-    stats::Scalar stat_cycles_;
-    stats::Scalar stat_batches_;
-    stats::Scalar stat_forward_ops_;
-    stats::Scalar stat_error_seeds_;
-    stats::Scalar stat_backward_ops_;
-    stats::Scalar stat_commits_;
-    stats::Scalar stat_updates_;
 
     trace::TraceRecorder *trace_ = nullptr;
     int64_t trace_base_ = -1;     //!< first Fig. 6 row (-1: none yet)

@@ -306,39 +306,5 @@ ArrayGroup::totalActivity() const
     return total;
 }
 
-void
-ArrayGroup::addStats(stats::StatGroup &group,
-                     const std::string &prefix) const
-{
-    group.addFormula(
-        prefix + ".arrays",
-        [this] { return static_cast<double>(arrayCount()); },
-        "physical subarrays backing this matrix");
-    group.addFormula(
-        prefix + ".input_spikes",
-        [this] {
-            return static_cast<double>(totalActivity().input_spikes);
-        },
-        "word-line input spikes driven, all subarrays");
-    group.addFormula(
-        prefix + ".write_pulses",
-        [this] {
-            return static_cast<double>(totalActivity().write_pulses);
-        },
-        "cell programming pulses applied, all subarrays");
-    group.addFormula(
-        prefix + ".mvm_ops",
-        [this] {
-            return static_cast<double>(totalActivity().mvm_ops);
-        },
-        "matrix-vector operations, all subarrays");
-    group.addFormula(
-        prefix + ".if_fires",
-        [this] {
-            return static_cast<double>(totalActivity().if_fires);
-        },
-        "integrate-and-fire output firings, all subarrays");
-}
-
 } // namespace reram
 } // namespace pipelayer

@@ -97,14 +97,6 @@ class ArrayGroup
     /** Combined activity of every subarray in the group. */
     ArrayActivity totalActivity() const;
 
-    /**
-     * Register the group's aggregate activity (spikes fired, write
-     * pulses, MVM ops, IF firings) and geometry with @p group under
-     * "<prefix>.*".  This ArrayGroup must outlive any dump.
-     */
-    void addStats(stats::StatGroup &group,
-                  const std::string &prefix) const;
-
     /** Step size of the stored weight quantisation. */
     float weightScale() const { return weight_scale_; }
 

@@ -24,28 +24,6 @@ ArrayActivity::operator+=(const ArrayActivity &other)
     return *this;
 }
 
-void
-ArrayActivity::addStats(stats::StatGroup &group,
-                        const std::string &prefix) const
-{
-    group.addFormula(
-        prefix + ".input_spikes",
-        [this] { return static_cast<double>(input_spikes); },
-        "word-line input spikes driven");
-    group.addFormula(
-        prefix + ".write_pulses",
-        [this] { return static_cast<double>(write_pulses); },
-        "cell programming pulses applied");
-    group.addFormula(
-        prefix + ".mvm_ops",
-        [this] { return static_cast<double>(mvm_ops); },
-        "matrix-vector operations performed");
-    group.addFormula(
-        prefix + ".if_fires",
-        [this] { return static_cast<double>(if_fires); },
-        "integrate-and-fire output firings");
-}
-
 namespace {
 
 /** Σ popcount over @p n codes, each checked to be below 2^data_bits. */

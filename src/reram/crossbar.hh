@@ -15,11 +15,9 @@
 #define PIPELAYER_RERAM_CROSSBAR_HH_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "reram/params.hh"
 #include "reram/spike.hh"
 
@@ -35,13 +33,6 @@ struct ArrayActivity
     int64_t if_fires = 0;      //!< integrate-and-fire output firings
 
     ArrayActivity &operator+=(const ArrayActivity &other);
-
-    /**
-     * Register the four counters as "<prefix>.<name>" formulas over
-     * this activity record.  The record must outlive any dump.
-     */
-    void addStats(stats::StatGroup &group,
-                  const std::string &prefix) const;
 };
 
 /**
@@ -139,16 +130,6 @@ class CrossbarArray
      * the totals stay exact; read them once those calls returned.
      */
     const ArrayActivity &activity() const { return activity_; }
-
-    /**
-     * Register this array's activity counters with @p group under
-     * "<prefix>.*".  The array must outlive any dump of the group.
-     */
-    void addStats(stats::StatGroup &group,
-                  const std::string &prefix) const
-    {
-        activity_.addStats(group, prefix);
-    }
 
     /**
      * True if any IF counter saturated during the last matVec (with

@@ -106,46 +106,6 @@ ServingReport::toJson() const
 }
 
 void
-ServingReport::addStats(stats::StatGroup &group) const
-{
-    const auto add = [&group](const std::string &name, double value,
-                              std::string desc) {
-        group.addFormula(name, [value] { return value; },
-                         std::move(desc));
-    };
-    add("arrival_count", static_cast<double>(arrival_count),
-        "requests in the arrival trace");
-    add("admitted_count", static_cast<double>(admitted_count),
-        "requests admitted to the pipeline");
-    add("shed_count", static_cast<double>(shed_count),
-        "requests shed at queue capacity (backpressure)");
-    add("peak_queue_depth", static_cast<double>(peak_queue_depth),
-        "largest admission-queue occupancy");
-    add("mean_queue_depth", mean_queue_depth,
-        "mean queue depth observed by arrivals");
-    add("batch_count", static_cast<double>(batch_count),
-        "batches launched");
-    add("deadline_batches", static_cast<double>(deadline_batches),
-        "partial batches forced out by the max-wait deadline");
-    add("p50_latency_cycles", static_cast<double>(p50_latency_cycles),
-        "median request latency (logical cycles)");
-    add("p95_latency_cycles", static_cast<double>(p95_latency_cycles),
-        "95th-percentile request latency (logical cycles)");
-    add("p99_latency_cycles", static_cast<double>(p99_latency_cycles),
-        "99th-percentile request latency (logical cycles)");
-    add("max_latency_cycles", static_cast<double>(max_latency_cycles),
-        "worst request latency (logical cycles)");
-    add("mean_latency_cycles", mean_latency_cycles,
-        "mean request latency (logical cycles)");
-    add("mean_queue_wait_cycles", mean_queue_wait_cycles,
-        "mean cycles spent queued before pipeline entry");
-    // Which SIMD target the functional kernels dispatched to — the
-    // counters above are dispatch-invariant, so this is the only
-    // host-dependent entry (and identical across PL_THREADS).
-    isa::addStats(group, "host");
-}
-
-void
 ServingReport::print(std::ostream &os) const
 {
     os << "=== Serving: " << network << " (depth " << depth << ") ===\n"
@@ -303,12 +263,18 @@ feedSampler(const ServingReport &report,
     for (const auto &point : inFlightSeries(report))
         sampler.set(inflight_ch, point.first, point.second);
 
-    // Snapshot the whole-run serving stats into the trailer, so one
-    // stream carries both the windows and the totals they must
-    // reconcile with.
-    stats::StatGroup group("serving");
-    report.addStats(group);
-    sampler.attachGroup(&group);
+    // Snapshot the summary's top-level numbers into the trailer, so
+    // one stream carries both the windows and the totals they must
+    // reconcile with; the dispatched SIMD target is the only
+    // host-dependent entry (and the same at any PL_THREADS).
+    const json::Value summary = report.toJson();
+    json::Value stats = json::Value::object();
+    for (const auto &[key, value] : summary.members()) {
+        if (value.isNumber() && key != "serve_version" && key != "depth")
+            stats["serving." + key] = value;
+    }
+    stats["serving.host.isa_level"] = static_cast<int>(isa::active());
+    sampler.attachStats(std::move(stats));
     sampler.finish(report.sched.total_cycles);
 }
 

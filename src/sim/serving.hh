@@ -34,7 +34,6 @@
 #include "arch/pipeline.hh"
 #include "common/json.hh"
 #include "common/metrics.hh"
-#include "common/stats.hh"
 #include "common/trace.hh"
 #include "sim/arrival.hh"
 #include "sim/job.hh"
@@ -143,9 +142,6 @@ struct ServingReport
      * are not included; they stream separately as NDJSON.
      */
     json::Value toJson() const;
-
-    /** Register the serving metrics with @p group (values copied). */
-    void addStats(stats::StatGroup &group) const;
 
     /** Human-readable multi-line summary. */
     void print(std::ostream &os) const;

@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "common/prof.hh"
-#include "common/stats.hh"
 #include "common/units.hh"
 
 namespace pipelayer {
@@ -100,93 +99,67 @@ SimReport::print(std::ostream &os) const
 }
 
 void
-SimReport::addStats(stats::StatGroup &group) const
+SimReport::dumpStats(std::ostream &os) const
 {
-    auto value = [](double v) {
-        return [v]() { return v; };
+    const std::string prefix = "sim." + network + ".";
+    const auto stat = [&](const std::string &name, double value,
+                          const std::string &desc) {
+        os << std::left << std::setw(40) << (prefix + name) << std::right
+           << std::setw(18) << value << "  # " << desc << "\n";
     };
-    group.addFormula("training",
-                     value(config.phase == Phase::Training ? 1.0 : 0.0),
-                     "1 if training phase");
-    group.addFormula("pipelined", value(config.pipelined ? 1.0 : 0.0),
-                     "1 if the inter-layer pipeline is enabled");
-    group.addFormula("images",
-                     value(static_cast<double>(config.num_images)),
-                     "images processed");
-    group.addFormula("logical_cycles",
-                     value(static_cast<double>(logical_cycles)),
-                     "total logical cycles");
-    group.addFormula("cycle_time_s", value(cycle_time),
-                     "seconds per logical cycle");
-    group.addFormula("total_time_s", value(total_time),
-                     "seconds for the whole run");
-    group.addFormula("throughput_img_s", value(throughput),
-                     "images per second");
-    group.addFormula("energy_per_image_j", value(energy_per_image),
-                     "joules per image");
-    group.addFormula("energy_forward_j", value(energy.forward_compute),
-                     "forward-compute energy, total");
-    group.addFormula("energy_backward_j",
-                     value(energy.backward_compute),
-                     "error-backward energy, total");
-    group.addFormula("energy_derivative_j",
-                     value(energy.derivative_compute),
-                     "derivative-computation energy, total");
-    group.addFormula("energy_update_j", value(energy.weight_update),
-                     "weight-update energy, total");
-    group.addFormula("energy_buffer_j", value(energy.buffer_traffic),
-                     "buffer-traffic energy, total");
-    group.addFormula("energy_controller_j", value(energy.controller),
-                     "controller/interface energy, total");
-    group.addFormula("area_mm2", value(area_mm2),
-                     "accelerator area");
-    group.addFormula("morphable_arrays",
-                     value(static_cast<double>(morphable_arrays)),
-                     "morphable subarrays provisioned");
-    group.addFormula("gops_per_s", value(gops_per_s),
-                     "sustained giga-operations per second");
-    group.addFormula("gops_per_s_per_mm2", value(gops_per_s_per_mm2),
-                     "computational efficiency");
-    group.addFormula("gops_per_w", value(gops_per_w),
-                     "power efficiency");
-    group.addFormula("buffer_violations",
-                     value(static_cast<double>(buffer_violations)),
-                     "buffer overwrite/eviction violations");
-    group.addFormula("structural_hazards",
-                     value(static_cast<double>(structural_hazards)),
-                     "structural hazards detected");
+    stat("training", config.phase == Phase::Training ? 1.0 : 0.0,
+         "1 if training phase");
+    stat("pipelined", config.pipelined ? 1.0 : 0.0,
+         "1 if the inter-layer pipeline is enabled");
+    stat("images", static_cast<double>(config.num_images),
+         "images processed");
+    stat("logical_cycles", static_cast<double>(logical_cycles),
+         "total logical cycles");
+    stat("cycle_time_s", cycle_time, "seconds per logical cycle");
+    stat("total_time_s", total_time, "seconds for the whole run");
+    stat("throughput_img_s", throughput, "images per second");
+    stat("energy_per_image_j", energy_per_image, "joules per image");
+    stat("energy_forward_j", energy.forward_compute,
+         "forward-compute energy, total");
+    stat("energy_backward_j", energy.backward_compute,
+         "error-backward energy, total");
+    stat("energy_derivative_j", energy.derivative_compute,
+         "derivative-computation energy, total");
+    stat("energy_update_j", energy.weight_update,
+         "weight-update energy, total");
+    stat("energy_buffer_j", energy.buffer_traffic,
+         "buffer-traffic energy, total");
+    stat("energy_controller_j", energy.controller,
+         "controller/interface energy, total");
+    stat("area_mm2", area_mm2, "accelerator area");
+    stat("morphable_arrays", static_cast<double>(morphable_arrays),
+         "morphable subarrays provisioned");
+    stat("gops_per_s", gops_per_s, "sustained giga-operations per second");
+    stat("gops_per_s_per_mm2", gops_per_s_per_mm2,
+         "computational efficiency");
+    stat("gops_per_w", gops_per_w, "power efficiency");
+    stat("buffer_violations", static_cast<double>(buffer_violations),
+         "buffer overwrite/eviction violations");
+    stat("structural_hazards", static_cast<double>(structural_hazards),
+         "structural hazards detected");
     for (size_t i = 0; i < per_layer.size(); ++i) {
         const LayerCost &c = per_layer[i];
         const std::string p = "layer" + std::to_string(i) + ".";
-        group.addFormula(p + "g", value(static_cast<double>(c.g)),
-                         "replication factor of " + c.label);
-        group.addFormula(p + "arrays",
-                         value(static_cast<double>(c.arrays)),
-                         "forward + backward arrays");
-        group.addFormula(p + "forward_latency_s",
-                         value(c.forward_latency),
-                         "seconds per logical cycle, forward");
-        group.addFormula(p + "training_latency_s",
-                         value(c.training_latency),
-                         "seconds per logical cycle, training");
-        group.addFormula(p + "forward_energy_j",
-                         value(c.forward_energy),
-                         "forward-compute joules per image");
-        group.addFormula(p + "backward_energy_j",
-                         value(c.backward_energy),
-                         "error-backward joules per image");
-        group.addFormula(p + "derivative_energy_j",
-                         value(c.derivative_energy),
-                         "derivative joules per image");
+        stat(p + "g", static_cast<double>(c.g),
+             "replication factor of " + c.label);
+        stat(p + "arrays", static_cast<double>(c.arrays),
+             "forward + backward arrays");
+        stat(p + "forward_latency_s", c.forward_latency,
+             "seconds per logical cycle, forward");
+        stat(p + "training_latency_s", c.training_latency,
+             "seconds per logical cycle, training");
+        stat(p + "forward_energy_j", c.forward_energy,
+             "forward-compute joules per image");
+        stat(p + "backward_energy_j", c.backward_energy,
+             "error-backward joules per image");
+        stat(p + "derivative_energy_j", c.derivative_energy,
+             "derivative joules per image");
     }
-}
-
-void
-SimReport::dumpStats(std::ostream &os) const
-{
-    stats::StatGroup group("sim." + network);
-    addStats(group);
-    group.dump(os);
 }
 
 json::Value
@@ -479,53 +452,6 @@ Simulator::buildReport(const Job &chip,
     report.gops_per_w = report.gops_per_s / watts;
 
     return report;
-}
-
-void
-ClusterReport::print(std::ostream &os) const
-{
-    os << "=== " << network << " cluster (" << config.num_chips
-       << " chip" << (config.num_chips == 1 ? "" : "s") << ", "
-       << arch::topologyName(config.interconnect.topology) << ", "
-       << (config.phase == Phase::Training ? "training" : "testing")
-       << ", B=" << config.batch_size << ", N=" << config.num_images
-       << ") ===\n";
-    os << "  chip cycles       : " << sched.chip_cycles << "\n";
-    os << "  aggregation cycles: " << sched.aggregation_cycles << " ("
-       << sched.aggregation_rounds << " rounds, "
-       << formatTime(sched.aggregation_time_s) << ")\n";
-    os << "  total cycles      : " << total_cycles << "\n";
-    os << "  cycle time        : " << formatTime(cycle_time) << "\n";
-    os << "  total time        : " << formatTime(total_time) << "\n";
-    os << "  throughput        : " << formatCount(throughput)
-       << " img/s\n";
-    os << "  wire bytes        : " << sched.wire_bytes << "\n";
-    os << "  interconnect energy: "
-       << formatEnergy(sched.aggregation_energy_j) << "\n";
-    os << "  energy / image    : " << formatEnergy(energy_per_image)
-       << "\n";
-}
-
-void
-ClusterReport::addStats(stats::StatGroup &group) const
-{
-    auto value = [](double v) {
-        return [v]() { return v; };
-    };
-    sched.addStats(group);
-    group.addFormula("images",
-                     value(static_cast<double>(config.num_images)),
-                     "images processed across the cluster");
-    group.addFormula("cycle_time_s", value(cycle_time),
-                     "seconds per logical cycle");
-    group.addFormula("total_time_s", value(total_time),
-                     "seconds for the whole cluster run");
-    group.addFormula("throughput_img_s", value(throughput),
-                     "images per second, whole cluster");
-    group.addFormula("energy_total_j", value(energy_total_j),
-                     "chip + interconnect joules, whole run");
-    group.addFormula("energy_per_image_j", value(energy_per_image),
-                     "joules per image, interconnect included");
 }
 
 json::Value

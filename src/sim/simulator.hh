@@ -22,7 +22,6 @@
 #include "arch/mapping.hh"
 #include "arch/pipeline.hh"
 #include "common/json.hh"
-#include "common/stats.hh"
 #include "reram/params.hh"
 #include "sim/job.hh"
 #include "workloads/layer_spec.hh"
@@ -101,18 +100,10 @@ struct SimReport
     void print(std::ostream &os) const;
 
     /**
-     * Register every metric with @p group, including the per-layer
-     * breakdown under hierarchical names ("layer3.forward_energy_j").
-     * Values are copied at registration, so the group does not need
-     * this report to stay alive.
-     */
-    void addStats(stats::StatGroup &group) const;
-
-    /**
-     * Dump every metric in the gem5-style stats format
-     * ("sim.<network>.<name>  value  # description"), for
-     * machine-readable post-processing.  Equivalent to addStats() on
-     * a fresh group named "sim.<network>" followed by dump().
+     * Write every metric as one gem5-style line, "sim.<network>.<name>
+     * value  # description", including the per-layer breakdown under
+     * hierarchical names ("sim.VGG-A.layer3.forward_energy_j"); the
+     * text of design_explorer --stats.
      */
     void dumpStats(std::ostream &os) const;
 
@@ -153,16 +144,6 @@ struct ClusterReport
 
     double energy_total_j = 0.0;    //!< chips + interconnect
     double energy_per_image = 0.0;  //!< joules
-
-    /** Human-readable multi-line summary. */
-    void print(std::ostream &os) const;
-
-    /**
-     * Register the cluster totals, the aggregation measurements and
-     * every chip's report (prefixed "chip<i>.") with @p group.
-     * Values are copied at registration.
-     */
-    void addStats(stats::StatGroup &group) const;
 
     /**
      * Machine-readable form: {"cluster_version": 1, config echo,

@@ -105,10 +105,6 @@ kernelsFor(isa::Target t)
     case isa::Target::Avx512:
         return avx512Kernels();
 #endif
-#if defined(__aarch64__)
-    case isa::Target::Neon:
-        return neonKernels();
-#endif
     default:
         break;
     }

@@ -15,7 +15,7 @@
  * Every kernel documents — and tests/test_gemm.cc enforces — a fixed
  * accumulation recipe, chosen to be *bit-identical* to the naive
  * reference loops in ops::reference at every thread count AND every
- * SIMD dispatch target (scalar/AVX2/AVX-512/NEON, see common/isa.hh):
+ * SIMD dispatch target (scalar/AVX2/AVX-512, see common/isa.hh):
  *
  *  - Reducing kernels (gemmNT, gemmNN, gemv) use 8 fixed double-
  *    accumulator lanes per output: reduction element t is multiplied
@@ -24,7 +24,7 @@
  *    t.  The lanes are then reduced in the pinned tree order
  *    ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)), the bias is added last,
  *    and the total rounds to float once on store.  The lane width 8
- *    is part of the contract — narrower targets (scalar, NEON) use
+ *    is part of the contract — narrower targets (scalar, AVX2) use
  *    more registers, wider ones (AVX-512) fewer, but the arithmetic
  *    never changes.  gemmNT and gemv vectorise along the reduction
  *    (one output, eight lanes in vector elements); gemmNN reads B's

@@ -86,9 +86,6 @@ const Kernels &scalarKernels();
 const Kernels &avx2Kernels();
 const Kernels &avx512Kernels();
 #endif
-#if defined(__aarch64__)
-const Kernels &neonKernels();
-#endif
 
 /**
  * The table for @p t.  Asserts the target is compiled into this

@@ -1,16 +1,17 @@
 /**
  * @file
- * Unit tests for the common utilities: RNG, units, stats, tables.
+ * Unit tests for the common utilities: RNG, units, tables, arguments.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/args.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "common/table.hh"
 #include "common/units.hh"
 
@@ -135,45 +136,6 @@ TEST(Units, GeomeanBasics)
     EXPECT_NEAR(geomean(one, 1), 42.0, 1e-12);
 }
 
-TEST(Stats, ScalarAccumulatesAndResets)
-{
-    stats::Scalar s;
-    s += 2.0;
-    s += 3.0;
-    EXPECT_DOUBLE_EQ(s.value(), 5.0);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-    s = 7.0;
-    EXPECT_DOUBLE_EQ(s.value(), 7.0);
-}
-
-TEST(Stats, GroupLookupAndFormula)
-{
-    stats::Scalar cycles, images;
-    cycles = 100.0;
-    images = 25.0;
-    stats::StatGroup group("sim");
-    group.addScalar("cycles", &cycles, "total cycles");
-    group.addScalar("images", &images, "images processed");
-    group.addFormula("cpi", [&] { return cycles.value() / images.value(); },
-                     "cycles per image");
-    EXPECT_DOUBLE_EQ(group.lookup("cycles"), 100.0);
-    EXPECT_DOUBLE_EQ(group.lookup("cpi"), 4.0);
-    EXPECT_EQ(group.names().size(), 3u);
-}
-
-TEST(Stats, DumpContainsPrefixAndDesc)
-{
-    stats::Scalar s;
-    s = 1.0;
-    stats::StatGroup group("energy");
-    group.addScalar("total", &s, "joules");
-    std::ostringstream os;
-    group.dump(os);
-    EXPECT_NE(os.str().find("energy.total"), std::string::npos);
-    EXPECT_NE(os.str().find("joules"), std::string::npos);
-}
-
 TEST(Table, AlignsAndPrintsRows)
 {
     Table t({"name", "value"});
@@ -246,6 +208,46 @@ TEST(ArgsDeath, MalformedNumberIsFatal)
     const ArgParser args = parse({"--lambda=abc"});
     EXPECT_EXIT(args.number("lambda", 1.0),
                 ::testing::ExitedWithCode(1), "not a number");
+}
+
+TEST(ArgsDeath, NonFiniteOrOutOfRangeNumberIsFatal)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"nan", "is not a finite number"},
+        {"inf", "is not a finite number"},
+        {"-inf", "is not a finite number"},
+        {"1e999", "is out of range"},
+        {"-1e999", "is out of range"},
+        {"1e-400", "is out of range"},
+    };
+    for (const auto &[text, message] : cases) {
+        const std::string arg = std::string("--threshold=") + text;
+        SCOPED_TRACE(arg);
+        const ArgParser args = parse({arg.c_str()});
+        EXPECT_EXIT(args.number("threshold", 2.0),
+                    ::testing::ExitedWithCode(1), arg + " " + message);
+    }
+}
+
+TEST(ArgsDeath, OutOfRangeIntegerIsFatal)
+{
+    for (const char *text :
+         {"99999999999999999999", "-99999999999999999999",
+          "9223372036854775808"}) {
+        const std::string arg = std::string("--max-batch=") + text;
+        SCOPED_TRACE(arg);
+        const ArgParser args = parse({arg.c_str()});
+        EXPECT_EXIT(args.integer("max-batch", 8),
+                    ::testing::ExitedWithCode(1), arg + " is out of range");
+    }
+}
+
+TEST(Args, IntegerRangeEndsParseExactly)
+{
+    const ArgParser args = parse({"--hi=9223372036854775807",
+                                  "--lo=-9223372036854775808"});
+    EXPECT_EQ(args.integer("hi", 0), INT64_MAX);
+    EXPECT_EQ(args.integer("lo", 0), INT64_MIN);
 }
 
 TEST(ArgsDeath, UnknownOptionIsFatal)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests of the runtime SIMD dispatch layer (common/isa.hh): detection
- * sanity, name parsing, programmatic and PL_ISA forcing, the
+ * sanity, name parsing, programmatic and PL_ISA forcing (a bad PL_ISA
+ * exits 1), the target the serving metrics trailer records, the
  * byte-identity guarantee across targets *and* thread counts the
  * lane-based kernel contract (DESIGN.md §7) promises, and the
  * batched crossbar-window path's bit-exact equivalence (outputs and
@@ -16,14 +17,17 @@
 #include <vector>
 
 #include "common/isa.hh"
+#include "common/metrics.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "nn/layers.hh"
 #include "reram/array_group.hh"
 #include "reram/params.hh"
+#include "sim/arrival.hh"
+#include "sim/serving.hh"
 #include "tensor/ops.hh"
 #include "tensor/tensor.hh"
+#include "workloads/model_zoo.hh"
 
 namespace pipelayer {
 namespace {
@@ -82,6 +86,7 @@ TEST(IsaDispatch, NamesParseRoundTrip)
     }
     isa::Target out;
     EXPECT_FALSE(isa::parse("sse42", &out));
+    EXPECT_FALSE(isa::parse("neon", &out));
     EXPECT_FALSE(isa::parse("AVX2", &out)); // names are lower-case
     EXPECT_FALSE(isa::parse("", &out));
 }
@@ -114,13 +119,52 @@ TEST(IsaDispatch, EnvForcingWinsAndAutoPicksWidest)
     EXPECT_EQ(isa::active(), isa::best());
 }
 
-TEST(IsaDispatch, StatsReportTheActiveTargetOrdinal)
+TEST(IsaDispatchDeath, UnknownPlIsaIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // "neon" is a target on no host.
+    for (const std::string name : {"bogus", "neon"}) {
+        SCOPED_TRACE(name);
+        ScopedIsa restore;
+        ::setenv("PL_ISA", name.c_str(), 1);
+        EXPECT_EXIT(isa::reresolveFromEnv(), ::testing::ExitedWithCode(1),
+                    "fatal: PL_ISA must be one of .*, got '" + name + "'");
+    }
+}
+
+TEST(IsaDispatchDeath, UnsupportedPlIsaIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (int i = 0; i < isa::kTargetCount; ++i) {
+        const isa::Target t = static_cast<isa::Target>(i);
+        if (isa::supported(t))
+            continue;
+        SCOPED_TRACE(isa::name(t));
+        ScopedIsa restore;
+        ::setenv("PL_ISA", isa::name(t), 1);
+        EXPECT_EXIT(isa::reresolveFromEnv(), ::testing::ExitedWithCode(1),
+                    std::string("fatal: PL_ISA=") + isa::name(t) +
+                        " is not supported on this host");
+    }
+}
+
+TEST(IsaDispatch, TrailerReportsTheActiveTargetOrdinal)
 {
     ScopedIsa restore;
-    ASSERT_TRUE(isa::setActive(isa::Target::Scalar));
-    stats::StatGroup group("test");
-    isa::addStats(group, "host");
-    EXPECT_DOUBLE_EQ(group.lookup("host.isa_level"), 0.0);
+    const sim::ServingSim serving(workloads::mnistA(),
+                                  reram::DeviceParams());
+    for (const isa::Target t : isa::availableTargets()) {
+        SCOPED_TRACE(isa::name(t));
+        ASSERT_TRUE(isa::setActive(t));
+        metrics::Sampler sampler(64);
+        serving.run(sim::ArrivalTrace::fixed(4, 8), sim::ServingConfig(),
+                    nullptr, &sampler);
+        EXPECT_EQ(sampler.trailer()
+                      .at("stats")
+                      .at("serving.host.isa_level")
+                      .asInt(),
+                  static_cast<int64_t>(t));
+    }
 }
 
 TEST(IsaDispatch, ResultsByteIdenticalAcrossTargetsAndThreads)

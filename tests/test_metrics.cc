@@ -15,7 +15,6 @@
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/parallel.hh"
-#include "common/stats.hh"
 #include "common/trace.hh"
 #include "reram/params.hh"
 #include "sim/arrival.hh"
@@ -185,15 +184,21 @@ TEST(Sampler, FeedingAfterFinishPanics)
     EXPECT_DEATH(sampler.add(c, 0), "after finish");
 }
 
-TEST(Sampler, AttachedGroupSnapshotsIntoTrailerStats)
+TEST(Sampler, AttachedStatsSnapshotIntoTrailer)
 {
+    metrics::Sampler plain(4);
+    plain.finish(4);
+    EXPECT_EQ(plain.trailer().find("stats"), nullptr);
+
     metrics::Sampler sampler(4);
-    stats::StatGroup group("g");
-    group.addFormula("answer", [] { return 42.0; }, "the answer");
-    sampler.attachGroup(&group);
+    json::Value stats = json::Value::object();
+    stats["g.answer"] = 42;
+    stats["g.half"] = 0.5;
+    sampler.attachStats(stats);
     sampler.finish(4);
-    EXPECT_EQ(sampler.trailer().at("stats").at("g.answer").asNumber(),
-              42.0);
+    EXPECT_EQ(sampler.trailer().at("stats"), stats);
+    EXPECT_EQ(sampler.trailer().at("stats").dump(),
+              "{\"g.answer\":42,\"g.half\":0.5}");
 }
 
 // ---------------------------------------------------------------------
@@ -235,7 +240,7 @@ TEST(ServingTelemetry, TrailerPercentilesMatchServingReport)
     EXPECT_EQ(totals.at("serving.shed").asInt(), rep.shed_count);
     EXPECT_EQ(totals.at("serving.launches").asInt(), rep.batch_count);
 
-    // The trailer snapshots the serving stat group, so the stream is
+    // The trailer snapshots the summary's counts, so the stream is
     // self-reconciling (json_lint cross-checks these pairs).
     const json::Value &stats = sampler.trailer().at("stats");
     EXPECT_EQ(stats.at("serving.arrival_count").asNumber(),

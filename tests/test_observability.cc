@@ -1,17 +1,17 @@
 /**
  * @file
  * Tests of the observability layer: the JSON writer/parser, the
- * Chrome-trace recorder, the stats registration contracts and the
- * validated reporting API (PR: end-to-end observability).
+ * Chrome-trace recorder and the validated reporting API.
  *
- * The determinism tests assert the ISSUE's headline guarantee: a
- * stats dump and a trace are byte-identical at any worker thread
+ * The determinism tests assert that a stats dump, a trace and the
+ * trainer's work counters are byte-identical at any worker thread
  * count, because every counter is committed from serial code or from
  * deterministic values.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -21,11 +21,11 @@
 #include "arch/granularity.hh"
 #include "arch/mapping.hh"
 #include "arch/pipeline.hh"
+#include "common/arena.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "common/table.hh"
 #include "common/trace.hh"
 #include "core/pipelined_trainer.hh"
@@ -232,152 +232,6 @@ TEST(JobValidation, ThrowsTypedErrorsInsteadOfAsserting)
 }
 
 // ---------------------------------------------------------------------
-// StatGroup contracts
-// ---------------------------------------------------------------------
-
-TEST(StatGroup, RegisterResetAndDump)
-{
-    stats::StatGroup group("unit");
-    stats::Scalar a, b;
-    group.registerScalar("a", &a, "first");
-    group.registerScalar("b", &b, "second");
-    group.addFormula("sum", [&] { return a.value() + b.value(); },
-                     "a + b");
-    a += 2.0;
-    b += 3.0;
-    EXPECT_DOUBLE_EQ(group.lookup("sum"), 5.0);
-    EXPECT_TRUE(group.has("a"));
-    EXPECT_FALSE(group.has("missing"));
-
-    const std::string dump = group.dumpString();
-    EXPECT_NE(dump.find("unit.a"), std::string::npos);
-    EXPECT_NE(dump.find("# first"), std::string::npos);
-
-    group.resetAll();
-    EXPECT_DOUBLE_EQ(a.value(), 0.0);
-    EXPECT_DOUBLE_EQ(b.value(), 0.0);
-    EXPECT_DOUBLE_EQ(group.lookup("sum"), 0.0);
-}
-
-TEST(StatGroup, FormulaLookupsAreCachedUntilDumpOrReset)
-{
-    stats::StatGroup group("unit");
-    stats::Scalar a;
-    group.registerScalar("a", &a, "input");
-    int evals = 0;
-    group.addFormula(
-        "twice_a", [&] { ++evals; return 2.0 * a.value(); }, "2a");
-
-    a += 3.0;
-    EXPECT_DOUBLE_EQ(group.lookup("twice_a"), 6.0);
-    EXPECT_EQ(evals, 1);
-    // Repeated lookups between dumps reuse one evaluation.
-    EXPECT_DOUBLE_EQ(group.lookup("twice_a"), 6.0);
-    EXPECT_EQ(evals, 1);
-
-    // dump() always evaluates fresh — a formula can never drift from
-    // its inputs in dumped output — and refreshes the cache.
-    a += 1.0;
-    group.dumpString();
-    EXPECT_EQ(evals, 2);
-    EXPECT_DOUBLE_EQ(group.lookup("twice_a"), 8.0);
-    EXPECT_EQ(evals, 2);
-
-    // resetAll() starts a new measurement interval: scalars zeroed
-    // and formula caches invalidated (the PR 3 resetAll bugfix).
-    group.resetAll();
-    EXPECT_DOUBLE_EQ(group.lookup("twice_a"), 0.0);
-    EXPECT_EQ(evals, 3);
-}
-
-#ifdef NDEBUG
-TEST(StatGroup, ResetAllSkipsDeadEntriesInRelease)
-{
-    // Release builds must skip a dead registration (the owning
-    // component is gone) while still resetting the live ones — the
-    // old behaviour asserted even with NDEBUG.
-    stats::StatGroup group("unit");
-    stats::Scalar live;
-    group.registerScalar("live", &live, "survives");
-    {
-        stats::Scalar temp;
-        group.registerScalar("gone", &temp, "dies early");
-        temp += 7.0;
-    }
-    live += 5.0;
-    group.resetAll();
-    EXPECT_DOUBLE_EQ(live.value(), 0.0);
-}
-#else
-TEST(StatGroupDeathTest, ResetAllAssertsOnDeadEntryInDebug)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    stats::StatGroup group("unit");
-    {
-        stats::Scalar temp;
-        group.registerScalar("gone", &temp, "dies early");
-    }
-    EXPECT_DEATH(group.resetAll(), "reset after its owning");
-}
-#endif
-
-TEST(StatGroupDeathTest, NameCollisionPanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    stats::StatGroup group("unit");
-    stats::Scalar a, b;
-    group.registerScalar("x", &a, "first");
-    EXPECT_DEATH(group.registerScalar("x", &b, "duplicate"),
-                 "registered twice");
-    EXPECT_DEATH(group.addFormula("x", [] { return 0.0; }, "dup"),
-                 "registered twice");
-}
-
-TEST(StatGroup, ScalarDestructionMarksEntryDead)
-{
-    stats::StatGroup group("unit");
-    {
-        stats::Scalar temp;
-        group.registerScalar("gone", &temp, "dies early");
-        temp += 7.0;
-        EXPECT_NE(group.dumpString().find("gone"), std::string::npos);
-    }
-    // Release builds skip the dead entry instead of reading freed
-    // memory; debug builds assert at dump time (PL_DEBUG_ASSERT).
-#ifdef NDEBUG
-    EXPECT_EQ(group.dumpString().find("gone"), std::string::npos);
-    group.resetAll(); // must not touch the dead registration
-#endif
-}
-
-TEST(StatGroup, GroupDestructionUnlinksScalars)
-{
-    stats::Scalar survivor;
-    {
-        stats::StatGroup group("unit");
-        group.registerScalar("s", &survivor, "outlives the group");
-        survivor += 1.0;
-    }
-    // ~Scalar must not call into the destroyed group.
-    survivor += 1.0;
-    EXPECT_DOUBLE_EQ(survivor.value(), 2.0);
-}
-
-TEST(StatGroup, CopiedScalarCarriesValueNotRegistration)
-{
-    stats::StatGroup group("unit");
-    stats::Scalar original;
-    group.registerScalar("v", &original, "tracked");
-    original += 4.0;
-    stats::Scalar copy = original;
-    EXPECT_DOUBLE_EQ(copy.value(), 4.0);
-    // The copy dying must not mark the registration dead.
-    { stats::Scalar dying = original; (void)dying; }
-    original += 1.0;
-    EXPECT_DOUBLE_EQ(group.lookup("v"), 5.0);
-}
-
-// ---------------------------------------------------------------------
 // Trace recorder
 // ---------------------------------------------------------------------
 
@@ -530,31 +384,42 @@ TEST(TrainerObservability, TraceIsTheSchedulerTrace)
     EXPECT_EQ(rec.trackCount(), 3 * trainer.depth() + 1);
 }
 
-/** Stats dump of one pipelined training run at @p threads threads. */
+/**
+ * Two pipelined batches at @p threads threads: their summed work
+ * counters and the arena high-water mark after them, as JSON text.
+ */
 std::string
-trainerStatsDump(int64_t threads)
+trainerTotals(int64_t threads)
 {
     const int64_t saved = threadCount();
     setThreadCount(threads);
     nn::Network net = trainerMlp(13);
     core::PipelinedTrainer trainer(net);
-    stats::StatGroup group("trainer");
-    trainer.addStats(group);
     const auto [inputs, labels] = trainerBatch(8, 31);
-    trainer.trainBatch(inputs, labels, 0.1f);
-    trainer.trainBatch(inputs, labels, 0.1f);
-    const std::string dump = group.dumpString();
+    core::PipelinedBatchResult total;
+    for (int batch = 0; batch < 2; ++batch) {
+        const auto r = trainer.trainBatch(inputs, labels, 0.1f);
+        total.mean_loss += r.mean_loss;
+        total.logical_cycles += r.logical_cycles;
+        total.peak_buffer_entries =
+            std::max(total.peak_buffer_entries, r.peak_buffer_entries);
+        total.forward_ops += r.forward_ops;
+        total.error_seeds += r.error_seeds;
+        total.backward_ops += r.backward_ops;
+        total.commits += r.commits;
+    }
+    EXPECT_EQ(total.error_seeds, 16);
+    EXPECT_EQ(total.commits, total.forward_ops + total.error_seeds +
+                                 total.backward_ops);
+    json::Value v = total.toJson();
+    v["arena_peak_bytes"] = static_cast<int64_t>(arena::peakBytes());
     setThreadCount(saved);
-    return dump;
+    return v.dump();
 }
 
-TEST(Determinism, TrainerStatsDumpIsByteIdenticalAcrossThreadCounts)
+TEST(Determinism, TrainerBatchTotalsAreIdenticalAcrossThreadCounts)
 {
-    const std::string serial = trainerStatsDump(1);
-    const std::string parallel = trainerStatsDump(4);
-    EXPECT_EQ(serial, parallel);
-    EXPECT_NE(serial.find("trainer.cycles"), std::string::npos);
-    EXPECT_NE(serial.find("trainer.commits"), std::string::npos);
+    EXPECT_EQ(trainerTotals(1), trainerTotals(4));
 }
 
 /** SimReport stats dump at @p threads threads. */

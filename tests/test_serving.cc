@@ -534,6 +534,27 @@ TEST(SimLayerPinned, MnistBRunReports)
     });
 }
 
+TEST(SimLayerPinned, MnistBStatsDumps)
+{
+    // The `name value # desc` lines of design_explorer --stats.
+    const Simulator simulator(workloads::mnistB(), reram::DeviceParams());
+    atOneAndFourThreads([&] {
+        for (const bool training : {false, true}) {
+            SCOPED_TRACE(training ? "training" : "testing");
+            Job job;
+            job.phase = training ? Phase::Training : Phase::Testing;
+            job.batch_size = 32;
+            job.num_images = 64;
+            std::ostringstream os;
+            simulator.run(job).dumpStats(os);
+            const uint64_t got = fnv1a(os.str());
+            EXPECT_EQ(got, training ? 0x1dcbf6686c8cbfd9ull
+                                    : 0x1801bfe50ba992b0ull)
+                << std::hex << got;
+        }
+    });
+}
+
 } // namespace
 } // namespace sim
 } // namespace pipelayer

@@ -303,10 +303,9 @@ checkEnvelope(const std::string &path, const Value &doc)
     // Optional dispatched-SIMD-target member (bench/bench_util.cc).
     if (const Value *isa = doc.find("isa")) {
         const std::string name = isa->isString() ? isa->asString() : "";
-        if (name != "scalar" && name != "avx2" && name != "avx512" &&
-            name != "neon") {
+        if (name != "scalar" && name != "avx2" && name != "avx512") {
             std::cerr << path << ": envelope 'isa' is not one of "
-                      << "scalar|avx2|avx512|neon\n";
+                      << "scalar|avx2|avx512\n";
             return false;
         }
     }
@@ -340,7 +339,7 @@ checkEnvelope(const std::string &path, const Value &doc)
 }
 
 /**
- * sim::ClusterReport schema (docs/scaling.md): per-chip stat groups
+ * sim::ClusterReport schema (docs/scaling.md): per-chip SimReports
  * and interconnect bytes/energy that reconcile with the topology
  * formula in arch::aggregationRoundCost.
  */
@@ -794,9 +793,10 @@ checkMetricsStream(const std::string &path,
         }
     }
 
-    // The trailer's serving stats snapshot (ServingReport::addStats)
-    // counts the same events the counter channels do; a mismatch
-    // means the producer double-fed or dropped events.
+    // The trailer's serving stats snapshot (the summary's counts,
+    // copied from ServingReport::toJson) counts the same events the
+    // counter channels do; a mismatch means the producer double-fed
+    // or dropped events.
     if (const Value *stats = trailer.find("stats")) {
         const std::pair<const char *, const char *> pairs[] = {
             {"serving.arrivals", "serving.arrival_count"},
