@@ -45,11 +45,10 @@ main()
     train_config.batch_size = 10;
     train_config.learning_rate = 0.1f;
     Rng train_rng(1);
-    const auto host = nn::train(net, task.train, task.test,
-                                train_config, train_rng);
+    const auto host = nn::train(net, task.train, train_config, &train_rng);
     std::cout << "host training: loss " << host.epoch_loss.front()
               << " -> " << host.epoch_loss.back() << ", test accuracy "
-              << host.final_test_accuracy << "\n";
+              << net.accuracy(task.test.inputs, task.test.labels) << "\n";
 
     // ---- 2./3. Deploy to ReRAM and cross-check ---------------------
     // Persist the trained weights and reload them into a fresh

@@ -1,6 +1,7 @@
 #include "common/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -30,12 +31,21 @@ int64_t
 Value::asInt(const std::string &field) const
 {
     const double v = asNumber();
+    if (exact_)
+        return int_;
     // [-2^63, 2^63) in doubles: both bounds are exact, so every
     // integral value inside converts exactly (NaN fails both tests).
     if (!(v >= -9223372036854775808.0 && v < 9223372036854775808.0) ||
         v != std::trunc(v)) {
         throw ConfigError(field + " must be an integer in int64 range, "
                           "got " + formatNumber(v));
+    }
+    // From 2^53 on, a double may hold a rounded integer literal
+    // (9007199254740993.0 reads as 2^53).
+    if (std::fabs(v) >= 0x1p53) {
+        throw ConfigError(field + " must be an integer written without "
+                          "fraction or exponent from 2^53 on, got " +
+                          formatNumber(v));
     }
     return static_cast<int64_t>(v);
 }
@@ -136,6 +146,17 @@ Value::operator==(const Value &other) const
       case Kind::Bool:
         return bool_ == other.bool_;
       case Kind::Number:
+        if (exact_ && other.exact_)
+            return int_ == other.int_;
+        if (exact_ || other.exact_) {
+            // An integer equals a double only when the double holds
+            // exactly that integer.
+            const Value &i = exact_ ? *this : other;
+            const double d = exact_ ? other.number_ : number_;
+            return d >= -9223372036854775808.0 &&
+                   d < 9223372036854775808.0 && d == std::trunc(d) &&
+                   static_cast<int64_t>(d) == i.int_;
+        }
         return number_ == other.number_;
       case Kind::String:
         return string_ == other.string_;
@@ -234,7 +255,7 @@ Value::writeIndented(std::ostream &os, int indent, int depth) const
         os << (bool_ ? "true" : "false");
         break;
       case Kind::Number:
-        os << formatNumber(number_);
+        os << (exact_ ? std::to_string(int_) : formatNumber(number_));
         break;
       case Kind::String:
         os << escape(string_);
@@ -505,6 +526,7 @@ class Parser
         };
         if (digits() == 0)
             fail("invalid number");
+        const size_t int_end = pos_;
         if (pos_ < text_.size() && text_[pos_] == '.') {
             ++pos_;
             if (digits() == 0)
@@ -520,8 +542,15 @@ class Parser
             if (digits() == 0)
                 fail("digits required in exponent");
         }
-        return Value(
-            std::strtod(text_.c_str() + start, nullptr));
+        // An integer literal that fits int64 stays exact.
+        int64_t exact = 0;
+        const char *first = text_.data() + start;
+        if (pos_ == int_end &&
+            std::from_chars(first, text_.data() + pos_, exact).ec ==
+                std::errc()) {
+            return Value(exact);
+        }
+        return Value(std::strtod(first, nullptr));
     }
 
     static constexpr int kMaxDepth = 128;

@@ -48,7 +48,10 @@ class ParseError : public std::runtime_error
  *
  * Objects preserve member insertion order (dumps are deterministic);
  * operator[] on an object inserts missing keys, so reports build up
- * naturally:
+ * naturally.  A number built from an int64, or parsed from an integer
+ * literal (no fraction, no exponent) that fits int64, stays exact:
+ * asInt() returns it and the writer prints it digit for digit, even
+ * beyond 2^53, where a double would round it.
  * @code
  *   json::Value report = json::Value::object();
  *   report["bench"] = "fig15_speedup";
@@ -64,7 +67,8 @@ class Value
     Value(bool b) : kind_(Kind::Bool), bool_(b) {}
     Value(double v) : kind_(Kind::Number), number_(v) {}
     Value(int64_t v) : kind_(Kind::Number),
-                       number_(static_cast<double>(v)) {}
+                       number_(static_cast<double>(v)), exact_(true),
+                       int_(v) {}
     Value(int v) : Value(static_cast<int64_t>(v)) {}
     Value(const char *s) : kind_(Kind::String), string_(s) {}
     Value(std::string s) : kind_(Kind::String), string_(std::move(s)) {}
@@ -84,11 +88,12 @@ class Value
     /** @name Typed accessors (panic on kind mismatch). */
     ///@{
     bool asBool() const;
-    double asNumber() const;
+    double asNumber() const; //!< nearest double of an exact integer
     /**
      * The number as an exact int64: ConfigError naming @p field when
-     * it is not integral or not in int64 range.  Nothing is rounded,
-     * clamped or wrapped.
+     * it is not integral, not in int64 range, or a double of
+     * magnitude 2^53 or more (which may already be rounded).
+     * Nothing is rounded, clamped or wrapped.
      */
     int64_t asInt(const std::string &field = "JSON number") const;
     const std::string &asString() const;
@@ -148,6 +153,8 @@ class Value
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     double number_ = 0.0;
+    bool exact_ = false; //!< the number is the int64 int_
+    int64_t int_ = 0;
     std::string string_;
     std::vector<Value> elements_;
     std::vector<std::pair<std::string, Value>> members_;

@@ -1,6 +1,5 @@
 #include "core/device.hh"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.hh"
@@ -141,33 +140,15 @@ PipeLayerDevice::Train(nn::Dataset &train_set, int64_t epochs)
     PL_ASSERT(config_.training,
               "device was configured without training arrays");
     nn::Network &net = network();
-    PL_ASSERT(!train_set.inputs.empty(), "empty training set");
+    nn::TrainConfig loop;
+    loop.epochs = epochs;
+    loop.batch_size = config_.batch_size;
+    loop.learning_rate = config_.learning_rate;
+    const nn::TrainResult run = nn::train(net, train_set, loop);
 
     DeviceTrainStats stats;
-    const size_t n = train_set.size();
-    const size_t bsz = static_cast<size_t>(config_.batch_size);
-    std::vector<double> losses;
-    for (int64_t epoch = 0; epoch < epochs; ++epoch) {
-        // The sum of the per-image losses in image order.
-        double epoch_loss = 0.0;
-        for (size_t start = 0; start < n; start += bsz) {
-            const auto first = static_cast<ptrdiff_t>(start);
-            const auto last =
-                static_cast<ptrdiff_t>(std::min(start + bsz, n));
-            const std::vector<Tensor> inputs(
-                train_set.inputs.begin() + first,
-                train_set.inputs.begin() + last);
-            const std::vector<int64_t> labels(
-                train_set.labels.begin() + first,
-                train_set.labels.begin() + last);
-            net.trainBatch(inputs, labels, config_.learning_rate, &losses);
-            for (const double loss : losses)
-                epoch_loss += loss;
-            ++stats.batches_run;
-        }
-        stats.epoch_loss.push_back(epoch_loss /
-                                   static_cast<double>(n));
-    }
+    stats.epoch_loss = run.epoch_loss;
+    stats.batches_run = run.batches_run;
     stats.final_accuracy =
         net.accuracy(train_set.inputs, train_set.labels);
     return stats;

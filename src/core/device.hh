@@ -120,8 +120,12 @@ class PipeLayerDevice
     void Pipeline_Set(bool enabled);
 
     /**
-     * Train through the crossbars with batched SGD: one
-     * network().trainBatch() per minibatch of the configured B.
+     * Train through the crossbars with batched SGD: nn::train on
+     * network() in the given sample order (no shuffling), one
+     * trainBatch() per minibatch of the configured B, a trailing
+     * partial batch included.  epoch_loss is each epoch's per-image
+     * losses summed in image order, over n; final_accuracy scores
+     * @p train_set afterwards.
      */
     DeviceTrainStats Train(nn::Dataset &train_set, int64_t epochs);
 

@@ -34,8 +34,8 @@ Dataset::head(size_t n) const
 }
 
 TrainResult
-train(Network &net, Dataset &train_set, const Dataset &test,
-      const TrainConfig &config, Rng &rng)
+train(Network &net, Dataset &train_set, const TrainConfig &config,
+      Rng *rng, const BatchStep &step)
 {
     PL_ASSERT(config.batch_size > 0, "batch size must be positive");
     PL_ASSERT(!train_set.inputs.empty(), "empty training set");
@@ -44,38 +44,35 @@ train(Network &net, Dataset &train_set, const Dataset &test,
     const size_t n = train_set.size();
     const size_t bsz = static_cast<size_t>(config.batch_size);
     net.setMomentum(config.momentum);
-
+    std::vector<double> losses;
     for (int64_t epoch = 0; epoch < config.epochs; ++epoch) {
-        if (config.shuffle)
-            train_set.shuffle(rng);
+        if (rng)
+            train_set.shuffle(*rng);
 
         double epoch_loss = 0.0;
-        int64_t batches = 0;
         for (size_t start = 0; start < n; start += bsz) {
-            const size_t end = std::min(start + bsz, n);
-            std::vector<Tensor> inputs(
-                train_set.inputs.begin() + static_cast<ptrdiff_t>(start),
-                train_set.inputs.begin() + static_cast<ptrdiff_t>(end));
-            std::vector<int64_t> labels(
-                train_set.labels.begin() + static_cast<ptrdiff_t>(start),
-                train_set.labels.begin() + static_cast<ptrdiff_t>(end));
-            epoch_loss += net.trainBatch(inputs, labels,
-                                         config.learning_rate);
-            ++batches;
+            const auto first = static_cast<ptrdiff_t>(start);
+            const auto last =
+                static_cast<ptrdiff_t>(std::min(start + bsz, n));
+            const std::vector<Tensor> inputs(
+                train_set.inputs.begin() + first,
+                train_set.inputs.begin() + last);
+            const std::vector<int64_t> labels(
+                train_set.labels.begin() + first,
+                train_set.labels.begin() + last);
+            if (step)
+                step(inputs, labels, losses);
+            else
+                net.trainBatch(inputs, labels, config.learning_rate,
+                               &losses);
+            PL_ASSERT(losses.size() == inputs.size(),
+                      "a batch step must report one loss per image");
+            for (const double loss : losses)
+                epoch_loss += loss;
+            ++result.batches_run;
         }
-        epoch_loss /= std::max<int64_t>(1, batches);
-        result.epoch_loss.push_back(epoch_loss);
-        result.batches_run += batches;
-        if (config.verbose) {
-            inform("%s epoch %lld/%lld: loss %.4f", net.name().c_str(),
-                   (long long)(epoch + 1), (long long)config.epochs,
-                   epoch_loss);
-        }
+        result.epoch_loss.push_back(epoch_loss / static_cast<double>(n));
     }
-
-    result.final_train_accuracy =
-        net.accuracy(train_set.inputs, train_set.labels);
-    result.final_test_accuracy = net.accuracy(test.inputs, test.labels);
     return result;
 }
 

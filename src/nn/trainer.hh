@@ -9,6 +9,7 @@
 #define PIPELAYER_NN_TRAINER_HH_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "nn/network.hh"
@@ -42,26 +43,35 @@ struct TrainConfig
     int64_t batch_size = 16; //!< the paper's B
     float learning_rate = 0.05f;
     float momentum = 0.0f;   //!< 0 = the paper's plain gradient descent
-    bool shuffle = true;
-    bool verbose = false;
 };
 
 /** Outcome of a training run. */
 struct TrainResult
 {
-    std::vector<double> epoch_loss; //!< mean loss per epoch
-    double final_train_accuracy = 0.0;
-    double final_test_accuracy = 0.0;
+    /** Per epoch: the per-image losses summed in image order, over n. */
+    std::vector<double> epoch_loss;
     int64_t batches_run = 0;
 };
 
 /**
- * Train @p net on @p train with batched SGD and evaluate on @p test.
- *
- * @param rng used only for shuffling (deterministic given the seed).
+ * One minibatch step: train on @p inputs and @p labels and write each
+ * image's loss into @p losses, in image order.
  */
-TrainResult train(Network &net, Dataset &train, const Dataset &test,
-                  const TrainConfig &config, Rng &rng);
+using BatchStep = std::function<void(const std::vector<Tensor> &inputs,
+                                     const std::vector<int64_t> &labels,
+                                     std::vector<double> &losses)>;
+
+/**
+ * Train @p net on @p train with batched SGD: the one loop that slices
+ * a dataset into minibatches.  Each epoch shuffles @p train in place
+ * when @p rng is given (deterministic given its seed), then runs @p
+ * step on consecutive slices of config.batch_size images; a trailing
+ * partial slice is a batch too.  The default step is
+ * net.trainBatch(inputs, labels, config.learning_rate, &losses).
+ * Scoring is left to the caller (Network::accuracy).
+ */
+TrainResult train(Network &net, Dataset &train, const TrainConfig &config,
+                  Rng *rng = nullptr, const BatchStep &step = {});
 
 } // namespace nn
 } // namespace pipelayer

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "common/rng.hh"
 #include "quant/quantize.hh"
 
 namespace pipelayer {
@@ -45,39 +44,30 @@ trainQuantized(nn::Network &net, const nn::Dataset &train,
         }
     };
 
-    QatResult result;
-    const auto bsz = static_cast<size_t>(config.batch_size);
+    // Per batch, the readable (cell-resolution) weights drive the
+    // forward/backward computation, and the applied update then
+    // accumulates into the analog master conductances (paper §4.4.2:
+    // derivatives are programmed additively, not re-rounded).
     std::vector<Tensor> readable(params.size());
+    auto step = [&](const std::vector<Tensor> &inputs,
+                    const std::vector<int64_t> &labels,
+                    std::vector<double> &losses) {
+        deploy();
+        for (size_t k = 0; k < params.size(); ++k)
+            readable[k] = *params[k];
+        net.trainBatch(inputs, labels, config.learning_rate, &losses);
+        for (size_t k = 0; k < params.size(); ++k)
+            master[k] += *params[k] - readable[k];
+    };
+    nn::TrainConfig loop;
+    loop.epochs = config.epochs;
+    loop.batch_size = config.batch_size;
+    loop.learning_rate = config.learning_rate;
     nn::Dataset order = train;
-    for (int64_t epoch = 0; epoch < config.epochs; ++epoch) {
-        order.shuffle(rng);
-        double loss = 0.0;
-        int64_t batches = 0;
-        for (size_t s = 0; s + bsz <= order.size(); s += bsz) {
-            // The readable (cell-resolution) weights drive the
-            // forward/backward computation.
-            deploy();
-            for (size_t k = 0; k < params.size(); ++k)
-                readable[k] = *params[k];
+    const nn::TrainResult run = nn::train(net, order, loop, &rng, step);
 
-            std::vector<Tensor> inputs(
-                order.inputs.begin() + static_cast<ptrdiff_t>(s),
-                order.inputs.begin() + static_cast<ptrdiff_t>(s + bsz));
-            std::vector<int64_t> labels(
-                order.labels.begin() + static_cast<ptrdiff_t>(s),
-                order.labels.begin() + static_cast<ptrdiff_t>(s + bsz));
-            loss += net.trainBatch(inputs, labels, config.learning_rate);
-            ++batches;
-
-            // Accumulate the applied update into the analog master
-            // conductances (paper §4.4.2: derivatives are programmed
-            // additively, not re-rounded).
-            for (size_t k = 0; k < params.size(); ++k)
-                master[k] += *params[k] - readable[k];
-        }
-        result.final_loss = loss / std::max<int64_t>(1, batches);
-    }
-
+    QatResult result;
+    result.final_loss = run.epoch_loss.back();
     deploy();
     result.test_accuracy = net.accuracy(test.inputs, test.labels);
     return result;

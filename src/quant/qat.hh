@@ -46,8 +46,15 @@ struct QatResult
  * evaluate on @p test; the network is left holding the quantised
  * deployment weights.
  *
- * @param train starting sample order; each epoch shuffles a private
- *        copy, so @p train itself is left as given.
+ * The epochs run nn::train on a private copy of @p train, with a
+ * batch step that deploys the readable weights, runs trainBatch and
+ * accumulates the applied update into the master weights; so batches
+ * follow nn::train's rules (a trailing partial batch included) and
+ * final_loss is the last epoch's per-image losses summed in image
+ * order, over n.  The final weights are deployed before scoring.
+ *
+ * @param train starting sample order; each epoch shuffles the
+ *        private copy, so @p train itself is left as given.
  * @param rng drives the per-epoch shuffling (deterministic; the draws
  *        depend only on the sample count, not on the data).
  */

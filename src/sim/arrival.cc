@@ -1,6 +1,7 @@
 #include "sim/arrival.hh"
 
 #include <cmath>
+#include <limits>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -13,11 +14,28 @@ namespace {
 void
 checkCount(int64_t n)
 {
-    if (n < 0) {
+    if (n < 0 || n > ArrivalTrace::kMaxRequests) {
         throw ConfigError(
-            "ArrivalTrace: request count must be non-negative, got " +
+            "ArrivalTrace: 'num_requests' must be in [0, " +
+            std::to_string(ArrivalTrace::kMaxRequests) + "], got " +
             std::to_string(n));
     }
+}
+
+/**
+ * @p cycle + @p gap, checked before it is formed: a ConfigError
+ * naming the generator's @p field when the sum would pass int64.
+ */
+int64_t
+advance(int64_t cycle, uint64_t gap, const char *field)
+{
+    if (gap > static_cast<uint64_t>(
+                  std::numeric_limits<int64_t>::max() - cycle)) {
+        throw ConfigError(std::string("ArrivalTrace: '") + field +
+                          "' drives the arrival cycle past int64 after "
+                          "cycle " + std::to_string(cycle));
+    }
+    return cycle + static_cast<int64_t>(gap);
 }
 
 } // namespace
@@ -35,8 +53,13 @@ ArrivalTrace::fixed(int64_t n, int64_t interval)
     t.kind_ = Kind::Fixed;
     t.interval_ = interval;
     t.cycles_.reserve(static_cast<size_t>(n));
-    for (int64_t i = 0; i < n; ++i)
-        t.cycles_.push_back(i * interval);
+    int64_t cycle = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        if (i > 0)
+            cycle = advance(cycle, static_cast<uint64_t>(interval),
+                            "interval");
+        t.cycles_.push_back(cycle);
+    }
     return t;
 }
 
@@ -57,12 +80,19 @@ ArrivalTrace::poisson(int64_t n, double rate, uint64_t seed)
     t.cycles_.reserve(static_cast<size_t>(n));
     int64_t cycle = 0;
     for (int64_t i = 0; i < n; ++i) {
+        if (i > 0) {
+            // Exponential inter-arrival gap, floored to whole cycles;
+            // uniform() < 1 keeps the log argument strictly positive.
+            // A gap of 2^63 or more (infinite at a tiny rate) passes
+            // int64 from any cycle.
+            const double gap =
+                std::floor(-std::log(1.0 - rng.uniform()) / rate);
+            cycle = advance(cycle,
+                            gap < 0x1p63 ? static_cast<uint64_t>(gap)
+                                         : ~uint64_t{0},
+                            "rate_per_cycle");
+        }
         t.cycles_.push_back(cycle);
-        // Exponential inter-arrival gap, floored to whole cycles;
-        // uniform() < 1 keeps the log argument strictly positive.
-        const double u = rng.uniform();
-        cycle += static_cast<int64_t>(
-            std::floor(-std::log(1.0 - u) / rate));
     }
     return t;
 }
@@ -87,10 +117,15 @@ ArrivalTrace::uniform(int64_t n, int64_t min_gap, int64_t max_gap,
     t.cycles_.reserve(static_cast<size_t>(n));
     int64_t cycle = 0;
     for (int64_t i = 0; i < n; ++i) {
+        if (i > 0) {
+            // At most max_gap, so the gap itself cannot overflow.
+            const uint64_t gap =
+                static_cast<uint64_t>(min_gap) +
+                rng.uniformInt(static_cast<uint64_t>(max_gap - min_gap) +
+                               1);
+            cycle = advance(cycle, gap, "max_gap");
+        }
         t.cycles_.push_back(cycle);
-        cycle += min_gap + static_cast<int64_t>(rng.uniformInt(
-                               static_cast<uint64_t>(max_gap - min_gap) +
-                               1));
     }
     return t;
 }
@@ -124,8 +159,12 @@ ArrivalTrace::bursty(int64_t n, int64_t burst_size, int64_t mean_gap,
         for (int64_t i = 0; i < burst; ++i)
             t.cycles_.push_back(cycle);
         emitted += burst;
-        cycle += 1 + static_cast<int64_t>(rng.uniformInt(
-                         static_cast<uint64_t>(2 * mean_gap - 1)));
+        if (emitted < n) {
+            const uint64_t gap =
+                1 + rng.uniformInt(2 * static_cast<uint64_t>(mean_gap) -
+                                   1);
+            cycle = advance(cycle, gap, "mean_gap");
+        }
     }
     return t;
 }

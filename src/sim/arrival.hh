@@ -39,6 +39,13 @@ class ArrivalTrace
     /** How the cycles were produced (serialised in toJson()). */
     enum class Kind { Fixed, Poisson, Uniform, Bursty, Replay };
 
+    /**
+     * The most requests a generator makes (docs/serving.md).  Larger
+     * counts, and parameters that would drive a cycle past int64,
+     * are ConfigErrors naming the JSON field.
+     */
+    static constexpr int64_t kMaxRequests = 10'000'000;
+
     /** An empty trace (no requests; back-to-back when used by Job). */
     ArrivalTrace() = default;
 

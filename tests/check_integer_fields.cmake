@@ -1,7 +1,11 @@
 # Integer fields of outside JSON input are exact (no rounding or
 # wrapping): pl_serve must reject an NDJSON request whose
-# arrival_cycle is fractional or beyond int64, and json_lint must
-# report such a field as a lint error instead of terminating.  Run as
+# arrival_cycle is fractional or beyond int64 and echo one beyond 2^53
+# digit for digit, must reject an arrival trace that asks for too many
+# requests or drives a cycle past int64, and json_lint must report
+# such a field as a lint error instead of terminating.  json_lint
+# also rejects every job and trace the simulator's parsers reject.
+# Run as
 #   cmake -DPL_SERVE=<pl_serve> -DJSON_LINT=<json_lint>
 #         -DWORK_DIR=<scratch dir> -P check_integer_fields.cmake
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -27,4 +31,52 @@ execute_process(COMMAND "${JSON_LINT}" "${WORK_DIR}/completions.ndjson"
 if(NOT rc EQUAL 1 OR NOT err MATCHES "must be an integer")
     message(FATAL_ERROR "json_lint on arrival_cycle 2.5: exit ${rc}: ${err}")
 endif()
-message(STATUS "fractional and out-of-range integer fields rejected")
+
+file(WRITE "${WORK_DIR}/request.ndjson"
+     "{\"id\": 0, \"arrival_cycle\": 9007199254740993}\n")
+execute_process(COMMAND "${PL_SERVE}" --network=Mnist-A --quiet
+                INPUT_FILE "${WORK_DIR}/request.ndjson"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR
+   NOT out MATCHES "\"arrival_cycle\":9007199254740993,")
+    message(FATAL_ERROR
+            "pl_serve on arrival_cycle 2^53 + 1: exit ${rc}: ${out}${err}")
+endif()
+
+# Each trace names the field that is out of bounds.
+set(traces
+    "num_requests@\"kind\": \"fixed\", \"num_requests\": 1e15, \"interval\": 1"
+    "interval@\"kind\": \"fixed\", \"num_requests\": 3, \"interval\": 4611686018427387904"
+    "rate_per_cycle@\"kind\": \"poisson\", \"num_requests\": 4, \"rate_per_cycle\": 1e-300, \"seed\": 1")
+foreach(entry ${traces})
+    string(REPLACE "@" ";" parts "${entry}")
+    list(GET parts 0 field)
+    list(GET parts 1 body)
+    file(WRITE "${WORK_DIR}/trace.json"
+         "{\"arrival_trace_version\": 1, ${body}}\n")
+    execute_process(COMMAND "${PL_SERVE}" --network=Mnist-A --quiet
+                    "--arrivals=${WORK_DIR}/trace.json"
+                    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    if(NOT rc EQUAL 1 OR NOT err MATCHES "'${field}'")
+        message(FATAL_ERROR "pl_serve on a trace with a bad ${field}: "
+                            "exit ${rc}: ${err}")
+    endif()
+endforeach()
+
+# json_lint reads jobs and traces with the simulator's parsers: B must
+# divide N in training, and a Poisson trace needs its rate and seed.
+file(WRITE "${WORK_DIR}/job.json"
+     "{\"job_version\": 1, \"phase\": \"training\", "
+     "\"batch_size\": 3, \"num_images\": 10}\n")
+file(WRITE "${WORK_DIR}/poisson.json"
+     "{\"arrival_trace_version\": 1, \"kind\": \"poisson\", "
+     "\"num_requests\": 4}\n")
+foreach(doc job poisson)
+    execute_process(COMMAND "${JSON_LINT}" "${WORK_DIR}/${doc}.json"
+                    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    if(NOT rc EQUAL 1 OR NOT err MATCHES "${doc}.json: ")
+        message(FATAL_ERROR "json_lint on the bad ${doc}: exit ${rc}: ${err}")
+    endif()
+endforeach()
+message(STATUS "fractional, out-of-range and overflowing integer fields "
+               "rejected; exact integers echoed")

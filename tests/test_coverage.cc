@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "arch/granularity.hh"
 #include "arch/mapping.hh"
@@ -91,10 +93,13 @@ TEST(Coverage, GpuTrainingOverheadExceedsTesting)
 
 TEST(Coverage, TrainerHandlesPartialFinalBatch)
 {
-    Rng rng(2);
-    nn::Network net("partial", {1, 8, 8});
-    net.add(std::make_unique<nn::FlattenLayer>());
-    net.add(std::make_unique<nn::InnerProductLayer>(64, 4, rng));
+    auto make = [] {
+        Rng rng(2);
+        nn::Network net("partial", {1, 8, 8});
+        net.add(std::make_unique<nn::FlattenLayer>());
+        net.add(std::make_unique<nn::InnerProductLayer>(64, 4, rng));
+        return net;
+    };
 
     workloads::SyntheticConfig data;
     data.classes = 4;
@@ -102,16 +107,44 @@ TEST(Coverage, TrainerHandlesPartialFinalBatch)
     data.train_per_class = 7; // 28 samples: not a multiple of 8
     data.test_per_class = 3;
     auto task = workloads::makeSyntheticTask(data);
+    const nn::Dataset start = task.train;
 
+    nn::Network net = make();
     nn::TrainConfig config;
     config.epochs = 2;
     config.batch_size = 8;
     Rng train_rng(3);
-    const auto result =
-        nn::train(net, task.train, task.test, config, train_rng);
+    const auto result = nn::train(net, task.train, config, &train_rng);
     EXPECT_EQ(result.epoch_loss.size(), 2u);
     // ceil(28/8) = 4 batches per epoch.
     EXPECT_EQ(result.batches_run, 8);
+
+    // The epoch loss weighs every image once, the 4-image batch too:
+    // the per-image losses of a hand loop, summed in image order,
+    // over 28.
+    nn::Network hand = make();
+    nn::Dataset order = start;
+    Rng hand_rng(3);
+    std::vector<double> losses;
+    for (size_t epoch = 0; epoch < 2; ++epoch) {
+        order.shuffle(hand_rng);
+        double sum = 0.0;
+        for (size_t first = 0; first < order.size(); first += 8) {
+            const size_t last = std::min(first + 8, order.size());
+            const std::vector<Tensor> inputs(
+                order.inputs.begin() + static_cast<ptrdiff_t>(first),
+                order.inputs.begin() + static_cast<ptrdiff_t>(last));
+            const std::vector<int64_t> labels(
+                order.labels.begin() + static_cast<ptrdiff_t>(first),
+                order.labels.begin() + static_cast<ptrdiff_t>(last));
+            hand.trainBatch(inputs, labels, config.learning_rate,
+                            &losses);
+            for (const double loss : losses)
+                sum += loss;
+        }
+        EXPECT_EQ(result.epoch_loss[epoch], sum / 28.0)
+            << "epoch " << epoch;
+    }
 }
 
 TEST(Coverage, SchedulerTestingPeakBuffersAreModest)
@@ -176,9 +209,8 @@ TEST(Coverage, SigmoidNetworkTrainsOnHost)
     config.batch_size = 10;
     config.learning_rate = 0.5f;
     Rng train_rng(6);
-    const auto result =
-        nn::train(net, task.train, task.test, config, train_rng);
-    EXPECT_GT(result.final_test_accuracy, 0.7);
+    nn::train(net, task.train, config, &train_rng);
+    EXPECT_GT(net.accuracy(task.test.inputs, task.test.labels), 0.7);
 }
 
 TEST(Coverage, AvgPoolNetworkTrainsOnHost)
@@ -203,9 +235,8 @@ TEST(Coverage, AvgPoolNetworkTrainsOnHost)
     config.batch_size = 10;
     config.learning_rate = 0.1f;
     Rng train_rng(8);
-    const auto result =
-        nn::train(net, task.train, task.test, config, train_rng);
-    EXPECT_GT(result.final_test_accuracy, 0.7);
+    nn::train(net, task.train, config, &train_rng);
+    EXPECT_GT(net.accuracy(task.test.inputs, task.test.labels), 0.7);
 }
 
 TEST(Coverage, MappingRejectsMismatchedGranularity)

@@ -100,8 +100,25 @@ TEST(Json, AsIntIsExact)
     EXPECT_EQ(json::parse("17").asInt(), 17);
     EXPECT_EQ(json::parse("-9223372036854775808").asInt(),
               std::numeric_limits<int64_t>::min());
+    // Integer literals and int64 values stay exact beyond 2^53, where
+    // a double would round them, and print back digit for digit.
+    EXPECT_EQ(json::parse("9007199254740993").asInt(), 9007199254740993);
+    EXPECT_EQ(json::parse("-9223372036854775807").asInt(),
+              -9223372036854775807);
+    EXPECT_EQ(json::parse("9007199254740993").dump(), "9007199254740993");
+    const json::Value seed(int64_t{-7046029254386353131});
+    EXPECT_EQ(seed.asInt(), -7046029254386353131);
+    EXPECT_EQ(seed.dump(), "-7046029254386353131");
+    EXPECT_EQ(json::parse(seed.dump()), seed);
+    EXPECT_NE(json::parse("9007199254740993"),
+              json::parse("9007199254740992"));
+    EXPECT_EQ(json::parse("9007199254740992"), json::Value(0x1p53));
+    EXPECT_EQ(json::parse("1e15").asInt(), 1000000000000000);
+    // Beyond 2^53 only an exact integer literal is an integer: a
+    // fraction or exponent there may already be rounded.
     for (const char *text :
-         {"2.7", "-0.5", "1e300", "9223372036854775808"}) {
+         {"2.7", "-0.5", "1e300", "9223372036854775808",
+          "9007199254740993.0", "1e17", "-1e17"}) {
         try {
             json::parse(text).asInt("'field'");
             ADD_FAILURE() << text << " accepted";

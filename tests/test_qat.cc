@@ -8,8 +8,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iomanip>
 #include <memory>
+#include <string>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "nn/layers.hh"
 #include "quant/qat.hh"
@@ -177,6 +180,69 @@ TEST(Qat, NetworkLeftHoldingQuantisedWeights)
             EXPECT_LE(values.size(), 4u); // 0 + 3 positive levels
         }
     }
+}
+
+/** FNV-1a-64 over every parameter's raw float bytes, in layer order. */
+uint64_t
+paramHash(nn::Network &net)
+{
+    uint64_t h = 14695981039346656037ull;
+    for (size_t l = 0; l < net.numLayers(); ++l) {
+        for (const Tensor *p : net.layer(l).parameters()) {
+            const auto *bytes =
+                reinterpret_cast<const unsigned char *>(p->data());
+            const size_t n = static_cast<size_t>(p->numel()) *
+                sizeof(float);
+            for (size_t k = 0; k < n; ++k) {
+                h ^= bytes[k];
+                h *= 1099511628211ull;
+            }
+        }
+    }
+    return h;
+}
+
+/**
+ * Three epochs of trainQuantized on the MLP at @p bits, at one and at
+ * four threads: the deployed weights it leaves and its held-out
+ * accuracy must reproduce their pins bit for bit.
+ */
+void
+expectQatPinned(int bits, uint64_t param_hash, double test_accuracy)
+{
+    const int64_t saved = threadCount();
+    for (const int64_t threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        setThreadCount(threads);
+        nn::Network net = makeMlp(13);
+        const auto task = makeTask();
+        QatConfig config;
+        config.bits = bits;
+        config.epochs = 3;
+        Rng rng(14);
+        const QatResult result =
+            trainQuantized(net, task.train, task.test, config, rng);
+        EXPECT_EQ(paramHash(net), param_hash)
+            << std::hex << paramHash(net);
+        EXPECT_EQ(result.test_accuracy, test_accuracy)
+            << std::setprecision(17) << result.test_accuracy;
+    }
+    setThreadCount(saved);
+}
+
+TEST(QatPinned, Float)
+{
+    expectQatPinned(0, 0xd7373c72b766f1f7ull, 0.975);
+}
+
+TEST(QatPinned, FourBit)
+{
+    expectQatPinned(4, 0x5be53c4bc64781daull, 0.95);
+}
+
+TEST(QatPinned, TwoBit)
+{
+    expectQatPinned(2, 0xadd896d5a7c7b40full, 0.55);
 }
 
 } // namespace

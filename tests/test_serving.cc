@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/isa.hh"
@@ -72,7 +73,11 @@ TEST(ArrivalTrace, JsonRoundTripsEveryKind)
           ArrivalTrace::poisson(64, 0.125, 11),
           ArrivalTrace::uniform(64, 2, 5, 11),
           ArrivalTrace::bursty(64, 8, 6, 11),
-          ArrivalTrace::replay({0, 0, 3, 9, 9, 40})}) {
+          ArrivalTrace::replay({0, 0, 3, 9, 9, 40}),
+          // 64-bit seeds (bench_serving's) survive the round trip.
+          ArrivalTrace::poisson(16, 0.5, 0x9e3779b97f4a7c15ull),
+          ArrivalTrace::uniform(16, 0, 7, 0x9e3779b97f4a7c15ull),
+          ArrivalTrace::bursty(16, 2, 6, 0x9e3779b97f4a7c15ull)}) {
         const ArrivalTrace back = ArrivalTrace::fromJson(t.toJson());
         EXPECT_EQ(back, t) << t.describe();
         EXPECT_EQ(back.toJson().dump(), t.toJson().dump())
@@ -128,6 +133,38 @@ TEST(ArrivalTrace, RejectsBadDescriptions)
                 R"({"kind": "fixed", "num_requests": 3.5, "interval": 2})"));
         },
         "'num_requests'");
+    // Request counts are bounded, and no generated cycle passes
+    // int64.
+    expectConfigErrorNaming(
+        [] {
+            ArrivalTrace::fromJson(json::parse(
+                R"({"kind": "fixed", "num_requests": 1e15, "interval": 1})"));
+        },
+        "'num_requests'");
+    expectConfigErrorNaming(
+        [] { ArrivalTrace::fixed(ArrivalTrace::kMaxRequests + 1, 1); },
+        "'num_requests'");
+    expectConfigErrorNaming(
+        [] { ArrivalTrace::fixed(3, int64_t{1} << 62); }, "'interval'");
+    expectConfigErrorNaming(
+        [] { ArrivalTrace::poisson(4, 1e-300, 1); }, "'rate_per_cycle'");
+    expectConfigErrorNaming(
+        [] {
+            ArrivalTrace::uniform(3, int64_t{1} << 62, int64_t{1} << 62,
+                                  1);
+        },
+        "'max_gap'");
+    expectConfigErrorNaming(
+        [] {
+            ArrivalTrace::bursty(64, 1,
+                                 std::numeric_limits<int64_t>::max(), 1);
+        },
+        "'mean_gap'");
+    // The largest cycles that fit are still generated.
+    const int64_t half = int64_t{1} << 62;
+    EXPECT_EQ(ArrivalTrace::fixed(2, half).cycles().back(), half);
+    EXPECT_EQ(
+        ArrivalTrace::uniform(2, half, half, 1).cycles().back(), half);
 }
 
 // ---------------------------------------------------------------------

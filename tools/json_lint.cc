@@ -27,21 +27,22 @@
  * equal wire_bytes * link_energy_per_byte_j.
  *
  * Serving artifacts (docs/serving.md) are covered too: files with a
- * "job_version" member are checked against the sim::Job schema,
- * "serve_version" summaries against the pl_serve/ServingReport
- * schema (counts reconcile, percentiles are ordered, the batch
- * histogram sums to the batch count, an embedded "profile" member is
- * a well-formed profiler report), "arrival_trace_version" files
- * against the sim::ArrivalTrace schema, and files named *.ndjson as
- * newline-delimited records — completion records (one consistent
- * record per line, latency = completion - arrival), or, when the
- * first record carries "metrics_version", a metrics::Sampler stream
- * (docs/observability.md "Serving telemetry"): window cycles advance
- * by exactly the interval, counter running totals accumulate the
- * window deltas and land on the trailer totals, per-window
- * distribution counts and sums reconcile with the trailer's, every
- * percentile block is ordered, and the trailer's counter totals agree
- * with the serving stats snapshot it embeds.
+ * "job_version" member must be accepted by sim::Job::fromJson and
+ * "arrival_trace_version" files by sim::ArrivalTrace::fromJson (the
+ * parsers every simulator entry point uses; their ConfigError is the
+ * lint error), "serve_version" summaries are checked against the
+ * pl_serve/ServingReport schema (counts reconcile, percentiles are
+ * ordered, the batch histogram sums to the batch count, an embedded
+ * "profile" member is a well-formed profiler report), and files
+ * named *.ndjson as newline-delimited records — completion records
+ * (one consistent record per line, latency = completion - arrival),
+ * or, when the first record carries "metrics_version", a
+ * metrics::Sampler stream (docs/observability.md "Serving
+ * telemetry"): window cycles advance by exactly the interval, counter
+ * running totals accumulate the window deltas and land on the trailer
+ * totals, per-window distribution counts and sums reconcile with the
+ * trailer's, every percentile block is ordered, and the trailer's
+ * counter totals agree with the serving stats snapshot it embeds.
  *
  * Chrome traces carrying serving telemetry get the deeper checks
  * too: nestable async "b"/"e" events must balance per (cat, id),
@@ -62,6 +63,8 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "sim/arrival.hh"
+#include "sim/job.hh"
 
 namespace {
 
@@ -462,79 +465,6 @@ checkCluster(const std::string &path, const Value &doc)
         std::cerr << path << ": aggregation energy_j " << got_energy
                   << " != wire_bytes * link_energy_per_byte_j ("
                   << want_energy << ")\n";
-        return false;
-    }
-    return true;
-}
-
-/** sim::Job description schema (src/sim/job.hh). */
-bool
-checkJob(const std::string &path, const Value &doc)
-{
-    const Value *phase = doc.find("phase");
-    if (!phase || !phase->isString() ||
-        (phase->asString() != "testing" &&
-         phase->asString() != "training")) {
-        std::cerr << path
-                  << ": job 'phase' must be 'testing' or 'training'\n";
-        return false;
-    }
-    const Value *arrivals = doc.find("arrivals");
-    if (!doc.find("num_images") && !arrivals) {
-        std::cerr << path
-                  << ": job needs 'num_images' or an 'arrivals' trace\n";
-        return false;
-    }
-    for (const char *key : {"batch_size", "num_images"}) {
-        const Value *v = doc.find(key);
-        if (v && (!v->isNumber() || v->asInt() < 1)) {
-            std::cerr << path << ": job '" << key
-                      << "' must be a positive number\n";
-            return false;
-        }
-    }
-    if (arrivals && !arrivals->find("kind")) {
-        std::cerr << path << ": job 'arrivals' lacks a 'kind'\n";
-        return false;
-    }
-    return true;
-}
-
-/** sim::ArrivalTrace description schema (src/sim/arrival.hh). */
-bool
-checkArrivalTrace(const std::string &path, const Value &doc)
-{
-    const Value *kind = doc.find("kind");
-    if (!kind || !kind->isString()) {
-        std::cerr << path << ": arrival trace lacks a 'kind' string\n";
-        return false;
-    }
-    const std::string &name = kind->asString();
-    if (name != "fixed" && name != "poisson" && name != "uniform" &&
-        name != "bursty" && name != "replay") {
-        std::cerr << path << ": unknown arrival-trace kind '" << name
-                  << "'\n";
-        return false;
-    }
-    if (name == "replay") {
-        const Value *cycles = doc.find("cycles");
-        if (!cycles || !cycles->isArray()) {
-            std::cerr << path
-                      << ": replay trace lacks a 'cycles' array\n";
-            return false;
-        }
-        int64_t prev = 0;
-        for (size_t i = 0; i < cycles->size(); ++i) {
-            const int64_t c = cycles->at(i).asInt();
-            if (c < 0 || c < prev) {
-                std::cerr << path << ": replay cycle " << i
-                          << " is negative or decreasing\n";
-                return false;
-            }
-            prev = c;
-        }
-    } else if (!doc.find("num_requests")) {
-        std::cerr << path << ": generated trace lacks 'num_requests'\n";
         return false;
     }
     return true;
@@ -944,9 +874,10 @@ lintJson(const std::string &path)
                   << doc.at("chips").size() << " chips)\n";
         return true;
     }
+    // Run descriptions and arrival traces are read by the simulator's
+    // own parsers, which throw ConfigError on what they reject.
     if (doc.find("job_version")) {
-        if (!checkJob(path, doc))
-            return false;
+        pipelayer::sim::Job::fromJson(doc);
         std::cout << path << ": OK (job description)\n";
         return true;
     }
@@ -958,8 +889,7 @@ lintJson(const std::string &path)
         return true;
     }
     if (doc.find("arrival_trace_version")) {
-        if (!checkArrivalTrace(path, doc))
-            return false;
+        pipelayer::sim::ArrivalTrace::fromJson(doc);
         std::cout << path << ": OK (arrival trace)\n";
         return true;
     }
