@@ -15,9 +15,8 @@
  * Every row in the result subtree is logical-cycle arithmetic —
  * deterministic at any PL_THREADS and any host — so CI gates the
  * *_cycles members with tools/bench_compare against
- * bench/baselines/BENCH_fig_scaling.json.  Host wall-clock speedups
- * (the chips also run concurrently on the host pool) live in the
- * envelope's never-gated info member.
+ * bench/baselines/BENCH_fig_scaling.json.  Host wall clocks live in
+ * the envelope's never-gated info member.
  *
  * Flags: --network=NAME (default Mnist-A, the Fig. 15 MLP),
  * --chips=LIST (comma-separated counts, default 1,2,4,8),

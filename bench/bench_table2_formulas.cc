@@ -137,14 +137,14 @@ printTable3(bench::Runner &r)
 void
 printLargeN(bench::Runner &r)
 {
-    // Large-N scaling of the cycle loop itself: the event core's
-    // cost follows the scheduled ops, the dense reference walk's
-    // follows the horizon (one cycle visit + one vector allocation
-    // per cycle, busy or idle).  With back-to-back arrivals the two
-    // coincide — every cycle of a PipeLayer schedule is busy — so the
-    // serving shape (ROADMAP item 2: a fixed ArrivalTrace spacing
-    // images k cycles apart, horizon >> ops) is where the event
-    // core pulls away.
+    // Large-N scaling of the cycle loop itself: the cost of run()
+    // (the "event core" column, which walks only busy cycles) follows
+    // the scheduled ops, the dense reference walk's follows the
+    // horizon (one cycle visit + one vector allocation per cycle,
+    // busy or idle).  With back-to-back arrivals the two coincide —
+    // every cycle of a PipeLayer schedule is busy — so the serving
+    // shape (ROADMAP item 2: a fixed ArrivalTrace spacing images k
+    // cycles apart, horizon >> ops) is where run() pulls away.
     const int64_t images = 100000;
     const int64_t depth = 3;
     workloads::NetworkSpec spec;

@@ -8,6 +8,11 @@
  * the last time (reads are processed before writes within a cycle),
  * but overwriting live data is a correctness violation.  The pipeline
  * scheduler drives these buffers to *prove* the paper's sizing.
+ *
+ * A buffer holds at most 2(L-l)+1 entries (plus the scheduler's test
+ * slack), so lookups scan the slots from slot 0 and a tag held twice
+ * resolves to its lowest slot — the rule of the reference buffer in
+ * tests/test_parallel.cc.  Only the live count is kept incrementally.
  */
 
 #ifndef PIPELAYER_ARCH_BUFFERS_HH_
@@ -15,7 +20,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace pipelayer {
@@ -76,22 +80,12 @@ class CircularBuffer
         bool live = false;
     };
 
-    /** Drop one live-slot index for @p tag from the tag index. */
-    void unindex(int64_t tag, int64_t slot_idx);
+    /** Lowest slot live with @p tag, or -1 when none is. */
+    int64_t find(int64_t tag) const;
 
     std::string name_;
     int64_t capacity_;
     std::vector<Slot> slots_;
-
-    /**
-     * tag -> indices of live slots holding it.  Keeps read() and
-     * contains() O(1) amortised instead of an O(capacity) slot scan
-     * per op, which dominated event-driven runs on deep networks
-     * (d_0 holds 2L+1 entries and every image touches it).  Reads
-     * resolve duplicate tags to the lowest slot index, matching the
-     * scan-from-slot-0 order of the reference implementation.
-     */
-    std::unordered_map<int64_t, std::vector<int64_t>> tag_index_;
     int64_t write_idx_ = 0;
     int64_t writes_ = 0;
     int64_t reads_ = 0;

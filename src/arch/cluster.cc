@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "common/parallel.hh"
 
 namespace pipelayer {
 namespace arch {
@@ -207,42 +206,37 @@ Cluster::run()
 {
     const int64_t chips = num_chips_;
 
-    // ---- Parallel compute: every chip runs its shard schedule into
-    // private stats and a private recorder.  Nothing is shared, so
-    // chunk assignment cannot influence any output byte.
-    std::vector<ScheduleStats> chip_stats(static_cast<size_t>(chips));
-    std::vector<trace::TraceRecorder> chip_traces;
-    if (trace_) {
-        chip_traces.resize(static_cast<size_t>(chips),
-                           trace::TraceRecorder("chip"));
-    }
-    parallel_for(0, chips, [&](int64_t c0, int64_t c1) {
-        for (int64_t c = c0; c < c1; ++c) {
-            PipelineScheduler sched(depth_, shard_);
-            if (trace_)
-                sched.setTrace(&chip_traces[static_cast<size_t>(c)]);
-            chip_stats[static_cast<size_t>(c)] = sched.run();
-        }
-    });
+    // Every chip gets the same shard, so one schedule run serves them
+    // all.  Its Update ops are the batch boundaries.
+    trace::TraceRecorder chip_trace("chip");
+    PipelineScheduler sched(depth_, shard_);
+    if (trace_)
+        sched.setTrace(&chip_trace);
+    std::vector<int64_t> update_cycles;
+    const ScheduleStats chip = sched.run(
+        [&update_cycles](int64_t cycle,
+                         std::span<const PipelineScheduler::Op> ops) {
+            for (const PipelineScheduler::Op &op : ops) {
+                if (op.kind == PipelineScheduler::Op::Kind::Update)
+                    update_cycles.push_back(cycle);
+            }
+        });
 
-    // ---- Serial ascending-chip reduction commit.
     ClusterStats out;
     out.num_chips = chips;
-    out.per_chip = std::move(chip_stats);
-    std::vector<int64_t> chip_track_base;
-    std::vector<int64_t> chip_track_count;
-    for (int64_t c = 0; c < chips; ++c) {
-        out.chip_cycles =
-            std::max(out.chip_cycles,
-                     out.per_chip[static_cast<size_t>(c)].total_cycles);
-        if (trace_) {
+    out.per_chip.assign(static_cast<size_t>(chips), chip);
+    out.chip_cycles = chip.total_cycles;
+
+    // One copy of the chip trace per chip, in chip order.  Upd is the
+    // last track the scheduler declares.
+    std::vector<int64_t> upd_tracks;
+    if (trace_) {
+        for (int64_t c = 0; c < chips; ++c) {
             const std::string prefix =
                 chips > 1 ? "chip" + std::to_string(c) + "/"
                           : std::string();
-            const trace::TraceRecorder &rec =
-                chip_traces[static_cast<size_t>(c)];
-            chip_track_base.push_back(trace_->mergeFrom(rec, prefix));
-            chip_track_count.push_back(rec.trackCount());
+            upd_tracks.push_back(trace_->mergeFrom(chip_trace, prefix) +
+                                 chip_trace.trackCount() - 1);
         }
     }
 
@@ -251,10 +245,8 @@ Cluster::run()
     const InterconnectCost round = aggregationRoundCost(
         interconnect_, chips, payload_bytes_);
     out.payload_bytes = payload_bytes_;
-    if (aggregates && shard_.num_images > 0) {
-        out.aggregation_rounds =
-            (shard_.num_images + shard_.batch_size - 1) /
-            shard_.batch_size;
+    if (aggregates) {
+        out.aggregation_rounds = static_cast<int64_t>(update_cycles.size());
         out.wire_bytes = out.aggregation_rounds * round.wire_bytes;
         out.aggregation_time_s =
             static_cast<double>(out.aggregation_rounds) * round.time_s;
@@ -272,9 +264,6 @@ Cluster::run()
     // boundary, fed by a flow arrow from every chip's update slice.
     if (trace_ && aggregates && out.aggregation_rounds > 0) {
         const int64_t agg_track = trace_->addTrack("interconnect");
-        const int64_t span = shard_.pipelined
-            ? 2 * depth_ + shard_.batch_size + 1
-            : shard_.batch_size * (2 * depth_ + 1) + 1;
         const int64_t slice_cycles = std::max<int64_t>(
             1, cycle_time_s_ > 0.0
                    ? static_cast<int64_t>(
@@ -285,22 +274,17 @@ Cluster::run()
                 ? "allreduce"
                 : "param_server";
         for (int64_t k = 0; k < out.aggregation_rounds; ++k) {
-            // The update op of batch k lands at cycle (k+1)*span and
-            // its trace slice at ts (k+1)*span - 1 (executeCycle emits
-            // at cycle - 1); the aggregation slice shares that ts.
-            const int64_t ts = (k + 1) * span - 1;
+            // The update slice sits at ts = cycle - 1 (executeCycle
+            // emits there); the aggregation slice shares that ts.
+            const int64_t ts = update_cycles[static_cast<size_t>(k)] - 1;
             trace_->complete(agg_track,
                              slice_name + std::string(" b") +
                                  std::to_string(k),
                              "aggregation", ts, slice_cycles);
             for (int64_t c = 0; c < chips; ++c) {
-                // Upd is the last track the scheduler declares.
-                const int64_t upd_track =
-                    chip_track_base[static_cast<size_t>(c)] +
-                    chip_track_count[static_cast<size_t>(c)] - 1;
                 const int64_t id = k * chips + c;
-                trace_->flowStart("grad", "cluster_agg", id, upd_track,
-                                  ts);
+                trace_->flowStart("grad", "cluster_agg", id,
+                                  upd_tracks[static_cast<size_t>(c)], ts);
                 trace_->flowFinish("grad", "cluster_agg", id, agg_track,
                                    ts);
             }

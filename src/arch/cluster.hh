@@ -6,21 +6,20 @@
  * hierarchical training (PAPERS.md) shards a batch across a fleet of
  * accelerators and pays a gradient-aggregation / weight-broadcast
  * phase between batches.  arch::Cluster models exactly that on top of
- * the existing intra-chip machinery: every chip runs the event-driven
- * PipelineScheduler over its shard of the batch (B/C images per batch,
- * N/C images overall, so chips stay in lock-step batch for batch), and
- * each batch boundary adds one interconnect aggregation round whose
- * cost follows an explicit link model (InterconnectConfig).
+ * the existing intra-chip machinery: every chip runs the same shard of
+ * the batch (B/C images per batch, N/C images overall, so chips stay
+ * in lock-step batch for batch), and each batch boundary adds one
+ * interconnect aggregation round whose cost follows an explicit link
+ * model (InterconnectConfig).
  *
- * Host execution mirrors the repo-wide determinism discipline
- * (DESIGN.md §9): the per-chip schedulers run concurrently on the
- * common/parallel.hh ThreadPool — each chip writes only its own stats
- * and its own private TraceRecorder — and the reduction commit
- * (stat accumulation, trace merge) walks chips serially in ascending
- * chip order.  Cluster stats and traces are therefore byte-identical
- * at any PL_THREADS, and a 1-chip cluster emits byte-identical output
- * to a bare PipelineScheduler (no track prefix, no interconnect
- * track).
+ * Identical shards make identical schedules, so the cluster runs the
+ * shard schedule once (DESIGN.md §9): that run's stats stand for
+ * every chip, its trace is merged once per chip in chip order, and
+ * its Update ops are the batch boundaries the aggregation rounds and
+ * their trace slices follow.  Nothing runs on the thread pool, so
+ * cluster stats and traces are byte-identical at any PL_THREADS, and
+ * a 1-chip cluster emits byte-identical output to a bare
+ * PipelineScheduler (no track prefix, no interconnect track).
  */
 
 #ifndef PIPELAYER_ARCH_CLUSTER_HH_
@@ -104,8 +103,8 @@ struct ClusterStats
 {
     int64_t num_chips = 1;
 
-    /** Per-chip schedule measurements, chip order (identical shards
-     *  produce identical entries — reported per chip regardless). */
+    /** Per-chip schedule measurements, chip order (every chip runs
+     *  the same shard, so the entries are copies of one run). */
     std::vector<ScheduleStats> per_chip;
 
     /** Max per-chip schedule cycles (chips run in lock-step). */
@@ -134,7 +133,8 @@ struct ClusterStats
 };
 
 /**
- * Runs one shard schedule per chip plus the aggregation phase.
+ * Runs the shard schedule once for all chips, plus the aggregation
+ * phase.
  *
  * @c depth is the mapped network's pipeline depth L
  * (NetworkMapping::depth()), and the schedule describes ONE chip's
@@ -159,14 +159,14 @@ class Cluster
             double cycle_time_s);
 
     /**
-     * Run every chip's schedule (parallel compute, serial ascending-
-     * chip commit) and price the aggregation phase.
+     * Run the shard schedule, report it for every chip and price one
+     * aggregation round per Update op.
      */
     ClusterStats run();
 
     /**
-     * Attach a trace: after the chips run, each chip's slices are
-     * merged in chip order — tracks prefixed "chip<i>/" when the
+     * Attach a trace: after the shard runs, its slices are merged
+     * once per chip in chip order — tracks prefixed "chip<i>/" when the
      * cluster has 2+ chips, unprefixed (byte-identical to a bare
      * scheduler trace) for one chip — and a training cluster of 2+
      * chips adds an "interconnect" track with one aggregation slice

@@ -1,9 +1,7 @@
 #include "arch/pipeline.hh"
 
 #include <algorithm>
-#include <map>
 
-#include "common/event_queue.hh"
 #include "common/logging.hh"
 
 namespace pipelayer {
@@ -71,10 +69,10 @@ ScheduleConfig::validate() const
         }
         int64_t prev = 0;
         for (const int64_t cycle : arrival_cycles) {
-            if (cycle < 0) {
+            if (cycle < 0 || cycle > kMaxCycle) {
                 throw ConfigError(
-                    "ScheduleConfig: arrival cycles must be "
-                    "non-negative, got " + std::to_string(cycle));
+                    "ScheduleConfig: arrival cycles must lie in [0, "
+                    "2^60], got " + std::to_string(cycle));
             }
             if (cycle < prev) {
                 throw ConfigError(
@@ -107,19 +105,10 @@ PipelineScheduler::setTrace(trace::TraceRecorder *recorder)
     trace_offset_ = 0;
     if (!recorder)
         return;
-    // Declare one track per unit row, in renderTimeline() order.
-    const int64_t depth = depth_;
+    // Declare one track per unit row, in unitRow() order.
     trace_base_ = recorder->trackCount();
-    for (int64_t s = 0; s < depth; ++s)
-        recorder->addTrack("A" + std::to_string(s + 1));
-    if (config_.training) {
-        recorder->addTrack("ErrL");
-        for (int64_t s = depth - 1; s >= 1; --s)
-            recorder->addTrack("A" + std::to_string(s + 1) + "2");
-        for (int64_t s = depth - 1; s >= 0; --s)
-            recorder->addTrack("dW" + std::to_string(s + 1));
-        recorder->addTrack("Upd");
-    }
+    for (const std::string &label : unitLabels())
+        recorder->addTrack(label);
 }
 
 void
@@ -144,27 +133,46 @@ PipelineScheduler::setMetrics(metrics::Sampler *sampler)
     metric_update_ = sampler->counter("sched.update_cycles");
 }
 
+std::vector<std::string>
+PipelineScheduler::unitLabels() const
+{
+    // Forward stages A1..AL, the error units (seed at the top stage,
+    // A_l2 below it), the derivative units, and the update.
+    std::vector<std::string> labels;
+    for (int64_t s = 0; s < depth_; ++s)
+        labels.push_back("A" + std::to_string(s + 1));
+    if (config_.training) {
+        labels.push_back("ErrL");
+        for (int64_t s = depth_ - 1; s >= 1; --s)
+            labels.push_back("A" + std::to_string(s + 1) + "2");
+        for (int64_t s = depth_ - 1; s >= 0; --s)
+            labels.push_back("dW" + std::to_string(s + 1));
+        labels.push_back("Upd");
+    }
+    return labels;
+}
+
 int64_t
-PipelineScheduler::traceTrack(Op::Kind kind, int64_t stage) const
+PipelineScheduler::unitRow(Op::Kind kind, int64_t stage) const
 {
     const int64_t depth = depth_;
     switch (kind) {
       case Op::Kind::Forward:
-        return trace_base_ + stage;
+        return stage;
       case Op::Kind::ErrorSeed:
-        return trace_base_ + depth;
+        return depth;
       case Op::Kind::ErrorBack:
         // Rows A_L2 .. A_22 follow ErrL, highest stage first.
-        return trace_base_ + depth + 1 + (depth - 1 - stage);
+        return depth + 1 + (depth - 1 - stage);
       case Op::Kind::Derivative:
         // Rows dW_L .. dW_1 follow the error rows.
-        return trace_base_ + 2 * depth + (depth - 1 - stage);
+        return 2 * depth + (depth - 1 - stage);
       case Op::Kind::Update:
-        return trace_base_ + 3 * depth;
+        return 3 * depth;
       case Op::Kind::InputWrite:
         break; // input writes occupy no unit row
     }
-    panic("unreachable trace track kind");
+    panic("unreachable unit row kind");
 }
 
 int64_t
@@ -226,46 +234,33 @@ PipelineScheduler::scheduleSpan() const
 
 void
 PipelineScheduler::scheduleImage(int64_t image, int64_t t0,
-                                 const OpEmit &emit) const
+                                 std::vector<TimedOp> &ops) const
 {
     const int64_t depth = depth_;
 
     for (int64_t s = 0; s < depth; ++s)
-        emit(t0 + s + 1, {Op::Kind::Forward, image, s});
+        ops.push_back({t0 + s + 1, {Op::Kind::Forward, image, s}});
 
     if (!config_.training)
         return;
 
-    emit(t0 + depth + 1, {Op::Kind::ErrorSeed, image, depth - 1});
+    ops.push_back({t0 + depth + 1, {Op::Kind::ErrorSeed, image, depth - 1}});
     for (int64_t s = depth - 1; s >= 0; --s) {
         const int64_t cycle = t0 + 2 * depth + 1 - s;
         if (s >= 1)
-            emit(cycle, {Op::Kind::ErrorBack, image, s});
-        emit(cycle, {Op::Kind::Derivative, image, s});
+            ops.push_back({cycle, {Op::Kind::ErrorBack, image, s}});
+        ops.push_back({cycle, {Op::Kind::Derivative, image, s}});
     }
 }
 
-int64_t
-PipelineScheduler::buildSchedule(const OpEmit &emit,
-                                 std::vector<int64_t> &entry_cycle) const
+std::vector<PipelineScheduler::TimedOp>
+PipelineScheduler::buildSchedule() const
 {
     const int64_t depth = depth_;
     const int64_t n = config_.num_images;
     const int64_t b = config_.batch_size;
 
-    const int64_t horizon = 2 + scheduleSpan();
-    // The closed forms bound the schedule; emitting past this window
-    // means the formulas and the schedule generator disagree.
-    const int64_t bound = horizon + 2 * depth + 3;
-    const OpEmit add = [&](int64_t cycle, const Op &op) {
-        PL_ASSERT(cycle >= 0 && cycle <= bound,
-                  "op scheduled at cycle %lld beyond horizon %lld",
-                  (long long)cycle, (long long)(bound + 1));
-        emit(cycle, op);
-    };
-    entry_cycle.assign(static_cast<size_t>(n), 0);
-
-    int64_t last_cycle = 0;
+    std::vector<TimedOp> ops;
     if (config_.training) {
         int64_t base = 0;
         int64_t image = 0;
@@ -275,21 +270,19 @@ PipelineScheduler::buildSchedule(const OpEmit &emit,
                 const int64_t t0 = config_.pipelined
                     ? base + i
                     : base + i * (2 * depth + 1);
-                entry_cycle[static_cast<size_t>(image + i)] = t0;
                 // Image entry: d_0 is staged at t0, one cycle before
                 // the image's first compute cycle.
-                add(t0, {Op::Kind::InputWrite, image + i, -1});
-                scheduleImage(image + i, t0, add);
+                ops.push_back({t0, {Op::Kind::InputWrite, image + i, -1}});
+                scheduleImage(image + i, t0, ops);
             }
             // Weight update one cycle after the last image drains.
             const int64_t drain = config_.pipelined
                 ? base + (batch - 1) + 2 * depth + 1
                 : base + batch * (2 * depth + 1);
             const int64_t update = drain + 1;
-            add(update, {Op::Kind::Update, -1, -1});
+            ops.push_back({update, {Op::Kind::Update, -1, -1}});
             base = update; // next batch enters after the update
             image += batch;
-            last_cycle = update;
         }
     } else {
         for (int64_t i = 0; i < n; ++i) {
@@ -298,22 +291,21 @@ PipelineScheduler::buildSchedule(const OpEmit &emit,
                        ? i
                        : config_.arrival_cycles[static_cast<size_t>(i)])
                 : i * depth;
-            entry_cycle[static_cast<size_t>(i)] = t0;
-            add(t0, {Op::Kind::InputWrite, i, -1});
-            scheduleImage(i, t0, add);
-            last_cycle = t0 + depth;
+            ops.push_back({t0, {Op::Kind::InputWrite, i, -1}});
+            scheduleImage(i, t0, ops);
         }
     }
-    return last_cycle;
+    return ops;
 }
 
-/** Buffers, counters and scratch shared by both run paths. */
+/** Buffers and counters shared by both run paths. */
 struct PipelineScheduler::RunState
 {
     std::vector<CircularBuffer> d_buffers;     //!< d_0..d_L
     std::vector<CircularBuffer> delta_buffers; //!< δ_1..δ_L
     ScheduleStats stats;
-    std::map<std::pair<int, int64_t>, int64_t> unit_claims;
+    /** Last cycle each unit (unitRow() order) was claimed, or -1. */
+    std::vector<int64_t> last_claim;
 
     RunState(int64_t depth, int64_t buffer_slack)
     {
@@ -329,6 +321,7 @@ struct PipelineScheduler::RunState
                                        entries);
         }
         stats.per_stage_ops.assign(static_cast<size_t>(depth), 0);
+        last_claim.assign(static_cast<size_t>(3 * depth + 1), -1);
     }
 };
 
@@ -341,16 +334,16 @@ PipelineScheduler::executeCycle(int64_t cycle, std::span<const Op> ops,
     auto &d_buffers = state.d_buffers;
     auto &delta_buffers = state.delta_buffers;
 
-    // Structural-hazard check: one claim per (unit kind, stage).
-    // Input writes go to the memory subarrays, not a compute unit.
-    state.unit_claims.clear();
+    // Structural-hazard check: one claim per unit and cycle.  Input
+    // writes go to the memory subarrays, not a compute unit.
     for (const Op &op : ops) {
         if (op.kind == Op::Kind::InputWrite)
             continue;
-        const auto key = std::make_pair(static_cast<int>(op.kind),
-                                        op.stage);
-        if (++state.unit_claims[key] > 1)
+        int64_t &last = state.last_claim[static_cast<size_t>(
+            unitRow(op.kind, op.stage))];
+        if (last == cycle)
             ++stats.structural_hazards;
+        last = cycle;
         if (op.stage >= 0)
             ++stats.per_stage_ops[static_cast<size_t>(op.stage)];
     }
@@ -372,7 +365,8 @@ PipelineScheduler::executeCycle(int64_t cycle, std::span<const Op> ops,
             const std::string name = op.image >= 0
                 ? "img" + std::to_string(op.image)
                 : std::string("update");
-            trace_->complete(traceTrack(op.kind, op.stage), name,
+            trace_->complete(trace_base_ + unitRow(op.kind, op.stage),
+                             name,
                              cat, trace_offset_ + cycle - 1, 1,
                              op.image);
         }
@@ -518,45 +512,31 @@ PipelineScheduler::finalizeStats(RunState &state,
 ScheduleStats
 PipelineScheduler::run(const Executor &execute)
 {
-    const int64_t depth = depth_;
-    const int64_t n = config_.num_images;
+    // The stable sort keeps emission order within a cycle, so every
+    // cycle sees exactly the dense walk's op sequence.
+    std::vector<TimedOp> ops = buildSchedule();
+    std::stable_sort(ops.begin(), ops.end(),
+                     [](const TimedOp &a, const TimedOp &b) {
+                         return a.cycle < b.cycle;
+                     });
 
-    // Stage the whole schedule into the event queue: one event per
-    // op plus one per image entry and per update cycle.
-    events::EventQueue<Op> queue;
-    const int64_t per_image = config_.training
-        ? 3 * depth + 2   // input + L fwd + seed + (L-1) err + L dW
-        : depth + 1;      // input + L fwd
-    queue.reserve(static_cast<size_t>(
-        n * per_image + ceilDiv(std::max<int64_t>(n, 1),
-                                config_.batch_size)));
-    std::vector<int64_t> entry_cycle;
-    const int64_t last_cycle = buildSchedule(
-        [&queue](int64_t cycle, const Op &op) {
-            queue.schedule(cycle, op);
-        },
-        entry_cycle);
-
-    // Drain: only cycles that carry events are visited, FIFO within
-    // a cycle, so executeCycle() and @p execute see exactly the dense
-    // walk's spans.
-    RunState state(depth, buffer_slack_);
+    // Visit only the cycles that carry ops.
+    RunState state(depth_, buffer_slack_);
     std::vector<Op> span;
-    span.reserve(static_cast<size_t>(3 * depth + 3));
     int64_t iters = 0;
-    while (!queue.empty()) {
-        const int64_t cycle = queue.nextCycle();
+    for (size_t i = 0; i < ops.size(); ++iters) {
+        const int64_t cycle = ops[i].cycle;
         span.clear();
-        queue.popCycle(cycle, span);
+        for (; i < ops.size() && ops[i].cycle == cycle; ++i)
+            span.push_back(ops[i].op);
         executeCycle(cycle, span, state);
         if (execute)
             execute(cycle, span);
-        ++iters;
     }
     last_run_cycle_iters_ = iters;
-    last_run_events_ = queue.scheduled();
+    last_run_events_ = static_cast<int64_t>(ops.size());
 
-    return finalizeStats(state, last_cycle);
+    return finalizeStats(state, ops.empty() ? 0 : ops.back().cycle);
 }
 
 ScheduleStats
@@ -564,19 +544,21 @@ PipelineScheduler::runReference()
 {
     const int64_t depth = depth_;
 
-    // Dense cycle table over the whole horizon, exactly like the
-    // pre-event implementation: one op vector per cycle, idle or not.
-    const int64_t horizon = 2 + scheduleSpan();
+    // Dense cycle table over the closed-form horizon plus a margin:
+    // one op vector per cycle, idle or not.
     std::vector<std::vector<Op>> by_cycle(
-        static_cast<size_t>(horizon + 2 * depth + 4));
-    std::vector<int64_t> entry_cycle;
-    int64_t events = 0;
-    const int64_t last_cycle = buildSchedule(
-        [&by_cycle, &events](int64_t cycle, const Op &op) {
-            by_cycle[static_cast<size_t>(cycle)].push_back(op);
-            ++events;
-        },
-        entry_cycle);
+        static_cast<size_t>(scheduleSpan() + 2 * depth + 6));
+    const std::vector<TimedOp> ops = buildSchedule();
+    int64_t last_cycle = 0;
+    for (const TimedOp &t : ops) {
+        // The closed forms bound the schedule; an op past the table
+        // means the formulas and the schedule generator disagree.
+        PL_ASSERT(t.cycle < static_cast<int64_t>(by_cycle.size()),
+                  "op scheduled at cycle %lld beyond horizon %zu",
+                  (long long)t.cycle, by_cycle.size());
+        by_cycle[static_cast<size_t>(t.cycle)].push_back(t.op);
+        last_cycle = std::max(last_cycle, t.cycle);
+    }
 
     RunState state(depth, buffer_slack_);
     for (size_t cycle = 0; cycle < by_cycle.size(); ++cycle) {
@@ -584,7 +566,7 @@ PipelineScheduler::runReference()
                      state);
     }
     last_run_cycle_iters_ = static_cast<int64_t>(by_cycle.size());
-    last_run_events_ = events;
+    last_run_events_ = static_cast<int64_t>(ops.size());
 
     return finalizeStats(state, last_cycle);
 }
@@ -592,56 +574,40 @@ PipelineScheduler::runReference()
 std::string
 PipelineScheduler::renderTimeline(int64_t max_cycles)
 {
-    const int64_t depth = depth_;
-    // Clipped dense grid: only the rendered window is materialised.
-    std::vector<std::vector<Op>> grid(
-        static_cast<size_t>(std::max<int64_t>(max_cycles, 0)) + 1);
-    std::vector<int64_t> entry_cycle;
-    const int64_t last_cycle = buildSchedule(
-        [&grid, max_cycles](int64_t cycle, const Op &op) {
-            if (op.kind != Op::Kind::InputWrite && cycle >= 0 &&
-                cycle <= max_cycles)
-                grid[static_cast<size_t>(cycle)].push_back(op);
-        },
-        entry_cycle);
+    const std::vector<TimedOp> ops = buildSchedule();
+    int64_t last_cycle = 0;
+    for (const TimedOp &t : ops)
+        last_cycle = std::max(last_cycle, t.cycle);
     const int64_t cycles = std::min<int64_t>(last_cycle, max_cycles);
-
-    // Unit rows: forward stages A1..AL, the error units (seed at the
-    // top stage, A_l2 below it), the derivative units, and the update.
-    struct UnitRow
-    {
-        std::string label;
-        Op::Kind kind;
-        int64_t stage;
-    };
-    std::vector<UnitRow> rows;
-    for (int64_t s = 0; s < depth; ++s)
-        rows.push_back({"A" + std::to_string(s + 1),
-                        Op::Kind::Forward, s});
-    if (config_.training) {
-        rows.push_back({"ErrL", Op::Kind::ErrorSeed, depth - 1});
-        for (int64_t s = depth - 1; s >= 1; --s)
-            rows.push_back({"A" + std::to_string(s + 1) + "2",
-                            Op::Kind::ErrorBack, s});
-        for (int64_t s = depth - 1; s >= 0; --s)
-            rows.push_back({"dW" + std::to_string(s + 1),
-                            Op::Kind::Derivative, s});
-        rows.push_back({"Upd", Op::Kind::Update, -1});
-    }
-
-    size_t label_width = 0;
-    for (const auto &row : rows)
-        label_width = std::max(label_width, row.label.size());
+    const size_t width = static_cast<size_t>(std::max<int64_t>(cycles, 0));
 
     auto image_glyph = [](int64_t image) {
         // Images cycle through 0-9 then a-z for readability.
         if (image < 0)
-            return std::string("*");
+            return '*';
         const int64_t m = image % 36;
-        return std::string(
-            1, m < 10 ? static_cast<char>('0' + m)
-                      : static_cast<char>('a' + (m - 10)));
+        return m < 10 ? static_cast<char>('0' + m)
+                      : static_cast<char>('a' + (m - 10));
     };
+
+    // One row per unit, one cell per cycle 1..cycles, showing the
+    // first op (in emission order) that occupies the unit.
+    const std::vector<std::string> labels = unitLabels();
+    std::vector<std::string> cells(labels.size(), std::string(width, '.'));
+    for (const TimedOp &t : ops) {
+        if (t.op.kind == Op::Kind::InputWrite || t.cycle < 1 ||
+            t.cycle > cycles)
+            continue;
+        std::string &row =
+            cells[static_cast<size_t>(unitRow(t.op.kind, t.op.stage))];
+        char &cell = row[static_cast<size_t>(t.cycle - 1)];
+        if (cell == '.')
+            cell = image_glyph(t.op.image);
+    }
+
+    size_t label_width = 0;
+    for (const std::string &label : labels)
+        label_width = std::max(label_width, label.size());
 
     std::string out;
     // Header: cycle numbers mod 10.
@@ -650,19 +616,10 @@ PipelineScheduler::renderTimeline(int64_t max_cycles)
         out += std::to_string(c % 10);
     out += "\n";
 
-    for (const auto &row : rows) {
-        out += row.label;
-        out.append(label_width - row.label.size() + 2, ' ');
-        for (int64_t c = 1; c <= cycles; ++c) {
-            std::string cell = ".";
-            for (const auto &op : grid[static_cast<size_t>(c)]) {
-                if (op.kind == row.kind && op.stage == row.stage) {
-                    cell = image_glyph(op.image);
-                    break;
-                }
-            }
-            out += cell;
-        }
+    for (size_t row = 0; row < labels.size(); ++row) {
+        out += labels[row];
+        out.append(label_width - labels[row].size() + 2, ' ');
+        out += cells[row];
         out += "\n";
     }
     if (last_cycle > cycles)

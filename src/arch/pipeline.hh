@@ -19,14 +19,13 @@
  * and core::PipelinedTrainer attaches tensor work to its ops through
  * the run() executor hook.
  *
- * run() drains a monotonic event queue (common/event_queue.hh):
- * every scheduled op is an event keyed by its logical cycle, and the
- * run loop only visits cycles that carry work — O(ops log n) instead
- * of O(horizon x stages), with no horizon-sized allocations.  The
- * pre-event dense cycle walk is preserved as runReference() for the
- * equivalence suite and the speedup bench; both paths share the same
- * per-cycle bookkeeping, so their stats, buffer traffic and traces
- * are identical by construction (DESIGN.md §8).
+ * The schedule is one list: buildSchedule() appends every op with its
+ * logical cycle in canonical emission order, run() stable-sorts that
+ * list by cycle and visits only the cycles that carry work, and the
+ * dense reference walk (runReference()) and renderTimeline() bucket
+ * the same list by cycle.  Every path funnels each cycle through the
+ * same bookkeeping, so their stats, buffer traffic and traces are
+ * identical by construction (DESIGN.md §8).
  */
 
 #ifndef PIPELAYER_ARCH_PIPELINE_HH_
@@ -45,6 +44,15 @@
 namespace pipelayer {
 namespace arch {
 
+/**
+ * The largest logical cycle any input may name: 2^60.  Arrival
+ * cycles (ScheduleConfig, sim::ArrivalTrace and its generators) and
+ * the serving deadline (sim::ServingConfig::max_wait_cycles) are
+ * ConfigErrors beyond it, so the few bounded cycles the simulation
+ * adds together stay far inside int64.
+ */
+inline constexpr int64_t kMaxCycle = int64_t{1} << 60;
+
 /** What to schedule. */
 struct ScheduleConfig
 {
@@ -58,9 +66,9 @@ struct ScheduleConfig
      * schedule (the serving shape, ROADMAP item 2): image i enters at
      * t0 = arrival_cycles[i] instead of back-to-back.  Empty (the
      * default) keeps the paper's throughput schedule t0 = i.  Sparse
-     * arrivals leave idle cycles between images, which only the
-     * event-driven core skips — the dense reference walk still visits
-     * the whole arrival_cycles.back() + L horizon.
+     * arrivals leave idle cycles between images, which run() skips —
+     * the dense reference walk still visits the whole
+     * arrival_cycles.back() + L horizon.
      *
      * The sequence is produced by sim::ArrivalTrace (fixed, Poisson,
      * uniform, bursty and replay generators); a fixed-interval trace
@@ -80,8 +88,8 @@ struct ScheduleConfig
      * buildSchedule forever — the batch loop never advanced),
      * num_images must be non-negative (an empty schedule is legal and
      * runs to zero cycles), and arrival_cycles — only meaningful for
-     * pipelined testing — must hold one non-negative, non-decreasing
-     * cycle per image.  Called from the PipelineScheduler
+     * pipelined testing — must hold one non-decreasing cycle in
+     * [0, kMaxCycle] per image.  Called from the PipelineScheduler
      * constructor, so benches and tests driving ScheduleConfig
      * directly can no longer bypass validation.
      */
@@ -153,8 +161,8 @@ class PipelineScheduler
     /**
      * Run the schedule and return the measurements.
      *
-     * Event-driven: ops drain from a monotonic event queue, so only
-     * cycles that carry work are visited.  Produces byte-identical
+     * Visits only the cycles that carry work, in ascending order,
+     * each with its ops in emission order.  Produces byte-identical
      * stats, buffer traffic and trace output to runReference().
      *
      * @param execute if set, called for every busy cycle after the
@@ -164,22 +172,23 @@ class PipelineScheduler
     ScheduleStats run(const Executor &execute = nullptr);
 
     /**
-     * The pre-event reference implementation: builds the dense
-     * per-cycle op table over the whole horizon and walks every
+     * The dense reference walk: buckets the schedule into a per-cycle
+     * op table over the whole closed-form horizon and walks every
      * cycle, idle or not.  Kept (like ops::reference for the compute
      * kernels) so the equivalence tests can prove run() exact and the
-     * large-N bench can measure the event core's speedup against it.
+     * large-N bench can measure run()'s speedup against it.
      */
     ScheduleStats runReference();
 
     /**
      * Cycle-loop iterations of the most recent run()/runReference():
-     * busy cycles only for the event core, the full walked horizon
-     * for the reference walk.  Deterministic, so benches can gate it.
+     * busy cycles only for run(), the full walked horizon for the
+     * reference walk.  Deterministic, so benches can gate it.
      */
     int64_t lastRunCycleIters() const { return last_run_cycle_iters_; }
 
-    /** Events dispatched by the most recent run (ops + input writes). */
+    /** Ops in the most recent run's schedule (input writes and
+     *  update cycles included). */
     int64_t lastRunEvents() const { return last_run_events_; }
 
     /**
@@ -243,30 +252,30 @@ class PipelineScheduler
     ///@}
 
   private:
-    /** Receives each scheduled op in canonical emission order. */
-    using OpEmit = std::function<void(int64_t cycle, const Op &op)>;
+    /** One op at its logical cycle. */
+    struct TimedOp
+    {
+        int64_t cycle;
+        Op op;
+    };
 
     /**
      * Cycles the schedule occupies (the analytic closed form, or its
      * arrival-interval generalisation for serving-shaped testing).
-     * Bounds buildSchedule() emission and sizes runReference()'s
-     * dense cycle table.
+     * Sizes runReference()'s dense cycle table.
      */
     int64_t scheduleSpan() const;
 
     void scheduleImage(int64_t image, int64_t t0,
-                       const OpEmit &emit) const;
+                       std::vector<TimedOp> &ops) const;
 
     /**
-     * Emit the complete schedule — compute ops, input writes and
-     * update cycles — in the canonical order (ascending image within
-     * a batch, batches in sequence).  Within any one cycle, emission
-     * order is the execution order both run paths observe.
-     * @param entry_cycle out: per-image entry cycle t0.
-     * @return the last occupied cycle.
+     * The complete schedule — compute ops, input writes and update
+     * cycles — in canonical emission order (ascending image within a
+     * batch, batches in sequence).  Within any one cycle, emission
+     * order is the execution order every run path observes.
      */
-    int64_t buildSchedule(const OpEmit &emit,
-                          std::vector<int64_t> &entry_cycle) const;
+    std::vector<TimedOp> buildSchedule() const;
 
     /** Mutable state shared by the two run paths. */
     struct RunState;
@@ -284,8 +293,15 @@ class PipelineScheduler
     ScheduleStats finalizeStats(RunState &state,
                                 int64_t last_cycle) const;
 
-    /** Track index of (kind, stage) given the declared row layout. */
-    int64_t traceTrack(Op::Kind kind, int64_t stage) const;
+    /**
+     * Row of unit (kind, stage) in renderTimeline() and the trace:
+     * A1..AL, ErrL, A_L2..A_22, dW_L..dW_1, Upd (3L + 1 rows; a
+     * testing schedule uses the first L).
+     */
+    int64_t unitRow(Op::Kind kind, int64_t stage) const;
+
+    /** The labels of the rows this schedule uses, in unitRow() order. */
+    std::vector<std::string> unitLabels() const;
 
     int64_t depth_;
     ScheduleConfig config_;

@@ -84,9 +84,8 @@ class TraceRecorder
      * rebasing track ids accordingly.  @p other must hold no open
      * slices (asserted); its process name is discarded.  Async/flow
      * keys are merged as-is, so callers must keep (category, id) keys
-     * distinct across merged recorders.  This is the serial
-     * ascending-chip commit of arch::Cluster: per-chip recorders are
-     * filled in parallel, then merged here in chip order — toJson()
+     * distinct across merged recorders.  arch::Cluster merges its
+     * one shard recorder here once per chip, in chip order — toJson()
      * orders slices by (cycle, track), so a merge of one unprefixed
      * recorder is byte-identical to direct emission.
      *

@@ -1,8 +1,8 @@
 #include "sim/arrival.hh"
 
 #include <cmath>
-#include <limits>
 
+#include "arch/pipeline.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -24,15 +24,15 @@ checkCount(int64_t n)
 
 /**
  * @p cycle + @p gap, checked before it is formed: a ConfigError
- * naming the generator's @p field when the sum would pass int64.
+ * naming the generator's @p field when the sum would pass
+ * arch::kMaxCycle.
  */
 int64_t
 advance(int64_t cycle, uint64_t gap, const char *field)
 {
-    if (gap > static_cast<uint64_t>(
-                  std::numeric_limits<int64_t>::max() - cycle)) {
+    if (gap > static_cast<uint64_t>(arch::kMaxCycle - cycle)) {
         throw ConfigError(std::string("ArrivalTrace: '") + field +
-                          "' drives the arrival cycle past int64 after "
+                          "' drives the arrival cycle past 2^60 after "
                           "cycle " + std::to_string(cycle));
     }
     return cycle + static_cast<int64_t>(gap);
@@ -84,7 +84,7 @@ ArrivalTrace::poisson(int64_t n, double rate, uint64_t seed)
             // Exponential inter-arrival gap, floored to whole cycles;
             // uniform() < 1 keeps the log argument strictly positive.
             // A gap of 2^63 or more (infinite at a tiny rate) passes
-            // int64 from any cycle.
+            // the cycle bound from any cycle.
             const double gap =
                 std::floor(-std::log(1.0 - rng.uniform()) / rate);
             cycle = advance(cycle,
@@ -184,9 +184,9 @@ ArrivalTrace::validate() const
 {
     int64_t prev = 0;
     for (const int64_t cycle : cycles_) {
-        if (cycle < 0) {
+        if (cycle < 0 || cycle > arch::kMaxCycle) {
             throw ConfigError(
-                "ArrivalTrace: arrival cycles must be non-negative, "
+                "ArrivalTrace: 'arrival_cycle' must lie in [0, 2^60], "
                 "got " + std::to_string(cycle));
         }
         if (cycle < prev) {

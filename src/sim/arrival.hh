@@ -41,8 +41,8 @@ class ArrivalTrace
 
     /**
      * The most requests a generator makes (docs/serving.md).  Larger
-     * counts, and parameters that would drive a cycle past int64,
-     * are ConfigErrors naming the JSON field.
+     * counts, and parameters that would drive a cycle past
+     * arch::kMaxCycle (2^60), are ConfigErrors naming the JSON field.
      */
     static constexpr int64_t kMaxRequests = 10'000'000;
 
@@ -108,12 +108,12 @@ class ArrivalTrace
 
     bool empty() const { return cycles_.empty(); }
 
-    /** The arrival cycle sequence (non-decreasing, non-negative). */
+    /** The arrival cycle sequence (non-decreasing, in [0, 2^60]). */
     const std::vector<int64_t> &cycles() const { return cycles_; }
 
     /**
-     * Check the invariant every generator guarantees — cycles
-     * non-negative and non-decreasing — throwing ConfigError
+     * Check the invariant every generator guarantees — cycles in
+     * [0, arch::kMaxCycle] and non-decreasing — throwing ConfigError
      * otherwise (reachable only through replay/fromJson input).
      */
     void validate() const;

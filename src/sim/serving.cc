@@ -37,9 +37,9 @@ ServingConfig::validate() const
             "(0 means the sweet spot), got " +
             std::to_string(max_batch));
     }
-    if (max_wait_cycles < 0) {
+    if (max_wait_cycles < 0 || max_wait_cycles > arch::kMaxCycle) {
         throw ConfigError(
-            "ServingConfig: max_wait_cycles must be non-negative, "
+            "ServingConfig: max_wait_cycles must lie in [0, 2^60], "
             "got " + std::to_string(max_wait_cycles));
     }
 }
@@ -413,6 +413,15 @@ ServingSim::run(const ArrivalTrace &trace,
         PL_PROF_SCOPE("serving.launch");
         const int64_t b = std::min<int64_t>(
             static_cast<int64_t>(queue.size()), max_batch);
+        // Arrivals and the wait are each at most 2^60, so the launch
+        // cycle cannot overflow; entries past 2^60 are still refused.
+        if (launch > arch::kMaxCycle - (b - 1)) {
+            throw ConfigError(
+                "ServingSim: batch " +
+                std::to_string(report.batch_count) + " would enter "
+                "the pipeline past cycle 2^60 ('arrival_cycle' plus "
+                "'max_wait_cycles')");
+        }
         for (int64_t j = 0; j < b; ++j) {
             const Pending p = queue.front();
             queue.pop_front();
@@ -443,16 +452,19 @@ ServingSim::run(const ArrivalTrace &trace,
         report.batch_size_hist.push_back(bucket);
 
     // ---- Latency distribution -------------------------------------
+    // The sums are doubles: latencies of up to 2^60 cycles would pass
+    // int64 after eight requests, and below 2^53 the sums are exact.
     std::vector<int64_t> latencies;
     latencies.reserve(entry_cycles.size());
-    int64_t latency_sum = 0;
-    int64_t wait_sum = 0;
+    double latency_sum = 0.0;
+    double wait_sum = 0.0;
     for (const CompletionRecord &rec : report.completions) {
         if (!rec.admitted)
             continue;
         latencies.push_back(rec.latency_cycles);
-        latency_sum += rec.latency_cycles;
-        wait_sum += rec.entry_cycle - rec.arrival_cycle;
+        latency_sum += static_cast<double>(rec.latency_cycles);
+        wait_sum += static_cast<double>(rec.entry_cycle -
+                                        rec.arrival_cycle);
     }
     std::sort(latencies.begin(), latencies.end());
     report.p50_latency_cycles = percentile(latencies, 50);
@@ -461,10 +473,8 @@ ServingSim::run(const ArrivalTrace &trace,
     if (!latencies.empty()) {
         report.max_latency_cycles = latencies.back();
         const double m = static_cast<double>(latencies.size());
-        report.mean_latency_cycles =
-            static_cast<double>(latency_sum) / m;
-        report.mean_queue_wait_cycles =
-            static_cast<double>(wait_sum) / m;
+        report.mean_latency_cycles = latency_sum / m;
+        report.mean_queue_wait_cycles = wait_sum / m;
     }
 
     // ---- Execution: replay the admitted entries through the

@@ -62,7 +62,8 @@ struct ServingConfig
      * Deadline: a batch launches no later than
      * oldest-pending-arrival + max_wait_cycles (earlier when it
      * fills to max_batch), so light load pays bounded latency
-     * instead of waiting forever for a full batch.
+     * instead of waiting forever for a full batch.  At most
+     * arch::kMaxCycle (2^60).
      */
     int64_t max_wait_cycles = 32;
 
@@ -75,7 +76,7 @@ struct ServingConfig
      */
     static int64_t sweetSpotBatch(int64_t depth);
 
-    /** Throws ConfigError on non-positive knobs. */
+    /** Throws ConfigError on non-positive or out-of-range knobs. */
     void validate() const;
 
     /** Machine-readable form (max_batch as resolved by the run). */

@@ -429,9 +429,8 @@ Simulator::buildReport(const Job &chip,
         report.per_layer.push_back(std::move(cost));
     }
     if (training) {
-        const double batches = static_cast<double>(
-            ceilDiv(chip.num_images, chip.batch_size));
-        e.weight_update = batches * weightUpdateEnergy(map);
+        e.weight_update = static_cast<double>(sched.update_cycles) *
+            weightUpdateEnergy(map);
     }
     e.buffer_traffic = n * bufferEnergy(spec_, training);
     e.controller = n * params_.controller_energy_per_image;
@@ -522,8 +521,10 @@ Simulator::runCluster(const Job &job,
     report.network = spec_.name;
     report.config = job;
     report.sched = cluster.run();
-    for (const arch::ScheduleStats &s : report.sched.per_chip)
-        report.chips.push_back(buildReport(shard, map, s));
+    // Every chip runs the same shard, so one report prices them all.
+    report.chips.assign(
+        static_cast<size_t>(job.num_chips),
+        buildReport(shard, map, report.sched.per_chip.front()));
 
     report.total_cycles = report.sched.total_cycles;
     report.cycle_time = cycle_time;

@@ -118,9 +118,10 @@ struct SimReport
 /**
  * Outcome of a cluster simulation (DESIGN.md §9).
  *
- * Every chip's shard run is reported as a full SimReport (identical
- * shards produce identical entries; a 1-chip cluster's single entry
- * is byte-identical to Simulator::run() on the same job).  The
+ * Every chip's shard run is reported as a full SimReport (every chip
+ * runs the same shard, so the entries are copies of one priced run; a
+ * 1-chip cluster's single entry is byte-identical to Simulator::run()
+ * on the same job).  The
  * cluster totals stack the interconnect aggregation phase on top:
  * total_cycles = chip_cycles + aggregation cycles, total energy =
  * chip energies + interconnect energy.
@@ -192,9 +193,9 @@ class Simulator
 
     /**
      * Run a cluster simulation: every chip executes the job's shard
-     * (Job num_chips/interconnect describe the cluster; chips run
-     * concurrently on the host pool, reduction commits serially in
-     * chip order), then the aggregation phase is priced.  A 1-chip
+     * (Job num_chips/interconnect describe the cluster; the shard is
+     * scheduled and priced once for all chips), then the aggregation
+     * phase is priced.  A 1-chip
      * cluster reproduces run() exactly — chips[0] is byte-identical
      * to run(job)'s report, and an attached @p recorder receives a
      * byte-identical trace to a bare scheduler's.  With 2+ chips the

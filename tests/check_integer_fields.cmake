@@ -1,8 +1,9 @@
 # Integer fields of outside JSON input are exact (no rounding or
 # wrapping): pl_serve must reject an NDJSON request whose
 # arrival_cycle is fractional or beyond int64 and echo one beyond 2^53
-# digit for digit, must reject an arrival trace that asks for too many
-# requests or drives a cycle past int64, and json_lint must report
+# digit for digit, must reject an arrival cycle or a --max-wait past
+# the 2^60 cycle bound and an arrival trace that asks for too many
+# requests or drives a cycle past that bound, and json_lint must report
 # such a field as a lint error instead of terminating.  json_lint
 # also rejects every job and trace the simulator's parsers reject.
 # Run as
@@ -42,6 +43,28 @@ if(NOT rc EQUAL 0 OR
     message(FATAL_ERROR
             "pl_serve on arrival_cycle 2^53 + 1: exit ${rc}: ${out}${err}")
 endif()
+
+# Cycles past the 2^60 bound are rejected naming the field: an
+# arrival at int64's top, and int64's top as the wait after an
+# arrival at cycle 5.
+foreach(entry
+        "arrival_cycle@9223372036854775807@32"
+        "max_wait_cycles@5@9223372036854775807")
+    string(REPLACE "@" ";" parts "${entry}")
+    list(GET parts 0 field)
+    list(GET parts 1 cycle)
+    list(GET parts 2 wait)
+    file(WRITE "${WORK_DIR}/request.ndjson"
+         "{\"id\": 0, \"arrival_cycle\": ${cycle}}\n")
+    execute_process(COMMAND "${PL_SERVE}" --network=Mnist-A --quiet
+                    "--max-wait=${wait}"
+                    INPUT_FILE "${WORK_DIR}/request.ndjson"
+                    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    if(NOT rc EQUAL 1 OR NOT err MATCHES "${field}")
+        message(FATAL_ERROR "pl_serve past the cycle bound (${field}): "
+                            "exit ${rc}: ${err}")
+    endif()
+endforeach()
 
 # Each trace names the field that is out of bounds.
 set(traces

@@ -66,9 +66,10 @@ TEST(IsaDispatch, DetectionSanity)
     EXPECT_EQ(avail.front(), isa::Target::Scalar);
     for (size_t i = 0; i < avail.size(); ++i) {
         EXPECT_TRUE(isa::supported(avail[i]));
-        if (i > 0) // narrowest first
+        if (i > 0) { // narrowest first
             EXPECT_LT(static_cast<int>(avail[i - 1]),
                       static_cast<int>(avail[i]));
+        }
     }
     // best() is the widest available target, and whatever is active
     // must be something the host can actually run.

@@ -304,7 +304,7 @@ class EventCoreSweep : public ::testing::TestWithParam<EquivalencePoint>
 
 TEST_P(EventCoreSweep, MatchesReferenceAndClosedForms)
 {
-    // The event-driven run() must agree with the dense reference walk
+    // The busy-cycle run() must agree with the dense reference walk
     // *exactly* — every stat, including violations under tight
     // buffers — and with the Table-2 closed forms, across all four
     // (pipelined x training) modes and partial batches (B does not
@@ -471,6 +471,38 @@ TEST(Schedule, ServingArrivalsMatchReferenceWalk)
             << what;
         EXPECT_EQ(event.lastRunEvents(), dense.lastRunEvents())
             << what;
+    }
+}
+
+TEST(Schedule, SameCycleArrivalsAreHazardsInImageOrder)
+{
+    // Images 0-2 enter together, then 3-4: each stage's forward unit
+    // is claimed three times in one cycle (two hazards) and later
+    // twice (one), so 3L hazards in all, and the buffers still hold
+    // every image.  Within a cycle the ops run in emission order,
+    // which is ascending image.
+    for (const int64_t depth : {int64_t{1}, int64_t{3}}) {
+        ScheduleConfig config;
+        config.pipelined = true;
+        config.training = false;
+        config.num_images = 5;
+        config.arrival_cycles = {0, 0, 0, 5, 5};
+        const std::string what = "depth=" + std::to_string(depth);
+
+        using Op = PipelineScheduler::Op;
+        PipelineScheduler sorted(depth, config);
+        bool ascending = true;
+        const ScheduleStats stats =
+            sorted.run([&ascending](int64_t, std::span<const Op> ops) {
+                for (size_t i = 1; i < ops.size(); ++i)
+                    ascending &= ops[i - 1].image <= ops[i].image;
+            });
+        EXPECT_TRUE(ascending) << what;
+        EXPECT_EQ(stats.structural_hazards, 3 * depth) << what;
+        EXPECT_EQ(stats.buffer_violations, 0) << what;
+
+        PipelineScheduler dense(depth, config);
+        expectStatsEqual(stats, dense.runReference(), what);
     }
 }
 

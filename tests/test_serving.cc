@@ -134,7 +134,7 @@ TEST(ArrivalTrace, RejectsBadDescriptions)
         },
         "'num_requests'");
     // Request counts are bounded, and no generated cycle passes
-    // int64.
+    // arch::kMaxCycle (2^60).
     expectConfigErrorNaming(
         [] {
             ArrivalTrace::fromJson(json::parse(
@@ -161,10 +161,11 @@ TEST(ArrivalTrace, RejectsBadDescriptions)
         },
         "'mean_gap'");
     // The largest cycles that fit are still generated.
-    const int64_t half = int64_t{1} << 62;
-    EXPECT_EQ(ArrivalTrace::fixed(2, half).cycles().back(), half);
-    EXPECT_EQ(
-        ArrivalTrace::uniform(2, half, half, 1).cycles().back(), half);
+    const int64_t top = arch::kMaxCycle;
+    EXPECT_EQ(ArrivalTrace::fixed(2, top).cycles().back(), top);
+    EXPECT_EQ(ArrivalTrace::uniform(2, top, top, 1).cycles().back(), top);
+    expectConfigErrorNaming([] { ArrivalTrace::fixed(3, top); },
+                            "'interval'");
 }
 
 // ---------------------------------------------------------------------
@@ -285,6 +286,57 @@ TEST(ServingConfig, Validates)
     config.max_batch = 0;
     config.max_wait_cycles = -1;
     EXPECT_THROW(config.validate(), ConfigError);
+    config.max_wait_cycles = arch::kMaxCycle;
+    EXPECT_NO_THROW(config.validate());
+    config.max_wait_cycles = arch::kMaxCycle + 1;
+    EXPECT_THROW(config.validate(), ConfigError);
+}
+
+TEST(ServingSim, CyclesPastTheBoundAreConfigErrors)
+{
+    // Arrival cycles and the deadline are bounded by arch::kMaxCycle
+    // (2^60), so no cycle the policy forms can pass int64: an arrival
+    // at int64's top, or a wait of int64's top after an arrival at
+    // cycle 5, is a ConfigError naming the field, never a negative
+    // latency.
+    const ServingSim serving = mnistServing();
+    const int64_t int64_top = std::numeric_limits<int64_t>::max();
+    expectConfigErrorNaming(
+        [] { ArrivalTrace::replay({0, arch::kMaxCycle + 1}); },
+        "'arrival_cycle'");
+    expectConfigErrorNaming(
+        [&] { serving.run(ArrivalTrace::replay({int64_top}), {}); },
+        "'arrival_cycle'");
+    ServingConfig long_wait;
+    long_wait.max_wait_cycles = int64_top;
+    expectConfigErrorNaming(
+        [&] { serving.run(ArrivalTrace::replay({5}), long_wait); },
+        "max_wait_cycles");
+    // In range on their own, but the deadline would enter the
+    // pipeline past the bound.
+    expectConfigErrorNaming(
+        [&] {
+            serving.run(ArrivalTrace::replay({arch::kMaxCycle}), {});
+        },
+        "'max_wait_cycles'");
+
+    // At the bound itself everything is exact: 64 requests wait
+    // almost 2^60 cycles each, whose latency sum passes int64.
+    ServingConfig wait_all;
+    wait_all.max_batch = 100;
+    wait_all.max_wait_cycles = arch::kMaxCycle - 100;
+    const ServingReport rep = serving.run(
+        ArrivalTrace::replay(std::vector<int64_t>(64, 0)), wait_all);
+    EXPECT_EQ(rep.admitted_count, 64);
+    EXPECT_EQ(rep.batch_count, 1);
+    EXPECT_EQ(rep.completions.back().entry_cycle, arch::kMaxCycle - 37);
+    EXPECT_EQ(rep.max_latency_cycles,
+              arch::kMaxCycle - 37 + serving.depth());
+    // The mean is 2^60 - 68.5 + depth, up to double rounding.
+    const double top = static_cast<double>(arch::kMaxCycle);
+    EXPECT_NEAR(rep.mean_latency_cycles, top, 1e-12 * top);
+    EXPECT_EQ(rep.sched.total_cycles,
+              arch::kMaxCycle - 37 + serving.depth());
 }
 
 TEST(ServingSim, FullBatchLaunchesWithoutWaitingForDeadline)
@@ -374,8 +426,9 @@ TEST(ServingSim, BatchSizeNeverExceedsMax)
     }
     EXPECT_EQ(covered, rep.admitted_count);
     for (const CompletionRecord &rec : rep.completions) {
-        if (rec.admitted)
+        if (rec.admitted) {
             EXPECT_LE(rec.batch_size, 6);
+        }
     }
 }
 
