@@ -33,6 +33,7 @@
 #include "common/table.hh"
 #include "reram/array_group.hh"
 #include "reram/crossbar.hh"
+#include "support/spike.hh"
 #include "workloads/model_zoo.hh"
 
 namespace {
@@ -76,6 +77,7 @@ struct MatVecSetup
     reram::CrossbarArray array;
     std::vector<int64_t> codes;
     std::vector<int64_t> grid; //!< row-major conductance snapshot
+    std::vector<int64_t> out;  //!< one window's IF counts
 
     MatVecSetup(int64_t rows, int64_t cols, uint64_t seed)
         : params(makeParams(rows, cols)), array(params)
@@ -94,6 +96,17 @@ struct MatVecSetup
             for (int64_t c = 0; c < cols; ++c)
                 grid[static_cast<size_t>(r * cols + c)] =
                     array.cell(r, c);
+        out.resize(static_cast<size_t>(cols));
+    }
+
+    /** The collapsed MVM: the codes as one window. */
+    void matVec()
+    {
+        array.matVecCodesBatch(
+            reram::SpikeBlock(codes.data(), 1,
+                              static_cast<int64_t>(codes.size()),
+                              params.data_bits),
+            out.data());
     }
 
     static reram::DeviceParams makeParams(int64_t rows, int64_t cols)
@@ -108,8 +121,8 @@ struct MatVecSetup
      * The pre-collapse MVM: walk the data_bits bit planes LSB first,
      * and for every row spiking in a plane integrate that plane's
      * weighted charge into each column's IF counter — exactly the
-     * per-pulse loop CrossbarArray::matVec ran before the bit-plane
-     * collapse, on a snapshot of the same conductances.
+     * per-pulse loop the crossbar ran before the bit-plane collapse,
+     * on a snapshot of the same conductances.
      */
     int64_t pulseWalk() const
     {
@@ -177,8 +190,7 @@ run(bench::Runner &runner)
         rows.push_back(measureKernel(
             "crossbar_matvec_128x128_db16", 128 * 128,
             static_cast<double>(128 * 128),
-            [&] { s.array.matVecCodes(s.codes); },
-            [&] { s.pulseWalk(); }));
+            [&] { s.matVec(); }, [&] { s.pulseWalk(); }));
     }
     {
         // Large subarray: enough bit lines per worker to parallelise.
@@ -186,27 +198,27 @@ run(bench::Runner &runner)
         rows.push_back(measureKernel(
             "crossbar_matvec_512x512_db16", 512 * 512,
             static_cast<double>(512 * 512),
-            [&] { s.array.matVecCodes(s.codes); }, nullptr));
+            [&] { s.matVec(); }, nullptr));
     }
     {
         const reram::DeviceParams params;
         Rng rng(2);
         const Tensor w = Tensor::randn({256, 256}, rng);
         reram::ArrayGroup group(params, w);
-        Tensor x({256});
+        Tensor x({1, 256});
         for (int64_t i = 0; i < x.numel(); ++i)
-            x(i) = static_cast<float>(rng.uniform());
+            x.at(i) = static_cast<float>(rng.uniform());
         rows.push_back(measureKernel(
             "arraygroup_matvec_256", 256 * 256,
             static_cast<double>(2 * 256 * 256),
-            [&] { group.matVec(x); }, nullptr));
+            [&] { group.matVecBatch(x); }, nullptr));
     }
     {
         // Batched crossbar-window MVM: the G windows of a logical
         // cycle go through the arrays as one batch (each crossbar
         // sweeps its cells once for all windows).  The reference is
         // the pre-batching path — the same windows pushed through
-        // matVec one at a time.
+        // one at a time.
         const reram::DeviceParams params;
         Rng rng(3);
         const Tensor w = Tensor::randn({256, 256}, rng);
@@ -216,7 +228,7 @@ run(bench::Runner &runner)
         for (int64_t b = 0; b < kWindows; ++b)
             for (int64_t j = 0; j < 256; ++j)
                 xb(b, j) = static_cast<float>(rng.uniform());
-        Tensor one({256});
+        Tensor one({1, 256});
         rows.push_back(measureKernel(
             "arraygroup_batched_windows_256_g8", kWindows * 256 * 256,
             static_cast<double>(2 * kWindows * 256 * 256),
@@ -224,8 +236,8 @@ run(bench::Runner &runner)
             [&] {
                 for (int64_t b = 0; b < kWindows; ++b) {
                     for (int64_t j = 0; j < 256; ++j)
-                        one(j) = xb(b, j);
-                    group.matVec(one);
+                        one(0, j) = xb(b, j);
+                    group.matVecBatch(one);
                 }
             }));
     }

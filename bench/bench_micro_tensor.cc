@@ -28,7 +28,7 @@
 #include "common/rng.hh"
 #include "common/table.hh"
 #include "tensor/ops.hh"
-#include "tensor/ops_reference.hh"
+#include "support/ops_reference.hh"
 #include "tensor/tensor.hh"
 
 namespace {

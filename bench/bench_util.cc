@@ -101,8 +101,6 @@ Runner::Runner(std::string name, int argc, const char *const *argv,
     : name_(std::move(name)), args_(argc, argv),
       extra_(std::move(extra))
 {
-    setLogLevel(LogLevel::Warn);
-
     std::vector<std::string> known = {"json",    "csv",  "threads",
                                       "repeat",  "isa",  "profile",
                                       "help"};

@@ -7,17 +7,23 @@
  * products, and how quantisation enters only through the weight and
  * input codings.
  *
+ * Steps 1 and 2 show one pulse at a time with the SpikeDriver and
+ * IntegrateFire oracles (tests/support); the crossbars from step 3 on
+ * compute the same counts in one collapsed pass per window
+ * (DESIGN.md §7).
+ *
  * Run:  ./build/examples/crossbar_demo
  */
 
 #include <cmath>
 #include <iostream>
+#include <vector>
 
 #include "common/rng.hh"
 #include "reram/activation.hh"
 #include "reram/array_group.hh"
 #include "reram/crossbar.hh"
-#include "reram/spike.hh"
+#include "support/spike.hh"
 #include "tensor/ops.hh"
 
 int
@@ -55,7 +61,11 @@ main()
     CrossbarArray array(params);
     array.programCell(0, 0, 7); // g[row 0 -> col 0] = 7
     array.programCell(1, 0, 2);
-    const auto out = array.matVecCodes({10, 100});
+    // One window of input codes over the first two word lines.
+    const int64_t codes[] = {10, 100};
+    std::vector<int64_t> out(static_cast<size_t>(array.cols()));
+    array.matVecCodesBatch(SpikeBlock(codes, 1, 2, params.data_bits),
+                           out.data());
     std::cout << "   [10 100] x [7 2]^T = " << out[0]
               << " (expect 270)\n";
 
@@ -73,10 +83,10 @@ main()
         x(i) = static_cast<float>(rng.uniform(-1.0, 1.0));
 
     const Tensor exact = ops::matVec(w, x);
-    const Tensor analog = group.matVec(x);
+    const Tensor analog = group.matVecBatch(x.reshape({1, 6}));
     std::cout << "   float result vs in-ReRAM result:\n";
     for (int64_t i = 0; i < 4; ++i) {
-        std::cout << "     " << exact(i) << " vs " << analog(i)
+        std::cout << "     " << exact(i) << " vs " << analog(0, i)
                   << "\n";
     }
     std::cout << "   (differences are pure quantisation: weight LSB = "

@@ -234,33 +234,33 @@ PipelineScheduler::scheduleSpan() const
 
 void
 PipelineScheduler::scheduleImage(int64_t image, int64_t t0,
-                                 std::vector<TimedOp> &ops) const
+                                 std::vector<Op> &ops) const
 {
     const int64_t depth = depth_;
 
     for (int64_t s = 0; s < depth; ++s)
-        ops.push_back({t0 + s + 1, {Op::Kind::Forward, image, s}});
+        ops.push_back({Op::Kind::Forward, image, s, t0 + s + 1});
 
     if (!config_.training)
         return;
 
-    ops.push_back({t0 + depth + 1, {Op::Kind::ErrorSeed, image, depth - 1}});
+    ops.push_back({Op::Kind::ErrorSeed, image, depth - 1, t0 + depth + 1});
     for (int64_t s = depth - 1; s >= 0; --s) {
         const int64_t cycle = t0 + 2 * depth + 1 - s;
         if (s >= 1)
-            ops.push_back({cycle, {Op::Kind::ErrorBack, image, s}});
-        ops.push_back({cycle, {Op::Kind::Derivative, image, s}});
+            ops.push_back({Op::Kind::ErrorBack, image, s, cycle});
+        ops.push_back({Op::Kind::Derivative, image, s, cycle});
     }
 }
 
-std::vector<PipelineScheduler::TimedOp>
+std::vector<PipelineScheduler::Op>
 PipelineScheduler::buildSchedule() const
 {
     const int64_t depth = depth_;
     const int64_t n = config_.num_images;
     const int64_t b = config_.batch_size;
 
-    std::vector<TimedOp> ops;
+    std::vector<Op> ops;
     if (config_.training) {
         int64_t base = 0;
         int64_t image = 0;
@@ -272,7 +272,7 @@ PipelineScheduler::buildSchedule() const
                     : base + i * (2 * depth + 1);
                 // Image entry: d_0 is staged at t0, one cycle before
                 // the image's first compute cycle.
-                ops.push_back({t0, {Op::Kind::InputWrite, image + i, -1}});
+                ops.push_back({Op::Kind::InputWrite, image + i, -1, t0});
                 scheduleImage(image + i, t0, ops);
             }
             // Weight update one cycle after the last image drains.
@@ -280,7 +280,7 @@ PipelineScheduler::buildSchedule() const
                 ? base + (batch - 1) + 2 * depth + 1
                 : base + batch * (2 * depth + 1);
             const int64_t update = drain + 1;
-            ops.push_back({update, {Op::Kind::Update, -1, -1}});
+            ops.push_back({Op::Kind::Update, -1, -1, update});
             base = update; // next batch enters after the update
             image += batch;
         }
@@ -291,7 +291,7 @@ PipelineScheduler::buildSchedule() const
                        ? i
                        : config_.arrival_cycles[static_cast<size_t>(i)])
                 : i * depth;
-            ops.push_back({t0, {Op::Kind::InputWrite, i, -1}});
+            ops.push_back({Op::Kind::InputWrite, i, -1, t0});
             scheduleImage(i, t0, ops);
         }
     }
@@ -514,24 +514,26 @@ PipelineScheduler::run(const Executor &execute)
 {
     // The stable sort keeps emission order within a cycle, so every
     // cycle sees exactly the dense walk's op sequence.
-    std::vector<TimedOp> ops = buildSchedule();
+    std::vector<Op> ops = buildSchedule();
     std::stable_sort(ops.begin(), ops.end(),
-                     [](const TimedOp &a, const TimedOp &b) {
+                     [](const Op &a, const Op &b) {
                          return a.cycle < b.cycle;
                      });
 
-    // Visit only the cycles that carry ops.
+    // Visit only the cycles that carry ops; each cycle's ops are one
+    // contiguous run of the sorted list.
     RunState state(depth_, buffer_slack_);
-    std::vector<Op> span;
     int64_t iters = 0;
     for (size_t i = 0; i < ops.size(); ++iters) {
         const int64_t cycle = ops[i].cycle;
-        span.clear();
-        for (; i < ops.size() && ops[i].cycle == cycle; ++i)
-            span.push_back(ops[i].op);
+        size_t end = i + 1;
+        while (end < ops.size() && ops[end].cycle == cycle)
+            ++end;
+        const std::span<const Op> span(ops.data() + i, end - i);
         executeCycle(cycle, span, state);
         if (execute)
             execute(cycle, span);
+        i = end;
     }
     last_run_cycle_iters_ = iters;
     last_run_events_ = static_cast<int64_t>(ops.size());
@@ -548,16 +550,16 @@ PipelineScheduler::runReference()
     // one op vector per cycle, idle or not.
     std::vector<std::vector<Op>> by_cycle(
         static_cast<size_t>(scheduleSpan() + 2 * depth + 6));
-    const std::vector<TimedOp> ops = buildSchedule();
+    const std::vector<Op> ops = buildSchedule();
     int64_t last_cycle = 0;
-    for (const TimedOp &t : ops) {
+    for (const Op &op : ops) {
         // The closed forms bound the schedule; an op past the table
         // means the formulas and the schedule generator disagree.
-        PL_ASSERT(t.cycle < static_cast<int64_t>(by_cycle.size()),
+        PL_ASSERT(op.cycle < static_cast<int64_t>(by_cycle.size()),
                   "op scheduled at cycle %lld beyond horizon %zu",
-                  (long long)t.cycle, by_cycle.size());
-        by_cycle[static_cast<size_t>(t.cycle)].push_back(t.op);
-        last_cycle = std::max(last_cycle, t.cycle);
+                  (long long)op.cycle, by_cycle.size());
+        by_cycle[static_cast<size_t>(op.cycle)].push_back(op);
+        last_cycle = std::max(last_cycle, op.cycle);
     }
 
     RunState state(depth, buffer_slack_);
@@ -574,10 +576,10 @@ PipelineScheduler::runReference()
 std::string
 PipelineScheduler::renderTimeline(int64_t max_cycles)
 {
-    const std::vector<TimedOp> ops = buildSchedule();
+    const std::vector<Op> ops = buildSchedule();
     int64_t last_cycle = 0;
-    for (const TimedOp &t : ops)
-        last_cycle = std::max(last_cycle, t.cycle);
+    for (const Op &op : ops)
+        last_cycle = std::max(last_cycle, op.cycle);
     const int64_t cycles = std::min<int64_t>(last_cycle, max_cycles);
     const size_t width = static_cast<size_t>(std::max<int64_t>(cycles, 0));
 
@@ -594,15 +596,15 @@ PipelineScheduler::renderTimeline(int64_t max_cycles)
     // first op (in emission order) that occupies the unit.
     const std::vector<std::string> labels = unitLabels();
     std::vector<std::string> cells(labels.size(), std::string(width, '.'));
-    for (const TimedOp &t : ops) {
-        if (t.op.kind == Op::Kind::InputWrite || t.cycle < 1 ||
-            t.cycle > cycles)
+    for (const Op &op : ops) {
+        if (op.kind == Op::Kind::InputWrite || op.cycle < 1 ||
+            op.cycle > cycles)
             continue;
         std::string &row =
-            cells[static_cast<size_t>(unitRow(t.op.kind, t.op.stage))];
-        char &cell = row[static_cast<size_t>(t.cycle - 1)];
+            cells[static_cast<size_t>(unitRow(op.kind, op.stage))];
+        char &cell = row[static_cast<size_t>(op.cycle - 1)];
         if (cell == '.')
-            cell = image_glyph(t.op.image);
+            cell = image_glyph(op.image);
     }
 
     size_t label_width = 0;

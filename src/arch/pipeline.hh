@@ -131,7 +131,7 @@ struct ScheduleStats
 class PipelineScheduler
 {
   public:
-    /** One scheduled operation. */
+    /** One scheduled operation at its logical cycle. */
     struct Op
     {
         enum class Kind { Forward, ErrorSeed, ErrorBack, Derivative,
@@ -139,11 +139,13 @@ class PipelineScheduler
         Kind kind;
         int64_t image;  //!< image id (-1 for updates)
         int64_t stage;  //!< 0-based stage (-1 for updates/inputs)
+        int64_t cycle;  //!< logical cycle the op runs in
     };
 
     /**
      * Functional work attached to the schedule: called once per busy
-     * cycle with that cycle's ops in canonical emission order.
+     * cycle with that cycle's ops in canonical emission order (a view
+     * into run()'s op list, valid for the call only).
      */
     using Executor =
         std::function<void(int64_t cycle, std::span<const Op> ops)>;
@@ -252,13 +254,6 @@ class PipelineScheduler
     ///@}
 
   private:
-    /** One op at its logical cycle. */
-    struct TimedOp
-    {
-        int64_t cycle;
-        Op op;
-    };
-
     /**
      * Cycles the schedule occupies (the analytic closed form, or its
      * arrival-interval generalisation for serving-shaped testing).
@@ -267,7 +262,7 @@ class PipelineScheduler
     int64_t scheduleSpan() const;
 
     void scheduleImage(int64_t image, int64_t t0,
-                       std::vector<TimedOp> &ops) const;
+                       std::vector<Op> &ops) const;
 
     /**
      * The complete schedule — compute ops, input writes and update
@@ -275,7 +270,7 @@ class PipelineScheduler
      * batch, batches in sequence).  Within any one cycle, emission
      * order is the execution order every run path observes.
      */
-    std::vector<TimedOp> buildSchedule() const;
+    std::vector<Op> buildSchedule() const;
 
     /** Mutable state shared by the two run paths. */
     struct RunState;

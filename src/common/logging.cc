@@ -3,29 +3,13 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 namespace pipelayer {
 
 namespace {
 
-LogLevel g_level = LogLevel::Inform;
-
-} // namespace
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
-
-namespace detail {
-
+/** printf-style formatting into a string. */
 std::string
 vformat(const char *fmt, std::va_list args)
 {
@@ -40,53 +24,21 @@ vformat(const char *fmt, std::va_list args)
     return out;
 }
 
+/** Emit one line with a severity prefix to stderr. */
 void
 emit(const char *prefix, const std::string &msg)
 {
     std::fprintf(stderr, "%s%s\n", prefix, msg.c_str());
 }
 
-} // namespace detail
-
-void
-inform(const char *fmt, ...)
-{
-    if (g_level < LogLevel::Inform)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    detail::emit("info: ", detail::vformat(fmt, args));
-    va_end(args);
-}
-
-void
-warn(const char *fmt, ...)
-{
-    if (g_level < LogLevel::Warn)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    detail::emit("warn: ", detail::vformat(fmt, args));
-    va_end(args);
-}
-
-void
-debug(const char *fmt, ...)
-{
-    if (g_level < LogLevel::Debug)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    detail::emit("debug: ", detail::vformat(fmt, args));
-    va_end(args);
-}
+} // namespace
 
 void
 fatal(const char *fmt, ...)
 {
     std::va_list args;
     va_start(args, fmt);
-    detail::emit("fatal: ", detail::vformat(fmt, args));
+    emit("fatal: ", vformat(fmt, args));
     va_end(args);
     std::exit(1);
 }
@@ -96,7 +48,7 @@ panic(const char *fmt, ...)
 {
     std::va_list args;
     va_start(args, fmt);
-    detail::emit("panic: ", detail::vformat(fmt, args));
+    emit("panic: ", vformat(fmt, args));
     va_end(args);
     std::abort();
 }

@@ -21,9 +21,12 @@ percentile(const std::vector<int64_t> &sorted, int64_t pct)
 
 namespace {
 
-/** The per-sample summary shared by window records and the trailer. */
+/**
+ * The per-sample summary shared by window records and the trailer;
+ * throws ConfigError naming @p channel if the sum overflows int64.
+ */
 json::Value
-distributionJson(std::vector<int64_t> &values)
+distributionJson(const std::string &channel, std::vector<int64_t> &values)
 {
     std::sort(values.begin(), values.end());
     json::Value v = json::Value::object();
@@ -31,8 +34,14 @@ distributionJson(std::vector<int64_t> &values)
     v["min"] = values.empty() ? int64_t{0} : values.front();
     v["max"] = values.empty() ? int64_t{0} : values.back();
     int64_t sum = 0;
-    for (const int64_t x : values)
-        sum += x;
+    for (const int64_t x : values) {
+        if (__builtin_add_overflow(sum, x, &sum)) {
+            throw ConfigError("metrics distribution '" + channel +
+                              "': the sum of its " +
+                              std::to_string(values.size()) +
+                              " observations overflows int64");
+        }
+    }
     v["sum"] = sum;
     v["p50"] = percentile(values, 50);
     v["p95"] = percentile(values, 95);
@@ -144,13 +153,21 @@ void
 Sampler::finish(int64_t end_cycle)
 {
     PL_ASSERT(!finished_, "metrics sampler finished twice");
-    finished_ = true;
 
     // Stretch the horizon over every buffered observation, then cut
     // it into ceil(horizon / K) windows (none for an empty run).
     const int64_t horizon = std::max(end_cycle, max_cycle_ + 1);
     const int64_t windows =
-        horizon > 0 ? (horizon + interval_ - 1) / interval_ : 0;
+        horizon > 0 ? (horizon - 1) / interval_ + 1 : 0;
+    if (windows > kMaxWindows) {
+        throw WindowLimitError(
+            "metrics::Sampler: an interval of " +
+            std::to_string(interval_) + " cycles needs " +
+            std::to_string(windows) + " windows to reach the last cycle " +
+            std::to_string(horizon - 1) + ", more than the " +
+            std::to_string(kMaxWindows) + "-window bound");
+    }
+    finished_ = true;
 
     // Observations were buffered in feed order; bucket them by cycle.
     // The sort is stable, so same-cycle gauge sets keep their feed
@@ -220,7 +237,8 @@ Sampler::finish(int64_t end_cycle)
                 values.push_back(events[dist_pos[i]].second);
                 ++dist_pos[i];
             }
-            dists[distributions_[i].name] = distributionJson(values);
+            dists[distributions_[i].name] =
+                distributionJson(distributions_[i].name, values);
         }
         rec["distributions"] = std::move(dists);
 
@@ -246,7 +264,7 @@ Sampler::finish(int64_t end_cycle)
         values.reserve(c.events.size());
         for (const auto &event : c.events)
             values.push_back(event.second);
-        dists[c.name] = distributionJson(values);
+        dists[c.name] = distributionJson(c.name, values);
     }
     trailer["distributions"] = std::move(dists);
     if (!stats_.isNull())

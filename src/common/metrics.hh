@@ -47,9 +47,25 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "common/logging.hh"
 
 namespace pipelayer {
 namespace metrics {
+
+/**
+ * The most window records one stream may hold.  A stream writes a
+ * record per window up to its last cycle, idle windows included, so
+ * its size follows the horizon, not the work; Sampler::finish refuses
+ * a horizon that needs more windows than this.
+ */
+inline constexpr int64_t kMaxWindows = 100000;
+
+/** Sampler::finish refused a horizon of more than kMaxWindows windows. */
+class WindowLimitError : public ConfigError
+{
+  public:
+    using ConfigError::ConfigError;
+};
 
 /**
  * Nearest-rank percentile of an ascending-sorted sample: the smallest
@@ -101,6 +117,10 @@ class Sampler
      * record per window — including idle ones, so the series has no
      * gaps — then the trailer.  Call exactly once; feeding after
      * finish() panics.
+     *
+     * Throws WindowLimitError, before building any record, when the
+     * horizon needs more than kMaxWindows windows, and ConfigError,
+     * naming the channel, when a distribution's sum overflows int64.
      */
     void finish(int64_t end_cycle);
 

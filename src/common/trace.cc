@@ -24,7 +24,6 @@ int64_t
 TraceRecorder::addTrack(const std::string &name)
 {
     tracks_.push_back(name);
-    open_.emplace_back();
     return static_cast<int64_t>(tracks_.size()) - 1;
 }
 
@@ -40,12 +39,6 @@ int64_t
 TraceRecorder::mergeFrom(const TraceRecorder &other,
                          const std::string &track_prefix)
 {
-    for (size_t t = 0; t < other.open_.size(); ++t) {
-        PL_ASSERT(other.open_[t].empty(),
-                  "mergeFrom() source has %zu open slice(s) on track "
-                  "'%s'",
-                  other.open_[t].size(), other.tracks_[t].c_str());
-    }
     const int64_t base = trackCount();
     for (const std::string &name : other.tracks_)
         addTrack(track_prefix + name);
@@ -74,50 +67,27 @@ TraceRecorder::mergeFrom(const TraceRecorder &other,
 }
 
 void
-TraceRecorder::begin(int64_t track, const std::string &name,
-                     const std::string &category, int64_t cycle,
-                     int64_t image)
-{
-    PL_ASSERT(track >= 0 && track < trackCount(),
-              "begin() on undeclared track %lld", (long long)track);
-    open_[static_cast<size_t>(track)].push_back(
-        {name, category, track, cycle, image});
-}
-
-void
-TraceRecorder::end(int64_t track, int64_t cycle)
-{
-    PL_ASSERT(track >= 0 && track < trackCount(),
-              "end() on undeclared track %lld", (long long)track);
-    auto &stack = open_[static_cast<size_t>(track)];
-    PL_ASSERT(!stack.empty(), "end() on track %lld with no open slice",
-              (long long)track);
-    const OpenSlice slice = stack.back();
-    stack.pop_back();
-    PL_ASSERT(cycle >= slice.begin_cycle,
-              "slice on track %lld ends (cycle %lld) before it begins "
-              "(cycle %lld)",
-              (long long)track, (long long)cycle,
-              (long long)slice.begin_cycle);
-    TraceEvent event;
-    event.name = slice.name;
-    event.category = slice.category;
-    event.track = slice.track;
-    event.begin_cycle = slice.begin_cycle;
-    event.duration = std::max<int64_t>(1, cycle - slice.begin_cycle);
-    event.image = slice.image;
-    last_cycle_ = std::max(last_cycle_,
-                           event.begin_cycle + event.duration);
-    events_.push_back(std::move(event));
-}
-
-void
 TraceRecorder::complete(int64_t track, const std::string &name,
                         const std::string &category, int64_t cycle,
                         int64_t duration, int64_t image)
 {
-    begin(track, name, category, cycle, image);
-    end(track, cycle + duration);
+    PL_ASSERT(track >= 0 && track < trackCount(),
+              "complete() on undeclared track %lld", (long long)track);
+    PL_ASSERT(duration >= 0,
+              "slice on track %lld ends (cycle %lld) before it begins "
+              "(cycle %lld)",
+              (long long)track, (long long)(cycle + duration),
+              (long long)cycle);
+    TraceEvent event;
+    event.name = name;
+    event.category = category;
+    event.track = track;
+    event.begin_cycle = cycle;
+    event.duration = std::max<int64_t>(1, duration);
+    event.image = image;
+    last_cycle_ = std::max(last_cycle_,
+                           event.begin_cycle + event.duration);
+    events_.push_back(std::move(event));
 }
 
 void
@@ -219,13 +189,6 @@ TraceRecorder::sliceEncloses(int64_t track, int64_t cycle) const
 json::Value
 TraceRecorder::toJson() const
 {
-    for (size_t t = 0; t < open_.size(); ++t) {
-        PL_ASSERT(open_[t].empty(),
-                  "trace serialised with %zu open slice(s) on track "
-                  "'%s'",
-                  open_[t].size(), tracks_[t].c_str());
-    }
-
     json::Value doc = json::Value::object();
     json::Value events = json::Value::array();
 

@@ -3,7 +3,7 @@
  * Per-logical-cycle pipeline event tracing in the Chrome trace-event
  * format.
  *
- * Components emit begin/end (or complete) events keyed by
+ * Components emit complete events (closed slices) keyed by
  * (track = pipeline unit, image, logical cycle); the recorder
  * serialises them as a Chrome trace-event JSON document that loads
  * directly in Perfetto / chrome://tracing, rendering a training batch
@@ -79,15 +79,15 @@ class TraceRecorder
     const std::string &trackName(int64_t track) const;
 
     /**
-     * Append every track, closed slice and mark of @p other into this
+     * Append every track, slice and mark of @p other into this
      * recorder, renaming each track to @p track_prefix + its name and
-     * rebasing track ids accordingly.  @p other must hold no open
-     * slices (asserted); its process name is discarded.  Async/flow
-     * keys are merged as-is, so callers must keep (category, id) keys
-     * distinct across merged recorders.  arch::Cluster merges its
-     * one shard recorder here once per chip, in chip order — toJson()
-     * orders slices by (cycle, track), so a merge of one unprefixed
-     * recorder is byte-identical to direct emission.
+     * rebasing track ids accordingly; its process name is discarded.
+     * Async/flow keys are merged as-is, so callers must keep
+     * (category, id) keys distinct across merged recorders.
+     * arch::Cluster merges its one shard recorder here once per chip,
+     * in chip order — toJson() orders slices by (cycle, track), so a
+     * merge of one unprefixed recorder is byte-identical to direct
+     * emission.
      *
      * @return the track id this recorder assigned to @p other's
      *         track 0 (the rebase offset).
@@ -96,18 +96,10 @@ class TraceRecorder
                       const std::string &track_prefix);
 
     /**
-     * Open a slice on @p track at @p cycle.  Slices on one track must
-     * be closed in LIFO order (end() closes the most recent open
-     * slice), matching the trace format's B/E nesting rules.
+     * Record the slice [@p cycle, @p cycle + @p duration) on the
+     * declared @p track; a zero duration is stretched to one cycle,
+     * a negative one panics.
      */
-    void begin(int64_t track, const std::string &name,
-               const std::string &category, int64_t cycle,
-               int64_t image = -1);
-
-    /** Close the most recent open slice on @p track at @p cycle. */
-    void end(int64_t track, int64_t cycle);
-
-    /** Record a closed slice in one call (duration in cycles). */
     void complete(int64_t track, const std::string &name,
                   const std::string &category, int64_t cycle,
                   int64_t duration = 1, int64_t image = -1);
@@ -166,17 +158,17 @@ class TraceRecorder
     std::vector<std::pair<int64_t, int64_t>>
     counterSeries(const std::string &name) const;
 
-    /** All closed slices, in completion order. */
+    /** All slices, in completion order. */
     const std::vector<TraceEvent> &events() const { return events_; }
 
-    /** Number of closed slices recorded so far. */
+    /** Number of slices recorded so far. */
     int64_t eventCount() const
     {
         return static_cast<int64_t>(events_.size());
     }
 
-    /** Largest cycle covered by any closed slice, closed async span
-     *  or counter point (0 when empty). */
+    /** Largest cycle covered by any slice, closed async span or
+     *  counter point (0 when empty). */
     int64_t lastCycle() const { return last_cycle_; }
 
     /**
@@ -185,9 +177,9 @@ class TraceRecorder
      * metadata thread_name event per track, one "X" (complete) event
      * per slice in (cycle, track) order, then every async/flow/
      * counter event in (cycle, emission) order.  Asserts the
-     * telemetry invariants: no open slices or async spans, every
-     * flow started and finished exactly once, and every flow
-     * endpoint enclosed by a slice on its track.
+     * telemetry invariants: no open async spans, every flow started
+     * and finished exactly once, and every flow endpoint enclosed by
+     * a slice on its track.
      */
     json::Value toJson() const;
 
@@ -195,15 +187,6 @@ class TraceRecorder
     void writeFile(const std::string &path) const;
 
   private:
-    struct OpenSlice
-    {
-        std::string name;
-        std::string category;
-        int64_t track;
-        int64_t begin_cycle;
-        int64_t image;
-    };
-
     /** One async/flow/counter event (everything that is not a slice). */
     struct MarkEvent
     {
@@ -218,12 +201,11 @@ class TraceRecorder
         int64_t value = 0;    //!< counter value
     };
 
-    /** True when a closed slice on @p track encloses @p cycle. */
+    /** True when a slice on @p track encloses @p cycle. */
     bool sliceEncloses(int64_t track, int64_t cycle) const;
 
     std::string process_name_;
     std::vector<std::string> tracks_;
-    std::vector<std::vector<OpenSlice>> open_; //!< per-track stacks
     std::vector<TraceEvent> events_;
     std::vector<MarkEvent> marks_; //!< async/flow/counter, emit order
     /** Open async spans per (category, id); all zero by toJson(). */

@@ -9,8 +9,15 @@
 namespace pipelayer {
 namespace core {
 
+namespace {
+
+/** Memory subarrays assigned to the host staging region. */
+constexpr int64_t kStagingArrays = 4096;
+
+} // namespace
+
 PipeLayerDevice::PipeLayerDevice(const PipeLayerConfig &config)
-    : config_(config), staging_(config.device, config.staging_arrays)
+    : config_(config), staging_(config.device, kStagingArrays)
 {
     PL_ASSERT(config_.batch_size >= 1, "batch size must be positive");
 }

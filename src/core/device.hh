@@ -41,8 +41,6 @@ struct PipeLayerConfig
     int64_t batch_size = 16;   //!< the paper's B
     float learning_rate = 0.05f;
     bool training = true;      //!< provision backward arrays
-    /** Memory subarrays assigned to the host staging region. */
-    int64_t staging_arrays = 4096;
     /**
      * Realise sigmoid activations with the Fig.-9c LUT unit instead
      * of exact math (ReLU needs no table and is always exact).

@@ -30,7 +30,7 @@ withColumn(const Tensor &mat, const Tensor &col)
  * Drive @p group with each row of @p windows plus the constant-1 bias
  * input: (batch, m) -> (batch, n).  All windows go through the arrays
  * as one batch, each crossbar sweeping its cells once for all of them
- * (bit-identical to one matVec per window; see
+ * (a window's result does not depend on the batch; see
  * ArrayGroup::matVecBatch).
  */
 Tensor
@@ -90,14 +90,6 @@ MappedLayer::applyUpdate(float lr, int64_t batch_size)
                                   batch_size);
     if (training_)
         rebuildBackward();
-}
-
-void
-MappedLayer::setMomentum(float momentum)
-{
-    PL_ASSERT(momentum == 0.0f,
-              "the arrays apply plain SGD; momentum %g is unsupported",
-              static_cast<double>(momentum));
 }
 
 Tensor

@@ -80,9 +80,6 @@ class MappedLayer : public nn::Layer
      */
     void applyUpdate(float lr, int64_t batch_size) override;
 
-    /** The arrays apply plain SGD (§4.4.2): only 0 is accepted. */
-    void setMomentum(float momentum) override;
-
     /** Weights as currently stored (quantised), in the host's shape. */
     Tensor storedWeight() const;
 

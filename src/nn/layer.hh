@@ -126,17 +126,9 @@ class Layer
 
     /**
      * Apply the batch-averaged gradient update
-     * W <- W - lr * (1/B) Σ ∂J/∂W  (paper §4.4.2), with optional
-     * momentum (v <- m v + g; W <- W - lr v) when configured.
+     * W <- W - lr * (1/B) Σ ∂J/∂W  (paper §4.4.2).
      */
     virtual void applyUpdate(float lr, int64_t batch_size);
-
-    /**
-     * Set the momentum coefficient used by applyUpdate (0 = plain
-     * SGD, the paper's update rule).  No-op for parameter-free
-     * layers.
-     */
-    virtual void setMomentum(float momentum) { (void)momentum; }
 
     /**
      * Mutable views of this layer's parameter tensors (weights then

@@ -20,33 +20,15 @@ initStddev(int64_t fan_in)
     return std::sqrt(2.0f / static_cast<float>(fan_in));
 }
 
-/**
- * Shared SGD-with-momentum step: v <- m v + g/B, p <- p - lr v.
- * With momentum 0 this reduces to the paper's plain update and the
- * velocity tensor stays untouched (empty).
- */
+/** The paper's plain SGD step (§4.4.2): p <- p - (lr / B) g. */
 void
-sgdStep(Tensor &param, const Tensor &grad, Tensor &velocity,
-        float momentum, float lr, int64_t batch_size)
+sgdStep(Tensor &param, const Tensor &grad, float lr, int64_t batch_size)
 {
-    const float inv_b = 1.0f / static_cast<float>(batch_size);
-    if (momentum == 0.0f) {
-        const float scale = lr * inv_b;
-        float *p = param.data();
-        const float *g = grad.data();
-        for (int64_t i = 0; i < param.numel(); ++i)
-            p[i] -= scale * g[i];
-        return;
-    }
-    if (velocity.numel() != param.numel())
-        velocity = Tensor(param.shape());
+    const float scale = lr * (1.0f / static_cast<float>(batch_size));
     float *p = param.data();
-    float *v = velocity.data();
     const float *g = grad.data();
-    for (int64_t i = 0; i < param.numel(); ++i) {
-        v[i] = momentum * v[i] + g[i] * inv_b;
-        p[i] -= lr * v[i];
-    }
+    for (int64_t i = 0; i < param.numel(); ++i)
+        p[i] -= scale * g[i];
 }
 
 /**
@@ -158,17 +140,8 @@ ConvLayer::zeroGrads()
 void
 ConvLayer::applyUpdate(float lr, int64_t batch_size)
 {
-    sgdStep(weight_, weight_grad_, weight_vel_, momentum_, lr,
-            batch_size);
-    sgdStep(bias_, bias_grad_, bias_vel_, momentum_, lr, batch_size);
-}
-
-void
-ConvLayer::setMomentum(float momentum)
-{
-    PL_ASSERT(momentum >= 0.0f && momentum < 1.0f,
-              "momentum must be in [0, 1)");
-    momentum_ = momentum;
+    sgdStep(weight_, weight_grad_, lr, batch_size);
+    sgdStep(bias_, bias_grad_, lr, batch_size);
 }
 
 std::vector<Tensor *>
@@ -326,17 +299,8 @@ InnerProductLayer::zeroGrads()
 void
 InnerProductLayer::applyUpdate(float lr, int64_t batch_size)
 {
-    sgdStep(weight_, weight_grad_, weight_vel_, momentum_, lr,
-            batch_size);
-    sgdStep(bias_, bias_grad_, bias_vel_, momentum_, lr, batch_size);
-}
-
-void
-InnerProductLayer::setMomentum(float momentum)
-{
-    PL_ASSERT(momentum >= 0.0f && momentum < 1.0f,
-              "momentum must be in [0, 1)");
-    momentum_ = momentum;
+    sgdStep(weight_, weight_grad_, lr, batch_size);
+    sgdStep(bias_, bias_grad_, lr, batch_size);
 }
 
 std::vector<Tensor *>

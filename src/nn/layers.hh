@@ -52,7 +52,6 @@ class ConvLayer : public Layer
                                    const Tensor &delta_out) const override;
     void zeroGrads() override;
     void applyUpdate(float lr, int64_t batch_size) override;
-    void setMomentum(float momentum) override;
     std::vector<Tensor *> parameters() override;
     std::vector<Tensor *> gradients() override;
 
@@ -68,9 +67,6 @@ class ConvLayer : public Layer
     Tensor bias_;   //!< (Cout)
     Tensor weight_grad_;
     Tensor bias_grad_;
-    Tensor weight_vel_; //!< momentum velocity (empty until enabled)
-    Tensor bias_vel_;
-    float momentum_ = 0.0f;
 };
 
 /** Max-pooling layer with window == stride (paper §2.1). */
@@ -133,7 +129,6 @@ class InnerProductLayer : public Layer
                                    const Tensor &delta_out) const override;
     void zeroGrads() override;
     void applyUpdate(float lr, int64_t batch_size) override;
-    void setMomentum(float momentum) override;
     std::vector<Tensor *> parameters() override;
     std::vector<Tensor *> gradients() override;
 
@@ -146,9 +141,6 @@ class InnerProductLayer : public Layer
     Tensor bias_;   //!< (n)
     Tensor weight_grad_;
     Tensor bias_grad_;
-    Tensor weight_vel_; //!< momentum velocity (empty until enabled)
-    Tensor bias_vel_;
-    float momentum_ = 0.0f;
 };
 
 /**

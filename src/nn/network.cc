@@ -51,13 +51,6 @@ Network::applyUpdate(float lr, int64_t batch_size)
         layer->applyUpdate(lr, batch_size);
 }
 
-void
-Network::setMomentum(float momentum)
-{
-    for (auto &layer : layers_)
-        layer->setMomentum(momentum);
-}
-
 double
 Network::trainImage(const Tensor &input, int64_t label,
                     std::vector<Tensor> &layer_inputs,

@@ -65,9 +65,6 @@ class Network
     /** Apply batch-averaged SGD update to all layers. */
     void applyUpdate(float lr, int64_t batch_size);
 
-    /** Enable SGD momentum on every parameterised layer. */
-    void setMomentum(float momentum);
-
     /**
      * One full training step over a batch (the protocol above);
      * returns the mean loss.  @p image_losses, when given, receives

@@ -43,7 +43,6 @@ train(Network &net, Dataset &train_set, const TrainConfig &config,
     TrainResult result;
     const size_t n = train_set.size();
     const size_t bsz = static_cast<size_t>(config.batch_size);
-    net.setMomentum(config.momentum);
     std::vector<double> losses;
     for (int64_t epoch = 0; epoch < config.epochs; ++epoch) {
         if (rng)

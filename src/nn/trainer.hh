@@ -42,7 +42,6 @@ struct TrainConfig
     int64_t epochs = 5;
     int64_t batch_size = 16; //!< the paper's B
     float learning_rate = 0.05f;
-    float momentum = 0.0f;   //!< 0 = the paper's plain gradient descent
 };
 
 /** Outcome of a training run. */

@@ -83,48 +83,5 @@ quantizationMse(const Tensor &t, int bits)
     return t.numel() > 0 ? mse / static_cast<double>(t.numel()) : 0.0;
 }
 
-Tensor
-quantizeTensorPerChannel(const Tensor &t, int bits)
-{
-    if (bits == 0 || t.rank() < 2)
-        return quantizeTensor(t, bits);
-    const int64_t channels = t.dim(0);
-    const int64_t per_channel = t.numel() / channels;
-    Tensor out = t;
-    for (int64_t c = 0; c < channels; ++c) {
-        // View one channel slice as its own tensor for scaling.
-        Tensor slice({per_channel});
-        for (int64_t i = 0; i < per_channel; ++i)
-            slice(i) = t.at(c * per_channel + i);
-        const Quantizer q = Quantizer::forTensor(slice, bits);
-        for (int64_t i = 0; i < per_channel; ++i)
-            out.at(c * per_channel + i) = q.apply(slice(i));
-    }
-    return out;
-}
-
-void
-quantizeNetworkWeightsPerChannel(nn::Network &net, int bits)
-{
-    if (bits == 0)
-        return;
-    for (size_t i = 0; i < net.numLayers(); ++i) {
-        for (Tensor *p : net.layer(i).parameters())
-            *p = quantizeTensorPerChannel(*p, bits);
-    }
-}
-
-double
-quantizationMsePerChannel(const Tensor &t, int bits)
-{
-    const Tensor q = quantizeTensorPerChannel(t, bits);
-    double mse = 0.0;
-    for (int64_t i = 0; i < t.numel(); ++i) {
-        const double d = t.at(i) - q.at(i);
-        mse += d * d;
-    }
-    return t.numel() > 0 ? mse / static_cast<double>(t.numel()) : 0.0;
-}
-
 } // namespace quant
 } // namespace pipelayer

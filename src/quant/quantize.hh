@@ -62,22 +62,6 @@ void quantizeNetworkWeights(nn::Network &net, int bits);
  */
 double quantizationMse(const Tensor &t, int bits);
 
-/**
- * Per-channel quantisation (extension study): each slice along the
- * leading dimension — an output channel of a conv kernel or a row of
- * an inner-product matrix, i.e. one bit-line's weights — gets its own
- * scale.  Hardware cost: one per-bit-line scaling factor folded into
- * the shift-add stage (Fig. 14a), standard in later accelerators.
- * Never worse than the per-tensor scheme.
- */
-Tensor quantizeTensorPerChannel(const Tensor &t, int bits);
-
-/** Per-channel variant of quantizeNetworkWeights. */
-void quantizeNetworkWeightsPerChannel(nn::Network &net, int bits);
-
-/** MSE of the per-channel scheme (tests: <= per-tensor MSE). */
-double quantizationMsePerChannel(const Tensor &t, int bits);
-
 } // namespace quant
 } // namespace pipelayer
 

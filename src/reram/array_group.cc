@@ -120,10 +120,9 @@ ArrayGroup::signedPassBatch(bool positive,
     for (int64_t tr = 0; tr < tiles_r_; ++tr) {
         // Chunk of each window's codes feeding this tile row.  A
         // window whose chunk is all zero drives no word line and is
-        // dropped from the batch — the same per-(window, tile-row)
-        // skip the looped path takes, so activity counts match it
-        // exactly.  Ascending window order keeps the per-array call
-        // order of the loop.  Every array of the tile row sees the
+        // dropped from the batch, so a window's activity is the same
+        // whatever else the batch holds.  Windows stay in ascending
+        // order.  Every array of the tile row sees the
         // same chunks, so they are range-checked and spike-counted
         // once (SpikeBlock), not once per array.
         const int64_t row0 = tr * a_rows;
@@ -171,15 +170,6 @@ ArrayGroup::signedPassBatch(bool positive,
 }
 
 Tensor
-ArrayGroup::matVec(const Tensor &x)
-{
-    PL_ASSERT(x.rank() == 1 && x.dim(0) == m_in_,
-              "matVec input must be (%lld), got %s", (long long)m_in_,
-              shapeToString(x.shape()).c_str());
-    return matVecBatch(x.reshape({1, m_in_})).reshape({n_out_});
-}
-
-Tensor
 ArrayGroup::matVecBatch(const Tensor &x)
 {
     PL_ASSERT(x.rank() == 2 && x.dim(1) == m_in_,
@@ -189,7 +179,7 @@ ArrayGroup::matVecBatch(const Tensor &x)
     PL_ASSERT(batch >= 1, "empty batch");
 
     // Quantise each window to data_bits codes (signed) with its own
-    // scale — exactly the per-call quantisation of the looped path.
+    // scale, so a window's codes do not depend on the other windows.
     const auto nb = static_cast<size_t>(batch);
     std::vector<int64_t> pos_codes(nb * static_cast<size_t>(m_in_), 0);
     std::vector<int64_t> neg_codes(nb * static_cast<size_t>(m_in_), 0);

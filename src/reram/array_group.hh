@@ -60,24 +60,17 @@ class ArrayGroup
     int64_t arrayCount() const;
 
     /**
-     * Matrix-vector product through the functional crossbars.
+     * Matrix-vector products through the functional crossbars: each
+     * row of @p x is one input window of a logical cycle (paper
+     * §4.2.1), quantised to data_bits codes with its own per-window
+     * scale, with all windows sharing one pass over every crossbar's
+     * cells (CrossbarArray::matVecCodesBatch).  A window's output and
+     * activity do not depend on the other windows of the batch.
      *
-     * @param x (m_in) float vector; may contain negative entries
-     *        (handled by a second sign pass).
-     * @return (n_out) float vector ≈ W_quantised · x_quantised.
-     */
-    Tensor matVec(const Tensor &x);
-
-    /**
-     * Batched matrix-vector product: each row of @p x is one input
-     * window of a logical cycle (paper §4.2.1), quantised with its own
-     * per-window scale exactly as matVec would, with all windows
-     * sharing one pass over every crossbar's cells
-     * (CrossbarArray::matVecCodesBatch).  Outputs and activity totals
-     * are bit-identical to calling matVec row by row.
-     *
-     * @param x (batch, m_in) float matrix, batch >= 1.
-     * @return (batch, n_out) float matrix.
+     * @param x (batch, m_in) float matrix, batch >= 1; entries may be
+     *        negative (handled by a second sign pass).
+     * @return (batch, n_out) float matrix, row b ≈
+     *         W_quantised · x_quantised[b].
      */
     Tensor matVecBatch(const Tensor &x);
 
@@ -111,8 +104,8 @@ class ArrayGroup
      *
      * @param codes   row-major (batch, m_in) non-negative input codes.
      * @param windows ascending indices of the windows this pass drives
-     *        (the looped path runs negative passes only for windows
-     *        with negative inputs).
+     *        (negative passes run only for windows with negative
+     *        inputs).
      * @param out     row-major (batch, n_out) accumulator, pre-zeroed
      *        by the caller.
      */

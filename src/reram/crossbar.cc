@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 
-#include "common/arena.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/prof.hh"
@@ -156,35 +155,33 @@ CrossbarArray::cell(int64_t row, int64_t col) const
     return cells_[static_cast<size_t>(row * cols() + col)];
 }
 
-std::vector<int64_t>
-CrossbarArray::matVecWeighted(const int64_t *row_weight,
-                              int64_t rows_used, int64_t spikes)
-{
-    std::vector<int64_t> out(static_cast<size_t>(cols()), 0);
-    matVecWeightedBatch(row_weight, 1, rows_used, spikes, out.data());
-    return out;
-}
-
 void
-CrossbarArray::matVecWeightedBatch(const int64_t *row_weight,
-                                   int64_t batch, int64_t rows_used,
-                                   int64_t spikes, int64_t *out)
+CrossbarArray::matVecCodesBatch(const SpikeBlock &block, int64_t *out)
 {
     PL_PROF_SCOPE("reram.crossbar_matvec");
-    PL_ASSERT(batch >= 1, "empty batch");
-    tally(activity_.input_spikes, spikes);
+    PL_ASSERT(block.data_bits == params_.data_bits,
+              "codes checked at %d bits drive a %d-bit array",
+              block.data_bits, params_.data_bits);
+    PL_ASSERT(block.rows_used <= rows(),
+              "more input codes (%lld) than word lines (%lld)",
+              (long long)block.rows_used, (long long)rows());
+    const int64_t batch = block.batch;
+    const int64_t rows_used = block.rows_used;
+    tally(activity_.input_spikes, block.spikes);
     tally(activity_.mvm_ops, batch);
 
     // Collapsed bit-plane walk.  The LSBF pulse schedule injects only
     // non-negative charges (weight 2^t x conductance) and the IF
     // counter is a saturating adder, so the final count is
     // min(Σ_r weight[r]·g[r][c], max_count) and the saturation flag is
-    // (Σ > max_count) — independent of pulse order.  One pass over the
-    // cells with each word line's *total* weight therefore reproduces
-    // the per-pulse emulation bit-for-bit at ~data_bits x fewer inner
-    // iterations.  Integer sums are order-independent, so the parallel
-    // row-major accumulation below is exact at any thread count; the
-    // raw totals cannot overflow int64 for any valid configuration
+    // (Σ > max_count) — independent of pulse order.  A word line's
+    // total weight Σ 2^t over its spiking slots is its code (the
+    // encoding is weighted-binary), so one pass over the cells with
+    // the codes as weights reproduces the per-pulse emulation
+    // bit-for-bit at ~data_bits x fewer inner iterations.  Integer
+    // sums are order-independent, so the parallel row-major
+    // accumulation below is exact at any thread count; the raw totals
+    // cannot overflow int64 for any valid configuration
     // (rows x 2^data_bits x maxCellCode < 2^62).
     //
     // Only the live bit lines [0, live) are swept: every cell beyond
@@ -192,12 +189,14 @@ CrossbarArray::matVecWeightedBatch(const int64_t *row_weight,
     // IF firings or to the saturation flag, so those columns' counts
     // stay the zeros the fill below writes.
     //
-    // The batched form keeps the cell row register/cache-resident
-    // across the window loop (r outer, window inner), so G windows
-    // cost one cell-matrix sweep instead of G.  The axpy runs on the
-    // dispatched SIMD kernel (common/isa.hh), widening the one-byte
-    // cells into int64 counts; both operands fit its contract
-    // (weights < 2^data_bits <= 2^32, cells <= maxCellCode < 2^8).
+    // The window loop runs inside the row loop (r outer, window
+    // inner), so the cell row stays register/cache-resident and G
+    // windows cost one cell-matrix sweep instead of G.  The axpy runs
+    // on the dispatched SIMD kernel (common/isa.hh), widening the
+    // one-byte cells into int64 counts; both operands fit its
+    // contract (codes < 2^data_bits <= 2^32, cells <= maxCellCode <
+    // 2^8).
+    const int64_t *codes = block.codes;
     const int64_t n_cols = cols();
     const int64_t live = live_cols_;
     std::fill(out, out + batch * n_cols, int64_t{0});
@@ -211,10 +210,10 @@ CrossbarArray::matVecWeightedBatch(const int64_t *row_weight,
         for (int64_t r = 0; r < rows_used; ++r) {
             const uint8_t *cell_row = cell_p + r * n_cols + c0;
             for (int64_t b = 0; b < batch; ++b) {
-                const int64_t rw = row_weight[b * rows_used + r];
-                if (rw == 0)
+                const int64_t code = codes[b * rows_used + r];
+                if (code == 0)
                     continue;
-                kern.axpy_u8_i64(out + b * n_cols + c0, cell_row, rw,
+                kern.axpy_u8_i64(out + b * n_cols + c0, cell_row, code,
                                  len);
             }
         }
@@ -223,8 +222,7 @@ CrossbarArray::matVecWeightedBatch(const int64_t *row_weight,
     // Serial epilogue, one window at a time: clamp to the counter
     // capacity and tally the IF firings (one per output count unit),
     // exactly as the saturating counters would have left them.  The
-    // flag keeps the last window's state, matching a sequential loop
-    // of matVecWeighted calls.
+    // flag keeps the last window's state.
     const int64_t max_count =
         (int64_t{1} << params_.counter_bits) - 1;
     bool last_sat = false;
@@ -243,57 +241,6 @@ CrossbarArray::matVecWeightedBatch(const int64_t *row_weight,
     std::atomic_ref<bool>(last_saturated_)
         .store(last_sat, std::memory_order_relaxed);
     tally(activity_.if_fires, fires);
-}
-
-std::vector<int64_t>
-CrossbarArray::matVec(const std::vector<SpikeTrain> &inputs)
-{
-    PL_ASSERT(static_cast<int64_t>(inputs.size()) <= rows(),
-              "more input trains (%zu) than word lines (%lld)",
-              inputs.size(), (long long)rows());
-    const auto used = static_cast<int64_t>(inputs.size());
-    // Arena scratch on the calling thread (never inside the parallel
-    // pass): one total spike weight per driven word line.
-    arena::ScopedBuf<int64_t> weights(static_cast<size_t>(used));
-    int64_t spikes = 0;
-    for (int64_t r = 0; r < used; ++r) {
-        weights[static_cast<size_t>(r)] =
-            inputs[static_cast<size_t>(r)].value();
-        spikes += inputs[static_cast<size_t>(r)].spikeCount();
-    }
-    return matVecWeighted(weights.data(), used, spikes);
-}
-
-std::vector<int64_t>
-CrossbarArray::matVecCodes(const std::vector<int64_t> &codes)
-{
-    PL_ASSERT(static_cast<int64_t>(codes.size()) <= rows(),
-              "more input codes (%zu) than word lines (%lld)",
-              codes.size(), (long long)rows());
-    // The LSBF encoding is weighted-binary, so a code's total
-    // word-line weight is the code itself — no SpikeTrain is
-    // materialised (the driver's memo table serves callers that do
-    // need trains).
-    const SpikeBlock block(codes.data(), 1,
-                           static_cast<int64_t>(codes.size()),
-                           params_.data_bits);
-    return matVecWeighted(block.codes, block.rows_used, block.spikes);
-}
-
-void
-CrossbarArray::matVecCodesBatch(const SpikeBlock &block, int64_t *out)
-{
-    PL_ASSERT(block.data_bits == params_.data_bits,
-              "codes checked at %d bits drive a %d-bit array",
-              block.data_bits, params_.data_bits);
-    PL_ASSERT(block.rows_used <= rows(),
-              "more input codes (%lld) than word lines (%lld)",
-              (long long)block.rows_used, (long long)rows());
-    // A code's word-line weight is the code itself (weighted-binary
-    // LSBF encoding), so the code matrix feeds the weighted core
-    // directly.
-    matVecWeightedBatch(block.codes, block.batch, block.rows_used,
-                        block.spikes, out);
 }
 
 } // namespace reram

@@ -9,6 +9,10 @@
  * threshold equals one unit of charge, the output counts are
  * *exactly* Σ_r input_code[r]·g[r][c] (paper §4.2.2) — the crossbar
  * computes an integer matrix-vector product in the analog domain.
+ * The model runs that product in collapsed form, one pass over the
+ * cells per window of input codes (DESIGN.md §7); the per-pulse
+ * SpikeDriver / IntegrateFire oracle it is tested against lives in
+ * tests/support.
  */
 
 #ifndef PIPELAYER_RERAM_CROSSBAR_HH_
@@ -19,7 +23,6 @@
 
 #include "common/rng.hh"
 #include "reram/params.hh"
-#include "reram/spike.hh"
 
 namespace pipelayer {
 namespace reram {
@@ -64,10 +67,10 @@ struct SpikeBlock
 /**
  * One subarray of @c rows x @c cols multi-level cells.
  *
- * The array is "morphable" (paper §3): program() writes weights
- * (storage / weight-update mode) and matVec() computes (compute
- * mode).  Values are conductance *codes*; scaling to real weights is
- * the job of ArrayGroup.
+ * The array is "morphable" (paper §3): programCell() writes weights
+ * (storage / weight-update mode) and matVecCodesBatch() computes
+ * (compute mode).  Values are conductance *codes*; scaling to real
+ * weights is the job of ArrayGroup.
  */
 class CrossbarArray
 {
@@ -99,25 +102,15 @@ class CrossbarArray
     int64_t cell(int64_t row, int64_t col) const;
 
     /**
-     * Spike-driven matrix-vector product.
-     *
-     * @param inputs one spike train per word line (short vectors are
-     *        treated as zero on the remaining rows).
-     * @return per-bit-line IF counter values:
-     *         out[c] = Σ_r inputs[r].value() * cell(r, c).
-     */
-    std::vector<int64_t> matVec(const std::vector<SpikeTrain> &inputs);
-
-    /** Convenience: matVec from raw input codes (encodes internally). */
-    std::vector<int64_t> matVecCodes(const std::vector<int64_t> &codes);
-
-    /**
-     * Batched matVecCodes: the block's @c batch input vectors share
-     * one pass over the cell matrix, so each cell row is loaded once
-     * and reused for every vector (the windows of a logical cycle,
-     * paper §4.2.1).  Results, activity totals, and the final
-     * saturation flag are identical to @c batch successive matVecCodes
-     * calls in row order.
+     * Spike-driven matrix-vector products over a block of input
+     * windows: window b's codes drive the first block.rows_used word
+     * lines (the rest carry no spikes), and its per-bit-line IF
+     * counts are out[b][c] = min(Σ_r codes[b][r] * cell(r, c),
+     * 2^counter_bits - 1).  The windows share one pass over the cell
+     * matrix, so each cell row is loaded once and reused for every
+     * window (the windows of a logical cycle, paper §4.2.1); each
+     * window is clamped and tallied on its own, and the saturation
+     * flag is the last window's.
      *
      * @param block codes checked against this array's data_bits.
      * @param out   row-major @c batch x cols() output counts.
@@ -132,8 +125,9 @@ class CrossbarArray
     const ArrayActivity &activity() const { return activity_; }
 
     /**
-     * True if any IF counter saturated during the last matVec (with
-     * concurrent calls, the one that finished last).
+     * True if any IF counter saturated in the last window of the
+     * last matVecCodesBatch (with concurrent calls, the one that
+     * finished last).
      */
     bool lastSaturated() const { return last_saturated_; }
 
@@ -150,28 +144,6 @@ class CrossbarArray
     int64_t liveCols() const { return live_cols_; }
 
   private:
-    /**
-     * Collapsed bit-plane MVM core shared by matVec and matVecCodes:
-     * one O(rows x cols) pass over the cells given each word line's
-     * total spike weight (Σ 2^t over its spiking slots — i.e. the
-     * encoded value).  @p spikes is the pre-counted number of input
-     * spikes for the activity tally.
-     */
-    std::vector<int64_t> matVecWeighted(const int64_t *row_weight,
-                                        int64_t rows_used,
-                                        int64_t spikes);
-
-    /**
-     * Batched form of the collapsed MVM core: @p batch weight vectors
-     * (row-major @p batch x @p rows_used) against one pass over the
-     * live cells, each window clamped and tallied separately.  Integer
-     * sums are order-independent, so this is exact at any thread count
-     * and equal to @p batch sequential matVecWeighted calls.
-     */
-    void matVecWeightedBatch(const int64_t *row_weight, int64_t batch,
-                             int64_t rows_used, int64_t spikes,
-                             int64_t *out);
-
     /** Store @p code in cell @p idx of column @p col. */
     void store(size_t idx, int64_t col, int64_t code);
 

@@ -2,8 +2,9 @@
 # wrapping): pl_serve must reject an NDJSON request whose
 # arrival_cycle is fractional or beyond int64 and echo one beyond 2^53
 # digit for digit, must reject an arrival cycle or a --max-wait past
-# the 2^60 cycle bound and an arrival trace that asks for too many
-# requests or drives a cycle past that bound, and json_lint must report
+# the 2^60 cycle bound, an arrival trace that asks for too many
+# requests or drives a cycle past that bound, and a metrics stream of
+# more than 100000 windows, and json_lint must report
 # such a field as a lint error instead of terminating.  json_lint
 # also rejects every job and trace the simulator's parsers reject.
 # Run as
@@ -63,6 +64,37 @@ foreach(entry
     if(NOT rc EQUAL 1 OR NOT err MATCHES "${field}")
         message(FATAL_ERROR "pl_serve past the cycle bound (${field}): "
                             "exit ${rc}: ${err}")
+    endif()
+endforeach()
+
+# The metrics stream holds at most 100000 windows: a request at cycle
+# 640000 with 64-cycle windows writes 10001 and the trailer, one at
+# cycle 6400000 would need 100001 and is refused naming the flag.
+foreach(entry "640000@0" "6400000@1")
+    string(REPLACE "@" ";" parts "${entry}")
+    list(GET parts 0 cycle)
+    list(GET parts 1 want_rc)
+    file(WRITE "${WORK_DIR}/request.ndjson"
+         "{\"id\": 0, \"arrival_cycle\": ${cycle}}\n")
+    file(REMOVE "${WORK_DIR}/metrics.ndjson")
+    execute_process(COMMAND "${PL_SERVE}" --network=Mnist-A --quiet
+                    "--metrics=${WORK_DIR}/metrics.ndjson"
+                    --metrics-interval=64
+                    INPUT_FILE "${WORK_DIR}/request.ndjson"
+                    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    if(NOT rc EQUAL want_rc)
+        message(FATAL_ERROR "pl_serve --metrics-interval=64 on a request "
+                            "at cycle ${cycle}: exit ${rc}: ${err}")
+    endif()
+    if(want_rc EQUAL 0)
+        file(STRINGS "${WORK_DIR}/metrics.ndjson" records)
+        list(LENGTH records count)
+        if(NOT count EQUAL 10002)
+            message(FATAL_ERROR "pl_serve wrote ${count} metrics records "
+                                "for a request at cycle ${cycle}")
+        endif()
+    elseif(NOT err MATCHES "--metrics-interval=64: .*100000-window bound")
+        message(FATAL_ERROR "pl_serve past the window bound: ${err}")
     endif()
 endforeach()
 

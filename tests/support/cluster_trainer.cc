@@ -1,4 +1,4 @@
-#include "core/cluster_trainer.hh"
+#include "support/cluster_trainer.hh"
 
 #include <utility>
 

@@ -22,10 +22,13 @@
  * a per-parameter double accumulator, so the committed weights are
  * bit-identical at any PL_THREADS.  A 1-chip cluster never replicates
  * or averages and is byte-identical to a bare PipelinedTrainer.
+ *
+ * An oracle for tests/test_cluster.cc, in the pl_test_support
+ * library (tests/support); no program constructs it.
  */
 
-#ifndef PIPELAYER_CORE_CLUSTER_TRAINER_HH_
-#define PIPELAYER_CORE_CLUSTER_TRAINER_HH_
+#ifndef PIPELAYER_TESTS_SUPPORT_CLUSTER_TRAINER_HH_
+#define PIPELAYER_TESTS_SUPPORT_CLUSTER_TRAINER_HH_
 
 #include <cstdint>
 #include <memory>
@@ -58,9 +61,7 @@ struct ClusterBatchResult
  * Chip 0 is the borrowed master network @p net (its weights are the
  * cluster's weights between batches); chips 1..C-1 are the owned
  * @p replicas, which must share the master's topology (checked).  An
- * empty replica vector is the 1-chip cluster.  Momentum is
- * unsupported (weight averaging only equals gradient aggregation for
- * plain SGD); configure none on the master.
+ * empty replica vector is the 1-chip cluster.
  */
 class ClusterTrainer
 {
@@ -98,4 +99,4 @@ class ClusterTrainer
 } // namespace core
 } // namespace pipelayer
 
-#endif // PIPELAYER_CORE_CLUSTER_TRAINER_HH_
+#endif // PIPELAYER_TESTS_SUPPORT_CLUSTER_TRAINER_HH_

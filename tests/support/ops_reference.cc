@@ -1,4 +1,4 @@
-#include "tensor/ops_reference.hh"
+#include "support/ops_reference.hh"
 
 #include "common/logging.hh"
 #include "tensor/ops.hh"

@@ -11,10 +11,13 @@
  * fast vs reference over randomized shapes and asserts bit-exact
  * equality; the micro benches time fast against reference to report
  * speedups.  Do not "optimise" these.
+ *
+ * Part of the pl_test_support library (tests/support): only the
+ * tests and the micro benches link it, no program runs it.
  */
 
-#ifndef PIPELAYER_TENSOR_OPS_REFERENCE_HH_
-#define PIPELAYER_TENSOR_OPS_REFERENCE_HH_
+#ifndef PIPELAYER_TESTS_SUPPORT_OPS_REFERENCE_HH_
+#define PIPELAYER_TESTS_SUPPORT_OPS_REFERENCE_HH_
 
 #include <cstdint>
 
@@ -53,4 +56,4 @@ Tensor im2col(const Tensor &input, int64_t kh, int64_t kw,
 } // namespace ops
 } // namespace pipelayer
 
-#endif // PIPELAYER_TENSOR_OPS_REFERENCE_HH_
+#endif // PIPELAYER_TESTS_SUPPORT_OPS_REFERENCE_HH_

@@ -1,4 +1,4 @@
-#include "reram/spike.hh"
+#include "support/spike.hh"
 
 #include <mutex>
 

@@ -10,10 +10,17 @@
  * a capacitor and emits one spike per threshold crossing into a
  * counter, so the count is proportional to Σ input·conductance — an
  * ADC-free digitisation.
+ *
+ * This is the per-pulse oracle.  The crossbar model runs the
+ * collapsed, bit-identical form of the same datapath
+ * (reram::CrossbarArray::matVecCodesBatch, DESIGN.md §7), and the
+ * tests and micro benches compare it against these classes.  Part of
+ * the pl_test_support library (tests/support), which only the tests,
+ * the micro benches and examples/crossbar_demo link.
  */
 
-#ifndef PIPELAYER_RERAM_SPIKE_HH_
-#define PIPELAYER_RERAM_SPIKE_HH_
+#ifndef PIPELAYER_TESTS_SUPPORT_SPIKE_HH_
+#define PIPELAYER_TESTS_SUPPORT_SPIKE_HH_
 
 #include <cstdint>
 #include <vector>
@@ -118,4 +125,4 @@ class IntegrateFire
 } // namespace reram
 } // namespace pipelayer
 
-#endif // PIPELAYER_RERAM_SPIKE_HH_
+#endif // PIPELAYER_TESTS_SUPPORT_SPIKE_HH_

@@ -29,7 +29,7 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/trace.hh"
-#include "core/cluster_trainer.hh"
+#include "support/cluster_trainer.hh"
 #include "core/pipelined_trainer.hh"
 #include "nn/layers.hh"
 #include "sim/job.hh"

@@ -753,18 +753,6 @@ TEST(Device, TopologySetResetsStages)
     EXPECT_GT(dev.arrayCount(), 0);
 }
 
-TEST(DeviceDeath, MomentumOnTheArraysIsRejected)
-{
-    // The arrays apply plain SGD (§4.4.2); a momentum request on the
-    // crossbar network must not be silently ignored.
-    nn::Network net = tinyNet(25);
-    PipeLayerDevice dev{PipeLayerConfig{}};
-    dev.Topology_set(net);
-    dev.Weight_load();
-    dev.network().setMomentum(0.0f);
-    EXPECT_DEATH(dev.network().setMomentum(0.9f), "momentum");
-}
-
 TEST(DeviceDeath, StridedConvIsRejected)
 {
     Rng rng(15);

@@ -201,6 +201,57 @@ TEST(Sampler, AttachedStatsSnapshotIntoTrailer)
               "{\"g.answer\":42,\"g.half\":0.5}");
 }
 
+TEST(Sampler, RefusesMoreThanMaxWindowsBeforeBuildingAnyRecord)
+{
+    // An observation at cycle 6400000 with 64-cycle windows needs
+    // 100001 windows, one past the bound.
+    metrics::Sampler sampler(64);
+    const int c = sampler.counter("c");
+    sampler.add(c, 64 * metrics::kMaxWindows);
+    try {
+        sampler.finish(0);
+        FAIL() << "finish() accepted 100001 windows";
+    } catch (const metrics::WindowLimitError &err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("interval of 64 cycles"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("last cycle 6400000"), std::string::npos)
+            << what;
+    }
+    EXPECT_FALSE(sampler.finished());
+}
+
+TEST(Sampler, DistributionSumOverflowNamesTheChannel)
+{
+    // Seven observations of 2^60 sum exactly; eight would wrap int64,
+    // and so would three of -2^62.
+    constexpr int64_t kBig = int64_t{1} << 60;
+    metrics::Sampler fits(64);
+    const int d = fits.distribution("latency");
+    for (int i = 0; i < 7; ++i)
+        fits.observe(d, 0, kBig);
+    fits.finish(1);
+    EXPECT_EQ(fits.trailer().at("distributions").at("latency").at("sum")
+                  .asInt(),
+              7 * kBig);
+
+    for (const auto &[value, count] :
+         {std::pair<int64_t, int>{kBig, 8}, {-4 * kBig, 3}}) {
+        metrics::Sampler sampler(64);
+        const int id = sampler.distribution("latency");
+        for (int i = 0; i < count; ++i)
+            sampler.observe(id, 0, value);
+        try {
+            sampler.finish(1);
+            FAIL() << count << " x " << value << " did not overflow";
+        } catch (const ConfigError &err) {
+            EXPECT_NE(std::string(err.what()).find("'latency'"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Serving integration: the channels ServingSim feeds and the trace
 // vocabulary it emits.

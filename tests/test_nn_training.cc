@@ -366,21 +366,6 @@ TEST(NetworkPinned, SigmoidMlpWithL2Loss)
          {1.1087212376087219, 0xb1f3cae4fa6939dcull}});
 }
 
-TEST(NetworkPinned, CnnWithMomentum)
-{
-    expectPinned(
-        [] {
-            Rng rng(22);
-            Network net = smallCnn(rng);
-            net.setMomentum(0.9f);
-            return net;
-        },
-        shuffledTrain(24), 8, 0.05f,
-        {{2.3975594065221171, 0xe102ce8c8afef7f3ull},
-         {1.2423946794926644, 0x4306ff3c27568d93ull},
-         {1.5609913260933845, 0x3a42805f87c7ea4cull}});
-}
-
 TEST(NetworkPinned, BatchSmallerThanThreads)
 {
     // B = 3: at four threads one chunk per image, and a thread idle.

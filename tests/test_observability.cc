@@ -256,10 +256,8 @@ TEST(TraceRecorder, EmitsValidNestedChromeTrace)
 {
     trace::TraceRecorder rec("unit-test");
     const int64_t t0 = rec.addTrack("outer");
-    rec.begin(t0, "span", "cat", 0);
-    rec.begin(t0, "inner", "cat", 1);
-    rec.end(t0, 3);   // inner: [1, 3)
-    rec.end(t0, 5);   // outer: [0, 5)
+    rec.complete(t0, "span", "cat", 0, 5);  // outer: [0, 5)
+    rec.complete(t0, "inner", "cat", 1, 2); // inner: [1, 3)
     rec.complete(t0, "tail", "cat", 5, 2);
 
     const json::Value doc = json::parse(rec.toJson().dump(1));

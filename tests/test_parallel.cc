@@ -31,6 +31,7 @@
 #include "nn/layers.hh"
 #include "nn/network.hh"
 #include "reram/crossbar.hh"
+#include "support/one_window.hh"
 #include "tensor/ops.hh"
 #include "tensor/tensor.hh"
 
@@ -344,7 +345,7 @@ TEST(ParallelDeterminism, CrossbarSaturationMatchesSerial)
         for (int64_t r = 0; r < params.array_rows; ++r)
             for (int64_t c = 0; c < params.array_cols; ++c)
                 array.programCell(r, c, 15);
-        auto out = array.matVecCodes(codes);
+        auto out = reram::matVecCodesOnce(array, codes, params.data_bits);
         EXPECT_TRUE(array.lastSaturated());
         return out;
     };

@@ -25,6 +25,7 @@
 #include "nn/layers.hh"
 #include "reram/crossbar.hh"
 #include "sim/simulator.hh"
+#include "support/one_window.hh"
 #include "tensor/ops.hh"
 #include "workloads/layer_spec.hh"
 
@@ -305,9 +306,10 @@ runProfWorkload()
     (void)mvt;
     (void)op;
 
-    reram::CrossbarArray array{reram::DeviceParams()};
+    const reram::DeviceParams params;
+    reram::CrossbarArray array(params);
     array.programCell(0, 0, 3);
-    array.matVecCodes({1, 2, 3});
+    reram::matVecCodesOnce(array, {1, 2, 3}, params.data_bits);
 
     nn::Network net = profMlp(5);
     core::PipelinedTrainer trainer(net);

@@ -136,53 +136,6 @@ TEST(QuantizeNetwork, ZeroBitsLeavesNetworkIntact)
         EXPECT_FLOAT_EQ(after.at(i), before.at(i));
 }
 
-TEST(PerChannel, NeverWorseThanPerTensor)
-{
-    Rng rng(7);
-    // A matrix with wildly different row magnitudes: per-tensor
-    // scaling wastes range on the small rows.
-    Tensor t({4, 50});
-    for (int64_t r = 0; r < 4; ++r) {
-        const float scale = std::pow(10.0f, static_cast<float>(r));
-        for (int64_t c = 0; c < 50; ++c)
-            t(r, c) = static_cast<float>(rng.gaussian()) * scale;
-    }
-    for (int bits : {3, 4, 6, 8}) {
-        EXPECT_LE(quantizationMsePerChannel(t, bits),
-                  quantizationMse(t, bits) + 1e-12)
-            << bits << " bits";
-    }
-    // And with these spread-out rows it is *strictly* better (the
-    // absolute MSE is dominated by the largest row, which quantises
-    // identically under both schemes — hence the modest factor).
-    EXPECT_LT(quantizationMsePerChannel(t, 4),
-              quantizationMse(t, 4) * 0.6);
-}
-
-TEST(PerChannel, Rank1FallsBackToPerTensor)
-{
-    Rng rng(8);
-    const Tensor t = Tensor::randn({40}, rng);
-    const Tensor a = quantizeTensorPerChannel(t, 4);
-    const Tensor b = quantizeTensor(t, 4);
-    for (int64_t i = 0; i < t.numel(); ++i)
-        EXPECT_FLOAT_EQ(a.at(i), b.at(i));
-}
-
-TEST(PerChannel, NetworkVariantQuantisesEveryLayer)
-{
-    Rng rng(9);
-    nn::Network net("pc", {8});
-    net.add(std::make_unique<nn::InnerProductLayer>(8, 4, rng));
-    const Tensor before = *net.layer(0).parameters()[0];
-    quantizeNetworkWeightsPerChannel(net, 3);
-    const Tensor &after = *net.layer(0).parameters()[0];
-    bool changed = false;
-    for (int64_t i = 0; i < before.numel(); ++i)
-        changed |= after.at(i) != before.at(i);
-    EXPECT_TRUE(changed);
-}
-
 TEST(Quantizer, AllZeroTensorSurvives)
 {
     Tensor t({10});

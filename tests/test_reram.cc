@@ -13,7 +13,8 @@
 #include "reram/array_group.hh"
 #include "reram/crossbar.hh"
 #include "reram/params.hh"
-#include "reram/spike.hh"
+#include "support/one_window.hh"
+#include "support/spike.hh"
 #include "tensor/ops.hh"
 
 namespace pipelayer {
@@ -100,7 +101,8 @@ TEST(Crossbar, MatVecIsExactIntegerProduct)
     array.programCell(0, 0, 3);
     array.programCell(1, 0, 5);
     array.programCell(0, 1, 7);
-    const std::vector<int64_t> out = array.matVecCodes({10, 20});
+    const std::vector<int64_t> out =
+        matVecCodesOnce(array, {10, 20}, p.data_bits);
     EXPECT_EQ(out[0], 10 * 3 + 20 * 5);
     EXPECT_EQ(out[1], 10 * 7);
     EXPECT_EQ(out[2], 0);
@@ -113,7 +115,8 @@ TEST(Crossbar, MatVecFullResolutionInputs)
     for (int64_t r = 0; r < p.array_rows; ++r)
         array.programCell(r, 0, 15);
     std::vector<int64_t> codes(static_cast<size_t>(p.array_rows), 65535);
-    const std::vector<int64_t> out = array.matVecCodes(codes);
+    const std::vector<int64_t> out =
+        matVecCodesOnce(array, codes, p.data_bits);
     EXPECT_EQ(out[0], 65535LL * 15 * p.array_rows);
 }
 
@@ -122,8 +125,8 @@ TEST(Crossbar, ActivityCountsSpikes)
     const DeviceParams p;
     CrossbarArray array(p);
     array.programCell(0, 0, 1);
-    (void)array.matVecCodes({0b101});      // 2 input spikes
-    (void)array.matVecCodes({0b1});        // 1 input spike
+    (void)matVecCodesOnce(array, {0b101}, p.data_bits); // 2 spikes
+    (void)matVecCodesOnce(array, {0b1}, p.data_bits);   // 1 spike
     EXPECT_EQ(array.activity().input_spikes, 3);
     EXPECT_EQ(array.activity().mvm_ops, 2);
     EXPECT_EQ(array.activity().write_pulses, p.cell_bits);
@@ -183,7 +186,7 @@ TEST(ArrayGroup, MatVecMatchesFloatWithinQuantisation)
     for (int64_t i = 0; i < 24; ++i)
         x(i) = static_cast<float>(rng.uniform()); // non-negative input
     const Tensor expect = ops::matVec(w, x);
-    const Tensor got = group.matVec(x);
+    const Tensor got = matVecOnce(group, x);
     for (int64_t i = 0; i < expect.numel(); ++i)
         EXPECT_NEAR(got(i), expect(i), 5e-3 * (1.0 + std::fabs(expect(i))));
 }
@@ -196,7 +199,7 @@ TEST(ArrayGroup, SignedInputsViaSignSplit)
     ArrayGroup group(p, w);
     const Tensor x = Tensor::randn({8}, rng); // signed (backward errors)
     const Tensor expect = ops::matVec(w, x);
-    const Tensor got = group.matVec(x);
+    const Tensor got = matVecOnce(group, x);
     for (int64_t i = 0; i < expect.numel(); ++i)
         EXPECT_NEAR(got(i), expect(i), 5e-3 * (1.0 + std::fabs(expect(i))));
 }
@@ -211,7 +214,7 @@ TEST(ArrayGroup, MatVecAcrossTileBoundaries)
     for (int64_t i = 0; i < 260; ++i)
         x(i) = static_cast<float>(rng.uniform());
     const Tensor expect = ops::matVec(w, x);
-    const Tensor got = group.matVec(x);
+    const Tensor got = matVecOnce(group, x);
     for (int64_t i = 0; i < expect.numel(); ++i)
         EXPECT_NEAR(got(i), expect(i),
                     2e-2 * (1.0 + std::fabs(expect(i))));
@@ -280,7 +283,7 @@ struct GroupPins
  * A 40 x 70 group on 32 x 32 arrays (3 x 2 tiles, the last tile
  * column 8 bit lines wide): a signed five-window matVecBatch (mixed
  * signs, all positive, all zero, zero over the first tile row), then
- * updateWeights, then one signed matVec.  Reports the group's
+ * updateWeights, then one signed window.  Reports the group's
  * activity after each step and hashes of the two outputs and of the
  * stored weights.
  */
@@ -310,7 +313,7 @@ runGroupSession(const DeviceParams &p)
     Tensor x({70});
     for (int64_t j = 0; j < 70; ++j)
         x(j) = static_cast<float>(rng.uniform(-1.0, 1.0));
-    pins.matvec_hash = floatHash(group.matVec(x));
+    pins.matvec_hash = floatHash(matVecOnce(group, x));
     pins.after_matvec = counters(group.totalActivity());
     pins.weights_hash = floatHash(group.readWeights());
     return pins;
@@ -372,8 +375,8 @@ TEST(ArrayGroupDeath, RejectsWrongInputSize)
     Rng rng(21);
     const Tensor w = Tensor::randn({4, 6}, rng);
     ArrayGroup group(p, w);
-    Tensor x({5});
-    EXPECT_DEATH(group.matVec(x), "matVec input");
+    Tensor x({1, 5});
+    EXPECT_DEATH(group.matVecBatch(x), "matVecBatch input");
 }
 
 TEST(ArrayGroupDeath, RejectsWrongGradientShape)
@@ -392,7 +395,7 @@ TEST(ArrayGroup, ZeroWeightMatrixComputesZero)
     Tensor w({3, 3});
     ArrayGroup group(p, w);
     Tensor x({3}, 1.0f);
-    const Tensor out = group.matVec(x);
+    const Tensor out = matVecOnce(group, x);
     for (int64_t i = 0; i < out.numel(); ++i)
         EXPECT_FLOAT_EQ(out(i), 0.0f);
 }
@@ -415,7 +418,7 @@ TEST_P(ArrayGroupSweep, MatVecAccuracy)
     for (int64_t i = 0; i < m; ++i)
         x(i) = static_cast<float>(rng.uniform(-1.0, 1.0));
     const Tensor expect = ops::matVec(w, x);
-    const Tensor got = group.matVec(x);
+    const Tensor got = matVecOnce(group, x);
     double max_err = 0.0, max_ref = 0.0;
     for (int64_t i = 0; i < expect.numel(); ++i) {
         max_err = std::max(max_err,

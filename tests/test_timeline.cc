@@ -1,22 +1,16 @@
 /**
  * @file
- * Tests of the Fig.-6-style pipeline timeline renderer and the
- * momentum extension of the trainer.
+ * Tests of the Fig.-6-style pipeline timeline renderer.
  */
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <sstream>
+#include <string>
 
 #include "arch/granularity.hh"
 #include "arch/mapping.hh"
 #include "arch/pipeline.hh"
-#include "common/rng.hh"
-#include "nn/layers.hh"
-#include "nn/trainer.hh"
 #include "workloads/layer_spec.hh"
-#include "workloads/synthetic_data.hh"
 
 namespace pipelayer {
 namespace {
@@ -128,94 +122,6 @@ TEST(Timeline, PipelinedChartShowsOverlap)
     arch::PipelineScheduler scheduler(map.depth(), config);
     const std::string chart = scheduler.renderTimeline();
     EXPECT_NE(chart.find("012345"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// Momentum
-// ---------------------------------------------------------------------
-
-TEST(Momentum, ZeroMomentumMatchesPlainSgd)
-{
-    Rng rng_a(1), rng_b(1);
-    nn::InnerProductLayer a(8, 4, rng_a), b(8, 4, rng_b);
-    b.setMomentum(0.0f);
-
-    Rng data_rng(2);
-    const Tensor x = Tensor::randn({8}, data_rng);
-    const Tensor delta = Tensor::randn({4}, data_rng);
-    for (nn::InnerProductLayer *layer : {&a, &b}) {
-        layer->zeroGrads();
-        layer->accumulateGrads(x, delta);
-        layer->applyUpdate(0.1f, 2);
-    }
-    const Tensor &wa = *a.parameters()[0];
-    const Tensor &wb = *b.parameters()[0];
-    for (int64_t i = 0; i < wa.numel(); ++i)
-        EXPECT_FLOAT_EQ(wa.at(i), wb.at(i));
-}
-
-TEST(Momentum, RepeatedGradientsAccelerate)
-{
-    // With momentum, the second identical update moves the weights
-    // further than the first (velocity builds up).
-    Rng rng(3);
-    nn::InnerProductLayer layer(4, 2, rng);
-    layer.setMomentum(0.9f);
-
-    Rng data_rng(4);
-    const Tensor x = Tensor::randn({4}, data_rng);
-    const Tensor delta = Tensor::randn({2}, data_rng);
-
-    auto step = [&]() {
-        const Tensor before = *layer.parameters()[0];
-        layer.zeroGrads();
-        layer.accumulateGrads(x, delta);
-        layer.applyUpdate(0.1f, 1);
-        const Tensor &after = *layer.parameters()[0];
-        double norm = 0.0;
-        for (int64_t i = 0; i < after.numel(); ++i) {
-            const double d = after.at(i) - before.at(i);
-            norm += d * d;
-        }
-        return norm;
-    };
-
-    const double first = step();
-    const double second = step();
-    EXPECT_GT(second, first * 1.5);
-}
-
-TEST(Momentum, TrainerAppliesConfig)
-{
-    Rng rng(5);
-    nn::Network net("momentum-net", {1, 8, 8});
-    net.add(std::make_unique<nn::FlattenLayer>());
-    net.add(std::make_unique<nn::InnerProductLayer>(64, 4, rng));
-
-    workloads::SyntheticConfig data;
-    data.classes = 4;
-    data.image_size = 8;
-    data.train_per_class = 20;
-    data.test_per_class = 8;
-    auto task = workloads::makeSyntheticTask(data);
-
-    nn::TrainConfig config;
-    config.epochs = 6;
-    config.batch_size = 8;
-    config.learning_rate = 0.05f;
-    config.momentum = 0.9f;
-    Rng train_rng(6);
-    const auto result = nn::train(net, task.train, config, &train_rng);
-    EXPECT_LT(result.epoch_loss.back(), result.epoch_loss.front());
-    EXPECT_GT(net.accuracy(task.test.inputs, task.test.labels), 0.7);
-}
-
-TEST(MomentumDeath, InvalidCoefficientPanics)
-{
-    Rng rng(7);
-    nn::InnerProductLayer layer(4, 2, rng);
-    EXPECT_DEATH(layer.setMomentum(1.0f), "momentum");
-    EXPECT_DEATH(layer.setMomentum(-0.1f), "momentum");
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include "common/rng.hh"
 #include "reram/array_group.hh"
 #include "reram/crossbar.hh"
+#include "support/one_window.hh"
 #include "tensor/ops.hh"
 
 namespace pipelayer {
@@ -68,7 +69,8 @@ TEST(Variation, StuckCellsIgnoreProgramming)
         std::vector<int64_t> codes;
         for (int64_t r = 0; r < p.array_rows; ++r)
             codes.push_back(r % 7 + 1);
-        const std::vector<int64_t> out = array.matVecCodes(codes);
+        const std::vector<int64_t> out =
+            matVecCodesOnce(array, codes, p.data_bits);
         for (int64_t c = 0; c < p.array_cols; ++c) {
             int64_t want = 0;
             for (int64_t r = 0; r < p.array_rows; ++r)
@@ -117,7 +119,7 @@ groupError(const DeviceParams &p, uint64_t seed)
     for (int64_t i = 0; i < 24; ++i)
         x(i) = static_cast<float>(rng.uniform());
     const Tensor expect = ops::matVec(w, x);
-    const Tensor got = group.matVec(x);
+    const Tensor got = matVecOnce(group, x);
     double err = 0.0;
     for (int64_t i = 0; i < expect.numel(); ++i)
         err += std::fabs(got(i) - expect(i));

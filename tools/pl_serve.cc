@@ -155,15 +155,22 @@ serveMain(int argc, char **argv)
     const std::string trace_path = args.str("trace");
     const std::string metrics_path = args.str("metrics");
     trace::TraceRecorder recorder("pl_serve " + network);
-    metrics::Sampler sampler(args.integer("metrics-interval", 64));
+    const int64_t interval = args.integer("metrics-interval", 64);
+    metrics::Sampler sampler(interval);
 
     const workloads::NetworkSpec spec =
         workloads::networkByName(network);
     const reram::DeviceParams params;
     const sim::ServingSim serving(spec, params);
-    const sim::ServingReport report = serving.run(
-        trace, config, trace_path.empty() ? nullptr : &recorder,
-        metrics_path.empty() ? nullptr : &sampler);
+    sim::ServingReport report;
+    try {
+        report = serving.run(trace, config,
+                             trace_path.empty() ? nullptr : &recorder,
+                             metrics_path.empty() ? nullptr : &sampler);
+    } catch (const metrics::WindowLimitError &err) {
+        throw ConfigError("--metrics-interval=" +
+                          std::to_string(interval) + ": " + err.what());
+    }
 
     if (!trace_path.empty())
         recorder.writeFile(trace_path);
