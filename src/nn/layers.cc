@@ -20,15 +20,16 @@ initStddev(int64_t fan_in)
     return std::sqrt(2.0f / static_cast<float>(fan_in));
 }
 
-/** The paper's plain SGD step (§4.4.2): p <- p - (lr / B) g. */
+/**
+ * The paper's plain SGD step (§4.4.2): p <- p - (lr / B) g, as the
+ * dispatched axpy p + g·(−s), which is p − s·g for every float.
+ */
 void
 sgdStep(Tensor &param, const Tensor &grad, float lr, int64_t batch_size)
 {
     const float scale = lr * (1.0f / static_cast<float>(batch_size));
-    float *p = param.data();
-    const float *g = grad.data();
-    for (int64_t i = 0; i < param.numel(); ++i)
-        p[i] -= scale * g[i];
+    gemmk::activeKernels().axpy_f32(param.data(), grad.data(), -scale,
+                                    param.numel());
 }
 
 /**

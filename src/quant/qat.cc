@@ -56,8 +56,13 @@ trainQuantized(nn::Network &net, const nn::Dataset &train,
         for (size_t k = 0; k < params.size(); ++k)
             readable[k] = *params[k];
         net.trainBatch(inputs, labels, config.learning_rate, &losses);
-        for (size_t k = 0; k < params.size(); ++k)
-            master[k] += *params[k] - readable[k];
+        // master += params − readable, one pass with no temporaries.
+        for (size_t k = 0; k < params.size(); ++k) {
+            float *m = master[k].data();
+            const float *p = params[k]->data(), *r = readable[k].data();
+            for (int64_t i = 0; i < master[k].numel(); ++i)
+                m[i] += p[i] - r[i];
+        }
     };
     nn::TrainConfig loop;
     loop.epochs = config.epochs;

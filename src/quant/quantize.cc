@@ -1,8 +1,5 @@
 #include "quant/quantize.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/logging.hh"
 #include "nn/network.hh"
 
@@ -18,36 +15,10 @@ Quantizer::forTensor(const Tensor &t, int bits)
     q.bits = bits;
     if (bits == 0)
         return q;
-    const float max_abs = t.absMax();
+    const float max_abs = t.absMax(); // NaN and ±inf pass through
     const auto levels = static_cast<float>(q.positiveLevels());
     q.scale = max_abs > 0.0f ? max_abs / levels : 1.0f;
     return q;
-}
-
-int64_t
-Quantizer::positiveLevels() const
-{
-    if (bits == 0)
-        return 0;
-    return (int64_t{1} << (bits - 1)) - 1;
-}
-
-float
-Quantizer::apply(float v) const
-{
-    if (bits == 0)
-        return v;
-    return static_cast<float>(code(v)) * scale;
-}
-
-int64_t
-Quantizer::code(float v) const
-{
-    if (bits == 0)
-        return 0;
-    const int64_t levels = positiveLevels();
-    const auto raw = static_cast<int64_t>(std::lround(v / scale));
-    return std::clamp(raw, -levels, levels);
 }
 
 Tensor
@@ -55,8 +26,8 @@ quantizeTensor(const Tensor &t, int bits)
 {
     const Quantizer q = Quantizer::forTensor(t, bits);
     Tensor out = t;
-    for (int64_t i = 0; i < out.numel(); ++i)
-        out.at(i) = q.apply(out.at(i));
+    for (float *v = out.data(); v != out.data() + out.numel(); ++v)
+        *v = q.apply(*v);
     return out;
 }
 

@@ -11,8 +11,11 @@
 #ifndef PIPELAYER_QUANT_QUANTIZE_HH_
 #define PIPELAYER_QUANT_QUANTIZE_HH_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
+#include "common/logging.hh"
 #include "tensor/tensor.hh"
 
 namespace pipelayer {
@@ -25,8 +28,8 @@ namespace quant {
  * Symmetric uniform quantiser.
  *
  * Values are mapped to integers in [-(2^(bits-1) - 1), 2^(bits-1) - 1]
- * with a scale chosen from the maximum magnitude, then dequantised.
- * bits == 0 is a pass-through ("float" in Fig. 13).
+ * with a scale chosen from the maximum finite magnitude, then
+ * dequantised.  bits == 0 is a pass-through ("float" in Fig. 13).
  */
 struct Quantizer
 {
@@ -37,13 +40,47 @@ struct Quantizer
     static Quantizer forTensor(const Tensor &t, int bits);
 
     /** Number of positive quantisation levels (2^(bits-1) - 1). */
-    int64_t positiveLevels() const;
+    int64_t positiveLevels() const
+    {
+        return bits == 0 ? 0 : (int64_t{1} << (bits - 1)) - 1;
+    }
 
-    /** Quantise one value (round-to-nearest, clamp to range). */
-    float apply(float v) const;
+    /**
+     * Quantise one value (round-to-nearest, clamp to range).  NaN and
+     * ±inf pass through unchanged, so a diverged weight stays visible.
+     */
+    float apply(float v) const
+    {
+        if (bits == 0 || !std::isfinite(v))
+            return v;
+        return static_cast<float>(code(v)) * scale;
+    }
 
-    /** Signed integer code for one value (for the crossbar model). */
-    int64_t code(float v) const;
+    /**
+     * Signed integer code for one value (for the crossbar model).
+     * @pre @p v is finite: std::lround of NaN or ±inf is unspecified.
+     */
+    int64_t code(float v) const
+    {
+        PL_DEBUG_ASSERT(std::isfinite(v), "code of non-finite value %g",
+                        static_cast<double>(v));
+        if (bits == 0)
+            return 0;
+        const int64_t levels = positiveLevels();
+        // std::lround, inline below 2^23: there x is its truncation t
+        // plus a fraction x - t that float holds exactly.  Above it, and
+        // for the NaN or ±inf of a zero scale, the library call.
+        const float x = v / scale;
+        int64_t raw;
+        if (std::fabs(x) < 0x1p23f) {
+            raw = static_cast<int64_t>(x);
+            const float frac = x - static_cast<float>(raw);
+            raw += (frac >= 0.5f) - (frac <= -0.5f);
+        } else {
+            raw = static_cast<int64_t>(std::lround(x));
+        }
+        return std::clamp(raw, -levels, levels);
+    }
 };
 
 /** Return a copy of @p t quantised to @p bits (0 = unchanged). */

@@ -8,39 +8,15 @@ namespace pipelayer {
 namespace gemm {
 
 void
-gemmNT(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
-       const float *b, int64_t ldb, const float *bias, float *c,
-       int64_t ldc)
-{
-    // Parallel over columns of C: a chunk owns rows j0..j1 of B and
-    // therefore a disjoint column stripe of every output row.  Each
-    // output is one lane-based dot product; the eight accumulator
-    // lanes (vector registers on the SIMD targets, eight independent
-    // add chains on scalar) hide FP-add latency, so no cross-output
-    // register blocking is needed.
-    const gemmk::Kernels &kern = gemmk::activeKernels();
-    parallel_for(0, n, /*work_per_index=*/m * k,
-                 [&](int64_t j0, int64_t j1) {
-        for (int64_t i = 0; i < m; ++i) {
-            const float *ai = a + i * lda;
-            const double bi = bias ? static_cast<double>(bias[i]) : 0.0;
-            float *ci = c + i * ldc;
-            for (int64_t j = j0; j < j1; ++j)
-                ci[j] = kern.dot_lanes(ai, b + j * ldb, k, bi);
-        }
-    });
-}
-
-void
 gemmNN(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
        const float *b, int64_t ldb, const float *bias, float *c,
        int64_t ldc)
 {
-    // Parallel over columns of C, like gemmNT: a chunk owns a disjoint
-    // column stripe of every output row and hands it to the active
-    // target's output-vectorised kernel.  Each output is reduced on
-    // its own, so a chunk that starts off a vector boundary only
-    // regroups outputs into vectors; no output changes a bit.
+    // Parallel over columns of C: a chunk owns a disjoint column
+    // stripe of every output row and hands it to the active target's
+    // output-vectorised kernel.  Each output is reduced on its own, so
+    // a chunk that starts off a vector boundary only regroups outputs
+    // into vectors; no output changes a bit.
     const gemmk::Kernels &kern = gemmk::activeKernels();
     parallel_for(0, n, /*work_per_index=*/m * k,
                  [&](int64_t j0, int64_t j1) {

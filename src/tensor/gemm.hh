@@ -17,7 +17,7 @@
  * reference loops in ops::reference at every thread count AND every
  * SIMD dispatch target (scalar/AVX2/AVX-512, see common/isa.hh):
  *
- *  - Reducing kernels (gemmNT, gemmNN, gemv) use 8 fixed double-
+ *  - Reducing kernels (gemmNN, gemv) use 8 fixed double-
  *    accumulator lanes per output: reduction element t is multiplied
  *    in float (the product rounds to float), widened to double, and
  *    added to lane t mod 8; each lane sees its elements in ascending
@@ -26,11 +26,12 @@
  *    and the total rounds to float once on store.  The lane width 8
  *    is part of the contract — narrower targets (scalar, AVX2) use
  *    more registers, wider ones (AVX-512) fewer, but the arithmetic
- *    never changes.  gemmNT and gemv vectorise along the reduction
- *    (one output, eight lanes in vector elements); gemmNN reads B's
+ *    never changes.  gemv vectorises along the reduction (one
+ *    output, eight lanes in vector elements); gemmNN reads B's
  *    columns in place and vectorises across adjacent outputs instead
  *    (eight lane registers, one output per vector element), with the
- *    tree and the bias applied vector-wide.
+ *    tree and the bias applied vector-wide.  The scalar gemmNN gathers
+ *    one column of B and runs dot_lanes' loop against it.
  *  - gevm accumulates in float with rows ascending (the historical
  *    matVecT loop): it vectorises across *independent outputs*, so
  *    SIMD never reorders a reduction.  ger has no reduction.
@@ -54,7 +55,7 @@
  * mod 8, padding included).
  *
  * Callers provide outputs and operands in the layouts below; no entry
- * packs or allocates.
+ * packs an operand or allocates per call.
  */
 
 #ifndef PIPELAYER_TENSOR_GEMM_HH_
@@ -66,27 +67,13 @@ namespace pipelayer {
 namespace gemm {
 
 /**
- * C = A · Bᵀ + bias:
- *   C[i*ldc + j] = bias[i] + Σ_k A[i*lda + k] * B[j*ldb + k]
- * with k distributed over the 8 contract lanes (element k into lane
- * k mod 8, ascending per lane, pinned tree reduction, bias last).
- * Both operands stream contiguously (the ∂W form: δ rows against the
- * rows of a patch-major window panel).
- *
- * @param bias per-row-i addend, or nullptr for none.  Parallel over
- *        columns j; outputs are disjoint per chunk.
- */
-void gemmNT(int64_t m, int64_t n, int64_t k, const float *a,
-            int64_t lda, const float *b, int64_t ldb, const float *bias,
-            float *c, int64_t ldc);
-
-/**
  * C = A · B + bias:
  *   C[i*ldc + j] = bias[i] + Σ_p A[i*lda + p] * B[p*ldb + j]
  * with p distributed over the 8 contract lanes (element p into lane
  * p mod 8, ascending per lane, pinned tree reduction, bias last):
- * bit for bit gemmNT against Bᵀ.  B is read in place, one column per
- * output (the conv form: kernels times a patch-major window panel).
+ * bit for bit dot_lanes of row i of A against column j of B.  B is
+ * read in place (the conv forms: kernels times a patch-major window
+ * panel, and ∂W as that panel times δᵀ).
  *
  * @param bias per-row-i addend, or nullptr for none.  Parallel over
  *        columns j; outputs are disjoint per chunk.

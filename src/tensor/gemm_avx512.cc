@@ -9,6 +9,10 @@
  * block of 8 floats is exactly one VMULPS (256-bit) + VCVTPS2PD +
  * VADDPD; two blocks per iteration keep lane order (t, then t+8)
  * ascending.  No FMA anywhere — products must round to float first.
+ * The conversions are the zero-masked forms under a full mask (the
+ * same lanes): GCC 12 seeds the plain _mm512_cvtps_pd/_mm512_cvtpd_ps
+ * results with an undefined vector, which -Wmaybe-uninitialized
+ * reports.
  *
  * gemm_nn holds eight adjacent outputs per 512-bit register and the
  * eight contract lanes in eight such registers; each reduction
@@ -37,13 +41,13 @@ dotLanesAvx512(const float *a, const float *b, int64_t k, double bias)
                                         _mm256_loadu_ps(b + t));
         const __m256 p1 = _mm256_mul_ps(_mm256_loadu_ps(a + t + 8),
                                         _mm256_loadu_ps(b + t + 8));
-        acc = _mm512_add_pd(acc, _mm512_cvtps_pd(p0));
-        acc = _mm512_add_pd(acc, _mm512_cvtps_pd(p1));
+        acc = _mm512_add_pd(acc, _mm512_maskz_cvtps_pd(0xFF, p0));
+        acc = _mm512_add_pd(acc, _mm512_maskz_cvtps_pd(0xFF, p1));
     }
     for (; t + 8 <= k; t += 8) {
         const __m256 prod = _mm256_mul_ps(_mm256_loadu_ps(a + t),
                                           _mm256_loadu_ps(b + t));
-        acc = _mm512_add_pd(acc, _mm512_cvtps_pd(prod));
+        acc = _mm512_add_pd(acc, _mm512_maskz_cvtps_pd(0xFF, prod));
     }
     alignas(64) double lanes[kLanes];
     _mm512_store_pd(lanes, acc);
@@ -55,8 +59,8 @@ dotLanesAvx512(const float *a, const float *b, int64_t k, double bias)
 inline __m512d
 productAvx512(float a, const float *b)
 {
-    return _mm512_cvtps_pd(
-        _mm256_mul_ps(_mm256_set1_ps(a), _mm256_loadu_ps(b)));
+    return _mm512_maskz_cvtps_pd(
+        0xFF, _mm256_mul_ps(_mm256_set1_ps(a), _mm256_loadu_ps(b)));
 }
 
 void
@@ -106,8 +110,9 @@ gemmNNAvx512(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
                 _mm512_add_pd(_mm512_add_pd(l4, l5), _mm512_add_pd(l6, l7)));
             const __m512d bi =
                 _mm512_set1_pd(bias ? static_cast<double>(bias[i]) : 0.0);
-            _mm256_storeu_ps(c + i * ldc + j,
-                             _mm512_cvtpd_ps(_mm512_add_pd(bi, tree)));
+            _mm256_storeu_ps(
+                c + i * ldc + j,
+                _mm512_maskz_cvtpd_ps(0xFF, _mm512_add_pd(bi, tree)));
         }
     }
     // Columns that do not fill a vector take the scalar definition.

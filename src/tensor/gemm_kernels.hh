@@ -21,9 +21,12 @@
  *    j of a vector keeps its eight lanes in element j of eight lane
  *    registers, so the tree and the last-added bias run vector-wide
  *    and every output sees dot_lanes' products in dot_lanes' order.
+ *    The scalar entry (also the SIMD tables' leftover columns)
+ *    gathers each column of B once and runs its dot_lanes on it.
  *  - axpy_f32 / scale_f32: element-wise maps over *independent*
  *    outputs — a float multiply then a float add per element, which
- *    vectorises without reordering any per-output reduction.
+ *    vectorises without reordering any per-output reduction.  They
+ *    also run Tensor's +=, -= (xi = ±1), *= and the SGD step.
  *  - relu_f32 / relu_mask_f32: branchless rectification primitives
  *    behind nn::ReluLayer.  Pure selects (x > 0 keeps the exact input
  *    bits, else +0.0f) with no arithmetic at all, so every backend is
@@ -70,7 +73,7 @@ struct Kernels
                     const float *bias, float *c, int64_t ldc);
     /** y[j] += row[j] * xi (float multiply, float add), j in [0,n). */
     void (*axpy_f32)(float *y, const float *row, float xi, int64_t n);
-    /** row[j] = xi * y[j], j in [0,n). */
+    /** row[j] = xi * y[j], j in [0,n); row == y allowed. */
     void (*scale_f32)(float *row, const float *y, float xi, int64_t n);
     /** out[c] += w * cells[c] (exact int64), c in [0,n). */
     void (*axpy_u8_i64)(int64_t *out, const uint8_t *cells, int64_t w,

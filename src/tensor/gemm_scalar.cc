@@ -5,12 +5,14 @@
  * Compiled with the project's default flags on every architecture;
  * this is both the fallback target and the executable definition of
  * the contract the SIMD backends must match bit-for-bit.  The eight
- * explicit accumulator chains in dot_lanes and gemm_nn recover the
+ * explicit accumulator chains in dot_lanes recover the
  * instruction-level parallelism the SIMD backends get from vector
- * registers.
+ * registers; gemm_nn reuses them on a gathered column of B.
  */
 
 #include "tensor/gemm_kernels.hh"
+
+#include <vector>
 
 namespace pipelayer {
 namespace gemmk {
@@ -36,45 +38,26 @@ dotLanesScalar(const float *a, const float *b, int64_t k, double bias)
     return reduceLanes(lanes, bias);
 }
 
-/**
- * One gemm_nn output, a[p] * b[p*ldb] for p in [0, k).  Eight named
- * add chains keep the lanes in registers and let their adds overlap;
- * the lane array serves only the tail and the tree.
- */
-float
-gemmNNColumn(const float *a, const float *b, int64_t ldb, int64_t k,
-             double bias)
-{
-    double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-    double l4 = 0.0, l5 = 0.0, l6 = 0.0, l7 = 0.0;
-    int64_t p = 0;
-    for (; p + kLanes <= k; p += kLanes) {
-        const float *bp = b + p * ldb;
-        l0 += static_cast<double>(a[p + 0] * bp[0]);
-        l1 += static_cast<double>(a[p + 1] * bp[ldb]);
-        l2 += static_cast<double>(a[p + 2] * bp[2 * ldb]);
-        l3 += static_cast<double>(a[p + 3] * bp[3 * ldb]);
-        l4 += static_cast<double>(a[p + 4] * bp[4 * ldb]);
-        l5 += static_cast<double>(a[p + 5] * bp[5 * ldb]);
-        l6 += static_cast<double>(a[p + 6] * bp[6 * ldb]);
-        l7 += static_cast<double>(a[p + 7] * bp[7 * ldb]);
-    }
-    double lanes[kLanes] = {l0, l1, l2, l3, l4, l5, l6, l7};
-    for (; p < k; ++p)
-        lanes[p & (kLanes - 1)] += static_cast<double>(a[p] * b[p * ldb]);
-    return reduceLanes(lanes, bias);
-}
-
 void
 gemmNNScalar(int64_t m, int64_t n, int64_t k, const float *a, int64_t lda,
              const float *b, int64_t ldb, const float *bias, float *c,
              int64_t ldc)
 {
-    // Column-outer, so one column of B serves every row of A from L1.
+    // Column-outer: column j of B is gathered once into contiguous
+    // scratch, so every row of A reduces against it through
+    // dot_lanes' own loop (the same products, lanes and tree).  The
+    // scratch is per thread, grows to the longest reduction and is
+    // kept, so steady-state calls allocate nothing.
+    thread_local std::vector<float> column;
+    if (column.size() < static_cast<size_t>(k))
+        column.resize(static_cast<size_t>(k));
+    float *col = column.data();
     for (int64_t j = 0; j < n; ++j) {
+        for (int64_t p = 0; p < k; ++p)
+            col[p] = b[p * ldb + j];
         for (int64_t i = 0; i < m; ++i) {
             const double bi = bias ? static_cast<double>(bias[i]) : 0.0;
-            c[i * ldc + j] = gemmNNColumn(a + i * lda, b + j, ldb, k, bi);
+            c[i * ldc + j] = dotLanesScalar(a + i * lda, col, k, bi);
         }
     }
 }

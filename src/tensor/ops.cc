@@ -31,9 +31,12 @@ convExtent(int64_t in, int64_t k, int64_t stride, int64_t pad)
  * convolution loop.  The conv ops pack the patch-major panel
  * (tap_step = ho*wo, pixel_step = 1): gemmNN then reduces each output
  * over its window column in exactly the naive sequence, and the panel
- * is already the Bᵀ that gemmNT needs for ∂W.  There a tap row holds,
+ * is the A whose rows ∂W reduces against δᵀ.  There a tap row holds,
  * per output row, one run of an input row between zero borders — a
- * single copy at stride 1.  ops::im2col packs its transpose, one
+ * single copy at stride 1.  When the rows are as wide as the input
+ * (wo == w, every 'same'-padded conv), the whole tap row is channel
+ * ci shifted by (ky - pad_y, kx - pad_x): one copy of the plane, then
+ * the border cells are zeroed.  ops::im2col packs its transpose, one
  * window per row (tap_step = 1, pixel_step = c*kh*kw), in place.
  * Padding positions are materialised as +0.0f (adding w * ±0.0f to an
  * accumulator is exact; see gemm.hh).  A negative pad starts every
@@ -64,6 +67,31 @@ packWindows(const float *in_p, int64_t c, int64_t h, int64_t w,
             const int64_t ox_hi = std::clamp(
                 x0 < w ? (w - 1 - x0) / stride + 1 : 0, ox_lo, wo);
             float *dst = out + p * tap_step;
+            if (pixel_step == 1 && stride == 1 && wo == w) {
+                // Cell (oy, ox) reads input cell (oy + dy, ox + x0),
+                // dy*w + x0 further on, for oy in [oy_lo, oy_hi).
+                // Between two such rows the border cells (ox >= ox_hi,
+                // then ox < ox_lo) are one run that the copy fills
+                // from the wrong place, so it is zeroed afterwards.
+                const int64_t dy = ky - pad_y;
+                const int64_t oy_lo = std::clamp(-dy, int64_t{0}, ho);
+                const int64_t oy_hi = std::clamp(h - dy, oy_lo, ho);
+                if (oy_lo == oy_hi || ox_lo == ox_hi) {
+                    std::fill(dst, dst + ho * wo, 0.0f);
+                    continue;
+                }
+                const int64_t first = oy_lo * wo + ox_lo;
+                const int64_t last = (oy_hi - 1) * wo + ox_hi;
+                std::fill(dst, dst + first, 0.0f);
+                std::memcpy(dst + first, in_c + first + dy * w + x0,
+                            static_cast<size_t>(last - first) *
+                                sizeof(float));
+                std::fill(dst + last, dst + ho * wo, 0.0f);
+                for (int64_t oy = oy_lo; oy + 1 < oy_hi; ++oy)
+                    std::fill(dst + oy * wo + ox_hi,
+                              dst + (oy + 1) * wo + ox_lo, 0.0f);
+                continue;
+            }
             for (int64_t oy = 0; oy < ho; ++oy, dst += wo * pixel_step) {
                 const int64_t iy = oy * stride + ky - pad_y;
                 const bool row_inside = iy >= 0 && iy < h;
@@ -214,20 +242,31 @@ conv2dBackwardKernel(const Tensor &input, const Tensor &delta_out,
     PL_ASSERT(ho == h - kh + 1 && wo == w - kw + 1,
               "delta shape inconsistent with stride-1 convolution");
 
-    // grad[oc, (ci,ky,kx)] = Σ_(oy,ox) delta[oc, (oy,ox)] * window
-    // panel[(ci,ky,kx), (oy,ox)]: the forward's patch-major panel
-    // (stride 1) is already Bᵀ, so gemmNT reduces over output pixels
-    // through the 8-lane contract exactly like the reference tap loops.
-    Tensor grad({co, ci, kh, kw});
+    // grad[oc, t] = Σ_p panel[t, p] * delta[oc, p] over the output
+    // pixels p: gemmNN(panel, δᵀ) reduces each (t, oc) through the
+    // 8-lane contract exactly like the reference tap loops, vectorised
+    // over output channels, between two transposes.
     const int64_t patch = ci * kh * kw;
     const int64_t pixels = ho * wo;
     arena::ScopedBuf<float> panel(static_cast<size_t>(patch * pixels));
+    arena::ScopedBuf<float> delta_t(static_cast<size_t>(pixels * co));
+    arena::ScopedBuf<float> grad_t(static_cast<size_t>(patch * co));
     packWindows(input.data(), ci, input.dim(1), input.dim(2), kh, kw,
                 /*stride=*/1, pad, pad, ho, wo, panel.data(),
                 /*tap_step=*/pixels, /*pixel_step=*/1);
-    gemm::gemmNT(co, patch, pixels, delta_out.data(), pixels,
-                 panel.data(), pixels, /*bias=*/nullptr, grad.data(),
-                 patch);
+    const float *d = delta_out.data();
+    float *dt = delta_t.data();
+    for (int64_t oc = 0; oc < co; ++oc)
+        for (int64_t p = 0; p < pixels; ++p)
+            dt[p * co + oc] = *d++;
+    gemm::gemmNN(patch, co, pixels, panel.data(), pixels, dt, co,
+                 /*bias=*/nullptr, grad_t.data(), co);
+    Tensor grad({co, ci, kh, kw});
+    const float *gt = grad_t.data();
+    float *g = grad.data();
+    for (int64_t oc = 0; oc < co; ++oc)
+        for (int64_t t = 0; t < patch; ++t)
+            *g++ = gt[t * co + oc];
     return grad;
 }
 

@@ -51,8 +51,9 @@ Tensor conv2dBackwardInput(const Tensor &delta_out, const Tensor &kernel,
 /**
  * Kernel gradient of a convolution (paper §4.4.1, Fig. 12):
  * dW[c_out, c_in] = conv(d_{l-1}[c_in], delta_l[c_out]), as
- * gemm::gemmNT of delta against the forward's window panel.
- * Stride-1 convolutions only.
+ * gemm::gemmNN of the forward's window panel times δᵀ, vectorised
+ * over output channels, between two transposes.  Stride-1
+ * convolutions only.
  *
  * @param input     (Cin, H, W) forward input d_{l-1}.
  * @param delta_out (Cout, Ho, Wo) output error delta_l.

@@ -6,6 +6,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "tensor/gemm_kernels.hh"
 
 namespace pipelayer {
 
@@ -62,30 +63,6 @@ Tensor::randn(Shape shape, Rng &rng, float mean, float stddev)
         t.data_[static_cast<size_t>(i)] =
             static_cast<float>(rng.gaussian(mean, stddev));
     return t;
-}
-
-int64_t
-Tensor::dim(int64_t d) const
-{
-    PL_ASSERT(d >= 0 && d < rank(), "dim %lld out of range for rank %lld",
-              (long long)d, (long long)rank());
-    return shape_[static_cast<size_t>(d)];
-}
-
-float &
-Tensor::at(int64_t i)
-{
-    PL_ASSERT(i >= 0 && i < numel(), "flat index %lld out of range %lld",
-              (long long)i, (long long)numel());
-    return data_[static_cast<size_t>(i)];
-}
-
-float
-Tensor::at(int64_t i) const
-{
-    PL_ASSERT(i >= 0 && i < numel(), "flat index %lld out of range %lld",
-              (long long)i, (long long)numel());
-    return data_[static_cast<size_t>(i)];
 }
 
 float &
@@ -192,12 +169,13 @@ Tensor::reshape(Shape new_shape) const
     return Tensor(std::move(new_shape), data_);
 }
 
+// y + 1·x is y + x, and y + (−1·x) is y − x, for every float: the
+// kernels' multiply-then-add gives the plain loops' bits.
 Tensor &
 Tensor::operator+=(const Tensor &other)
 {
     PL_ASSERT(numel() == other.numel(), "shape mismatch in +=");
-    for (size_t i = 0; i < data_.size(); ++i)
-        data_[i] += other.data_[i];
+    gemmk::activeKernels().axpy_f32(data(), other.data(), 1.0f, numel());
     return *this;
 }
 
@@ -205,16 +183,14 @@ Tensor &
 Tensor::operator-=(const Tensor &other)
 {
     PL_ASSERT(numel() == other.numel(), "shape mismatch in -=");
-    for (size_t i = 0; i < data_.size(); ++i)
-        data_[i] -= other.data_[i];
+    gemmk::activeKernels().axpy_f32(data(), other.data(), -1.0f, numel());
     return *this;
 }
 
 Tensor &
 Tensor::operator*=(float scalar)
 {
-    for (auto &v : data_)
-        v *= scalar;
+    gemmk::activeKernels().scale_f32(data(), data(), scalar, numel());
     return *this;
 }
 
@@ -270,7 +246,7 @@ Tensor::absMax() const
 {
     float m = 0.0f;
     for (float v : data_)
-        m = std::max(m, std::fabs(v));
+        m = std::isfinite(v) ? std::max(m, std::fabs(v)) : m;
     return m;
 }
 

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
+
 namespace pipelayer {
 
 class Rng;
@@ -58,14 +60,20 @@ class Tensor
     int64_t numel() const { return static_cast<int64_t>(data_.size()); }
 
     /** Extent of dimension @p d.  @pre 0 <= d < rank(). */
-    int64_t dim(int64_t d) const;
+    int64_t dim(int64_t d) const
+    {
+        PL_ASSERT(d >= 0 && d < rank(),
+                  "dim %lld out of range for rank %lld", (long long)d,
+                  (long long)rank());
+        return shape_[static_cast<size_t>(d)];
+    }
 
     float *data() { return data_.data(); }
     const float *data() const { return data_.data(); }
 
     /** Flat element access with bounds check. */
-    float &at(int64_t i);
-    float at(int64_t i) const;
+    float &at(int64_t i) { return data_[flatIndex1(i)]; }
+    float at(int64_t i) const { return data_[flatIndex1(i)]; }
 
     /** 1-D indexed access. @pre rank() == 1. */
     float &operator()(int64_t i);
@@ -92,7 +100,7 @@ class Tensor
      */
     Tensor reshape(Shape new_shape) const;
 
-    /** Elementwise in-place operations. */
+    /** Elementwise in-place operations (the dispatched kernels). */
     Tensor &operator+=(const Tensor &other);
     Tensor &operator-=(const Tensor &other);
     Tensor &operator*=(float scalar);
@@ -110,10 +118,17 @@ class Tensor
     /** Index of the maximum element (first on ties). */
     int64_t argmax() const;
 
-    /** Maximum absolute element; 0 for empty tensors. */
+    /** Maximum absolute finite element; 0 for empty tensors. */
     float absMax() const;
 
   private:
+    size_t flatIndex1(int64_t i) const
+    {
+        PL_ASSERT(i >= 0 && i < numel(),
+                  "flat index %lld out of range %lld", (long long)i,
+                  (long long)numel());
+        return static_cast<size_t>(i);
+    }
     int64_t flatIndex2(int64_t i, int64_t j) const;
     int64_t flatIndex3(int64_t c, int64_t y, int64_t x) const;
     int64_t flatIndex4(int64_t a, int64_t b, int64_t c, int64_t d) const;

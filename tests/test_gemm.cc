@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <utility>
 #include <vector>
 
 #include "common/arena.hh"
@@ -112,23 +113,55 @@ atThreadCounts(Fn &&body)
     setThreadCount(saved);
 }
 
+/**
+ * The 'same'-padding regime of the conv fuzz: stride 1, an odd square
+ * kernel K in {1, 3, 5} at pad (K-1)/2, so the output is as wide as
+ * the input (packWindows' one-copy tap planes), and h != w down to 1,
+ * so the planes clip rows and columns on both sides, and below K some
+ * planes lie wholly in the padding.
+ */
+struct SameGeometry
+{
+    int64_t k, pad, h, w;
+};
+
+SameGeometry
+drawSameGeometry(Rng &rng)
+{
+    SameGeometry g;
+    g.k = 1 + 2 * static_cast<int64_t>(rng.uniformInt(3));
+    g.pad = (g.k - 1) / 2;
+    g.h = 1 + static_cast<int64_t>(rng.uniformInt(
+                  static_cast<uint64_t>(g.k) + 5));
+    g.w = g.h + 1 + static_cast<int64_t>(rng.uniformInt(5));
+    if (rng.uniform() < 0.5)
+        std::swap(g.h, g.w);
+    return g;
+}
+
 TEST(GemmFuzz, Conv2dForwardMatchesReferenceBitExact)
 {
+    // Iterations from 24 on draw the 'same'-padding regime.
     Rng rng(0xC04Fu);
     atThreadCounts([&](int64_t threads) {
-        for (int iter = 0; iter < 24; ++iter) {
+        for (int iter = 0; iter < 32; ++iter) {
             const int64_t ci = 1 + static_cast<int64_t>(rng.uniformInt(4));
             const int64_t co = 1 + static_cast<int64_t>(rng.uniformInt(5));
-            const int64_t kh = 1 + static_cast<int64_t>(rng.uniformInt(3));
-            const int64_t kw = 1 + static_cast<int64_t>(rng.uniformInt(3));
-            const int64_t pad = static_cast<int64_t>(rng.uniformInt(3));
-            const int64_t stride =
-                1 + static_cast<int64_t>(rng.uniformInt(3));
+            int64_t kh = 1 + static_cast<int64_t>(rng.uniformInt(3));
+            int64_t kw = 1 + static_cast<int64_t>(rng.uniformInt(3));
+            int64_t pad = static_cast<int64_t>(rng.uniformInt(3));
+            int64_t stride = 1 + static_cast<int64_t>(rng.uniformInt(3));
             // Input large enough for the padded kernel.
-            const int64_t h =
-                kh + static_cast<int64_t>(rng.uniformInt(9));
-            const int64_t w =
-                kw + static_cast<int64_t>(rng.uniformInt(9));
+            int64_t h = kh + static_cast<int64_t>(rng.uniformInt(9));
+            int64_t w = kw + static_cast<int64_t>(rng.uniformInt(9));
+            if (iter >= 24) {
+                const SameGeometry g = drawSameGeometry(rng);
+                kh = kw = g.k;
+                pad = g.pad;
+                stride = 1;
+                h = g.h;
+                w = g.w;
+            }
             const Tensor input = randomTensor({ci, h, w}, rng);
             const Tensor kernel = randomTensor({co, ci, kh, kw}, rng);
             const bool has_bias = rng.uniform() < 0.5;
@@ -148,22 +181,31 @@ TEST(GemmFuzz, Conv2dForwardMatchesReferenceBitExact)
 
 TEST(GemmFuzz, Conv2dBackwardKernelMatchesReferenceBitExact)
 {
+    // ∂W vectorises over output channels, so Co reaches past two
+    // AVX-512 vectors (8 outputs) into the scalar leftover columns;
+    // lane-picky operands expose a wrong lane or tree.  Iterations
+    // from 20 on draw the 'same'-padding regime.
     Rng rng(0xBDADu);
     atThreadCounts([&](int64_t threads) {
-        for (int iter = 0; iter < 20; ++iter) {
+        for (int iter = 0; iter < 28; ++iter) {
             const int64_t ci = 1 + static_cast<int64_t>(rng.uniformInt(4));
-            const int64_t co = 1 + static_cast<int64_t>(rng.uniformInt(4));
-            const int64_t kh = 1 + static_cast<int64_t>(rng.uniformInt(3));
-            const int64_t kw = 1 + static_cast<int64_t>(rng.uniformInt(3));
-            const int64_t pad = static_cast<int64_t>(rng.uniformInt(3));
-            const int64_t h =
-                kh + static_cast<int64_t>(rng.uniformInt(8));
-            const int64_t w =
-                kw + static_cast<int64_t>(rng.uniformInt(8));
+            const int64_t co = 1 + static_cast<int64_t>(rng.uniformInt(17));
+            int64_t kh = 1 + static_cast<int64_t>(rng.uniformInt(3));
+            int64_t kw = 1 + static_cast<int64_t>(rng.uniformInt(3));
+            int64_t pad = static_cast<int64_t>(rng.uniformInt(3));
+            int64_t h = kh + static_cast<int64_t>(rng.uniformInt(8));
+            int64_t w = kw + static_cast<int64_t>(rng.uniformInt(8));
+            if (iter >= 20) {
+                const SameGeometry g = drawSameGeometry(rng);
+                kh = kw = g.k;
+                pad = g.pad;
+                h = g.h;
+                w = g.w;
+            }
             const int64_t ho = h + 2 * pad - kh + 1;
             const int64_t wo = w + 2 * pad - kw + 1;
-            const Tensor input = randomTensor({ci, h, w}, rng);
-            const Tensor delta = randomTensor({co, ho, wo}, rng);
+            const Tensor input = lanePickyTensor({ci, h, w}, rng);
+            const Tensor delta = lanePickyTensor({co, ho, wo}, rng);
 
             const Tensor fast =
                 ops::conv2dBackwardKernel(input, delta, kh, kw, pad);
@@ -181,11 +223,12 @@ TEST(GemmFuzz, Conv2dBackwardInputMatchesReferenceBitExact)
     // The direct form pads δ by K-1-pad per axis, so each iteration
     // draws one of its regimes explicitly: pad < K-1 (windows reach
     // into the zero border), pad = K-1 (no border), pad > K-1 (windows
-    // start inside δ), kh != kw at pad 0, and kh != kw padded.
+    // start inside δ), kh != kw at pad 0, and kh != kw padded; from
+    // iteration 20 on, 'same' padding.
     Rng rng(0xB1Du);
     atThreadCounts([&](int64_t threads) {
-        for (int iter = 0; iter < 20; ++iter) {
-            const int regime = iter % 5;
+        for (int iter = 0; iter < 28; ++iter) {
+            const int regime = iter < 20 ? iter % 5 : 5;
             const int64_t ci = 1 + static_cast<int64_t>(rng.uniformInt(3));
             const int64_t co = 1 + static_cast<int64_t>(rng.uniformInt(4));
             int64_t kh = 1 + static_cast<int64_t>(rng.uniformInt(3));
@@ -199,14 +242,21 @@ TEST(GemmFuzz, Conv2dBackwardInputMatchesReferenceBitExact)
                 pad = kh - 1;
             } else if (regime == 2) {
                 pad = kh + static_cast<int64_t>(rng.uniformInt(2));
-            } else {
+            } else if (regime < 5) {
                 kw = 1 + (kh + static_cast<int64_t>(rng.uniformInt(2))) % 3;
                 pad = regime == 3
                     ? 0
                     : 1 + static_cast<int64_t>(rng.uniformInt(2));
             }
-            const int64_t h = kh + static_cast<int64_t>(rng.uniformInt(8));
-            const int64_t w = kw + static_cast<int64_t>(rng.uniformInt(8));
+            int64_t h = kh + static_cast<int64_t>(rng.uniformInt(8));
+            int64_t w = kw + static_cast<int64_t>(rng.uniformInt(8));
+            if (regime == 5) {
+                const SameGeometry g = drawSameGeometry(rng);
+                kh = kw = g.k;
+                pad = g.pad;
+                h = g.h;
+                w = g.w;
+            }
             const int64_t ho = h + 2 * pad - kh + 1;
             const int64_t wo = w + 2 * pad - kw + 1;
             const Tensor kernel = randomTensor({co, ci, kh, kw}, rng);
@@ -257,22 +307,27 @@ TEST(GemmFuzz, GemmNNMatchesScalarDefinitionAndNaiveLanesBitExact)
 {
     // Column counts with n % 8 and n % 4 tails (and n below one
     // vector), k < 8 and k % 8 != 0, odd m, padded leading dimensions,
-    // with and without a bias.  The last shape carries m * k = 7217
-    // multiply-adds per column, so at 4 threads parallel_for splits
-    // its 587 columns into chunks starting at 146, 293 and 440; the
-    // first two are off both the 4- and the 8-wide vector boundaries.
+    // with and without a bias.  The ∂W shapes (panel times δᵀ: m taps,
+    // n output channels, k pixels) read B unpadded, ldb == n.  The
+    // last shape carries m * k = 7217 multiply-adds per column, so at
+    // 4 threads parallel_for splits its 587 columns into chunks
+    // starting at 146, 293 and 440; the first two are off both the 4-
+    // and the 8-wide vector boundaries.
     struct Shape3
     {
         int64_t m, n, k;
+        int64_t ldb_pad = 3;
     };
-    const Shape3 shapes[] = {{1, 1, 1},   {3, 5, 7},    {2, 8, 8},
-                             {5, 12, 9},  {4, 19, 16},  {7, 36, 23},
-                             {1, 3, 3},   {6, 64, 72},  {7, 587, 1031}};
+    const Shape3 shapes[] = {{1, 1, 1},     {3, 5, 7},      {2, 8, 8},
+                             {5, 12, 9},    {4, 19, 16},    {7, 36, 23},
+                             {1, 3, 3},     {6, 64, 72},    {144, 16, 64, 0},
+                             {9, 8, 256, 0}, {7, 587, 1031}};
     Rng rng(0x6E77u);
     atThreadCounts([&](int64_t threads) {
         for (const Shape3 &s : shapes) {
             for (const bool has_bias : {false, true}) {
-                const int64_t lda = s.k + 1, ldb = s.n + 3, ldc = s.n + 2;
+                const int64_t lda = s.k + 1, ldb = s.n + s.ldb_pad;
+                const int64_t ldc = s.n + 2;
                 const Tensor a = lanePickyTensor({s.m, lda}, rng);
                 const Tensor b = lanePickyTensor({s.k, ldb}, rng);
                 const Tensor bias = lanePickyTensor({s.m}, rng);

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "common/rng.hh"
 #include "nn/layers.hh"
@@ -134,6 +136,33 @@ TEST(QuantizeNetwork, ZeroBitsLeavesNetworkIntact)
     const Tensor &after = *net.layer(0).parameters()[0];
     for (int64_t i = 0; i < before.numel(); ++i)
         EXPECT_FLOAT_EQ(after.at(i), before.at(i));
+}
+
+TEST(Quantizer, NonFiniteValuesPassThroughAndSetNoScale)
+{
+    // A weight that went NaN or ±inf must stay visible after
+    // deployment (std::lround of it is unspecified), and it must not
+    // move the scale the finite weights round with.
+    const float inf = std::numeric_limits<float>::infinity();
+    const Tensor finite({2}, std::vector<float>{1.0f, -0.5f});
+    for (int bits : {4, 2}) {
+        SCOPED_TRACE("bits=" + std::to_string(bits));
+        const Tensor ref = quantizeTensor(finite, bits);
+        EXPECT_EQ(ref(0), 1.0f);
+        for (float bad : {std::numeric_limits<float>::quiet_NaN(), inf,
+                          -inf}) {
+            const Tensor t({3}, std::vector<float>{1.0f, bad, -0.5f});
+            EXPECT_EQ(Quantizer::forTensor(t, bits).scale,
+                      Quantizer::forTensor(finite, bits).scale);
+            const Tensor q = quantizeTensor(t, bits);
+            EXPECT_EQ(q(0), ref(0));
+            EXPECT_EQ(q(2), ref(1));
+            if (std::isnan(bad))
+                EXPECT_TRUE(std::isnan(q(1)));
+            else
+                EXPECT_EQ(q(1), bad);
+        }
+    }
 }
 
 TEST(Quantizer, AllZeroTensorSurvives)
