@@ -3,15 +3,21 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 #include "common/logging.hh"
 
 namespace pipelayer {
 namespace json {
+
+namespace {
+
+/** Member slots an object() reserves on its first insert: a whole
+ *  completion record, the largest object built per request. */
+constexpr size_t kFirstMembers = 8;
+
+} // namespace
 
 bool
 Value::asBool() const
@@ -87,11 +93,15 @@ Value::at(size_t i) const
 Value &
 Value::operator[](const std::string &key)
 {
-    if (kind_ == Kind::Null)
-        kind_ = Kind::Object;
-    PL_ASSERT(kind_ == Kind::Object,
-              "operator[] on a non-object JSON value (key '%s')",
-              key.c_str());
+    if (kind_ == Kind::Null) {
+        kind_ = Kind::Object; // grows from one slot
+    } else {
+        PL_ASSERT(kind_ == Kind::Object,
+                  "operator[] on a non-object JSON value (key '%s')",
+                  key.c_str());
+        if (members_.capacity() == 0)
+            members_.reserve(kFirstMembers);
+    }
     for (auto &member : members_) {
         if (member.first == key)
             return member.second;
@@ -168,12 +178,32 @@ Value::operator==(const Value &other) const
     return false;
 }
 
-std::string
-Value::escape(const std::string &s)
+// ---- Writer -------------------------------------------------------
+
+namespace {
+
+/** write() hands its buffer to the stream each time it holds this
+ *  many bytes, so no document is ever held whole. */
+constexpr size_t kFlushBytes = 64 * 1024;
+
+/**
+ * Append @p s as a quoted RFC 8259 string literal.  Each run of bytes
+ * that needs no escape goes in with one append; UTF-8 bytes (0x80 and
+ * up) pass through unmodified.
+ */
+void
+appendEscaped(std::string &out, const std::string &s)
 {
-    std::string out = "\"";
-    for (const char ch : s) {
-        const auto c = static_cast<unsigned char>(ch);
+    static constexpr char kHex[] = "0123456789abcdef";
+    out += '"';
+    const char *run = s.data();
+    const char *const end = s.data() + s.size();
+    for (const char *p = run; p != end; ++p) {
+        const auto c = static_cast<unsigned char>(*p);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(run, static_cast<size_t>(p - run));
+        run = p + 1;
         switch (c) {
           case '"':
             out += "\\\"";
@@ -196,99 +226,149 @@ Value::escape(const std::string &s)
           case '\t':
             out += "\\t";
             break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += ch; // UTF-8 bytes pass through unmodified
-            }
+          default: {
+            const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                              kHex[c & 0xF]};
+            out.append(u, sizeof(u));
+          }
         }
     }
+    out.append(run, static_cast<size_t>(end - run));
     out += '"';
+}
+
+/** Append the decimal digits of @p v. */
+void
+appendInt(std::string &out, int64_t v)
+{
+    char buf[24];
+    const char *end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+    out.append(buf, static_cast<size_t>(end - buf));
+}
+
+/**
+ * Append the text of a finite double.  Integers (the common case:
+ * cycle counts, op counts) below 1e15 in magnitude print like %lld,
+ * without an exponent or trailing ".0", so goldens stay readable;
+ * any other value prints as the first of %.15g, %.16g and %.17g that
+ * reads back as @p v.  std::to_chars and std::from_chars are defined
+ * as printf and strtod in the C locale, so the bytes are those.
+ */
+void
+appendNumber(std::string &out, double v)
+{
+    PL_ASSERT(std::isfinite(v),
+              "JSON cannot represent non-finite number");
+    if (v == std::floor(v) && std::fabs(v) < 1e15) {
+        appendInt(out, static_cast<int64_t>(v));
+        return;
+    }
+    char buf[32];
+    char *end = buf;
+    for (int precision = 15; precision <= 17; ++precision) {
+        end = std::to_chars(buf, buf + sizeof(buf), v,
+                            std::chars_format::general, precision)
+                  .ptr;
+        double back = 0.0;
+        std::from_chars(buf, end, back);
+        if (back == v)
+            break;
+    }
+    out.append(buf, static_cast<size_t>(end - buf));
+}
+
+/** A newline and @p indent spaces per level, when pretty-printing. */
+void
+appendNewline(std::string &out, int indent, int depth)
+{
+    if (indent < 0)
+        return;
+    out += '\n';
+    out.append(static_cast<size_t>(indent) * static_cast<size_t>(depth),
+               ' ');
+}
+
+/** Hand a full buffer to @p sink (nullptr: dump(), keep it all). */
+void
+flushIfFull(std::string &out, std::ostream *sink)
+{
+    if (sink != nullptr && out.size() >= kFlushBytes) {
+        sink->write(out.data(), static_cast<std::streamsize>(out.size()));
+        out.clear();
+    }
+}
+
+} // namespace
+
+std::string
+Value::escape(const std::string &s)
+{
+    std::string out;
+    appendEscaped(out, s);
     return out;
 }
 
 std::string
 Value::formatNumber(double v)
 {
-    PL_ASSERT(std::isfinite(v),
-              "JSON cannot represent non-finite number");
-    // Integers (the common case: cycle counts, op counts) print
-    // without an exponent or trailing ".0" so goldens stay readable.
-    if (v == std::floor(v) && std::fabs(v) < 1e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-        return buf;
-    }
-    // Shortest representation that parses back to the same double.
-    char buf[40];
-    for (int precision = 15; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
+    std::string out;
+    appendNumber(out, v);
+    return out;
 }
 
 void
-Value::writeIndented(std::ostream &os, int indent, int depth) const
+Value::writeIndented(std::string &out, int indent, int depth,
+                     std::ostream *sink) const
 {
-    const bool pretty = indent >= 0;
-    const std::string pad =
-        pretty ? std::string(static_cast<size_t>(indent * (depth + 1)),
-                             ' ')
-               : std::string();
-    const std::string close_pad =
-        pretty ? std::string(static_cast<size_t>(indent * depth), ' ')
-               : std::string();
-    const char *nl = pretty ? "\n" : "";
-    const char *colon = pretty ? ": " : ":";
-
     switch (kind_) {
       case Kind::Null:
-        os << "null";
+        out += "null";
         break;
       case Kind::Bool:
-        os << (bool_ ? "true" : "false");
+        out += bool_ ? "true" : "false";
         break;
       case Kind::Number:
-        os << (exact_ ? std::to_string(int_) : formatNumber(number_));
+        if (exact_)
+            appendInt(out, int_);
+        else
+            appendNumber(out, number_);
         break;
       case Kind::String:
-        os << escape(string_);
+        appendEscaped(out, string_);
         break;
       case Kind::Array:
         if (elements_.empty()) {
-            os << "[]";
+            out += "[]";
             break;
         }
-        os << "[" << nl;
+        out += '[';
         for (size_t i = 0; i < elements_.size(); ++i) {
-            os << pad;
-            elements_[i].writeIndented(os, indent, depth + 1);
-            if (i + 1 < elements_.size())
-                os << ",";
-            os << nl;
+            if (i > 0)
+                out += ',';
+            appendNewline(out, indent, depth + 1);
+            elements_[i].writeIndented(out, indent, depth + 1, sink);
+            flushIfFull(out, sink);
         }
-        os << close_pad << "]";
+        appendNewline(out, indent, depth);
+        out += ']';
         break;
       case Kind::Object:
         if (members_.empty()) {
-            os << "{}";
+            out += "{}";
             break;
         }
-        os << "{" << nl;
+        out += '{';
         for (size_t i = 0; i < members_.size(); ++i) {
-            os << pad << escape(members_[i].first) << colon;
-            members_[i].second.writeIndented(os, indent, depth + 1);
-            if (i + 1 < members_.size())
-                os << ",";
-            os << nl;
+            if (i > 0)
+                out += ',';
+            appendNewline(out, indent, depth + 1);
+            appendEscaped(out, members_[i].first);
+            out += indent < 0 ? ":" : ": ";
+            members_[i].second.writeIndented(out, indent, depth + 1, sink);
+            flushIfFull(out, sink);
         }
-        os << close_pad << "}";
+        appendNewline(out, indent, depth);
+        out += '}';
         break;
     }
 }
@@ -296,15 +376,18 @@ Value::writeIndented(std::ostream &os, int indent, int depth) const
 void
 Value::write(std::ostream &os, int indent) const
 {
-    writeIndented(os, indent, 0);
+    std::string out;
+    writeIndented(out, indent, 0, &os);
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 std::string
 Value::dump(int indent) const
 {
-    std::ostringstream os;
-    write(os, indent);
-    return os.str();
+    std::string out;
+    out.reserve(256); // a completion record in one allocation
+    writeIndented(out, indent, 0, nullptr);
+    return out;
 }
 
 // ---- Parser -------------------------------------------------------
@@ -398,12 +481,15 @@ class Parser
     Value parseObject(int depth)
     {
         expect('{');
-        Value obj = Value::object();
         skipSpace();
         if (peek() == '}') {
             ++pos_;
-            return obj;
+            return Value::object();
         }
+        // A top-level object is a whole record (an NDJSON line) and
+        // reserves its slots as object() does; a nested one grows as
+        // it fills, so a large parsed document holds no spare slots.
+        Value obj = depth == 0 ? Value::object() : Value();
         while (true) {
             skipSpace();
             const std::string key = parseString();

@@ -9,6 +9,13 @@
  * preserve insertion order and numbers print with round-trippable
  * precision, so every dump is byte-deterministic — a property the
  * observability tests rely on.
+ *
+ * The writer appends into one std::string: runs of bytes that need
+ * no escape are copied whole, and numbers go through <charconv>
+ * (an integer digit for digit; a double as the first of %.15g, %.16g
+ * and %.17g that reads back exactly, in the C locale).  dump()
+ * returns that buffer; write() streams it, handing it to the ostream
+ * every 64 KiB, so the text of a large document is never held whole.
  */
 
 #ifndef PIPELAYER_COMMON_JSON_HH_
@@ -110,7 +117,11 @@ class Value
 
     /**
      * Object member access; inserts a null member when missing (the
-     * value silently becomes an object if it was null).
+     * value silently becomes an object if it was null).  An object()
+     * reserves room for eight members at its first insert, so a
+     * record built key by key allocates once; an object a null
+     * becomes here grows one slot at a time, as the small nested
+     * groups of a large document (a trace event's "args") should.
      */
     Value &operator[](const std::string &key);
 
@@ -148,7 +159,10 @@ class Value
     static std::string formatNumber(double v);
 
   private:
-    void writeIndented(std::ostream &os, int indent, int depth) const;
+    /** Append this value to @p out; with a @p sink, hand @p out to it
+     *  whenever it fills (write()), without one keep it all (dump()). */
+    void writeIndented(std::string &out, int indent, int depth,
+                       std::ostream *sink) const;
 
     Kind kind_ = Kind::Null;
     bool bool_ = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 
 #include "common/logging.hh"
 
@@ -25,14 +26,6 @@ TraceRecorder::addTrack(const std::string &name)
 {
     tracks_.push_back(name);
     return static_cast<int64_t>(tracks_.size()) - 1;
-}
-
-const std::string &
-TraceRecorder::trackName(int64_t track) const
-{
-    PL_ASSERT(track >= 0 && track < trackCount(),
-              "trackName() on undeclared track %lld", (long long)track);
-    return tracks_[static_cast<size_t>(track)];
 }
 
 int64_t
@@ -174,18 +167,6 @@ TraceRecorder::counterSeries(const std::string &name) const
     return points;
 }
 
-bool
-TraceRecorder::sliceEncloses(int64_t track, int64_t cycle) const
-{
-    for (const TraceEvent &e : events_) {
-        if (e.track == track && e.begin_cycle <= cycle &&
-            cycle < e.begin_cycle + e.duration) {
-            return true;
-        }
-    }
-    return false;
-}
-
 json::Value
 TraceRecorder::toJson() const
 {
@@ -230,6 +211,41 @@ TraceRecorder::toJson() const
                              return a->begin_cycle < b->begin_cycle;
                          return a->track < b->track;
                      });
+    // Every flow endpoint lies inside a slice on its track.  Per track,
+    // each slice's begin with the running maximum of the ends so far:
+    // a cycle lies inside a slice there iff the last slice beginning
+    // at or before it reaches past it.  Checked before the slices turn
+    // into JSON, so the index is gone by the time the document peaks.
+    {
+        std::vector<std::vector<std::pair<int64_t, int64_t>>> reach(
+            tracks_.size());
+        for (const TraceEvent *e : ordered) {
+            auto &r = reach[static_cast<size_t>(e->track)];
+            const int64_t end = e->begin_cycle + e->duration;
+            r.emplace_back(e->begin_cycle,
+                           r.empty() ? end
+                                     : std::max(end, r.back().second));
+        }
+        for (const MarkEvent &m : marks_) {
+            if (m.kind != MarkEvent::Kind::FlowStart &&
+                m.kind != MarkEvent::Kind::FlowFinish) {
+                continue;
+            }
+            const auto &r = reach[static_cast<size_t>(m.track)];
+            const auto after = std::upper_bound(
+                r.begin(), r.end(), m.cycle,
+                [](int64_t cycle, const std::pair<int64_t, int64_t> &s) {
+                    return cycle < s.first;
+                });
+            PL_ASSERT(after != r.begin() &&
+                          std::prev(after)->second > m.cycle,
+                      "flow ('%s', id %lld) endpoint at cycle %lld has "
+                      "no enclosing slice on track '%s'",
+                      m.category.c_str(), (long long)m.id,
+                      (long long)m.cycle,
+                      tracks_[static_cast<size_t>(m.track)].c_str());
+        }
+    }
     for (const TraceEvent *e : ordered) {
         json::Value event = json::Value::object();
         event["name"] = e->name;
@@ -246,7 +262,8 @@ TraceRecorder::toJson() const
     }
 
     // Telemetry invariants before the async/flow/counter events go
-    // out: spans balanced, flows paired and anchored to real slices.
+    // out: spans balanced and flows paired (their anchors are checked
+    // above).
     for (const auto &entry : async_depth_) {
         PL_ASSERT(entry.second == 0,
                   "trace serialised with %lld open async span(s) for "
@@ -293,12 +310,6 @@ TraceRecorder::toJson() const
             break;
           case MarkEvent::Kind::FlowStart:
           case MarkEvent::Kind::FlowFinish:
-            PL_ASSERT(sliceEncloses(m->track, m->cycle),
-                      "flow ('%s', id %lld) endpoint at cycle %lld has "
-                      "no enclosing slice on track '%s'",
-                      m->category.c_str(), (long long)m->id,
-                      (long long)m->cycle,
-                      tracks_[static_cast<size_t>(m->track)].c_str());
             event["cat"] = m->category;
             event["ph"] = m->kind == MarkEvent::Kind::FlowStart ? "s"
                                                                 : "f";

@@ -75,9 +75,6 @@ class TraceRecorder
         return static_cast<int64_t>(tracks_.size());
     }
 
-    /** Declared name of @p track. */
-    const std::string &trackName(int64_t track) const;
-
     /**
      * Append every track, slice and mark of @p other into this
      * recorder, renaming each track to @p track_prefix + its name and
@@ -200,9 +197,6 @@ class TraceRecorder
         int64_t cycle = 0;
         int64_t value = 0;    //!< counter value
     };
-
-    /** True when a slice on @p track encloses @p cycle. */
-    bool sliceEncloses(int64_t track, int64_t cycle) const;
 
     std::string process_name_;
     std::vector<std::string> tracks_;

@@ -1,5 +1,8 @@
 #include "quant/quantize.hh"
 
+#include <algorithm>
+#include <limits>
+
 #include "common/logging.hh"
 #include "nn/network.hh"
 
@@ -17,7 +20,12 @@ Quantizer::forTensor(const Tensor &t, int bits)
         return q;
     const float max_abs = t.absMax(); // NaN and ±inf pass through
     const auto levels = static_cast<float>(q.positiveLevels());
-    q.scale = max_abs > 0.0f ? max_abs / levels : 1.0f;
+    // Below about levels * 2^-150 the quotient underflows to 0, and a
+    // zero scale would send every v / scale to ±inf or NaN.
+    q.scale = max_abs > 0.0f
+                  ? std::max(max_abs / levels,
+                             std::numeric_limits<float>::denorm_min())
+                  : 1.0f;
     return q;
 }
 

@@ -414,6 +414,36 @@ TEST(ServingTelemetry, UnbalancedSpansAndFlowsDieAtSerialisation)
     }
 }
 
+TEST(ServingTelemetry, FlowEndpointsBindToEnclosingSlices)
+{
+    // One track holds [0, 10) and, inside it, [2, 4); another holds
+    // [5, 8).  A flow whose endpoints are both at `cycle` on `track`
+    // serialises only when a slice there encloses that cycle.
+    auto flowAt = [](int64_t track, int64_t cycle) {
+        trace::TraceRecorder recorder("test");
+        const int64_t outer = recorder.addTrack("outer");
+        const int64_t other = recorder.addTrack("other");
+        recorder.addTrack("empty");
+        recorder.complete(outer, "long", "cat", 0, 10);
+        recorder.complete(outer, "short", "cat", 2, 2);
+        recorder.complete(other, "slice", "cat", 5, 3);
+        recorder.flowStart("flow", "req", 0, track, cycle);
+        recorder.flowFinish("flow", "req", 0, track, cycle);
+        return recorder.toJson();
+    };
+    // Past the inner slice's end but inside the long one: the last
+    // slice to begin by cycle 6 is the short one, so a check of that
+    // slice alone would miss the long slice that encloses it.
+    EXPECT_TRUE(flowAt(0, 6).isObject());
+    EXPECT_TRUE(flowAt(0, 9).isObject());
+    EXPECT_TRUE(flowAt(1, 5).isObject()); // a slice's first cycle
+    EXPECT_TRUE(flowAt(1, 7).isObject()); // and its last
+    EXPECT_DEATH(flowAt(1, 8), "no enclosing slice");  // begin + dur
+    EXPECT_DEATH(flowAt(1, 4), "no enclosing slice");  // before begin
+    EXPECT_DEATH(flowAt(0, 10), "no enclosing slice"); // past the max
+    EXPECT_DEATH(flowAt(2, 0), "no enclosing slice");  // no slices
+}
+
 // ---------------------------------------------------------------------
 // pl_report: parse, table, diff, exit codes.
 

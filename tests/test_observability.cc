@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests of the observability layer: the JSON writer/parser, the
- * Chrome-trace recorder and the validated reporting API.
+ * Tests of the observability layer: the JSON writer/parser (with a
+ * round-trip and mutation fuzz), the Chrome-trace recorder and the
+ * validated reporting API.
  *
  * The determinism tests assert that a stats dump, a trace and the
  * trainer's work counters are byte-identical at any worker thread
@@ -13,9 +14,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "arch/granularity.hh"
@@ -31,6 +35,7 @@
 #include "core/pipelined_trainer.hh"
 #include "nn/layers.hh"
 #include "sim/simulator.hh"
+#include "support/json_reference.hh"
 #include "workloads/layer_spec.hh"
 
 namespace pipelayer {
@@ -49,6 +54,31 @@ TEST(Json, EscapesControlAndQuoteCharacters)
     EXPECT_EQ(json::Value::escape("a\nb\tc"), "\"a\\nb\\tc\"");
     EXPECT_EQ(json::Value::escape(std::string("a\x01z")),
               "\"a\\u0001z\"");
+    // Every byte: short escapes, lowercase \u00xx for the other
+    // controls, and 0x7F and up (UTF-8) passed through.
+    for (int c = 0; c < 256; ++c) {
+        const std::string in(1, static_cast<char>(c));
+        std::string want;
+        switch (c) {
+          case '"': want = "\\\""; break;
+          case '\\': want = "\\\\"; break;
+          case '\b': want = "\\b"; break;
+          case '\f': want = "\\f"; break;
+          case '\n': want = "\\n"; break;
+          case '\r': want = "\\r"; break;
+          case '\t': want = "\\t"; break;
+          default:
+            if (c < 0x20) {
+                const char hex[] = "0123456789abcdef";
+                want = std::string("\\u00") + hex[c >> 4] + hex[c & 15];
+            } else {
+                want = in;
+            }
+        }
+        EXPECT_EQ(json::Value::escape("<" + in + ">"),
+                  "\"<" + want + ">\"")
+            << "byte " << c;
+    }
 }
 
 TEST(Json, ObjectPreservesInsertionOrder)
@@ -163,6 +193,231 @@ TEST(Json, TableRendersCsvAndJson)
     ASSERT_EQ(rows.size(), 2u); // separator dropped
     EXPECT_EQ(rows.at(size_t{0}).at("name").asString(), "plain");
     EXPECT_EQ(rows.at(size_t{1}).at("value").asString(), "q\"uote");
+}
+
+// ---------------------------------------------------------------------
+// JSON round-trip and mutation fuzz (inputs from common/rng)
+// ---------------------------------------------------------------------
+
+/** Doubles at the writer's branch points and format limits, with
+ *  their finite neighbours. */
+std::vector<double>
+edgeDoubles()
+{
+    const double lim[] = {
+        0.0, 1.0, 0.1, 1.0 / 3.0, 0.5, 1e15, 1e16, 1e17, 1e21, 1e-5,
+        1e-7, 0x1p53 - 1, 0x1p53, 0x1p53 + 2, 0x1p63, 0x1p64, 1e300,
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::denorm_min() * 3,
+        std::numeric_limits<double>::min() / 3,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::epsilon()};
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> out;
+    for (double v : lim) {
+        for (double x : {v, -v}) {
+            for (double y : {x, std::nextafter(x, 0.0),
+                             std::nextafter(x, inf),
+                             std::nextafter(x, -inf)}) {
+                if (std::isfinite(y))
+                    out.push_back(y);
+            }
+        }
+    }
+    return out;
+}
+
+/** A finite double: a raw bit pattern, a scaled uniform or an edge. */
+double
+randomDouble(Rng &rng)
+{
+    static const std::vector<double> edges = edgeDoubles();
+    switch (rng.uniformInt(3)) {
+      case 0:
+        while (true) {
+            const uint64_t bits = rng.nextU64();
+            double v;
+            std::memcpy(&v, &bits, sizeof(v));
+            if (std::isfinite(v))
+                return v;
+        }
+      case 1:
+        return rng.uniform(-1.0, 1.0) *
+               std::pow(10.0, static_cast<double>(rng.uniformInt(41)) -
+                                  20.0);
+      default:
+        return edges[rng.uniformInt(edges.size())];
+    }
+}
+
+/** An exact integer: int64's ends, 2^53 +- 1, or any 64-bit pattern. */
+int64_t
+randomInt(Rng &rng)
+{
+    const int64_t edges[] = {std::numeric_limits<int64_t>::min(),
+                             std::numeric_limits<int64_t>::max(),
+                             (int64_t{1} << 53) - 1, int64_t{1} << 53,
+                             (int64_t{1} << 53) + 1,
+                             -(int64_t{1} << 53) - 1, 0, -1};
+    if (rng.uniformInt(2) == 0)
+        return edges[rng.uniformInt(std::size(edges))];
+    return static_cast<int64_t>(rng.nextU64());
+}
+
+/** Up to @p max_len bytes drawn from all 256 values. */
+std::string
+randomBytes(Rng &rng, uint64_t max_len)
+{
+    std::string s(rng.uniformInt(max_len + 1), '\0');
+    for (char &c : s)
+        c = static_cast<char>(rng.uniformInt(256));
+    return s;
+}
+
+/** A random tree of at most @p depth levels below this value. */
+json::Value
+randomTree(Rng &rng, int depth)
+{
+    switch (rng.uniformInt(depth > 0 ? 8 : 4)) {
+      case 0:
+        return rng.uniformInt(2) == 0 ? json::Value()
+                                      : json::Value(rng.uniformInt(2) == 1);
+      case 1:
+        return json::Value(randomDouble(rng));
+      case 2:
+        return json::Value(randomInt(rng));
+      case 3:
+        return json::Value(randomBytes(rng, 12));
+      case 4:
+      case 5: {
+        json::Value arr = json::Value::array(); // may stay empty
+        for (uint64_t n = rng.uniformInt(6); n > 0; --n)
+            arr.push(randomTree(rng, depth - 1));
+        return arr;
+      }
+      default: {
+        json::Value obj = json::Value::object(); // may stay empty
+        for (uint64_t n = rng.uniformInt(6); n > 0; --n)
+            obj[randomBytes(rng, 6)] = randomTree(rng, depth - 1);
+        return obj;
+      }
+    }
+}
+
+/** @p tree's text at @p indent through the streaming writer. */
+std::string
+written(const json::Value &tree, int indent)
+{
+    std::ostringstream os;
+    tree.write(os, indent);
+    return os.str();
+}
+
+TEST(JsonFuzz, RandomTreesRoundTripByteForByte)
+{
+    Rng rng(0x15aac);
+    for (int n = 0; n < 3000; ++n) {
+        const json::Value tree = randomTree(rng, 6);
+        for (int indent : {-1, 1, 2}) {
+            const std::string text = tree.dump(indent);
+            const json::Value back = json::parse(text);
+            ASSERT_TRUE(back == tree) << "tree " << n << ": " << text;
+            ASSERT_EQ(back.dump(indent), text) << "tree " << n;
+            ASSERT_EQ(written(tree, indent), text) << "tree " << n;
+        }
+    }
+}
+
+TEST(JsonFuzz, StreamingWriteMatchesDumpPastItsBuffer)
+{
+    // Several times write()'s 64 KiB flush buffer, with flushes at
+    // every depth and a single string longer than the buffer.
+    Rng rng(0xb16);
+    json::Value doc = json::Value::object();
+    for (int n = 0; n < 4000; ++n)
+        doc["trees"].push(randomTree(rng, 6));
+    doc["long"] = std::string(200000, 'x') + "\n\"" +
+                  std::string(70000, '\x01');
+    for (int indent : {-1, 0, 1, 2}) {
+        const std::string text = doc.dump(indent);
+        ASSERT_GT(text.size(), 4u * 64 * 1024);
+        EXPECT_EQ(written(doc, indent), text) << "indent " << indent;
+        EXPECT_TRUE(json::parse(text) == doc) << "indent " << indent;
+    }
+}
+
+/** Mutants of JSON text either parse or throw ParseError. */
+void
+expectParsesOrThrowsParseError(const std::string &text)
+{
+    try {
+        (void)json::parse(text);
+    } catch (const json::ParseError &) {
+    } catch (const std::exception &err) {
+        ADD_FAILURE() << "parse threw '" << err.what() << "' on "
+                      << text;
+    }
+}
+
+TEST(JsonFuzz, MutantsParseOrThrowParseError)
+{
+    const char *const inserts[] = {"\"", "\\", "{", "[", "\\u",
+                                   "\\u00", "\\u00e9", "\\uD83D",
+                                   "\\uZZZZ", "\\u0000"};
+    Rng rng(0x3017);
+    for (int n = 0; n < 1500; ++n) {
+        const std::string text =
+            randomTree(rng, 4).dump(static_cast<int>(rng.uniformInt(3)) - 1);
+        if (text.size() <= 256) {
+            for (size_t len = 0; len < text.size(); ++len)
+                expectParsesOrThrowsParseError(text.substr(0, len));
+        }
+        for (int m = 0; m < 8; ++m) {
+            std::string flipped = text;
+            flipped[rng.uniformInt(text.size())] ^=
+                static_cast<char>(1u << rng.uniformInt(8));
+            expectParsesOrThrowsParseError(flipped);
+
+            std::string inserted = text;
+            inserted.insert(rng.uniformInt(text.size() + 1),
+                            inserts[rng.uniformInt(std::size(inserts))]);
+            expectParsesOrThrowsParseError(inserted);
+        }
+    }
+}
+
+TEST(JsonFuzz, FormatNumberIsThePrintfStrtodLoop)
+{
+    // The <charconv> writer against the %lld / %.{15,16,17}g + strtod
+    // loop it replaced, on 10^6 bit patterns, scaled uniforms and the
+    // edge values with their neighbours.
+    int64_t checked = 0;
+    int64_t differ = 0;
+    auto check = [&](double v) {
+        if (!std::isfinite(v))
+            return;
+        ++checked;
+        const std::string got = json::Value::formatNumber(v);
+        const std::string want = json::reference::formatNumber(v);
+        if (got != want && ++differ <= 5) {
+            ADD_FAILURE() << std::hexfloat << v << ": formatNumber "
+                          << got << ", printf loop " << want;
+        }
+    };
+    for (double v : edgeDoubles())
+        check(v);
+    Rng rng(0xc4a2c0);
+    for (int i = 0; i < 1000000; ++i) {
+        const uint64_t bits = rng.nextU64();
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        check(v);
+    }
+    for (int i = 0; i < 200000; ++i)
+        check(randomDouble(rng));
+    EXPECT_GE(checked, 1000000);
+    EXPECT_EQ(differ, 0);
 }
 
 // ---------------------------------------------------------------------

@@ -173,6 +173,32 @@ TEST(Quantizer, AllZeroTensorSurvives)
         EXPECT_FLOAT_EQ(q.at(i), 0.0f);
 }
 
+TEST(Quantizer, TinyTensorKeepsItsSigns)
+{
+    // max_abs / levels underflows to 0 for a tensor this small; the
+    // scale stops at the smallest subnormal instead, so a positive
+    // weight keeps a positive code and a zero stays +0.
+    const float tiny = std::numeric_limits<float>::denorm_min();
+    const Tensor t({3}, std::vector<float>{2 * tiny, -tiny, 0.0f});
+    for (int bits : {2, 4, 8, 16}) {
+        SCOPED_TRACE("bits=" + std::to_string(bits));
+        const Quantizer q = Quantizer::forTensor(t, bits);
+        EXPECT_GT(q.scale, 0.0f);
+        EXPECT_GT(q.code(2 * tiny), 0);
+        EXPECT_LT(q.code(-tiny), 0);
+        EXPECT_EQ(q.code(0.0f), 0);
+        const Tensor out = quantizeTensor(t, bits);
+        EXPECT_GT(out(0), 0.0f);
+        EXPECT_LT(out(1), 0.0f);
+        EXPECT_EQ(out(2), 0.0f);
+        EXPECT_FALSE(std::signbit(out(2)));
+        if (bits >= 4) { // the step is the subnormal itself: exact
+            EXPECT_EQ(out(0), 2 * tiny);
+            EXPECT_EQ(out(1), -tiny);
+        }
+    }
+}
+
 } // namespace
 } // namespace quant
 } // namespace pipelayer
