@@ -15,6 +15,33 @@ ceilDiv(int64_t a, int64_t b)
     return (a + b - 1) / b;
 }
 
+using Op = PipelineScheduler::Op;
+
+/**
+ * Append an image's ops at @p offset cycles after its entry (paper
+ * Fig. 3, Table 2): the input write at 0, forward at stage o - 1 for
+ * 1 <= o <= L, the error seed at L + 1, and for L + 2 <= o <= 2L + 1
+ * error backward then ∂W at stage s = 2L + 1 - o (stage 0 has no
+ * error backward).
+ */
+void
+appendOpsAt(int64_t depth, int64_t image, int64_t offset, int64_t cycle,
+            std::vector<Op> &ops)
+{
+    if (offset == 0) {
+        ops.push_back({Op::Kind::InputWrite, image, -1, cycle});
+    } else if (offset <= depth) {
+        ops.push_back({Op::Kind::Forward, image, offset - 1, cycle});
+    } else if (offset == depth + 1) {
+        ops.push_back({Op::Kind::ErrorSeed, image, depth - 1, cycle});
+    } else {
+        const int64_t stage = 2 * depth + 1 - offset;
+        if (stage >= 1)
+            ops.push_back({Op::Kind::ErrorBack, image, stage, cycle});
+        ops.push_back({Op::Kind::Derivative, image, stage, cycle});
+    }
+}
+
 } // namespace
 
 json::Value
@@ -232,68 +259,53 @@ PipelineScheduler::scheduleSpan() const
         : analyticTestingCycles(depth, n, config_.pipelined);
 }
 
-void
-PipelineScheduler::scheduleImage(int64_t image, int64_t t0,
-                                 std::vector<Op> &ops) const
-{
-    const int64_t depth = depth_;
-
-    for (int64_t s = 0; s < depth; ++s)
-        ops.push_back({Op::Kind::Forward, image, s, t0 + s + 1});
-
-    if (!config_.training)
-        return;
-
-    ops.push_back({Op::Kind::ErrorSeed, image, depth - 1, t0 + depth + 1});
-    for (int64_t s = depth - 1; s >= 0; --s) {
-        const int64_t cycle = t0 + 2 * depth + 1 - s;
-        if (s >= 1)
-            ops.push_back({Op::Kind::ErrorBack, image, s, cycle});
-        ops.push_back({Op::Kind::Derivative, image, s, cycle});
-    }
-}
-
 std::vector<PipelineScheduler::Op>
 PipelineScheduler::buildSchedule() const
 {
     const int64_t depth = depth_;
     const int64_t n = config_.num_images;
-    const int64_t b = config_.batch_size;
+    const bool training = config_.training;
+    // An image's ops lie at offsets 0..last from its entry cycle
+    // (appendOpsAt).
+    const int64_t last = training ? 2 * depth + 1 : depth;
+    const int64_t spacing = config_.pipelined ? 1 : last;
+    // Testing is one batch with no update.
+    const int64_t batch = training ? config_.batch_size : n;
+    const std::vector<int64_t> &arrivals = config_.arrival_cycles;
 
     std::vector<Op> ops;
-    if (config_.training) {
-        int64_t base = 0;
-        int64_t image = 0;
-        while (image < n) {
-            const int64_t batch = std::min<int64_t>(b, n - image);
-            for (int64_t i = 0; i < batch; ++i) {
-                const int64_t t0 = config_.pipelined
-                    ? base + i
-                    : base + i * (2 * depth + 1);
-                // Image entry: d_0 is staged at t0, one cycle before
-                // the image's first compute cycle.
-                ops.push_back({Op::Kind::InputWrite, image + i, -1, t0});
-                scheduleImage(image + i, t0, ops);
-            }
-            // Weight update one cycle after the last image drains.
-            const int64_t drain = config_.pipelined
-                ? base + (batch - 1) + 2 * depth + 1
-                : base + batch * (2 * depth + 1);
-            const int64_t update = drain + 1;
-            ops.push_back({Op::Kind::Update, -1, -1, update});
-            base = update; // next batch enters after the update
-            image += batch;
+    ops.reserve(static_cast<size_t>(
+        training ? n * (3 * depth + 1) + ceilDiv(n, batch)
+                 : n * (depth + 1)));
+    int64_t base = 0; // entry cycle of the batch's first image
+    for (int64_t first = 0; first < n;) {
+        const int64_t end = std::min(first + batch, n);
+        const auto entry = [&](int64_t image) {
+            return arrivals.empty()
+                ? base + (image - first) * spacing
+                : arrivals[static_cast<size_t>(image)];
+        };
+        // Walk the batch cycle by cycle with images [lo, hi) in
+        // flight, each appending its ops in ascending image order; an
+        // empty window jumps to the next entry cycle.
+        int64_t lo = first;
+        int64_t hi = first;
+        for (int64_t cycle = entry(first); lo < end;) {
+            while (hi < end && entry(hi) == cycle)
+                ++hi;
+            for (int64_t image = lo; image < hi; ++image)
+                appendOpsAt(depth, image, cycle - entry(image), cycle, ops);
+            while (lo < hi && entry(lo) + last == cycle)
+                ++lo;
+            cycle = lo == hi && hi < end ? entry(hi) : cycle + 1;
         }
-    } else {
-        for (int64_t i = 0; i < n; ++i) {
-            const int64_t t0 = config_.pipelined
-                ? (config_.arrival_cycles.empty()
-                       ? i
-                       : config_.arrival_cycles[static_cast<size_t>(i)])
-                : i * depth;
-            ops.push_back({Op::Kind::InputWrite, i, -1, t0});
-            scheduleImage(i, t0, ops);
+        if (training) {
+            // Weight update one cycle after the last image drains; the
+            // next batch enters in the same cycle, after it.
+            base = entry(end - 1) + last + 1;
+            ops.push_back({Op::Kind::Update, -1, -1, base});
         }
+        first = end;
     }
     return ops;
 }
@@ -512,16 +524,9 @@ PipelineScheduler::finalizeStats(RunState &state,
 ScheduleStats
 PipelineScheduler::run(const Executor &execute)
 {
-    // The stable sort keeps emission order within a cycle, so every
-    // cycle sees exactly the dense walk's op sequence.
-    std::vector<Op> ops = buildSchedule();
-    std::stable_sort(ops.begin(), ops.end(),
-                     [](const Op &a, const Op &b) {
-                         return a.cycle < b.cycle;
-                     });
-
     // Visit only the cycles that carry ops; each cycle's ops are one
-    // contiguous run of the sorted list.
+    // contiguous run of the list.
+    const std::vector<Op> ops = buildSchedule();
     RunState state(depth_, buffer_slack_);
     int64_t iters = 0;
     for (size_t i = 0; i < ops.size(); ++iters) {
@@ -546,28 +551,27 @@ PipelineScheduler::runReference()
 {
     const int64_t depth = depth_;
 
-    // Dense cycle table over the closed-form horizon plus a margin:
-    // one op vector per cycle, idle or not.
-    std::vector<std::vector<Op>> by_cycle(
-        static_cast<size_t>(scheduleSpan() + 2 * depth + 6));
+    // Walk every cycle of the closed-form horizon plus a margin, idle
+    // or not, handing each its run of the list.  The closed forms
+    // bound the schedule; an op past the horizon means the formulas
+    // and the schedule generator disagree.
+    const int64_t horizon = scheduleSpan() + 2 * depth + 6;
     const std::vector<Op> ops = buildSchedule();
-    int64_t last_cycle = 0;
-    for (const Op &op : ops) {
-        // The closed forms bound the schedule; an op past the table
-        // means the formulas and the schedule generator disagree.
-        PL_ASSERT(op.cycle < static_cast<int64_t>(by_cycle.size()),
-                  "op scheduled at cycle %lld beyond horizon %zu",
-                  (long long)op.cycle, by_cycle.size());
-        by_cycle[static_cast<size_t>(op.cycle)].push_back(op);
-        last_cycle = std::max(last_cycle, op.cycle);
-    }
-
+    const int64_t last_cycle = ops.empty() ? 0 : ops.back().cycle;
+    PL_ASSERT(last_cycle < horizon,
+              "op scheduled at cycle %lld beyond horizon %lld",
+              (long long)last_cycle, (long long)horizon);
     RunState state(depth, buffer_slack_);
-    for (size_t cycle = 0; cycle < by_cycle.size(); ++cycle) {
-        executeCycle(static_cast<int64_t>(cycle), by_cycle[cycle],
+    size_t next = 0;
+    for (int64_t cycle = 0; cycle < horizon; ++cycle) {
+        const size_t begin = next;
+        while (next < ops.size() && ops[next].cycle == cycle)
+            ++next;
+        executeCycle(cycle, std::span<const Op>(ops.data() + begin,
+                                                next - begin),
                      state);
     }
-    last_run_cycle_iters_ = static_cast<int64_t>(by_cycle.size());
+    last_run_cycle_iters_ = horizon;
     last_run_events_ = static_cast<int64_t>(ops.size());
 
     return finalizeStats(state, last_cycle);
@@ -577,9 +581,7 @@ std::string
 PipelineScheduler::renderTimeline(int64_t max_cycles)
 {
     const std::vector<Op> ops = buildSchedule();
-    int64_t last_cycle = 0;
-    for (const Op &op : ops)
-        last_cycle = std::max(last_cycle, op.cycle);
+    const int64_t last_cycle = ops.empty() ? 0 : ops.back().cycle;
     const int64_t cycles = std::min<int64_t>(last_cycle, max_cycles);
     const size_t width = static_cast<size_t>(std::max<int64_t>(cycles, 0));
 

@@ -19,13 +19,14 @@
  * and core::PipelinedTrainer attaches tensor work to its ops through
  * the run() executor hook.
  *
- * The schedule is one list: buildSchedule() appends every op with its
- * logical cycle in canonical emission order, run() stable-sorts that
- * list by cycle and visits only the cycles that carry work, and the
- * dense reference walk (runReference()) and renderTimeline() bucket
- * the same list by cycle.  Every path funnels each cycle through the
- * same bookkeeping, so their stats, buffer traffic and traces are
- * identical by construction (DESIGN.md §8).
+ * The schedule is one list in cycle order: buildSchedule() walks the
+ * in-flight images cycle by cycle and appends each cycle's ops in
+ * ascending image order.  run() visits only the cycles that carry
+ * work, the dense reference walk (runReference()) visits every cycle
+ * of the horizon with a cursor into the same list, and
+ * renderTimeline() reads the same list.  Every path funnels each
+ * cycle through the same bookkeeping, so their stats, buffer traffic
+ * and traces are identical by construction (DESIGN.md §8).
  */
 
 #ifndef PIPELAYER_ARCH_PIPELINE_HH_
@@ -174,9 +175,9 @@ class PipelineScheduler
     ScheduleStats run(const Executor &execute = nullptr);
 
     /**
-     * The dense reference walk: buckets the schedule into a per-cycle
-     * op table over the whole closed-form horizon and walks every
-     * cycle, idle or not.  Kept (like ops::reference for the compute
+     * The dense reference walk: visits every cycle of the whole
+     * closed-form horizon, idle or not, handing each its run of the
+     * op list.  Kept (like ops::reference for the compute
      * kernels) so the equivalence tests can prove run() exact and the
      * large-N bench can measure run()'s speedup against it.
      */
@@ -257,18 +258,15 @@ class PipelineScheduler
     /**
      * Cycles the schedule occupies (the analytic closed form, or its
      * arrival-interval generalisation for serving-shaped testing).
-     * Sizes runReference()'s dense cycle table.
+     * Bounds runReference()'s dense walk.
      */
     int64_t scheduleSpan() const;
 
-    void scheduleImage(int64_t image, int64_t t0,
-                       std::vector<Op> &ops) const;
-
     /**
      * The complete schedule — compute ops, input writes and update
-     * cycles — in canonical emission order (ascending image within a
-     * batch, batches in sequence).  Within any one cycle, emission
-     * order is the execution order every run path observes.
+     * cycles — in cycle order, each cycle's ops in ascending image
+     * order after any update.  That is the execution order every run
+     * path observes; DESIGN.md §8 states the rule that places them.
      */
     std::vector<Op> buildSchedule() const;
 

@@ -1,5 +1,6 @@
 #include "common/json.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -392,9 +393,11 @@ Value::dump(int indent) const
 
 // ---- Parser -------------------------------------------------------
 
-namespace {
-
-/** Recursive-descent parser over one in-memory document. */
+/**
+ * Recursive-descent parser over one in-memory document.  A friend of
+ * Value: it appends object members directly, having checked that
+ * each key is new (a repeated key is a ParseError).
+ */
 class Parser
 {
   public:
@@ -482,29 +485,72 @@ class Parser
     {
         expect('{');
         skipSpace();
+        Value obj = Value::object();
         if (peek() == '}') {
             ++pos_;
-            return Value::object();
+            return obj;
         }
         // A top-level object is a whole record (an NDJSON line) and
         // reserves its slots as object() does; a nested one grows as
         // it fills, so a large parsed document holds no spare slots.
-        Value obj = depth == 0 ? Value::object() : Value();
+        auto &members = obj.members_;
+        if (depth == 0)
+            members.reserve(kFirstMembers);
         while (true) {
             skipSpace();
-            const std::string key = parseString();
+            const size_t key_at = pos_;
+            std::string key = parseString();
+            // Up to kScanMembers members each new key is compared with
+            // the earlier ones; a larger object sorts its keys at '}'.
+            if (members.size() < kScanMembers) {
+                for (const auto &member : members) {
+                    if (member.first == key)
+                        throw ParseError(repeatedKey(key), key_at);
+                }
+            }
             skipSpace();
             expect(':');
             skipSpace();
-            obj[key] = parseValue(depth + 1);
+            members.emplace_back(std::move(key), parseValue(depth + 1));
             skipSpace();
             if (peek() == ',') {
                 ++pos_;
                 continue;
             }
+            const size_t close_at = pos_;
             expect('}');
+            if (members.size() > kScanMembers)
+                checkKeysUnique(members, close_at);
             return obj;
         }
+    }
+
+    static std::string repeatedKey(const std::string &key)
+    {
+        return "repeated key '" + key + "'";
+    }
+
+    /** ParseError at @p close_at when two of @p members share a key,
+     *  found by sorting pointers to the keys once. */
+    static void checkKeysUnique(
+        const std::vector<std::pair<std::string, Value>> &members,
+        size_t close_at)
+    {
+        std::vector<const std::string *> keys;
+        keys.reserve(members.size());
+        for (const auto &member : members)
+            keys.push_back(&member.first);
+        std::sort(keys.begin(), keys.end(),
+                  [](const std::string *a, const std::string *b) {
+                      return *a < *b;
+                  });
+        const auto repeat = std::adjacent_find(
+            keys.begin(), keys.end(),
+            [](const std::string *a, const std::string *b) {
+                return *a == *b;
+            });
+        if (repeat != keys.end())
+            throw ParseError(repeatedKey(**repeat), close_at);
     }
 
     Value parseArray(int depth)
@@ -640,12 +686,12 @@ class Parser
     }
 
     static constexpr int kMaxDepth = 128;
+    /** Members whose keys are checked one by one as they arrive. */
+    static constexpr size_t kScanMembers = 16;
 
     const std::string &text_;
     size_t pos_ = 0;
 };
-
-} // namespace
 
 Value
 parse(const std::string &text)

@@ -32,7 +32,8 @@
 namespace pipelayer {
 namespace json {
 
-/** Thrown by parse() on malformed input. */
+/** Thrown by parse() on malformed input (a repeated object key
+ *  included). */
 class ParseError : public std::runtime_error
 {
   public:
@@ -159,6 +160,8 @@ class Value
     static std::string formatNumber(double v);
 
   private:
+    friend class Parser; //!< appends parsed members without a lookup
+
     /** Append this value to @p out; with a @p sink, hand @p out to it
      *  whenever it fills (write()), without one keep it all (dump()). */
     void writeIndented(std::string &out, int indent, int depth,
@@ -174,7 +177,10 @@ class Value
     std::vector<std::pair<std::string, Value>> members_;
 };
 
-/** Parse one JSON document (throws ParseError on malformed input). */
+/**
+ * Parse one JSON document: ParseError on malformed input, and on an
+ * object that repeats a key (found in O(k log k) for k members).
+ */
 Value parse(const std::string &text);
 
 } // namespace json

@@ -49,7 +49,6 @@ TraceRecorder::mergeFrom(const TraceRecorder &other,
     for (const auto &entry : other.async_depth_) {
         async_depth_[entry.first] += entry.second;
     }
-    open_async_ += other.open_async_;
     for (const auto &entry : other.flow_counts_) {
         auto &counts = flow_counts_[entry.first];
         counts.first += entry.second.first;
@@ -89,7 +88,6 @@ TraceRecorder::asyncBegin(const std::string &name,
                           int64_t cycle)
 {
     async_depth_[{category, id}]++;
-    ++open_async_;
     marks_.push_back({MarkEvent::Kind::AsyncBegin, name, category, id,
                       0, cycle, 0});
 }
@@ -113,7 +111,6 @@ TraceRecorder::asyncEnd(const std::string &name,
               "asyncEnd('%s', id %lld) without a matching asyncBegin",
               category.c_str(), (long long)id);
     --it->second;
-    --open_async_;
     last_cycle_ = std::max(last_cycle_, cycle);
     marks_.push_back({MarkEvent::Kind::AsyncEnd, name, category, id, 0,
                       cycle, 0});
@@ -150,21 +147,6 @@ TraceRecorder::counter(const std::string &name, int64_t cycle,
     last_cycle_ = std::max(last_cycle_, cycle);
     marks_.push_back({MarkEvent::Kind::Counter, name, std::string(), 0,
                       0, cycle, value});
-}
-
-std::vector<std::pair<int64_t, int64_t>>
-TraceRecorder::counterSeries(const std::string &name) const
-{
-    std::vector<std::pair<int64_t, int64_t>> points;
-    for (const MarkEvent &m : marks_) {
-        if (m.kind == MarkEvent::Kind::Counter && m.name == name)
-            points.emplace_back(m.cycle, m.value);
-    }
-    std::stable_sort(points.begin(), points.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.first < b.first;
-                     });
-    return points;
 }
 
 json::Value

@@ -121,9 +121,6 @@ class TraceRecorder
 
     void asyncEnd(const std::string &name, const std::string &category,
                   int64_t id, int64_t cycle);
-
-    /** Spans opened by asyncBegin() and not yet closed. */
-    int64_t openAsyncCount() const { return open_async_; }
     ///@}
 
     /** @name Flow arrows (request -> carrying batch).
@@ -150,10 +147,6 @@ class TraceRecorder
      * should carry at most one point per cycle.
      */
     void counter(const std::string &name, int64_t cycle, int64_t value);
-
-    /** Points recorded for counter series @p name, in cycle order. */
-    std::vector<std::pair<int64_t, int64_t>>
-    counterSeries(const std::string &name) const;
 
     /** All slices, in completion order. */
     const std::vector<TraceEvent> &events() const { return events_; }
@@ -204,7 +197,6 @@ class TraceRecorder
     std::vector<MarkEvent> marks_; //!< async/flow/counter, emit order
     /** Open async spans per (category, id); all zero by toJson(). */
     std::map<std::pair<std::string, int64_t>, int64_t> async_depth_;
-    int64_t open_async_ = 0;
     /** Flow (category, id) -> (starts, finishes); 1/1 by toJson(). */
     std::map<std::pair<std::string, int64_t>, std::pair<int64_t, int64_t>>
         flow_counts_;

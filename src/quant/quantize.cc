@@ -50,17 +50,5 @@ quantizeNetworkWeights(nn::Network &net, int bits)
     }
 }
 
-double
-quantizationMse(const Tensor &t, int bits)
-{
-    const Tensor q = quantizeTensor(t, bits);
-    double mse = 0.0;
-    for (int64_t i = 0; i < t.numel(); ++i) {
-        const double d = t.at(i) - q.at(i);
-        mse += d * d;
-    }
-    return t.numel() > 0 ? mse / static_cast<double>(t.numel()) : 0.0;
-}
-
 } // namespace quant
 } // namespace pipelayer

@@ -93,12 +93,6 @@ Tensor quantizeTensor(const Tensor &t, int bits);
  */
 void quantizeNetworkWeights(nn::Network &net, int bits);
 
-/**
- * Mean squared quantisation error of @p t at @p bits — used by the
- * unit tests to check monotonicity in the bit width.
- */
-double quantizationMse(const Tensor &t, int bits);
-
 } // namespace quant
 } // namespace pipelayer
 

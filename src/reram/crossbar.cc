@@ -101,15 +101,6 @@ CrossbarArray::CrossbarArray(const DeviceParams &params,
     }
 }
 
-int64_t
-CrossbarArray::stuckCellCount() const
-{
-    int64_t n = 0;
-    for (uint8_t s : stuck_)
-        n += s;
-    return n;
-}
-
 void
 CrossbarArray::store(size_t idx, int64_t col, int64_t code)
 {
@@ -173,8 +164,8 @@ CrossbarArray::matVecCodesBatch(const SpikeBlock &block, int64_t *out)
     // Collapsed bit-plane walk.  The LSBF pulse schedule injects only
     // non-negative charges (weight 2^t x conductance) and the IF
     // counter is a saturating adder, so the final count is
-    // min(Σ_r weight[r]·g[r][c], max_count) and the saturation flag is
-    // (Σ > max_count) — independent of pulse order.  A word line's
+    // min(Σ_r weight[r]·g[r][c], max_count) — independent of pulse
+    // order.  A word line's
     // total weight Σ 2^t over its spiking slots is its code (the
     // encoding is weighted-binary), so one pass over the cells with
     // the codes as weights reproduces the per-pulse emulation
@@ -185,9 +176,9 @@ CrossbarArray::matVecCodesBatch(const SpikeBlock &block, int64_t *out)
     // (rows x 2^data_bits x maxCellCode < 2^62).
     //
     // Only the live bit lines [0, live) are swept: every cell beyond
-    // them is zero, and a zero cell adds nothing to a count, to the
-    // IF firings or to the saturation flag, so those columns' counts
-    // stay the zeros the fill below writes.
+    // them is zero, and a zero cell adds nothing to a count or to the
+    // IF firings, so those columns' counts stay the zeros the fill
+    // below writes.
     //
     // The window loop runs inside the row loop (r outer, window
     // inner), so the cell row stays register/cache-resident and G
@@ -221,25 +212,17 @@ CrossbarArray::matVecCodesBatch(const SpikeBlock &block, int64_t *out)
 
     // Serial epilogue, one window at a time: clamp to the counter
     // capacity and tally the IF firings (one per output count unit),
-    // exactly as the saturating counters would have left them.  The
-    // flag keeps the last window's state.
+    // exactly as the saturating counters would have left them.
     const int64_t max_count =
         (int64_t{1} << params_.counter_bits) - 1;
-    bool last_sat = false;
     int64_t fires = 0;
     for (int64_t b = 0; b < batch; ++b) {
         int64_t *out_b = out + b * n_cols;
-        last_sat = false;
         for (int64_t c = 0; c < live; ++c) {
-            if (out_b[c] > max_count) {
-                out_b[c] = max_count;
-                last_sat = true;
-            }
+            out_b[c] = std::min(out_b[c], max_count);
             fires += out_b[c];
         }
     }
-    std::atomic_ref<bool>(last_saturated_)
-        .store(last_sat, std::memory_order_relaxed);
     tally(activity_.if_fires, fires);
 }
 

@@ -109,8 +109,7 @@ class CrossbarArray
      * 2^counter_bits - 1).  The windows share one pass over the cell
      * matrix, so each cell row is loaded once and reused for every
      * window (the windows of a logical cycle, paper §4.2.1); each
-     * window is clamped and tallied on its own, and the saturation
-     * flag is the last window's.
+     * window is clamped and tallied on its own.
      *
      * @param block codes checked against this array's data_bits.
      * @param out   row-major @c batch x cols() output counts.
@@ -125,21 +124,11 @@ class CrossbarArray
     const ArrayActivity &activity() const { return activity_; }
 
     /**
-     * True if any IF counter saturated in the last window of the
-     * last matVecCodesBatch (with concurrent calls, the one that
-     * finished last).
-     */
-    bool lastSaturated() const { return last_saturated_; }
-
-    /** Number of stuck cells in this array (0 for ideal devices). */
-    int64_t stuckCellCount() const;
-
-    /**
      * Live bit lines: 1 + the highest column that has ever held a
      * nonzero cell (after write noise; stuck-high cells count), or 0.
      * Columns at or beyond it hold only zeros, so the MVM sweeps
-     * [0, liveCols()) alone and its counts, flags and activity are
-     * those of a sweep over every column.
+     * [0, liveCols()) alone and its counts and activity are those
+     * of a sweep over every column.
      */
     int64_t liveCols() const { return live_cols_; }
 
@@ -158,7 +147,6 @@ class CrossbarArray
     Rng variation_rng_;
     bool has_variation_ = false;
     ArrayActivity activity_;
-    bool last_saturated_ = false;
 };
 
 } // namespace reram

@@ -30,6 +30,32 @@ errorWindows(const workloads::LayerSpec &spec)
     return 1;
 }
 
+/**
+ * Latency of one stage's logical cycle: its forward MVM steps and, in
+ * training, the error-backward MVM steps through the reordered arrays
+ * and the writes of d_{l-1} into the derivative arrays (paper
+ * §4.4.1): one row-parallel write per array_cols values, cell_bits
+ * programming pulses each.  The stage's write drivers are shared
+ * between adjacent subarrays (paper §4.2.1), so row-writes serialise
+ * — this dominates training cycle time on wide layers and is why
+ * training throughput trails testing throughput.
+ */
+double
+stageLatency(const arch::LayerMapping &m,
+             const reram::DeviceParams &params, bool training)
+{
+    const double forward = m.cycleLatency(params);
+    if (!training)
+        return forward;
+    const int64_t err_steps = ceilDiv(errorWindows(m.spec), m.g);
+    const int64_t row_writes =
+        ceilDiv(m.spec.inputSize(), params.array_cols);
+    return std::max({forward,
+                     static_cast<double>(err_steps) * params.mvmLatency(),
+                     static_cast<double>(row_writes) *
+                         params.cellWriteLatency()});
+}
+
 } // namespace
 
 json::Value
@@ -336,26 +362,8 @@ Simulator::cycleTime(const arch::NetworkMapping &mapping,
                      bool training) const
 {
     double worst = 0.0;
-    for (const auto &m : mapping.layers()) {
-        worst = std::max(worst, m.cycleLatency(params_));
-        if (training) {
-            // Error-backward MVM steps through the reordered arrays.
-            const int64_t steps = ceilDiv(errorWindows(m.spec), m.g);
-            worst = std::max(worst, static_cast<double>(steps) *
-                                        params_.mvmLatency());
-            // Writing the forward data d_{l-1} into the derivative
-            // arrays (paper §4.4.1): one row-parallel write per
-            // array_cols values, cell_bits programming pulses each.
-            // The stage's write drivers are shared between adjacent
-            // subarrays (paper §4.2.1), so row-writes serialise —
-            // this dominates training cycle time on wide layers and
-            // is why training throughput trails testing throughput.
-            const int64_t row_writes =
-                ceilDiv(m.spec.inputSize(), params_.array_cols);
-            worst = std::max(worst, static_cast<double>(row_writes) *
-                                        params_.cellWriteLatency());
-        }
-    }
+    for (const auto &m : mapping.layers())
+        worst = std::max(worst, stageLatency(m, params_, training));
     return worst;
 }
 
@@ -406,20 +414,11 @@ Simulator::buildReport(const Job &chip,
         cost.steps_per_cycle = m.steps_per_cycle;
         cost.arrays = m.forward_arrays + m.backward_arrays;
         cost.forward_latency = m.cycleLatency(params_);
+        cost.training_latency = stageLatency(m, params_, training);
         cost.forward_energy = forwardLayerEnergy(m);
         if (training) {
-            const int64_t err_steps = ceilDiv(errorWindows(m.spec), m.g);
-            const int64_t row_writes =
-                ceilDiv(m.spec.inputSize(), params_.array_cols);
-            cost.training_latency = std::max(
-                {cost.forward_latency,
-                 static_cast<double>(err_steps) * params_.mvmLatency(),
-                 static_cast<double>(row_writes) *
-                     params_.cellWriteLatency()});
             cost.backward_energy = backwardLayerEnergy(m);
             cost.derivative_energy = derivativeLayerEnergy(m);
-        } else {
-            cost.training_latency = cost.forward_latency;
         }
         e.forward_compute += n * cost.forward_energy;
         if (training) {

@@ -1,6 +1,7 @@
 # The stdout of the examples that tour the crossbar model, the device
-# API and the pipelined trainer is byte-identical to the committed
-# goldens (goldens/<example>.stdout.txt) at any PL_THREADS and PL_ISA.
+# API and the pipelined trainer, and of bench_fig6_timeline (the paper's
+# Fig. 3, 6 and 7(a) charts), is byte-identical to the committed
+# goldens (goldens/<program>.stdout.txt) at any PL_THREADS and PL_ISA.
 # Run as
 #   cmake -DEXAMPLES="<path to quickstart>;<crossbar_demo>;..."
 #         -DGOLDENS_DIR=<tests/goldens> -DWORK_DIR=<scratch dir>

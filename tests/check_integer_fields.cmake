@@ -7,6 +7,7 @@
 # more than 100000 windows, and json_lint must report
 # such a field as a lint error instead of terminating.  json_lint
 # also rejects every job and trace the simulator's parsers reject.
+# A repeated object key is an error in both tools.
 # Run as
 #   cmake -DPL_SERVE=<pl_serve> -DJSON_LINT=<json_lint>
 #         -DWORK_DIR=<scratch dir> -P check_integer_fields.cmake
@@ -133,5 +134,23 @@ foreach(doc job poisson)
         message(FATAL_ERROR "json_lint on the bad ${doc}: exit ${rc}: ${err}")
     endif()
 endforeach()
+# A repeated key is an error naming it, not a silent last-one-wins:
+# in an NDJSON request and in a document json_lint reads.
+file(WRITE "${WORK_DIR}/request.ndjson"
+     "{\"id\":0,\"arrival_cycle\":5,\"arrival_cycle\":7}\n")
+execute_process(COMMAND "${PL_SERVE}" --network=Mnist-A --quiet
+                INPUT_FILE "${WORK_DIR}/request.ndjson"
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "repeated key 'arrival_cycle'")
+    message(FATAL_ERROR "pl_serve on a repeated key: exit ${rc}: ${err}")
+endif()
+file(WRITE "${WORK_DIR}/repeated.json"
+     "{\"arrival_trace_version\": 1, \"kind\": \"fixed\", "
+     "\"num_requests\": 3, \"interval\": 2, \"interval\": 4}\n")
+execute_process(COMMAND "${JSON_LINT}" "${WORK_DIR}/repeated.json"
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR NOT err MATCHES "repeated key 'interval'")
+    message(FATAL_ERROR "json_lint on a repeated key: exit ${rc}: ${err}")
+endif()
 message(STATUS "fractional, out-of-range and overflowing integer fields "
-               "rejected; exact integers echoed")
+               "and repeated keys rejected; exact integers echoed")

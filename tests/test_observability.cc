@@ -171,6 +171,58 @@ TEST(Json, ParserRejectsMalformedInput)
     EXPECT_THROW(json::parse("1 2"), json::ParseError);
 }
 
+/**
+ * An object of @p members members keyed "k0", "k1", ...; with
+ * @p repeat >= 0 its last key is "k<repeat>" instead, an earlier one.
+ */
+std::string
+objectText(int64_t members, int64_t repeat)
+{
+    std::string text = "{";
+    for (int64_t i = 0; i < members; ++i) {
+        const int64_t key = i + 1 == members && repeat >= 0 ? repeat : i;
+        text += (i > 0 ? ",\"k" : "\"k") + std::to_string(key) +
+                "\":" + std::to_string(i);
+    }
+    return text + "}";
+}
+
+TEST(Json, RepeatedKeyIsParseError)
+{
+    // Small objects compare each new key with the earlier ones, larger
+    // ones sort their keys once at '}'; either way a repeated key is
+    // an error naming it, at the top level and nested, and distinct
+    // keys keep their order.
+    for (const int64_t members : {2, 16, 17, 20000}) {
+        const std::string distinct = objectText(members, -1);
+        const std::string repeated = objectText(members, members / 2 - 1);
+        const std::string name =
+            "repeated key 'k" + std::to_string(members / 2 - 1) + "'";
+        for (const bool nested : {false, true}) {
+            SCOPED_TRACE("members=" + std::to_string(members) +
+                         " nested=" + std::to_string(nested));
+            const auto wrap = [nested](const std::string &object) {
+                return nested ? "{\"a\":[1," + object + "],\"b\":2}"
+                              : object;
+            };
+            const json::Value doc = json::parse(wrap(distinct));
+            const json::Value &object =
+                nested ? doc.at("a").at(1) : doc;
+            ASSERT_EQ(object.size(), static_cast<size_t>(members));
+            EXPECT_EQ(object.members().back().first,
+                      "k" + std::to_string(members - 1));
+            try {
+                json::parse(wrap(repeated));
+                ADD_FAILURE() << "no ParseError";
+            } catch (const json::ParseError &e) {
+                EXPECT_NE(std::string(e.what()).find(name),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
 TEST(Json, ParsesUnicodeEscapes)
 {
     const json::Value v = json::parse("\"a\\u00e9b\"");

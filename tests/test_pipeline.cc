@@ -17,6 +17,7 @@
 #include "common/rng.hh"
 #include "nn/layers.hh"
 #include "sim/arrival.hh"
+#include "support/schedule_reference.hh"
 #include "workloads/layer_spec.hh"
 #include "workloads/model_zoo.hh"
 
@@ -369,6 +370,107 @@ equivalenceSweep()
 
 INSTANTIATE_TEST_SUITE_P(Table2, EventCoreSweep,
                          ::testing::ValuesIn(equivalenceSweep()));
+
+/**
+ * The op-stream sweep's 576 schedules with their labels: L in
+ * {1, 2, 3, 5}, N in {0, 1, 2, 7, 16, 33}, B in {1, 3, 16}, training
+ * or testing, pipelined or not, and for pipelined testing five
+ * arrival shapes: none (back to back), every 3 cycles, same-cycle
+ * bursts of 4, seeded random gaps of 0-6 cycles and every 64 cycles
+ * from cycle 100.
+ */
+struct OpStreamCase
+{
+    std::string what;
+    int64_t depth;
+    ScheduleConfig config;
+};
+
+std::vector<OpStreamCase>
+opStreamGrid()
+{
+    std::vector<OpStreamCase> grid;
+    for (const int64_t depth : {1, 2, 3, 5}) {
+        for (const int64_t images : {0, 1, 2, 7, 16, 33}) {
+            std::vector<std::vector<int64_t>> arrivals(5);
+            Rng rng(0x5eedULL + static_cast<uint64_t>(images));
+            int64_t random_cycle = 0;
+            for (int64_t i = 0; i < images; ++i) {
+                arrivals[1].push_back(3 * i);
+                arrivals[2].push_back((i / 4) * 6);
+                random_cycle += static_cast<int64_t>(rng.uniformInt(7));
+                arrivals[3].push_back(random_cycle);
+                arrivals[4].push_back(100 + 64 * i);
+            }
+            for (const int64_t batch : {1, 3, 16}) {
+                for (const bool training : {true, false}) {
+                    for (const bool pipelined : {true, false}) {
+                        const size_t shapes =
+                            !training && pipelined ? arrivals.size() : 1;
+                        for (size_t shape = 0; shape < shapes; ++shape) {
+                            ScheduleConfig config;
+                            config.training = training;
+                            config.pipelined = pipelined;
+                            config.batch_size = batch;
+                            config.num_images = images;
+                            config.arrival_cycles = arrivals[shape];
+                            grid.push_back(
+                                {"L=" + std::to_string(depth) +
+                                     " N=" + std::to_string(images) +
+                                     " B=" + std::to_string(batch) +
+                                     " training=" +
+                                     std::to_string(training) +
+                                     " pipelined=" +
+                                     std::to_string(pipelined) +
+                                     " arrivals=" + std::to_string(shape),
+                                 depth, std::move(config)});
+                        }
+                    }
+                }
+            }
+        }
+    }
+    return grid;
+}
+
+TEST(Schedule, OpStreamMatchesImageByImageOracle)
+{
+    // run() hands its executor the image-by-image emission sorted by
+    // cycle (arch::referenceSchedule), op for op, on every schedule
+    // shape, and the dense walk agrees on every stat.
+    using Op = PipelineScheduler::Op;
+    const auto grid = opStreamGrid();
+    ASSERT_EQ(grid.size(), 576u);
+    for (const auto &[what, depth, config] : grid) {
+        const std::vector<Op> expected = referenceSchedule(depth, config);
+
+        std::vector<Op> seen;
+        bool cycles_match = true;
+        PipelineScheduler scheduler(depth, config);
+        const ScheduleStats stats =
+            scheduler.run([&](int64_t cycle, std::span<const Op> ops) {
+                for (const Op &op : ops) {
+                    cycles_match &= op.cycle == cycle;
+                    seen.push_back(op);
+                }
+            });
+        EXPECT_TRUE(cycles_match) << what;
+        ASSERT_EQ(seen.size(), expected.size()) << what;
+        for (size_t i = 0; i < seen.size(); ++i) {
+            const Op &a = seen[i];
+            const Op &b = expected[i];
+            ASSERT_TRUE(a.kind == b.kind && a.image == b.image &&
+                        a.stage == b.stage && a.cycle == b.cycle)
+                << what << " op " << i;
+        }
+        EXPECT_EQ(scheduler.lastRunEvents(),
+                  static_cast<int64_t>(expected.size()))
+            << what;
+
+        PipelineScheduler dense(depth, config);
+        expectStatsEqual(stats, dense.runReference(), what);
+    }
+}
 
 TEST(ScheduleConfigValidate, RejectsNonPositiveBatch)
 {

@@ -82,6 +82,19 @@ TEST(Quantizer, ErrorBoundedByHalfStep)
                   q.scale * 0.5f + 1e-6f);
 }
 
+/** Mean squared quantisation error of @p t at @p bits. */
+double
+quantizationMse(const Tensor &t, int bits)
+{
+    const Tensor q = quantizeTensor(t, bits);
+    double mse = 0.0;
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        const double d = t.at(i) - q.at(i);
+        mse += d * d;
+    }
+    return t.numel() > 0 ? mse / static_cast<double>(t.numel()) : 0.0;
+}
+
 /** MSE must fall monotonically as resolution rises — the property
  *  behind the Fig. 13 accuracy curve. */
 class QuantMseSweep : public ::testing::TestWithParam<int>

@@ -20,11 +20,30 @@ namespace pipelayer {
 namespace reram {
 namespace {
 
+/**
+ * Program every cell of @p array (a device without write noise) to a
+ * mid-range code and count the cells that ignore it: the stuck ones,
+ * frozen at 0 or the top code.
+ */
+int64_t
+stuckCells(CrossbarArray &array, const DeviceParams &p)
+{
+    const int64_t mid = p.maxCellCode() / 2;
+    int64_t stuck = 0;
+    for (int64_t r = 0; r < array.rows(); ++r) {
+        for (int64_t c = 0; c < array.cols(); ++c) {
+            array.programCell(r, c, mid);
+            stuck += array.cell(r, c) != mid ? 1 : 0;
+        }
+    }
+    return stuck;
+}
+
 TEST(Variation, IdealDeviceHasNoStuckCells)
 {
     const DeviceParams p; // defaults are ideal
     CrossbarArray array(p);
-    EXPECT_EQ(array.stuckCellCount(), 0);
+    EXPECT_EQ(stuckCells(array, p), 0);
     array.programCell(0, 0, 9);
     EXPECT_EQ(array.cell(0, 0), 9); // exact programming
 }
@@ -37,7 +56,7 @@ TEST(Variation, StuckCellRateIsApproximatelyRespected)
     const double cells = static_cast<double>(p.array_rows *
                                              p.array_cols);
     const double rate =
-        static_cast<double>(array.stuckCellCount()) / cells;
+        static_cast<double>(stuckCells(array, p)) / cells;
     EXPECT_NEAR(rate, 0.1, 0.02);
 }
 
@@ -52,7 +71,7 @@ TEST(Variation, StuckCellsIgnoreProgramming)
         p.stuck_at_fault_rate = 1.0;
         CrossbarArray array(p, 2);
         const int64_t top = p.maxCellCode();
-        EXPECT_EQ(array.stuckCellCount(), p.array_rows * p.array_cols);
+        EXPECT_EQ(stuckCells(array, p), p.array_rows * p.array_cols);
         std::vector<int64_t> frozen;
         int64_t high = 0;
         for (int64_t r = 0; r < p.array_rows; ++r) {
