@@ -8,8 +8,10 @@
  * network hyper-parameters as reconstructed).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <limits>
 
 #include "arch/granularity.hh"
 #include "arch/mapping.hh"
@@ -155,11 +157,19 @@ printLargeN(bench::Runner &r)
     const auto g = arch::GranularityConfig::naive(spec);
     const arch::NetworkMapping map(spec, g, params, false, 1);
 
+    // A walk's wall is the best of three runs after one untimed
+    // warm-up, so it does not include faulting in a fresh op list.
     const auto timed = [](auto &&body) {
-        const auto t0 = std::chrono::steady_clock::now();
         body();
-        const auto t1 = std::chrono::steady_clock::now();
-        return std::chrono::duration<double>(t1 - t0).count();
+        double best = std::numeric_limits<double>::infinity();
+        for (int rep = 0; rep < 3; ++rep) {
+            const auto t0 = std::chrono::steady_clock::now();
+            body();
+            const auto t1 = std::chrono::steady_clock::now();
+            best = std::min(best,
+                            std::chrono::duration<double>(t1 - t0).count());
+        }
+        return best;
     };
 
     std::cout << "Large-N cycle-loop scaling (testing schedule, N = "

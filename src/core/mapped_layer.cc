@@ -1,5 +1,7 @@
 #include "core/mapped_layer.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "tensor/ops.hh"
 
@@ -18,10 +20,10 @@ withColumn(const Tensor &mat, const Tensor &col)
 {
     const int64_t rows = col.numel(), m = mat.numel() / rows;
     Tensor out({rows, m + 1});
+    float *o = out.data();
     for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t j = 0; j < m; ++j)
-            out(r, j) = mat.at(r * m + j);
-        out(r, m) = col.at(r);
+        std::copy_n(mat.data() + r * m, m, o + r * (m + 1));
+        o[r * (m + 1) + m] = col.data()[r];
     }
     return out;
 }
@@ -72,13 +74,19 @@ MappedLayer::rebuildBackward()
     const int64_t co = weight_shape_[0], ci = weight_shape_[1];
     const int64_t taps = shapeNumel(weight_shape_) / (co * ci);
     Tensor packed({ci, co * taps + 1});
+    const float *src = mat.data();
+    float *dst = packed.data();
     for (int64_t oc = 0; oc < co; ++oc)
-        for (int64_t icn = 0; icn < ci; ++icn)
-            for (int64_t t = 0; t < taps; ++t)
-                packed(icn, oc * taps + taps - 1 - t) =
-                    mat(oc, icn * taps + t);
+        for (int64_t icn = 0; icn < ci; ++icn) {
+            const float *kernel = src + oc * (ci * taps + 1) + icn * taps;
+            float *reversed = dst + icn * (co * taps + 1) + oc * taps;
+            std::reverse_copy(kernel, kernel + taps, reversed);
+        }
+    // Free the retired arrays before programming their successors,
+    // so the two sets are never resident together.
     if (backward_group_)
         retired_ += backward_group_->totalActivity();
+    backward_group_.reset();
     backward_group_ = std::make_unique<reram::ArrayGroup>(params_, packed);
 }
 
@@ -99,8 +107,7 @@ MappedLayer::storedWeight() const
     const int64_t rows = mat.dim(0), m = mat.dim(1) - 1;
     Tensor weight(weight_shape_);
     for (int64_t i = 0; i < rows; ++i)
-        for (int64_t j = 0; j < m; ++j)
-            weight.at(i * m + j) = mat(i, j);
+        std::copy_n(mat.data() + i * (m + 1), m, weight.data() + i * m);
     return weight;
 }
 
@@ -108,9 +115,10 @@ Tensor
 MappedLayer::storedBias() const
 {
     const Tensor mat = forward_group_->readWeights();
-    Tensor bias({mat.dim(0)});
-    for (int64_t i = 0; i < mat.dim(0); ++i)
-        bias(i) = mat(i, mat.dim(1) - 1);
+    const int64_t rows = mat.dim(0), m = mat.dim(1);
+    Tensor bias({rows});
+    for (int64_t i = 0; i < rows; ++i)
+        bias.data()[i] = mat.data()[i * m + m - 1];
     return bias;
 }
 
@@ -158,11 +166,14 @@ MappedConvLayer::forward(const Tensor &input, nn::Saved *) const
     const int64_t out_w = input.dim(2) + 2 * pad_ - kernel_ + 1;
     PL_ASSERT(windows == out_h * out_w, "window count mismatch");
 
+    // (windows, out_c) -> (out_c, out_h, out_w): a transpose.
     const Tensor result = biasedMatVec(*forward_group_, cols);
     Tensor out({out_c_, out_h, out_w});
+    const float *res = result.data();
+    float *o = out.data();
     for (int64_t w = 0; w < windows; ++w)
         for (int64_t oc = 0; oc < out_c_; ++oc)
-            out(oc, w / out_w, w % out_w) = result(w, oc);
+            o[oc * windows + w] = res[w * out_c_ + oc];
     return out;
 }
 
@@ -177,19 +188,24 @@ MappedConvLayer::backward(const Tensor &delta_out, const nn::Saved &) const
     const int64_t full_h = padded.dim(1) - kernel_ + 1;
     const int64_t full_w = padded.dim(2) - kernel_ + 1;
 
+    // (windows, in_c) -> (in_c, full_h, full_w), then the crop.
     const Tensor result = biasedMatVec(*backward_group_, cols);
+    const int64_t windows = cols.dim(0);
     Tensor full({in_c_, full_h, full_w});
-    for (int64_t w = 0; w < cols.dim(0); ++w)
+    const float *res = result.data();
+    float *f = full.data();
+    for (int64_t w = 0; w < windows; ++w)
         for (int64_t icn = 0; icn < in_c_; ++icn)
-            full(icn, w / full_w, w % full_w) = result(w, icn);
+            f[icn * windows + w] = res[w * in_c_ + icn];
 
     if (pad_ == 0)
         return full;
-    Tensor out({in_c_, full_h - 2 * pad_, full_w - 2 * pad_});
+    const int64_t out_h = full_h - 2 * pad_, out_w = full_w - 2 * pad_;
+    Tensor out({in_c_, out_h, out_w});
     for (int64_t c = 0; c < in_c_; ++c)
-        for (int64_t y = 0; y < out.dim(1); ++y)
-            for (int64_t x = 0; x < out.dim(2); ++x)
-                out(c, y, x) = full(c, y + pad_, x + pad_);
+        for (int64_t y = 0; y < out_h; ++y)
+            std::copy_n(f + (c * full_h + y + pad_) * full_w + pad_, out_w,
+                        out.data() + (c * out_h + y) * out_w);
     return out;
 }
 

@@ -34,32 +34,44 @@ ArrayGroup::ArrayGroup(const DeviceParams &params, const Tensor &weight)
         quant::Quantizer::forTensor(weight, params_.data_bits);
     weight_scale_ = q.scale;
     codes_.resize(static_cast<size_t>(n_out_ * m_in_));
-    for (int64_t i = 0; i < n_out_; ++i)
-        for (int64_t j = 0; j < m_in_; ++j)
-            codes_[static_cast<size_t>(i * m_in_ + j)] =
-                static_cast<int32_t>(q.code(weight(i, j)));
+    const float *w = weight.data();
+    for (size_t i = 0; i < codes_.size(); ++i)
+        codes_[i] = static_cast<int32_t>(q.code(w[i]));
 
-    // Allocate the pos/neg x slice x tile subarrays, each with its
-    // own variation stream (distinct instance seeds).
+    // Allocate the pos/neg x tile x slice subarrays, each with its
+    // own variation stream: the instance seeds are distinct and count
+    // sign by sign, slice by slice, tile by tile.
     const int groups = params_.sliceGroups();
-    uint64_t instance = weight.numel() > 0
+    const int64_t tiles = tiles_r_ * tiles_c_;
+    const uint64_t first = weight.numel() > 0
         ? static_cast<uint64_t>(n_out_ * 131071 + m_in_)
         : 0;
-    arrays_.resize(2);
-    for (int sign = 0; sign < 2; ++sign) {
-        arrays_[static_cast<size_t>(sign)].resize(
-            static_cast<size_t>(groups));
-        for (int g = 0; g < groups; ++g) {
-            auto &tiles = arrays_[static_cast<size_t>(sign)]
-                                 [static_cast<size_t>(g)];
-            tiles.reserve(static_cast<size_t>(tiles_r_ * tiles_c_));
-            for (int64_t t = 0; t < tiles_r_ * tiles_c_; ++t) {
-                tiles.push_back(std::make_unique<CrossbarArray>(
-                    params_, instance++));
-            }
-        }
-    }
+    arrays_.reserve(static_cast<size_t>(2 * tiles * groups));
+    for (int sign = 0; sign < 2; ++sign)
+        for (int64_t t = 0; t < tiles; ++t)
+            for (int g = 0; g < groups; ++g)
+                arrays_.emplace_back(
+                    params_, first + static_cast<uint64_t>(
+                                         (sign * groups + g) * tiles + t));
     programCodes();
+}
+
+std::span<CrossbarArray>
+ArrayGroup::tileSlices(int sign, int64_t tile)
+{
+    const auto groups = static_cast<size_t>(params_.sliceGroups());
+    return std::span<CrossbarArray>(arrays_).subspan(
+        static_cast<size_t>(sign * tiles_r_ * tiles_c_ + tile) * groups,
+        groups);
+}
+
+std::span<const CrossbarArray>
+ArrayGroup::tileSlices(int sign, int64_t tile) const
+{
+    const auto groups = static_cast<size_t>(params_.sliceGroups());
+    return std::span<const CrossbarArray>(arrays_).subspan(
+        static_cast<size_t>(sign * tiles_r_ * tiles_c_ + tile) * groups,
+        groups);
 }
 
 void
@@ -67,29 +79,47 @@ ArrayGroup::programCodes()
 {
     const int groups = params_.sliceGroups();
     const int64_t slice_mask = params_.maxCellCode();
+    const int64_t a_rows = params_.array_rows;
+    const int64_t a_cols = params_.array_cols;
 
-    for (int64_t i = 0; i < n_out_; ++i) {
-        for (int64_t j = 0; j < m_in_; ++j) {
-            const int64_t code = codes_[static_cast<size_t>(i * m_in_ + j)];
-            const int64_t mag = std::llabs(code);
-            const int sign = code < 0 ? 1 : 0;
-            const int64_t tr = j / params_.array_rows;
-            const int64_t tc = i / params_.array_cols;
-            const int64_t row = j % params_.array_rows;
-            const int64_t col = i % params_.array_cols;
-            for (int g = 0; g < groups; ++g) {
-                const int64_t slice =
-                    (mag >> (g * params_.cell_bits)) & slice_mask;
-                // Program the magnitude into the sign's arrays and
-                // zero into the opposite sign's arrays so updates
-                // that flip a weight's sign are handled.
-                arrays_[static_cast<size_t>(sign)][static_cast<size_t>(g)]
-                       [static_cast<size_t>(tr * tiles_c_ + tc)]
-                           ->programCell(row, col, slice);
-                arrays_[static_cast<size_t>(1 - sign)]
-                       [static_cast<size_t>(g)]
-                       [static_cast<size_t>(tr * tiles_c_ + tc)]
-                           ->programCell(row, col, 0);
+    // Each array's cells are written bit line by bit line, rows
+    // ascending: the order of the variation draws.  A weight's
+    // magnitude goes into its sign's slices and zero into the
+    // opposite sign's, so updates that flip a sign are handled.
+    // runs[(sign * groups + g) * a_rows + row] holds one bit line.
+    std::vector<uint8_t> runs(static_cast<size_t>(2 * groups * a_rows));
+    for (int64_t tr = 0; tr < tiles_r_; ++tr) {
+        const int64_t row0 = tr * a_rows;
+        const int64_t used = std::min(a_rows, m_in_ - row0);
+        for (int64_t tc = 0; tc < tiles_c_; ++tc) {
+            const int64_t col0 = tc * a_cols;
+            const int64_t width = std::min(a_cols, n_out_ - col0);
+            const int64_t tile = tr * tiles_c_ + tc;
+            for (int64_t col = 0; col < width; ++col) {
+                const int32_t *w =
+                    codes_.data() + (col0 + col) * m_in_ + row0;
+                for (int64_t row = 0; row < used; ++row) {
+                    const int64_t mag = std::llabs(w[row]);
+                    const int sign = w[row] < 0 ? 1 : 0;
+                    for (int g = 0; g < groups; ++g) {
+                        runs[static_cast<size_t>(
+                            (sign * groups + g) * a_rows + row)] =
+                            static_cast<uint8_t>(
+                                (mag >> (g * params_.cell_bits)) &
+                                slice_mask);
+                        runs[static_cast<size_t>(
+                            ((1 - sign) * groups + g) * a_rows + row)] = 0;
+                    }
+                }
+                for (int sign = 0; sign < 2; ++sign) {
+                    std::span<CrossbarArray> slices =
+                        tileSlices(sign, tile);
+                    for (int g = 0; g < groups; ++g)
+                        slices[static_cast<size_t>(g)].programColumn(
+                            col, 0,
+                            runs.data() + (sign * groups + g) * a_rows,
+                            used);
+                }
             }
         }
     }
@@ -102,15 +132,12 @@ ArrayGroup::arrayCount() const
 }
 
 void
-ArrayGroup::signedPassBatch(bool positive,
-                            const std::vector<int64_t> &codes,
+ArrayGroup::signedPassBatch(const std::vector<int64_t> &codes,
                             const std::vector<int64_t> &windows,
-                            int64_t *out)
+                            int64_t sign_in, int64_t *out)
 {
     if (windows.empty())
         return;
-    const int groups = params_.sliceGroups();
-    const size_t sign = positive ? 0 : 1;
     const int64_t a_rows = params_.array_rows;
     const int64_t a_cols = params_.array_cols;
 
@@ -149,20 +176,19 @@ ArrayGroup::signedPassBatch(bool positive,
 
         for (int64_t tc = 0; tc < tiles_c_; ++tc) {
             const int64_t col0 = tc * a_cols;
-            for (int g = 0; g < groups; ++g) {
-                auto &array = *arrays_[sign][static_cast<size_t>(g)]
-                    [static_cast<size_t>(tr * tiles_c_ + tc)];
-                array.matVecCodesBatch(block, counts.data());
-                // Shift-add each window's slice result (Fig. 14a);
+            for (int sign = 0; sign < 2; ++sign) {
+                // The tile's slice results, shift-added (Fig. 14a);
                 // counts past the live bit lines are zero.
-                const int64_t col1 =
-                    std::min(col0 + array.liveCols(), n_out_);
-                const int64_t shift = g * params_.cell_bits;
+                const int64_t live = CrossbarArray::matVecTileBatch(
+                    tileSlices(sign, tr * tiles_c_ + tc), block,
+                    counts.data());
+                const int64_t col1 = std::min(col0 + live, n_out_);
+                const int64_t scale = sign == 0 ? sign_in : -sign_in;
                 for (int64_t s = 0; s < nsel; ++s) {
                     int64_t *out_w = out + sel[s] * n_out_;
                     const int64_t *cnt = counts.data() + s * a_cols;
                     for (int64_t c = col0; c < col1; ++c)
-                        out_w[c] += cnt[c - col0] << shift;
+                        out_w[c] += scale * cnt[c - col0];
                 }
             }
         }
@@ -187,21 +213,22 @@ ArrayGroup::matVecBatch(const Tensor &x)
     std::vector<int64_t> all_windows(nb);
     std::vector<int64_t> neg_windows;
     Tensor row({m_in_});
+    float *rp = row.data();
     for (int64_t b = 0; b < batch; ++b) {
-        for (int64_t j = 0; j < m_in_; ++j)
-            row(j) = x(b, j);
+        std::copy_n(x.data() + b * m_in_, m_in_, rp);
         const quant::Quantizer qx =
             quant::Quantizer::forTensor(row, params_.data_bits);
         scales[static_cast<size_t>(b)] = weight_scale_ * qx.scale;
         all_windows[static_cast<size_t>(b)] = b;
         bool any_neg = false;
-        const size_t base = static_cast<size_t>(b * m_in_);
+        int64_t *pos = pos_codes.data() + b * m_in_;
+        int64_t *neg = neg_codes.data() + b * m_in_;
         for (int64_t j = 0; j < m_in_; ++j) {
-            const int64_t code = qx.code(row(j));
+            const int64_t code = qx.code(rp[j]);
             if (code >= 0) {
-                pos_codes[base + static_cast<size_t>(j)] = code;
+                pos[j] = code;
             } else {
-                neg_codes[base + static_cast<size_t>(j)] = -code;
+                neg[j] = -code;
                 any_neg = true;
             }
         }
@@ -209,26 +236,20 @@ ArrayGroup::matVecBatch(const Tensor &x)
             neg_windows.push_back(b);
     }
 
-    // Four partial results per window: (W⁺ - W⁻)(x⁺ - x⁻).  Negative
-    // passes run only for windows that actually have negative inputs.
-    const size_t total = nb * static_cast<size_t>(n_out_);
-    std::vector<int64_t> pp(total, 0), np(total, 0);
-    std::vector<int64_t> pn(total, 0), nn(total, 0);
-    signedPassBatch(true, pos_codes, all_windows, pp.data());
-    signedPassBatch(false, pos_codes, all_windows, np.data());
-    signedPassBatch(true, neg_codes, neg_windows, pn.data());
-    signedPassBatch(false, neg_codes, neg_windows, nn.data());
+    // (W⁺ - W⁻)(x⁺ - x⁻) in one integer accumulator: an x⁺ pass and
+    // an x⁻ pass, each driving both weight signs.  The x⁻ pass runs
+    // only for windows that actually have negative inputs.
+    std::vector<int64_t> acc(nb * static_cast<size_t>(n_out_), 0);
+    signedPassBatch(pos_codes, all_windows, +1, acc.data());
+    signedPassBatch(neg_codes, neg_windows, -1, acc.data());
 
     Tensor out({batch, n_out_});
+    float *op = out.data();
     for (int64_t b = 0; b < batch; ++b) {
         const float scale = scales[static_cast<size_t>(b)];
-        const size_t base = static_cast<size_t>(b * n_out_);
         for (int64_t c = 0; c < n_out_; ++c) {
-            const int64_t acc = pp[base + static_cast<size_t>(c)] -
-                                np[base + static_cast<size_t>(c)] -
-                                pn[base + static_cast<size_t>(c)] +
-                                nn[base + static_cast<size_t>(c)];
-            out(b, c) = static_cast<float>(acc) * scale;
+            const auto i = static_cast<size_t>(b * n_out_ + c);
+            op[i] = static_cast<float>(acc[i]) * scale;
         }
     }
     return out;
@@ -238,24 +259,34 @@ Tensor
 ArrayGroup::readWeights() const
 {
     Tensor out({n_out_, m_in_});
-    const int groups = params_.sliceGroups();
-    for (int64_t i = 0; i < n_out_; ++i) {
-        for (int64_t j = 0; j < m_in_; ++j) {
-            const int64_t tr = j / params_.array_rows;
-            const int64_t tc = i / params_.array_cols;
-            const int64_t row = j % params_.array_rows;
-            const int64_t col = i % params_.array_cols;
-            int64_t pos = 0, neg = 0;
-            for (int g = 0; g < groups; ++g) {
-                const int64_t shift = g * params_.cell_bits;
-                pos += arrays_[0][static_cast<size_t>(g)]
-                              [static_cast<size_t>(tr * tiles_c_ + tc)]
-                                  ->cell(row, col) << shift;
-                neg += arrays_[1][static_cast<size_t>(g)]
-                              [static_cast<size_t>(tr * tiles_c_ + tc)]
-                                  ->cell(row, col) << shift;
+    float *o = out.data();
+    const int64_t a_rows = params_.array_rows;
+    const int64_t a_cols = params_.array_cols;
+    for (int64_t tr = 0; tr < tiles_r_; ++tr) {
+        const int64_t row0 = tr * a_rows;
+        const int64_t used = std::min(a_rows, m_in_ - row0);
+        for (int64_t tc = 0; tc < tiles_c_; ++tc) {
+            const int64_t col0 = tc * a_cols;
+            const int64_t width = std::min(a_cols, n_out_ - col0);
+            const int64_t tile = tr * tiles_c_ + tc;
+            const std::span<const CrossbarArray> pos = tileSlices(0, tile);
+            const std::span<const CrossbarArray> neg = tileSlices(1, tile);
+            for (int64_t row = 0; row < used; ++row) {
+                float *o_row = o + col0 * m_in_ + row0 + row;
+                for (int64_t col = 0; col < width; ++col) {
+                    const int64_t idx = row * a_cols + col;
+                    int64_t code = 0;
+                    for (size_t g = 0; g < pos.size(); ++g) {
+                        const int64_t weight = int64_t{1}
+                            << (static_cast<int>(g) * params_.cell_bits);
+                        code += (int64_t{pos[g].cellData()[idx]} -
+                                 int64_t{neg[g].cellData()[idx]}) *
+                                weight;
+                    }
+                    o_row[col * m_in_] =
+                        static_cast<float>(code) * weight_scale_;
+                }
             }
-            out(i, j) = static_cast<float>(pos - neg) * weight_scale_;
         }
     }
     return out;
@@ -272,15 +303,13 @@ ArrayGroup::updateWeights(const Tensor &grad, float lr, int64_t batch_size)
     const float step = lr / static_cast<float>(batch_size);
     const int64_t max_code =
         (int64_t{1} << (params_.data_bits - 1)) - 1;
-    for (int64_t i = 0; i < n_out_; ++i) {
-        for (int64_t j = 0; j < m_in_; ++j) {
-            const float delta = step * grad(i, j);
-            const auto delta_code = static_cast<int64_t>(
-                std::lround(delta / weight_scale_));
-            int32_t &code = codes_[static_cast<size_t>(i * m_in_ + j)];
-            code = static_cast<int32_t>(
-                std::clamp(code - delta_code, -max_code, max_code));
-        }
+    const float *g = grad.data();
+    for (size_t i = 0; i < codes_.size(); ++i) {
+        const float delta = step * g[i];
+        const auto delta_code =
+            static_cast<int64_t>(std::lround(delta / weight_scale_));
+        codes_[i] = static_cast<int32_t>(
+            std::clamp(codes_[i] - delta_code, -max_code, max_code));
     }
     programCodes();
 }
@@ -289,10 +318,8 @@ ArrayActivity
 ArrayGroup::totalActivity() const
 {
     ArrayActivity total;
-    for (const auto &sign : arrays_)
-        for (const auto &slice : sign)
-            for (const auto &array : slice)
-                total += array->activity();
+    for (const CrossbarArray &array : arrays_)
+        total += array.activity();
     return total;
 }
 

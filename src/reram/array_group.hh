@@ -13,10 +13,11 @@
  *    bit-sliced into data_bits/cell_bits groups of cell_bits-wide
  *    cells; group outputs are shifted and added.
  *
- * The arrays of one tile row (every tile column and slice group of a
- * sign) share their word-line inputs, so each sign pass range-checks
- * and spike-counts a tile row's input codes once (SpikeBlock) and
- * drives all of those arrays with it.
+ * The arrays of one tile row (every tile column, weight sign and
+ * slice group) share their word-line inputs, so each input-sign pass
+ * range-checks and spike-counts a tile row's input codes once
+ * (SpikeBlock) and drives all of those arrays with it, a tile's slice
+ * arrays in one sweep (CrossbarArray::matVecTileBatch).
  *
  * Signed *inputs* (backward errors δ) are handled by sign-splitting
  * the input stream into two passes, x = x⁺ - x⁻, doubling the input
@@ -27,7 +28,7 @@
 #define PIPELAYER_RERAM_ARRAY_GROUP_HH_
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "reram/crossbar.hh"
@@ -94,25 +95,32 @@ class ArrayGroup
     float weightScale() const { return weight_scale_; }
 
   private:
-    /** Program the current signed codes into the pos/neg slices. */
+    /**
+     * Program the current signed codes into the pos/neg slices, one
+     * bit line of a tile at a time (CrossbarArray::programColumn).
+     */
     void programCodes();
 
+    /** The slice arrays of tile @p tile of sign @p sign (0 = positive). */
+    std::span<CrossbarArray> tileSlices(int sign, int64_t tile);
+    std::span<const CrossbarArray> tileSlices(int sign, int64_t tile) const;
+
     /**
-     * One sign pass over a batch of windows: accumulate W⁺·x or W⁻·x
-     * (shift-added across bit-slice groups) into the listed windows'
+     * One input-sign pass over a batch of windows: add
+     * @p sign_in · (W⁺·x - W⁻·x) (each product shift-added across
+     * bit-slice groups, one sweep per tile) into the listed windows'
      * rows of @p out.
      *
-     * @param codes   row-major (batch, m_in) non-negative input codes.
+     * @param codes   row-major (batch, m_in) non-negative input codes
+     *        (x⁺ or x⁻).
      * @param windows ascending indices of the windows this pass drives
-     *        (negative passes run only for windows with negative
-     *        inputs).
-     * @param out     row-major (batch, n_out) accumulator, pre-zeroed
-     *        by the caller.
+     *        (the x⁻ pass runs only for windows with negative inputs).
+     * @param sign_in +1 for x⁺, -1 for x⁻.
+     * @param out     row-major (batch, n_out) accumulator.
      */
-    void signedPassBatch(bool positive,
-                         const std::vector<int64_t> &codes,
+    void signedPassBatch(const std::vector<int64_t> &codes,
                          const std::vector<int64_t> &windows,
-                         int64_t *out);
+                         int64_t sign_in, int64_t *out);
 
     DeviceParams params_;
     int64_t n_out_, m_in_;
@@ -122,11 +130,11 @@ class ArrayGroup
     std::vector<int32_t> codes_;
 
     /**
-     * arrays_[sign][slice][tile_r * tiles_c_ + tile_c]:
-     * sign 0 = positive weights, 1 = negative magnitudes.
+     * arrays_[(sign * tiles + tile) * sliceGroups() + slice], tile =
+     * tile_r * tiles_c_ + tile_c: sign 0 = positive weights, 1 =
+     * negative magnitudes.  A tile's slices are adjacent.
      */
-    std::vector<std::vector<std::vector<std::unique_ptr<CrossbarArray>>>>
-        arrays_;
+    std::vector<CrossbarArray> arrays_;
 };
 
 } // namespace reram

@@ -25,22 +25,6 @@ ArrayActivity::operator+=(const ArrayActivity &other)
 
 namespace {
 
-/** Σ popcount over @p n codes, each checked to be below 2^data_bits. */
-int64_t
-countSpikes(const int64_t *codes, int64_t n, int data_bits)
-{
-    PL_PROF_SCOPE("reram.spike_encode");
-    const int64_t limit = int64_t{1} << data_bits;
-    int64_t spikes = 0;
-    for (int64_t i = 0; i < n; ++i) {
-        PL_ASSERT(codes[i] >= 0 && codes[i] < limit,
-                  "code %lld out of %d-bit range", (long long)codes[i],
-                  data_bits);
-        spikes += std::popcount(static_cast<uint64_t>(codes[i]));
-    }
-    return spikes;
-}
-
 /**
  * Add @p n to an activity counter.  Several images may drive one
  * array at once (Network::trainBatch, PipelinedTrainer); the adds
@@ -53,16 +37,35 @@ tally(int64_t &counter, int64_t n)
                                                 std::memory_order_relaxed);
 }
 
+/** Most slice groups a weight can have (data_bits <= 32). */
+constexpr int kMaxGroups = 32;
+
 } // namespace
 
 SpikeBlock::SpikeBlock(const int64_t *codes_in, int64_t batch_in,
                        int64_t rows_used_in, int data_bits_in)
     : codes(codes_in), batch(batch_in), rows_used(rows_used_in),
       data_bits(data_bits_in),
-      spikes(countSpikes(codes_in, batch_in * rows_used_in, data_bits_in))
+      row_sums(static_cast<size_t>(std::max<int64_t>(rows_used_in, 0)), 0)
 {
+    PL_PROF_SCOPE("reram.spike_encode");
     PL_ASSERT(batch >= 1 && rows_used >= 0, "bad code block %lld x %lld",
               (long long)batch, (long long)rows_used);
+    const int64_t limit = int64_t{1} << data_bits;
+    for (int64_t b = 0; b < batch; ++b) {
+        const int64_t *window = codes + b * rows_used;
+        int64_t window_sum = 0;
+        for (int64_t r = 0; r < rows_used; ++r) {
+            const int64_t code = window[r];
+            PL_ASSERT(code >= 0 && code < limit,
+                      "code %lld out of %d-bit range", (long long)code,
+                      data_bits);
+            spikes += std::popcount(static_cast<uint64_t>(code));
+            window_sum += code;
+            row_sums[static_cast<size_t>(r)] += code;
+        }
+        max_window_sum = std::max(max_window_sum, window_sum);
+    }
 }
 
 CrossbarArray::CrossbarArray(const DeviceParams &params,
@@ -94,47 +97,66 @@ CrossbarArray::CrossbarArray(const DeviceParams &params,
                 // A stuck cell freezes at one of the extremes.
                 const bool high = variation_rng_.uniform() < 0.5;
                 stuck_[i] = 1;
-                store(i, static_cast<int64_t>(i) % cols(),
-                      high ? params.maxCellCode() : 0);
+                if (high) {
+                    cells_[i] = static_cast<uint8_t>(params.maxCellCode());
+                    live_cols_ = std::max(
+                        live_cols_, static_cast<int64_t>(i) % cols() + 1);
+                }
             }
         }
     }
 }
 
 void
-CrossbarArray::store(size_t idx, int64_t col, int64_t code)
-{
-    cells_[idx] = static_cast<uint8_t>(code);
-    if (code != 0)
-        live_cols_ = std::max(live_cols_, col + 1);
-}
-
-void
 CrossbarArray::programCell(int64_t row, int64_t col, int64_t code)
 {
-    PL_ASSERT(row >= 0 && row < rows() && col >= 0 && col < cols(),
-              "cell (%lld, %lld) out of array bounds", (long long)row,
-              (long long)col);
     PL_ASSERT(code >= 0 && code <= params_.maxCellCode(),
               "code %lld exceeds %d-bit cell", (long long)code,
               params_.cell_bits);
-    const auto idx = static_cast<size_t>(row * cols() + col);
-    activity_.write_pulses += params_.cell_bits;
-    if (has_variation_) {
-        if (stuck_[idx]) {
-            // Stuck cells ignore programming pulses entirely.
-            return;
-        }
-        if (params_.write_noise_sigma > 0.0) {
-            const double noise = variation_rng_.gaussian(
-                0.0, params_.write_noise_sigma *
-                         static_cast<double>(params_.maxCellCode()));
+    const auto byte = static_cast<uint8_t>(code);
+    programColumn(col, row, &byte, 1);
+}
+
+void
+CrossbarArray::programColumn(int64_t col, int64_t row0,
+                             const uint8_t *codes, int64_t n)
+{
+    PL_ASSERT(col >= 0 && col < cols() && row0 >= 0 && n >= 0 &&
+                  n <= rows() - row0,
+              "cells (%lld..%lld, %lld) out of array bounds",
+              (long long)row0, (long long)(row0 + n - 1), (long long)col);
+    uint8_t all = 0;
+    for (int64_t k = 0; k < n; ++k)
+        all |= codes[k];
+    // maxCellCode() is 2^cell_bits - 1: a code above it sets a higher
+    // bit, and so does the OR of the run.
+    PL_ASSERT(all <= params_.maxCellCode(), "code exceeds %d-bit cell",
+              params_.cell_bits);
+    activity_.write_pulses += n * params_.cell_bits;
+    const int64_t stride = cols();
+    const int64_t max_code = params_.maxCellCode();
+    const double sigma =
+        params_.write_noise_sigma * static_cast<double>(max_code);
+    uint8_t *cell = cells_.data() + row0 * stride + col;
+    const uint8_t *stuck =
+        has_variation_ ? stuck_.data() + row0 * stride + col : nullptr;
+    uint8_t live = 0;
+    for (int64_t k = 0; k < n; ++k) {
+        // Stuck cells ignore programming pulses entirely.
+        if (stuck && stuck[k * stride])
+            continue;
+        int64_t code = codes[k];
+        if (sigma > 0.0) {
+            const double noise = variation_rng_.gaussian(0.0, sigma);
             code = std::clamp<int64_t>(
                 code + static_cast<int64_t>(std::llround(noise)), 0,
-                params_.maxCellCode());
+                max_code);
         }
+        cell[k * stride] = static_cast<uint8_t>(code);
+        live |= static_cast<uint8_t>(code);
     }
-    store(idx, col, code);
+    if (live != 0)
+        live_cols_ = std::max(live_cols_, col + 1);
 }
 
 int64_t
@@ -224,6 +246,98 @@ CrossbarArray::matVecCodesBatch(const SpikeBlock &block, int64_t *out)
         }
     }
     tally(activity_.if_fires, fires);
+}
+
+int64_t
+CrossbarArray::matVecTileBatch(std::span<CrossbarArray> slices,
+                               const SpikeBlock &block, int64_t *out)
+{
+    const DeviceParams &p = slices.front().params_;
+    const auto groups = static_cast<int>(slices.size());
+    PL_ASSERT(groups >= 1 && groups <= p.sliceGroups(),
+              "%d slices of a %d-group weight", groups, p.sliceGroups());
+    PL_ASSERT(block.data_bits == p.data_bits,
+              "codes checked at %d bits drive a %d-bit array",
+              block.data_bits, p.data_bits);
+    PL_ASSERT(block.rows_used <= p.array_rows,
+              "more input codes (%lld) than word lines (%lld)",
+              (long long)block.rows_used, (long long)p.array_rows);
+    const int64_t batch = block.batch;
+    const int64_t rows_used = block.rows_used;
+    const int64_t n_cols = p.array_cols;
+    int64_t live = 0;
+    for (const CrossbarArray &slice : slices) {
+        PL_ASSERT(slice.rows() == p.array_rows &&
+                      slice.cols() == n_cols &&
+                      slice.params_.cell_bits == p.cell_bits &&
+                      slice.params_.data_bits == p.data_bits &&
+                      slice.params_.counter_bits == p.counter_bits,
+                  "the slices of a tile differ in shape or resolution");
+        live = std::max(live, slice.live_cols_);
+    }
+    std::fill(out, out + batch * n_cols, int64_t{0});
+
+    // Every count is at most a window's code sum times the largest
+    // cell code, and a combined sum at most that code sum times the
+    // largest magnitude, 2^data_bits - 1.  A block for which either
+    // bound could be broken (a counter saturating, or an int64 sum
+    // reaching 2^63) takes the per-slice sweeps, which clamp each
+    // slice's counts before the shift-add.
+    const int64_t max_count = (int64_t{1} << p.counter_bits) - 1;
+    const int64_t max_mag = (int64_t{1} << p.data_bits) - 1;
+    if (block.max_window_sum > max_count / p.maxCellCode() ||
+        block.max_window_sum > INT64_MAX / max_mag) {
+        std::vector<int64_t> counts(static_cast<size_t>(batch * n_cols));
+        for (int g = 0; g < groups; ++g) {
+            CrossbarArray &slice = slices[static_cast<size_t>(g)];
+            slice.matVecCodesBatch(block, counts.data());
+            const int shift = g * p.cell_bits;
+            for (int64_t b = 0; b < batch; ++b)
+                for (int64_t c = 0; c < slice.live_cols_; ++c)
+                    out[b * n_cols + c] += counts[static_cast<size_t>(
+                                               b * n_cols + c)]
+                                           << shift;
+        }
+        return live;
+    }
+
+    // One sweep over the combined magnitude mag[r][c] = Σ_g
+    // cell_g[r][c] << (g·cell_bits).  No count clamps, so
+    // Σ_g count_g << (g·cell_bits) = Σ_r code[r]·mag[r][c] exactly,
+    // and slice g's IF firings are Σ_b Σ_c count_g[b][c] =
+    // Σ_r (Σ_b code[b][r])·(Σ_c cell_g[r][c]).  The kernel combines
+    // each driven word line's cells as it multiplies (nothing is kept
+    // between calls) and returns their per-slice sums.
+    PL_PROF_SCOPE("reram.crossbar_matvec");
+    for (CrossbarArray &slice : slices) {
+        tally(slice.activity_.input_spikes, block.spikes);
+        tally(slice.activity_.mvm_ops, batch);
+    }
+    const int64_t *codes = block.codes;
+    const gemmk::Kernels &kern = gemmk::activeKernels();
+    parallel_for(0, live, /*work_per_index=*/rows_used * batch,
+                 [&](int64_t c0, int64_t c1) {
+        const uint8_t *rows[kMaxGroups];
+        int64_t sums[kMaxGroups];
+        int64_t fires[kMaxGroups] = {};
+        for (int64_t r = 0; r < rows_used; ++r) {
+            const int64_t row_sum = block.row_sums[static_cast<size_t>(r)];
+            if (row_sum == 0)
+                continue;
+            for (int g = 0; g < groups; ++g)
+                rows[g] = slices[static_cast<size_t>(g)].cells_.data() +
+                          r * n_cols + c0;
+            kern.ger_slices_i64(out + c0, n_cols, codes + r, rows_used,
+                                batch, rows, groups, p.cell_bits, c1 - c0,
+                                sums);
+            for (int g = 0; g < groups; ++g)
+                fires[g] += row_sum * sums[g];
+        }
+        for (int g = 0; g < groups; ++g)
+            tally(slices[static_cast<size_t>(g)].activity_.if_fires,
+                  fires[g]);
+    });
+    return live;
 }
 
 } // namespace reram

@@ -10,15 +10,17 @@
  * *exactly* Σ_r input_code[r]·g[r][c] (paper §4.2.2) — the crossbar
  * computes an integer matrix-vector product in the analog domain.
  * The model runs that product in collapsed form, one pass over the
- * cells per window of input codes (DESIGN.md §7); the per-pulse
- * SpikeDriver / IntegrateFire oracle it is tested against lives in
- * tests/support.
+ * cells per window of input codes, and the bit-slice arrays of one
+ * weight tile in one pass together while no counter can saturate
+ * (DESIGN.md §7); the per-pulse SpikeDriver / IntegrateFire and
+ * per-slice oracles it is tested against live in tests/support.
  */
 
 #ifndef PIPELAYER_RERAM_CROSSBAR_HH_
 #define PIPELAYER_RERAM_CROSSBAR_HH_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hh"
@@ -40,7 +42,7 @@ struct ArrayActivity
 
 /**
  * A row-major (batch x rows_used) block of input codes, range-checked
- * against the spike resolution and spike-counted once, on
+ * against the spike resolution, spike-counted and summed once, on
  * construction.  Every array of an ArrayGroup tile row is driven by
  * the same codes, so one block serves them all: each array still
  * tallies the block's spikes as its own input_spikes.
@@ -48,9 +50,10 @@ struct ArrayActivity
 struct SpikeBlock
 {
     /**
-     * Check that every code is in [0, 2^data_bits) and count the
-     * block's spikes (the LSBF code is weighted-binary, so a code's
-     * spike count is its popcount).  Profiled as "reram.spike_encode".
+     * Check that every code is in [0, 2^data_bits), count the block's
+     * spikes (the LSBF code is weighted-binary, so a code's spike
+     * count is its popcount) and sum the codes per window and per
+     * word line, in one pass.  Profiled as "reram.spike_encode".
      * @p codes is not copied and must outlive the block.
      * @pre 1 <= data_bits <= 32.
      */
@@ -61,7 +64,10 @@ struct SpikeBlock
     const int64_t batch;
     const int64_t rows_used;
     const int data_bits;
-    const int64_t spikes; //!< Σ popcount over the block
+    int64_t spikes = 0;         //!< Σ popcount over the block
+    int64_t max_window_sum = 0; //!< max over windows b of Σ_r codes[b][r]
+    /** Σ_b codes[b][r] per word line r: zero iff no window drives r. */
+    std::vector<int64_t> row_sums;
 };
 
 /**
@@ -98,8 +104,20 @@ class CrossbarArray
      */
     void programCell(int64_t row, int64_t col, int64_t code);
 
+    /**
+     * Program rows [row0, row0 + n) of bit line @p col to @p codes, in
+     * ascending row order: the cells, write pulses and variation draws
+     * of n programCell calls, with the bounds checked once.
+     * @pre every code <= params.maxCellCode().
+     */
+    void programColumn(int64_t col, int64_t row0, const uint8_t *codes,
+                       int64_t n);
+
     /** Read one cell's conductance code (memory mode). */
     int64_t cell(int64_t row, int64_t col) const;
+
+    /** All rows() x cols() conductance codes, row-major (memory mode). */
+    const uint8_t *cellData() const { return cells_.data(); }
 
     /**
      * Spike-driven matrix-vector products over a block of input
@@ -115,6 +133,28 @@ class CrossbarArray
      * @param out   row-major @c batch x cols() output counts.
      */
     void matVecCodesBatch(const SpikeBlock &block, int64_t *out);
+
+    /**
+     * Drive the bit-slice arrays of one weight tile (paper §5.1,
+     * Fig. 14a) with @p block: slices[g] holds bits
+     * [g·cell_bits, (g+1)·cell_bits) of every stored magnitude, and
+     * out[b][c] = Σ_g count_g[b][c] << (g·cell_bits), count_g being
+     * the counts slices[g].matVecCodesBatch(block) returns.  Every
+     * array tallies its activity as that call would.
+     *
+     * The shift-add is linear, so while no counter can saturate the
+     * slices are swept once, over their combined magnitude; a block
+     * that could saturate takes one matVecCodesBatch per slice
+     * (DESIGN.md §7, "One sweep per tile").
+     *
+     * @pre the slices share one DeviceParams; 1 <= slices.size() <=
+     *      data_bits / cell_bits.
+     * @param out row-major @c batch x cols() output.
+     * @return 1 + the highest live bit line of any slice: out's
+     *         columns from there on are zero.
+     */
+    static int64_t matVecTileBatch(std::span<CrossbarArray> slices,
+                                   const SpikeBlock &block, int64_t *out);
 
     /**
      * Activity counters for the energy model.  The MVMs add to them
@@ -133,9 +173,6 @@ class CrossbarArray
     int64_t liveCols() const { return live_cols_; }
 
   private:
-    /** Store @p code in cell @p idx of column @p col. */
-    void store(size_t idx, int64_t col, int64_t code);
-
     DeviceParams params_;
     std::vector<uint8_t> cells_; //!< row-major conductance codes
     /**

@@ -22,6 +22,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "tensor/gemm_kernels.hh"
@@ -142,13 +143,20 @@ scaleF32Avx2(float *row, const float *y, float xi, int64_t n)
         row[j] = xi * y[j];
 }
 
+/** out[0..3] += w * @p mag4, four magnitudes widened to qwords. */
+inline void
+addProductAvx2(int64_t *out, __m256i mag4, __m256i wv)
+{
+    __m256i *o = reinterpret_cast<__m256i *>(out);
+    _mm256_storeu_si256(o, _mm256_add_epi64(_mm256_loadu_si256(o),
+                                            _mm256_mul_epu32(mag4, wv)));
+}
+
 /** out[0..3] += w * the four cells widened in @p cells4's low dword. */
 inline void
 axpyQuadAvx2(int64_t *out, __m128i cells4, __m256i wv)
 {
-    __m256i *o = reinterpret_cast<__m256i *>(out);
-    const __m256i prod = _mm256_mul_epu32(_mm256_cvtepu8_epi64(cells4), wv);
-    _mm256_storeu_si256(o, _mm256_add_epi64(_mm256_loadu_si256(o), prod));
+    addProductAvx2(out, _mm256_cvtepu8_epi64(cells4), wv);
 }
 
 void
@@ -174,6 +182,84 @@ axpyU8I64Avx2(int64_t *out, const uint8_t *cells, int64_t w, int64_t n)
     }
     for (; c < n; ++c)
         out[c] += w * cells[c];
+}
+
+void
+gerSlicesAvx2(int64_t *out, int64_t ldo, const int64_t *w, int64_t ldw,
+              int64_t nb, const uint8_t *const *cells, int groups,
+              int shift, int64_t n, int64_t *sums)
+{
+    // Up to 128 bit lines at a time: each slice's bytes are widened to
+    // dwords (VPMOVZXBD), shifted into place and ORed into the
+    // magnitudes, and summed on the way (VPSADBW); the magnitudes are
+    // widened once more to qwords, four to a register, and every
+    // window then takes its multiply-adds from them.  VPMULUDQ's
+    // 32x32 -> 64 product is exact under the kernel contract.
+    constexpr int64_t kChunk = 128;
+    __m256i mag[kChunk / 4];
+    int64_t tail[3];
+    std::fill(sums, sums + groups, int64_t{0});
+    const __m128i zero = _mm_setzero_si128();
+    for (int64_t c0 = 0; c0 < n; c0 += kChunk) {
+        const int64_t len = std::min(kChunk, n - c0);
+        int64_t c = 0;
+        for (; c + 16 <= len; c += 16) {
+            __m256i lo = _mm256_setzero_si256();
+            __m256i hi = _mm256_setzero_si256();
+            for (int g = 0; g < groups; ++g) {
+                const __m128i bytes = _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(cells[g] + c0 + c));
+                const __m128i sh = _mm_cvtsi32_si128(g * shift);
+                lo = _mm256_or_si256(
+                    lo, _mm256_sll_epi32(_mm256_cvtepu8_epi32(bytes), sh));
+                hi = _mm256_or_si256(
+                    hi, _mm256_sll_epi32(
+                            _mm256_cvtepu8_epi32(_mm_srli_si128(bytes, 8)),
+                            sh));
+                const __m128i sad = _mm_sad_epu8(bytes, zero);
+                sums[g] += _mm_cvtsi128_si64(sad) + _mm_extract_epi64(sad, 1);
+            }
+            __m256i *m = mag + c / 4;
+            m[0] = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(lo));
+            m[1] = _mm256_cvtepu32_epi64(_mm256_extracti128_si256(lo, 1));
+            m[2] = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(hi));
+            m[3] = _mm256_cvtepu32_epi64(_mm256_extracti128_si256(hi, 1));
+        }
+        for (; c + 4 <= len; c += 4) {
+            __m256i m = _mm256_setzero_si256();
+            for (int g = 0; g < groups; ++g) {
+                const uint8_t *cell = cells[g] + c0 + c;
+                int32_t quad;
+                std::memcpy(&quad, cell, sizeof quad);
+                m = _mm256_or_si256(
+                    m, _mm256_sll_epi64(
+                           _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(quad)),
+                           _mm_cvtsi32_si128(g * shift)));
+                sums[g] += cell[0] + cell[1] + cell[2] + cell[3];
+            }
+            mag[c / 4] = m;
+        }
+        const int64_t quads = c / 4;
+        for (int64_t k = c; k < len; ++k) {
+            tail[k - c] = 0;
+            for (int g = 0; g < groups; ++g) {
+                const uint8_t cell = cells[g][c0 + k];
+                tail[k - c] |= int64_t{cell} << (g * shift);
+                sums[g] += cell;
+            }
+        }
+        for (int64_t b = 0; b < nb; ++b) {
+            const int64_t wb = w[b * ldw];
+            if (wb == 0)
+                continue;
+            const __m256i wv = _mm256_set1_epi64x(wb);
+            int64_t *o = out + b * ldo + c0;
+            for (int64_t q = 0; q < quads; ++q)
+                addProductAvx2(o + 4 * q, mag[q], wv);
+            for (int64_t k = c; k < len; ++k)
+                o[k] += wb * tail[k - c];
+        }
+    }
 }
 
 void
@@ -214,8 +300,8 @@ const Kernels &
 avx2Kernels()
 {
     static const Kernels table = {
-        dotLanesAvx2,  gemmNNAvx2,  axpyF32Avx2,     scaleF32Avx2,
-        axpyU8I64Avx2, reluF32Avx2, reluMaskF32Avx2,
+        dotLanesAvx2,  gemmNNAvx2,    axpyF32Avx2, scaleF32Avx2,
+        axpyU8I64Avx2, gerSlicesAvx2, reluF32Avx2, reluMaskF32Avx2,
     };
     return table;
 }

@@ -186,13 +186,13 @@ reluMaskF32Avx512(float *grad, const float *ref, int64_t n)
 const Kernels &
 avx512Kernels()
 {
-    // The byte-cell axpy is the AVX2 kernel: a 512-bit widening
-    // version ran crossbar_device no faster (within 2 %).
+    // The integer axpys are the AVX2 kernels: a 512-bit widening
+    // byte-cell version ran crossbar_device no faster (within 2 %).
     static const Kernels table = {
         dotLanesAvx512, gemmNNAvx512,
         axpyF32Avx512,  scaleF32Avx512,
-        avx2Kernels().axpy_u8_i64, reluF32Avx512,
-        reluMaskF32Avx512,
+        avx2Kernels().axpy_u8_i64, avx2Kernels().ger_slices_i64,
+        reluF32Avx512,  reluMaskF32Avx512,
     };
     return table;
 }

@@ -4,7 +4,7 @@
  *
  * Each instruction-set backend (one translation unit per target,
  * compiled with that target's flags) fills a Kernels table with the
- * same seven primitives; gemm.cc, nn::ReluLayer and
+ * same eight primitives; gemm.cc, nn::ReluLayer and
  * reram::CrossbarArray pick a table at runtime via isa::active().
  * Every backend implements the *same* lane-based reduction contract
  * (DESIGN.md §7), so switching targets changes wall clock only, never
@@ -37,6 +37,14 @@
  *    order-independent by construction.  Operand contract:
  *    0 <= w < 2^32 (data_bits <= 32) and cells[c] in [0, 2^8)
  *    (cell_bits <= 8), so every product is below 2^40 and exact.
+ *  - ger_slices_i64: the same multiply-accumulate as a rank-1 update
+ *    of one word line of a weight tile's bit-slice arrays (one sweep
+ *    per tile, DESIGN.md §7): the slices' cells are combined into
+ *    their magnitude in registers, widened once and added into every
+ *    window's counts, and the row's per-slice cell sums come out on
+ *    the way.  Operand contract: 0 <= w[b] < 2^32, groups·shift <= 32
+ *    (so every magnitude is below 2^32), and the caller keeps every
+ *    accumulated sum below 2^63.
  *
  * The scalar tail and the tree reduction are shared inline helpers so
  * no backend can drift from the contract by re-implementing them.
@@ -78,6 +86,16 @@ struct Kernels
     /** out[c] += w * cells[c] (exact int64), c in [0,n). */
     void (*axpy_u8_i64)(int64_t *out, const uint8_t *cells, int64_t w,
                         int64_t n);
+    /**
+     * With mag[c] = Σ_g cells[g][c] << (g·shift), g in [0,groups):
+     * out[b*ldo + c] += w[b*ldw] * mag[c] (exact int64), b in [0,nb),
+     * c in [0,n), leaving the rows whose w[b*ldw] is zero untouched;
+     * and sums[g] = Σ_c cells[g][c].
+     */
+    void (*ger_slices_i64)(int64_t *out, int64_t ldo, const int64_t *w,
+                           int64_t ldw, int64_t nb,
+                           const uint8_t *const *cells, int groups,
+                           int shift, int64_t n, int64_t *sums);
     /** out[j] = in[j] > 0 ? in[j] : +0.0f; in == out allowed. */
     void (*relu_f32)(float *out, const float *in, int64_t n);
     /** grad[j] = ref[j] > 0 ? grad[j] : +0.0f (in-place mask). */

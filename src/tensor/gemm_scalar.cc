@@ -12,6 +12,7 @@
 
 #include "tensor/gemm_kernels.hh"
 
+#include <algorithm>
 #include <vector>
 
 namespace pipelayer {
@@ -84,6 +85,36 @@ axpyU8I64Scalar(int64_t *out, const uint8_t *cells, int64_t w, int64_t n)
 }
 
 void
+gerSlicesScalar(int64_t *out, int64_t ldo, const int64_t *w, int64_t ldw,
+                int64_t nb, const uint8_t *const *cells, int groups,
+                int shift, int64_t n, int64_t *sums)
+{
+    // The magnitudes of 64 bit lines at a time, then every window.
+    constexpr int64_t kChunk = 64;
+    uint32_t mag[kChunk];
+    std::fill(sums, sums + groups, int64_t{0});
+    for (int64_t c0 = 0; c0 < n; c0 += kChunk) {
+        const int64_t len = std::min(kChunk, n - c0);
+        std::fill(mag, mag + len, 0u);
+        for (int g = 0; g < groups; ++g) {
+            const uint8_t *row = cells[g] + c0;
+            for (int64_t c = 0; c < len; ++c) {
+                mag[c] |= uint32_t{row[c]} << (g * shift);
+                sums[g] += row[c];
+            }
+        }
+        for (int64_t b = 0; b < nb; ++b) {
+            const int64_t wb = w[b * ldw];
+            if (wb == 0)
+                continue;
+            int64_t *row = out + b * ldo + c0;
+            for (int64_t c = 0; c < len; ++c)
+                row[c] += wb * mag[c];
+        }
+    }
+}
+
+void
 reluF32Scalar(float *out, const float *in, int64_t n)
 {
     for (int64_t j = 0; j < n; ++j)
@@ -103,8 +134,8 @@ const Kernels &
 scalarKernels()
 {
     static const Kernels table = {
-        dotLanesScalar,  gemmNNScalar,  axpyF32Scalar,     scaleF32Scalar,
-        axpyU8I64Scalar, reluF32Scalar, reluMaskF32Scalar,
+        dotLanesScalar,  gemmNNScalar,    axpyF32Scalar, scaleF32Scalar,
+        axpyU8I64Scalar, gerSlicesScalar, reluF32Scalar, reluMaskF32Scalar,
     };
     return table;
 }

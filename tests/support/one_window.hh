@@ -2,10 +2,11 @@
  * @file
  * Single-window calls into the crossbar model's batched entries.
  *
- * The model has one MVM path: CrossbarArray::matVecCodesBatch and,
- * above it, ArrayGroup::matVecBatch.  A test that drives one input
- * vector wraps it in a batch of one here; the outputs, activity
- * totals and saturation flag are those of that batch.
+ * The model's MVM entries are batched: CrossbarArray::matVecCodesBatch
+ * (one array), CrossbarArray::matVecTileBatch (a weight tile's
+ * bit-slice arrays) and, above them, ArrayGroup::matVecBatch.  A test
+ * that drives one input vector wraps it in a batch of one here; the
+ * outputs and activity totals are those of that batch.
  */
 
 #ifndef PIPELAYER_TESTS_SUPPORT_ONE_WINDOW_HH_

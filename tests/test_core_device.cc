@@ -676,6 +676,21 @@ TEST(DevicePinned, SigmoidMlpL2Exact)
 }
 
 /**
+ * Write noise and stuck cells: every update redraws the noise of every
+ * programmed cell, so these pins guard the order of the draws.
+ */
+TEST(DevicePinned, ConvNetWithVariation)
+{
+    PipeLayerConfig config = pinnedConfig(true);
+    config.device.write_noise_sigma = 0.02;
+    config.device.stuck_at_fault_rate = 0.01;
+    expectDevicePinned([] { return tinyNet(50); }, config,
+                       {2.0904705417863996, 1.3971080404402592},
+                       0x3f4d55e9e64c2dabull,
+                       {5714768, 273312, 76416, 283909718678});
+}
+
+/**
  * The paper's central claim on ReRAM numerics: one epoch of B = 8
  * through PipelinedTrainer's Fig. 6 schedule on one device's crossbar
  * network trains exactly what Network::trainBatch trains on an

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -30,6 +32,7 @@
 #include "support/one_window.hh"
 #include "support/ops_reference.hh"
 #include "support/spike.hh"
+#include "support/tile_reference.hh"
 #include "tensor/gemm.hh"
 #include "tensor/gemm_kernels.hh"
 #include "tensor/ops.hh"
@@ -592,6 +595,149 @@ TEST(CrossbarCollapse, MatchesPulseWalkIncludingSaturation)
                     EXPECT_EQ(post.input_spikes - pre.input_spikes, spikes);
                     EXPECT_EQ(post.mvm_ops - pre.mvm_ops, batch);
                     EXPECT_EQ(post.if_fires - pre.if_fires, batch_fires);
+                }
+            }
+        }
+    });
+}
+
+/**
+ * The slice arrays of one weight tile: one array of @p params per
+ * entry of @p live (instance seeds @p seed, @p seed + 1, ...), slice
+ * g holding random codes in its first live[g] bit lines.
+ */
+std::vector<reram::CrossbarArray>
+makeTile(const reram::DeviceParams &params, uint64_t seed,
+         const std::vector<int64_t> &live, Rng &rng)
+{
+    std::vector<reram::CrossbarArray> tile;
+    std::vector<uint8_t> run(static_cast<size_t>(params.array_rows));
+    for (size_t g = 0; g < live.size(); ++g) {
+        tile.emplace_back(params, seed + g);
+        for (int64_t c = 0; c < live[g]; ++c) {
+            for (uint8_t &code : run)
+                code = static_cast<uint8_t>(rng.uniformInt(
+                    static_cast<uint64_t>(params.maxCellCode()) + 1));
+            tile.back().programColumn(c, 0, run.data(), params.array_rows);
+        }
+    }
+    return tile;
+}
+
+TEST(CrossbarCollapse, TileSweepMatchesPerSliceOracle)
+{
+    // One sweep per tile against the per-slice sweeps and shift-add it
+    // replaced: every cell width at a matching data_bits, fewer driven
+    // word lines than rows, slices of different liveCols() (empty
+    // ones too) in tiles from 1 to 300 bit lines (past one 256-line
+    // segment), an all-zero window and an undriven word line, both
+    // halves x⁺ and x⁻ of signed windows on the W⁺ and W⁻ tiles, write
+    // noise and stuck cells, and counters that just hold the larger
+    // block's bound (one sweep), one bit short of it (per-slice
+    // sweeps), four bits short (counts clamp) and 48 bits wide.  One
+    // case is large enough for parallel chunks at 4 threads.  Outputs,
+    // swept widths and every array's four counters must match.
+    Rng rng(0x711Eu);
+    atThreadCounts([&](int64_t threads) {
+        int iter = 0;
+        for (const int cell_bits : {1, 2, 4, 8}) {
+            for (const int counter_case : {0, 1, 2, 3}) {
+                ++iter;
+                reram::DeviceParams p;
+                p.cell_bits = cell_bits;
+                p.data_bits = cell_bits == 4 ? 16 : cell_bits == 8 ? 32 : 8;
+                const bool large = cell_bits == 4 && counter_case == 0;
+                const int64_t widths[] = {1, 7, 16, 17, 33, 300};
+                p.array_rows = large
+                    ? 128
+                    : 4 + static_cast<int64_t>(rng.uniformInt(37));
+                p.array_cols = large ? 300 : widths[iter % 6];
+                if (iter % 3 == 1)
+                    p.write_noise_sigma = 0.05;
+                if (iter % 3 == 2)
+                    p.stuck_at_fault_rate = 0.05;
+                const int64_t batch = large ? 64 : 1 + iter % 5;
+                const int64_t rows_used =
+                    1 + static_cast<int64_t>(rng.uniformInt(
+                            static_cast<uint64_t>(p.array_rows)));
+
+                // x⁺ and x⁻ of signed codes below 2^12 (data_bits 32
+                // keeps the oracle's shifted counts inside int64).
+                const int code_bits = std::min(p.data_bits, 12);
+                const int64_t idle = rows_used > 1
+                    ? static_cast<int64_t>(rng.uniformInt(
+                          static_cast<uint64_t>(rows_used)))
+                    : -1;
+                std::vector<int64_t> pos(
+                    static_cast<size_t>(batch * rows_used), 0);
+                std::vector<int64_t> neg = pos;
+                for (int64_t b = 0; b < batch; ++b) {
+                    for (int64_t r = 0; r < rows_used; ++r) {
+                        if (b == 1 || r == idle)
+                            continue;
+                        const auto code = static_cast<int64_t>(
+                            rng.uniformInt(uint64_t{1} << code_bits));
+                        (rng.uniform() < 0.3 ? neg : pos)[static_cast<
+                            size_t>(b * rows_used + r)] = code;
+                    }
+                }
+                const reram::SpikeBlock pos_block(pos.data(), batch,
+                                                  rows_used, p.data_bits);
+                const reram::SpikeBlock neg_block(neg.data(), batch,
+                                                  rows_used, p.data_bits);
+                const int64_t bound =
+                    std::max(pos_block.max_window_sum,
+                             neg_block.max_window_sum) *
+                    p.maxCellCode();
+                const int width =
+                    std::bit_width(static_cast<uint64_t>(bound));
+                p.counter_bits = std::max(1, counter_case == 0 ? width
+                                             : counter_case == 1 ? width - 1
+                                             : counter_case == 2 ? width - 4
+                                                                 : 48);
+
+                SCOPED_TRACE("threads=" + std::to_string(threads) +
+                             " iter=" + std::to_string(iter) +
+                             " cell_bits=" + std::to_string(cell_bits) +
+                             " counter_bits=" +
+                             std::to_string(p.counter_bits) +
+                             " rows_used=" + std::to_string(rows_used) +
+                             " cols=" + std::to_string(p.array_cols) +
+                             " batch=" + std::to_string(batch));
+                const int64_t cols = p.array_cols;
+                for (int sign = 0; sign < 2; ++sign) {
+                    std::vector<int64_t> live(
+                        static_cast<size_t>(p.sliceGroups()));
+                    for (size_t g = 0; g < live.size(); ++g)
+                        live[g] = g == 1 && iter % 4 == 0
+                            ? 0
+                            : static_cast<int64_t>(rng.uniformInt(
+                                  static_cast<uint64_t>(cols) + 1));
+                    std::vector<reram::CrossbarArray> tile = makeTile(
+                        p, static_cast<uint64_t>(iter * 64 + sign * 32),
+                        live, rng);
+                    std::vector<reram::CrossbarArray> oracle = tile;
+                    for (const reram::SpikeBlock *block :
+                         {&pos_block, &neg_block}) {
+                        std::vector<int64_t> got(
+                            static_cast<size_t>(batch * cols), -1);
+                        std::vector<int64_t> want = got;
+                        EXPECT_EQ(reram::CrossbarArray::matVecTileBatch(
+                                      tile, *block, got.data()),
+                                  reram::referenceTileBatch(
+                                      oracle, p.cell_bits, *block,
+                                      want.data()));
+                        EXPECT_EQ(got, want) << "sign=" << sign;
+                    }
+                    for (size_t g = 0; g < tile.size(); ++g) {
+                        const reram::ArrayActivity &a = tile[g].activity();
+                        const reram::ArrayActivity &b =
+                            oracle[g].activity();
+                        EXPECT_EQ(a.input_spikes, b.input_spikes) << g;
+                        EXPECT_EQ(a.write_pulses, b.write_pulses) << g;
+                        EXPECT_EQ(a.mvm_ops, b.mvm_ops) << g;
+                        EXPECT_EQ(a.if_fires, b.if_fires) << g;
+                    }
                 }
             }
         }

@@ -348,8 +348,10 @@ TEST(ArrayGroup, ActivityAccumulates)
                        0xef048b7bfe121699ull, 0xca2eaee80fcdb186ull,
                        0x9b17d00f03193f69ull});
 
-    // Write noise, stuck cells (stuck-high ones included in bit lines
-    // no weight maps to) and a counter narrow enough to saturate.
+    // Write noise and stuck cells (stuck-high ones included in bit
+    // lines no weight maps to).  A 24-bit counter cannot saturate
+    // here: on 32-row arrays no count exceeds 32 x (2^15 - 1) x 15 =
+    // 15 728 160 < 2^24 - 1.
     p.write_noise_sigma = 0.02;
     p.stuck_at_fault_rate = 0.02;
     p.counter_bits = 24;
@@ -358,6 +360,15 @@ TEST(ArrayGroup, ActivityAccumulates)
                 {31232, 179200, 272, 4112714066},
                 {39696, 179200, 368, 5378554418},
                 0xaee2375d5c72abb3ull, 0x08118df40b1dc767ull,
+                0x96411ecb9e6b9cbcull});
+
+    // The same session on 16-bit counters, which do clamp.
+    p.counter_bits = 16;
+    expectPins(runGroupSession(p),
+               {{31232, 89600, 272, 353291281},
+                {31232, 179200, 272, 353291281},
+                {39696, 179200, 368, 475103139},
+                0x3a9c0ef51e29a0e6ull, 0x2cd23d9277d69a2cull,
                 0x96411ecb9e6b9cbcull});
 }
 
