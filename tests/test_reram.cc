@@ -281,11 +281,12 @@ struct GroupPins
 
 /**
  * A 40 x 70 group on 32 x 32 arrays (3 x 2 tiles, the last tile
- * column 8 bit lines wide): a signed five-window matVecBatch (mixed
- * signs, all positive, all zero, zero over the first tile row), then
- * updateWeights, then one signed window.  Reports the group's
- * activity after each step and hashes of the two outputs and of the
- * stored weights.
+ * column 8 bit lines wide): a signed seven-window matVecBatch (mixed
+ * signs, all positive, all zero, zero over the first tile row,
+ * negative in the second tile row only, positive in the third tile
+ * row only), then updateWeights, then one signed window.  Reports the
+ * group's activity after each step and hashes of the two outputs and
+ * of the stored weights.
  */
 GroupPins
 runGroupSession(const DeviceParams &p)
@@ -293,12 +294,15 @@ runGroupSession(const DeviceParams &p)
     Rng rng(8);
     const Tensor w = Tensor::randn({40, 70}, rng);
     ArrayGroup group(p, w);
-    Tensor xb({5, 70});
+    Tensor xb({7, 70});
     for (int64_t j = 0; j < 70; ++j) {
         xb(0, j) = static_cast<float>(rng.uniform(-1.0, 1.0));
         xb(1, j) = static_cast<float>(rng.uniform(-1.0, 1.0));
         xb(2, j) = static_cast<float>(rng.uniform(0.0, 1.0));
         xb(4, j) = j < 32 ? 0.0f : static_cast<float>(rng.uniform());
+        const auto mag = static_cast<float>(rng.uniform(0.1, 1.0));
+        xb(5, j) = j >= 32 && j < 64 ? -mag : mag;
+        xb(6, j) = j >= 64 ? mag : -mag;
     }
     GroupPins pins;
     pins.batch_hash = floatHash(group.matVecBatch(xb));
@@ -342,11 +346,11 @@ TEST(ArrayGroup, ActivityAccumulates)
     EXPECT_GT(ideal.after_batch[0], 0);  // input spikes
     EXPECT_GT(ideal.after_batch[1], 0);  // programming during ctor
     EXPECT_GT(ideal.after_batch[2], 0);  // MVMs
-    expectPins(ideal, {{31232, 89600, 272, 3810569254},
-                       {31232, 179200, 272, 3810569254},
-                       {39696, 179200, 368, 4982398560},
-                       0xef048b7bfe121699ull, 0xca2eaee80fcdb186ull,
-                       0x9b17d00f03193f69ull});
+    expectPins(ideal, {{48368, 89600, 352, 6112249437},
+                       {48368, 179200, 352, 6112249437},
+                       {56544, 179200, 448, 7160418898},
+                       0x1f284c171171a4a0ull, 0xccdc26a888803467ull,
+                       0xc433e4f867098ebaull});
 
     // Write noise and stuck cells (stuck-high ones included in bit
     // lines no weight maps to).  A 24-bit counter cannot saturate
@@ -356,20 +360,20 @@ TEST(ArrayGroup, ActivityAccumulates)
     p.stuck_at_fault_rate = 0.02;
     p.counter_bits = 24;
     expectPins(runGroupSession(p),
-               {{31232, 89600, 272, 4112714066},
-                {31232, 179200, 272, 4112714066},
-                {39696, 179200, 368, 5378554418},
-                0xaee2375d5c72abb3ull, 0x08118df40b1dc767ull,
-                0x96411ecb9e6b9cbcull});
+               {{48368, 89600, 352, 6569398604},
+                {48368, 179200, 352, 6569398604},
+                {56544, 179200, 448, 7701529790},
+                0xde93e730da751a67ull, 0xb354e72116e0a62bull,
+                0xfdf902ed04ace317ull});
 
     // The same session on 16-bit counters, which do clamp.
     p.counter_bits = 16;
     expectPins(runGroupSession(p),
-               {{31232, 89600, 272, 353291281},
-                {31232, 179200, 272, 353291281},
-                {39696, 179200, 368, 475103139},
-                0x3a9c0ef51e29a0e6ull, 0x2cd23d9277d69a2cull,
-                0x96411ecb9e6b9cbcull});
+               {{48368, 89600, 352, 475810562},
+                {48368, 179200, 352, 475810562},
+                {56544, 179200, 448, 592514096},
+                0x08005a7c6556ab55ull, 0x3a2d4d6296b3b466ull,
+                0xfdf902ed04ace317ull});
 }
 
 TEST(ArrayGroupDeath, RejectsNonMatrixWeight)
