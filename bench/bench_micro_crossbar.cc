@@ -8,9 +8,11 @@
  * inner-iteration count of the fast path (`inner_iters`, gated by
  * tools/bench_compare), and the measured speedup over an in-bench
  * pulse-walk reference that replays the pre-collapse per-bit-plane
- * IntegrateFire walk.  The 128x128 data_bits=16 row is the acceptance
- * benchmark for the bit-plane-collapsed crossbar MVM: run with
- * --threads=1 and read `speedup_vs_reference`.
+ * IntegrateFire walk.  The two crossbar_matvec_* rows time one
+ * window through one array (CrossbarArray::matVecCodesBatch, which
+ * the device runs only for a block that could saturate a counter);
+ * the arraygroup_* rows time the device's path, one sweep per weight
+ * tile.  Run with --threads=1 and read `speedup_vs_reference`.
  *
  * The scheduler row reports `logical_cycles` — a deterministic model
  * output gated against the committed baseline like the figure benches.
@@ -163,7 +165,8 @@ measureKernel(const std::string &name, int64_t inner_iters, double flops,
     row.ns = bench::measureNs(threadCount(), fast);
     // One measurement per available SIMD dispatch target
     // (gflops_<isa>): the crossbar MVM rides the dispatched integer
-    // axpy kernel, so the target changes wall clock, never counts.
+    // kernel (ger_slices_i64), so the target changes wall clock,
+    // never counts.
     {
         const isa::Target entry = isa::active();
         for (isa::Target t : isa::availableTargets()) {
@@ -185,7 +188,7 @@ run(bench::Runner &runner)
     std::vector<KernelRow> rows;
 
     {
-        // Acceptance shape: default 128x128 array at data_bits=16.
+        // One window through a default 128x128 array at data_bits=16.
         MatVecSetup s(128, 128, 1);
         rows.push_back(measureKernel(
             "crossbar_matvec_128x128_db16", 128 * 128,

@@ -58,10 +58,14 @@ void
 PipeLayerDevice::Weight_load()
 {
     PL_ASSERT(topology_ != nullptr, "Weight_load before Topology_set");
-    network_ = std::make_unique<nn::Network>(topology_->name(),
-                                             topology_->inputShape(),
-                                             topology_->lossKind());
+    // Built aside: a ConfigError from a layer's arrays leaves the
+    // device with no crossbar network, not a half-built one.
+    network_.reset();
     mapped_.clear();
+    auto network = std::make_unique<nn::Network>(topology_->name(),
+                                                 topology_->inputShape(),
+                                                 topology_->lossKind());
+    std::vector<const MappedLayer *> mapped;
     for (size_t i = 0; i < topology_->numLayers(); ++i) {
         nn::Layer &layer = topology_->layer(i);
         std::unique_ptr<MappedLayer> arrays;
@@ -102,11 +106,13 @@ PipeLayerDevice::Weight_load()
             break;
         }
         if (arrays) {
-            mapped_.push_back(arrays.get());
+            mapped.push_back(arrays.get());
             unit = std::move(arrays);
         }
-        network_->add(std::move(unit));
+        network->add(std::move(unit));
     }
+    network_ = std::move(network);
+    mapped_ = std::move(mapped);
 }
 
 void

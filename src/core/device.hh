@@ -110,7 +110,9 @@ class PipeLayerDevice
 
     /**
      * Program the topology network's weights into the arrays and
-     * build the crossbar network() that runs on them.
+     * build the crossbar network() that runs on them.  Throws
+     * ConfigError when the device parameters cannot hold the arrays
+     * (ArrayGroup), leaving no crossbar network.
      */
     void Weight_load();
 

@@ -10,7 +10,7 @@ namespace pipelayer {
 namespace quant {
 
 Quantizer
-Quantizer::forTensor(const Tensor &t, int bits)
+Quantizer::forTensor(std::span<const float> values, int bits)
 {
     PL_ASSERT(bits == 0 || (bits >= 2 && bits <= 16),
               "unsupported bit width %d", bits);
@@ -18,7 +18,11 @@ Quantizer::forTensor(const Tensor &t, int bits)
     q.bits = bits;
     if (bits == 0)
         return q;
-    const float max_abs = t.absMax(); // NaN and ±inf pass through
+    float max_abs = 0.0f; // NaN and ±inf pass through, setting no scale
+    for (const float v : values) {
+        if (std::isfinite(v))
+            max_abs = std::max(max_abs, std::fabs(v));
+    }
     const auto levels = static_cast<float>(q.positiveLevels());
     // Below about levels * 2^-150 the quotient underflows to 0, and a
     // zero scale would send every v / scale to ±inf or NaN.
@@ -32,7 +36,8 @@ Quantizer::forTensor(const Tensor &t, int bits)
 Tensor
 quantizeTensor(const Tensor &t, int bits)
 {
-    const Quantizer q = Quantizer::forTensor(t, bits);
+    const Quantizer q = Quantizer::forTensor(
+        {t.data(), static_cast<size_t>(t.numel())}, bits);
     Tensor out = t;
     for (float *v = out.data(); v != out.data() + out.numel(); ++v)
         *v = q.apply(*v);

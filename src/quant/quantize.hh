@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "common/logging.hh"
 #include "tensor/tensor.hh"
@@ -36,8 +37,13 @@ struct Quantizer
     int bits = 0;     //!< 0 means full precision
     float scale = 1.0f; //!< LSB step size
 
-    /** Build a quantiser whose range covers @p t's magnitude. */
-    static Quantizer forTensor(const Tensor &t, int bits);
+    /**
+     * Build a quantiser whose range covers the largest finite
+     * magnitude of @p values (read in place; NaN and ±inf set no
+     * scale).
+     * @pre bits == 0 or 2 <= bits <= 16.
+     */
+    static Quantizer forTensor(std::span<const float> values, int bits);
 
     /** Number of positive quantisation levels (2^(bits-1) - 1). */
     int64_t positiveLevels() const

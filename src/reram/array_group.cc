@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/logging.hh"
 #include "quant/quantize.hh"
@@ -24,14 +25,23 @@ ArrayGroup::ArrayGroup(const DeviceParams &params, const Tensor &weight)
 {
     PL_ASSERT(weight.rank() == 2, "ArrayGroup weight must be a matrix");
     params_.validate();
+    // Weights and inputs become data_bits codes through
+    // quant::Quantizer, which holds 2..16 bits; a wider code's
+    // shifted slice counts would not fit int64.
+    if (params_.data_bits < 2 || params_.data_bits > 16) {
+        throw ConfigError("device params: data_bits must be an integer "
+                          "in [2, 16] for crossbar arrays, got " +
+                          std::to_string(params_.data_bits));
+    }
     n_out_ = weight.dim(0);
     m_in_ = weight.dim(1);
     tiles_r_ = ceilDiv(m_in_, params_.array_rows);
     tiles_c_ = ceilDiv(n_out_, params_.array_cols);
 
     // Quantise the weights to signed data_bits codes.
-    const quant::Quantizer q =
-        quant::Quantizer::forTensor(weight, params_.data_bits);
+    const quant::Quantizer q = quant::Quantizer::forTensor(
+        {weight.data(), static_cast<size_t>(weight.numel())},
+        params_.data_bits);
     weight_scale_ = q.scale;
     codes_.resize(static_cast<size_t>(n_out_ * m_in_));
     const float *w = weight.data();
@@ -131,70 +141,6 @@ ArrayGroup::arrayCount() const
     return 2 * params_.sliceGroups() * tiles_r_ * tiles_c_;
 }
 
-void
-ArrayGroup::signedPassBatch(const std::vector<int64_t> &codes,
-                            const std::vector<int64_t> &windows,
-                            int64_t sign_in, int64_t *out)
-{
-    if (windows.empty())
-        return;
-    const int64_t a_rows = params_.array_rows;
-    const int64_t a_cols = params_.array_cols;
-
-    std::vector<int64_t> sel;    //!< windows driving this tile row
-    std::vector<int64_t> packed; //!< their chunks, sel.size() x used
-    std::vector<int64_t> counts; //!< batch outputs, sel.size() x a_cols
-    for (int64_t tr = 0; tr < tiles_r_; ++tr) {
-        // Chunk of each window's codes feeding this tile row.  A
-        // window whose chunk is all zero drives no word line and is
-        // dropped from the batch, so a window's activity is the same
-        // whatever else the batch holds.  Windows stay in ascending
-        // order.  Every array of the tile row sees the
-        // same chunks, so they are range-checked and spike-counted
-        // once (SpikeBlock), not once per array.
-        const int64_t row0 = tr * a_rows;
-        const int64_t row1 = std::min(row0 + a_rows, m_in_);
-        const int64_t used = row1 - row0;
-        sel.clear();
-        packed.clear();
-        for (int64_t w : windows) {
-            const int64_t *wc = codes.data() + w * m_in_;
-            bool all_zero = true;
-            for (int64_t r = row0; r < row1; ++r)
-                all_zero &= (wc[r] == 0);
-            if (all_zero)
-                continue;
-            sel.push_back(w);
-            packed.insert(packed.end(), wc + row0, wc + row1);
-        }
-        if (sel.empty())
-            continue;
-        const auto nsel = static_cast<int64_t>(sel.size());
-        counts.resize(static_cast<size_t>(nsel * a_cols));
-        const SpikeBlock block(packed.data(), nsel, used,
-                               params_.data_bits);
-
-        for (int64_t tc = 0; tc < tiles_c_; ++tc) {
-            const int64_t col0 = tc * a_cols;
-            for (int sign = 0; sign < 2; ++sign) {
-                // The tile's slice results, shift-added (Fig. 14a);
-                // counts past the live bit lines are zero.
-                const int64_t live = CrossbarArray::matVecTileBatch(
-                    tileSlices(sign, tr * tiles_c_ + tc), block,
-                    counts.data());
-                const int64_t col1 = std::min(col0 + live, n_out_);
-                const int64_t scale = sign == 0 ? sign_in : -sign_in;
-                for (int64_t s = 0; s < nsel; ++s) {
-                    int64_t *out_w = out + sel[s] * n_out_;
-                    const int64_t *cnt = counts.data() + s * a_cols;
-                    for (int64_t c = col0; c < col1; ++c)
-                        out_w[c] += scale * cnt[c - col0];
-                }
-            }
-        }
-    }
-}
-
 Tensor
 ArrayGroup::matVecBatch(const Tensor &x)
 {
@@ -203,50 +149,95 @@ ArrayGroup::matVecBatch(const Tensor &x)
               (long long)m_in_, shapeToString(x.shape()).c_str());
     const int64_t batch = x.dim(0);
     PL_ASSERT(batch >= 1, "empty batch");
+    const int64_t a_rows = params_.array_rows;
+    const int64_t a_cols = params_.array_cols;
+    const float *xp = x.data();
 
-    // Quantise each window to data_bits codes (signed) with its own
-    // scale, so a window's codes do not depend on the other windows.
-    const auto nb = static_cast<size_t>(batch);
-    std::vector<int64_t> pos_codes(nb * static_cast<size_t>(m_in_), 0);
-    std::vector<int64_t> neg_codes(nb * static_cast<size_t>(m_in_), 0);
-    std::vector<float> scales(nb);
-    std::vector<int64_t> all_windows(nb);
-    std::vector<int64_t> neg_windows;
-    Tensor row({m_in_});
-    float *rp = row.data();
-    for (int64_t b = 0; b < batch; ++b) {
-        std::copy_n(x.data() + b * m_in_, m_in_, rp);
-        const quant::Quantizer qx =
-            quant::Quantizer::forTensor(row, params_.data_bits);
-        scales[static_cast<size_t>(b)] = weight_scale_ * qx.scale;
-        all_windows[static_cast<size_t>(b)] = b;
-        bool any_neg = false;
-        int64_t *pos = pos_codes.data() + b * m_in_;
-        int64_t *neg = neg_codes.data() + b * m_in_;
-        for (int64_t j = 0; j < m_in_; ++j) {
-            const int64_t code = qx.code(rp[j]);
-            if (code >= 0) {
-                pos[j] = code;
-            } else {
-                neg[j] = -code;
-                any_neg = true;
+    // Each window is quantised to signed data_bits codes with a scale
+    // read from its own values, so its codes do not depend on the
+    // other windows.
+    std::vector<quant::Quantizer> qx;
+    qx.reserve(static_cast<size_t>(batch));
+    for (int64_t b = 0; b < batch; ++b)
+        qx.push_back(quant::Quantizer::forTensor(
+            {xp + b * m_in_, static_cast<size_t>(m_in_)},
+            params_.data_bits));
+
+    // (W⁺ - W⁻)(x⁺ - x⁻) in one integer accumulator.  Tile row by
+    // tile row, each window's chunk is quantised straight into the
+    // row's x⁺ and x⁻ blocks (input sign s = 0 and 1).  A window with
+    // no code of sign s in the chunk drives no word line in that pass
+    // and is left out of the block, so a window's activity is the same
+    // whatever else the batch holds; windows stay in ascending order.
+    // Every array of the tile row sees the same blocks, so they are
+    // range-checked and spike-counted once (SpikeBlock), not per array.
+    std::vector<int64_t> acc(static_cast<size_t>(batch * n_out_), 0);
+    std::vector<int64_t> codes[2];  //!< the blocks, row-major sel x used
+    std::vector<int64_t> sel[2];    //!< the windows each block holds
+    std::vector<int64_t> counts;    //!< tile outputs, sel x a_cols
+    for (std::vector<int64_t> &block : codes)
+        block.resize(static_cast<size_t>(batch * std::min(a_rows, m_in_)));
+    for (int64_t tr = 0; tr < tiles_r_; ++tr) {
+        const int64_t row0 = tr * a_rows;
+        const int64_t used = std::min(a_rows, m_in_ - row0);
+        sel[0].clear();
+        sel[1].clear();
+        for (int64_t b = 0; b < batch; ++b) {
+            const quant::Quantizer &q = qx[static_cast<size_t>(b)];
+            const float *in = xp + b * m_in_ + row0;
+            int64_t *pos = codes[0].data() +
+                           static_cast<int64_t>(sel[0].size()) * used;
+            int64_t *neg = codes[1].data() +
+                           static_cast<int64_t>(sel[1].size()) * used;
+            int64_t any_pos = 0, any_neg = 0;
+            for (int64_t r = 0; r < used; ++r) {
+                const int64_t code = q.code(in[r]);
+                pos[r] = std::max<int64_t>(code, 0);
+                neg[r] = std::max<int64_t>(-code, 0);
+                any_pos |= pos[r];
+                any_neg |= neg[r];
+            }
+            if (any_pos != 0)
+                sel[0].push_back(b);
+            if (any_neg != 0)
+                sel[1].push_back(b);
+        }
+
+        for (int s = 0; s < 2; ++s) {
+            if (sel[s].empty())
+                continue;
+            const auto nsel = static_cast<int64_t>(sel[s].size());
+            const SpikeBlock block(codes[s].data(), nsel, used,
+                                   params_.data_bits);
+            counts.resize(static_cast<size_t>(nsel * a_cols));
+            for (int64_t tc = 0; tc < tiles_c_; ++tc) {
+                const int64_t col0 = tc * a_cols;
+                for (int sign = 0; sign < 2; ++sign) {
+                    // The tile's slice results, shift-added (Fig. 14a);
+                    // counts past the live bit lines are zero.  x⁺ on
+                    // W⁺ and x⁻ on W⁻ add, the cross terms subtract.
+                    const int64_t live = CrossbarArray::matVecTileBatch(
+                        tileSlices(sign, tr * tiles_c_ + tc), block,
+                        counts.data());
+                    const int64_t col1 = std::min(col0 + live, n_out_);
+                    const int64_t scale = sign == s ? 1 : -1;
+                    for (int64_t k = 0; k < nsel; ++k) {
+                        int64_t *out_w = acc.data() +
+                                         sel[s][static_cast<size_t>(k)] *
+                                             n_out_;
+                        const int64_t *cnt = counts.data() + k * a_cols;
+                        for (int64_t c = col0; c < col1; ++c)
+                            out_w[c] += scale * cnt[c - col0];
+                    }
+                }
             }
         }
-        if (any_neg)
-            neg_windows.push_back(b);
     }
-
-    // (W⁺ - W⁻)(x⁺ - x⁻) in one integer accumulator: an x⁺ pass and
-    // an x⁻ pass, each driving both weight signs.  The x⁻ pass runs
-    // only for windows that actually have negative inputs.
-    std::vector<int64_t> acc(nb * static_cast<size_t>(n_out_), 0);
-    signedPassBatch(pos_codes, all_windows, +1, acc.data());
-    signedPassBatch(neg_codes, neg_windows, -1, acc.data());
 
     Tensor out({batch, n_out_});
     float *op = out.data();
     for (int64_t b = 0; b < batch; ++b) {
-        const float scale = scales[static_cast<size_t>(b)];
+        const float scale = weight_scale_ * qx[static_cast<size_t>(b)].scale;
         for (int64_t c = 0; c < n_out_; ++c) {
             const auto i = static_cast<size_t>(b * n_out_ + c);
             op[i] = static_cast<float>(acc[i]) * scale;

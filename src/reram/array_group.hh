@@ -13,15 +13,16 @@
  *    bit-sliced into data_bits/cell_bits groups of cell_bits-wide
  *    cells; group outputs are shifted and added.
  *
- * The arrays of one tile row (every tile column, weight sign and
- * slice group) share their word-line inputs, so each input-sign pass
- * range-checks and spike-counts a tile row's input codes once
- * (SpikeBlock) and drives all of those arrays with it, a tile's slice
- * arrays in one sweep (CrossbarArray::matVecTileBatch).
- *
  * Signed *inputs* (backward errors δ) are handled by sign-splitting
  * the input stream into two passes, x = x⁺ - x⁻, doubling the input
- * time slots; the forward path after ReLU never needs this.
+ * time slots; the forward path after ReLU never needs the x⁻ pass.
+ *
+ * One datapath takes a batch of float windows to shift-added IF
+ * counts: each window is quantised where it lies, tile row by tile
+ * row, straight into that row's x⁺ and x⁻ code blocks (SpikeBlock,
+ * range-checked and spike-counted once), and every array of the tile
+ * row (every tile column and weight sign) is driven by each block, a
+ * tile's slice arrays in one sweep (CrossbarArray::matVecTileBatch).
  */
 
 #ifndef PIPELAYER_RERAM_ARRAY_GROUP_HH_
@@ -48,7 +49,9 @@ class ArrayGroup
     /**
      * Quantise @p weight to @c params.data_bits and program it into
      * pos/neg bit-sliced tiled subarrays.  Throws ConfigError when
-     * @p params do not validate (DeviceParams::validate()).
+     * @p params do not validate (DeviceParams::validate()) or when
+     * data_bits is outside the quantiser's 2..16 bits, before any
+     * array is allocated.
      *
      * @param weight (n_out, m_in) float matrix.
      */
@@ -64,9 +67,11 @@ class ArrayGroup
      * Matrix-vector products through the functional crossbars: each
      * row of @p x is one input window of a logical cycle (paper
      * §4.2.1), quantised to data_bits codes with its own per-window
-     * scale, with all windows sharing one pass over every crossbar's
-     * cells (CrossbarArray::matVecCodesBatch).  A window's output and
-     * activity do not depend on the other windows of the batch.
+     * scale, with all windows sharing one sweep over each tile's
+     * crossbar cells (CrossbarArray::matVecTileBatch).  A window
+     * drives a tile row's x⁺ (x⁻) pass only if its chunk there has a
+     * positive (negative) code, so its output and activity do not
+     * depend on the other windows of the batch.
      *
      * @param x (batch, m_in) float matrix, batch >= 1; entries may be
      *        negative (handled by a second sign pass).
@@ -104,23 +109,6 @@ class ArrayGroup
     /** The slice arrays of tile @p tile of sign @p sign (0 = positive). */
     std::span<CrossbarArray> tileSlices(int sign, int64_t tile);
     std::span<const CrossbarArray> tileSlices(int sign, int64_t tile) const;
-
-    /**
-     * One input-sign pass over a batch of windows: add
-     * @p sign_in · (W⁺·x - W⁻·x) (each product shift-added across
-     * bit-slice groups, one sweep per tile) into the listed windows'
-     * rows of @p out.
-     *
-     * @param codes   row-major (batch, m_in) non-negative input codes
-     *        (x⁺ or x⁻).
-     * @param windows ascending indices of the windows this pass drives
-     *        (the x⁻ pass runs only for windows with negative inputs).
-     * @param sign_in +1 for x⁺, -1 for x⁻.
-     * @param out     row-major (batch, n_out) accumulator.
-     */
-    void signedPassBatch(const std::vector<int64_t> &codes,
-                         const std::vector<int64_t> &windows,
-                         int64_t sign_in, int64_t *out);
 
     DeviceParams params_;
     int64_t n_out_, m_in_;

@@ -169,93 +169,11 @@ CrossbarArray::cell(int64_t row, int64_t col) const
 }
 
 void
-CrossbarArray::matVecCodesBatch(const SpikeBlock &block, int64_t *out)
-{
-    PL_PROF_SCOPE("reram.crossbar_matvec");
-    PL_ASSERT(block.data_bits == params_.data_bits,
-              "codes checked at %d bits drive a %d-bit array",
-              block.data_bits, params_.data_bits);
-    PL_ASSERT(block.rows_used <= rows(),
-              "more input codes (%lld) than word lines (%lld)",
-              (long long)block.rows_used, (long long)rows());
-    const int64_t batch = block.batch;
-    const int64_t rows_used = block.rows_used;
-    tally(activity_.input_spikes, block.spikes);
-    tally(activity_.mvm_ops, batch);
-
-    // Collapsed bit-plane walk.  The LSBF pulse schedule injects only
-    // non-negative charges (weight 2^t x conductance) and the IF
-    // counter is a saturating adder, so the final count is
-    // min(Σ_r weight[r]·g[r][c], max_count) — independent of pulse
-    // order.  A word line's
-    // total weight Σ 2^t over its spiking slots is its code (the
-    // encoding is weighted-binary), so one pass over the cells with
-    // the codes as weights reproduces the per-pulse emulation
-    // bit-for-bit at ~data_bits x fewer inner iterations.  Integer
-    // sums are order-independent, so the parallel row-major
-    // accumulation below is exact at any thread count; the raw totals
-    // cannot overflow int64 for any valid configuration
-    // (rows x 2^data_bits x maxCellCode < 2^62).
-    //
-    // Only the live bit lines [0, live) are swept: every cell beyond
-    // them is zero, and a zero cell adds nothing to a count or to the
-    // IF firings, so those columns' counts stay the zeros the fill
-    // below writes.
-    //
-    // The window loop runs inside the row loop (r outer, window
-    // inner), so the cell row stays register/cache-resident and G
-    // windows cost one cell-matrix sweep instead of G.  The axpy runs
-    // on the dispatched SIMD kernel (common/isa.hh), widening the
-    // one-byte cells into int64 counts; both operands fit its
-    // contract (codes < 2^data_bits <= 2^32, cells <= maxCellCode <
-    // 2^8).
-    const int64_t *codes = block.codes;
-    const int64_t n_cols = cols();
-    const int64_t live = live_cols_;
-    std::fill(out, out + batch * n_cols, int64_t{0});
-    const uint8_t *cell_p = cells_.data();
-    const gemmk::Kernels &kern = gemmk::activeKernels();
-    // Chunking is free to vary (integer sums are order-independent);
-    // each column costs one multiply-add per driven row and window.
-    parallel_for(0, live, /*work_per_index=*/rows_used * batch,
-                 [&](int64_t c0, int64_t c1) {
-        const int64_t len = c1 - c0;
-        for (int64_t r = 0; r < rows_used; ++r) {
-            const uint8_t *cell_row = cell_p + r * n_cols + c0;
-            for (int64_t b = 0; b < batch; ++b) {
-                const int64_t code = codes[b * rows_used + r];
-                if (code == 0)
-                    continue;
-                kern.axpy_u8_i64(out + b * n_cols + c0, cell_row, code,
-                                 len);
-            }
-        }
-    });
-
-    // Serial epilogue, one window at a time: clamp to the counter
-    // capacity and tally the IF firings (one per output count unit),
-    // exactly as the saturating counters would have left them.
-    const int64_t max_count =
-        (int64_t{1} << params_.counter_bits) - 1;
-    int64_t fires = 0;
-    for (int64_t b = 0; b < batch; ++b) {
-        int64_t *out_b = out + b * n_cols;
-        for (int64_t c = 0; c < live; ++c) {
-            out_b[c] = std::min(out_b[c], max_count);
-            fires += out_b[c];
-        }
-    }
-    tally(activity_.if_fires, fires);
-}
-
-int64_t
-CrossbarArray::matVecTileBatch(std::span<CrossbarArray> slices,
-                               const SpikeBlock &block, int64_t *out)
+CrossbarArray::sweep(std::span<CrossbarArray> slices,
+                     const SpikeBlock &block, int64_t live,
+                     bool tally_fires, int64_t *out)
 {
     const DeviceParams &p = slices.front().params_;
-    const auto groups = static_cast<int>(slices.size());
-    PL_ASSERT(groups >= 1 && groups <= p.sliceGroups(),
-              "%d slices of a %d-group weight", groups, p.sliceGroups());
     PL_ASSERT(block.data_bits == p.data_bits,
               "codes checked at %d bits drive a %d-bit array",
               block.data_bits, p.data_bits);
@@ -265,54 +183,26 @@ CrossbarArray::matVecTileBatch(std::span<CrossbarArray> slices,
     const int64_t batch = block.batch;
     const int64_t rows_used = block.rows_used;
     const int64_t n_cols = p.array_cols;
-    int64_t live = 0;
-    for (const CrossbarArray &slice : slices) {
-        PL_ASSERT(slice.rows() == p.array_rows &&
-                      slice.cols() == n_cols &&
-                      slice.params_.cell_bits == p.cell_bits &&
-                      slice.params_.data_bits == p.data_bits &&
-                      slice.params_.counter_bits == p.counter_bits,
-                  "the slices of a tile differ in shape or resolution");
-        live = std::max(live, slice.live_cols_);
-    }
-    std::fill(out, out + batch * n_cols, int64_t{0});
-
-    // Every count is at most a window's code sum times the largest
-    // cell code, and a combined sum at most that code sum times the
-    // largest magnitude, 2^data_bits - 1.  A block for which either
-    // bound could be broken (a counter saturating, or an int64 sum
-    // reaching 2^63) takes the per-slice sweeps, which clamp each
-    // slice's counts before the shift-add.
-    const int64_t max_count = (int64_t{1} << p.counter_bits) - 1;
-    const int64_t max_mag = (int64_t{1} << p.data_bits) - 1;
-    if (block.max_window_sum > max_count / p.maxCellCode() ||
-        block.max_window_sum > INT64_MAX / max_mag) {
-        std::vector<int64_t> counts(static_cast<size_t>(batch * n_cols));
-        for (int g = 0; g < groups; ++g) {
-            CrossbarArray &slice = slices[static_cast<size_t>(g)];
-            slice.matVecCodesBatch(block, counts.data());
-            const int shift = g * p.cell_bits;
-            for (int64_t b = 0; b < batch; ++b)
-                for (int64_t c = 0; c < slice.live_cols_; ++c)
-                    out[b * n_cols + c] += counts[static_cast<size_t>(
-                                               b * n_cols + c)]
-                                           << shift;
-        }
-        return live;
-    }
-
-    // One sweep over the combined magnitude mag[r][c] = Σ_g
-    // cell_g[r][c] << (g·cell_bits).  No count clamps, so
-    // Σ_g count_g << (g·cell_bits) = Σ_r code[r]·mag[r][c] exactly,
-    // and slice g's IF firings are Σ_b Σ_c count_g[b][c] =
-    // Σ_r (Σ_b code[b][r])·(Σ_c cell_g[r][c]).  The kernel combines
-    // each driven word line's cells as it multiplies (nothing is kept
-    // between calls) and returns their per-slice sums.
-    PL_PROF_SCOPE("reram.crossbar_matvec");
+    const auto groups = static_cast<int>(slices.size());
     for (CrossbarArray &slice : slices) {
         tally(slice.activity_.input_spikes, block.spikes);
         tally(slice.activity_.mvm_ops, batch);
     }
+    std::fill(out, out + batch * n_cols, int64_t{0});
+
+    // Collapsed bit-plane walk: the LSBF pulses inject only
+    // non-negative charges and the IF counter is a saturating adder,
+    // so a count is min(Σ_r code[r]·g[r][c], max_count) whatever the
+    // pulse order (a word line's weighted spikes sum to its code),
+    // and one pass over the cells reproduces the per-pulse emulation
+    // bit for bit.  The slices are combined as they are swept, into
+    // mag[r][c] = Σ_g cell_g[r][c] << (g·cell_bits): each driven word
+    // line is one rank-1 update of every window's counts (the
+    // dispatched ger_slices_i64), which also returns the row's
+    // per-slice cell sums, so slice g's unclamped IF firings are
+    // Σ_r (Σ_b code[b][r])·(Σ_c cell_g[r][c]).  Cells past the live
+    // bit lines are zero and add nothing.  Integer sums are
+    // order-independent, so the counts are exact at any thread count.
     const int64_t *codes = block.codes;
     const gemmk::Kernels &kern = gemmk::activeKernels();
     parallel_for(0, live, /*work_per_index=*/rows_used * batch,
@@ -330,13 +220,94 @@ CrossbarArray::matVecTileBatch(std::span<CrossbarArray> slices,
             kern.ger_slices_i64(out + c0, n_cols, codes + r, rows_used,
                                 batch, rows, groups, p.cell_bits, c1 - c0,
                                 sums);
-            for (int g = 0; g < groups; ++g)
-                fires[g] += row_sum * sums[g];
+            if (tally_fires) {
+                for (int g = 0; g < groups; ++g)
+                    fires[g] += row_sum * sums[g];
+            }
         }
-        for (int g = 0; g < groups; ++g)
-            tally(slices[static_cast<size_t>(g)].activity_.if_fires,
-                  fires[g]);
+        if (tally_fires) {
+            for (int g = 0; g < groups; ++g)
+                tally(slices[static_cast<size_t>(g)].activity_.if_fires,
+                      fires[g]);
+        }
     });
+}
+
+void
+CrossbarArray::matVecCodesBatch(const SpikeBlock &block, int64_t *out)
+{
+    PL_PROF_SCOPE("reram.crossbar_matvec");
+    sweep(std::span<CrossbarArray>(this, 1), block, live_cols_,
+          /*tally_fires=*/false, out);
+
+    // Serial epilogue, one window at a time: clamp to the counter
+    // capacity and tally the IF firings (one per output count unit),
+    // exactly as the saturating counters would have left them.  The
+    // raw sums cannot overflow int64 for any valid configuration
+    // (rows x 2^data_bits x maxCellCode < 2^62).
+    const int64_t n_cols = cols();
+    const int64_t max_count =
+        (int64_t{1} << params_.counter_bits) - 1;
+    int64_t fires = 0;
+    for (int64_t b = 0; b < block.batch; ++b) {
+        int64_t *out_b = out + b * n_cols;
+        for (int64_t c = 0; c < live_cols_; ++c) {
+            out_b[c] = std::min(out_b[c], max_count);
+            fires += out_b[c];
+        }
+    }
+    tally(activity_.if_fires, fires);
+}
+
+int64_t
+CrossbarArray::matVecTileBatch(std::span<CrossbarArray> slices,
+                               const SpikeBlock &block, int64_t *out)
+{
+    const DeviceParams &p = slices.front().params_;
+    const auto groups = static_cast<int>(slices.size());
+    PL_ASSERT(groups >= 1 && groups <= p.sliceGroups(),
+              "%d slices of a %d-group weight", groups, p.sliceGroups());
+    int64_t live = 0;
+    for (const CrossbarArray &slice : slices) {
+        PL_ASSERT(slice.rows() == p.array_rows &&
+                      slice.cols() == p.array_cols &&
+                      slice.params_.cell_bits == p.cell_bits &&
+                      slice.params_.data_bits == p.data_bits &&
+                      slice.params_.counter_bits == p.counter_bits,
+                  "the slices of a tile differ in shape or resolution");
+        live = std::max(live, slice.live_cols_);
+    }
+
+    // Every count is at most a window's code sum times the largest
+    // cell code, and a combined sum at most that code sum times the
+    // largest magnitude, 2^data_bits - 1.  A block for which either
+    // bound could be broken (a counter saturating, or an int64 sum
+    // reaching 2^63) takes the per-slice sweeps, which clamp each
+    // slice's counts before the shift-add.
+    const int64_t max_count = (int64_t{1} << p.counter_bits) - 1;
+    const int64_t max_mag = (int64_t{1} << p.data_bits) - 1;
+    if (block.max_window_sum > max_count / p.maxCellCode() ||
+        block.max_window_sum > INT64_MAX / max_mag) {
+        const int64_t n_cols = p.array_cols;
+        std::fill(out, out + block.batch * n_cols, int64_t{0});
+        std::vector<int64_t> counts(
+            static_cast<size_t>(block.batch * n_cols));
+        for (int g = 0; g < groups; ++g) {
+            CrossbarArray &slice = slices[static_cast<size_t>(g)];
+            slice.matVecCodesBatch(block, counts.data());
+            const int shift = g * p.cell_bits;
+            for (int64_t b = 0; b < block.batch; ++b)
+                for (int64_t c = 0; c < slice.live_cols_; ++c)
+                    out[b * n_cols + c] += counts[static_cast<size_t>(
+                                               b * n_cols + c)]
+                                           << shift;
+        }
+        return live;
+    }
+
+    // No count clamps: one sweep over the slices together.
+    PL_PROF_SCOPE("reram.crossbar_matvec");
+    sweep(slices, block, live, /*tally_fires=*/true, out);
     return live;
 }
 

@@ -9,11 +9,12 @@
  * threshold equals one unit of charge, the output counts are
  * *exactly* Σ_r input_code[r]·g[r][c] (paper §4.2.2) — the crossbar
  * computes an integer matrix-vector product in the analog domain.
- * The model runs that product in collapsed form, one pass over the
- * cells per window of input codes, and the bit-slice arrays of one
- * weight tile in one pass together while no counter can saturate
- * (DESIGN.md §7); the per-pulse SpikeDriver / IntegrateFire and
- * per-slice oracles it is tested against live in tests/support.
+ * The model runs that product in collapsed form, as one sweep over
+ * the cells that serves a whole block of input windows: over one
+ * array, or over the bit-slice arrays of one weight tile together
+ * while no counter can saturate (DESIGN.md §7).  The per-pulse
+ * SpikeDriver / IntegrateFire and per-slice oracles it is tested
+ * against live in tests/support.
  */
 
 #ifndef PIPELAYER_RERAM_CROSSBAR_HH_
@@ -126,8 +127,9 @@ class CrossbarArray
      * counts are out[b][c] = min(Σ_r codes[b][r] * cell(r, c),
      * 2^counter_bits - 1).  The windows share one pass over the cell
      * matrix, so each cell row is loaded once and reused for every
-     * window (the windows of a logical cycle, paper §4.2.1); each
-     * window is clamped and tallied on its own.
+     * window (the windows of a logical cycle, paper §4.2.1): the
+     * tile sweep over this one array, then each window clamped and
+     * tallied on its own.
      *
      * @param block codes checked against this array's data_bits.
      * @param out   row-major @c batch x cols() output counts.
@@ -173,6 +175,18 @@ class CrossbarArray
     int64_t liveCols() const { return live_cols_; }
 
   private:
+    /**
+     * The one sweep both MVM entries run: out[b][c] = Σ_r
+     * codes[b][r]·mag[r][c] for c < @p live, zero beyond, with
+     * mag[r][c] = Σ_g slices[g].cell(r, c) << (g·cell_bits).  Every
+     * slice tallies the block's input_spikes and mvm_ops and, with
+     * @p tally_fires, its IF firings of these unclamped counts.
+     * @pre the slices share one DeviceParams; groups·cell_bits <= 32.
+     */
+    static void sweep(std::span<CrossbarArray> slices,
+                      const SpikeBlock &block, int64_t live,
+                      bool tally_fires, int64_t *out);
+
     DeviceParams params_;
     std::vector<uint8_t> cells_; //!< row-major conductance codes
     /**

@@ -152,38 +152,6 @@ addProductAvx2(int64_t *out, __m256i mag4, __m256i wv)
                                             _mm256_mul_epu32(mag4, wv)));
 }
 
-/** out[0..3] += w * the four cells widened in @p cells4's low dword. */
-inline void
-axpyQuadAvx2(int64_t *out, __m128i cells4, __m256i wv)
-{
-    addProductAvx2(out, _mm256_cvtepu8_epi64(cells4), wv);
-}
-
-void
-axpyU8I64Avx2(int64_t *out, const uint8_t *cells, int64_t w, int64_t n)
-{
-    // VPMOVZXBQ widens four cell bytes to four qwords.  AVX2 has no
-    // 64x64 multiply, but VPMULUDQ's 32x32 -> 64 product is exact
-    // under the kernel contract (w < 2^32, cells < 2^8).
-    const __m256i wv = _mm256_set1_epi64x(w);
-    int64_t c = 0;
-    for (; c + 16 <= n; c += 16) {
-        const __m128i bytes = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(cells + c));
-        axpyQuadAvx2(out + c, bytes, wv);
-        axpyQuadAvx2(out + c + 4, _mm_srli_si128(bytes, 4), wv);
-        axpyQuadAvx2(out + c + 8, _mm_srli_si128(bytes, 8), wv);
-        axpyQuadAvx2(out + c + 12, _mm_srli_si128(bytes, 12), wv);
-    }
-    for (; c + 4 <= n; c += 4) {
-        int32_t quad;
-        std::memcpy(&quad, cells + c, sizeof quad);
-        axpyQuadAvx2(out + c, _mm_cvtsi32_si128(quad), wv);
-    }
-    for (; c < n; ++c)
-        out[c] += w * cells[c];
-}
-
 void
 gerSlicesAvx2(int64_t *out, int64_t ldo, const int64_t *w, int64_t ldw,
               int64_t nb, const uint8_t *const *cells, int groups,
@@ -193,8 +161,9 @@ gerSlicesAvx2(int64_t *out, int64_t ldo, const int64_t *w, int64_t ldw,
     // dwords (VPMOVZXBD), shifted into place and ORed into the
     // magnitudes, and summed on the way (VPSADBW); the magnitudes are
     // widened once more to qwords, four to a register, and every
-    // window then takes its multiply-adds from them.  VPMULUDQ's
-    // 32x32 -> 64 product is exact under the kernel contract.
+    // window then takes its multiply-adds from them.  AVX2 has no
+    // 64x64 multiply, but VPMULUDQ's 32x32 -> 64 product is exact
+    // under the kernel contract.
     constexpr int64_t kChunk = 128;
     __m256i mag[kChunk / 4];
     int64_t tail[3];
@@ -300,8 +269,8 @@ const Kernels &
 avx2Kernels()
 {
     static const Kernels table = {
-        dotLanesAvx2,  gemmNNAvx2,    axpyF32Avx2, scaleF32Avx2,
-        axpyU8I64Avx2, gerSlicesAvx2, reluF32Avx2, reluMaskF32Avx2,
+        dotLanesAvx2,  gemmNNAvx2,  axpyF32Avx2,     scaleF32Avx2,
+        gerSlicesAvx2, reluF32Avx2, reluMaskF32Avx2,
     };
     return table;
 }

@@ -186,12 +186,12 @@ reluMaskF32Avx512(float *grad, const float *ref, int64_t n)
 const Kernels &
 avx512Kernels()
 {
-    // The integer axpys are the AVX2 kernels: a 512-bit widening
+    // The crossbar's integer kernel is AVX2's: a 512-bit widening
     // byte-cell version ran crossbar_device no faster (within 2 %).
     static const Kernels table = {
         dotLanesAvx512, gemmNNAvx512,
         axpyF32Avx512,  scaleF32Avx512,
-        avx2Kernels().axpy_u8_i64, avx2Kernels().ger_slices_i64,
+        avx2Kernels().ger_slices_i64,
         reluF32Avx512,  reluMaskF32Avx512,
     };
     return table;

@@ -4,7 +4,7 @@
  *
  * Each instruction-set backend (one translation unit per target,
  * compiled with that target's flags) fills a Kernels table with the
- * same eight primitives; gemm.cc, nn::ReluLayer and
+ * same seven primitives; gemm.cc, nn::ReluLayer and
  * reram::CrossbarArray pick a table at runtime via isa::active().
  * Every backend implements the *same* lane-based reduction contract
  * (DESIGN.md §7), so switching targets changes wall clock only, never
@@ -32,19 +32,16 @@
  *    bits, else +0.0f) with no arithmetic at all, so every backend is
  *    trivially bit-identical; -0.0f and NaN inputs both rectify to
  *    +0.0f, exactly like the scalar ternary.
- *  - axpy_u8_i64: exact integer multiply-accumulate for the collapsed
- *    crossbar MVM, widening one-byte cells into int64 accumulators;
- *    order-independent by construction.  Operand contract:
- *    0 <= w < 2^32 (data_bits <= 32) and cells[c] in [0, 2^8)
- *    (cell_bits <= 8), so every product is below 2^40 and exact.
- *  - ger_slices_i64: the same multiply-accumulate as a rank-1 update
- *    of one word line of a weight tile's bit-slice arrays (one sweep
- *    per tile, DESIGN.md §7): the slices' cells are combined into
- *    their magnitude in registers, widened once and added into every
- *    window's counts, and the row's per-slice cell sums come out on
- *    the way.  Operand contract: 0 <= w[b] < 2^32, groups·shift <= 32
- *    (so every magnitude is below 2^32), and the caller keeps every
- *    accumulated sum below 2^63.
+ *  - ger_slices_i64: the crossbar MVM's one integer kernel (DESIGN.md
+ *    §7), an exact multiply-accumulate as a rank-1 update of one word
+ *    line of a weight tile's bit-slice arrays, or of one array (one
+ *    group): the slices' one-byte cells are combined into their
+ *    magnitude in registers, widened once and added into every
+ *    window's int64 counts, and the row's per-slice cell sums come
+ *    out on the way; order-independent by construction.  Operand
+ *    contract: 0 <= w[b] < 2^32 (data_bits <= 32), groups·shift <= 32
+ *    (so every magnitude is below 2^32, and every product exact), and
+ *    the caller keeps every accumulated sum below 2^63.
  *
  * The scalar tail and the tree reduction are shared inline helpers so
  * no backend can drift from the contract by re-implementing them.
@@ -83,9 +80,6 @@ struct Kernels
     void (*axpy_f32)(float *y, const float *row, float xi, int64_t n);
     /** row[j] = xi * y[j], j in [0,n); row == y allowed. */
     void (*scale_f32)(float *row, const float *y, float xi, int64_t n);
-    /** out[c] += w * cells[c] (exact int64), c in [0,n). */
-    void (*axpy_u8_i64)(int64_t *out, const uint8_t *cells, int64_t w,
-                        int64_t n);
     /**
      * With mag[c] = Σ_g cells[g][c] << (g·shift), g in [0,groups):
      * out[b*ldo + c] += w[b*ldw] * mag[c] (exact int64), b in [0,nb),

@@ -78,13 +78,6 @@ scaleF32Scalar(float *row, const float *y, float xi, int64_t n)
 }
 
 void
-axpyU8I64Scalar(int64_t *out, const uint8_t *cells, int64_t w, int64_t n)
-{
-    for (int64_t c = 0; c < n; ++c)
-        out[c] += w * cells[c];
-}
-
-void
 gerSlicesScalar(int64_t *out, int64_t ldo, const int64_t *w, int64_t ldw,
                 int64_t nb, const uint8_t *const *cells, int groups,
                 int shift, int64_t n, int64_t *sums)
@@ -134,8 +127,8 @@ const Kernels &
 scalarKernels()
 {
     static const Kernels table = {
-        dotLanesScalar,  gemmNNScalar,    axpyF32Scalar, scaleF32Scalar,
-        axpyU8I64Scalar, gerSlicesScalar, reluF32Scalar, reluMaskF32Scalar,
+        dotLanesScalar,  gemmNNScalar,  axpyF32Scalar,    scaleF32Scalar,
+        gerSlicesScalar, reluF32Scalar, reluMaskF32Scalar,
     };
     return table;
 }

@@ -1,7 +1,6 @@
 #include "tensor/tensor.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -239,15 +238,6 @@ Tensor::argmax() const
             best = i;
     }
     return best;
-}
-
-float
-Tensor::absMax() const
-{
-    float m = 0.0f;
-    for (float v : data_)
-        m = std::isfinite(v) ? std::max(m, std::fabs(v)) : m;
-    return m;
 }
 
 } // namespace pipelayer

@@ -118,9 +118,6 @@ class Tensor
     /** Index of the maximum element (first on ties). */
     int64_t argmax() const;
 
-    /** Maximum absolute finite element; 0 for empty tensors. */
-    float absMax() const;
-
   private:
     size_t flatIndex1(int64_t i) const
     {

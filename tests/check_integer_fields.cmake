@@ -7,7 +7,8 @@
 # more than 100000 windows, and json_lint must report
 # such a field as a lint error instead of terminating.  json_lint
 # also rejects every job and trace the simulator's parsers reject.
-# A repeated object key is an error in both tools.
+# A repeated object key is an error in both tools, and so is a request
+# line cut short, whether a newline or the end of the stream ends it.
 # Run as
 #   cmake -DPL_SERVE=<pl_serve> -DJSON_LINT=<json_lint>
 #         -DWORK_DIR=<scratch dir> -P check_integer_fields.cmake
@@ -152,5 +153,24 @@ execute_process(COMMAND "${JSON_LINT}" "${WORK_DIR}/repeated.json"
 if(NOT rc EQUAL 1 OR NOT err MATCHES "repeated key 'interval'")
     message(FATAL_ERROR "json_lint on a repeated key: exit ${rc}: ${err}")
 endif()
-message(STATUS "fractional, out-of-range and overflowing integer fields "
-               "and repeated keys rejected; exact integers echoed")
+# Every proper prefix of a request is a parse error on its line, as a
+# line of its own and as the last bytes of the stream.
+set(request "{\"id\":0,\"arrival_cycle\":5}")
+string(LENGTH "${request}" request_length)
+math(EXPR last "${request_length} - 1")
+foreach(length RANGE 1 ${last})
+    string(SUBSTRING "${request}" 0 ${length} prefix)
+    foreach(ending "\n" "")
+        file(WRITE "${WORK_DIR}/request.ndjson" "${prefix}${ending}")
+        execute_process(COMMAND "${PL_SERVE}" --network=Mnist-A --quiet
+                        INPUT_FILE "${WORK_DIR}/request.ndjson"
+                        RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+        if(NOT rc EQUAL 1 OR NOT err MATCHES "stdin line 1")
+            message(FATAL_ERROR "pl_serve on the truncated request "
+                                "'${prefix}': exit ${rc}: ${err}")
+        endif()
+    endforeach()
+endforeach()
+message(STATUS "fractional, out-of-range and overflowing integer fields, "
+               "repeated keys and truncated requests rejected; exact "
+               "integers echoed")

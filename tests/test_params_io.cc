@@ -9,8 +9,11 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
+#include "core/device.hh"
 #include "reram/array_group.hh"
 #include "reram/params_io.hh"
 #include "sim/simulator.hh"
@@ -170,6 +173,43 @@ TEST(ParamsIoErrors, ConsumersValidate)
     EXPECT_THROW(sim::Simulator(workloads::networkByName("Mnist-A"), p),
                  ConfigError);
     EXPECT_NO_THROW(DeviceParams().validate());
+
+    // Spike resolutions the file format accepts but the crossbar's
+    // quantiser (2..16 bits) cannot hold: the arrays throw naming
+    // data_bits, and a device's Weight_load keeps no network.
+    for (const auto &[cell_bits, data_bits] :
+         {std::pair{1, 1}, {1, 17}, {4, 32}, {8, 32}}) {
+        SCOPED_TRACE("cell_bits=" + std::to_string(cell_bits) +
+                     " data_bits=" + std::to_string(data_bits));
+        p = DeviceParams();
+        p.cell_bits = cell_bits;
+        p.data_bits = data_bits;
+        EXPECT_NO_THROW(p.validate());
+        try {
+            ArrayGroup(p, Tensor({2, 2}));
+            ADD_FAILURE() << "no ConfigError";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find("data_bits"),
+                      std::string::npos)
+                << e.what();
+        }
+        core::PipeLayerConfig config;
+        config.device = p;
+        core::PipeLayerDevice device(config);
+        Rng rng(5);
+        nn::Network net = workloads::buildM1(rng);
+        device.Topology_set(net);
+        EXPECT_THROW(device.Weight_load(), ConfigError);
+        EXPECT_EQ(device.arrayCount(), 0);
+    }
+    for (const auto &[cell_bits, data_bits] :
+         {std::pair{1, 2}, {2, 2}, {4, 16}, {8, 16}}) {
+        p = DeviceParams();
+        p.cell_bits = cell_bits;
+        p.data_bits = data_bits;
+        EXPECT_NO_THROW(ArrayGroup(p, Tensor({2, 2})))
+            << "cell_bits=" << cell_bits << " data_bits=" << data_bits;
+    }
 }
 
 TEST(ParamsIo, SeedsRoundTripExactly)

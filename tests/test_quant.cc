@@ -8,6 +8,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.hh"
@@ -18,6 +19,14 @@
 namespace pipelayer {
 namespace quant {
 namespace {
+
+/** Quantizer::forTensor over every value of @p t. */
+Quantizer
+forTensor(const Tensor &t, int bits)
+{
+    return Quantizer::forTensor({t.data(), static_cast<size_t>(t.numel())},
+                                bits);
+}
 
 TEST(Quantizer, ZeroBitsIsPassThrough)
 {
@@ -33,9 +42,22 @@ TEST(Quantizer, ZeroBitsIsPassThrough)
 TEST(Quantizer, PositiveLevels)
 {
     Tensor t({1}, 1.0f);
-    EXPECT_EQ(Quantizer::forTensor(t, 4).positiveLevels(), 7);
-    EXPECT_EQ(Quantizer::forTensor(t, 8).positiveLevels(), 127);
-    EXPECT_EQ(Quantizer::forTensor(t, 16).positiveLevels(), 32767);
+    EXPECT_EQ(forTensor(t, 4).positiveLevels(), 7);
+    EXPECT_EQ(forTensor(t, 8).positiveLevels(), 127);
+    EXPECT_EQ(forTensor(t, 16).positiveLevels(), 32767);
+}
+
+TEST(Quantizer, ScaleComesFromTheLargestFiniteMagnitudeInPlace)
+{
+    // The values are read where they lie: a window in the middle of a
+    // buffer sets the scale from its own largest finite magnitude.
+    const float inf = std::numeric_limits<float>::infinity();
+    const std::vector<float> buffer = {9.0f, 1.0f, -5.0f, 3.0f,
+                                       3.0f, inf,  -9.0f};
+    const Quantizer q =
+        Quantizer::forTensor(std::span(buffer).subspan(1, 5), 4);
+    EXPECT_EQ(q.scale, 5.0f / 7.0f);
+    EXPECT_EQ(q.code(-5.0f), -7);
 }
 
 TEST(Quantizer, ExtremesAreExact)
@@ -53,7 +75,7 @@ TEST(Quantizer, CodesStayInRange)
     Rng rng(1);
     const Tensor t = Tensor::randn({1000}, rng);
     for (int bits : {2, 4, 8, 16}) {
-        const Quantizer q = Quantizer::forTensor(t, bits);
+        const Quantizer q = forTensor(t, bits);
         for (int64_t i = 0; i < t.numel(); ++i) {
             const int64_t code = q.code(t.at(i));
             EXPECT_LE(std::llabs(code), q.positiveLevels());
@@ -75,7 +97,7 @@ TEST(Quantizer, ErrorBoundedByHalfStep)
 {
     Rng rng(3);
     const Tensor t = Tensor::randn({500}, rng);
-    const Quantizer q = Quantizer::forTensor(t, 8);
+    const Quantizer q = forTensor(t, 8);
     const Tensor quantised = quantizeTensor(t, 8);
     for (int64_t i = 0; i < t.numel(); ++i)
         EXPECT_LE(std::fabs(quantised.at(i) - t.at(i)),
@@ -165,8 +187,8 @@ TEST(Quantizer, NonFiniteValuesPassThroughAndSetNoScale)
         for (float bad : {std::numeric_limits<float>::quiet_NaN(), inf,
                           -inf}) {
             const Tensor t({3}, std::vector<float>{1.0f, bad, -0.5f});
-            EXPECT_EQ(Quantizer::forTensor(t, bits).scale,
-                      Quantizer::forTensor(finite, bits).scale);
+            EXPECT_EQ(forTensor(t, bits).scale,
+                      forTensor(finite, bits).scale);
             const Tensor q = quantizeTensor(t, bits);
             EXPECT_EQ(q(0), ref(0));
             EXPECT_EQ(q(2), ref(1));
@@ -195,7 +217,7 @@ TEST(Quantizer, TinyTensorKeepsItsSigns)
     const Tensor t({3}, std::vector<float>{2 * tiny, -tiny, 0.0f});
     for (int bits : {2, 4, 8, 16}) {
         SCOPED_TRACE("bits=" + std::to_string(bits));
-        const Quantizer q = Quantizer::forTensor(t, bits);
+        const Quantizer q = forTensor(t, bits);
         EXPECT_GT(q.scale, 0.0f);
         EXPECT_GT(q.code(2 * tiny), 0);
         EXPECT_LT(q.code(-tiny), 0);

@@ -93,7 +93,7 @@ TEST(Tensor, Hadamard)
     EXPECT_EQ(h(2), 0.0f);
 }
 
-TEST(Tensor, SumAndArgmaxAndAbsMax)
+TEST(Tensor, SumAndArgmax)
 {
     Tensor t({4});
     t(0) = 1.0f;
@@ -102,7 +102,6 @@ TEST(Tensor, SumAndArgmaxAndAbsMax)
     t(3) = 3.0f;
     EXPECT_DOUBLE_EQ(t.sum(), 2.0);
     EXPECT_EQ(t.argmax(), 2); // first of the ties
-    EXPECT_EQ(t.absMax(), 5.0f);
 }
 
 TEST(Tensor, RandnIsDeterministicGivenSeed)
