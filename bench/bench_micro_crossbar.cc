@@ -10,14 +10,18 @@
  * pulse-walk reference that replays the pre-collapse per-bit-plane
  * IntegrateFire walk.  The two crossbar_matvec_* rows time one
  * window through one array (CrossbarArray::matVecCodesBatch, which
- * the device runs only for a block that could saturate a counter);
- * the arraygroup_* rows time the device's path, one sweep per weight
- * tile.  Run with --threads=1 and read `speedup_vs_reference`.
+ * the device runs only for a tile row that could saturate a counter);
+ * the arraygroup_* rows time the device's path, ArrayGroup::
+ * matVecBatch: one signed product per tile row.  The
+ * arraygroup_mnist0_* rows run it at two Mnist-0 layer shapes.  Every
+ * row times each available dispatch target as gflops_<isa>.  Run with
+ * --threads=1 and read `speedup_vs_reference`.
  *
  * The scheduler row reports `logical_cycles` — a deterministic model
  * output gated against the committed baseline like the figure benches.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -165,8 +169,8 @@ measureKernel(const std::string &name, int64_t inner_iters, double flops,
     row.ns = bench::measureNs(threadCount(), fast);
     // One measurement per available SIMD dispatch target
     // (gflops_<isa>): the crossbar MVM rides the dispatched integer
-    // kernel (ger_slices_i64), so the target changes wall clock,
-    // never counts.
+    // kernels (ger_u8_i64, gemm_i32_i64), so the target changes wall
+    // clock, never counts.
     {
         const isa::Target entry = isa::active();
         for (isa::Target t : isa::availableTargets()) {
@@ -243,6 +247,35 @@ run(bench::Runner &runner)
                     group.matVecBatch(one);
                 }
             }));
+    }
+
+    {
+        // ArrayGroup::matVecBatch at two Mnist-0 shapes (bias column
+        // included): conv2's 64 windows of 501 inputs onto 50 outputs,
+        // and ip1's one window of 801 inputs onto 500.  The inputs are
+        // rectified, so about a third of the codes are zero, as after
+        // the network's ReLUs.
+        struct Shape
+        {
+            const char *name;
+            int64_t windows, m, n;
+        };
+        const reram::DeviceParams params;
+        Rng rng(5);
+        for (const Shape &shape : {Shape{"conv2_64x501x50", 64, 501, 50},
+                                   Shape{"ip1_1x801x500", 1, 801, 500}}) {
+            reram::ArrayGroup group(
+                params, Tensor::randn({shape.n, shape.m}, rng));
+            Tensor x({shape.windows, shape.m});
+            for (int64_t i = 0; i < x.numel(); ++i)
+                x.at(i) = std::max(
+                    0.0f, static_cast<float>(rng.uniform(-0.5, 1.0)));
+            const int64_t macs = shape.windows * shape.m * shape.n;
+            rows.push_back(measureKernel(
+                std::string("arraygroup_mnist0_") + shape.name, macs,
+                static_cast<double>(macs),
+                [&] { group.matVecBatch(x); }, nullptr));
+        }
     }
 
     Table table({"kernel", "inner_iters", "ns/call", "GMAC/s",

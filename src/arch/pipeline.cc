@@ -9,6 +9,19 @@ namespace arch {
 
 namespace {
 
+/**
+ * @p prefix followed by the decimal @p n, appended rather than
+ * inserted: GCC 12's -O3 -Wrestrict misreads the inlined
+ * "prefix" + std::to_string(n).
+ */
+std::string
+numbered(const char *prefix, int64_t n)
+{
+    std::string label(prefix);
+    label += std::to_string(n);
+    return label;
+}
+
 int64_t
 ceilDiv(int64_t a, int64_t b)
 {
@@ -167,13 +180,13 @@ PipelineScheduler::unitLabels() const
     // A_l2 below it), the derivative units, and the update.
     std::vector<std::string> labels;
     for (int64_t s = 0; s < depth_; ++s)
-        labels.push_back("A" + std::to_string(s + 1));
+        labels.push_back(numbered("A", s + 1));
     if (config_.training) {
         labels.push_back("ErrL");
         for (int64_t s = depth_ - 1; s >= 1; --s)
-            labels.push_back("A" + std::to_string(s + 1) + "2");
+            labels.push_back(numbered("A", s + 1) + "2");
         for (int64_t s = depth_ - 1; s >= 0; --s)
-            labels.push_back("dW" + std::to_string(s + 1));
+            labels.push_back(numbered("dW", s + 1));
         labels.push_back("Upd");
     }
     return labels;
@@ -324,12 +337,12 @@ struct PipelineScheduler::RunState
         for (int64_t j = 0; j <= depth; ++j) {
             const int64_t entries = std::max<int64_t>(
                 1, 2 * (depth - j) + 1 + buffer_slack);
-            d_buffers.emplace_back("d" + std::to_string(j), entries);
+            d_buffers.emplace_back(numbered("d", j), entries);
         }
         for (int64_t j = 0; j < depth; ++j) {
             const int64_t entries =
                 std::max<int64_t>(1, 1 + buffer_slack);
-            delta_buffers.emplace_back("delta" + std::to_string(j + 1),
+            delta_buffers.emplace_back(numbered("delta", j + 1),
                                        entries);
         }
         stats.per_stage_ops.assign(static_cast<size_t>(depth), 0);

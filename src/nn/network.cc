@@ -98,7 +98,10 @@ Network::trainBatch(const std::vector<Tensor> &inputs,
     parallel_for(0, static_cast<int64_t>(batch),
                  [&](int64_t first, int64_t last) {
         std::vector<Tensor> layer_inputs(layers_.size());
-        std::vector<Saved> saved(layers_.size());
+        // Sized by resize(): GCC 12's -O3 -Wfree-nonheap-object
+        // misreads the inlined size constructor here.
+        std::vector<Saved> saved;
+        saved.resize(layers_.size());
         for (auto i = static_cast<size_t>(first);
              i < static_cast<size_t>(last); ++i) {
             // The chunk holding image 0 adds to the accumulators in

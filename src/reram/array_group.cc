@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
+#include "common/prof.hh"
 #include "quant/quantize.hh"
+#include "tensor/gemm_kernels.hh"
 
 namespace pipelayer {
 namespace reram {
@@ -45,8 +50,12 @@ ArrayGroup::ArrayGroup(const DeviceParams &params, const Tensor &weight)
     weight_scale_ = q.scale;
     codes_.resize(static_cast<size_t>(n_out_ * m_in_));
     const float *w = weight.data();
-    for (size_t i = 0; i < codes_.size(); ++i)
-        codes_[i] = static_cast<int32_t>(q.code(w[i]));
+    for (int64_t r = 0; r < m_in_; ++r)
+        for (int64_t c = 0; c < n_out_; ++c)
+            codes_[static_cast<size_t>(r * n_out_ + c)] =
+                static_cast<int32_t>(q.code(w[c * m_in_ + r]));
+    if (params_.hasVariation())
+        stored_.resize(codes_.size());
 
     // Allocate the pos/neg x tile x slice subarrays, each with its
     // own variation stream: the instance seeds are distinct and count
@@ -105,12 +114,15 @@ ArrayGroup::programCodes()
             const int64_t col0 = tc * a_cols;
             const int64_t width = std::min(a_cols, n_out_ - col0);
             const int64_t tile = tr * tiles_c_ + tc;
+            const std::span<CrossbarArray> pos = tileSlices(0, tile);
+            const std::span<CrossbarArray> neg = tileSlices(1, tile);
             for (int64_t col = 0; col < width; ++col) {
-                const int32_t *w =
-                    codes_.data() + (col0 + col) * m_in_ + row0;
+                const int64_t first = row0 * n_out_ + col0 + col;
+                const int32_t *w = codes_.data() + first;
                 for (int64_t row = 0; row < used; ++row) {
-                    const int64_t mag = std::llabs(w[row]);
-                    const int sign = w[row] < 0 ? 1 : 0;
+                    const int32_t code = w[row * n_out_];
+                    const int64_t mag = std::llabs(code);
+                    const int sign = code < 0 ? 1 : 0;
                     for (int g = 0; g < groups; ++g) {
                         runs[static_cast<size_t>(
                             (sign * groups + g) * a_rows + row)] =
@@ -122,13 +134,27 @@ ArrayGroup::programCodes()
                     }
                 }
                 for (int sign = 0; sign < 2; ++sign) {
-                    std::span<CrossbarArray> slices =
-                        tileSlices(sign, tile);
+                    const std::span<CrossbarArray> slices =
+                        sign == 0 ? pos : neg;
                     for (int g = 0; g < groups; ++g)
                         slices[static_cast<size_t>(g)].programColumn(
                             col, 0,
                             runs.data() + (sign * groups + g) * a_rows,
                             used);
+                }
+                if (stored_.empty())
+                    continue;
+                // Write noise and stuck cells: read back what the bit
+                // line now holds.
+                int32_t *stored = stored_.data() + first;
+                for (int64_t row = 0; row < used; ++row) {
+                    const int64_t idx = row * a_cols + col;
+                    int64_t code = 0;
+                    for (size_t g = 0; g < pos.size(); ++g)
+                        code += (int64_t{pos[g].cellData()[idx]} -
+                                 int64_t{neg[g].cellData()[idx]})
+                                << (static_cast<int>(g) * params_.cell_bits);
+                    stored[row * n_out_] = static_cast<int32_t>(code);
                 }
             }
         }
@@ -151,6 +177,7 @@ ArrayGroup::matVecBatch(const Tensor &x)
     PL_ASSERT(batch >= 1, "empty batch");
     const int64_t a_rows = params_.array_rows;
     const int64_t a_cols = params_.array_cols;
+    const int groups = params_.sliceGroups();
     const float *xp = x.data();
 
     // Each window is quantised to signed data_bits codes with a scale
@@ -165,18 +192,30 @@ ArrayGroup::matVecBatch(const Tensor &x)
 
     // (W⁺ - W⁻)(x⁺ - x⁻) in one integer accumulator.  Tile row by
     // tile row, each window's chunk is quantised straight into the
-    // row's x⁺ and x⁻ blocks (input sign s = 0 and 1).  A window with
-    // no code of sign s in the chunk drives no word line in that pass
-    // and is left out of the block, so a window's activity is the same
-    // whatever else the batch holds; windows stay in ascending order.
-    // Every array of the tile row sees the same blocks, so they are
-    // range-checked and spike-counted once (SpikeBlock), not per array.
+    // row's x⁺ and x⁻ blocks (input sign s = 0 and 1) and its signed
+    // codes.  A window with no code of sign s in the chunk drives no
+    // word line in that pass and is left out of the block, so a
+    // window's activity is the same whatever else the batch holds;
+    // windows stay in ascending order.  Every array of the tile row
+    // sees the same blocks, so they are range-checked and
+    // spike-counted once (SpikeBlock), not per array.
+    const int64_t block_rows = std::min(a_rows, m_in_);
     std::vector<int64_t> acc(static_cast<size_t>(batch * n_out_), 0);
     std::vector<int64_t> codes[2];  //!< the blocks, row-major sel x used
     std::vector<int64_t> sel[2];    //!< the windows each block holds
-    std::vector<int64_t> counts;    //!< tile outputs, sel x a_cols
+    std::vector<int32_t> xs(static_cast<size_t>(batch * block_rows));
+    std::vector<int64_t> drive;     //!< the blocks' code sum per word line
+    std::vector<int64_t> driven;    //!< word lines some window drives
+    std::vector<int64_t> counts;    //!< one slice's counts, sel x a_cols
     for (std::vector<int64_t> &block : codes)
-        block.resize(static_cast<size_t>(batch * std::min(a_rows, m_in_)));
+        block.resize(static_cast<size_t>(batch * block_rows));
+
+    // A count is at most a window's code sum S times the largest cell
+    // code, and a partial sum of the signed product at most (S⁺ + S⁻)
+    // times the largest stored magnitude, 2^data_bits - 1.
+    const int64_t max_count = (int64_t{1} << params_.counter_bits) - 1;
+    const int64_t max_mag = (int64_t{1} << params_.data_bits) - 1;
+    const gemmk::Kernels &kern = gemmk::activeKernels();
     for (int64_t tr = 0; tr < tiles_r_; ++tr) {
         const int64_t row0 = tr * a_rows;
         const int64_t used = std::min(a_rows, m_in_ - row0);
@@ -185,6 +224,7 @@ ArrayGroup::matVecBatch(const Tensor &x)
         for (int64_t b = 0; b < batch; ++b) {
             const quant::Quantizer &q = qx[static_cast<size_t>(b)];
             const float *in = xp + b * m_in_ + row0;
+            int32_t *signed_codes = xs.data() + b * used;
             int64_t *pos = codes[0].data() +
                            static_cast<int64_t>(sel[0].size()) * used;
             int64_t *neg = codes[1].data() +
@@ -192,6 +232,7 @@ ArrayGroup::matVecBatch(const Tensor &x)
             int64_t any_pos = 0, any_neg = 0;
             for (int64_t r = 0; r < used; ++r) {
                 const int64_t code = q.code(in[r]);
+                signed_codes[r] = static_cast<int32_t>(code);
                 pos[r] = std::max<int64_t>(code, 0);
                 neg[r] = std::max<int64_t>(-code, 0);
                 any_pos |= pos[r];
@@ -202,32 +243,90 @@ ArrayGroup::matVecBatch(const Tensor &x)
             if (any_neg != 0)
                 sel[1].push_back(b);
         }
-
+        std::optional<SpikeBlock> blocks[2];
+        bool exact = true;
+        int64_t sum_bound = 0;
         for (int s = 0; s < 2; ++s) {
             if (sel[s].empty())
                 continue;
-            const auto nsel = static_cast<int64_t>(sel[s].size());
-            const SpikeBlock block(codes[s].data(), nsel, used,
-                                   params_.data_bits);
+            const SpikeBlock &block = blocks[s].emplace(
+                codes[s].data(), static_cast<int64_t>(sel[s].size()), used,
+                params_.data_bits);
+            exact = exact &&
+                    block.max_window_sum <= max_count / params_.maxCellCode();
+            sum_bound += block.max_window_sum;
+        }
+        if (!blocks[0] && !blocks[1])
+            continue;
+        exact = exact &&
+                sum_bound <= std::numeric_limits<int64_t>::max() / max_mag;
+
+        if (exact) {
+            // No counter of the row clamps: its outputs are the signed
+            // product over the word lines some window drives, and each
+            // array tallies the drive it would have counted.
+            PL_PROF_SCOPE("reram.crossbar_matvec");
+            int64_t spikes = 0, windows = 0;
+            drive.assign(static_cast<size_t>(used), 0);
+            for (const std::optional<SpikeBlock> &block : blocks) {
+                if (!block)
+                    continue;
+                spikes += block->spikes;
+                windows += block->batch;
+                for (int64_t r = 0; r < used; ++r)
+                    drive[static_cast<size_t>(r)] +=
+                        block->row_sums[static_cast<size_t>(r)];
+            }
+            driven.clear();
+            for (int64_t r = 0; r < used; ++r)
+                if (drive[static_cast<size_t>(r)] != 0)
+                    driven.push_back(r);
+            const int32_t *w = storedCodes() + row0 * n_out_;
+            const auto nrows = static_cast<int64_t>(driven.size());
+            parallel_for(0, n_out_, /*work_per_index=*/nrows * batch,
+                         [&](int64_t c0, int64_t c1) {
+                kern.gemm_i32_i64(batch, c1 - c0, xs.data(), used, w + c0,
+                                  n_out_, driven.data(), nrows,
+                                  acc.data() + c0, n_out_);
+            });
+            for (int64_t tc = 0; tc < tiles_c_; ++tc)
+                for (int sign = 0; sign < 2; ++sign)
+                    for (CrossbarArray &array :
+                         tileSlices(sign, tr * tiles_c_ + tc))
+                        array.tallyDrive(spikes, windows, drive);
+            continue;
+        }
+
+        // A counter could clamp: every slice array sweeps each block
+        // (one "reram.crossbar_matvec" each) and its clamped counts are
+        // shift-added (Fig. 14a); x⁺ on W⁺ and x⁻ on W⁻ add, the cross
+        // terms subtract.
+        for (int s = 0; s < 2; ++s) {
+            if (!blocks[s])
+                continue;
+            const int64_t nsel = blocks[s]->batch;
             counts.resize(static_cast<size_t>(nsel * a_cols));
             for (int64_t tc = 0; tc < tiles_c_; ++tc) {
                 const int64_t col0 = tc * a_cols;
                 for (int sign = 0; sign < 2; ++sign) {
-                    // The tile's slice results, shift-added (Fig. 14a);
-                    // counts past the live bit lines are zero.  x⁺ on
-                    // W⁺ and x⁻ on W⁻ add, the cross terms subtract.
-                    const int64_t live = CrossbarArray::matVecTileBatch(
-                        tileSlices(sign, tr * tiles_c_ + tc), block,
-                        counts.data());
-                    const int64_t col1 = std::min(col0 + live, n_out_);
                     const int64_t scale = sign == s ? 1 : -1;
-                    for (int64_t k = 0; k < nsel; ++k) {
-                        int64_t *out_w = acc.data() +
-                                         sel[s][static_cast<size_t>(k)] *
-                                             n_out_;
-                        const int64_t *cnt = counts.data() + k * a_cols;
-                        for (int64_t c = col0; c < col1; ++c)
-                            out_w[c] += scale * cnt[c - col0];
+                    const std::span<CrossbarArray> slices =
+                        tileSlices(sign, tr * tiles_c_ + tc);
+                    for (int g = 0; g < groups; ++g) {
+                        CrossbarArray &array = slices[static_cast<size_t>(g)];
+                        array.matVecCodesBatch(*blocks[s], counts.data());
+                        // Counts past the live bit lines are zero.
+                        const int64_t col1 =
+                            std::min(col0 + array.liveCols(), n_out_);
+                        const int shift = g * params_.cell_bits;
+                        for (int64_t k = 0; k < nsel; ++k) {
+                            int64_t *out_w =
+                                acc.data() +
+                                sel[s][static_cast<size_t>(k)] * n_out_;
+                            const int64_t *cnt = counts.data() + k * a_cols;
+                            for (int64_t c = col0; c < col1; ++c)
+                                out_w[c] += scale * (cnt[c - col0] << shift);
+                        }
                     }
                 }
             }
@@ -251,35 +350,11 @@ ArrayGroup::readWeights() const
 {
     Tensor out({n_out_, m_in_});
     float *o = out.data();
-    const int64_t a_rows = params_.array_rows;
-    const int64_t a_cols = params_.array_cols;
-    for (int64_t tr = 0; tr < tiles_r_; ++tr) {
-        const int64_t row0 = tr * a_rows;
-        const int64_t used = std::min(a_rows, m_in_ - row0);
-        for (int64_t tc = 0; tc < tiles_c_; ++tc) {
-            const int64_t col0 = tc * a_cols;
-            const int64_t width = std::min(a_cols, n_out_ - col0);
-            const int64_t tile = tr * tiles_c_ + tc;
-            const std::span<const CrossbarArray> pos = tileSlices(0, tile);
-            const std::span<const CrossbarArray> neg = tileSlices(1, tile);
-            for (int64_t row = 0; row < used; ++row) {
-                float *o_row = o + col0 * m_in_ + row0 + row;
-                for (int64_t col = 0; col < width; ++col) {
-                    const int64_t idx = row * a_cols + col;
-                    int64_t code = 0;
-                    for (size_t g = 0; g < pos.size(); ++g) {
-                        const int64_t weight = int64_t{1}
-                            << (static_cast<int>(g) * params_.cell_bits);
-                        code += (int64_t{pos[g].cellData()[idx]} -
-                                 int64_t{neg[g].cellData()[idx]}) *
-                                weight;
-                    }
-                    o_row[col * m_in_] =
-                        static_cast<float>(code) * weight_scale_;
-                }
-            }
-        }
-    }
+    const int32_t *stored = storedCodes();
+    for (int64_t r = 0; r < m_in_; ++r)
+        for (int64_t c = 0; c < n_out_; ++c)
+            o[c * m_in_ + r] =
+                static_cast<float>(stored[r * n_out_ + c]) * weight_scale_;
     return out;
 }
 
@@ -295,12 +370,15 @@ ArrayGroup::updateWeights(const Tensor &grad, float lr, int64_t batch_size)
     const int64_t max_code =
         (int64_t{1} << (params_.data_bits - 1)) - 1;
     const float *g = grad.data();
-    for (size_t i = 0; i < codes_.size(); ++i) {
-        const float delta = step * g[i];
-        const auto delta_code =
-            static_cast<int64_t>(std::lround(delta / weight_scale_));
-        codes_[i] = static_cast<int32_t>(
-            std::clamp(codes_[i] - delta_code, -max_code, max_code));
+    for (int64_t r = 0; r < m_in_; ++r) {
+        for (int64_t c = 0; c < n_out_; ++c) {
+            const float delta = step * g[c * m_in_ + r];
+            const auto delta_code =
+                static_cast<int64_t>(std::lround(delta / weight_scale_));
+            int32_t &code = codes_[static_cast<size_t>(r * n_out_ + c)];
+            code = static_cast<int32_t>(
+                std::clamp(code - delta_code, -max_code, max_code));
+        }
     }
     programCodes();
 }

@@ -20,9 +20,13 @@
  * One datapath takes a batch of float windows to shift-added IF
  * counts: each window is quantised where it lies, tile row by tile
  * row, straight into that row's x⁺ and x⁻ code blocks (SpikeBlock,
- * range-checked and spike-counted once), and every array of the tile
- * row (every tile column and weight sign) is driven by each block, a
- * tile's slice arrays in one sweep (CrossbarArray::matVecTileBatch).
+ * range-checked and spike-counted once) and its signed codes x⁺ - x⁻.
+ * The shift-add, the W⁻ subtraction and the x⁻ subtraction are
+ * linear, so while no counter of the tile row can clamp its outputs
+ * are one signed integer product (W⁺ - W⁻)(x⁺ - x⁻) over the codes
+ * the cells store, and every array of the row only tallies the
+ * drive; a tile row that could clamp drives every slice array with
+ * each block and shift-adds the clamped counts (DESIGN.md §7).
  */
 
 #ifndef PIPELAYER_RERAM_ARRAY_GROUP_HH_
@@ -63,15 +67,27 @@ class ArrayGroup
     /** Number of physical subarrays backing this matrix. */
     int64_t arrayCount() const;
 
+    const DeviceParams &params() const { return params_; }
+
+    /**
+     * The sliceGroups() slice arrays of tile @p tile (= tile_r ·
+     * ceil(n_out / array_cols) + tile_c) of weight sign @p sign
+     * (0 = positive weights, 1 = negative magnitudes); slice g holds
+     * bits [g·cell_bits, (g+1)·cell_bits) of the magnitudes.  Tile
+     * (tile_r, tile_c) maps inputs from tile_r·array_rows and outputs
+     * from tile_c·array_cols.
+     */
+    std::span<const CrossbarArray> tileSlices(int sign, int64_t tile) const;
+
     /**
      * Matrix-vector products through the functional crossbars: each
      * row of @p x is one input window of a logical cycle (paper
      * §4.2.1), quantised to data_bits codes with its own per-window
-     * scale, with all windows sharing one sweep over each tile's
-     * crossbar cells (CrossbarArray::matVecTileBatch).  A window
-     * drives a tile row's x⁺ (x⁻) pass only if its chunk there has a
-     * positive (negative) code, so its output and activity do not
-     * depend on the other windows of the batch.
+     * scale, with all windows sharing one product per tile row (or,
+     * where a counter could clamp, one sweep per slice array).  A
+     * window drives a tile row's x⁺ (x⁻) pass only if its chunk there
+     * has a positive (negative) code, so its output and activity do
+     * not depend on the other windows of the batch.
      *
      * @param x (batch, m_in) float matrix, batch >= 1; entries may be
      *        negative (handled by a second sign pass).
@@ -81,8 +97,9 @@ class ArrayGroup
     Tensor matVecBatch(const Tensor &x);
 
     /**
-     * Reconstruct the float weights currently stored in the arrays
-     * (reading cells in memory mode and recombining the slices).
+     * Reconstruct the float weights currently stored in the arrays:
+     * the codes the cells hold, recombined from the slices and signs
+     * (memory mode), times weightScale().
      */
     Tensor readWeights() const;
 
@@ -101,21 +118,44 @@ class ArrayGroup
 
   private:
     /**
+     * The tile-by-tile oracle (tests/support/group_reference) drives
+     * the arrays themselves.  Nothing else may write a slice: the
+     * product reads codes_ and stored_, not the cells.
+     */
+    friend Tensor referenceMatVecBatch(ArrayGroup &group, const Tensor &x);
+
+    /** tileSlices(), writable: the arrays are programmed only here. */
+    std::span<CrossbarArray> tileSlices(int sign, int64_t tile);
+
+    /**
      * Program the current signed codes into the pos/neg slices, one
-     * bit line of a tile at a time (CrossbarArray::programColumn).
+     * bit line of a tile at a time (CrossbarArray::programColumn),
+     * reading back into stored_ what each bit line then holds.
      */
     void programCodes();
 
-    /** The slice arrays of tile @p tile of sign @p sign (0 = positive). */
-    std::span<CrossbarArray> tileSlices(int sign, int64_t tile);
-    std::span<const CrossbarArray> tileSlices(int sign, int64_t tile) const;
+    /** The codes the cells store, in codes_'s layout. */
+    const int32_t *storedCodes() const
+    {
+        return stored_.empty() ? codes_.data() : stored_.data();
+    }
 
     DeviceParams params_;
     int64_t n_out_, m_in_;
     int64_t tiles_r_, tiles_c_; //!< tile grid: rows x cols of subarrays
     float weight_scale_;
-    /** Signed data_bits weight codes, (n, m); data_bits <= 32. */
+    /**
+     * Signed data_bits weight codes, one row of n_out per input (word
+     * line), as the arrays hold them: codes_[r * n_out + c] is
+     * W[c][r]; data_bits <= 16.
+     */
     std::vector<int32_t> codes_;
+    /**
+     * The signed codes the cells store, Σ_g (cell⁺_g - cell⁻_g) <<
+     * (g·cell_bits), in codes_'s layout; empty on a device with no
+     * write noise and no stuck cells, whose cells store codes_.
+     */
+    std::vector<int32_t> stored_;
 
     /**
      * arrays_[(sign * tiles + tile) * sliceGroups() + slice], tile =

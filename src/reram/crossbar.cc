@@ -37,9 +37,6 @@ tally(int64_t &counter, int64_t n)
                                                 std::memory_order_relaxed);
 }
 
-/** Most slice groups a weight can have (data_bits <= 32). */
-constexpr int kMaxGroups = 32;
-
 } // namespace
 
 SpikeBlock::SpikeBlock(const int64_t *codes_in, int64_t batch_in,
@@ -72,6 +69,7 @@ CrossbarArray::CrossbarArray(const DeviceParams &params,
                              uint64_t instance_seed)
     : params_(params),
       cells_(static_cast<size_t>(params.array_rows * params.array_cols), 0),
+      row_sums_(static_cast<size_t>(params.array_rows), 0),
       variation_rng_(Rng(params.variation_seed).split(instance_seed))
 {
     PL_ASSERT(params.array_rows > 0 && params.array_cols > 0,
@@ -88,8 +86,7 @@ CrossbarArray::CrossbarArray(const DeviceParams &params,
               params.stuck_at_fault_rate >= 0.0 &&
               params.stuck_at_fault_rate <= 1.0,
               "bad variation parameters");
-    has_variation_ = params.write_noise_sigma > 0.0 ||
-                     params.stuck_at_fault_rate > 0.0;
+    has_variation_ = params.hasVariation();
     if (has_variation_) {
         stuck_.assign(cells_.size(), uint8_t{0});
         for (size_t i = 0; i < stuck_.size(); ++i) {
@@ -101,6 +98,8 @@ CrossbarArray::CrossbarArray(const DeviceParams &params,
                     cells_[i] = static_cast<uint8_t>(params.maxCellCode());
                     live_cols_ = std::max(
                         live_cols_, static_cast<int64_t>(i) % cols() + 1);
+                    row_sums_[i / static_cast<size_t>(cols())] +=
+                        params.maxCellCode();
                 }
             }
         }
@@ -138,6 +137,7 @@ CrossbarArray::programColumn(int64_t col, int64_t row0,
     const double sigma =
         params_.write_noise_sigma * static_cast<double>(max_code);
     uint8_t *cell = cells_.data() + row0 * stride + col;
+    int64_t *row_sum = row_sums_.data() + row0;
     const uint8_t *stuck =
         has_variation_ ? stuck_.data() + row0 * stride + col : nullptr;
     uint8_t live = 0;
@@ -152,6 +152,7 @@ CrossbarArray::programColumn(int64_t col, int64_t row0,
                 code + static_cast<int64_t>(std::llround(noise)), 0,
                 max_code);
         }
+        row_sum[k] += code - cell[k * stride];
         cell[k * stride] = static_cast<uint8_t>(code);
         live |= static_cast<uint8_t>(code);
     }
@@ -169,25 +170,20 @@ CrossbarArray::cell(int64_t row, int64_t col) const
 }
 
 void
-CrossbarArray::sweep(std::span<CrossbarArray> slices,
-                     const SpikeBlock &block, int64_t live,
-                     bool tally_fires, int64_t *out)
+CrossbarArray::matVecCodesBatch(const SpikeBlock &block, int64_t *out)
 {
-    const DeviceParams &p = slices.front().params_;
-    PL_ASSERT(block.data_bits == p.data_bits,
+    PL_PROF_SCOPE("reram.crossbar_matvec");
+    PL_ASSERT(block.data_bits == params_.data_bits,
               "codes checked at %d bits drive a %d-bit array",
-              block.data_bits, p.data_bits);
-    PL_ASSERT(block.rows_used <= p.array_rows,
+              block.data_bits, params_.data_bits);
+    PL_ASSERT(block.rows_used <= rows(),
               "more input codes (%lld) than word lines (%lld)",
-              (long long)block.rows_used, (long long)p.array_rows);
+              (long long)block.rows_used, (long long)rows());
     const int64_t batch = block.batch;
     const int64_t rows_used = block.rows_used;
-    const int64_t n_cols = p.array_cols;
-    const auto groups = static_cast<int>(slices.size());
-    for (CrossbarArray &slice : slices) {
-        tally(slice.activity_.input_spikes, block.spikes);
-        tally(slice.activity_.mvm_ops, batch);
-    }
+    const int64_t n_cols = cols();
+    tally(activity_.input_spikes, block.spikes);
+    tally(activity_.mvm_ops, batch);
     std::fill(out, out + batch * n_cols, int64_t{0});
 
     // Collapsed bit-plane walk: the LSBF pulses inject only
@@ -195,61 +191,32 @@ CrossbarArray::sweep(std::span<CrossbarArray> slices,
     // so a count is min(Σ_r code[r]·g[r][c], max_count) whatever the
     // pulse order (a word line's weighted spikes sum to its code),
     // and one pass over the cells reproduces the per-pulse emulation
-    // bit for bit.  The slices are combined as they are swept, into
-    // mag[r][c] = Σ_g cell_g[r][c] << (g·cell_bits): each driven word
-    // line is one rank-1 update of every window's counts (the
-    // dispatched ger_slices_i64), which also returns the row's
-    // per-slice cell sums, so slice g's unclamped IF firings are
-    // Σ_r (Σ_b code[b][r])·(Σ_c cell_g[r][c]).  Cells past the live
-    // bit lines are zero and add nothing.  Integer sums are
-    // order-independent, so the counts are exact at any thread count.
+    // bit for bit.  Each driven word line is one rank-1 update of
+    // every window's counts (the dispatched ger_u8_i64); cells past
+    // the live bit lines are zero and add nothing.  Integer sums are
+    // order-independent, so the counts are exact at any thread count,
+    // and the raw sums cannot overflow int64 for any valid
+    // configuration (rows x 2^data_bits x maxCellCode < 2^62).
     const int64_t *codes = block.codes;
+    const uint8_t *cells = cells_.data();
     const gemmk::Kernels &kern = gemmk::activeKernels();
-    parallel_for(0, live, /*work_per_index=*/rows_used * batch,
+    parallel_for(0, live_cols_, /*work_per_index=*/rows_used * batch,
                  [&](int64_t c0, int64_t c1) {
-        const uint8_t *rows[kMaxGroups];
-        int64_t sums[kMaxGroups];
-        int64_t fires[kMaxGroups] = {};
         for (int64_t r = 0; r < rows_used; ++r) {
-            const int64_t row_sum = block.row_sums[static_cast<size_t>(r)];
-            if (row_sum == 0)
+            if (block.row_sums[static_cast<size_t>(r)] == 0)
                 continue;
-            for (int g = 0; g < groups; ++g)
-                rows[g] = slices[static_cast<size_t>(g)].cells_.data() +
-                          r * n_cols + c0;
-            kern.ger_slices_i64(out + c0, n_cols, codes + r, rows_used,
-                                batch, rows, groups, p.cell_bits, c1 - c0,
-                                sums);
-            if (tally_fires) {
-                for (int g = 0; g < groups; ++g)
-                    fires[g] += row_sum * sums[g];
-            }
-        }
-        if (tally_fires) {
-            for (int g = 0; g < groups; ++g)
-                tally(slices[static_cast<size_t>(g)].activity_.if_fires,
-                      fires[g]);
+            kern.ger_u8_i64(out + c0, n_cols, codes + r, rows_used, batch,
+                            cells + r * n_cols + c0, c1 - c0);
         }
     });
-}
-
-void
-CrossbarArray::matVecCodesBatch(const SpikeBlock &block, int64_t *out)
-{
-    PL_PROF_SCOPE("reram.crossbar_matvec");
-    sweep(std::span<CrossbarArray>(this, 1), block, live_cols_,
-          /*tally_fires=*/false, out);
 
     // Serial epilogue, one window at a time: clamp to the counter
     // capacity and tally the IF firings (one per output count unit),
-    // exactly as the saturating counters would have left them.  The
-    // raw sums cannot overflow int64 for any valid configuration
-    // (rows x 2^data_bits x maxCellCode < 2^62).
-    const int64_t n_cols = cols();
+    // exactly as the saturating counters would have left them.
     const int64_t max_count =
         (int64_t{1} << params_.counter_bits) - 1;
     int64_t fires = 0;
-    for (int64_t b = 0; b < block.batch; ++b) {
+    for (int64_t b = 0; b < batch; ++b) {
         int64_t *out_b = out + b * n_cols;
         for (int64_t c = 0; c < live_cols_; ++c) {
             out_b[c] = std::min(out_b[c], max_count);
@@ -259,56 +226,22 @@ CrossbarArray::matVecCodesBatch(const SpikeBlock &block, int64_t *out)
     tally(activity_.if_fires, fires);
 }
 
-int64_t
-CrossbarArray::matVecTileBatch(std::span<CrossbarArray> slices,
-                               const SpikeBlock &block, int64_t *out)
+void
+CrossbarArray::tallyDrive(int64_t spikes, int64_t windows,
+                          std::span<const int64_t> drive)
 {
-    const DeviceParams &p = slices.front().params_;
-    const auto groups = static_cast<int>(slices.size());
-    PL_ASSERT(groups >= 1 && groups <= p.sliceGroups(),
-              "%d slices of a %d-group weight", groups, p.sliceGroups());
-    int64_t live = 0;
-    for (const CrossbarArray &slice : slices) {
-        PL_ASSERT(slice.rows() == p.array_rows &&
-                      slice.cols() == p.array_cols &&
-                      slice.params_.cell_bits == p.cell_bits &&
-                      slice.params_.data_bits == p.data_bits &&
-                      slice.params_.counter_bits == p.counter_bits,
-                  "the slices of a tile differ in shape or resolution");
-        live = std::max(live, slice.live_cols_);
-    }
-
-    // Every count is at most a window's code sum times the largest
-    // cell code, and a combined sum at most that code sum times the
-    // largest magnitude, 2^data_bits - 1.  A block for which either
-    // bound could be broken (a counter saturating, or an int64 sum
-    // reaching 2^63) takes the per-slice sweeps, which clamp each
-    // slice's counts before the shift-add.
-    const int64_t max_count = (int64_t{1} << p.counter_bits) - 1;
-    const int64_t max_mag = (int64_t{1} << p.data_bits) - 1;
-    if (block.max_window_sum > max_count / p.maxCellCode() ||
-        block.max_window_sum > INT64_MAX / max_mag) {
-        const int64_t n_cols = p.array_cols;
-        std::fill(out, out + block.batch * n_cols, int64_t{0});
-        std::vector<int64_t> counts(
-            static_cast<size_t>(block.batch * n_cols));
-        for (int g = 0; g < groups; ++g) {
-            CrossbarArray &slice = slices[static_cast<size_t>(g)];
-            slice.matVecCodesBatch(block, counts.data());
-            const int shift = g * p.cell_bits;
-            for (int64_t b = 0; b < block.batch; ++b)
-                for (int64_t c = 0; c < slice.live_cols_; ++c)
-                    out[b * n_cols + c] += counts[static_cast<size_t>(
-                                               b * n_cols + c)]
-                                           << shift;
-        }
-        return live;
-    }
-
-    // No count clamps: one sweep over the slices together.
-    PL_PROF_SCOPE("reram.crossbar_matvec");
-    sweep(slices, block, live, /*tally_fires=*/true, out);
-    return live;
+    PL_ASSERT(static_cast<int64_t>(drive.size()) <= rows(),
+              "more driven word lines (%lld) than the array has (%lld)",
+              (long long)drive.size(), (long long)rows());
+    // An unclamped count is Σ_r code[b][r]·cell(r, c), so the counts
+    // of all windows and bit lines sum to Σ_r (Σ_b code[b][r]) ·
+    // (Σ_c cell(r, c)).
+    int64_t fires = 0;
+    for (size_t r = 0; r < drive.size(); ++r)
+        fires += drive[r] * row_sums_[r];
+    tally(activity_.input_spikes, spikes);
+    tally(activity_.mvm_ops, windows);
+    tally(activity_.if_fires, fires);
 }
 
 } // namespace reram

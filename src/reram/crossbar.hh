@@ -10,11 +10,13 @@
  * *exactly* Σ_r input_code[r]·g[r][c] (paper §4.2.2) — the crossbar
  * computes an integer matrix-vector product in the analog domain.
  * The model runs that product in collapsed form, as one sweep over
- * the cells that serves a whole block of input windows: over one
- * array, or over the bit-slice arrays of one weight tile together
- * while no counter can saturate (DESIGN.md §7).  The per-pulse
- * SpikeDriver / IntegrateFire and per-slice oracles it is tested
- * against live in tests/support.
+ * the cells that serves a whole block of input windows
+ * (matVecCodesBatch).  A mapped weight matrix whose counters cannot
+ * clamp skips the sweep: ArrayGroup computes its outputs as one
+ * signed product over the codes the cells store, and each array only
+ * tallies the drive (tallyDrive; DESIGN.md §7).  The per-pulse
+ * SpikeDriver / IntegrateFire oracles it is tested against live in
+ * tests/support.
  */
 
 #ifndef PIPELAYER_RERAM_CROSSBAR_HH_
@@ -127,9 +129,8 @@ class CrossbarArray
      * counts are out[b][c] = min(Σ_r codes[b][r] * cell(r, c),
      * 2^counter_bits - 1).  The windows share one pass over the cell
      * matrix, so each cell row is loaded once and reused for every
-     * window (the windows of a logical cycle, paper §4.2.1): the
-     * tile sweep over this one array, then each window clamped and
-     * tallied on its own.
+     * window (the windows of a logical cycle, paper §4.2.1); then
+     * each window is clamped and tallied on its own.
      *
      * @param block codes checked against this array's data_bits.
      * @param out   row-major @c batch x cols() output counts.
@@ -137,27 +138,19 @@ class CrossbarArray
     void matVecCodesBatch(const SpikeBlock &block, int64_t *out);
 
     /**
-     * Drive the bit-slice arrays of one weight tile (paper §5.1,
-     * Fig. 14a) with @p block: slices[g] holds bits
-     * [g·cell_bits, (g+1)·cell_bits) of every stored magnitude, and
-     * out[b][c] = Σ_g count_g[b][c] << (g·cell_bits), count_g being
-     * the counts slices[g].matVecCodesBatch(block) returns.  Every
-     * array tallies its activity as that call would.
-     *
-     * The shift-add is linear, so while no counter can saturate the
-     * slices are swept once, over their combined magnitude; a block
-     * that could saturate takes one matVecCodesBatch per slice
-     * (DESIGN.md §7, "One sweep per tile").
-     *
-     * @pre the slices share one DeviceParams; 1 <= slices.size() <=
-     *      data_bits / cell_bits.
-     * @param out row-major @c batch x cols() output.
-     * @return 1 + the highest live bit line of any slice: out's
-     *         columns from there on are zero.
+     * Tally the activity of driving this array with blocks of input
+     * codes whose counts the caller computes elsewhere and no counter
+     * clamps: the blocks' @p spikes as input_spikes, their @p windows
+     * as mvm_ops, and as if_fires the sum of the unclamped counts,
+     * Σ_r drive[r]·(Σ_c cell(r, c)), drive[r] being the code sum the
+     * blocks put on word line r (Σ of their SpikeBlock::row_sums),
+     * from the per-word-line cell sums programming keeps current.
+     * Exactly what matVecCodesBatch would tally for those blocks.
+     * @pre each block's max_window_sum · maxCellCode() <=
+     *      2^counter_bits - 1; drive.size() <= rows().
      */
-    static int64_t matVecTileBatch(std::span<CrossbarArray> slices,
-                                   const SpikeBlock &block, int64_t *out);
-
+    void tallyDrive(int64_t spikes, int64_t windows,
+                    std::span<const int64_t> drive);
     /**
      * Activity counters for the energy model.  The MVMs add to them
      * atomically, so several threads may drive one array at once and
@@ -175,20 +168,10 @@ class CrossbarArray
     int64_t liveCols() const { return live_cols_; }
 
   private:
-    /**
-     * The one sweep both MVM entries run: out[b][c] = Σ_r
-     * codes[b][r]·mag[r][c] for c < @p live, zero beyond, with
-     * mag[r][c] = Σ_g slices[g].cell(r, c) << (g·cell_bits).  Every
-     * slice tallies the block's input_spikes and mvm_ops and, with
-     * @p tally_fires, its IF firings of these unclamped counts.
-     * @pre the slices share one DeviceParams; groups·cell_bits <= 32.
-     */
-    static void sweep(std::span<CrossbarArray> slices,
-                      const SpikeBlock &block, int64_t live,
-                      bool tally_fires, int64_t *out);
-
     DeviceParams params_;
     std::vector<uint8_t> cells_; //!< row-major conductance codes
+    /** Σ_c cell(r, c) per word line r: the IF firings per unit drive. */
+    std::vector<int64_t> row_sums_;
     /**
      * Per-cell stuck flag (1 = stuck; the frozen code is in cells_),
      * sized only when the params enable variation.

@@ -136,6 +136,15 @@ struct DeviceParams
     /** Number of weight bit-slice groups = data_bits / cell_bits. */
     int sliceGroups() const { return data_bits / cell_bits; }
 
+    /**
+     * True when programming can miss its target: write noise or stuck
+     * cells.  Otherwise every cell stores exactly the code written.
+     */
+    bool hasVariation() const
+    {
+        return write_noise_sigma > 0.0 || stuck_at_fault_rate > 0.0;
+    }
+
     /** Highest conductance code a cell can store (2^cell_bits - 1). */
     int64_t maxCellCode() const { return (int64_t{1} << cell_bits) - 1; }
 

@@ -16,13 +16,17 @@
  * share each 4-wide double register, and eight such registers hold
  * the eight contract lanes, so the same products meet the same lanes
  * in the same order for every output, four at a time.
+ *
+ * The integer kernels are exact in any order: ger_u8_i64 widens cell
+ * bytes to qwords (VPMOVZXBQ), and gemm_i32_i64 keeps four windows x
+ * eight outputs in eight registers across the driven word lines
+ * (VPMULDQ, signed 32 x 32 -> 64).
  */
 
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstring>
 
 #include "tensor/gemm_kernels.hh"
@@ -143,92 +147,150 @@ scaleF32Avx2(float *row, const float *y, float xi, int64_t n)
         row[j] = xi * y[j];
 }
 
-/** out[0..3] += w * @p mag4, four magnitudes widened to qwords. */
+/** out[0..3] += w * the four cells in @p cells4's low dword. */
 inline void
-addProductAvx2(int64_t *out, __m256i mag4, __m256i wv)
+addQuadAvx2(int64_t *out, __m128i cells4, __m256i wv)
 {
     __m256i *o = reinterpret_cast<__m256i *>(out);
-    _mm256_storeu_si256(o, _mm256_add_epi64(_mm256_loadu_si256(o),
-                                            _mm256_mul_epu32(mag4, wv)));
+    _mm256_storeu_si256(
+        o, _mm256_add_epi64(_mm256_loadu_si256(o),
+                            _mm256_mul_epu32(_mm256_cvtepu8_epi64(cells4),
+                                             wv)));
 }
 
 void
-gerSlicesAvx2(int64_t *out, int64_t ldo, const int64_t *w, int64_t ldw,
-              int64_t nb, const uint8_t *const *cells, int groups,
-              int shift, int64_t n, int64_t *sums)
+gerU8I64Avx2(int64_t *out, int64_t ldo, const int64_t *w, int64_t ldw,
+             int64_t nb, const uint8_t *cells, int64_t n)
 {
-    // Up to 128 bit lines at a time: each slice's bytes are widened to
-    // dwords (VPMOVZXBD), shifted into place and ORed into the
-    // magnitudes, and summed on the way (VPSADBW); the magnitudes are
-    // widened once more to qwords, four to a register, and every
-    // window then takes its multiply-adds from them.  AVX2 has no
+    // VPMOVZXBQ widens four cell bytes to four qwords.  AVX2 has no
     // 64x64 multiply, but VPMULUDQ's 32x32 -> 64 product is exact
-    // under the kernel contract.
-    constexpr int64_t kChunk = 128;
-    __m256i mag[kChunk / 4];
-    int64_t tail[3];
-    std::fill(sums, sums + groups, int64_t{0});
-    const __m128i zero = _mm_setzero_si128();
-    for (int64_t c0 = 0; c0 < n; c0 += kChunk) {
-        const int64_t len = std::min(kChunk, n - c0);
+    // under the kernel contract (w < 2^32, cells < 2^8).
+    for (int64_t b = 0; b < nb; ++b) {
+        const int64_t wb = w[b * ldw];
+        if (wb == 0)
+            continue;
+        const __m256i wv = _mm256_set1_epi64x(wb);
+        int64_t *o = out + b * ldo;
         int64_t c = 0;
-        for (; c + 16 <= len; c += 16) {
-            __m256i lo = _mm256_setzero_si256();
-            __m256i hi = _mm256_setzero_si256();
-            for (int g = 0; g < groups; ++g) {
-                const __m128i bytes = _mm_loadu_si128(
-                    reinterpret_cast<const __m128i *>(cells[g] + c0 + c));
-                const __m128i sh = _mm_cvtsi32_si128(g * shift);
-                lo = _mm256_or_si256(
-                    lo, _mm256_sll_epi32(_mm256_cvtepu8_epi32(bytes), sh));
-                hi = _mm256_or_si256(
-                    hi, _mm256_sll_epi32(
-                            _mm256_cvtepu8_epi32(_mm_srli_si128(bytes, 8)),
-                            sh));
-                const __m128i sad = _mm_sad_epu8(bytes, zero);
-                sums[g] += _mm_cvtsi128_si64(sad) + _mm_extract_epi64(sad, 1);
-            }
-            __m256i *m = mag + c / 4;
-            m[0] = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(lo));
-            m[1] = _mm256_cvtepu32_epi64(_mm256_extracti128_si256(lo, 1));
-            m[2] = _mm256_cvtepu32_epi64(_mm256_castsi256_si128(hi));
-            m[3] = _mm256_cvtepu32_epi64(_mm256_extracti128_si256(hi, 1));
+        for (; c + 16 <= n; c += 16) {
+            const __m128i bytes = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(cells + c));
+            addQuadAvx2(o + c, bytes, wv);
+            addQuadAvx2(o + c + 4, _mm_srli_si128(bytes, 4), wv);
+            addQuadAvx2(o + c + 8, _mm_srli_si128(bytes, 8), wv);
+            addQuadAvx2(o + c + 12, _mm_srli_si128(bytes, 12), wv);
         }
-        for (; c + 4 <= len; c += 4) {
-            __m256i m = _mm256_setzero_si256();
-            for (int g = 0; g < groups; ++g) {
-                const uint8_t *cell = cells[g] + c0 + c;
-                int32_t quad;
-                std::memcpy(&quad, cell, sizeof quad);
-                m = _mm256_or_si256(
-                    m, _mm256_sll_epi64(
-                           _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(quad)),
-                           _mm_cvtsi32_si128(g * shift)));
-                sums[g] += cell[0] + cell[1] + cell[2] + cell[3];
-            }
-            mag[c / 4] = m;
+        for (; c + 4 <= n; c += 4) {
+            int32_t quad;
+            std::memcpy(&quad, cells + c, sizeof quad);
+            addQuadAvx2(o + c, _mm_cvtsi32_si128(quad), wv);
         }
-        const int64_t quads = c / 4;
-        for (int64_t k = c; k < len; ++k) {
-            tail[k - c] = 0;
-            for (int g = 0; g < groups; ++g) {
-                const uint8_t cell = cells[g][c0 + k];
-                tail[k - c] |= int64_t{cell} << (g * shift);
-                sums[g] += cell;
-            }
+        for (; c < n; ++c)
+            o[c] += wb * cells[c];
+    }
+}
+
+/**
+ * NB windows x 8 adjacent outputs in 2·NB registers, summed over
+ * every listed word line.  With @p kTail only the first @p live
+ * (< 8) outputs are loaded and stored.
+ */
+template <int NB, bool kTail>
+void
+productTileAvx2(const int32_t *x, int64_t ldx, const int32_t *w,
+                int64_t ldw, const int64_t *rows, int64_t nrows,
+                int64_t *out, int64_t ldo, int64_t live)
+{
+    // Lane j of a mask is set when output j of the pair exists.
+    const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i in32 = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int32_t>(live)), lanes);
+    const __m128i lo32 = _mm256_castsi256_si128(in32);
+    const __m128i hi32 = _mm256_extracti128_si256(in32, 1);
+    const __m256i lo64 = _mm256_cvtepi32_epi64(lo32);
+    const __m256i hi64 = _mm256_cvtepi32_epi64(hi32);
+    __m256i acc[NB][2];
+#pragma GCC unroll 4
+    for (int b = 0; b < NB; ++b) {
+        acc[b][0] = _mm256_setzero_si256();
+        acc[b][1] = _mm256_setzero_si256();
+    }
+    for (int64_t k = 0; k < nrows; ++k) {
+        const int64_t r = rows[k];
+        const int32_t *wr = w + r * ldw;
+        __m128i w0, w1;
+        if (kTail) {
+            w0 = _mm_maskload_epi32(wr, lo32);
+            w1 = _mm_maskload_epi32(wr + 4, hi32);
+        } else {
+            w0 = _mm_loadu_si128(reinterpret_cast<const __m128i *>(wr));
+            w1 = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(wr + 4));
         }
-        for (int64_t b = 0; b < nb; ++b) {
-            const int64_t wb = w[b * ldw];
-            if (wb == 0)
-                continue;
-            const __m256i wv = _mm256_set1_epi64x(wb);
-            int64_t *o = out + b * ldo + c0;
-            for (int64_t q = 0; q < quads; ++q)
-                addProductAvx2(o + 4 * q, mag[q], wv);
-            for (int64_t k = c; k < len; ++k)
-                o[k] += wb * tail[k - c];
+        const __m256i v0 = _mm256_cvtepi32_epi64(w0);
+        const __m256i v1 = _mm256_cvtepi32_epi64(w1);
+#pragma GCC unroll 4
+        for (int b = 0; b < NB; ++b) {
+            // VPMULDQ multiplies the low dwords of each qword, signed:
+            // a dword broadcast puts the window's code there.
+            const __m256i xv = _mm256_set1_epi32(x[b * ldx + r]);
+            acc[b][0] = _mm256_add_epi64(acc[b][0], _mm256_mul_epi32(xv, v0));
+            acc[b][1] = _mm256_add_epi64(acc[b][1], _mm256_mul_epi32(xv, v1));
         }
     }
+#pragma GCC unroll 4
+    for (int b = 0; b < NB; ++b) {
+        long long *o = reinterpret_cast<long long *>(out + b * ldo);
+        if (kTail) {
+            _mm256_maskstore_epi64(
+                o, lo64,
+                _mm256_add_epi64(_mm256_maskload_epi64(o, lo64), acc[b][0]));
+            _mm256_maskstore_epi64(
+                o + 4, hi64,
+                _mm256_add_epi64(_mm256_maskload_epi64(o + 4, hi64),
+                                 acc[b][1]));
+        } else {
+            __m256i *o0 = reinterpret_cast<__m256i *>(o);
+            _mm256_storeu_si256(
+                o0, _mm256_add_epi64(_mm256_loadu_si256(o0), acc[b][0]));
+            _mm256_storeu_si256(
+                o0 + 1,
+                _mm256_add_epi64(_mm256_loadu_si256(o0 + 1), acc[b][1]));
+        }
+    }
+}
+
+/** Every window of one block of 8 (or, with @p kTail, fewer) outputs. */
+template <bool kTail>
+void
+productColumnsAvx2(int64_t nb, const int32_t *x, int64_t ldx,
+                   const int32_t *w, int64_t ldw, const int64_t *rows,
+                   int64_t nrows, int64_t *out, int64_t ldo, int64_t live)
+{
+    int64_t b = 0;
+    for (; b + 4 <= nb; b += 4)
+        productTileAvx2<4, kTail>(x + b * ldx, ldx, w, ldw, rows, nrows,
+                                  out + b * ldo, ldo, live);
+    for (; b < nb; ++b)
+        productTileAvx2<1, kTail>(x + b * ldx, ldx, w, ldw, rows, nrows,
+                                  out + b * ldo, ldo, live);
+}
+
+void
+gemmI32I64Avx2(int64_t nb, int64_t n, const int32_t *x, int64_t ldx,
+               const int32_t *w, int64_t ldw, const int64_t *rows,
+               int64_t nrows, int64_t *out, int64_t ldo)
+{
+    // Blocks of four windows x eight outputs stay in registers across
+    // the listed word lines; each line's eight codes are widened once
+    // (VPMOVSXDQ) and multiplied into every window of the block.
+    int64_t c = 0;
+    for (; c + 8 <= n; c += 8)
+        productColumnsAvx2<false>(nb, x, ldx, w + c, ldw, rows, nrows,
+                                  out + c, ldo, 8);
+    if (c < n)
+        productColumnsAvx2<true>(nb, x, ldx, w + c, ldw, rows, nrows,
+                                 out + c, ldo, n - c);
 }
 
 void
@@ -269,8 +331,9 @@ const Kernels &
 avx2Kernels()
 {
     static const Kernels table = {
-        dotLanesAvx2,  gemmNNAvx2,  axpyF32Avx2,     scaleF32Avx2,
-        gerSlicesAvx2, reluF32Avx2, reluMaskF32Avx2,
+        dotLanesAvx2, gemmNNAvx2,     axpyF32Avx2,
+        scaleF32Avx2, gerU8I64Avx2,   gemmI32I64Avx2,
+        reluF32Avx2,  reluMaskF32Avx2,
     };
     return table;
 }

@@ -9,15 +9,19 @@
  * block of 8 floats is exactly one VMULPS (256-bit) + VCVTPS2PD +
  * VADDPD; two blocks per iteration keep lane order (t, then t+8)
  * ascending.  No FMA anywhere — products must round to float first.
- * The conversions are the zero-masked forms under a full mask (the
- * same lanes): GCC 12 seeds the plain _mm512_cvtps_pd/_mm512_cvtpd_ps
- * results with an undefined vector, which -Wmaybe-uninitialized
- * reports.
+ * The conversions and multiplies are the zero-masked forms under a
+ * full mask (the same lanes): GCC 12 seeds the plain _mm512_cvtps_pd,
+ * _mm512_cvtpd_ps, _mm512_cvtepi32_epi64 and _mm512_mul_epi32 results
+ * with an undefined vector, which -Wmaybe-uninitialized reports.
  *
  * gemm_nn holds eight adjacent outputs per 512-bit register and the
  * eight contract lanes in eight such registers; each reduction
  * element is one broadcast, one 256-bit multiply, one widening and
  * one add for all eight outputs.
+ *
+ * gemm_i32_i64 holds four windows x 32 adjacent int64 outputs in 16
+ * registers; each word line costs four widenings of its codes, four
+ * dword broadcasts and 16 VPMULDQ + VPADDQ pairs.
  */
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -147,6 +151,121 @@ scaleF32Avx512(float *row, const float *y, float xi, int64_t n)
         row[j] = xi * y[j];
 }
 
+/**
+ * NB windows x @p live (<= 8·NV) adjacent outputs in NB·NV registers,
+ * summed over every listed word line.  Outputs past @p live are
+ * neither loaded nor stored.
+ */
+template <int NB, int NV>
+void
+productTileAvx512(const int32_t *x, int64_t ldx, const int32_t *w,
+                  int64_t ldw, const int64_t *rows, int64_t nrows,
+                  int64_t *out, int64_t ldo, int64_t live)
+{
+    // The last vector's lanes: a VPMASKMOVD mask, and a store mask.
+    const int64_t last = live - 8 * (NV - 1);
+    const bool whole = last == 8;
+    const __m256i tail = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int32_t>(last)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    const auto tail_store = static_cast<__mmask8>((1u << last) - 1);
+    __m512i acc[NB][NV];
+#pragma GCC unroll 4
+    for (int b = 0; b < NB; ++b)
+#pragma GCC unroll 4
+        for (int v = 0; v < NV; ++v)
+            acc[b][v] = _mm512_setzero_si512();
+    for (int64_t k = 0; k < nrows; ++k) {
+        const int64_t r = rows[k];
+        const int32_t *wr = w + r * ldw;
+        __m512i wv[NV];
+#pragma GCC unroll 4
+        for (int v = 0; v < NV; ++v) {
+            // A masked load does not touch the lanes it leaves out.
+            const __m256i codes =
+                v < NV - 1 || whole
+                    ? _mm256_loadu_si256(
+                          reinterpret_cast<const __m256i *>(wr + 8 * v))
+                    : _mm256_maskload_epi32(wr + 8 * v, tail);
+            wv[v] = _mm512_maskz_cvtepi32_epi64(0xFF, codes);
+        }
+#pragma GCC unroll 4
+        for (int b = 0; b < NB; ++b) {
+            // VPMULDQ multiplies the low dwords of each qword, signed:
+            // a dword broadcast puts the window's code there.
+            const __m512i xv = _mm512_set1_epi32(x[b * ldx + r]);
+#pragma GCC unroll 4
+            for (int v = 0; v < NV; ++v)
+                acc[b][v] = _mm512_add_epi64(
+                    acc[b][v], _mm512_maskz_mul_epi32(0xFF, xv, wv[v]));
+        }
+    }
+#pragma GCC unroll 4
+    for (int b = 0; b < NB; ++b) {
+#pragma GCC unroll 4
+        for (int v = 0; v < NV; ++v) {
+            const __mmask8 m = v < NV - 1 ? 0xFF : tail_store;
+            int64_t *o = out + b * ldo + 8 * v;
+            _mm512_mask_storeu_epi64(
+                o, m,
+                _mm512_add_epi64(_mm512_maskz_loadu_epi64(m, o),
+                                 acc[b][v]));
+        }
+    }
+}
+
+/** Every window of one block of @p live (<= 8·NV) outputs. */
+template <int NV>
+void
+productColumnsAvx512(int64_t nb, const int32_t *x, int64_t ldx,
+                     const int32_t *w, int64_t ldw, const int64_t *rows,
+                     int64_t nrows, int64_t *out, int64_t ldo, int64_t live)
+{
+    int64_t b = 0;
+    for (; b + 4 <= nb; b += 4)
+        productTileAvx512<4, NV>(x + b * ldx, ldx, w, ldw, rows, nrows,
+                                 out + b * ldo, ldo, live);
+    for (; b < nb; ++b)
+        productTileAvx512<1, NV>(x + b * ldx, ldx, w, ldw, rows, nrows,
+                                 out + b * ldo, ldo, live);
+}
+
+void
+gemmI32I64Avx512(int64_t nb, int64_t n, const int32_t *x, int64_t ldx,
+                 const int32_t *w, int64_t ldw, const int64_t *rows,
+                 int64_t nrows, int64_t *out, int64_t ldo)
+{
+    // Blocks of four windows x 32 outputs stay in 16 registers across
+    // the listed word lines; each line's codes are widened once
+    // (VPMOVSXDQ) and multiplied into every window of the block.  The
+    // last block takes as many vectors as its outputs need.
+    int64_t c = 0;
+    for (; c + 32 <= n; c += 32)
+        productColumnsAvx512<4>(nb, x, ldx, w + c, ldw, rows, nrows,
+                                out + c, ldo, 32);
+    const int64_t rest = n - c;
+    switch ((rest + 7) / 8) {
+    case 0:
+        break;
+    case 1:
+        productColumnsAvx512<1>(nb, x, ldx, w + c, ldw, rows, nrows,
+                                out + c, ldo, rest);
+        break;
+    case 2:
+        productColumnsAvx512<2>(nb, x, ldx, w + c, ldw, rows, nrows,
+                                out + c, ldo, rest);
+        break;
+    case 3:
+        productColumnsAvx512<3>(nb, x, ldx, w + c, ldw, rows, nrows,
+                                out + c, ldo, rest);
+        break;
+    default:
+        productColumnsAvx512<4>(nb, x, ldx, w + c, ldw, rows, nrows,
+                                out + c, ldo, rest);
+        break;
+    }
+}
+
 void
 reluF32Avx512(float *out, const float *in, int64_t n)
 {
@@ -186,12 +305,13 @@ reluMaskF32Avx512(float *grad, const float *ref, int64_t n)
 const Kernels &
 avx512Kernels()
 {
-    // The crossbar's integer kernel is AVX2's: a 512-bit widening
-    // byte-cell version ran crossbar_device no faster (within 2 %).
+    // One array's byte-cell kernel is AVX2's: a 512-bit widening
+    // version ran crossbar_device no faster (within 2 %).
     static const Kernels table = {
         dotLanesAvx512, gemmNNAvx512,
         axpyF32Avx512,  scaleF32Avx512,
-        avx2Kernels().ger_slices_i64,
+        avx2Kernels().ger_u8_i64,
+        gemmI32I64Avx512,
         reluF32Avx512,  reluMaskF32Avx512,
     };
     return table;

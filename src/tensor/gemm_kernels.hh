@@ -4,8 +4,8 @@
  *
  * Each instruction-set backend (one translation unit per target,
  * compiled with that target's flags) fills a Kernels table with the
- * same seven primitives; gemm.cc, nn::ReluLayer and
- * reram::CrossbarArray pick a table at runtime via isa::active().
+ * same eight primitives; gemm.cc, nn::ReluLayer, reram::CrossbarArray
+ * and reram::ArrayGroup pick a table at runtime via isa::active().
  * Every backend implements the *same* lane-based reduction contract
  * (DESIGN.md §7), so switching targets changes wall clock only, never
  * a single output bit:
@@ -32,16 +32,20 @@
  *    bits, else +0.0f) with no arithmetic at all, so every backend is
  *    trivially bit-identical; -0.0f and NaN inputs both rectify to
  *    +0.0f, exactly like the scalar ternary.
- *  - ger_slices_i64: the crossbar MVM's one integer kernel (DESIGN.md
- *    §7), an exact multiply-accumulate as a rank-1 update of one word
- *    line of a weight tile's bit-slice arrays, or of one array (one
- *    group): the slices' one-byte cells are combined into their
- *    magnitude in registers, widened once and added into every
- *    window's int64 counts, and the row's per-slice cell sums come
- *    out on the way; order-independent by construction.  Operand
- *    contract: 0 <= w[b] < 2^32 (data_bits <= 32), groups·shift <= 32
- *    (so every magnitude is below 2^32, and every product exact), and
- *    the caller keeps every accumulated sum below 2^63.
+ *  - ger_u8_i64: one array's collapsed crossbar MVM (DESIGN.md §7),
+ *    an exact rank-1 update of every window's int64 counts by one
+ *    word line's one-byte cells.  Operand contract: 0 <= w[b] < 2^32
+ *    (data_bits <= 32), so every product is exact, and the caller
+ *    keeps every accumulated sum below 2^63.
+ *  - gemm_i32_i64: a mapped weight matrix's signed product
+ *    (W⁺ - W⁻)(x⁺ - x⁻) over the codes its cells store (DESIGN.md
+ *    §7), register-blocked over windows and adjacent outputs and
+ *    restricted to the word lines some window drives.  int32 ×
+ *    int32 products are exact in int64; the caller keeps every
+ *    partial sum below 2^63 in magnitude.
+ *
+ *    Both integer kernels are order-independent by construction, so
+ *    every backend and every chunking gives the same counts.
  *
  * The scalar tail and the tree reduction are shared inline helpers so
  * no backend can drift from the contract by re-implementing them.
@@ -81,15 +85,22 @@ struct Kernels
     /** row[j] = xi * y[j], j in [0,n); row == y allowed. */
     void (*scale_f32)(float *row, const float *y, float xi, int64_t n);
     /**
-     * With mag[c] = Σ_g cells[g][c] << (g·shift), g in [0,groups):
-     * out[b*ldo + c] += w[b*ldw] * mag[c] (exact int64), b in [0,nb),
-     * c in [0,n), leaving the rows whose w[b*ldw] is zero untouched;
-     * and sums[g] = Σ_c cells[g][c].
+     * out[b*ldo + c] += w[b*ldw] * cells[c] (exact int64), b in
+     * [0,nb), c in [0,n), leaving the rows whose w[b*ldw] is zero
+     * untouched.
      */
-    void (*ger_slices_i64)(int64_t *out, int64_t ldo, const int64_t *w,
-                           int64_t ldw, int64_t nb,
-                           const uint8_t *const *cells, int groups,
-                           int shift, int64_t n, int64_t *sums);
+    void (*ger_u8_i64)(int64_t *out, int64_t ldo, const int64_t *w,
+                       int64_t ldw, int64_t nb, const uint8_t *cells,
+                       int64_t n);
+    /**
+     * out[b*ldo + c] += Σ_k x[b*ldx + r_k] * w[r_k*ldw + c] (exact
+     * int64) with r_k = rows[k], b in [0,nb), c in [0,n), k in
+     * [0,nrows).
+     */
+    void (*gemm_i32_i64)(int64_t nb, int64_t n, const int32_t *x,
+                         int64_t ldx, const int32_t *w, int64_t ldw,
+                         const int64_t *rows, int64_t nrows, int64_t *out,
+                         int64_t ldo);
     /** out[j] = in[j] > 0 ? in[j] : +0.0f; in == out allowed. */
     void (*relu_f32)(float *out, const float *in, int64_t n);
     /** grad[j] = ref[j] > 0 ? grad[j] : +0.0f (in-place mask). */

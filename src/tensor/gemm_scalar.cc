@@ -12,7 +12,6 @@
 
 #include "tensor/gemm_kernels.hh"
 
-#include <algorithm>
 #include <vector>
 
 namespace pipelayer {
@@ -78,31 +77,36 @@ scaleF32Scalar(float *row, const float *y, float xi, int64_t n)
 }
 
 void
-gerSlicesScalar(int64_t *out, int64_t ldo, const int64_t *w, int64_t ldw,
-                int64_t nb, const uint8_t *const *cells, int groups,
-                int shift, int64_t n, int64_t *sums)
+gerU8I64Scalar(int64_t *out, int64_t ldo, const int64_t *w, int64_t ldw,
+               int64_t nb, const uint8_t *cells, int64_t n)
 {
-    // The magnitudes of 64 bit lines at a time, then every window.
-    constexpr int64_t kChunk = 64;
-    uint32_t mag[kChunk];
-    std::fill(sums, sums + groups, int64_t{0});
-    for (int64_t c0 = 0; c0 < n; c0 += kChunk) {
-        const int64_t len = std::min(kChunk, n - c0);
-        std::fill(mag, mag + len, 0u);
-        for (int g = 0; g < groups; ++g) {
-            const uint8_t *row = cells[g] + c0;
-            for (int64_t c = 0; c < len; ++c) {
-                mag[c] |= uint32_t{row[c]} << (g * shift);
-                sums[g] += row[c];
-            }
-        }
-        for (int64_t b = 0; b < nb; ++b) {
-            const int64_t wb = w[b * ldw];
-            if (wb == 0)
+    for (int64_t b = 0; b < nb; ++b) {
+        const int64_t wb = w[b * ldw];
+        if (wb == 0)
+            continue;
+        int64_t *row = out + b * ldo;
+        for (int64_t c = 0; c < n; ++c)
+            row[c] += wb * cells[c];
+    }
+}
+
+void
+gemmI32I64Scalar(int64_t nb, int64_t n, const int32_t *x, int64_t ldx,
+                 const int32_t *w, int64_t ldw, const int64_t *rows,
+                 int64_t nrows, int64_t *out, int64_t ldo)
+{
+    // One window at a time, one word line at a time: a rank-1 update
+    // of the window's outputs by the line's row of codes.
+    for (int64_t b = 0; b < nb; ++b) {
+        int64_t *o = out + b * ldo;
+        for (int64_t k = 0; k < nrows; ++k) {
+            const int64_t r = rows[k];
+            const int64_t xv = x[b * ldx + r];
+            if (xv == 0)
                 continue;
-            int64_t *row = out + b * ldo + c0;
-            for (int64_t c = 0; c < len; ++c)
-                row[c] += wb * mag[c];
+            const int32_t *wr = w + r * ldw;
+            for (int64_t c = 0; c < n; ++c)
+                o[c] += xv * wr[c];
         }
     }
 }
@@ -127,8 +131,9 @@ const Kernels &
 scalarKernels()
 {
     static const Kernels table = {
-        dotLanesScalar,  gemmNNScalar,  axpyF32Scalar,    scaleF32Scalar,
-        gerSlicesScalar, reluF32Scalar, reluMaskF32Scalar,
+        dotLanesScalar, gemmNNScalar,     axpyF32Scalar,
+        scaleF32Scalar, gerU8I64Scalar,   gemmI32I64Scalar,
+        reluF32Scalar,  reluMaskF32Scalar,
     };
     return table;
 }

@@ -3,8 +3,7 @@
  * Single-window calls into the crossbar model's batched entries.
  *
  * The model's MVM entries are batched: CrossbarArray::matVecCodesBatch
- * (one array), CrossbarArray::matVecTileBatch (a weight tile's
- * bit-slice arrays) and, above them, ArrayGroup::matVecBatch.  A test
+ * (one array) and, above it, ArrayGroup::matVecBatch.  A test
  * that drives one input vector wraps it in a batch of one here; the
  * outputs and activity totals are those of that batch.
  */

@@ -28,11 +28,13 @@
 #include "common/isa.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
+#include "quant/quantize.hh"
+#include "reram/array_group.hh"
 #include "reram/crossbar.hh"
+#include "support/group_reference.hh"
 #include "support/one_window.hh"
 #include "support/ops_reference.hh"
 #include "support/spike.hh"
-#include "support/tile_reference.hh"
 #include "tensor/gemm.hh"
 #include "tensor/gemm_kernels.hh"
 #include "tensor/ops.hh"
@@ -602,144 +604,176 @@ TEST(CrossbarCollapse, MatchesPulseWalkIncludingSaturation)
 }
 
 /**
- * The slice arrays of one weight tile: one array of @p params per
- * entry of @p live (instance seeds @p seed, @p seed + 1, ...), slice
- * g holding random codes in its first live[g] bit lines.
+ * The largest code sum of one sign that any window puts on any tile
+ * row of a group on @p p with @p x as its input: the S of the clamp
+ * bound S · maxCellCode() <= 2^counter_bits - 1.
  */
-std::vector<reram::CrossbarArray>
-makeTile(const reram::DeviceParams &params, uint64_t seed,
-         const std::vector<int64_t> &live, Rng &rng)
+int64_t
+largestChunkSum(const reram::DeviceParams &p, const Tensor &x)
 {
-    std::vector<reram::CrossbarArray> tile;
-    std::vector<uint8_t> run(static_cast<size_t>(params.array_rows));
-    for (size_t g = 0; g < live.size(); ++g) {
-        tile.emplace_back(params, seed + g);
-        for (int64_t c = 0; c < live[g]; ++c) {
-            for (uint8_t &code : run)
-                code = static_cast<uint8_t>(rng.uniformInt(
-                    static_cast<uint64_t>(params.maxCellCode()) + 1));
-            tile.back().programColumn(c, 0, run.data(), params.array_rows);
+    const int64_t m = x.dim(1);
+    int64_t largest = 0;
+    for (int64_t b = 0; b < x.dim(0); ++b) {
+        const float *in = x.data() + b * m;
+        const quant::Quantizer q = quant::Quantizer::forTensor(
+            {in, static_cast<size_t>(m)}, p.data_bits);
+        for (int64_t row0 = 0; row0 < m; row0 += p.array_rows) {
+            int64_t sums[2] = {0, 0};
+            for (int64_t r = row0; r < std::min(m, row0 + p.array_rows); ++r) {
+                const int64_t code = q.code(in[r]);
+                sums[code < 0 ? 1 : 0] += std::llabs(code);
+            }
+            largest = std::max({largest, sums[0], sums[1]});
         }
     }
-    return tile;
+    return largest;
 }
 
-TEST(CrossbarCollapse, TileSweepMatchesPerSliceOracle)
+/**
+ * A (batch, m) input whose windows take turns at being all zero,
+ * non-negative with zeros (ReLU output), signed, and of one sign per
+ * tile row (positive on even rows of @p rows inputs, negative on odd
+ * ones), so tile-row chunks with no code of one sign are common.
+ */
+Tensor
+mixedWindows(int64_t batch, int64_t m, int64_t rows, Rng &rng)
 {
-    // One sweep per tile against the per-slice sweeps and shift-add it
-    // replaced: every cell width at a matching data_bits, fewer driven
-    // word lines than rows, slices of different liveCols() (empty
-    // ones too) in tiles from 1 to 300 bit lines (past one 256-line
-    // segment), an all-zero window and an undriven word line, both
-    // halves x⁺ and x⁻ of signed windows on the W⁺ and W⁻ tiles, write
-    // noise and stuck cells, and counters that just hold the larger
-    // block's bound (one sweep), one bit short of it (per-slice
-    // sweeps), four bits short (counts clamp) and 48 bits wide.  One
-    // case is large enough for parallel chunks at 4 threads.  Outputs,
-    // swept widths and every array's four counters must match.
-    Rng rng(0x711Eu);
-    atThreadCounts([&](int64_t threads) {
-        int iter = 0;
-        for (const int cell_bits : {1, 2, 4, 8}) {
-            for (const int counter_case : {0, 1, 2, 3}) {
-                ++iter;
-                reram::DeviceParams p;
-                p.cell_bits = cell_bits;
-                p.data_bits = cell_bits == 4 ? 16 : cell_bits == 8 ? 32 : 8;
-                const bool large = cell_bits == 4 && counter_case == 0;
-                const int64_t widths[] = {1, 7, 16, 17, 33, 300};
-                p.array_rows = large
-                    ? 128
-                    : 4 + static_cast<int64_t>(rng.uniformInt(37));
-                p.array_cols = large ? 300 : widths[iter % 6];
-                if (iter % 3 == 1)
-                    p.write_noise_sigma = 0.05;
-                if (iter % 3 == 2)
-                    p.stuck_at_fault_rate = 0.05;
-                const int64_t batch = large ? 64 : 1 + iter % 5;
-                const int64_t rows_used =
-                    1 + static_cast<int64_t>(rng.uniformInt(
-                            static_cast<uint64_t>(p.array_rows)));
+    Tensor x({batch, m});
+    for (int64_t b = 0; b < batch; ++b) {
+        const int64_t kind = b % 4;
+        for (int64_t j = 0; j < m; ++j) {
+            const auto v = static_cast<float>(rng.uniform(-1.0, 1.0));
+            float &e = x(b, j);
+            if (kind == 0)
+                e = 0.0f;
+            else if (kind == 1)
+                e = v > 0.0f ? v : 0.0f;
+            else if (kind == 2)
+                e = v;
+            else
+                e = ((j / rows) % 2 == 0) == (v > 0.0f) ? v : -v;
+        }
+    }
+    return x;
+}
 
-                // x⁺ and x⁻ of signed codes below 2^12 (data_bits 32
-                // keeps the oracle's shifted counts inside int64).
-                const int code_bits = std::min(p.data_bits, 12);
-                const int64_t idle = rows_used > 1
-                    ? static_cast<int64_t>(rng.uniformInt(
-                          static_cast<uint64_t>(rows_used)))
-                    : -1;
-                std::vector<int64_t> pos(
-                    static_cast<size_t>(batch * rows_used), 0);
-                std::vector<int64_t> neg = pos;
-                for (int64_t b = 0; b < batch; ++b) {
-                    for (int64_t r = 0; r < rows_used; ++r) {
-                        if (b == 1 || r == idle)
-                            continue;
-                        const auto code = static_cast<int64_t>(
-                            rng.uniformInt(uint64_t{1} << code_bits));
-                        (rng.uniform() < 0.3 ? neg : pos)[static_cast<
-                            size_t>(b * rows_used + r)] = code;
-                    }
-                }
-                const reram::SpikeBlock pos_block(pos.data(), batch,
-                                                  rows_used, p.data_bits);
-                const reram::SpikeBlock neg_block(neg.data(), batch,
-                                                  rows_used, p.data_bits);
-                const int64_t bound =
-                    std::max(pos_block.max_window_sum,
-                             neg_block.max_window_sum) *
-                    p.maxCellCode();
-                const int width =
-                    std::bit_width(static_cast<uint64_t>(bound));
-                p.counter_bits = std::max(1, counter_case == 0 ? width
-                                             : counter_case == 1 ? width - 1
-                                             : counter_case == 2 ? width - 4
-                                                                 : 48);
-
-                SCOPED_TRACE("threads=" + std::to_string(threads) +
-                             " iter=" + std::to_string(iter) +
-                             " cell_bits=" + std::to_string(cell_bits) +
-                             " counter_bits=" +
-                             std::to_string(p.counter_bits) +
-                             " rows_used=" + std::to_string(rows_used) +
-                             " cols=" + std::to_string(p.array_cols) +
-                             " batch=" + std::to_string(batch));
-                const int64_t cols = p.array_cols;
-                for (int sign = 0; sign < 2; ++sign) {
-                    std::vector<int64_t> live(
-                        static_cast<size_t>(p.sliceGroups()));
-                    for (size_t g = 0; g < live.size(); ++g)
-                        live[g] = g == 1 && iter % 4 == 0
-                            ? 0
-                            : static_cast<int64_t>(rng.uniformInt(
-                                  static_cast<uint64_t>(cols) + 1));
-                    std::vector<reram::CrossbarArray> tile = makeTile(
-                        p, static_cast<uint64_t>(iter * 64 + sign * 32),
-                        live, rng);
-                    std::vector<reram::CrossbarArray> oracle = tile;
-                    for (const reram::SpikeBlock *block :
-                         {&pos_block, &neg_block}) {
-                        std::vector<int64_t> got(
-                            static_cast<size_t>(batch * cols), -1);
-                        std::vector<int64_t> want = got;
-                        EXPECT_EQ(reram::CrossbarArray::matVecTileBatch(
-                                      tile, *block, got.data()),
-                                  reram::referenceTileBatch(
-                                      oracle, p.cell_bits, *block,
-                                      want.data()));
-                        EXPECT_EQ(got, want) << "sign=" << sign;
-                    }
-                    for (size_t g = 0; g < tile.size(); ++g) {
-                        const reram::ArrayActivity &a = tile[g].activity();
-                        const reram::ArrayActivity &b =
-                            oracle[g].activity();
-                        EXPECT_EQ(a.input_spikes, b.input_spikes) << g;
-                        EXPECT_EQ(a.write_pulses, b.write_pulses) << g;
-                        EXPECT_EQ(a.mvm_ops, b.mvm_ops) << g;
-                        EXPECT_EQ(a.if_fires, b.if_fires) << g;
-                    }
-                }
+/** Every array's four counters of @p a and @p b agree. */
+void
+expectSameActivity(const reram::ArrayGroup &a, const reram::ArrayGroup &b)
+{
+    const reram::DeviceParams &p = a.params();
+    const int64_t tiles =
+        ((a.inputSize() + p.array_rows - 1) / p.array_rows) *
+        ((a.outputSize() + p.array_cols - 1) / p.array_cols);
+    for (int sign = 0; sign < 2; ++sign) {
+        for (int64_t t = 0; t < tiles; ++t) {
+            const auto got = a.tileSlices(sign, t);
+            const auto want = b.tileSlices(sign, t);
+            for (size_t g = 0; g < got.size(); ++g) {
+                SCOPED_TRACE("sign=" + std::to_string(sign) + " tile=" +
+                             std::to_string(t) + " slice=" +
+                             std::to_string(g));
+                const reram::ArrayActivity &x = got[g].activity();
+                const reram::ArrayActivity &y = want[g].activity();
+                EXPECT_EQ(x.input_spikes, y.input_spikes);
+                EXPECT_EQ(x.write_pulses, y.write_pulses);
+                EXPECT_EQ(x.mvm_ops, y.mvm_ops);
+                EXPECT_EQ(x.if_fires, y.if_fires);
             }
+        }
+    }
+}
+
+TEST(CrossbarCollapse, GroupProductMatchesTileByTileOracle)
+{
+    // The signed product over the stored codes against the tile-by-
+    // tile, slice-by-slice sweeps it replaced (reram::
+    // referenceMatVecBatch): m_in and n_out on and off tile edges,
+    // 1 to 600 windows (all-zero ones, ReLU-like ones, signed ones and
+    // ones of one sign per tile row), every cell width, write noise
+    // and stuck cells on and off, and counters that hold every tile
+    // row's bound (the product everywhere), one bit short of the
+    // largest (that row sweeps its slices), four bits short (counts
+    // clamp) and 48 bits wide.  Each group is driven, updated and
+    // driven again; outputs and every array's four counters must
+    // match, and readWeights must read what the cells hold, recombined
+    // cell by cell (reram::referenceReadWeights).  One case is large
+    // enough for parallel chunks at 4 threads.
+    Rng rng(0x6E0Bu);
+    atThreadCounts([&](int64_t threads) {
+        for (int iter = 0; iter < 16; ++iter) {
+            const bool large = iter == 15;
+            reram::DeviceParams p;
+            const int cell_bits[] = {4, 2, 1, 8};
+            p.cell_bits = cell_bits[iter % 4];
+            p.data_bits = p.cell_bits == 8 ? 8 : p.cell_bits == 1 ? 4 : 16;
+            p.array_rows = large
+                ? 128
+                : 4 + static_cast<int64_t>(rng.uniformInt(29));
+            p.array_cols = large
+                ? 64
+                : 4 + static_cast<int64_t>(rng.uniformInt(29));
+            if (iter % 3 == 1)
+                p.write_noise_sigma = 0.05;
+            if (iter % 6 == 2 || iter % 6 == 5)
+                p.stuck_at_fault_rate = 0.05;
+            // On a tile edge, just past one, or anywhere below three.
+            const auto extent = [&](int64_t tile) {
+                const int64_t k = 1 + static_cast<int64_t>(rng.uniformInt(2));
+                switch (rng.uniformInt(3)) {
+                case 0: return k * tile;
+                case 1: return k * tile + 1;
+                default:
+                    return 1 + static_cast<int64_t>(rng.uniformInt(
+                                   static_cast<uint64_t>(3 * tile)));
+                }
+            };
+            const int64_t m_in = large ? 128 : extent(p.array_rows);
+            const int64_t n_out = large ? 160 : extent(p.array_cols);
+            const int64_t batches[] = {1, 2, 3, 5, 8, 64, 1, 600};
+            const int64_t batch = large ? 300 : batches[iter % 8];
+
+            const Tensor w = randomTensor({n_out, m_in}, rng);
+            const Tensor x = mixedWindows(batch, m_in, p.array_rows, rng);
+            const Tensor x2 = mixedWindows(batch, m_in, p.array_rows, rng);
+            const int counter_case = iter % 4;
+            const int width = std::bit_width(static_cast<uint64_t>(
+                std::max(largestChunkSum(p, x), largestChunkSum(p, x2)) *
+                p.maxCellCode()));
+            p.counter_bits = std::max(1, counter_case == 0 ? width
+                                         : counter_case == 1 ? width - 1
+                                         : counter_case == 2 ? width - 4
+                                                             : 48);
+
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " iter=" + std::to_string(iter) + " cell_bits=" +
+                         std::to_string(p.cell_bits) + " counter_bits=" +
+                         std::to_string(p.counter_bits) + " rows=" +
+                         std::to_string(p.array_rows) + " cols=" +
+                         std::to_string(p.array_cols) + " m_in=" +
+                         std::to_string(m_in) + " n_out=" +
+                         std::to_string(n_out) + " batch=" +
+                         std::to_string(batch));
+            reram::ArrayGroup group(p, w);
+            reram::ArrayGroup oracle = group;
+            expectBitIdentical(group.readWeights(),
+                               reram::referenceReadWeights(group),
+                               "programmed weights");
+            expectBitIdentical(group.matVecBatch(x),
+                               reram::referenceMatVecBatch(oracle, x),
+                               "first batch");
+            expectSameActivity(group, oracle);
+
+            const Tensor grad = randomTensor({n_out, m_in}, rng);
+            group.updateWeights(grad, 0.5f, 2);
+            oracle.updateWeights(grad, 0.5f, 2);
+            expectBitIdentical(group.readWeights(),
+                               reram::referenceReadWeights(group),
+                               "stored weights");
+            expectBitIdentical(group.matVecBatch(x2),
+                               reram::referenceMatVecBatch(oracle, x2),
+                               "after the update");
+            expectSameActivity(group, oracle);
         }
     });
 }
