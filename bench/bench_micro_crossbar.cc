@@ -168,9 +168,9 @@ measureKernel(const std::string &name, int64_t inner_iters, double flops,
     row.flops = flops;
     row.ns = bench::measureNs(threadCount(), fast);
     // One measurement per available SIMD dispatch target
-    // (gflops_<isa>): the crossbar MVM rides the dispatched integer
-    // kernels (ger_u8_i64, gemm_i32_i64), so the target changes wall
-    // clock, never counts.
+    // (gflops_<isa>): the crossbar product rides the dispatched integer
+    // kernel gemm_i32_i64, so the target changes wall clock, never
+    // counts.
     {
         const isa::Target entry = isa::active();
         for (isa::Target t : isa::availableTargets()) {

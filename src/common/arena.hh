@@ -1,51 +1,35 @@
 /**
  * @file
- * Thread-local workspace arena for hot-path scratch memory.
+ * Per-thread scratch memory for the tensor kernels.
  *
- * The compute kernels (im2col panels, padded/rotated kernel copies,
- * crossbar row-weight buffers) need short-lived scratch whose size is
- * known at call entry and whose lifetime nests like a call stack.
- * Allocating it from the heap puts malloc/free on every per-cycle
- * operation; this arena instead hands out bump-pointer spans from a
- * per-thread block list that is *kept* between operations, so
- * steady-state training performs zero heap allocation for scratch:
- * the arena grows until it has seen the largest working set once and
- * then only moves a cursor.
- *
- * Usage — always through a scope, so the cursor rewinds on exit:
+ * A kernel call whose scratch size is known at entry (conv's window
+ * panel, the data-input scheme of paper Fig. 4, and the transposes
+ * around ∂W = conv(d, δ), §4.4.1) takes its thread's one buffer whole,
+ * carved into spans, and gives it back when its Scratch dies.  The
+ * buffer grows to the thread's largest call and is kept, so steady
+ * state allocates nothing.
  *
  * @code
- *   arena::ScopedBuf<float> col(rows * cols);  // thread-local arena
- *   fill(col.data(), ...);                     // 64-byte aligned
+ *   arena::Scratch scratch({rows * cols, cols});  // floats per span
+ *   float *panel = scratch[0];                    // 64-byte aligned
  * @endcode
  *
- * Lifetime rules (the "arena contract"):
- *  1. Scratch is LIFO: ScopedBuf/Scope objects must be destroyed in
- *     reverse order of construction (automatic with stack objects).
- *  2. A span is valid until its owning scope dies; never return or
- *     store arena pointers beyond that.
- *  3. Never allocate from the arena inside a parallel_for chunk body
- *     with a chunk-dependent size: chunk shapes vary with the thread
- *     count, which would make peakBytes() (perfbench's
- *     arena.bytes_peak) depend on PL_THREADS.  Allocate on the
- *     calling thread, outside the chunked region.
- *
- * Observability: peakBytes() reports the high-water mark of live
- * scratch over *all* arenas (live and retired threads).  Because rule
- * 3 keeps every individual footprint thread-count independent and the
- * maximum is taken over arenas, the statistic is byte-identical at
- * any PL_THREADS setting; a trainer whose peak stops growing after
- * the first batch demonstrably runs alloc-free at steady state.
+ * The scratch contract (DESIGN.md §7):
+ *  1. One call's spans at a time: a second live Scratch on the same
+ *     thread panics, so a call takes every span it needs at once; a
+ *     span is valid until its Scratch dies.
+ *  2. Never take scratch inside a parallel_for chunk body: the calling
+ *     thread runs chunks while it holds its own scratch, and chunk
+ *     shapes vary with the thread count.
+ *  3. Each span is rounded up to kAlign bytes.
  */
 
 #ifndef PIPELAYER_COMMON_ARENA_HH_
 #define PIPELAYER_COMMON_ARENA_HH_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <initializer_list>
 
 namespace pipelayer {
 namespace arena {
@@ -53,136 +37,37 @@ namespace arena {
 /** Span alignment guarantee (covers SIMD vector loads). */
 constexpr size_t kAlign = 64;
 
-/**
- * One thread's bump allocator: a list of geometrically-grown blocks
- * with LIFO mark/rewind.  Blocks are never freed on rewind — they are
- * reused by the next operation — so the steady state allocates
- * nothing.  On a rewind to empty after a spill into a second block,
- * the block list is consolidated into one block of the peak size, so
- * later operations are served from contiguous memory.
- */
-class Arena
+/** The calling thread's scratch buffer, held for one kernel call. */
+class Scratch
 {
   public:
-    Arena();
-    ~Arena();
+    static constexpr size_t kMaxSpans = 3; //!< most spans one call takes
 
-    Arena(const Arena &) = delete;
-    Arena &operator=(const Arena &) = delete;
+    /**
+     * Take the buffer, grown if too small, as one span of counts[i]
+     * floats per entry, each rounded up to kAlign bytes, contents
+     * uninitialised.  @pre no other Scratch is live on this thread.
+     */
+    explicit Scratch(std::initializer_list<int64_t> counts);
+    ~Scratch() { *taken_ = false; }
 
-    /** A rewind point: (block index, offset, logical total). */
-    struct Mark
-    {
-        size_t block = 0;
-        size_t offset = 0;
-        size_t total = 0;
-    };
+    Scratch(const Scratch &) = delete;
+    Scratch &operator=(const Scratch &) = delete;
 
-    /** Allocate @p bytes aligned to kAlign; valid until rewind. */
-    void *allocate(size_t bytes);
-
-    /** Current position, to be passed to rewind() later. */
-    Mark mark() const;
-
-    /** Release everything allocated after @p m (LIFO only). */
-    void rewind(const Mark &m);
-
-    /** Live scratch bytes right now (aligned sizes). */
-    size_t used() const { return total_used_; }
-
-    /** High-water mark of used() over this arena's lifetime. */
-    size_t peak() const
-    {
-        return peak_.load(std::memory_order_relaxed);
-    }
-
-    /** Total bytes of backing blocks currently held. */
-    size_t capacity() const;
+    /** Span @p i, kAlign-aligned, valid while this Scratch lives. */
+    float *operator[](size_t i) const { return spans_[i]; }
 
   private:
-    struct Block
-    {
-        std::unique_ptr<std::byte[]> data;
-        std::byte *base = nullptr; //!< data aligned up to kAlign
-        size_t cap = 0;            //!< usable bytes from base
-        size_t used = 0;
-    };
-
-    /** Append a block with at least @p cap usable aligned bytes. */
-    void pushBlock(size_t cap);
-
-    /** Drop all blocks for one block of at least peak() bytes. */
-    void consolidate();
-
-    std::vector<Block> blocks_;
-    size_t active_ = 0;      //!< index of the block being filled
-    size_t total_used_ = 0;  //!< logical bytes live across blocks
-    bool spilled_ = false;   //!< allocation crossed a block boundary
-    std::atomic<size_t> peak_{0};
+    bool *taken_; //!< the thread's buffer is held
+    float *spans_[kMaxSpans] = {};
 };
 
-/** The calling thread's arena (created on first use). */
-Arena &local();
-
 /**
- * High-water scratch usage across every arena the process has created
- * (including arenas of threads that have since exited).  Monotone;
- * see the file comment for why it is thread-count invariant.
+ * The largest footprint of one call on any thread, in bytes
+ * (perfbench's arena.bytes_peak); by rule 2, the same at any
+ * PL_THREADS.
  */
 size_t peakBytes();
-
-/** RAII rewind of the thread-local arena to its construction point. */
-class Scope
-{
-  public:
-    Scope() : arena_(local()), mark_(arena_.mark()) {}
-    ~Scope() { arena_.rewind(mark_); }
-
-    Scope(const Scope &) = delete;
-    Scope &operator=(const Scope &) = delete;
-
-  private:
-    Arena &arena_;
-    Arena::Mark mark_;
-};
-
-/**
- * A typed scratch span from the thread-local arena, rewound on
- * destruction.  Contents are uninitialised unless @p zeroed.
- */
-template <typename T> class ScopedBuf
-{
-  public:
-    explicit ScopedBuf(size_t n, bool zeroed = false)
-        : arena_(local()), mark_(arena_.mark()), n_(n),
-          p_(static_cast<T *>(arena_.allocate(n * sizeof(T))))
-    {
-        static_assert(std::is_trivially_destructible_v<T>,
-                      "arena spans are never destructed");
-        if (zeroed) {
-            for (size_t i = 0; i < n_; ++i)
-                p_[i] = T{};
-        }
-    }
-
-    ~ScopedBuf() { arena_.rewind(mark_); }
-
-    ScopedBuf(const ScopedBuf &) = delete;
-    ScopedBuf &operator=(const ScopedBuf &) = delete;
-
-    T *data() { return p_; }
-    const T *data() const { return p_; }
-    size_t size() const { return n_; }
-
-    T &operator[](size_t i) { return p_[i]; }
-    const T &operator[](size_t i) const { return p_[i]; }
-
-  private:
-    Arena &arena_;
-    Arena::Mark mark_;
-    size_t n_;
-    T *p_;
-};
 
 } // namespace arena
 } // namespace pipelayer

@@ -682,7 +682,12 @@ class Parser
                 std::errc()) {
             return Value(exact);
         }
-        return Value(std::strtod(first, nullptr));
+        // A literal past the double range reads as ±inf, which no
+        // JSON text can carry: reject it where it starts.
+        const double value = std::strtod(first, nullptr);
+        if (!std::isfinite(value))
+            throw ParseError("number out of range", start);
+        return Value(value);
     }
 
     static constexpr int kMaxDepth = 128;

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/prof.hh"
-#include "tensor/gemm_kernels.hh"
 
 namespace pipelayer {
 namespace reram {
@@ -37,6 +35,20 @@ tally(int64_t &counter, int64_t n)
                                                 std::memory_order_relaxed);
 }
 
+/**
+ * The set bits of @p v, by the SWAR halving: exact for every value,
+ * and inline on any x86-64, where std::popcount without -mpopcnt is
+ * a call into libgcc.
+ */
+inline int64_t
+popcount64(uint64_t v)
+{
+    v -= (v >> 1) & 0x5555555555555555u;
+    v = (v & 0x3333333333333333u) + ((v >> 2) & 0x3333333333333333u);
+    v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0Fu;
+    return static_cast<int64_t>((v * 0x0101010101010101u) >> 56);
+}
+
 } // namespace
 
 SpikeBlock::SpikeBlock(const int64_t *codes_in, int64_t batch_in,
@@ -57,7 +69,7 @@ SpikeBlock::SpikeBlock(const int64_t *codes_in, int64_t batch_in,
             PL_ASSERT(code >= 0 && code < limit,
                       "code %lld out of %d-bit range", (long long)code,
                       data_bits);
-            spikes += std::popcount(static_cast<uint64_t>(code));
+            spikes += popcount64(static_cast<uint64_t>(code));
             window_sum += code;
             row_sums[static_cast<size_t>(r)] += code;
         }
@@ -192,21 +204,29 @@ CrossbarArray::matVecCodesBatch(const SpikeBlock &block, int64_t *out)
     // pulse order (a word line's weighted spikes sum to its code),
     // and one pass over the cells reproduces the per-pulse emulation
     // bit for bit.  Each driven word line is one rank-1 update of
-    // every window's counts (the dispatched ger_u8_i64); cells past
-    // the live bit lines are zero and add nothing.  Integer sums are
+    // every window's counts by its one-byte cells; cells past the
+    // live bit lines are zero and add nothing.  Integer sums are
     // order-independent, so the counts are exact at any thread count,
     // and the raw sums cannot overflow int64 for any valid
-    // configuration (rows x 2^data_bits x maxCellCode < 2^62).
+    // configuration (rows x 2^data_bits x maxCellCode < 2^62).  The
+    // loop is plain scalar code: ArrayGroup sweeps an array only for
+    // a tile row whose counters could clamp.
     const int64_t *codes = block.codes;
     const uint8_t *cells = cells_.data();
-    const gemmk::Kernels &kern = gemmk::activeKernels();
     parallel_for(0, live_cols_, /*work_per_index=*/rows_used * batch,
                  [&](int64_t c0, int64_t c1) {
         for (int64_t r = 0; r < rows_used; ++r) {
             if (block.row_sums[static_cast<size_t>(r)] == 0)
                 continue;
-            kern.ger_u8_i64(out + c0, n_cols, codes + r, rows_used, batch,
-                            cells + r * n_cols + c0, c1 - c0);
+            const uint8_t *cell_row = cells + r * n_cols;
+            for (int64_t b = 0; b < batch; ++b) {
+                const int64_t code = codes[b * rows_used + r];
+                if (code == 0)
+                    continue;
+                int64_t *out_b = out + b * n_cols;
+                for (int64_t c = c0; c < c1; ++c)
+                    out_b[c] += code * cell_row[c];
+            }
         }
     });
 

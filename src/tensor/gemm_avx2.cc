@@ -17,17 +17,14 @@
  * the eight contract lanes, so the same products meet the same lanes
  * in the same order for every output, four at a time.
  *
- * The integer kernels are exact in any order: ger_u8_i64 widens cell
- * bytes to qwords (VPMOVZXBQ), and gemm_i32_i64 keeps four windows x
- * eight outputs in eight registers across the driven word lines
- * (VPMULDQ, signed 32 x 32 -> 64).
+ * The integer kernel is exact in any order: gemm_i32_i64 keeps four
+ * windows x eight outputs in eight registers across the driven word
+ * lines (VPMULDQ, signed 32 x 32 -> 64).
  */
 
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
-
-#include <cstring>
 
 #include "tensor/gemm_kernels.hh"
 
@@ -145,49 +142,6 @@ scaleF32Avx2(float *row, const float *y, float xi, int64_t n)
                          _mm256_mul_ps(x, _mm256_loadu_ps(y + j)));
     for (; j < n; ++j)
         row[j] = xi * y[j];
-}
-
-/** out[0..3] += w * the four cells in @p cells4's low dword. */
-inline void
-addQuadAvx2(int64_t *out, __m128i cells4, __m256i wv)
-{
-    __m256i *o = reinterpret_cast<__m256i *>(out);
-    _mm256_storeu_si256(
-        o, _mm256_add_epi64(_mm256_loadu_si256(o),
-                            _mm256_mul_epu32(_mm256_cvtepu8_epi64(cells4),
-                                             wv)));
-}
-
-void
-gerU8I64Avx2(int64_t *out, int64_t ldo, const int64_t *w, int64_t ldw,
-             int64_t nb, const uint8_t *cells, int64_t n)
-{
-    // VPMOVZXBQ widens four cell bytes to four qwords.  AVX2 has no
-    // 64x64 multiply, but VPMULUDQ's 32x32 -> 64 product is exact
-    // under the kernel contract (w < 2^32, cells < 2^8).
-    for (int64_t b = 0; b < nb; ++b) {
-        const int64_t wb = w[b * ldw];
-        if (wb == 0)
-            continue;
-        const __m256i wv = _mm256_set1_epi64x(wb);
-        int64_t *o = out + b * ldo;
-        int64_t c = 0;
-        for (; c + 16 <= n; c += 16) {
-            const __m128i bytes = _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(cells + c));
-            addQuadAvx2(o + c, bytes, wv);
-            addQuadAvx2(o + c + 4, _mm_srli_si128(bytes, 4), wv);
-            addQuadAvx2(o + c + 8, _mm_srli_si128(bytes, 8), wv);
-            addQuadAvx2(o + c + 12, _mm_srli_si128(bytes, 12), wv);
-        }
-        for (; c + 4 <= n; c += 4) {
-            int32_t quad;
-            std::memcpy(&quad, cells + c, sizeof quad);
-            addQuadAvx2(o + c, _mm_cvtsi32_si128(quad), wv);
-        }
-        for (; c < n; ++c)
-            o[c] += wb * cells[c];
-    }
 }
 
 /**
@@ -332,7 +286,7 @@ avx2Kernels()
 {
     static const Kernels table = {
         dotLanesAvx2, gemmNNAvx2,     axpyF32Avx2,
-        scaleF32Avx2, gerU8I64Avx2,   gemmI32I64Avx2,
+        scaleF32Avx2, gemmI32I64Avx2,
         reluF32Avx2,  reluMaskF32Avx2,
     };
     return table;

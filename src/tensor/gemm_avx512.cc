@@ -305,13 +305,9 @@ reluMaskF32Avx512(float *grad, const float *ref, int64_t n)
 const Kernels &
 avx512Kernels()
 {
-    // One array's byte-cell kernel is AVX2's: a 512-bit widening
-    // version ran crossbar_device no faster (within 2 %).
     static const Kernels table = {
-        dotLanesAvx512, gemmNNAvx512,
-        axpyF32Avx512,  scaleF32Avx512,
-        avx2Kernels().ger_u8_i64,
-        gemmI32I64Avx512,
+        dotLanesAvx512, gemmNNAvx512,     axpyF32Avx512,
+        scaleF32Avx512, gemmI32I64Avx512,
         reluF32Avx512,  reluMaskF32Avx512,
     };
     return table;

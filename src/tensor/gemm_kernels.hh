@@ -4,8 +4,8 @@
  *
  * Each instruction-set backend (one translation unit per target,
  * compiled with that target's flags) fills a Kernels table with the
- * same eight primitives; gemm.cc, nn::ReluLayer, reram::CrossbarArray
- * and reram::ArrayGroup pick a table at runtime via isa::active().
+ * same seven primitives; gemm.cc, nn::ReluLayer and reram::ArrayGroup
+ * pick a table at runtime via isa::active().
  * Every backend implements the *same* lane-based reduction contract
  * (DESIGN.md §7), so switching targets changes wall clock only, never
  * a single output bit:
@@ -32,20 +32,14 @@
  *    bits, else +0.0f) with no arithmetic at all, so every backend is
  *    trivially bit-identical; -0.0f and NaN inputs both rectify to
  *    +0.0f, exactly like the scalar ternary.
- *  - ger_u8_i64: one array's collapsed crossbar MVM (DESIGN.md §7),
- *    an exact rank-1 update of every window's int64 counts by one
- *    word line's one-byte cells.  Operand contract: 0 <= w[b] < 2^32
- *    (data_bits <= 32), so every product is exact, and the caller
- *    keeps every accumulated sum below 2^63.
  *  - gemm_i32_i64: a mapped weight matrix's signed product
  *    (W⁺ - W⁻)(x⁺ - x⁻) over the codes its cells store (DESIGN.md
  *    §7), register-blocked over windows and adjacent outputs and
  *    restricted to the word lines some window drives.  int32 ×
  *    int32 products are exact in int64; the caller keeps every
- *    partial sum below 2^63 in magnitude.
- *
- *    Both integer kernels are order-independent by construction, so
- *    every backend and every chunking gives the same counts.
+ *    partial sum below 2^63 in magnitude.  Integer sums are
+ *    order-independent, so every backend and every chunking gives
+ *    the same counts.
  *
  * The scalar tail and the tree reduction are shared inline helpers so
  * no backend can drift from the contract by re-implementing them.
@@ -84,14 +78,6 @@ struct Kernels
     void (*axpy_f32)(float *y, const float *row, float xi, int64_t n);
     /** row[j] = xi * y[j], j in [0,n); row == y allowed. */
     void (*scale_f32)(float *row, const float *y, float xi, int64_t n);
-    /**
-     * out[b*ldo + c] += w[b*ldw] * cells[c] (exact int64), b in
-     * [0,nb), c in [0,n), leaving the rows whose w[b*ldw] is zero
-     * untouched.
-     */
-    void (*ger_u8_i64)(int64_t *out, int64_t ldo, const int64_t *w,
-                       int64_t ldw, int64_t nb, const uint8_t *cells,
-                       int64_t n);
     /**
      * out[b*ldo + c] += Σ_k x[b*ldx + r_k] * w[r_k*ldw + c] (exact
      * int64) with r_k = rows[k], b in [0,nb), c in [0,n), k in

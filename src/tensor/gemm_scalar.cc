@@ -77,20 +77,6 @@ scaleF32Scalar(float *row, const float *y, float xi, int64_t n)
 }
 
 void
-gerU8I64Scalar(int64_t *out, int64_t ldo, const int64_t *w, int64_t ldw,
-               int64_t nb, const uint8_t *cells, int64_t n)
-{
-    for (int64_t b = 0; b < nb; ++b) {
-        const int64_t wb = w[b * ldw];
-        if (wb == 0)
-            continue;
-        int64_t *row = out + b * ldo;
-        for (int64_t c = 0; c < n; ++c)
-            row[c] += wb * cells[c];
-    }
-}
-
-void
 gemmI32I64Scalar(int64_t nb, int64_t n, const int32_t *x, int64_t ldx,
                  const int32_t *w, int64_t ldw, const int64_t *rows,
                  int64_t nrows, int64_t *out, int64_t ldo)
@@ -132,7 +118,7 @@ scalarKernels()
 {
     static const Kernels table = {
         dotLanesScalar, gemmNNScalar,     axpyF32Scalar,
-        scaleF32Scalar, gerU8I64Scalar,   gemmI32I64Scalar,
+        scaleF32Scalar, gemmI32I64Scalar,
         reluF32Scalar,  reluMaskF32Scalar,
     };
     return table;

@@ -135,11 +135,12 @@ convByPanel(const Tensor &input, const float *kernel, int64_t co,
     Tensor out({co, ho, wo});
     const int64_t patch = ci * kh * kw;
     const int64_t pixels = ho * wo;
-    arena::ScopedBuf<float> panel(static_cast<size_t>(patch * pixels));
+    const arena::Scratch scratch({patch * pixels});
+    float *const panel = scratch[0];
     packWindows(input.data(), ci, h, w, kh, kw, stride, pad_y, pad_x, ho,
-                wo, panel.data(), /*tap_step=*/pixels, /*pixel_step=*/1);
-    gemm::gemmNN(co, pixels, patch, kernel, patch, panel.data(), pixels,
-                 bias, out.data(), pixels);
+                wo, panel, /*tap_step=*/pixels, /*pixel_step=*/1);
+    gemm::gemmNN(co, pixels, patch, kernel, patch, panel, pixels, bias,
+                 out.data(), pixels);
     return out;
 }
 
@@ -248,21 +249,20 @@ conv2dBackwardKernel(const Tensor &input, const Tensor &delta_out,
     // over output channels, between two transposes.
     const int64_t patch = ci * kh * kw;
     const int64_t pixels = ho * wo;
-    arena::ScopedBuf<float> panel(static_cast<size_t>(patch * pixels));
-    arena::ScopedBuf<float> delta_t(static_cast<size_t>(pixels * co));
-    arena::ScopedBuf<float> grad_t(static_cast<size_t>(patch * co));
+    const arena::Scratch scratch({patch * pixels, pixels * co, patch * co});
+    float *const panel = scratch[0];
+    float *const dt = scratch[1];
+    float *const gt = scratch[2];
     packWindows(input.data(), ci, input.dim(1), input.dim(2), kh, kw,
-                /*stride=*/1, pad, pad, ho, wo, panel.data(),
-                /*tap_step=*/pixels, /*pixel_step=*/1);
+                /*stride=*/1, pad, pad, ho, wo, panel, /*tap_step=*/pixels,
+                /*pixel_step=*/1);
     const float *d = delta_out.data();
-    float *dt = delta_t.data();
     for (int64_t oc = 0; oc < co; ++oc)
         for (int64_t p = 0; p < pixels; ++p)
             dt[p * co + oc] = *d++;
-    gemm::gemmNN(patch, co, pixels, panel.data(), pixels, dt, co,
-                 /*bias=*/nullptr, grad_t.data(), co);
+    gemm::gemmNN(patch, co, pixels, panel, pixels, dt, co,
+                 /*bias=*/nullptr, gt, co);
     Tensor grad({co, ci, kh, kw});
-    const float *gt = grad_t.data();
     float *g = grad.data();
     for (int64_t oc = 0; oc < co; ++oc)
         for (int64_t t = 0; t < patch; ++t)

@@ -8,7 +8,8 @@
 # such a field as a lint error instead of terminating.  json_lint
 # also rejects every job and trace the simulator's parsers reject.
 # A repeated object key is an error in both tools, and so is a request
-# line cut short, whether a newline or the end of the stream ends it.
+# line cut short, whether a newline or the end of the stream ends it,
+# or a number past the double range.
 # Run as
 #   cmake -DPL_SERVE=<pl_serve> -DJSON_LINT=<json_lint>
 #         -DWORK_DIR=<scratch dir> -P check_integer_fields.cmake
@@ -152,6 +153,18 @@ execute_process(COMMAND "${JSON_LINT}" "${WORK_DIR}/repeated.json"
                 RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
 if(NOT rc EQUAL 1 OR NOT err MATCHES "repeated key 'interval'")
     message(FATAL_ERROR "json_lint on a repeated key: exit ${rc}: ${err}")
+endif()
+# A number past the double range is a parse error on its line, not an
+# abort while the field's error message is formatted.
+file(WRITE "${WORK_DIR}/request.ndjson"
+     "{\"id\":0,\"arrival_cycle\":1e999}\n")
+execute_process(COMMAND "${PL_SERVE}" --network=Mnist-A --quiet
+                INPUT_FILE "${WORK_DIR}/request.ndjson"
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 1 OR
+   NOT err MATCHES "stdin line 1: number out of range at offset 24")
+    message(FATAL_ERROR "pl_serve on arrival_cycle 1e999: exit ${rc}: "
+                        "${err}")
 endif()
 # Every proper prefix of a request is a parse error on its line, as a
 # line of its own and as the last bytes of the stream.

@@ -7,7 +7,7 @@
  * Every function here computes bit-for-bit what its ops:: counterpart
  * must produce (same float-product / accumulator recipe, same
  * reduction order), with no parallelism, no profiling scopes and no
- * workspace arena — deliberately boring.  tests/test_gemm.cc fuzzes
+ * scratch buffer — deliberately boring.  tests/test_gemm.cc fuzzes
  * fast vs reference over randomized shapes and asserts bit-exact
  * equality; the micro benches time fast against reference to report
  * speedups.  Do not "optimise" these.

@@ -1,24 +1,35 @@
 /**
  * @file
- * Randomised-topology property tests: for a family of randomly
- * generated (but valid) CNNs, the whole stack must hold its
- * invariants — spec extraction validates, the mapping is consistent,
- * the schedule executes hazard-free at the paper's buffer sizing, and
- * pipelined training equals sequential training.
+ * Randomised property tests.  For a family of randomly generated (but
+ * valid) CNNs, the whole stack must hold its invariants — spec
+ * extraction validates, the mapping is consistent, the schedule
+ * executes hazard-free at the paper's buffer sizing, and pipelined
+ * training equals sequential training.  And every mutant of a valid
+ * device-parameter file, job or arrival trace either parses or is
+ * rejected with a typed ConfigError or json::ParseError.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "arch/granularity.hh"
 #include "arch/mapping.hh"
 #include "arch/pipeline.hh"
+#include "common/json.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/pipelined_trainer.hh"
 #include "nn/layers.hh"
 #include "nn/network.hh"
+#include "reram/params_io.hh"
+#include "sim/arrival.hh"
+#include "sim/job.hh"
 #include "workloads/model_zoo.hh"
 
 namespace pipelayer {
@@ -143,6 +154,125 @@ TEST_P(FuzzTopology, PipelinedTrainingEqualsSequential)
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTopology,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77,
                                            88, 99, 110));
+
+/**
+ * @p text with one to three random edits: a byte XORed with a random
+ * nonzero value, a run of up to 8 bytes erased, a truncation, or an
+ * inserted token — JSON and key = value syntax, and numbers at and
+ * past the ends of int64 and of the double range.
+ */
+std::string
+mutate(const std::string &text, Rng &rng)
+{
+    static const char *const kTokens[] = {
+        "\"", "{", "]", "=", "#", "-1", "1e999", "0x10",
+        "99999999999999999999", "9223372036854775807"};
+    std::string m = text;
+    const uint64_t edits = 1 + rng.uniformInt(3);
+    for (uint64_t e = 0; e < edits; ++e) {
+        const size_t at = rng.uniformInt(m.size() + 1);
+        switch (rng.uniformInt(8)) {
+        case 0:
+        case 1:
+        case 2:
+            if (at < m.size())
+                m[at] ^= static_cast<char>(1 + rng.uniformInt(255));
+            break;
+        case 3:
+        case 4:
+            m.erase(at, 1 + rng.uniformInt(8));
+            break;
+        case 5:
+            m.resize(at);
+            break;
+        default:
+            m.insert(at, kTokens[rng.uniformInt(std::size(kTokens))]);
+        }
+    }
+    return m;
+}
+
+/**
+ * Parse @p mutants mutants of @p seeds, made by an Rng seeded with
+ * @p rng_seed, with @p parse: each must return or throw ConfigError
+ * or json::ParseError.  The seeds themselves must parse, and both
+ * outcomes must occur.
+ */
+void
+expectMutantsParseOrThrowTyped(
+    const std::vector<std::string> &seeds,
+    const std::function<void(const std::string &)> &parse,
+    uint64_t rng_seed, int mutants)
+{
+    for (const std::string &seed : seeds)
+        EXPECT_NO_THROW(parse(seed)) << seed;
+    Rng rng(rng_seed);
+    int parsed = 0;
+    for (int i = 0; i < mutants; ++i) {
+        const std::string text =
+            mutate(seeds[rng.uniformInt(seeds.size())], rng);
+        try {
+            parse(text);
+            ++parsed;
+        } catch (const ConfigError &) {
+        } catch (const json::ParseError &) {
+        } catch (const std::exception &err) {
+            ADD_FAILURE() << "threw '" << err.what() << "' on " << text;
+        }
+    }
+    EXPECT_GT(parsed, 0);
+    EXPECT_LT(parsed, mutants);
+}
+
+TEST(ParserFuzz, DeviceParamsMutantsParseOrThrowConfigError)
+{
+    std::ostringstream defaults;
+    reram::writeDeviceParams(reram::DeviceParams(), defaults);
+    expectMutantsParseOrThrowTyped(
+        {defaults.str()},
+        [](const std::string &text) {
+            (void)reram::parseDeviceParams(text);
+        },
+        0xD3u, 20000);
+}
+
+TEST(ParserFuzz, JobMutantsParseOrThrowTyped)
+{
+    sim::Job training = sim::Job::training(16, 64);
+    training.network = "Mnist-A";
+    sim::Job chips = sim::Job::training(16, 64);
+    chips.num_chips = 4;
+    sim::Job serving = sim::Job::testing(8);
+    serving.arrivals = sim::ArrivalTrace::poisson(8, 0.5, 7);
+    std::vector<std::string> seeds;
+    for (const sim::Job &job :
+         {training, sim::Job::testing(256), chips, serving})
+        seeds.push_back(job.toJson().dump());
+    expectMutantsParseOrThrowTyped(
+        seeds,
+        [](const std::string &text) {
+            (void)sim::Job::fromJson(json::parse(text));
+        },
+        0x10Bu, 20000);
+}
+
+TEST(ParserFuzz, ArrivalTraceMutantsParseOrThrowTyped)
+{
+    std::vector<std::string> seeds;
+    for (const sim::ArrivalTrace &trace :
+         {sim::ArrivalTrace::fixed(6, 3),
+          sim::ArrivalTrace::poisson(8, 0.25, 7),
+          sim::ArrivalTrace::uniform(6, 1, 5, 3),
+          sim::ArrivalTrace::bursty(9, 3, 4, 5),
+          sim::ArrivalTrace::replay({0, 2, 2, 9})})
+        seeds.push_back(trace.toJson().dump());
+    expectMutantsParseOrThrowTyped(
+        seeds,
+        [](const std::string &text) {
+            (void)sim::ArrivalTrace::fromJson(json::parse(text));
+        },
+        0xA77u, 20000);
+}
 
 } // namespace
 } // namespace pipelayer

@@ -798,31 +798,67 @@ TEST(SpikeDriverMemo, MemoizedTablesMatchOnTheFlyEncoding)
 }
 
 // ---------------------------------------------------------------------
-// Workspace arena
+// Per-thread scratch
 // ---------------------------------------------------------------------
 
-TEST(Arena, AlignmentLifoRewindAndPeak)
+TEST(Arena, SpansAreAlignedAndDisjoint)
 {
-    arena::Arena &a = arena::local();
-    const size_t used0 = a.used();
-    {
-        arena::ScopedBuf<float> buf(100);
-        EXPECT_EQ(reinterpret_cast<uintptr_t>(buf.data()) %
-                      arena::kAlign,
-                  0u);
-        EXPECT_GE(a.used(), used0 + 100 * sizeof(float));
-        {
-            arena::ScopedBuf<int64_t> nested(7, /*zeroed=*/true);
-            for (size_t i = 0; i < nested.size(); ++i)
-                EXPECT_EQ(nested[i], 0);
-            EXPECT_EQ(reinterpret_cast<uintptr_t>(nested.data()) %
-                          arena::kAlign,
-                      0u);
+    // Every span starts on a 64-byte line and the spans of one call
+    // follow each other without overlap: each is filled with its own
+    // value and read back intact (and ASan sees any overrun).
+    const int64_t sizes[] = {0, 1, 7, 16, 100};
+    for (const int64_t a : sizes) {
+        for (const int64_t b : sizes) {
+            for (const int64_t c : sizes) {
+                const int64_t n[] = {a, b, c};
+                const arena::Scratch scratch({a, b, c});
+                for (size_t i = 0; i < 3; ++i) {
+                    EXPECT_EQ(reinterpret_cast<uintptr_t>(scratch[i]) %
+                                  arena::kAlign,
+                              0u);
+                    if (i > 0) {
+                        EXPECT_GE(scratch[i], scratch[i - 1] + n[i - 1]);
+                    }
+                    std::fill(scratch[i], scratch[i] + n[i],
+                              static_cast<float>(i + 1));
+                }
+                for (size_t i = 0; i < 3; ++i)
+                    for (int64_t k = 0; k < n[i]; ++k)
+                        ASSERT_EQ(scratch[i][k], static_cast<float>(i + 1));
+            }
         }
-        EXPECT_GE(a.peak(), a.used());
     }
-    // Fully rewound: the scratch is reusable, not leaked.
-    EXPECT_EQ(a.used(), used0);
+    // Three spans of 400 bytes take three whole 448-byte line runs.
+    EXPECT_GE(arena::peakBytes(), 3u * 448u);
+}
+
+TEST(Arena, SteadyStateReusesTheBuffer)
+{
+    // Once the buffer has grown to a call's footprint, the same call,
+    // and any smaller one, gets the same memory back: the steady
+    // state allocates nothing.
+    uintptr_t grown = 0;
+    {
+        const arena::Scratch scratch({int64_t{1} << 16, 300});
+        grown = reinterpret_cast<uintptr_t>(scratch[0]);
+    }
+    for (int i = 0; i < 3; ++i) {
+        const arena::Scratch scratch({int64_t{1} << 16, 300});
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(scratch[0]), grown);
+    }
+    const arena::Scratch smaller({12});
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(smaller[0]), grown);
+}
+
+TEST(ArenaDeathTest, SecondLiveScratchOnOneThreadPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            const arena::Scratch outer({8});
+            const arena::Scratch inner({8});
+        },
+        "second live scratch");
 }
 
 TEST(Arena, SteadyStatePeakStabilises)

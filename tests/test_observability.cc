@@ -171,6 +171,26 @@ TEST(Json, ParserRejectsMalformedInput)
     EXPECT_THROW(json::parse("1 2"), json::ParseError);
 }
 
+TEST(Json, NumberPastTheDoubleRangeIsParseError)
+{
+    // strtod reads such a literal as ±inf, which no JSON text can
+    // carry: the parser rejects it at the literal's first byte.
+    for (const std::string text : {"1e999", "-1e400", "[1e309]"}) {
+        try {
+            (void)json::parse(text);
+            ADD_FAILURE() << text << ": no ParseError";
+        } catch (const json::ParseError &e) {
+            EXPECT_NE(std::string(e.what()).find("number out of range"),
+                      std::string::npos)
+                << e.what();
+            EXPECT_EQ(e.offset(), text[0] == '[' ? 1u : 0u) << text;
+        }
+    }
+    // The largest finite double still parses, to itself.
+    EXPECT_EQ(json::parse("1.7976931348623157e308").asNumber(),
+              std::numeric_limits<double>::max());
+}
+
 /**
  * An object of @p members members keyed "k0", "k1", ...; with
  * @p repeat >= 0 its last key is "k<repeat>" instead, an earlier one.
