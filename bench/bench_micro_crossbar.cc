@@ -13,9 +13,12 @@
  * the device runs only for a tile row that could saturate a counter);
  * the arraygroup_* rows time the device's path, ArrayGroup::
  * matVecBatch: one signed product per tile row.  The
- * arraygroup_mnist0_* rows run it at two Mnist-0 layer shapes.  Every
- * row times each available dispatch target as gflops_<isa>.  Run with
- * --threads=1 and read `speedup_vs_reference`.
+ * arraygroup_mnist0_* rows run it at two Mnist-0 layer shapes, and
+ * the quantize_i32 row times the pass that quantises and counts one
+ * tile row of conv2's windows (gemmk::Kernels::quantize_i32; "GMAC/s"
+ * there is giga-codes/s).  Every row times each available dispatch
+ * target as gflops_<isa>.  Run with --threads=1 and read
+ * `speedup_vs_reference`.
  *
  * The scheduler row reports `logical_cycles` — a deterministic model
  * output gated against the committed baseline like the figure benches.
@@ -37,9 +40,11 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
+#include "quant/quantize.hh"
 #include "reram/array_group.hh"
 #include "reram/crossbar.hh"
 #include "support/spike.hh"
+#include "tensor/gemm_kernels.hh"
 #include "workloads/model_zoo.hh"
 
 namespace {
@@ -276,6 +281,42 @@ run(bench::Runner &runner)
                 static_cast<double>(macs),
                 [&] { group.matVecBatch(x); }, nullptr));
         }
+    }
+
+    {
+        // One tile row of conv2's windows through the quantiser with
+        // the counts on: 64 windows of 128 rectified inputs, each at
+        // its own scale, every code counted and added to the drive.
+        constexpr int64_t kWindows = 64, kRows = 128;
+        Rng rng(6);
+        std::vector<float> x(static_cast<size_t>(kWindows * kRows));
+        for (float &v : x)
+            v = std::max(0.0f, static_cast<float>(rng.uniform(-0.5, 1.0)));
+        std::vector<float> scales;
+        for (int64_t b = 0; b < kWindows; ++b)
+            scales.push_back(quant::Quantizer::forTensor(
+                                 {x.data() + b * kRows,
+                                  static_cast<size_t>(kRows)},
+                                 16)
+                                 .scale);
+        std::vector<int32_t> codes(x.size());
+        std::vector<int64_t> drive(static_cast<size_t>(kRows));
+        gemmk::CodeCounts counts;
+        rows.push_back(measureKernel(
+            "quantize_i32_64x128", kWindows * kRows,
+            static_cast<double>(kWindows * kRows),
+            [&] {
+                const gemmk::Kernels &kern = gemmk::activeKernels();
+                std::fill(drive.begin(), drive.end(), int64_t{0});
+                for (int64_t b = 0; b < kWindows; ++b) {
+                    counts = gemmk::CodeCounts{};
+                    kern.quantize_i32(x.data() + b * kRows, kRows,
+                                      scales[static_cast<size_t>(b)],
+                                      32767, codes.data() + b * kRows,
+                                      &counts, drive.data());
+                }
+            },
+            nullptr));
     }
 
     Table table({"kernel", "inner_iters", "ns/call", "GMAC/s",

@@ -1,9 +1,13 @@
 #include "core/device.hh"
 
+#include <algorithm>
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "common/logging.hh"
 #include "nn/layers.hh"
+#include "tensor/gemm_kernels.hh"
 #include "workloads/model_zoo.hh"
 
 namespace pipelayer {
@@ -13,6 +17,36 @@ namespace {
 
 /** Memory subarrays assigned to the host staging region. */
 constexpr int64_t kStagingArrays = 4096;
+
+/**
+ * Throw a ConfigError naming @p image when it holds NaN or ±inf: the
+ * crossbars quantise only finite inputs.  Runs on the calling thread,
+ * before any pool job, which could not carry the exception out.
+ */
+void
+requireFinite(const Tensor &image, const std::string &what)
+{
+    const float *v = image.data();
+    bool nonfinite = false;
+    gemmk::activeKernels().absmax_f32(v, image.numel(), &nonfinite);
+    if (!nonfinite)
+        return;
+    const int64_t at =
+        std::find_if(v, v + image.numel(),
+                     [](float e) { return !std::isfinite(e); }) - v;
+    throw ConfigError(what + " holds " + std::to_string(v[at]) +
+                      " at element " + std::to_string(at) +
+                      "; the crossbars take only finite inputs");
+}
+
+/** requireFinite() over every image of @p set, in order. */
+void
+requireFinite(const nn::Dataset &set, const char *call)
+{
+    for (size_t i = 0; i < set.size(); ++i)
+        requireFinite(set.inputs[i], std::string(call) + ": image " +
+                                         std::to_string(i));
+}
 
 } // namespace
 
@@ -138,12 +172,14 @@ PipeLayerDevice::network() const
 Tensor
 PipeLayerDevice::forward(const Tensor &input) const
 {
+    requireFinite(input, "forward: the input image");
     return network().infer(input);
 }
 
 int64_t
 PipeLayerDevice::predict(const Tensor &input) const
 {
+    requireFinite(input, "predict: the input image");
     return network().predict(input);
 }
 
@@ -153,6 +189,7 @@ PipeLayerDevice::Train(nn::Dataset &train_set, int64_t epochs)
     PL_ASSERT(config_.training,
               "device was configured without training arrays");
     nn::Network &net = network();
+    requireFinite(train_set, "Train");
     nn::TrainConfig loop;
     loop.epochs = epochs;
     loop.batch_size = config_.batch_size;
@@ -170,6 +207,7 @@ PipeLayerDevice::Train(nn::Dataset &train_set, int64_t epochs)
 DeviceTestStats
 PipeLayerDevice::Test(const nn::Dataset &test_set) const
 {
+    requireFinite(test_set, "Test");
     DeviceTestStats stats;
     stats.images = static_cast<int64_t>(test_set.size());
     stats.accuracy = network().accuracy(test_set.inputs, test_set.labels);

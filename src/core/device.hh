@@ -112,7 +112,8 @@ class PipeLayerDevice
      * Program the topology network's weights into the arrays and
      * build the crossbar network() that runs on them.  Throws
      * ConfigError when the device parameters cannot hold the arrays
-     * (ArrayGroup), leaving no crossbar network.
+     * or a weight is NaN or ±inf (ArrayGroup), leaving no crossbar
+     * network.
      */
     void Weight_load();
 
@@ -125,18 +126,25 @@ class PipeLayerDevice
      * trainBatch() per minibatch of the configured B, a trailing
      * partial batch included.  epoch_loss is each epoch's per-image
      * losses summed in image order, over n; final_accuracy scores
-     * @p train_set afterwards.
+     * @p train_set afterwards.  Throws ConfigError naming the first
+     * image that holds NaN or ±inf, before any batch runs.
      */
     DeviceTrainStats Train(nn::Dataset &train_set, int64_t epochs);
 
-    /** Classify a dataset through the crossbars. */
+    /**
+     * Classify a dataset through the crossbars.  Throws ConfigError
+     * naming the first image that holds NaN or ±inf.
+     */
     DeviceTestStats Test(const nn::Dataset &test_set) const;
     ///@}
 
-    /** Single-sample inference through the arrays. */
+    /**
+     * Single-sample inference through the arrays.  Throws ConfigError
+     * when @p input holds NaN or ±inf.
+     */
     Tensor forward(const Tensor &input) const;
 
-    /** Predicted class for one input. */
+    /** Predicted class for one input; throws as forward() does. */
     int64_t predict(const Tensor &input) const;
 
     /**

@@ -11,12 +11,11 @@
 #ifndef PIPELAYER_QUANT_QUANTIZE_HH_
 #define PIPELAYER_QUANT_QUANTIZE_HH_
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <span>
 
-#include "common/logging.hh"
+#include "tensor/gemm_kernels.hh"
 #include "tensor/tensor.hh"
 
 namespace pipelayer {
@@ -39,11 +38,18 @@ struct Quantizer
 
     /**
      * Build a quantiser whose range covers the largest finite
-     * magnitude of @p values (read in place; NaN and ±inf set no
-     * scale).
+     * magnitude of @p values (read in place by the dispatched
+     * gemmk::Kernels::absmax_f32; NaN and ±inf set no scale).
      * @pre bits == 0 or 2 <= bits <= 16.
      */
     static Quantizer forTensor(std::span<const float> values, int bits);
+
+    /**
+     * The quantiser forTensor() builds for values whose largest finite
+     * magnitude is @p max_abs.
+     * @pre bits == 0 or 2 <= bits <= 16; max_abs finite and >= 0.
+     */
+    static Quantizer forMaxAbs(float max_abs, int bits);
 
     /** Number of positive quantisation levels (2^(bits-1) - 1). */
     int64_t positiveLevels() const
@@ -63,33 +69,23 @@ struct Quantizer
     }
 
     /**
-     * Signed integer code for one value (for the crossbar model).
-     * @pre @p v is finite: std::lround of NaN or ±inf is unspecified.
+     * Signed integer code for one value (for the crossbar model):
+     * gemmk::quantizeCode, the rule every backend's quantize_i32
+     * runs.  A quotient beyond the range, ±inf included, saturates at
+     * ±positiveLevels(); NaN codes -positiveLevels(), so callers keep
+     * it out (the crossbars reject it at their boundary).
      */
     int64_t code(float v) const
     {
-        PL_DEBUG_ASSERT(std::isfinite(v), "code of non-finite value %g",
-                        static_cast<double>(v));
-        if (bits == 0)
-            return 0;
-        const int64_t levels = positiveLevels();
-        // std::lround, inline below 2^23: there x is its truncation t
-        // plus a fraction x - t that float holds exactly.  Above it, and
-        // for the NaN or ±inf of a zero scale, the library call.
-        const float x = v / scale;
-        int64_t raw;
-        if (std::fabs(x) < 0x1p23f) {
-            raw = static_cast<int64_t>(x);
-            const float frac = x - static_cast<float>(raw);
-            raw += (frac >= 0.5f) - (frac <= -0.5f);
-        } else {
-            raw = static_cast<int64_t>(std::lround(x));
-        }
-        return std::clamp(raw, -levels, levels);
+        return gemmk::quantizeCode(v, scale,
+                                   static_cast<int32_t>(positiveLevels()));
     }
 };
 
-/** Return a copy of @p t quantised to @p bits (0 = unchanged). */
+/**
+ * Return a copy of @p t quantised to @p bits (0 = unchanged), through
+ * the dispatched quantize_i32; NaN and ±inf pass through.
+ */
 Tensor quantizeTensor(const Tensor &t, int bits);
 
 /**

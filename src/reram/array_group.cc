@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <string>
 
 #include "common/logging.hh"
@@ -43,17 +42,38 @@ ArrayGroup::ArrayGroup(const DeviceParams &params, const Tensor &weight)
     tiles_r_ = ceilDiv(m_in_, params_.array_rows);
     tiles_c_ = ceilDiv(n_out_, params_.array_cols);
 
-    // Quantise the weights to signed data_bits codes.
-    const quant::Quantizer q = quant::Quantizer::forTensor(
-        {weight.data(), static_cast<size_t>(weight.numel())},
-        params_.data_bits);
-    weight_scale_ = q.scale;
-    codes_.resize(static_cast<size_t>(n_out_ * m_in_));
+    // Quantise the weights to signed data_bits codes, one output row
+    // at a time into the word-line-major codes_.  A NaN or ±inf weight
+    // has no code: it is named, before any array is allocated.
+    const gemmk::Kernels &kern = gemmk::activeKernels();
     const float *w = weight.data();
-    for (int64_t r = 0; r < m_in_; ++r)
-        for (int64_t c = 0; c < n_out_; ++c)
+    bool nonfinite = false;
+    const float max_abs = kern.absmax_f32(w, weight.numel(), &nonfinite);
+    if (nonfinite) {
+        const int64_t at = std::find_if(w, w + weight.numel(),
+                                        [](float v) {
+                                            return !std::isfinite(v);
+                                        }) - w;
+        throw ConfigError(
+            "crossbar weight (" + std::to_string(at / m_in_) + ", " +
+            std::to_string(at % m_in_) + ") of a " +
+            std::to_string(n_out_) + " x " + std::to_string(m_in_) +
+            " matrix is " + std::to_string(w[at]) +
+            "; the arrays hold only finite weights");
+    }
+    const quant::Quantizer q =
+        quant::Quantizer::forMaxAbs(max_abs, params_.data_bits);
+    weight_scale_ = q.scale;
+    const auto levels = static_cast<int32_t>(q.positiveLevels());
+    codes_.resize(static_cast<size_t>(n_out_ * m_in_));
+    std::vector<int32_t> row(static_cast<size_t>(m_in_));
+    for (int64_t c = 0; c < n_out_; ++c) {
+        kern.quantize_i32(w + c * m_in_, m_in_, q.scale, levels, row.data(),
+                          nullptr, nullptr);
+        for (int64_t r = 0; r < m_in_; ++r)
             codes_[static_cast<size_t>(r * n_out_ + c)] =
-                static_cast<int32_t>(q.code(w[c * m_in_ + r]));
+                row[static_cast<size_t>(r)];
+    }
     if (params_.hasVariation())
         stored_.resize(codes_.size());
 
@@ -179,104 +199,83 @@ ArrayGroup::matVecBatch(const Tensor &x)
     const int64_t a_cols = params_.array_cols;
     const int groups = params_.sliceGroups();
     const float *xp = x.data();
+    const gemmk::Kernels &kern = gemmk::activeKernels();
 
     // Each window is quantised to signed data_bits codes with a scale
     // read from its own values, so its codes do not depend on the
-    // other windows.
-    std::vector<quant::Quantizer> qx;
-    qx.reserve(static_cast<size_t>(batch));
-    for (int64_t b = 0; b < batch; ++b)
-        qx.push_back(quant::Quantizer::forTensor(
-            {xp + b * m_in_, static_cast<size_t>(m_in_)},
-            params_.data_bits));
+    // other windows.  A NaN or ±inf input has no code; the device API
+    // rejects it, so only a diverged training gets here.
+    std::vector<float> scales(static_cast<size_t>(batch));
+    for (int64_t b = 0; b < batch; ++b) {
+        bool nonfinite = false;
+        const float max_abs =
+            kern.absmax_f32(xp + b * m_in_, m_in_, &nonfinite);
+        PL_ASSERT(!nonfinite,
+                  "non-finite input in window %lld of a %lld x %lld "
+                  "crossbar group", (long long)b, (long long)n_out_,
+                  (long long)m_in_);
+        scales[static_cast<size_t>(b)] =
+            quant::Quantizer::forMaxAbs(max_abs, params_.data_bits).scale;
+    }
+    const auto levels = static_cast<int32_t>(
+        quant::Quantizer{params_.data_bits}.positiveLevels());
 
     // (W⁺ - W⁻)(x⁺ - x⁻) in one integer accumulator.  Tile row by
-    // tile row, each window's chunk is quantised straight into the
-    // row's x⁺ and x⁻ blocks (input sign s = 0 and 1) and its signed
-    // codes.  A window with no code of sign s in the chunk drives no
-    // word line in that pass and is left out of the block, so a
-    // window's activity is the same whatever else the batch holds;
-    // windows stay in ascending order.  Every array of the tile row
-    // sees the same blocks, so they are range-checked and
-    // spike-counted once (SpikeBlock), not per array.
+    // tile row, each window's chunk is quantised once, straight into
+    // the signed codes the product reads, and the same pass counts
+    // what the x⁺ and x⁻ passes (input sign s = 0 and 1) would drive:
+    // their spikes (popcount of each |code|), each pass's code sum and
+    // each word line's drive Σ_b |code|.  A window with no code of
+    // sign s in the chunk drives no word line in that pass, so a
+    // window's activity is the same whatever else the batch holds.
     const int64_t block_rows = std::min(a_rows, m_in_);
     std::vector<int64_t> acc(static_cast<size_t>(batch * n_out_), 0);
-    std::vector<int64_t> codes[2];  //!< the blocks, row-major sel x used
-    std::vector<int64_t> sel[2];    //!< the windows each block holds
     std::vector<int32_t> xs(static_cast<size_t>(batch * block_rows));
-    std::vector<int64_t> drive;     //!< the blocks' code sum per word line
+    std::vector<gemmk::CodeCounts> tallies(static_cast<size_t>(batch));
+    std::vector<int64_t> drive;     //!< Σ_b |code| per word line
     std::vector<int64_t> driven;    //!< word lines some window drives
+    std::vector<int64_t> codes[2];  //!< clamp path: x⁺ and x⁻ blocks
+    std::vector<int64_t> sel[2];    //!< the windows each block holds
     std::vector<int64_t> counts;    //!< one slice's counts, sel x a_cols
-    for (std::vector<int64_t> &block : codes)
-        block.resize(static_cast<size_t>(batch * block_rows));
 
     // A count is at most a window's code sum S times the largest cell
     // code, and a partial sum of the signed product at most (S⁺ + S⁻)
     // times the largest stored magnitude, 2^data_bits - 1.
     const int64_t max_count = (int64_t{1} << params_.counter_bits) - 1;
     const int64_t max_mag = (int64_t{1} << params_.data_bits) - 1;
-    const gemmk::Kernels &kern = gemmk::activeKernels();
     for (int64_t tr = 0; tr < tiles_r_; ++tr) {
         const int64_t row0 = tr * a_rows;
         const int64_t used = std::min(a_rows, m_in_ - row0);
-        sel[0].clear();
-        sel[1].clear();
-        for (int64_t b = 0; b < batch; ++b) {
-            const quant::Quantizer &q = qx[static_cast<size_t>(b)];
-            const float *in = xp + b * m_in_ + row0;
-            int32_t *signed_codes = xs.data() + b * used;
-            int64_t *pos = codes[0].data() +
-                           static_cast<int64_t>(sel[0].size()) * used;
-            int64_t *neg = codes[1].data() +
-                           static_cast<int64_t>(sel[1].size()) * used;
-            int64_t any_pos = 0, any_neg = 0;
-            for (int64_t r = 0; r < used; ++r) {
-                const int64_t code = q.code(in[r]);
-                signed_codes[r] = static_cast<int32_t>(code);
-                pos[r] = std::max<int64_t>(code, 0);
-                neg[r] = std::max<int64_t>(-code, 0);
-                any_pos |= pos[r];
-                any_neg |= neg[r];
+        int64_t spikes = 0, windows = 0;
+        int64_t max_sum[2] = {0, 0}; //!< each pass's largest window sum
+        drive.assign(static_cast<size_t>(used), 0);
+        {
+            PL_PROF_SCOPE("reram.spike_encode");
+            for (int64_t b = 0; b < batch; ++b) {
+                gemmk::CodeCounts &cc = tallies[static_cast<size_t>(b)];
+                cc = gemmk::CodeCounts{};
+                kern.quantize_i32(xp + b * m_in_ + row0, used,
+                                  scales[static_cast<size_t>(b)], levels,
+                                  xs.data() + b * used, &cc, drive.data());
+                spikes += cc.spikes;
+                windows += (cc.pos_sum != 0) + (cc.neg_sum != 0);
+                max_sum[0] = std::max(max_sum[0], cc.pos_sum);
+                max_sum[1] = std::max(max_sum[1], cc.neg_sum);
             }
-            if (any_pos != 0)
-                sel[0].push_back(b);
-            if (any_neg != 0)
-                sel[1].push_back(b);
         }
-        std::optional<SpikeBlock> blocks[2];
-        bool exact = true;
-        int64_t sum_bound = 0;
-        for (int s = 0; s < 2; ++s) {
-            if (sel[s].empty())
-                continue;
-            const SpikeBlock &block = blocks[s].emplace(
-                codes[s].data(), static_cast<int64_t>(sel[s].size()), used,
-                params_.data_bits);
-            exact = exact &&
-                    block.max_window_sum <= max_count / params_.maxCellCode();
-            sum_bound += block.max_window_sum;
-        }
-        if (!blocks[0] && !blocks[1])
+        if (windows == 0)
             continue;
-        exact = exact &&
-                sum_bound <= std::numeric_limits<int64_t>::max() / max_mag;
+        const bool exact =
+            max_sum[0] <= max_count / params_.maxCellCode() &&
+            max_sum[1] <= max_count / params_.maxCellCode() &&
+            max_sum[0] + max_sum[1] <=
+                std::numeric_limits<int64_t>::max() / max_mag;
 
         if (exact) {
             // No counter of the row clamps: its outputs are the signed
             // product over the word lines some window drives, and each
             // array tallies the drive it would have counted.
             PL_PROF_SCOPE("reram.crossbar_matvec");
-            int64_t spikes = 0, windows = 0;
-            drive.assign(static_cast<size_t>(used), 0);
-            for (const std::optional<SpikeBlock> &block : blocks) {
-                if (!block)
-                    continue;
-                spikes += block->spikes;
-                windows += block->batch;
-                for (int64_t r = 0; r < used; ++r)
-                    drive[static_cast<size_t>(r)] +=
-                        block->row_sums[static_cast<size_t>(r)];
-            }
             driven.clear();
             for (int64_t r = 0; r < used; ++r)
                 if (drive[static_cast<size_t>(r)] != 0)
@@ -297,14 +296,30 @@ ArrayGroup::matVecBatch(const Tensor &x)
             continue;
         }
 
-        // A counter could clamp: every slice array sweeps each block
-        // (one "reram.crossbar_matvec" each) and its clamped counts are
-        // shift-added (Fig. 14a); x⁺ on W⁺ and x⁻ on W⁻ add, the cross
-        // terms subtract.
+        // A counter could clamp: the windows with a code of sign s form
+        // the row's x⁺ (x⁻) block, in ascending order; every slice
+        // array sweeps each block (one "reram.crossbar_matvec" each)
+        // and its clamped counts are shift-added (Fig. 14a); x⁺ on W⁺
+        // and x⁻ on W⁻ add, the cross terms subtract.
         for (int s = 0; s < 2; ++s) {
-            if (!blocks[s])
+            sel[s].clear();
+            codes[s].clear();
+            for (int64_t b = 0; b < batch; ++b) {
+                const gemmk::CodeCounts &cc =
+                    tallies[static_cast<size_t>(b)];
+                if ((s == 0 ? cc.pos_sum : cc.neg_sum) == 0)
+                    continue;
+                sel[s].push_back(b);
+                const int32_t *signed_codes = xs.data() + b * used;
+                for (int64_t r = 0; r < used; ++r)
+                    codes[s].push_back(std::max<int64_t>(
+                        s == 0 ? signed_codes[r] : -signed_codes[r], 0));
+            }
+            if (sel[s].empty())
                 continue;
-            const int64_t nsel = blocks[s]->batch;
+            const auto nsel = static_cast<int64_t>(sel[s].size());
+            const SpikeBlock block(codes[s].data(), nsel, used,
+                                   params_.data_bits);
             counts.resize(static_cast<size_t>(nsel * a_cols));
             for (int64_t tc = 0; tc < tiles_c_; ++tc) {
                 const int64_t col0 = tc * a_cols;
@@ -314,7 +329,7 @@ ArrayGroup::matVecBatch(const Tensor &x)
                         tileSlices(sign, tr * tiles_c_ + tc);
                     for (int g = 0; g < groups; ++g) {
                         CrossbarArray &array = slices[static_cast<size_t>(g)];
-                        array.matVecCodesBatch(*blocks[s], counts.data());
+                        array.matVecCodesBatch(block, counts.data());
                         // Counts past the live bit lines are zero.
                         const int64_t col1 =
                             std::min(col0 + array.liveCols(), n_out_);
@@ -336,7 +351,7 @@ ArrayGroup::matVecBatch(const Tensor &x)
     Tensor out({batch, n_out_});
     float *op = out.data();
     for (int64_t b = 0; b < batch; ++b) {
-        const float scale = weight_scale_ * qx[static_cast<size_t>(b)].scale;
+        const float scale = weight_scale_ * scales[static_cast<size_t>(b)];
         for (int64_t c = 0; c < n_out_; ++c) {
             const auto i = static_cast<size_t>(b * n_out_ + c);
             op[i] = static_cast<float>(acc[i]) * scale;
@@ -365,19 +380,27 @@ ArrayGroup::updateWeights(const Tensor &grad, float lr, int64_t batch_size)
               grad.dim(1) == m_in_, "gradient shape mismatch");
     PL_ASSERT(batch_size > 0, "batch size must be positive");
 
-    // new = old - lr * (1/B) Σ grad, computed in the code domain.
+    // new = old - lr * (1/B) Σ grad, computed in the code domain.  A
+    // NaN or ±inf update has no code; a finite one past the code
+    // range saturates the weight at ±max_code, in the direction of
+    // -Δ: the shared quantiser rule clamps the update's code to
+    // ±2·max_code, which already crosses the whole range.
     const float step = lr / static_cast<float>(batch_size);
-    const int64_t max_code =
-        (int64_t{1} << (params_.data_bits - 1)) - 1;
+    bool nonfinite = false;
     const float *g = grad.data();
+    gemmk::activeKernels().absmax_f32(g, grad.numel(), &nonfinite);
+    PL_ASSERT(std::isfinite(step) && !nonfinite,
+              "non-finite update of a %lld x %lld crossbar group",
+              (long long)n_out_, (long long)m_in_);
+    const int32_t max_code =
+        (int32_t{1} << (params_.data_bits - 1)) - 1;
     for (int64_t r = 0; r < m_in_; ++r) {
         for (int64_t c = 0; c < n_out_; ++c) {
             const float delta = step * g[c * m_in_ + r];
-            const auto delta_code =
-                static_cast<int64_t>(std::lround(delta / weight_scale_));
+            const int32_t delta_code =
+                gemmk::quantizeCode(delta, weight_scale_, 2 * max_code);
             int32_t &code = codes_[static_cast<size_t>(r * n_out_ + c)];
-            code = static_cast<int32_t>(
-                std::clamp(code - delta_code, -max_code, max_code));
+            code = std::clamp(code - delta_code, -max_code, max_code);
         }
     }
     programCodes();

@@ -18,15 +18,17 @@
  * time slots; the forward path after ReLU never needs the x⁻ pass.
  *
  * One datapath takes a batch of float windows to shift-added IF
- * counts: each window is quantised where it lies, tile row by tile
- * row, straight into that row's x⁺ and x⁻ code blocks (SpikeBlock,
- * range-checked and spike-counted once) and its signed codes x⁺ - x⁻.
- * The shift-add, the W⁻ subtraction and the x⁻ subtraction are
- * linear, so while no counter of the tile row can clamp its outputs
- * are one signed integer product (W⁺ - W⁻)(x⁺ - x⁻) over the codes
- * the cells store, and every array of the row only tallies the
- * drive; a tile row that could clamp drives every slice array with
- * each block and shift-adds the clamped counts (DESIGN.md §7).
+ * counts: each window's chunk of a tile row is quantised once, by the
+ * dispatched gemmk::Kernels::quantize_i32, straight into the signed
+ * codes x⁺ - x⁻, and the same pass counts the row's spikes, each
+ * window's x⁺ and x⁻ code sums and each word line's drive.  The
+ * shift-add, the W⁻ subtraction and the x⁻ subtraction are linear, so
+ * while no counter of the tile row can clamp its outputs are one
+ * signed integer product (W⁺ - W⁻)(x⁺ - x⁻) over the codes the cells
+ * store, and every array of the row only tallies that drive; a tile
+ * row that could clamp splits the codes into x⁺ and x⁻ blocks
+ * (SpikeBlock), drives every slice array with each block and
+ * shift-adds the clamped counts (DESIGN.md §7).
  */
 
 #ifndef PIPELAYER_RERAM_ARRAY_GROUP_HH_
@@ -53,9 +55,10 @@ class ArrayGroup
     /**
      * Quantise @p weight to @c params.data_bits and program it into
      * pos/neg bit-sliced tiled subarrays.  Throws ConfigError when
-     * @p params do not validate (DeviceParams::validate()) or when
-     * data_bits is outside the quantiser's 2..16 bits, before any
-     * array is allocated.
+     * @p params do not validate (DeviceParams::validate()), when
+     * data_bits is outside the quantiser's 2..16 bits, or naming the
+     * first weight that is NaN or ±inf, before any array is
+     * allocated.
      *
      * @param weight (n_out, m_in) float matrix.
      */
@@ -90,7 +93,9 @@ class ArrayGroup
      * not depend on the other windows of the batch.
      *
      * @param x (batch, m_in) float matrix, batch >= 1; entries may be
-     *        negative (handled by a second sign pass).
+     *        negative (handled by a second sign pass) and must be
+     *        finite: NaN or ±inf panics, naming the group's shape (the
+     *        device API rejects such inputs first).
      * @return (batch, n_out) float matrix, row b ≈
      *         W_quantised · x_quantised[b].
      */
@@ -106,7 +111,11 @@ class ArrayGroup
     /**
      * In-place weight update W <- W - (1/batch) * grad * lr
      * (paper §4.4.2: old weights are read, the averaged partial
-     * derivative subtracted, and the result written back).
+     * derivative subtracted, and the result written back), in whole
+     * codes.  An update past the code range saturates the weight at
+     * ±(2^(data_bits-1) - 1), in the direction of its -Δ; a NaN or
+     * ±inf gradient, learning rate or step panics, naming the
+     * group's shape.
      */
     void updateWeights(const Tensor &grad, float lr, int64_t batch_size);
 

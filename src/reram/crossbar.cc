@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/prof.hh"
+#include "tensor/gemm_kernels.hh"
 
 namespace pipelayer {
 namespace reram {
@@ -35,20 +36,6 @@ tally(int64_t &counter, int64_t n)
                                                 std::memory_order_relaxed);
 }
 
-/**
- * The set bits of @p v, by the SWAR halving: exact for every value,
- * and inline on any x86-64, where std::popcount without -mpopcnt is
- * a call into libgcc.
- */
-inline int64_t
-popcount64(uint64_t v)
-{
-    v -= (v >> 1) & 0x5555555555555555u;
-    v = (v & 0x3333333333333333u) + ((v >> 2) & 0x3333333333333333u);
-    v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0Fu;
-    return static_cast<int64_t>((v * 0x0101010101010101u) >> 56);
-}
-
 } // namespace
 
 SpikeBlock::SpikeBlock(const int64_t *codes_in, int64_t batch_in,
@@ -69,7 +56,8 @@ SpikeBlock::SpikeBlock(const int64_t *codes_in, int64_t batch_in,
             PL_ASSERT(code >= 0 && code < limit,
                       "code %lld out of %d-bit range", (long long)code,
                       data_bits);
-            spikes += popcount64(static_cast<uint64_t>(code));
+            // A code is below 2^data_bits <= 2^32.
+            spikes += gemmk::popcount32(static_cast<uint32_t>(code));
             window_sum += code;
             row_sums[static_cast<size_t>(r)] += code;
         }

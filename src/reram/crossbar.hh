@@ -48,7 +48,9 @@ struct ArrayActivity
  * against the spike resolution, spike-counted and summed once, on
  * construction.  Every array of an ArrayGroup tile row is driven by
  * the same codes, so one block serves them all: each array still
- * tallies the block's spikes as its own input_spikes.
+ * tallies the block's spikes as its own input_spikes.  ArrayGroup
+ * builds blocks only for a tile row whose counters could clamp; its
+ * product path takes the same counts from quantize_i32.
  */
 struct SpikeBlock
 {
@@ -143,8 +145,9 @@ class CrossbarArray
      * clamps: the blocks' @p spikes as input_spikes, their @p windows
      * as mvm_ops, and as if_fires the sum of the unclamped counts,
      * Σ_r drive[r]·(Σ_c cell(r, c)), drive[r] being the code sum the
-     * blocks put on word line r (Σ of their SpikeBlock::row_sums),
-     * from the per-word-line cell sums programming keeps current.
+     * blocks put on word line r (what their SpikeBlock::row_sums
+     * would add up to), from the per-word-line cell sums programming
+     * keeps current.
      * Exactly what matVecCodesBatch would tally for those blocks.
      * @pre each block's max_window_sum · maxCellCode() <=
      *      2^counter_bits - 1; drive.size() <= rows().

@@ -20,11 +20,20 @@
  * The integer kernel is exact in any order: gemm_i32_i64 keeps four
  * windows x eight outputs in eight registers across the driven word
  * lines (VPMULDQ, signed 32 x 32 -> 64).
+ *
+ * quantize_i32 runs quantizeCode() eight lanes at a time (VDIVPS,
+ * VMAXPS/VMINPS, whose NaN rule is the scalar ternaries', VCVTTPS2DQ
+ * and the two fraction compares) and counts in dword lanes flushed
+ * into int64 before a lane sum could reach 2^31; two vectors of
+ * magnitudes share one nibble-table popcount.
  */
 
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
+
+#include <algorithm>
+#include <limits>
 
 #include "tensor/gemm_kernels.hh"
 
@@ -279,15 +288,207 @@ reluMaskF32Avx2(float *grad, const float *ref, int64_t n)
         grad[j] = ref[j] > 0.0f ? grad[j] : 0.0f;
 }
 
+float
+absmaxF32Avx2(const float *x, int64_t n, bool *nonfinite)
+{
+    const __m256 magnitude = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
+    const __m256 largest =
+        _mm256_set1_ps(std::numeric_limits<float>::max());
+    __m256 m = _mm256_setzero_ps();
+    __m256 bad = _mm256_setzero_ps();
+    int64_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        const __m256 a = _mm256_and_ps(_mm256_loadu_ps(x + j), magnitude);
+        // Unordered-or-greater: the NaN and ±inf lanes.
+        const __m256 nf = _mm256_cmp_ps(a, largest, _CMP_NLE_UQ);
+        m = _mm256_max_ps(m, _mm256_andnot_ps(nf, a));
+        bad = _mm256_or_ps(bad, nf);
+    }
+    alignas(32) float lanes[8];
+    _mm256_store_ps(lanes, m);
+    float best = 0.0f;
+    for (const float v : lanes)
+        best = std::max(best, v);
+    bool any_bad = _mm256_movemask_ps(bad) != 0;
+    best = absmaxTail(x, j, n, best, any_bad);
+    if (nonfinite)
+        *nonfinite = any_bad;
+    return best;
+}
+
+/**
+ * Dword lane sums of codes below 2^15 stay below 2^31 over this many
+ * vectors.
+ */
+constexpr int64_t kQuantizeFlush = int64_t{1} << 15;
+
+/** The sum of the 8 dword lanes of @p v, in int64. */
+inline int64_t
+sumLanes(__m256i v)
+{
+    const __m256i s =
+        _mm256_add_epi64(_mm256_cvtepi32_epi64(_mm256_castsi256_si128(v)),
+                         _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v, 1)));
+    const __m128i q = _mm_add_epi64(_mm256_castsi256_si128(s),
+                                    _mm256_extracti128_si256(s, 1));
+    return _mm_cvtsi128_si64(q) + _mm_extract_epi64(q, 1);
+}
+
+/** The largest of the 8 dword lanes of @p v. */
+inline int32_t
+maxLanes(__m256i v)
+{
+    __m128i q = _mm_max_epi32(_mm256_castsi256_si128(v),
+                              _mm256_extracti128_si256(v, 1));
+    q = _mm_max_epi32(q, _mm_shuffle_epi32(q, 0x4E));
+    q = _mm_max_epi32(q, _mm_shuffle_epi32(q, 0xB1));
+    return _mm_cvtsi128_si32(q);
+}
+
+/**
+ * The set bits of @p v per 64-bit lane: a nibble table (VPSHUFB)
+ * summed by VPSADBW.  Two vectors of 15-bit magnitudes share one
+ * count: lo | hi << 16.
+ */
+inline __m256i
+popcountQwords(__m256i v)
+{
+    const __m256i table = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2,
+                                           3, 2, 3, 3, 4, 0, 1, 1, 2, 1, 2,
+                                           2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+    const __m256i nibble = _mm256_set1_epi8(0x0F);
+    const __m256i bits = _mm256_add_epi8(
+        _mm256_shuffle_epi8(table, _mm256_and_si256(v, nibble)),
+        _mm256_shuffle_epi8(
+            table, _mm256_and_si256(_mm256_srli_epi32(v, 4), nibble)));
+    return _mm256_sad_epu8(bits, _mm256_setzero_si256());
+}
+
+/** quantizeCode() eight lanes at a time, for one scale and range. */
+struct Quantize8
+{
+    __m256 scale, lo, hi, half, neg_half;
+    __m256i top, bottom;
+
+    Quantize8(float s, int32_t levels)
+        : scale(_mm256_set1_ps(s)),
+          lo(_mm256_set1_ps(-static_cast<float>(levels + 1))),
+          hi(_mm256_set1_ps(static_cast<float>(levels + 1))),
+          half(_mm256_set1_ps(0.5f)), neg_half(_mm256_set1_ps(-0.5f)),
+          top(_mm256_set1_epi32(levels)), bottom(_mm256_set1_epi32(-levels))
+    {
+    }
+
+    /** The codes of x[0..8), stored to out[0..8) and returned. */
+    __m256i operator()(const float *x, int32_t *out) const
+    {
+        // The clamped quotient, its truncation, and ±1 where the
+        // fraction reaches ±0.5 (a true compare is -1).
+        const __m256 q = _mm256_min_ps(
+            _mm256_max_ps(_mm256_div_ps(_mm256_loadu_ps(x), scale), lo), hi);
+        __m256i code = _mm256_cvttps_epi32(q);
+        const __m256 frac = _mm256_sub_ps(q, _mm256_cvtepi32_ps(code));
+        code = _mm256_sub_epi32(
+            code,
+            _mm256_castps_si256(_mm256_cmp_ps(frac, half, _CMP_GE_OQ)));
+        code = _mm256_add_epi32(
+            code,
+            _mm256_castps_si256(_mm256_cmp_ps(frac, neg_half, _CMP_LE_OQ)));
+        code = _mm256_min_epi32(_mm256_max_epi32(code, bottom), top);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out), code);
+        return code;
+    }
+};
+
+/** drive[0..8) += the 8 magnitudes of @p mag. */
+inline void
+addDrive(int64_t *drive, __m256i mag)
+{
+    auto *d = reinterpret_cast<__m256i *>(drive);
+    _mm256_storeu_si256(
+        d, _mm256_add_epi64(_mm256_loadu_si256(d),
+                            _mm256_cvtepi32_epi64(_mm256_castsi256_si128(mag))));
+    _mm256_storeu_si256(
+        d + 1,
+        _mm256_add_epi64(_mm256_loadu_si256(d + 1),
+                         _mm256_cvtepi32_epi64(_mm256_extracti128_si256(mag, 1))));
+}
+
+template <bool kCounts, bool kDrive>
+void
+quantizeI32Avx2Body(const float *x, int64_t n, float scale, int32_t levels,
+                    int32_t *codes, CodeCounts *counts, int64_t *drive)
+{
+    // 16 values per step, or 8 for an odd last vector; two vectors of
+    // magnitudes share one popcount.
+    const Quantize8 quantize(scale, levels);
+    const __m256i zero = _mm256_setzero_si256();
+    const int64_t n8 = n & ~int64_t{7};
+    int64_t j = 0;
+    while (j < n8) {
+        const int64_t end = std::min(n8, j + 8 * kQuantizeFlush);
+        __m256i spikes = zero, pos = zero, mags = zero, most = zero;
+        while (j < end) {
+            const bool pair = j + 16 <= end;
+            const __m256i c0 = quantize(x + j, codes + j);
+            const __m256i c1 =
+                pair ? quantize(x + j + 8, codes + j + 8) : zero;
+            if constexpr (kCounts) {
+                const __m256i m0 = _mm256_abs_epi32(c0);
+                const __m256i m1 = _mm256_abs_epi32(c1);
+                pos = _mm256_add_epi32(
+                    pos, _mm256_add_epi32(_mm256_max_epi32(c0, zero),
+                                          _mm256_max_epi32(c1, zero)));
+                mags = _mm256_add_epi32(mags, _mm256_add_epi32(m0, m1));
+                most = _mm256_max_epi32(most, _mm256_max_epi32(m0, m1));
+                spikes = _mm256_add_epi64(
+                    spikes, popcountQwords(_mm256_or_si256(
+                                m0, _mm256_slli_epi32(m1, 16))));
+                if constexpr (kDrive) {
+                    addDrive(drive + j, m0);
+                    if (pair)
+                        addDrive(drive + j + 8, m1);
+                }
+            }
+            j += pair ? 16 : 8;
+        }
+        if constexpr (kCounts) {
+            const __m128i s = _mm_add_epi64(_mm256_castsi256_si128(spikes),
+                                            _mm256_extracti128_si256(spikes, 1));
+            counts->spikes += _mm_cvtsi128_si64(s) + _mm_extract_epi64(s, 1);
+            const int64_t p = sumLanes(pos);
+            counts->pos_sum += p;
+            counts->neg_sum += sumLanes(mags) - p;
+            counts->max_abs = std::max(counts->max_abs, maxLanes(most));
+        }
+    }
+    quantizeTail(x, j, n, scale, levels, codes, counts, drive);
+}
+
+void
+quantizeI32Avx2(const float *x, int64_t n, float scale, int32_t levels,
+                int32_t *codes, CodeCounts *counts, int64_t *drive)
+{
+    if (!counts)
+        quantizeI32Avx2Body<false, false>(x, n, scale, levels, codes,
+                                          nullptr, nullptr);
+    else if (!drive)
+        quantizeI32Avx2Body<true, false>(x, n, scale, levels, codes,
+                                         counts, nullptr);
+    else
+        quantizeI32Avx2Body<true, true>(x, n, scale, levels, codes, counts,
+                                        drive);
+}
+
 } // namespace
 
 const Kernels &
 avx2Kernels()
 {
     static const Kernels table = {
-        dotLanesAvx2, gemmNNAvx2,     axpyF32Avx2,
-        scaleF32Avx2, gemmI32I64Avx2,
-        reluF32Avx2,  reluMaskF32Avx2,
+        dotLanesAvx2,    gemmNNAvx2,     axpyF32Avx2,
+        scaleF32Avx2,    gemmI32I64Avx2, reluF32Avx2,
+        reluMaskF32Avx2, absmaxF32Avx2,  quantizeI32Avx2,
     };
     return table;
 }

@@ -22,11 +22,23 @@
  * gemm_i32_i64 holds four windows x 32 adjacent int64 outputs in 16
  * registers; each word line costs four widenings of its codes, four
  * dword broadcasts and 16 VPMULDQ + VPADDQ pairs.
+ *
+ * absmax_f32 and quantize_i32 take a span's last partial vector with
+ * masked loads and stores, so they need no scalar tail: a missing
+ * lane reads +0, whose magnitude and code add nothing.  quantize_i32
+ * runs quantizeCode() 16 lanes at a time, the fraction tests as mask
+ * registers that add and subtract one; it counts in dword lanes
+ * flushed into int64 before a lane sum could reach 2^31, and two
+ * vectors of magnitudes share one SWAR popcount (VPOPCNTD and the
+ * byte shuffles are not in F + DQ).
  */
 
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
+
+#include <algorithm>
+#include <limits>
 
 #include "tensor/gemm_kernels.hh"
 
@@ -300,15 +312,246 @@ reluMaskF32Avx512(float *grad, const float *ref, int64_t n)
         grad[j] = ref[j] > 0.0f ? grad[j] : 0.0f;
 }
 
+/** Lanes [0, min(rest, 16)) of a 16-lane vector; none when rest <= 0. */
+inline __mmask16
+laneMask(int64_t rest)
+{
+    return rest >= 16 ? __mmask16{0xFFFF}
+         : rest <= 0  ? __mmask16{0}
+                      : static_cast<__mmask16>((1u << rest) - 1);
+}
+
+float
+absmaxF32Avx512(const float *x, int64_t n, bool *nonfinite)
+{
+    // The last vector's missing lanes load as +0: finite, and no
+    // larger than any magnitude.
+    const __m512i magnitude = _mm512_set1_epi32(0x7FFFFFFF);
+    const __m512 largest =
+        _mm512_set1_ps(std::numeric_limits<float>::max());
+    __m512 m = _mm512_setzero_ps();
+    __mmask16 finite = 0xFFFF;
+    for (int64_t j = 0; j < n; j += 16) {
+        const __m512 a = _mm512_castsi512_ps(_mm512_and_si512(
+            _mm512_castps_si512(_mm512_maskz_loadu_ps(laneMask(n - j), x + j)),
+            magnitude));
+        // Ordered and at most the largest float: not NaN, not ±inf.
+        const __mmask16 ok = _mm512_cmp_ps_mask(a, largest, _CMP_LE_OQ);
+        m = _mm512_mask_max_ps(m, ok, m, a);
+        finite &= ok;
+    }
+    alignas(64) float lanes[16];
+    _mm512_store_ps(lanes, m);
+    float best = 0.0f;
+    for (const float v : lanes)
+        best = std::max(best, v);
+    if (nonfinite)
+        *nonfinite = finite != 0xFFFF;
+    return best;
+}
+
+/**
+ * Dword lane sums of codes below 2^15 stay below 2^31 over this many
+ * vectors.
+ */
+constexpr int64_t kQuantizeFlush = int64_t{1} << 15;
+
+/** Dwords [8·half, 8·half + 8) of a 16-lane vector, widened to int64. */
+inline __m512i
+widenHalf(__m512i v, int half)
+{
+    const __m256i part = half == 0
+                             ? _mm512_maskz_extracti64x4_epi64(0xF, v, 0)
+                             : _mm512_maskz_extracti64x4_epi64(0xF, v, 1);
+    return _mm512_maskz_cvtepi32_epi64(0xFF, part);
+}
+
+/** The sum of the 16 dword lanes of @p v, in int64. */
+inline int64_t
+sumLanes(__m512i v)
+{
+    const __m512i s = _mm512_add_epi64(widenHalf(v, 0), widenHalf(v, 1));
+    const __m256i h =
+        _mm256_add_epi64(_mm512_maskz_extracti64x4_epi64(0xF, s, 0),
+                         _mm512_maskz_extracti64x4_epi64(0xF, s, 1));
+    const __m128i q = _mm_add_epi64(_mm256_castsi256_si128(h),
+                                    _mm256_extracti128_si256(h, 1));
+    return _mm_cvtsi128_si64(q) + _mm_extract_epi64(q, 1);
+}
+
+/** The largest of the 16 dword lanes of @p v. */
+inline int32_t
+maxLanes(__m512i v)
+{
+    const __m256i h =
+        _mm256_max_epi32(_mm512_maskz_extracti64x4_epi64(0xF, v, 0),
+                         _mm512_maskz_extracti64x4_epi64(0xF, v, 1));
+    __m128i q = _mm_max_epi32(_mm256_castsi256_si128(h),
+                              _mm256_extracti128_si256(h, 1));
+    q = _mm_max_epi32(q, _mm_shuffle_epi32(q, 0x4E));
+    q = _mm_max_epi32(q, _mm_shuffle_epi32(q, 0xB1));
+    return _mm_cvtsi128_si32(q);
+}
+
+/**
+ * Per dword lane, the set bits of its two 16-bit halves together
+ * (SWAR; at most 32).  Two vectors of 15-bit magnitudes share one
+ * count: lo | hi << 16.
+ */
+inline __m512i
+popcountPairs(__m512i v)
+{
+    constexpr __mmask16 kAll = 0xFFFF;
+    v = _mm512_sub_epi32(v, _mm512_and_si512(_mm512_maskz_srli_epi32(kAll, v, 1),
+                                             _mm512_set1_epi32(0x55555555)));
+    v = _mm512_add_epi32(
+        _mm512_and_si512(v, _mm512_set1_epi32(0x33333333)),
+        _mm512_and_si512(_mm512_maskz_srli_epi32(kAll, v, 2),
+                         _mm512_set1_epi32(0x33333333)));
+    v = _mm512_and_si512(
+        _mm512_add_epi32(v, _mm512_maskz_srli_epi32(kAll, v, 4)),
+        _mm512_set1_epi32(0x0F0F0F0F));
+    v = _mm512_add_epi32(v, _mm512_maskz_srli_epi32(kAll, v, 8));
+    v = _mm512_add_epi32(v, _mm512_maskz_srli_epi32(kAll, v, 16));
+    return _mm512_and_si512(v, _mm512_set1_epi32(0x3F));
+}
+
+/** quantizeCode() 16 lanes at a time, for one scale and range. */
+struct Quantize16
+{
+    static constexpr __mmask16 kAll = 0xFFFF;
+    __m512 scale, lo, hi, half, neg_half;
+    __m512i one, top, bottom;
+
+    Quantize16(float s, int32_t levels)
+        : scale(_mm512_set1_ps(s)),
+          lo(_mm512_set1_ps(-static_cast<float>(levels + 1))),
+          hi(_mm512_set1_ps(static_cast<float>(levels + 1))),
+          half(_mm512_set1_ps(0.5f)), neg_half(_mm512_set1_ps(-0.5f)),
+          one(_mm512_set1_epi32(1)), top(_mm512_set1_epi32(levels)),
+          bottom(_mm512_set1_epi32(-levels))
+    {
+    }
+
+    /**
+     * The codes of the lanes of x[0..16) in @p lanes, stored to the
+     * same lanes of out[0..16) and returned; the other lanes read as
+     * +0 and code 0, and neither memory side is touched there.
+     */
+    __m512i operator()(const float *x, int32_t *out, __mmask16 lanes) const
+    {
+        // The clamped quotient, its truncation, and ±1 where the
+        // fraction reaches ±0.5.
+        const __m512 q = _mm512_maskz_min_ps(
+            kAll,
+            _mm512_maskz_max_ps(
+                kAll, _mm512_div_ps(_mm512_maskz_loadu_ps(lanes, x), scale),
+                lo),
+            hi);
+        __m512i code = _mm512_maskz_cvttps_epi32(kAll, q);
+        const __m512 frac =
+            _mm512_sub_ps(q, _mm512_maskz_cvtepi32_ps(kAll, code));
+        code = _mm512_mask_add_epi32(
+            code, _mm512_cmp_ps_mask(frac, half, _CMP_GE_OQ), code, one);
+        code = _mm512_mask_sub_epi32(
+            code, _mm512_cmp_ps_mask(frac, neg_half, _CMP_LE_OQ), code, one);
+        code = _mm512_maskz_min_epi32(
+            kAll, _mm512_maskz_max_epi32(kAll, code, bottom), top);
+        _mm512_mask_storeu_epi32(out, lanes, code);
+        return code;
+    }
+};
+
+/** drive[0..16) += the magnitudes of @p mag, in @p lanes only. */
+inline void
+addDrive(int64_t *drive, __m512i mag, __mmask16 lanes)
+{
+    const auto lo = static_cast<__mmask8>(lanes);
+    const auto hi = static_cast<__mmask8>(lanes >> 8);
+    _mm512_mask_storeu_epi64(
+        drive, lo,
+        _mm512_add_epi64(_mm512_maskz_loadu_epi64(lo, drive),
+                         widenHalf(mag, 0)));
+    _mm512_mask_storeu_epi64(
+        drive + 8, hi,
+        _mm512_add_epi64(_mm512_maskz_loadu_epi64(hi, drive + 8),
+                         widenHalf(mag, 1)));
+}
+
+template <bool kCounts, bool kDrive>
+void
+quantizeI32Avx512Body(const float *x, int64_t n, float scale,
+                      int32_t levels, int32_t *codes, CodeCounts *counts,
+                      int64_t *drive)
+{
+    // 32 values per step, the missing lanes of the last one masked
+    // off: they read +0 and count nothing.  Two vectors of magnitudes
+    // share one popcount.
+    constexpr __mmask16 kAll = 0xFFFF;
+    const Quantize16 quantize(scale, levels);
+    const __m512i zero = _mm512_setzero_si512();
+    int64_t j = 0;
+    while (j < n) {
+        const int64_t end = std::min(n, j + 16 * kQuantizeFlush);
+        __m512i spikes = zero, pos = zero, mags = zero, most = zero;
+        for (; j < end; j += 32) {
+            const __mmask16 k0 = laneMask(end - j);
+            const __mmask16 k1 = laneMask(end - j - 16);
+            const __m512i c0 = quantize(x + j, codes + j, k0);
+            const __m512i c1 = quantize(x + j + 16, codes + j + 16, k1);
+            if constexpr (kCounts) {
+                const __m512i m0 = _mm512_maskz_abs_epi32(kAll, c0);
+                const __m512i m1 = _mm512_maskz_abs_epi32(kAll, c1);
+                pos = _mm512_add_epi32(
+                    pos, _mm512_add_epi32(
+                             _mm512_maskz_max_epi32(kAll, c0, zero),
+                             _mm512_maskz_max_epi32(kAll, c1, zero)));
+                mags = _mm512_add_epi32(mags, _mm512_add_epi32(m0, m1));
+                most = _mm512_maskz_max_epi32(
+                    kAll, most, _mm512_maskz_max_epi32(kAll, m0, m1));
+                spikes = _mm512_add_epi32(
+                    spikes, popcountPairs(_mm512_or_si512(
+                                m0, _mm512_maskz_slli_epi32(kAll, m1, 16))));
+                if constexpr (kDrive) {
+                    addDrive(drive + j, m0, k0);
+                    addDrive(drive + j + 16, m1, k1);
+                }
+            }
+        }
+        if constexpr (kCounts) {
+            counts->spikes += sumLanes(spikes);
+            const int64_t p = sumLanes(pos);
+            counts->pos_sum += p;
+            counts->neg_sum += sumLanes(mags) - p;
+            counts->max_abs = std::max(counts->max_abs, maxLanes(most));
+        }
+    }
+}
+
+void
+quantizeI32Avx512(const float *x, int64_t n, float scale, int32_t levels,
+                  int32_t *codes, CodeCounts *counts, int64_t *drive)
+{
+    if (!counts)
+        quantizeI32Avx512Body<false, false>(x, n, scale, levels, codes,
+                                            nullptr, nullptr);
+    else if (!drive)
+        quantizeI32Avx512Body<true, false>(x, n, scale, levels, codes,
+                                           counts, nullptr);
+    else
+        quantizeI32Avx512Body<true, true>(x, n, scale, levels, codes,
+                                          counts, drive);
+}
+
 } // namespace
 
 const Kernels &
 avx512Kernels()
 {
     static const Kernels table = {
-        dotLanesAvx512, gemmNNAvx512,     axpyF32Avx512,
-        scaleF32Avx512, gemmI32I64Avx512,
-        reluF32Avx512,  reluMaskF32Avx512,
+        dotLanesAvx512,    gemmNNAvx512,     axpyF32Avx512,
+        scaleF32Avx512,    gemmI32I64Avx512, reluF32Avx512,
+        reluMaskF32Avx512, absmaxF32Avx512,  quantizeI32Avx512,
     };
     return table;
 }

@@ -111,15 +111,32 @@ reluMaskF32Scalar(float *grad, const float *ref, int64_t n)
         grad[j] = ref[j] > 0.0f ? grad[j] : 0.0f;
 }
 
+float
+absmaxF32Scalar(const float *x, int64_t n, bool *nonfinite)
+{
+    bool bad = false;
+    const float m = absmaxTail(x, 0, n, 0.0f, bad);
+    if (nonfinite)
+        *nonfinite = bad;
+    return m;
+}
+
+void
+quantizeI32Scalar(const float *x, int64_t n, float scale, int32_t levels,
+                  int32_t *codes, CodeCounts *counts, int64_t *drive)
+{
+    quantizeTail(x, 0, n, scale, levels, codes, counts, drive);
+}
+
 } // namespace
 
 const Kernels &
 scalarKernels()
 {
     static const Kernels table = {
-        dotLanesScalar, gemmNNScalar,     axpyF32Scalar,
-        scaleF32Scalar, gemmI32I64Scalar,
-        reluF32Scalar,  reluMaskF32Scalar,
+        dotLanesScalar,  gemmNNScalar,      axpyF32Scalar,
+        scaleF32Scalar,  gemmI32I64Scalar,  reluF32Scalar,
+        reluMaskF32Scalar, absmaxF32Scalar, quantizeI32Scalar,
     };
     return table;
 }

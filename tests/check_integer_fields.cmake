@@ -10,8 +10,10 @@
 # A repeated object key is an error in both tools, and so is a request
 # line cut short, whether a newline or the end of the stream ends it,
 # or a number past the double range.
+# json_lint also checks the committed perf trajectory's records.
 # Run as
 #   cmake -DPL_SERVE=<pl_serve> -DJSON_LINT=<json_lint>
+#         -DTRAJECTORY=<bench/trajectory.ndjson>
 #         -DWORK_DIR=<scratch dir> -P check_integer_fields.cmake
 file(MAKE_DIRECTORY "${WORK_DIR}")
 foreach(cycle 2.7 1e300)
@@ -184,6 +186,34 @@ foreach(length RANGE 1 ${last})
         endif()
     endforeach()
 endforeach()
+
+# The committed perf trajectory lints; a record with a fractional
+# pair count, one without a host, and one whose median is a string do
+# not.
+execute_process(COMMAND "${JSON_LINT}" "${TRAJECTORY}"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0 OR NOT out MATCHES "OK \\(perf trajectory")
+    message(FATAL_ERROR "json_lint on ${TRAJECTORY}: exit ${rc}: ${err}")
+endif()
+string(CONCAT record "\"trajectory_version\": 1, \"base\": \"a\", \"head\": \"b\", "
+       "\"workload\": \"w\", \"metric\": \"m\", \"unit\": \"s\", "
+       "\"seconds\": 8, \"seed\": 1")
+foreach(entry
+        "pairs 2.5@\"base_median\": 1, \"head_median\": 2, \"pairs\": 2.5, \"host\": \"h\"@must be an integer"
+        "no host@\"base_median\": 1, \"head_median\": 2, \"pairs\": 3@non-empty string 'host'"
+        "string median@\"base_median\": \"1\", \"head_median\": 2, \"pairs\": 3, \"host\": \"h\"@finite number 'base_median'")
+    string(REPLACE "@" ";" parts "${entry}")
+    list(GET parts 0 what)
+    list(GET parts 1 rest)
+    list(GET parts 2 want)
+    file(WRITE "${WORK_DIR}/trajectory.ndjson" "{${record}, ${rest}}\n")
+    execute_process(COMMAND "${JSON_LINT}" "${WORK_DIR}/trajectory.ndjson"
+                    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    if(NOT rc EQUAL 1 OR NOT err MATCHES "${want}")
+        message(FATAL_ERROR "json_lint on a trajectory record with "
+                            "${what}: exit ${rc}: ${err}")
+    endif()
+endforeach()
 message(STATUS "fractional, out-of-range and overflowing integer fields, "
-               "repeated keys and truncated requests rejected; exact "
-               "integers echoed")
+               "repeated keys, truncated requests and malformed "
+               "trajectory records rejected; exact integers echoed")

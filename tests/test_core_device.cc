@@ -10,8 +10,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iomanip>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "common/parallel.hh"
 #include "common/rng.hh"
@@ -273,6 +276,79 @@ TEST(Device, PredictionsMostlyAgreeWithHost)
             ++agree;
     }
     EXPECT_GE(agree, n * 9 / 10);
+}
+
+/** Run @p call and expect a ConfigError whose message holds @p what. */
+template <typename Fn>
+void
+expectConfigError(Fn &&call, const std::string &what)
+{
+    try {
+        call();
+        ADD_FAILURE() << "no ConfigError; wanted '" << what << "'";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Device, NonFiniteImagesAreConfigErrorsNamingThem)
+{
+    // Every API entry that drives the crossbars checks its images on
+    // the calling thread, before any of them runs: the arrays keep
+    // their activity and weights.
+    nn::Network net = tinyNet(12);
+    PipeLayerConfig config;
+    config.batch_size = 2;
+    PipeLayerDevice dev(config);
+    dev.Topology_set(net);
+    dev.Weight_load();
+    const auto task = tinyTask();
+    const reram::ArrayActivity before = dev.totalActivity();
+    const std::vector<Tensor> weights = dev.storedParameters();
+    for (const float bad : {std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()}) {
+        SCOPED_TRACE("value " + std::to_string(bad));
+        Tensor x = task.test.inputs[0];
+        x.at(5) = bad;
+        expectConfigError([&] { dev.forward(x); },
+                          "forward: the input image holds");
+        expectConfigError([&] { dev.predict(x); },
+                          "predict: the input image holds");
+        nn::Dataset test = task.test.head(4);
+        test.inputs[2] = x;
+        expectConfigError([&] { dev.Test(test); },
+                          "Test: image 2 holds");
+        nn::Dataset train = task.train.head(4);
+        train.inputs[3] = x;
+        expectConfigError([&] { dev.Train(train, 1); },
+                          "Train: image 3 holds");
+    }
+    const reram::ArrayActivity after = dev.totalActivity();
+    EXPECT_EQ(after.input_spikes, before.input_spikes);
+    EXPECT_EQ(after.write_pulses, before.write_pulses);
+    EXPECT_EQ(after.mvm_ops, before.mvm_ops);
+    const std::vector<Tensor> kept = dev.storedParameters();
+    ASSERT_EQ(kept.size(), weights.size());
+    for (size_t i = 0; i < kept.size(); ++i)
+        EXPECT_EQ(0, std::memcmp(kept[i].data(), weights[i].data(),
+                                 static_cast<size_t>(kept[i].numel()) *
+                                     sizeof(float)));
+}
+
+TEST(Device, NonFiniteWeightFailsWeightLoadNamingIt)
+{
+    for (const float bad : {std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()}) {
+        nn::Network net = tinyNet(13);
+        // ip1's (4, 64) weights plus the bias column: element 7 of
+        // output row 0.
+        net.layer(4).parameters()[0]->at(7) = bad;
+        PipeLayerDevice dev{PipeLayerConfig{}};
+        dev.Topology_set(net);
+        expectConfigError([&] { dev.Weight_load(); },
+                          "crossbar weight (0, 7) of a 4 x 65 matrix");
+    }
 }
 
 TEST(Device, TrainImprovesAccuracy)

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -23,6 +24,7 @@
 #include "arch/pipeline.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/metrics.hh"
 #include "common/rng.hh"
 #include "core/pipelined_trainer.hh"
 #include "nn/layers.hh"
@@ -30,6 +32,9 @@
 #include "reram/params_io.hh"
 #include "sim/arrival.hh"
 #include "sim/job.hh"
+#include "sim/serving.hh"
+#include "tools/bench_compare_lib.hh"
+#include "tools/pl_report_lib.hh"
 #include "workloads/model_zoo.hh"
 
 namespace pipelayer {
@@ -272,6 +277,63 @@ TEST(ParserFuzz, ArrivalTraceMutantsParseOrThrowTyped)
             (void)sim::ArrivalTrace::fromJson(json::parse(text));
         },
         0xA77u, 20000);
+}
+
+TEST(ParserFuzz, MetricsStreamMutantsParseOrThrowTyped)
+{
+    // A pl_serve --metrics stream (Mnist-A, a short Poisson trace):
+    // every mutant parses or throws, and whatever parses renders and
+    // diffs against the unmutated stream, both ways.
+    const sim::ServingSim serving(workloads::mnistA(),
+                                  reram::DeviceParams());
+    metrics::Sampler sampler(32);
+    const sim::ServingReport report =
+        serving.run(sim::ArrivalTrace::poisson(24, 0.5, 5),
+                    sim::ServingConfig(), nullptr, &sampler);
+    std::ostringstream stream;
+    sampler.write(stream);
+    const report::MetricsStream base = report::parseMetrics(stream.str());
+    expectMutantsParseOrThrowTyped(
+        {stream.str()},
+        [&](const std::string &text) {
+            const report::MetricsStream m = report::parseMetrics(text);
+            (void)report::renderTable(m);
+            (void)report::diffStreams(base, m);
+            (void)report::diffStreams(m, base);
+        },
+        0x3E7u, 20000);
+}
+
+TEST(ParserFuzz, BenchEnvelopeMutantsCompareOrThrowTyped)
+{
+    // A bench envelope (the committed micro_crossbar baseline) and a
+    // pl_serve summary: every mutant parses or throws, and whatever
+    // parses is compared with both unmutated documents, as
+    // bench_compare (both directions) and pl_report's summary gate
+    // would.
+    std::ifstream in(std::string(PL_SOURCE_DIR) +
+                     "/bench/baselines/BENCH_micro_crossbar.json");
+    ASSERT_TRUE(in) << "cannot read the committed baseline";
+    std::ostringstream envelope_text;
+    envelope_text << in.rdbuf();
+    const json::Value envelope = json::parse(envelope_text.str());
+    const sim::ServingSim serving(workloads::mnistA(),
+                                  reram::DeviceParams());
+    const json::Value summary =
+        serving.run(sim::ArrivalTrace::poisson(24, 0.5, 5),
+                    sim::ServingConfig())
+            .toJson();
+    expectMutantsParseOrThrowTyped(
+        {envelope_text.str(), summary.dump()},
+        [&](const std::string &text) {
+            const json::Value v = json::parse(text);
+            (void)benchcmp::compareEnvelopes(envelope, v);
+            (void)benchcmp::compareEnvelopes(v, envelope);
+            report::DiffResult diff;
+            report::diffSummaries(summary, v, &diff);
+            report::diffSummaries(v, summary, &diff);
+        },
+        0xE7Bu, 20000);
 }
 
 } // namespace

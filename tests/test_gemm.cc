@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -776,6 +777,323 @@ TEST(CrossbarCollapse, GroupProductMatchesTileByTileOracle)
             expectSameActivity(group, oracle);
         }
     });
+}
+
+/**
+ * The quantiser as it read before the shared rule: std::lround of the
+ * quotient, clamped to ±levels, wherever std::lround is defined (a
+ * finite quotient below 2^63 in magnitude); a larger or infinite
+ * quotient saturates at its sign's end.  @pre the quotient is not NaN.
+ */
+int32_t
+lroundCode(float v, float scale, int32_t levels)
+{
+    const float q = v / scale;
+    if (std::fabs(q) >= 0x1p63f)
+        return q > 0.0f ? levels : -levels;
+    return static_cast<int32_t>(
+        std::clamp<long>(std::lround(q), -levels, levels));
+}
+
+/**
+ * Values whose codes at @p scale probe the rule: every tie k + 1/2
+ * and code k for |k| up to levels + 2 (a random 600 of them above
+ * 300 levels) with the floats on either side, quotients on both sides
+ * of 2^22, 2^23, 2^31 and 2^63 and far past them, and signed zeros,
+ * subnormals, ±inf and NaN.  Some products overflow or underflow at
+ * the extreme scales; they stay in as more probes.
+ */
+std::vector<float>
+quantizerProbes(int32_t levels, float scale, Rng &rng)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    std::vector<float> v;
+    const auto near = [&](float x) {
+        v.push_back(x);
+        v.push_back(std::nextafter(x, inf));
+        v.push_back(std::nextafter(x, -inf));
+    };
+    const int64_t span = levels + 2;
+    const auto probeK = [&](int64_t k) {
+        near((static_cast<float>(k) + 0.5f) * scale);
+        near(static_cast<float>(k) * scale);
+    };
+    if (span <= 300) {
+        for (int64_t k = -span; k <= span; ++k)
+            probeK(k);
+    } else {
+        for (int64_t k : {-span, -span + 1, int64_t{-1}, int64_t{0},
+                          span - 1, span})
+            probeK(k);
+        for (int i = 0; i < 600; ++i)
+            probeK(static_cast<int64_t>(rng.uniformInt(
+                       static_cast<uint64_t>(2 * span + 1))) - span);
+    }
+    for (const float q : {4194303.5f, 0x1p22f, 8388607.5f, 0x1p23f,
+                          0x1p24f, 0x1p31f, 0x1p62f, 0x1p63f, 0x1p64f,
+                          0x1.5fd1p+107f, 0x1p127f}) {
+        near(q * scale);
+        near(-q * scale);
+    }
+    for (const float x : {0.0f, -0.0f,
+                          std::numeric_limits<float>::denorm_min(),
+                          -std::numeric_limits<float>::denorm_min(),
+                          std::numeric_limits<float>::min(),
+                          std::numeric_limits<float>::max(),
+                          -std::numeric_limits<float>::max(), inf, -inf,
+                          std::numeric_limits<float>::quiet_NaN()})
+        v.push_back(x);
+    for (int i = 0; i < 200; ++i)
+        v.push_back(static_cast<float>(
+            rng.uniform(-1.0, 1.0) * static_cast<double>(span) * scale));
+    return v;
+}
+
+/** Scales: unit, awkward, power of two, subnormal, tiny and huge. */
+const float kProbeScales[] = {1.0f,    0.0137f, 0x1p-3f,
+                              std::numeric_limits<float>::denorm_min(),
+                              1e-30f,  3e37f};
+
+TEST(QuantizeKernel, SharedRuleIsLroundBelow2To63AndSaturatesAbove)
+{
+    // quantizeCode clamps the quotient to ±(levels + 1) before it
+    // rounds: bit for bit the old std::lround rule wherever that was
+    // defined, and saturation where std::lround overflowed (2^63 and
+    // up, which coded as LONG_MIN, the most negative code).  NaN codes
+    // -levels on every backend.
+    Rng rng(0x0C0DEu);
+    for (int bits = 2; bits <= 16; ++bits) {
+        const int32_t levels = (int32_t{1} << (bits - 1)) - 1;
+        for (const float scale : kProbeScales) {
+            SCOPED_TRACE("bits=" + std::to_string(bits) +
+                         " scale=" + std::to_string(scale));
+            for (const float v : quantizerProbes(levels, scale, rng)) {
+                const int32_t got = gemmk::quantizeCode(v, scale, levels);
+                if (std::isnan(v / scale))
+                    EXPECT_EQ(got, -levels);
+                else
+                    ASSERT_EQ(got, lroundCode(v, scale, levels))
+                        << "v=" << v;
+            }
+        }
+    }
+    // The overflow the clamp removes: at scale 1 and 2 bits, a
+    // quotient of 0x1.5fd1p+107 coded as -1.
+    const quant::Quantizer two_bits{2, 1.0f};
+    EXPECT_EQ(two_bits.code(0x1.5fd1p+107f), 1);
+}
+
+/** CodeCounts and drive of @p codes, the slow way. */
+void
+naiveCounts(const std::vector<int32_t> &codes, gemmk::CodeCounts &cc,
+            std::vector<int64_t> &drive)
+{
+    for (size_t j = 0; j < codes.size(); ++j) {
+        const int32_t c = codes[j];
+        const int32_t mag = std::abs(c);
+        cc.spikes += std::popcount(static_cast<uint32_t>(mag));
+        cc.pos_sum += std::max(c, 0);
+        cc.neg_sum += std::max(-c, 0);
+        cc.max_abs = std::max(cc.max_abs, mag);
+        drive[j] += mag;
+    }
+}
+
+void
+expectSameCounts(const gemmk::CodeCounts &got,
+                 const gemmk::CodeCounts &want)
+{
+    EXPECT_EQ(got.spikes, want.spikes);
+    EXPECT_EQ(got.pos_sum, want.pos_sum);
+    EXPECT_EQ(got.neg_sum, want.neg_sum);
+    EXPECT_EQ(got.max_abs, want.max_abs);
+}
+
+TEST(QuantizeKernel, EveryTableMatchesTheSharedRule)
+{
+    // Every compiled table's quantize_i32, with and without counts, on
+    // every span of 0 to 40 probes at three alignments (the vector
+    // bodies and their scalar tails), against quantizeCode value by
+    // value and the counts recomputed from its codes.  Counts add into
+    // what the caller passes, and drive adds into a non-zero start.
+    Rng rng(0x9A17u);
+    for (const isa::Target target : isa::availableTargets()) {
+        const gemmk::Kernels &kern = gemmk::kernelsFor(target);
+        for (int bits = 2; bits <= 16; ++bits) {
+            const int32_t levels = (int32_t{1} << (bits - 1)) - 1;
+            for (const float scale : kProbeScales) {
+                SCOPED_TRACE(std::string("isa=") + isa::name(target) +
+                             " bits=" + std::to_string(bits) +
+                             " scale=" + std::to_string(scale));
+                std::vector<float> x = quantizerProbes(levels, scale, rng);
+                for (size_t i = x.size() - 1; i > 0; --i)
+                    std::swap(x[i], x[static_cast<size_t>(
+                                        rng.uniformInt(i + 1))]);
+                std::vector<int32_t> want(x.size());
+                for (size_t j = 0; j < x.size(); ++j)
+                    want[j] = gemmk::quantizeCode(x[j], scale, levels);
+                for (int64_t n = 0; n <= 40; ++n) {
+                    for (const int64_t off : {int64_t{0}, int64_t{1},
+                                              int64_t{3} + n}) {
+                        const std::vector<int32_t> ref(
+                            want.begin() + off, want.begin() + off + n);
+                        std::vector<int32_t> codes(
+                            static_cast<size_t>(n), 12345);
+                        kern.quantize_i32(x.data() + off, n, scale, levels,
+                                          codes.data(), nullptr, nullptr);
+                        ASSERT_EQ(codes, ref) << "n=" << n
+                                              << " off=" << off;
+
+                        gemmk::CodeCounts cc{3, 5, 7, 1};
+                        gemmk::CodeCounts want_cc = cc;
+                        std::vector<int64_t> drive(static_cast<size_t>(n));
+                        for (int64_t j = 0; j < n; ++j)
+                            drive[static_cast<size_t>(j)] = 100 * j - 7;
+                        std::vector<int64_t> want_drive = drive;
+                        naiveCounts(ref, want_cc, want_drive);
+                        codes.assign(static_cast<size_t>(n), 12345);
+                        kern.quantize_i32(x.data() + off, n, scale, levels,
+                                          codes.data(), &cc, drive.data());
+                        ASSERT_EQ(codes, ref);
+                        expectSameCounts(cc, want_cc);
+                        EXPECT_EQ(drive, want_drive);
+
+                        gemmk::CodeCounts only{};
+                        gemmk::CodeCounts want_only{};
+                        std::vector<int64_t> unused(static_cast<size_t>(n));
+                        naiveCounts(ref, want_only, unused);
+                        kern.quantize_i32(x.data() + off, n, scale, levels,
+                                          codes.data(), &only, nullptr);
+                        expectSameCounts(only, want_only);
+                    }
+                }
+            }
+        }
+        // A span long enough that the dword lane sums are flushed into
+        // int64 several times, every code at ±levels.
+        const int32_t levels = 32767;
+        const int64_t n = (int64_t{1} << 21) + 37;
+        std::vector<float> x(static_cast<size_t>(n));
+        for (int64_t j = 0; j < n; ++j)
+            x[static_cast<size_t>(j)] = j % 3 == 0 ? -1e9f : 1e9f;
+        std::vector<int32_t> codes(static_cast<size_t>(n));
+        gemmk::CodeCounts cc{};
+        kern.quantize_i32(x.data(), n, 1.0f, levels, codes.data(), &cc,
+                          nullptr);
+        const int64_t negs = (n + 2) / 3;
+        EXPECT_EQ(cc.spikes, 15 * n);
+        EXPECT_EQ(cc.neg_sum, negs * levels);
+        EXPECT_EQ(cc.pos_sum, (n - negs) * levels);
+        EXPECT_EQ(cc.max_abs, levels);
+    }
+}
+
+TEST(QuantizeKernel, AbsmaxMatchesTheScalarScan)
+{
+    // Every table's absmax_f32 returns the bits of the scalar scan and
+    // flags NaN and ±inf wherever they sit in the span.
+    Rng rng(0xAB5u);
+    const float specials[] = {
+        std::numeric_limits<float>::quiet_NaN(),
+        std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity()};
+    for (const isa::Target target : isa::availableTargets()) {
+        SCOPED_TRACE(std::string("isa=") + isa::name(target));
+        const gemmk::Kernels &kern = gemmk::kernelsFor(target);
+        for (int64_t n = 0; n <= 70; ++n) {
+            for (int trial = 0; trial < 8; ++trial) {
+                std::vector<float> x(static_cast<size_t>(n));
+                for (float &v : x) {
+                    const double pick = rng.uniform();
+                    v = pick < 0.1   ? -0.0f
+                        : pick < 0.2 ? std::numeric_limits<float>::denorm_min()
+                        : pick < 0.3 ? -std::numeric_limits<float>::max()
+                                     : static_cast<float>(std::ldexp(
+                                           rng.uniform(-1.0, 1.0),
+                                           static_cast<int>(
+                                               rng.uniformInt(80)) - 40));
+                }
+                if (trial % 2 == 1 && n > 0)
+                    x[static_cast<size_t>(rng.uniformInt(
+                        static_cast<uint64_t>(n)))] = specials[trial % 3];
+                bool want_bad = false;
+                const float want =
+                    gemmk::absmaxTail(x.data(), 0, n, 0.0f, want_bad);
+                bool bad = !want_bad;
+                const float got = kern.absmax_f32(x.data(), n, &bad);
+                EXPECT_EQ(std::bit_cast<uint32_t>(got),
+                          std::bit_cast<uint32_t>(want))
+                    << "n=" << n;
+                EXPECT_EQ(bad, want_bad) << "n=" << n;
+                EXPECT_EQ(std::bit_cast<uint32_t>(
+                              kern.absmax_f32(x.data(), n, nullptr)),
+                          std::bit_cast<uint32_t>(want));
+            }
+        }
+    }
+}
+
+TEST(QuantizeKernel, CountsMatchSpikeBlock)
+{
+    // What quantize_i32 counts for a tile row, per window, against the
+    // x⁺ and x⁻ SpikeBlocks built from the same codes: the spikes, each
+    // block's largest window sum and the word lines' drive.
+    Rng rng(0x5B10u);
+    for (const isa::Target target : isa::availableTargets()) {
+        SCOPED_TRACE(std::string("isa=") + isa::name(target));
+        const gemmk::Kernels &kern = gemmk::kernelsFor(target);
+        for (int iter = 0; iter < 200; ++iter) {
+            const int bits = 2 + static_cast<int>(rng.uniformInt(15));
+            const int32_t levels = (int32_t{1} << (bits - 1)) - 1;
+            const auto batch = 1 + static_cast<int64_t>(rng.uniformInt(9));
+            const auto rows = 1 + static_cast<int64_t>(rng.uniformInt(140));
+            const Tensor x = mixedWindows(batch, rows, 1 + rows / 3, rng);
+            std::vector<int32_t> codes(static_cast<size_t>(batch * rows));
+            std::vector<int64_t> drive(static_cast<size_t>(rows), 0);
+            int64_t spikes = 0, max_sum[2] = {0, 0};
+            std::vector<int64_t> blocks[2];
+            int64_t selected[2] = {0, 0};
+            for (int64_t b = 0; b < batch; ++b) {
+                const float *in = x.data() + b * rows;
+                const float scale =
+                    quant::Quantizer::forTensor(
+                        {in, static_cast<size_t>(rows)}, bits)
+                        .scale;
+                gemmk::CodeCounts cc{};
+                int32_t *c = codes.data() + b * rows;
+                kern.quantize_i32(in, rows, scale, levels, c, &cc,
+                                  drive.data());
+                spikes += cc.spikes;
+                max_sum[0] = std::max(max_sum[0], cc.pos_sum);
+                max_sum[1] = std::max(max_sum[1], cc.neg_sum);
+                for (int s = 0; s < 2; ++s) {
+                    if ((s == 0 ? cc.pos_sum : cc.neg_sum) == 0)
+                        continue;
+                    ++selected[s];
+                    for (int64_t r = 0; r < rows; ++r)
+                        blocks[s].push_back(
+                            std::max<int64_t>(s == 0 ? c[r] : -c[r], 0));
+                }
+            }
+            int64_t block_spikes = 0;
+            std::vector<int64_t> row_sums(static_cast<size_t>(rows), 0);
+            for (int s = 0; s < 2; ++s) {
+                if (selected[s] == 0) {
+                    EXPECT_EQ(max_sum[s], 0);
+                    continue;
+                }
+                const reram::SpikeBlock block(blocks[s].data(), selected[s],
+                                              rows, bits);
+                block_spikes += block.spikes;
+                EXPECT_EQ(max_sum[s], block.max_window_sum);
+                for (int64_t r = 0; r < rows; ++r)
+                    row_sums[static_cast<size_t>(r)] +=
+                        block.row_sums[static_cast<size_t>(r)];
+            }
+            EXPECT_EQ(spikes, block_spikes);
+            EXPECT_EQ(drive, row_sums);
+        }
+    }
 }
 
 TEST(SpikeDriverMemo, MemoizedTablesMatchOnTheFlyEncoding)

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -402,6 +404,80 @@ TEST(ArrayGroupDeath, RejectsWrongGradientShape)
     ArrayGroup group(p, w);
     Tensor grad({4, 5});
     EXPECT_DEATH(group.updateWeights(grad, 0.1f, 1), "gradient shape");
+}
+
+TEST(ArrayGroup, NonFiniteWeightIsAConfigErrorNamingIt)
+{
+    const DeviceParams p;
+    for (const float bad : {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()}) {
+        Tensor w({3, 4}, 0.5f);
+        w(1, 2) = bad;
+        try {
+            ArrayGroup group(p, w);
+            ADD_FAILURE() << "weight " << bad << " was programmed";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "crossbar weight (1, 2) of a 3 x 4 matrix"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(ArrayGroupDeath, NonFiniteWindowPanicsNamingTheGroup)
+{
+    const DeviceParams p;
+    Rng rng(23);
+    ArrayGroup group(p, Tensor::randn({4, 6}, rng));
+    for (const float bad : {std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()}) {
+        Tensor x({3, 6}, 0.5f);
+        x(1, 4) = bad;
+        EXPECT_DEATH(group.matVecBatch(x),
+                     "non-finite input in window 1 of a 4 x 6 crossbar");
+    }
+}
+
+TEST(ArrayGroupDeath, NonFiniteUpdatePanicsNamingTheGroup)
+{
+    const DeviceParams p;
+    Rng rng(24);
+    ArrayGroup group(p, Tensor::randn({4, 6}, rng));
+    for (const float bad : {std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()}) {
+        Tensor grad({4, 6}, 0.01f);
+        grad(2, 5) = bad;
+        EXPECT_DEATH(group.updateWeights(grad, 0.1f, 1),
+                     "non-finite update of a 4 x 6 crossbar group");
+    }
+    EXPECT_DEATH(group.updateWeights(Tensor({4, 6}, 0.01f),
+                                     std::numeric_limits<float>::quiet_NaN(),
+                                     1),
+                 "non-finite update");
+}
+
+TEST(ArrayGroup, HugeUpdatesSaturateAgainstTheirSign)
+{
+    // W <- W - lr·g: a gradient far past the code range drives every
+    // weight to the end opposite its sign, and stays there.
+    const DeviceParams p;
+    const int64_t max_code = (int64_t{1} << (p.data_bits - 1)) - 1;
+    Rng rng(25);
+    const Tensor w = Tensor::randn({5, 7}, rng);
+    for (const float g : {3e30f, -3e30f}) {
+        SCOPED_TRACE("gradient " + std::to_string(g));
+        ArrayGroup group(p, w);
+        const float end = static_cast<float>(g > 0.0f ? -max_code : max_code) *
+                          group.weightScale();
+        for (int round = 0; round < 2; ++round) {
+            group.updateWeights(Tensor({5, 7}, g), 0.1f, 4);
+            const Tensor stored = group.readWeights();
+            for (int64_t i = 0; i < stored.numel(); ++i)
+                ASSERT_EQ(stored.at(i), end) << "weight " << i;
+        }
+    }
 }
 
 TEST(ArrayGroup, ZeroWeightMatrixComputesZero)

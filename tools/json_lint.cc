@@ -43,6 +43,11 @@
  * totals, per-window distribution counts and sums reconcile with the
  * trailer's, every percentile block is ordered, and the trailer's
  * counter totals agree with the serving stats snapshot it embeds.
+ * An *.ndjson file whose first record carries "trajectory_version" is
+ * the committed perf trajectory (bench/trajectory.ndjson): every
+ * record must be version 1 and carry the labels, workload, metric and
+ * unit as non-empty strings, both medians as finite numbers, and
+ * pairs, seconds and seed in range.
  *
  * Chrome traces carrying serving telemetry get the deeper checks
  * too: nestable async "b"/"e" events must balance per (cat, id),
@@ -53,6 +58,7 @@
  * Exit code: 0 if every file validates, 1 otherwise.
  */
 
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -786,9 +792,53 @@ checkCompletionRecord(const std::string &path, size_t lineno,
 }
 
 /**
+ * One perf trajectory record (bench/trajectory.ndjson): a change's
+ * base and head medians of one end-to-end metric on one workload.
+ */
+bool
+checkTrajectoryRecord(const std::string &path, size_t lineno,
+                      const Value &rec)
+{
+    const auto bad = [&](const std::string &why) {
+        std::cerr << path << ": line " << lineno << " " << why << "\n";
+        return false;
+    };
+    if (!rec.isObject())
+        return bad("is not an object");
+    const Value *version = rec.find("trajectory_version");
+    if (!version || !version->isNumber() ||
+        version->asInt("trajectory_version") != 1)
+        return bad("needs \"trajectory_version\": 1");
+    for (const char *key :
+         {"base", "head", "workload", "metric", "unit", "host"}) {
+        const Value *v = rec.find(key);
+        if (!v || !v->isString() || v->asString().empty())
+            return bad(std::string("needs a non-empty string '") + key +
+                       "'");
+    }
+    for (const char *key : {"base_median", "head_median", "seconds"}) {
+        const Value *v = rec.find(key);
+        if (!v || !v->isNumber() || !std::isfinite(v->asNumber()))
+            return bad(std::string("needs a finite number '") + key + "'");
+    }
+    if (rec.at("seconds").asNumber() <= 0.0)
+        return bad("needs 'seconds' > 0");
+    for (const char *key : {"pairs", "seed"}) {
+        const Value *v = rec.find(key);
+        if (!v || !v->isNumber())
+            return bad(std::string("needs an integer '") + key + "'");
+    }
+    if (rec.at("pairs").asInt("pairs") < 1 ||
+        rec.at("seed").asInt("seed") < 0)
+        return bad("needs 'pairs' >= 1 and 'seed' >= 0");
+    return true;
+}
+
+/**
  * Newline-delimited records: a metrics::Sampler stream when the first
- * record carries "metrics_version" (pl_serve --metrics), completion
- * records otherwise (pl_serve --completions).
+ * record carries "metrics_version" (pl_serve --metrics), the perf
+ * trajectory when it carries "trajectory_version", completion records
+ * otherwise (pl_serve --completions).
  */
 bool
 lintNdjson(const std::string &path)
@@ -823,6 +873,16 @@ lintNdjson(const std::string &path)
             return false;
         std::cout << path << ": OK (metrics stream, "
                   << records.size() - 1 << " windows)\n";
+        return true;
+    }
+    if (!records.empty() && records.front().isObject() &&
+        records.front().find("trajectory_version")) {
+        for (size_t i = 0; i < records.size(); ++i) {
+            if (!checkTrajectoryRecord(path, linenos[i], records[i]))
+                return false;
+        }
+        std::cout << path << ": OK (perf trajectory, " << records.size()
+                  << " records)\n";
         return true;
     }
     for (size_t i = 0; i < records.size(); ++i) {
